@@ -9,6 +9,7 @@ isotropic; ``PlanarArray.element_gain`` is the hook for anything fancier.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -98,8 +99,12 @@ class PlanarArray:
         return 1.0
 
 
+@functools.lru_cache(maxsize=64)
 def element_positions(array: PlanarArray) -> np.ndarray:
-    """(N, 3) element positions in meters, row-major, bearing applied."""
+    """(N, 3) element positions in meters, row-major, bearing applied.
+
+    Cached per (frozen, hashable) array; the shared result is read-only.
+    """
     pitch = array.spacing * array.wavelength_m
     r = np.arange(array.n_rows)
     c = np.arange(array.n_cols)
@@ -117,6 +122,7 @@ def element_positions(array: PlanarArray) -> np.ndarray:
             ]
         )
         pos = pos @ rot.T
+    pos.setflags(write=False)
     return pos
 
 

@@ -4,6 +4,13 @@ Codebook weights are steering vectors scaled to unit norm. The Hermitian
 inner products inside the beamformed-power quadratic form supply the
 conjugation, so a beam pointed exactly at a path's direction conjugate-matches
 that path and attains the full array gain.
+
+Sweeps contract the factored channel H_k = A_rx diag(c_k) A_tx^H without
+forming it: the tx codebook is projected onto the P path steering vectors,
+the rx side is taken in the path basis or the element basis, whichever is
+smaller, and the K subbands are compressed to min(K, P) rows of the
+triangular QR factor of the coefficient matrix. The power table is then a
+sum of |amplitude|^2 planes, one per row.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ __all__ = [
     "BeamSelection",
     "generate_codebook",
     "sweep_power_table",
+    "select_best_pair",
     "ideal_beam_sweep",
 ]
 
@@ -88,24 +96,46 @@ def sweep_power_table(
     """Total received power for every (tx beam, rx beam) pair, watts.
 
     Returns shape (n_tx_beams, n_rx_beams). Matches beamformed_power
-    evaluated pairwise, computed with batched matrix products.
+    evaluated pairwise. With x = (a_tx^H w_tx) * (a_rx^T w_rx^*) the pair's
+    per-subband amplitudes are coef @ x, and sum_k |coef @ x|^2 equals
+    sum_j |r @ x|^2 for the QR factor r of coef, which has min(K, P) rows.
     """
     if p_tx_w < 0:
         raise ValueError("p_tx_w must be non-negative")
-    h = channel.matrices  # (K, N_rx, N_tx)
-    wt = tx_codebook.weights.T  # (N_tx, n_tx)
-    wr = rx_codebook.weights.conj()  # (n_rx, N_rx)
-    n_rx_b, n_rx = wr.shape
-    n_tx, n_tx_b = wt.shape
-    # associativity choice: contract the cheaper side first
-    right_first = n_rx * n_tx * n_tx_b + n_rx_b * n_rx * n_tx_b
-    left_first = n_rx_b * n_rx * n_tx + n_rx_b * n_tx * n_tx_b
-    if right_first <= left_first:
-        amp = wr @ (h @ wt)  # (K, n_rx_b, n_tx_b)
-    else:
-        amp = (wr @ h) @ wt
-    power = (p_tx_w / channel.grid.n_subbands) * np.abs(amp) ** 2
-    return power.sum(axis=0).T  # (n_tx_b, n_rx_b)
+    tx_paths = tx_codebook.weights @ channel.a_tx.conj()  # (n_tx_b, P)
+    wr_t = rx_codebook.weights.conj().T  # (N_rx, n_rx_b)
+    a_rx_t = channel.a_rx.T  # (P, N_rx)
+    n_paths, n_rx = a_rx_t.shape
+    # rx side in the smaller basis: the P paths, else the N_rx elements
+    rx_side = (a_rx_t @ wr_t,) if n_paths <= n_rx else (a_rx_t, wr_t)
+    coef = channel.coef
+    if coef.shape[0] > n_paths:
+        coef = np.linalg.qr(coef, mode="r")  # (P, P) with r^H r = coef^H coef
+    table = np.zeros((tx_paths.shape[0], wr_t.shape[1]))
+    for row in coef:  # one (n_tx_b, n_rx_b) amplitude plane at a time
+        amp = tx_paths * row
+        for factor in rx_side:
+            amp = amp @ factor
+        table += amp.real**2 + amp.imag**2
+    return (p_tx_w / channel.grid.n_subbands) * table
+
+
+def select_best_pair(
+    table: np.ndarray, tx_codebook: BeamCodebook, rx_codebook: BeamCodebook
+) -> BeamSelection:
+    """Winning pair of a (n_tx_beams, n_rx_beams) power table.
+
+    Ties are broken by the total order (power desc, tx index asc, rx index
+    asc): the first occurrence of the maximum in row-major order wins.
+    """
+    ti, ri = divmod(int(np.argmax(table)), table.shape[1])
+    return BeamSelection(
+        tx_index=ti,
+        rx_index=ri,
+        tx_direction=tx_codebook.directions[ti],
+        rx_direction=rx_codebook.directions[ri],
+        power_w=float(table[ti, ri]),
+    )
 
 
 def ideal_beam_sweep(
@@ -117,17 +147,8 @@ def ideal_beam_sweep(
     """Exhaustive sweep over all beam pairs on one snapshot's channel.
 
     Training is ideal: no airtime is consumed and the channel does not
-    change during the sweep. Ties are broken by the total order
-    (power desc, tx index asc, rx index asc), so the result does not
-    depend on evaluation schedule.
+    change during the sweep. The winner is chosen by select_best_pair, so
+    the result does not depend on evaluation schedule.
     """
     table = sweep_power_table(channel, tx_codebook, rx_codebook, p_tx_w)
-    flat = int(np.argmax(table))  # first occurrence wins: lowest (tx, rx)
-    ti, ri = divmod(flat, table.shape[1])
-    return BeamSelection(
-        tx_index=ti,
-        rx_index=ri,
-        tx_direction=tx_codebook.directions[ti],
-        rx_direction=rx_codebook.directions[ri],
-        power_w=float(table[ti, ri]),
-    )
+    return select_best_pair(table, tx_codebook, rx_codebook)

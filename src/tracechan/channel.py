@@ -10,6 +10,13 @@ where g_p, phi_p, tau_p come from the trace record, nu_p is the Doppler shift
 recomputed from node velocities, and a_rx / a_tx are steering vectors at the
 recorded arrival / departure angles. phase_rad in the trace is the total path
 phase at the carrier, so only the subband offset term is applied here.
+
+A snapshot with P paths gives a channel of rank at most P, so it is kept
+factored: H_k = A_rx diag(c_k) A_tx^H with the (K, P) per-path subband
+coefficients c, the (N_rx, P) arrival steering matrix A_rx and the (N_tx, P)
+departure steering matrix A_tx. Beamformed power and beam sweeps contract
+these factors directly; the dense (K, N_rx, N_tx) tensor is built only when
+``ChannelMatrixSet.matrices`` is read.
 """
 
 from __future__ import annotations
@@ -73,11 +80,28 @@ class NodeState:
 
 @dataclass(frozen=True)
 class ChannelMatrixSet:
-    """Per-subband channel matrices (K, n_rx_elements, n_tx_elements)."""
+    """Per-subband channel H_k = a_rx diag(coef[k]) a_tx^H of one snapshot."""
 
-    matrices: np.ndarray
+    coef: np.ndarray  # (K, P) complex per-path coefficient on each subband
+    a_rx: np.ndarray  # (N_rx, P) arrival steering vectors, one column per path
+    a_tx: np.ndarray  # (N_tx, P) departure steering vectors, one column per path
     grid: SubbandGrid
     time: float
+
+    def __post_init__(self) -> None:
+        n_paths = self.coef.shape[1]
+        if (self.coef.shape != (self.grid.n_subbands, n_paths)
+                or self.a_rx.ndim != 2 or self.a_rx.shape[1] != n_paths
+                or self.a_tx.ndim != 2 or self.a_tx.shape[1] != n_paths):
+            raise ValueError(
+                f"factor shapes coef {self.coef.shape}, a_rx {self.a_rx.shape}, "
+                f"a_tx {self.a_tx.shape} do not form a {self.grid.n_subbands}-subband channel"
+            )
+
+    @property
+    def matrices(self) -> np.ndarray:
+        """Dense (K, N_rx, N_tx) channel tensor, assembled on every read."""
+        return np.einsum("kp,up,sp->kus", self.coef, self.a_rx, self.a_tx.conj(), optimize=True)
 
 
 def doppler_shift(
@@ -103,16 +127,21 @@ def build_channel_matrices(
     grid: SubbandGrid,
     t_eval: float | None = None,
 ) -> ChannelMatrixSet:
-    """Assemble per-subband channel matrices for one snapshot group.
+    """Assemble the factored per-subband channel of one snapshot group.
 
-    records must all share one (t, tx_id, rx_id); an empty group yields
-    all-zero matrices. t_eval defaults to the snapshot time; values before
-    the snapshot are rejected. The Doppler phase ramp advances linearly
-    from the snapshot time to t_eval.
+    records must all share one (t, tx_id, rx_id); an empty group yields a
+    channel with no paths, whose matrices are all zero. t_eval defaults to
+    the snapshot time; values before the snapshot are rejected. The Doppler
+    phase ramp advances linearly from the snapshot time to t_eval.
     """
-    shape = (grid.n_subbands, rx_array.n_elements, tx_array.n_elements)
     if not records:
-        return ChannelMatrixSet(np.zeros(shape, dtype=complex), grid, t_eval or 0.0)
+        return ChannelMatrixSet(
+            np.zeros((grid.n_subbands, 0), dtype=complex),
+            np.zeros((rx_array.n_elements, 0), dtype=complex),
+            np.zeros((tx_array.n_elements, 0), dtype=complex),
+            grid,
+            t_eval or 0.0,
+        )
 
     t = records[0].t
     if any((r.t, r.tx_id, r.rx_id) != (t, records[0].tx_id, records[0].rx_id) for r in records):
@@ -153,8 +182,7 @@ def build_channel_matrices(
         * np.exp(1j * 2.0 * math.pi * nu * (t_eval - t))
         * np.exp(-1j * 2.0 * math.pi * np.outer(offsets, delays))
     )
-    h = np.einsum("kp,up,sp->kus", coef, a_rx, a_tx.conj(), optimize=True)
-    return ChannelMatrixSet(h, grid, t)
+    return ChannelMatrixSet(coef, a_rx, a_tx, grid, t)
 
 
 def beamformed_power(
@@ -167,11 +195,13 @@ def beamformed_power(
 
     P_k = (p_tx / K) * |w_rx^H H_k w_tx|^2. Both weight vectors must have
     unit norm (tolerance 1e-9); transmit power splits evenly over subbands.
+    The amplitude is contracted in the path domain:
+    w_rx^H H_k w_tx = sum_p coef[k, p] (w_rx^H a_rx[:, p]) (a_tx[:, p]^H w_tx).
     """
     w_tx = np.asarray(w_tx)
     w_rx = np.asarray(w_rx)
-    for name, w, n in (("w_tx", w_tx, channel.matrices.shape[2]),
-                       ("w_rx", w_rx, channel.matrices.shape[1])):
+    for name, w, n in (("w_tx", w_tx, channel.a_tx.shape[0]),
+                       ("w_rx", w_rx, channel.a_rx.shape[0])):
         if w.shape != (n,):
             raise ValueError(f"{name} must have shape ({n},), got {w.shape}")
         norm = np.linalg.norm(w)
@@ -180,6 +210,6 @@ def beamformed_power(
     if p_tx_w < 0:
         raise ValueError("p_tx_w must be non-negative")
 
-    amp = w_rx.conj() @ channel.matrices @ w_tx  # (K,)
+    amp = channel.coef @ ((w_rx.conj() @ channel.a_rx) * (w_tx @ channel.a_tx.conj()))  # (K,)
     per_subband = (p_tx_w / channel.grid.n_subbands) * np.abs(amp) ** 2
     return per_subband, float(per_subband.sum())

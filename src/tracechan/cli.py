@@ -16,20 +16,14 @@ import argparse
 import math
 import sys
 
-from .beams import sweep_power_table
-from .channel import NodeState, build_channel_matrices
-from .link import metrics_to_csv, run_simulation
+from .beams import select_best_pair, sweep_power_table
+from .link import metrics_to_csv, run_simulation, snapshot_channel
 from .raytrace import generate_trace
 from .scenario import (
     ConfigError,
     ScenarioConfig,
-    build_budget,
-    build_arrays,
-    build_codebooks,
-    build_grid,
     build_rt_scenario,
     build_setup,
-    build_trajectories,
     load_config,
 )
 from .traces import TraceFormatError, TraceSet, parse_trace, validate_trace, write_trace
@@ -112,26 +106,11 @@ def _cmd_sweep(args) -> int:
         raise ConfigError([f"trace has no snapshots for link ({cfg.tx_id},{cfg.rx_id})"])
     t = _pick_time(times, args.time, cfg.snapshot_dt_s)
 
-    tx_array, rx_array = build_arrays(cfg)
-    cb_tx, cb_rx = build_codebooks(cfg, tx_array, rx_array)
-    grid = build_grid(cfg)
-    budget = build_budget(cfg)
-    trajs = build_trajectories(cfg)
-
-    def state(node_id: int) -> NodeState:
-        if trajs and node_id in trajs:
-            return trajs[node_id].state_at(t)
-        return NodeState.static()
-
-    channel = build_channel_matrices(
-        trace.group(t, cfg.tx_id, cfg.rx_id), tx_array, rx_array,
-        state(cfg.tx_id), state(cfg.rx_id), grid, t_eval=t,
-    )
-    table = sweep_power_table(channel, cb_tx, cb_rx, budget.tx_power_w)
-
-    flat = table.reshape(-1)
-    best = int(flat.argmax())
-    bi, bj = divmod(best, table.shape[1])
+    setup = build_setup(cfg)
+    cb_tx, cb_rx = setup.tx_codebook, setup.rx_codebook
+    channel = snapshot_channel(setup, trace.group(t, cfg.tx_id, cfg.rx_id), t)
+    table = sweep_power_table(channel, cb_tx, cb_rx, setup.budget.tx_power_w)
+    best = select_best_pair(table, cb_tx, cb_rx)
 
     def row(i: int, j: int) -> list[str]:
         d_tx, d_rx = cb_tx.directions[i], cb_rx.directions[j]
@@ -145,15 +124,15 @@ def _cmd_sweep(args) -> int:
     for i in range(table.shape[0]):
         for j in range(table.shape[1]):
             lines.append(",".join(row(i, j)))
-    lines.append(",".join(row(bi, bj)))  # winner repeated as the final row
+    lines.append(",".join(row(best.tx_index, best.rx_index)))  # winner repeated last
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 
-    d_tx, d_rx = cb_tx.directions[bi], cb_rx.directions[bj]
+    d_tx, d_rx = best.tx_direction, best.rx_direction
     print(
         f"best at t={t}: tx=({d_tx.azimuth_deg:g}, {d_tx.zenith_deg:g}) deg, "
         f"rx=({d_rx.azimuth_deg:g}, {d_rx.zenith_deg:g}) deg, "
-        f"power={_watts_to_dbm(float(table[bi, bj])):.3f} dBm"
+        f"power={_watts_to_dbm(best.power_w):.3f} dBm"
     )
     return 0
 

@@ -40,6 +40,7 @@ __all__ = [
     "classify_los",
     "select_mcs",
     "throughput_delay",
+    "snapshot_channel",
     "run_simulation",
     "metrics_to_csv",
     "METRICS_COLUMNS",
@@ -244,9 +245,30 @@ class SimulationSetup:
 
 
 def _node_state(setup: SimulationSetup, node_id: int, t: float) -> NodeState:
-    if setup.trajectories and node_id in setup.trajectories:
-        return setup.trajectories[node_id].state_at(t)
-    return NodeState.static()
+    if not (setup.trajectories and node_id in setup.trajectories):
+        return NodeState.static()
+    trajectory = setup.trajectories[node_id]
+    try:
+        return trajectory.state_at(t)
+    except KeyError:
+        t0 = float(trajectory.times[0])
+        grid = (f"dt={float(trajectory.times[1]) - t0!r} s from t={t0!r}"
+                if len(trajectory) > 1 else f"one sample at t={t0!r}")
+        raise ValueError(
+            f"snapshot t={t!r} is not on the configured time grid ({grid}); "
+            "snapshot_dt_s must match the trace"
+        ) from None
+
+
+def snapshot_channel(
+    setup: SimulationSetup, records: list[MpcRecord], t: float
+) -> ChannelMatrixSet:
+    """Channel of the configured link from one snapshot's records, at time t."""
+    return build_channel_matrices(
+        records, setup.tx_array, setup.rx_array,
+        _node_state(setup, setup.tx_id, t), _node_state(setup, setup.rx_id, t),
+        setup.grid, t_eval=t,
+    )
 
 
 def _training_flags(times: list[float], period: float) -> list[bool]:
@@ -261,6 +283,13 @@ def _training_flags(times: list[float], period: float) -> list[bool]:
     return flags
 
 
+def _map(fn, items: list, workers: int) -> list:
+    if workers == 1:
+        return [fn(x) for x in items]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
+
+
 def run_simulation(
     trace: TraceSet, setup: SimulationSetup, workers: int = 1
 ) -> list[LinkMetrics]:
@@ -268,9 +297,10 @@ def run_simulation(
 
     Beam training runs at the first snapshot and then whenever the training
     period has elapsed, always on the training snapshot's own channel; the
-    winning pair is held until the next training. Results are identical for
-    any worker count: snapshots are evaluated independently and reassembled
-    in time order.
+    winning pair is held until the next training. Each snapshot's channel is
+    built once: a training snapshot's row is evaluated on the channel it was
+    trained on. Results are identical for any worker count: snapshots are
+    evaluated independently and reassembled in time order.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -278,44 +308,9 @@ def run_simulation(
     times = trace.snapshot_times(*link)
     if not times:
         raise ValueError(f"trace has no snapshots for link {link}")
-
     groups = [trace.group(t, *link) for t in times]
-    states = [
-        (_node_state(setup, setup.tx_id, t), _node_state(setup, setup.rx_id, t))
-        for t in times
-    ]
 
-    def channel_at(i: int) -> ChannelMatrixSet:
-        tx_state, rx_state = states[i]
-        return build_channel_matrices(
-            groups[i], setup.tx_array, setup.rx_array, tx_state, rx_state,
-            setup.grid, t_eval=times[i],
-        )
-
-    flags = _training_flags(times, setup.training_period_s)
-    training_idx = [i for i, f in enumerate(flags) if f]
-
-    def train(i: int) -> BeamSelection:
-        return ideal_beam_sweep(
-            channel_at(i), setup.tx_codebook, setup.rx_codebook, setup.budget.tx_power_w
-        )
-
-    if workers == 1:
-        selections = [train(i) for i in training_idx]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            selections = list(pool.map(train, training_idx))
-    sel_of: dict[int, BeamSelection] = dict(zip(training_idx, selections))
-
-    current: list[BeamSelection] = []
-    active = None
-    for i in range(len(times)):
-        active = sel_of.get(i, active)
-        current.append(active)
-
-    def evaluate(i: int) -> LinkMetrics:
-        sel = current[i]
-        ch = channel_at(i)
+    def evaluate(i: int, sel: BeamSelection, ch: ChannelMatrixSet) -> LinkMetrics:
         _, p_rx = beamformed_power(
             ch,
             setup.tx_codebook.weights[sel.tx_index],
@@ -339,10 +334,26 @@ def run_simulation(
             delay_s=delay,
         )
 
-    if workers == 1:
-        return [evaluate(i) for i in range(len(times))]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(evaluate, range(len(times))))
+    def train(i: int) -> tuple[BeamSelection, LinkMetrics]:
+        ch = snapshot_channel(setup, groups[i], times[i])
+        sel = ideal_beam_sweep(
+            ch, setup.tx_codebook, setup.rx_codebook, setup.budget.tx_power_w
+        )
+        return sel, evaluate(i, sel, ch)
+
+    flags = _training_flags(times, setup.training_period_s)
+    training_idx = [i for i, f in enumerate(flags) if f]
+    trained = dict(zip(training_idx, _map(train, training_idx, workers)))
+    active: list[BeamSelection] = []  # the first snapshot always trains
+    for i in range(len(times)):
+        active.append(trained[i][0] if flags[i] else active[-1])
+
+    def evaluate_held(i: int) -> LinkMetrics:
+        return evaluate(i, active[i], snapshot_channel(setup, groups[i], times[i]))
+
+    held_idx = [i for i, f in enumerate(flags) if not f]
+    held = dict(zip(held_idx, _map(evaluate_held, held_idx, workers)))
+    return [trained[i][1] if flags[i] else held[i] for i in range(len(times))]
 
 
 def _fmt(value: float) -> str:

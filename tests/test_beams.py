@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import mk_record
 from tracechan import (
@@ -193,3 +195,61 @@ def test_sweep_argmax_optimality_randomized():
         sel = ideal_beam_sweep(ch, cb_tx, cb_rx, 1.0)
         assert sel.power_w == table.max()
         assert table[sel.tx_index, sel.rx_index] == table.max()
+
+
+def _dense_reference_table(ch, cb_tx, cb_rx, p_tx_w):
+    # sum_k |w_rx^H H_k w_tx|^2 on the dense tensor, one pair at a time
+    h = ch.matrices
+    table = np.empty((len(cb_tx), len(cb_rx)))
+    for i, w_tx in enumerate(cb_tx.weights):
+        for j, w_rx in enumerate(cb_rx.weights):
+            amp = np.array([w_rx.conj() @ h_k @ w_tx for h_k in h])
+            table[i, j] = (p_tx_w / len(h)) * float(np.sum(np.abs(amp) ** 2))
+    return table
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_subbands=st.integers(1, 8),
+    n_paths=st.integers(1, 8),
+    rx_shape=st.sampled_from([(1, 1), (1, 2), (2, 2), (2, 3)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+# P on both sides of N_rx, and K on both sides of P
+@example(n_subbands=8, n_paths=2, rx_shape=(2, 2), seed=0)
+@example(n_subbands=1, n_paths=3, rx_shape=(2, 2), seed=1)
+@example(n_subbands=8, n_paths=6, rx_shape=(1, 2), seed=2)
+@example(n_subbands=3, n_paths=7, rx_shape=(1, 2), seed=3)
+def test_factored_sweep_matches_dense_reference(n_subbands, n_paths, rx_shape, seed):
+    rng = np.random.default_rng(seed)
+    grid = SubbandGrid(28e9, 400e6, n_subbands)
+    tx_arr = PlanarArray(2, 3, LAM, bearing_deg=float(rng.uniform(-90, 90)))
+    rx_arr = PlanarArray(*rx_shape, LAM)
+    recs = [
+        mk_record(
+            path_id=i,
+            gain_mag=float(rng.uniform(0, 1e-4)),
+            phase=float(rng.uniform(-math.pi, math.pi)),
+            delay=float(rng.uniform(0, 2e-7)),
+            aod_az=float(rng.uniform(-180, 179)),
+            aod_zen=float(rng.uniform(0, 180)),
+            aoa_az=float(rng.uniform(-180, 179)),
+            aoa_zen=float(rng.uniform(0, 180)),
+        )
+        for i in range(n_paths)
+    ]
+    ch = build_channel_matrices(recs, tx_arr, rx_arr, STATIC, STATIC, grid)
+    cb_tx = generate_codebook(tx_arr, -90.0, 90.0, 45.0)
+    cb_rx = generate_codebook(rx_arr, -180.0, 90.0, 90.0, 60.0, 120.0, 60.0)
+    table = sweep_power_table(ch, cb_tx, cb_rx, 0.5)
+    want = _dense_reference_table(ch, cb_tx, cb_rx, 0.5)
+    bound = 1e-12 * want.max()
+    assert np.all(table >= 0.0)
+    assert np.max(np.abs(table - want)) <= bound
+    for i in range(len(cb_tx)):
+        for j in range(len(cb_rx)):
+            _, pairwise = beamformed_power(ch, cb_tx.weights[i], cb_rx.weights[j], 0.5)
+            assert abs(pairwise - want[i, j]) <= bound
+    sel = ideal_beam_sweep(ch, cb_tx, cb_rx, 0.5)
+    assert sel.power_w == table.max()
+    assert table[sel.tx_index, sel.rx_index] == table.max()

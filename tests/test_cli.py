@@ -153,6 +153,38 @@ def test_sweep_table_layout(scene_cfg, tmp_path, capsys):
     assert all(ln.split(",")[:2] == first_tx for ln in lines[2:37])
 
 
+def test_sweep_winner_matches_simulate_training(scene_cfg, tmp_path, capsys):
+    # the scene retrains on every snapshot, so simulate's beam at t=0.5 is
+    # the winner of the same sweep table
+    sweep = tmp_path / "sweep.csv"
+    metrics = tmp_path / "metrics.csv"
+    assert main(["sweep", "--config", str(scene_cfg), "--out", str(sweep),
+                 "--time", "0.5"]) == 0
+    assert main(["simulate", "--config", str(scene_cfg), "--out", str(metrics)]) == 0
+    capsys.readouterr()
+    winner = sweep.read_text().splitlines()[-1].split(",")[:4]
+    row = next(ln.split(",") for ln in metrics.read_text().splitlines()[1:]
+               if float(ln.split(",")[0]) == 0.5)
+    assert [float(x) for x in winner] == [float(x) for x in row[2:6]]
+
+
+def test_simulate_mismatched_time_grid_exits_2(scene_cfg, tmp_path, capsys):
+    trace = tmp_path / "trace.csv"
+    assert main(["generate-trace", "--config", str(scene_cfg), "--out", str(trace)]) == 0
+    coarse = tmp_path / "coarse.cfg"
+    coarse.write_text(SCENE_CFG.replace("snapshot_dt_s: 0.25", "snapshot_dt_s: 0.3"))
+    capsys.readouterr()
+    for cmd in ("simulate", "sweep"):
+        args = [cmd, "--config", str(coarse), "--trace", str(trace),
+                "--out", str(tmp_path / "x.csv")]
+        if cmd == "sweep":
+            args += ["--time", "0.25"]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "t=0.25" in err and "dt=0.3" in err
+
+
 def test_sweep_time_snapping(scene_cfg, tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     # 0.6 is within dt/2 = 0.125 of snapshot 0.5

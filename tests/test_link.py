@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tracechan.link as link_module
 from conftest import mk_record
 from tracechan import (
     AmcTable,
@@ -284,6 +285,25 @@ def test_run_simulation_rejects_missing_link():
     other = SimulationSetup(**{**setup.__dict__, "tx_id": 5, "rx_id": 6})
     with pytest.raises(ValueError, match="no snapshots"):
         run_simulation(trace, other)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_simulation_builds_each_channel_once(monkeypatch, workers):
+    # training every 0.2 s on a 0.1 s grid: both trained and held snapshots
+    built = []
+    original = link_module.build_channel_matrices
+
+    def counting(records, *args, **kwargs):
+        built.append(kwargs["t_eval"])
+        return original(records, *args, **kwargs)
+
+    monkeypatch.setattr(link_module, "build_channel_matrices", counting)
+    times = [0.1 * k for k in range(7)]
+    metrics = run_simulation(
+        _los_trace(times), _free_space_setup(training_period=0.2), workers=workers
+    )
+    assert len(metrics) == 7
+    assert sorted(built) == times
 
 
 def test_run_simulation_worker_counts_agree():

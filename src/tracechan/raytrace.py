@@ -6,6 +6,19 @@ line of sight, specular reflections off planar rectangles up to a configurable
 order (image method), and single knife-edge diffraction at marked rectangle
 edges, emitted only while the direct path is blocked.
 
+Reflections are traced in two stages. A batched numpy filter takes every
+(snapshot, face sequence) candidate of one reflection order at once, in
+chunks of bounded size: it builds the image chain, walks back from the
+receiver and tests every leg against every face. Each test also carries a
+bound on how far its numpy values can sit from those of the scalar code, so
+it comes out as a clear hit, a clear miss or undecided; a candidate is
+dropped only when a test rejects it clearly. The candidates left are
+confirmed by the scalar image-method code (`_mirror`, `_segment_hit`,
+`_segment_occluded`), and only that stage produces paths. The confirm stage
+stays scalar because numpy's batched dot products round differently from the
+BLAS dot of two 3-vectors in the last bit, and traces must stay
+byte-identical to those of the scalar tracer.
+
 Amplitude model: free-space spreading lambda/(4 pi d) on the unfolded path
 length, one real reflection coefficient per bounce, and the standard
 knife-edge loss J(nu) for diffraction. Phase is -2 pi L / lambda wrapped to
@@ -15,9 +28,9 @@ two-sided, materials are frequency-flat, and no polarization is modelled.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,6 +52,18 @@ __all__ = [
 ]
 
 _EPS = 1e-9  # segment-parameter slack: endpoints touching a surface do not block
+_CONTAINS_TOL = 1e-9  # Rectangle.contains slack, in units of the edge vectors
+_PARALLEL = 1e-15  # |normal . segment| below this: parallel or in-plane, no crossing
+# Error-budget unit of the batched filter, eight unit roundoffs. Each bound
+# sums such terms over the magnitudes a computation touched, so a
+# well-conditioned test gets a slack near 1e-14, far below _EPS.
+_ROUND = 2.0**-50
+_BATCH = 1 << 13  # (candidate, face) pairs per filter chunk; bounds its memory
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True)
@@ -48,6 +73,8 @@ class Rectangle:
     gamma is the real amplitude reflection coefficient in [0, 1].
     diffracting_edges marks perimeter edges by index: 0 = corner..corner+u,
     1 = corner+u..corner+u+v, 2 = corner+u+v..corner+v, 3 = corner+v..corner.
+    The vectors are stored as read-only copies, so the unit normal and the
+    Gram terms of (edge_u, edge_v), computed once here, cannot go stale.
     """
 
     corner: np.ndarray
@@ -55,11 +82,13 @@ class Rectangle:
     edge_v: np.ndarray
     gamma: float = 0.7
     diffracting_edges: tuple[int, ...] = ()
+    normal: np.ndarray = field(init=False, repr=False, compare=False)
+    _gram: tuple[float, float, float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "corner", np.asarray(self.corner, dtype=float))
-        object.__setattr__(self, "edge_u", np.asarray(self.edge_u, dtype=float))
-        object.__setattr__(self, "edge_v", np.asarray(self.edge_v, dtype=float))
+        for name in ("corner", "edge_u", "edge_v"):
+            vec = _read_only(np.array(getattr(self, name), dtype=float))
+            object.__setattr__(self, name, vec)
         n = np.cross(self.edge_u, self.edge_v)
         if np.linalg.norm(n) < 1e-12:
             raise ValueError("edge vectors must not be parallel")
@@ -67,11 +96,11 @@ class Rectangle:
             raise ValueError(f"gamma {self.gamma!r} outside [0, 1]")
         if any(e not in (0, 1, 2, 3) for e in self.diffracting_edges):
             raise ValueError("diffracting edge indices must be in 0..3")
-
-    @property
-    def normal(self) -> np.ndarray:
-        n = np.cross(self.edge_u, self.edge_v)
-        return n / np.linalg.norm(n)
+        object.__setattr__(self, "normal", _read_only(n / np.linalg.norm(n)))
+        uu = float(self.edge_u @ self.edge_u)
+        vv = float(self.edge_v @ self.edge_v)
+        uv = float(self.edge_u @ self.edge_v)
+        object.__setattr__(self, "_gram", (uu, vv, uv, uu * vv - uv * uv))
 
     def edge_points(self, index: int) -> tuple[np.ndarray, np.ndarray]:
         c, u, v = self.corner, self.edge_u, self.edge_v
@@ -81,15 +110,12 @@ class Rectangle:
     def local_coords(self, point: np.ndarray) -> tuple[float, float]:
         """Solve point = corner + a*u + b*v in the plane's own basis."""
         w = point - self.corner
-        uu = float(self.edge_u @ self.edge_u)
-        vv = float(self.edge_v @ self.edge_v)
-        uv = float(self.edge_u @ self.edge_v)
-        det = uu * vv - uv * uv
+        uu, vv, uv, det = self._gram
         uw = float(self.edge_u @ w)
         vw = float(self.edge_v @ w)
         return (vv * uw - uv * vw) / det, (uu * vw - uv * uw) / det
 
-    def contains(self, point: np.ndarray, tol: float = 1e-9) -> bool:
+    def contains(self, point: np.ndarray, tol: float = _CONTAINS_TOL) -> bool:
         a, b = self.local_coords(point)
         return -tol <= a <= 1.0 + tol and -tol <= b <= 1.0 + tol
 
@@ -111,7 +137,7 @@ def _segment_hit(
     d = p1 - p0
     n = rect.normal
     denom = float(n @ d)
-    if abs(denom) < 1e-15:
+    if abs(denom) < _PARALLEL:
         return None  # parallel or in-plane: no crossing
     t = float(n @ (rect.corner - p0)) / denom
     if t <= _EPS or t >= 1.0 - _EPS:
@@ -172,6 +198,11 @@ class _RawPath:
     last_leg_back: np.ndarray  # from receiver toward last interaction
 
 
+def _los_path(p_tx: np.ndarray, p_rx: np.ndarray) -> _RawPath:
+    d = p_rx - p_tx
+    return _RawPath(PathType.LOS, float(np.linalg.norm(d)), 1.0, d, -d)
+
+
 def trace_los(
     p_tx: np.ndarray, p_rx: np.ndarray, f_c_hz: float, env: Environment = Environment()
 ) -> _RawPath | None:
@@ -180,13 +211,232 @@ def trace_los(
     p_rx = np.asarray(p_rx, dtype=float)
     if los_blocked(p_tx, p_rx, env):
         return None
-    d = p_rx - p_tx
-    return _RawPath(PathType.LOS, float(np.linalg.norm(d)), 1.0, d, -d)
+    return _los_path(p_tx, p_rx)
 
 
 def _mirror(point: np.ndarray, rect: Rectangle) -> np.ndarray:
     n = rect.normal
     return point - 2.0 * float(n @ (point - rect.corner)) * n
+
+
+def _confirm_reflection(
+    p_tx: np.ndarray, p_rx: np.ndarray, seq: list[int], env: Environment
+) -> _RawPath | None:
+    """The scalar image method for one face sequence; None when invalid.
+
+    The sequence is valid when every reflection point lands inside its
+    rectangle and every leg of the unfolded path clears all faces (touching
+    a face at a leg endpoint does not occlude).
+    """
+    rects = env.rectangles
+    images = []
+    img = p_tx
+    for idx in seq:
+        img = _mirror(img, rects[idx])
+        images.append(img)
+    # walk backward from the receiver through the image chain
+    points: list[np.ndarray] = []
+    q = p_rx
+    for idx, img in zip(reversed(seq), reversed(images)):
+        hit = _segment_hit(q, img, rects[idx])
+        if hit is None:
+            return None
+        q = hit[1]
+        points.append(q)
+    points.reverse()
+    legs = [p_tx, *points, p_rx]
+    if any(_segment_occluded(a, b, env) for a, b in zip(legs, legs[1:])):
+        return None
+    length = float(sum(np.linalg.norm(b - a) for a, b in zip(legs, legs[1:])))
+    gamma = math.prod(rects[i].gamma for i in seq)
+    return _RawPath(PathType.REFLECTION, length, gamma, legs[1] - legs[0], legs[-2] - legs[-1])
+
+
+class _Faces(NamedTuple):
+    """Face geometry stacked for the batched filter.
+
+    basis[f] has the rows (normal, edge_u, edge_v) of face f; flat is the
+    same vectors as columns grouped by kind, so x @ flat projects rows of x
+    onto every face at once. consts[:, f] = (n.c, u.c, v.c, |c|_1, |u|_1,
+    |v|_1, uu, vv, uv, det) with c the corner and the Gram terms as cached.
+    """
+
+    basis: np.ndarray  # (F, 3, 3)
+    flat: np.ndarray  # (3, 3F)
+    corners: np.ndarray  # (F, 3)
+    consts: np.ndarray  # (10, F)
+
+
+def _stack_faces(rects: tuple[Rectangle, ...]) -> _Faces:
+    basis = np.array([(r.normal, r.edge_u, r.edge_v) for r in rects])
+    corners = np.array([r.corner for r in rects])
+    consts = np.vstack([
+        np.einsum("fij,fj->if", basis, corners),
+        np.abs(corners).sum(axis=1),
+        np.abs(basis[:, 1]).sum(axis=1),
+        np.abs(basis[:, 2]).sum(axis=1),
+        np.array([r._gram for r in rects]).T,
+    ])
+    return _Faces(basis, basis.transpose(1, 0, 2).reshape(-1, 3).T, corners, consts)
+
+
+def _l1(x: np.ndarray) -> np.ndarray:
+    return np.abs(x).sum(axis=-1)
+
+
+def _classify(pq, pd, q1, d1, eq, ed, consts):
+    """Decide `_segment_hit(q, q + d, face)` from numpy values near the scalar ones.
+
+    pq and pd stack the projections of q and d onto the face's (normal,
+    edge_u, edge_v) along axis 0; q1 and d1 are their L1 norms. eq bounds the
+    distance of q from the point the scalar code starts from, ed that of d
+    from the scalar segment vector. Every other rounding, in this code and in
+    the scalar code, is bounded by _ROUND terms. The slack on t grows as
+    |n.d| shrinks against those bounds, so a near-parallel test comes out
+    undecided. Returns (hit, miss, t, e_point): the tests whose scalar
+    outcome is certain, the segment parameter, and a bound on the crossing
+    point's distance from the scalar one. A test that is neither hit nor
+    miss is undecided.
+    """
+    nc, uc, vc, c1, u1, v1, uu, vv, uv, det = consts
+    e_den = ed + _ROUND * d1
+    e_num = eq + _ROUND * (c1 + q1)
+    abs_den = np.abs(pd[0])
+    low_den = abs_den - e_den
+    parallel = abs_den + e_den < _PARALLEL
+    crossing = low_den >= _PARALLEL
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t = (nc - pq[0]) / pd[0]
+        abs_t = np.abs(t)
+        e_t = (e_num + abs_t * e_den) / low_den + _ROUND * abs_t
+        e_point = eq + abs_t * ed + (d1 + ed) * e_t
+        e_w = e_point + 2.0 * _ROUND * (q1 + abs_t * d1 + c1)
+        uw = (pq[1] - uc) + t * pd[1]
+        vw = (pq[2] - vc) + t * pd[2]
+        abs_uv = np.abs(uv)
+        a = (vv * uw - uv * vw) / det
+        b = (uu * vw - uv * uw) / det
+        e_a = (vv * u1 * e_w + abs_uv * v1 * e_w
+               + _ROUND * (vv * np.abs(uw) + abs_uv * np.abs(vw))) / det + _ROUND * np.abs(a)
+        e_b = (uu * v1 * e_w + abs_uv * u1 * e_w
+               + _ROUND * (uu * np.abs(vw) + abs_uv * np.abs(uw))) / det + _ROUND * np.abs(b)
+        e_next = e_point + _ROUND * (q1 + abs_t * d1)
+    lo, hi = -_CONTAINS_TOL, 1.0 + _CONTAINS_TOL
+    t_in = (t - e_t > _EPS) & (t + e_t < 1.0 - _EPS)
+    t_out = (t + e_t <= _EPS) | (t - e_t >= 1.0 - _EPS)
+    inside = (a - e_a >= lo) & (a + e_a <= hi) & (b - e_b >= lo) & (b + e_b <= hi)
+    outside = (a + e_a < lo) | (a - e_a > hi) | (b + e_b < lo) | (b - e_b > hi)
+    hit = crossing & t_in & inside
+    miss = parallel | (crossing & (t_out | (t_in & outside)))
+    return hit, miss, t, e_next
+
+
+def _filter_candidates(
+    tx: np.ndarray, rx: np.ndarray, seq: np.ndarray, faces: _Faces
+) -> np.ndarray:
+    """Rows of (tx, rx, face sequence) that the scalar code might accept.
+
+    A row is dropped only when a test of the scalar image method rejects it
+    clearly: a reflection step that clearly misses its face, or a leg that
+    clearly crosses a face. Undecided rows are kept for the confirm stage.
+    """
+    rows, order = seq.shape
+    keep = np.zeros(rows, dtype=bool)
+    images, image_err = [], []
+    img, err = tx, np.zeros(rows)
+    for j in range(order):
+        f = seq[:, j]
+        n = faces.basis[f, 0]
+        new = img - (2.0 * np.einsum("ij,ij->i", n, img - faces.corners[f]))[:, None] * n
+        # a mirror is an isometry: input errors pass through, roundings add
+        err = err + 3.0 * _ROUND * (_l1(img) + faces.consts[3, f] + _l1(new))
+        img = new
+        images.append(img)
+        image_err.append(err)
+
+    live = np.arange(rows)  # rows whose every test so far is a clear pass
+    walk = [(rx, np.zeros(rows))]  # receiver, then reflection points backward
+    for j in reversed(range(order)):
+        q, eq = walk[-1]
+        p1, e1 = images[j][live], image_err[j][live]
+        d = p1 - q
+        d1 = _l1(d)
+        basis = faces.basis[seq[live, j]]
+        hit, miss, t, e_point = _classify(
+            np.einsum("rij,rj->ir", basis, q), np.einsum("rij,rj->ir", basis, d),
+            _l1(q), d1, eq, eq + e1 + _ROUND * d1, faces.consts[:, seq[live, j]],
+        )
+        keep[live[~(hit | miss)]] = True
+        live = live[hit]
+        walk = [(p[hit], e[hit]) for p, e in walk]
+        walk.append((q[hit] + t[hit, None] * d[hit], e_point[hit]))
+
+    legs = [(tx[live], np.zeros(live.size)), *reversed(walk)]
+    n_faces = faces.corners.shape[0]
+    consts = faces.consts[:, None, :]
+    for i in range(len(legs) - 1):
+        (a, ea), (b, eb) = legs[i], legs[i + 1]
+        d = b - a
+        d1 = _l1(d)
+        blocked, _, _, _ = _classify(
+            (a @ faces.flat).reshape(-1, 3, n_faces).transpose(1, 0, 2),
+            (d @ faces.flat).reshape(-1, 3, n_faces).transpose(1, 0, 2),
+            _l1(a)[:, None], d1[:, None], ea[:, None], (ea + eb + _ROUND * d1)[:, None],
+            consts,
+        )
+        clear = ~blocked.any(axis=1)
+        live = live[clear]
+        legs = [(p[clear], e[clear]) for p, e in legs]
+    keep[live] = True
+    return keep
+
+
+def _face_sequences(index: np.ndarray, n_faces: int, order: int) -> np.ndarray:
+    """The face sequences numbered `index` among those of one order.
+
+    Numbering follows itertools.product order with the same face twice in a
+    row skipped: a sequence is its first face, then for each later bounce
+    the rank of its face among the n_faces - 1 other than the previous one.
+    """
+    seq = np.empty((index.size, order), dtype=np.intp)
+    rest = index
+    for j in range(order - 1, 0, -1):
+        rest, seq[:, j] = np.divmod(rest, n_faces - 1)
+    seq[:, 0] = rest
+    for j in range(1, order):
+        seq[:, j] += seq[:, j] >= seq[:, j - 1]
+    return seq
+
+
+def _trace_reflections_batch(
+    p_tx: list[np.ndarray], p_rx: list[np.ndarray], env: Environment, max_order: int
+) -> list[list[_RawPath]]:
+    """Specular paths for many geometries, geometry g being (p_tx[g], p_rx[g]).
+
+    Each geometry's paths come in order of reflection order, then face
+    sequence in itertools.product order, as from a per-sequence loop.
+    """
+    paths: list[list[_RawPath]] = [[] for _ in p_tx]
+    rects = env.rectangles
+    if not rects or max_order < 1 or not paths:
+        return paths
+    faces = _stack_faces(rects)
+    tx = np.asarray(p_tx, dtype=float).reshape(-1, 3)
+    rx = np.asarray(p_rx, dtype=float).reshape(-1, 3)
+    n = len(rects)
+    chunk = max(1, _BATCH // n)
+    for order in range(1, max_order + 1):
+        per_geometry = n * (n - 1) ** (order - 1)
+        rows = len(paths) * per_geometry
+        for start in range(0, rows, chunk):
+            geometry, index = np.divmod(np.arange(start, min(start + chunk, rows)), per_geometry)
+            seq = _face_sequences(index, n, order)
+            keep = _filter_candidates(tx[geometry], rx[geometry], seq, faces)
+            for g, s in zip(geometry[keep].tolist(), seq[keep].tolist()):
+                path = _confirm_reflection(tx[g], rx[g], s, env)
+                if path is not None:
+                    paths[g].append(path)
+    return paths
 
 
 def trace_reflections(
@@ -200,52 +450,10 @@ def trace_reflections(
 
     A candidate rectangle sequence is valid when every reflection point lands
     inside its rectangle and every leg of the unfolded path clears all faces
-    (touching a face at a leg endpoint does not occlude).
+    (touching a face at a leg endpoint does not occlude). Paths come by
+    order, then by face sequence in itertools.product order.
     """
-    p_tx = np.asarray(p_tx, dtype=float)
-    p_rx = np.asarray(p_rx, dtype=float)
-    rects = env.rectangles
-    paths: list[_RawPath] = []
-    for order in range(1, max_order + 1):
-        for seq in itertools.product(range(len(rects)), repeat=order):
-            if any(a == b for a, b in zip(seq, seq[1:])):
-                continue  # same plane twice in a row cannot produce a bounce
-            images = []
-            img = p_tx
-            for idx in seq:
-                img = _mirror(img, rects[idx])
-                images.append(img)
-            # walk backward from the receiver through the image chain
-            points: list[np.ndarray] = []
-            q = p_rx
-            valid = True
-            for idx, img in zip(reversed(seq), reversed(images)):
-                hit = _segment_hit(q, img, rects[idx])
-                if hit is None:
-                    valid = False
-                    break
-                q = hit[1]
-                points.append(q)
-            if not valid:
-                continue
-            points.reverse()
-            legs = [p_tx, *points, p_rx]
-            if any(
-                _segment_occluded(a, b, env) for a, b in zip(legs, legs[1:])
-            ):
-                continue
-            length = float(sum(np.linalg.norm(b - a) for a, b in zip(legs, legs[1:])))
-            gamma = math.prod(rects[i].gamma for i in seq)
-            paths.append(
-                _RawPath(
-                    PathType.REFLECTION,
-                    length,
-                    gamma,
-                    legs[1] - legs[0],
-                    legs[-2] - legs[-1],
-                )
-            )
-    return paths
+    return _trace_reflections_batch([p_tx], [p_rx], env, max_order)[0]
 
 
 def fresnel_parameter(
@@ -288,20 +496,31 @@ def _min_path_point_on_edge(
     return e0 + 0.5 * (lo + hi) * edge
 
 
+def _face_blocks(p_tx: np.ndarray, p_rx: np.ndarray, env: Environment) -> list[bool]:
+    """Per face: does it cross the open segment tx..rx?"""
+    return [_segment_hit(p_tx, p_rx, r) is not None for r in env.rectangles]
+
+
 def trace_diffraction(
     p_tx: np.ndarray, p_rx: np.ndarray, env: Environment, f_c_hz: float
 ) -> list[_RawPath]:
     """Single knife-edge paths over marked edges; only for blocked links."""
     p_tx = np.asarray(p_tx, dtype=float)
     p_rx = np.asarray(p_rx, dtype=float)
-    if not los_blocked(p_tx, p_rx, env):
+    blocks = _face_blocks(p_tx, p_rx, env)
+    if not any(blocks):
         return []
+    return _diffraction_paths(p_tx, p_rx, env, f_c_hz, blocks)
+
+
+def _diffraction_paths(
+    p_tx: np.ndarray, p_rx: np.ndarray, env: Environment, f_c_hz: float, blocks: list[bool]
+) -> list[_RawPath]:
     lam = SPEED_OF_LIGHT / f_c_hz
     los_dir = p_rx - p_tx
     los_dir = los_dir / np.linalg.norm(los_dir)
     paths: list[_RawPath] = []
-    for rect in env.rectangles:
-        owner_blocks = _segment_hit(p_tx, p_rx, rect) is not None
+    for rect, owner_blocks in zip(env.rectangles, blocks):
         for edge_idx in rect.diffracting_edges:
             e0, e1 = rect.edge_points(edge_idx)
             point = _min_path_point_on_edge(p_tx, p_rx, e0, e1)
@@ -379,6 +598,26 @@ def _record_from_path(
     )
 
 
+def _snapshot_paths(
+    p_tx: np.ndarray,
+    p_rx: np.ndarray,
+    env: Environment,
+    f_c_hz: float,
+    reflections: list[_RawPath],
+) -> list[_RawPath]:
+    """LOS, the given reflections, then diffraction when LOS is blocked.
+
+    Each face is tested against tx..rx once; LOS and diffraction share the
+    result.
+    """
+    p_tx = np.asarray(p_tx, dtype=float)
+    p_rx = np.asarray(p_rx, dtype=float)
+    blocks = _face_blocks(p_tx, p_rx, env)
+    if any(blocks):
+        return [*reflections, *_diffraction_paths(p_tx, p_rx, env, f_c_hz, blocks)]
+    return [_los_path(p_tx, p_rx), *reflections]
+
+
 def trace_link_snapshot(
     p_tx: np.ndarray,
     p_rx: np.ndarray,
@@ -387,36 +626,27 @@ def trace_link_snapshot(
     max_order: int = 4,
 ) -> list[_RawPath]:
     """All mechanisms for one geometry: LOS, reflections, then diffraction."""
-    paths: list[_RawPath] = []
-    los = trace_los(p_tx, p_rx, f_c_hz, env)
-    if los is not None:
-        paths.append(los)
-    paths.extend(trace_reflections(p_tx, p_rx, env, f_c_hz, max_order))
-    if los is None:
-        paths.extend(trace_diffraction(p_tx, p_rx, env, f_c_hz))
-    return paths
+    reflections = trace_reflections(p_tx, p_rx, env, f_c_hz, max_order)
+    return _snapshot_paths(p_tx, p_rx, env, f_c_hz, reflections)
 
 
 def generate_trace(scenario: RtScenario) -> TraceSet:
     """Trace every link of the scenario over its snapshot grid.
 
-    Output passes validation by construction: snapshot times are strictly
+    Reflections of all snapshots and links are traced in one batch. Output
+    passes validation by construction: snapshot times are strictly
     increasing, path_ids are fresh per snapshot, and at most one LOS record
     exists per snapshot.
     """
-    records: list[MpcRecord] = []
+    env, f_c = scenario.environment, scenario.carrier_hz
     times = scenario.times
-    for k in range(times.size):
+    keys = [(k, tx_id, rx_id) for k in range(times.size) for tx_id, rx_id in scenario.links]
+    p_tx = [scenario.trajectories[tx_id].positions[k] for k, tx_id, _ in keys]
+    p_rx = [scenario.trajectories[rx_id].positions[k] for k, _, rx_id in keys]
+    reflections = _trace_reflections_batch(p_tx, p_rx, env, scenario.max_reflection_order)
+    records: list[MpcRecord] = []
+    for (k, tx_id, rx_id), a, b, refl in zip(keys, p_tx, p_rx, reflections):
         t = float(times[k])
-        for tx_id, rx_id in scenario.links:
-            p_tx = scenario.trajectories[tx_id].positions[k]
-            p_rx = scenario.trajectories[rx_id].positions[k]
-            raw_paths = trace_link_snapshot(
-                p_tx, p_rx, scenario.environment, scenario.carrier_hz,
-                scenario.max_reflection_order,
-            )
-            for pid, raw in enumerate(raw_paths):
-                records.append(
-                    _record_from_path(raw, t, tx_id, rx_id, pid, scenario.carrier_hz)
-                )
+        for pid, raw in enumerate(_snapshot_paths(a, b, env, f_c, refl)):
+            records.append(_record_from_path(raw, t, tx_id, rx_id, pid, f_c))
     return TraceSet(tuple(records))

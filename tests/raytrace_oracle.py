@@ -1,0 +1,170 @@
+"""The scalar tracer that the batched one in tracechan.raytrace replaced.
+
+trace_reflections, trace_diffraction, trace_link_snapshot and generate_trace
+are the per-sequence, per-snapshot implementations as they stood before the
+batched filter, kept verbatim as the reference the tests compare against:
+the batched tracer must give the same paths in the same order, bit for bit.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+
+import numpy as np
+
+from tracechan.channel import SPEED_OF_LIGHT
+from tracechan.raytrace import (
+    Environment,
+    RtScenario,
+    _min_path_point_on_edge,
+    _mirror,
+    _RawPath,
+    _record_from_path,
+    _segment_hit,
+    _segment_occluded,
+    fresnel_parameter,
+    knife_edge_loss_db,
+    los_blocked,
+    trace_los,
+)
+from tracechan.traces import MpcRecord, PathType, TraceSet
+
+
+def trace_reflections(
+    p_tx: np.ndarray,
+    p_rx: np.ndarray,
+    env: Environment,
+    f_c_hz: float,
+    max_order: int = 4,
+) -> list[_RawPath]:
+    """Specular paths via the image method, orders 1..max_order.
+
+    A candidate rectangle sequence is valid when every reflection point lands
+    inside its rectangle and every leg of the unfolded path clears all faces
+    (touching a face at a leg endpoint does not occlude).
+    """
+    p_tx = np.asarray(p_tx, dtype=float)
+    p_rx = np.asarray(p_rx, dtype=float)
+    rects = env.rectangles
+    paths: list[_RawPath] = []
+    for order in range(1, max_order + 1):
+        for seq in itertools.product(range(len(rects)), repeat=order):
+            if any(a == b for a, b in zip(seq, seq[1:])):
+                continue  # same plane twice in a row cannot produce a bounce
+            images = []
+            img = p_tx
+            for idx in seq:
+                img = _mirror(img, rects[idx])
+                images.append(img)
+            # walk backward from the receiver through the image chain
+            points: list[np.ndarray] = []
+            q = p_rx
+            valid = True
+            for idx, img in zip(reversed(seq), reversed(images)):
+                hit = _segment_hit(q, img, rects[idx])
+                if hit is None:
+                    valid = False
+                    break
+                q = hit[1]
+                points.append(q)
+            if not valid:
+                continue
+            points.reverse()
+            legs = [p_tx, *points, p_rx]
+            if any(
+                _segment_occluded(a, b, env) for a, b in zip(legs, legs[1:])
+            ):
+                continue
+            length = float(sum(np.linalg.norm(b - a) for a, b in zip(legs, legs[1:])))
+            gamma = math.prod(rects[i].gamma for i in seq)
+            paths.append(
+                _RawPath(
+                    PathType.REFLECTION,
+                    length,
+                    gamma,
+                    legs[1] - legs[0],
+                    legs[-2] - legs[-1],
+                )
+            )
+    return paths
+
+def trace_diffraction(
+    p_tx: np.ndarray, p_rx: np.ndarray, env: Environment, f_c_hz: float
+) -> list[_RawPath]:
+    """Single knife-edge paths over marked edges; only for blocked links."""
+    p_tx = np.asarray(p_tx, dtype=float)
+    p_rx = np.asarray(p_rx, dtype=float)
+    if not los_blocked(p_tx, p_rx, env):
+        return []
+    lam = SPEED_OF_LIGHT / f_c_hz
+    los_dir = p_rx - p_tx
+    los_dir = los_dir / np.linalg.norm(los_dir)
+    paths: list[_RawPath] = []
+    for rect in env.rectangles:
+        owner_blocks = _segment_hit(p_tx, p_rx, rect) is not None
+        for edge_idx in rect.diffracting_edges:
+            e0, e1 = rect.edge_points(edge_idx)
+            point = _min_path_point_on_edge(p_tx, p_rx, e0, e1)
+            d1 = float(np.linalg.norm(point - p_tx))
+            d2 = float(np.linalg.norm(p_rx - point))
+            # clearance of the edge over the direct line; positive when the
+            # owning face shadows the link, negative when it merely grazes
+            h = float(np.linalg.norm(np.cross(point - p_tx, los_dir)))
+            if not owner_blocks:
+                h = -h
+            nu = fresnel_parameter(h, d1, d2, lam)
+            loss = 10.0 ** (-knife_edge_loss_db(nu) / 20.0)
+            paths.append(
+                _RawPath(
+                    PathType.DIFFRACTION,
+                    d1 + d2,
+                    loss,
+                    point - p_tx,
+                    point - p_rx,
+                )
+            )
+    return paths
+
+
+def trace_link_snapshot(
+    p_tx: np.ndarray,
+    p_rx: np.ndarray,
+    env: Environment,
+    f_c_hz: float,
+    max_order: int = 4,
+) -> list[_RawPath]:
+    """All mechanisms for one geometry: LOS, reflections, then diffraction."""
+    paths: list[_RawPath] = []
+    los = trace_los(p_tx, p_rx, f_c_hz, env)
+    if los is not None:
+        paths.append(los)
+    paths.extend(trace_reflections(p_tx, p_rx, env, f_c_hz, max_order))
+    if los is None:
+        paths.extend(trace_diffraction(p_tx, p_rx, env, f_c_hz))
+    return paths
+
+
+def generate_trace(scenario: RtScenario) -> TraceSet:
+    """Trace every link of the scenario over its snapshot grid.
+
+    Output passes validation by construction: snapshot times are strictly
+    increasing, path_ids are fresh per snapshot, and at most one LOS record
+    exists per snapshot.
+    """
+    records: list[MpcRecord] = []
+    times = scenario.times
+    for k in range(times.size):
+        t = float(times[k])
+        for tx_id, rx_id in scenario.links:
+            p_tx = scenario.trajectories[tx_id].positions[k]
+            p_rx = scenario.trajectories[rx_id].positions[k]
+            raw_paths = trace_link_snapshot(
+                p_tx, p_rx, scenario.environment, scenario.carrier_hz,
+                scenario.max_reflection_order,
+            )
+            for pid, raw in enumerate(raw_paths):
+                records.append(
+                    _record_from_path(raw, t, tx_id, rx_id, pid, scenario.carrier_hz)
+                )
+    return TraceSet(tuple(records))

@@ -1,9 +1,17 @@
 """Ray-trace oracle: geometry, amplitudes, and trace generation."""
 
+import itertools
 import math
+import re
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import raytrace_oracle
 
 from tracechan import (
     Environment,
@@ -20,7 +28,10 @@ from tracechan import (
     trace_reflections,
     validate_trace,
 )
+from tracechan import raytrace
 from tracechan.raytrace import trace_los, trace_link_snapshot
+from tracechan.scenario import build_rt_scenario, load_config
+from tracechan.traces import trace_to_text
 
 F_C = 28e9
 LAM = 299792458.0 / F_C
@@ -270,3 +281,192 @@ def test_scenario_validation():
         RtScenario(Environment(), F_C, {0: t1}, ((0, 1),))
     with pytest.raises(ValueError, match="at least one"):
         RtScenario(Environment(), F_C, {}, ())
+
+
+def _rotation(quat):
+    w, x, y, z = np.asarray(quat) / np.linalg.norm(quat)
+    return np.array([
+        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+    ])
+
+
+def _box_faces(dims):
+    """(axis, plane offset) of the six inner faces of [0, dims]."""
+    return [(axis, side * dims[axis]) for axis in range(3) for side in (0, 1)]
+
+
+def _plane_rect(axis, offset, lo, hi, gamma=0.7, edges=()):
+    """Rectangle in the plane x[axis] = offset spanning lo..hi on the other axes."""
+    b, c = [k for k in range(3) if k != axis]
+    corner = np.zeros(3)
+    corner[axis], corner[b], corner[c] = offset, lo[0], lo[1]
+    eu, ev = np.zeros(3), np.zeros(3)
+    eu[b], ev[c] = hi[0] - lo[0], hi[1] - lo[1]
+    return corner, eu, ev, gamma, edges
+
+
+def _specular_point(tx, rx, axis, offset):
+    """First-order reflection point of tx -> rx off the plane x[axis] = offset."""
+    image = tx.copy()
+    image[axis] = 2 * offset - tx[axis]
+    s = (offset - rx[axis]) / (image[axis] - rx[axis])
+    return rx + s * (image - rx)
+
+
+def _specular_coord(rect, tx, rx):
+    """Local coordinate a of the tx -> rect -> rx reflection point, computed as
+    the scalar walk computes it."""
+    d = raytrace._mirror(tx, rect) - rx
+    t = float(rect.normal @ (rect.corner - rx)) / float(rect.normal @ d)
+    return rect.local_coords(rx + t * d)[0]
+
+
+def _at_containment_limit(rect, tx, rx):
+    """Stretch edge_u by a few ulps so that the scalar code finds the specular
+    point as far out along edge_u as its containment tolerance allows."""
+    best, best_a = rect, -math.inf
+    for k in range(-16, 17):
+        cand = Rectangle(rect.corner, rect.edge_u * (1.0 + k * 2.0**-52), rect.edge_v,
+                         rect.gamma, rect.diffracting_edges)
+        a = _specular_coord(cand, tx, rx)
+        if best_a < a <= 1.0 + 1e-9:
+            best, best_a = cand, a
+    return best
+
+
+_unit = st.floats(0.05, 0.95)
+
+
+@st.composite
+def _rt_scenes(draw):
+    """A box (some faces left out), partitions and nodes, rotated into place.
+
+    Degenerate placements: a receiver on or within 1e-13 of a face plane, a
+    tx-rx leg parallel to a face pair, a coplanar face whose edge passes
+    through a specular point or puts it right at the containment tolerance
+    (local coordinate 1 + 1e-9 as the scalar code computes it), coplanar faces.
+    """
+    dims = np.array(draw(st.tuples(*[st.floats(2.0, 12.0)] * 3)))
+    tx = dims * np.array(draw(st.tuples(_unit, _unit, _unit)))
+    rxs = [dims * np.array(draw(st.tuples(_unit, _unit, _unit)))
+           for _ in range(draw(st.integers(1, 3)))]
+    box = _box_faces(dims)
+    kept = draw(st.lists(st.integers(0, 5), unique=True, max_size=6))
+    local = [_plane_rect(axis, off, (0.0, 0.0), [dims[k] for k in range(3) if k != axis])
+             for axis, off in (box[i] for i in sorted(kept))]
+    for _ in range(draw(st.integers(0, 2))):
+        axis = draw(st.integers(0, 2))
+        off = dims[axis] * draw(st.sampled_from([0.0, 1.0, 0.3, 0.5, 0.7]))
+        other = [dims[k] for k in range(3) if k != axis]
+        lo = [o * draw(st.floats(0.0, 0.6)) for o in other]
+        hi = [o * draw(st.floats(0.65, 1.0)) for o in other]
+        local.append(_plane_rect(axis, off, lo, hi, 0.5, draw(st.sampled_from([(), (1,), (0, 2)]))))
+    kind = draw(st.sampled_from(
+        ["plain", "rx_on_plane", "rx_near_plane", "parallel_leg", "edge_point"] + ["tol_edge"] * 3))
+    rx = rxs[0]
+    axis, off = box[draw(st.integers(0, 5))]
+    if kind == "rx_on_plane":
+        rx[axis] = off
+    elif kind == "rx_near_plane":
+        rx[axis] = off + draw(st.sampled_from([-1e-13, 1e-13, 4e-16])) * dims[axis]
+    elif kind == "parallel_leg":
+        rx[axis] = tx[axis]
+    elif kind in ("edge_point", "tol_edge"):
+        point = _specular_point(tx, rx, axis, off)
+        b, c = [k for k in range(3) if k != axis]
+        b0 = point[b] * draw(st.floats(0.0, 0.8))
+        reach = point[b] - b0
+        if kind == "tol_edge":
+            reach = reach / (1.0 + 1e-9)
+        local.append(_plane_rect(axis, off, (b0, 0.0), (b0 + reach, dims[c]), 0.9))
+    rot = _rotation(draw(st.tuples(*[st.floats(-1.0, 1.0)] * 4)
+                         .filter(lambda q: np.linalg.norm(q) > 0.1)))
+    if draw(st.booleans()):
+        rot = np.eye(3)  # axis-aligned: exact zeros, exactly parallel legs
+    origin = np.array(draw(st.tuples(*[st.floats(-30.0, 30.0)] * 3)))
+    rects = [Rectangle(origin + rot @ c, rot @ u, rot @ v, g, e) for c, u, v, g, e in local]
+    tx, rxs = origin + rot @ tx, [origin + rot @ p for p in rxs]
+    if kind == "tol_edge":
+        rects[-1] = _at_containment_limit(rects[-1], tx, rxs[0])
+    env = Environment(tuple(rects))
+    order = draw(st.integers(0, 4))
+    n = len(env.rectangles)
+    while order > 1 and n * (n - 1) ** (order - 1) > 600:
+        order -= 1  # keep the scalar oracle affordable
+    return env, tx, rxs, order
+
+
+def _path_bytes(path):
+    return (
+        path.path_type,
+        np.float64(path.length).tobytes(),
+        np.float64(path.amp_scale).tobytes(),
+        path.first_leg.tobytes(),
+        path.last_leg_back.tobytes(),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rt_scenes(), st.sampled_from([64, 1024, raytrace._BATCH]))
+def test_batched_tracer_matches_scalar_oracle(scene, batch):
+    env, tx, rxs, order = scene
+    with mock.patch.object(raytrace, "_BATCH", batch):  # chunk edges mid-geometry
+        batched = raytrace._trace_reflections_batch([tx] * len(rxs), rxs, env, order)
+        snapshot = trace_link_snapshot(tx, rxs[0], env, F_C, order)
+    for rx, paths in zip(rxs, batched):
+        want = raytrace_oracle.trace_reflections(tx, rx, env, F_C, order)
+        assert [_path_bytes(p) for p in paths] == [_path_bytes(p) for p in want]
+    want = raytrace_oracle.trace_link_snapshot(tx, rxs[0], env, F_C, order)
+    assert [_path_bytes(p) for p in snapshot] == [_path_bytes(p) for p in want]
+
+
+@pytest.mark.parametrize("n_faces,order", [(1, 3), (2, 4), (3, 3), (5, 2)])
+def test_face_sequences_follow_product_order(n_faces, order):
+    want = [s for s in itertools.product(range(n_faces), repeat=order)
+            if all(a != b for a, b in zip(s, s[1:]))]
+    got = raytrace._face_sequences(np.arange(len(want)), n_faces, order)
+    assert [tuple(s) for s in got.tolist()] == want
+
+
+def test_rectangle_caches_read_only_geometry():
+    edge_u = np.array([3.0, 0.0, 0.0])
+    rect = Rectangle([0.0, 0.0, 0.0], edge_u, [1.0, 0.0, 2.0])
+    n = np.cross(rect.edge_u, rect.edge_v)
+    assert rect.normal.tobytes() == (n / np.linalg.norm(n)).tobytes()
+    for arr in (rect.normal, rect.corner, rect.edge_u, rect.edge_v):
+        assert not arr.flags.writeable
+    edge_u[0] = 5.0  # the caller's array stays its own
+    assert rect.edge_u[0] == 3.0
+    assert rect.local_coords(np.array([2.0, 0.0, 1.0])) == (0.5, 0.5)
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def _corner_variant(tmp_path, pattern, replacement):
+    text = (CONFIGS / "corner.cfg").read_text(encoding="utf-8")
+    text, count = re.subn(pattern, replacement, text, count=1, flags=re.DOTALL)
+    assert count == 1
+    path = tmp_path / "variant.cfg"
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("variant", ["corner", "etoile", "etoile_wide", "no_faces", "order_0"])
+def test_generate_trace_matches_scalar_oracle_on_configs(variant, tmp_path):
+    if variant == "no_faces":
+        path = _corner_variant(tmp_path, r"environment:.*?(?=tx_trajectory:)",
+                               "environment:\n  rectangles: []\n\n")
+    elif variant == "order_0":
+        path = _corner_variant(tmp_path, r"environment:", "max_reflection_order: 0\nenvironment:")
+    else:
+        path = CONFIGS / f"{variant}.cfg"
+    scenario = build_rt_scenario(load_config(path))
+    if variant == "no_faces":
+        assert scenario.environment.rectangles == ()
+    if variant == "order_0":
+        assert scenario.max_reflection_order == 0
+    want = trace_to_text(raytrace_oracle.generate_trace(scenario))
+    assert trace_to_text(generate_trace(scenario)) == want

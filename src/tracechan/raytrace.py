@@ -321,11 +321,12 @@ def _classify(pq, pd, q1, d1, eq, ed, consts):
         e_b = (uu * v1 * e_w + abs_uv * u1 * e_w
                + _ROUND * (uu * np.abs(vw) + abs_uv * np.abs(uw))) / det + _ROUND * np.abs(b)
         e_next = e_point + _ROUND * (q1 + abs_t * d1)
-    lo, hi = -_CONTAINS_TOL, 1.0 + _CONTAINS_TOL
-    t_in = (t - e_t > _EPS) & (t + e_t < 1.0 - _EPS)
-    t_out = (t + e_t <= _EPS) | (t - e_t >= 1.0 - _EPS)
-    inside = (a - e_a >= lo) & (a + e_a <= hi) & (b - e_b >= lo) & (b + e_b <= hi)
-    outside = (a + e_a < lo) | (a - e_a > hi) | (b + e_b < lo) | (b - e_b > hi)
+        lo, hi = -_CONTAINS_TOL, 1.0 + _CONTAINS_TOL
+        t_in = (t - e_t > _EPS) & (t + e_t < 1.0 - _EPS)
+        t_out = (t + e_t <= _EPS) | (t - e_t >= 1.0 - _EPS)
+        inside = (a - e_a >= lo) & (a + e_a <= hi) & (b - e_b >= lo) & (b + e_b <= hi)
+        outside = (a + e_a < lo) | (a - e_a > hi) | (b + e_b < lo) | (b - e_b > hi)
+    # non-finite values (a parallel segment) compare False: undecided
     hit = crossing & t_in & inside
     miss = parallel | (crossing & (t_out | (t_in & outside)))
     return hit, miss, t, e_next

@@ -4,7 +4,7 @@ Arrays are uniform planar arrays in the local y-z plane with boresight along
 +x. Element (row r, col c) sits at (0, c*spacing*wavelength, r*spacing*wavelength)
 before the bearing rotation; flattening is row-major (r outer, c inner).
 A bearing rotates the whole array about the global z axis. Elements are
-isotropic; ``PlanarArray.element_gain`` is the hook for anything fancier.
+isotropic: every element has unit gain in every direction.
 """
 
 from __future__ import annotations
@@ -93,10 +93,6 @@ class PlanarArray:
     @property
     def n_elements(self) -> int:
         return self.n_rows * self.n_cols
-
-    def element_gain(self, d: Direction) -> float:
-        """Per-element amplitude gain. Isotropic; override to add patterns."""
-        return 1.0
 
 
 @functools.lru_cache(maxsize=64)

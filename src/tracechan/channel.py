@@ -9,7 +9,10 @@ rx element u and tx element s is
 where g_p, phi_p, tau_p come from the trace record, nu_p is the Doppler shift
 recomputed from node velocities, and a_rx / a_tx are steering vectors at the
 recorded arrival / departure angles. phase_rad in the trace is the total path
-phase at the carrier, so only the subband offset term is applied here.
+phase at the carrier, so only the subband offset term is applied here. The
+Doppler ramp applies only when the channel is evaluated after its snapshot
+(t_eval > t); the link simulation evaluates every snapshot at its own time,
+where the ramp is 1.
 
 A snapshot with P paths gives a channel of rank at most P, so it is kept
 factored: H_k = A_rx diag(c_k) A_tx^H with the (K, P) per-path subband
@@ -132,7 +135,9 @@ def build_channel_matrices(
     records must all share one (t, tx_id, rx_id); an empty group yields a
     channel with no paths, whose matrices are all zero. t_eval defaults to
     the snapshot time; values before the snapshot are rejected. The Doppler
-    phase ramp advances linearly from the snapshot time to t_eval.
+    phase ramp advances linearly from the snapshot time to t_eval; at
+    t_eval == t it is 1, so neither the Doppler shifts nor the node states
+    are used.
     """
     if not records:
         return ChannelMatrixSet(
@@ -158,9 +163,6 @@ def build_channel_matrices(
         if not np.all(np.isfinite(arr)):
             raise ValueError(f"non-finite {name} in snapshot records")
 
-    lam = grid.wavelength_m
-    nu = np.array([doppler_shift(r, tx, rx, lam) for r in records])
-
     a_tx = np.column_stack(
         [
             steering_vector(tx_array, Direction.from_degrees(r.aod_az, r.aod_zen)).vector
@@ -174,14 +176,12 @@ def build_channel_matrices(
         ]
     )  # (N_rx, P)
 
-    offsets = grid.offsets_hz()
+    coef = gains * np.exp(1j * phases)
+    if t_eval != t:
+        nu = np.array([doppler_shift(r, tx, rx, grid.wavelength_m) for r in records])
+        coef = coef * np.exp(1j * 2.0 * math.pi * nu * (t_eval - t))
     # (K, P) per-path complex coefficient on each subband
-    coef = (
-        gains
-        * np.exp(1j * phases)
-        * np.exp(1j * 2.0 * math.pi * nu * (t_eval - t))
-        * np.exp(-1j * 2.0 * math.pi * np.outer(offsets, delays))
-    )
+    coef = coef * np.exp(-1j * 2.0 * math.pi * np.outer(grid.offsets_hz(), delays))
     return ChannelMatrixSet(coef, a_rx, a_tx, grid, t)
 
 

@@ -24,6 +24,7 @@ from .scenario import (
     ScenarioConfig,
     build_rt_scenario,
     build_setup,
+    build_trajectories,
     load_config,
 )
 from .traces import TraceFormatError, TraceSet, parse_trace, validate_trace, write_trace
@@ -37,9 +38,30 @@ def _watts_to_dbm(p_w: float) -> float:
     return max(10.0 * math.log10(p_w * 1000.0), POWER_FLOOR_DBM)
 
 
+def _check_on_grid(trace: TraceSet, cfg: ScenarioConfig) -> None:
+    """A trace replayed on a geometry config must sit on the config's time grid."""
+    trajectories = build_trajectories(cfg)
+    if trajectories is None:
+        return
+    grid = trajectories[cfg.tx_id]
+    for t in trace.snapshot_times(cfg.tx_id, cfg.rx_id):
+        try:
+            grid.index_at(t)
+        except KeyError:
+            t0 = float(grid.times[0])
+            span = (f"dt={float(grid.times[1]) - t0!r} s from t={t0!r}"
+                    if len(grid) > 1 else f"one sample at t={t0!r}")
+            raise ValueError(
+                f"snapshot t={t!r} is not on the configured time grid ({span}); "
+                "snapshot_dt_s must match the trace"
+            ) from None
+
+
 def _load_trace(cfg: ScenarioConfig, override: str | None) -> TraceSet:
     if override is not None:
-        return parse_trace(override)
+        trace = parse_trace(override)
+        _check_on_grid(trace, cfg)
+        return trace
     if cfg.trace_path is not None:
         return parse_trace(cfg.trace_path)
     return generate_trace(build_rt_scenario(cfg))

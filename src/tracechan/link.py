@@ -26,7 +26,6 @@ from .channel import (
 )
 from .arrays import PlanarArray
 from .traces import MpcRecord, PathType, TraceSet
-from .trajectory import Trajectory
 
 __all__ = [
     "BOLTZMANN",
@@ -237,37 +236,24 @@ class SimulationSetup:
     saturation_delay_s: float = 7.5e-3
     tx_id: int = 0
     rx_id: int = 1
-    trajectories: dict[int, Trajectory] | None = None
 
     def __post_init__(self) -> None:
         if self.training_period_s <= 0:
             raise ValueError("training_period_s must be positive")
 
 
-def _node_state(setup: SimulationSetup, node_id: int, t: float) -> NodeState:
-    if not (setup.trajectories and node_id in setup.trajectories):
-        return NodeState.static()
-    trajectory = setup.trajectories[node_id]
-    try:
-        return trajectory.state_at(t)
-    except KeyError:
-        t0 = float(trajectory.times[0])
-        grid = (f"dt={float(trajectory.times[1]) - t0!r} s from t={t0!r}"
-                if len(trajectory) > 1 else f"one sample at t={t0!r}")
-        raise ValueError(
-            f"snapshot t={t!r} is not on the configured time grid ({grid}); "
-            "snapshot_dt_s must match the trace"
-        ) from None
-
-
 def snapshot_channel(
     setup: SimulationSetup, records: list[MpcRecord], t: float
 ) -> ChannelMatrixSet:
-    """Channel of the configured link from one snapshot's records, at time t."""
+    """Channel of the configured link from one snapshot's records, at time t.
+
+    The channel is evaluated at its own snapshot time, where the Doppler
+    phase ramp is 1, so node motion cannot change it: both nodes are passed
+    as static.
+    """
+    static = NodeState.static()
     return build_channel_matrices(
-        records, setup.tx_array, setup.rx_array,
-        _node_state(setup, setup.tx_id, t), _node_state(setup, setup.rx_id, t),
-        setup.grid, t_eval=t,
+        records, setup.tx_array, setup.rx_array, static, static, setup.grid, t_eval=t
     )
 
 

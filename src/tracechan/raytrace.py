@@ -66,7 +66,7 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Rectangle:
     """Planar parallelogram face: corner plus two edge vectors, meters.
 
@@ -75,6 +75,8 @@ class Rectangle:
     1 = corner+u..corner+u+v, 2 = corner+u+v..corner+v, 3 = corner+v..corner.
     The vectors are stored as read-only copies, so the unit normal and the
     Gram terms of (edge_u, edge_v), computed once here, cannot go stale.
+    Faces compare and hash by value: the three vectors, gamma and
+    diffracting_edges.
     """
 
     corner: np.ndarray
@@ -89,6 +91,7 @@ class Rectangle:
         for name in ("corner", "edge_u", "edge_v"):
             vec = _read_only(np.array(getattr(self, name), dtype=float))
             object.__setattr__(self, name, vec)
+        object.__setattr__(self, "diffracting_edges", tuple(self.diffracting_edges))
         n = np.cross(self.edge_u, self.edge_v)
         if np.linalg.norm(n) < 1e-12:
             raise ValueError("edge vectors must not be parallel")
@@ -101,6 +104,18 @@ class Rectangle:
         vv = float(self.edge_v @ self.edge_v)
         uv = float(self.edge_u @ self.edge_v)
         object.__setattr__(self, "_gram", (uu, vv, uv, uu * vv - uv * uv))
+
+    def _key(self) -> tuple:
+        vectors = (self.corner, self.edge_u, self.edge_v)
+        return (*(tuple(v.tolist()) for v in vectors), self.gamma, self.diffracting_edges)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Rectangle):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def edge_points(self, index: int) -> tuple[np.ndarray, np.ndarray]:
         c, u, v = self.corner, self.edge_u, self.edge_v

@@ -287,6 +287,12 @@ def parse_config(raw: dict, base_dir: str = ".") -> ScenarioConfig:
         elif rx_traj is None:
             reader.problems.append("missing required section rx_trajectory")
 
+    dt, duration = top["snapshot_dt_s"], top["duration_s"]
+    if dt is not None and not dt > 0:
+        reader.problems.append("snapshot_dt_s must be > 0")
+    if duration is not None and not 0 <= duration < math.inf:
+        reader.problems.append("duration_s must be >= 0 and finite")
+
     amc_path = raw.get("amc_table_path")
     if amc_path is not None:
         amc_path = os.path.join(base_dir, str(amc_path))
@@ -436,5 +442,4 @@ def build_setup(cfg: ScenarioConfig) -> SimulationSetup:
         saturation_delay_s=cfg.saturation_delay_s,
         tx_id=cfg.tx_id,
         rx_id=cfg.rx_id,
-        trajectories=build_trajectories(cfg),
     )

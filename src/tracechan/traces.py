@@ -68,8 +68,10 @@ class MpcRecord:
     +y; zenith lies in [0, 180] measured from +z. ``aod`` points from the
     transmitter along the departing ray; ``aoa`` points from the receiver
     toward the last interaction (i.e. back along the arriving ray). ``phase``
-    is the total path phase at the carrier, radians. Doppler is never stored;
-    it is recomputed from node velocities.
+    is the total path phase at the carrier, radians. Doppler is never stored:
+    ``build_channel_matrices`` recomputes it from node velocities, and only
+    for a channel evaluated after its snapshot time, which the link
+    simulation never does.
     """
 
     t: float

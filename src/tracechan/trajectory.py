@@ -11,8 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import NodeState
-
 __all__ = [
     "Trajectory",
     "static_trajectory",
@@ -48,10 +46,6 @@ class Trajectory:
         if abs(float(self.times[i]) - t) > tol:
             raise KeyError(f"no trajectory sample at t={t!r}")
         return i
-
-    def state_at(self, t: float) -> NodeState:
-        i = self.index_at(t)
-        return NodeState(self.positions[i].copy(), self.velocities[i].copy())
 
 
 def _time_grid(t0: float, dt: float, n: int) -> np.ndarray:

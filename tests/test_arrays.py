@@ -79,11 +79,6 @@ def test_array_validation():
     assert PlanarArray(16, 16, LAM).n_elements == 256
 
 
-def test_element_gain_isotropic_hook():
-    arr = PlanarArray(2, 2, LAM)
-    assert arr.element_gain(Direction(12.0, 84.0)) == 1.0
-
-
 def test_steering_boresight_all_ones():
     # boresight +x is orthogonal to every element offset
     arr = PlanarArray(4, 4, LAM)

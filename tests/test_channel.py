@@ -148,6 +148,16 @@ def test_doppler_phase_ramp():
     ).matrices[0, 0, 0]
     rot = complex(math.cos(2 * math.pi * nu * dt), math.sin(2 * math.pi * nu * dt))
     assert h1 == pytest.approx(h0 * rot, rel=1e-12)
+    # at t_eval == t the ramp is 1: moving nodes build the static-node channel
+    tx, rx = PlanarArray(2, 2, LAM), PlanarArray(2, 1, LAM)
+    recs = [mk_record(), mk_record(path_id=1, aod_az=12.0, phase=1.0, delay=3e-7)]
+    grid = SubbandGrid(28e9, 100e6, 4)
+    still = build_channel_matrices(recs, tx, rx, _static(), _static(), grid)
+    for t_eval in (None, recs[0].t):
+        moving = build_channel_matrices(
+            recs, tx, rx, _moving([0.5, 2.0, 0]), _moving([-1.5, 0, 0.3]), grid, t_eval=t_eval
+        )
+        assert moving.coef.tobytes() == still.coef.tobytes()
 
 
 def test_matches_scalar_reference_randomized():

@@ -207,6 +207,22 @@ def test_missing_config_keys_named(tmp_path, capsys):
     assert "duration_s" in err
 
 
+@pytest.mark.parametrize("key, value, problem", [
+    ("snapshot_dt_s", "0.0", "snapshot_dt_s must be > 0"),
+    ("snapshot_dt_s", "-0.25", "snapshot_dt_s must be > 0"),
+    ("duration_s", "-1.0", "duration_s must be >= 0 and finite"),
+    ("duration_s", ".inf", "duration_s must be >= 0 and finite"),
+])
+@pytest.mark.parametrize("cmd", ["generate-trace", "simulate", "sweep"])
+def test_bad_time_grid_exits_2(tmp_path, capsys, cmd, key, value, problem):
+    default = "0.25" if key == "snapshot_dt_s" else "2.0"
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(SCENE_CFG.replace(f"{key}: {default}", f"{key}: {value}"))
+    assert main([cmd, "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: {problem}\n"
+
+
 def test_trace_path_and_geometry_conflict(tmp_path, capsys):
     cfg = tmp_path / "both.cfg"
     cfg.write_text(SCENE_CFG + "\ntrace_path: somewhere.csv\n")

@@ -1,12 +1,14 @@
 """SINR, rate adaptation, throughput/delay, and the simulation loop."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tracechan.channel as channel_module
 import tracechan.link as link_module
 from conftest import mk_record
 from tracechan import (
@@ -17,7 +19,6 @@ from tracechan import (
     SimulationSetup,
     SubbandGrid,
     TraceSet,
-    circular_trajectory,
     classify_los,
     compute_sinr,
     generate_codebook,
@@ -25,10 +26,13 @@ from tracechan import (
     noise_power,
     run_simulation,
     select_mcs,
-    static_trajectory,
     throughput_delay,
 )
+from tracechan.cli import main
 from tracechan.link import METRICS_COLUMNS, SINR_FLOOR_DB
+from tracechan.scenario import load_config
+
+CORNER_CFG = str(Path(__file__).resolve().parents[1] / "configs" / "corner.cfg")
 
 LAM = 299792458.0 / 28e9
 
@@ -317,20 +321,22 @@ def test_run_simulation_worker_counts_agree():
         run_simulation(trace, setup, workers=0)
 
 
-def test_run_simulation_doppler_from_trajectories():
-    # matched-beam receive power is Doppler-invariant at t_eval = t, but the
-    # velocity-bearing trajectory must not perturb the selected beams
-    setup0 = _free_space_setup()
-    trajs = {
-        0: static_trajectory([0, 0, 10], 0.0, 0.1, 5),
-        1: circular_trajectory([0, 0, 1.5], 55.0, 0.0, 10.0, 0.0, 0.1, 5),
-    }
-    setup = SimulationSetup(**{**setup0.__dict__, "trajectories": trajs})
-    trace = _los_trace([0.1 * k for k in range(5)])
-    m_static = run_simulation(trace, setup0)
-    m_moving = run_simulation(trace, setup)
-    for a, b in zip(m_static, m_moving):
-        assert a.sinr_db == pytest.approx(b.sinr_db, abs=1e-9)
+def test_simulation_never_computes_doppler(monkeypatch, tmp_path, capsys):
+    # every snapshot is evaluated at its own time, where the Doppler ramp is
+    # 1, so the corner walk's moving receiver must not reach doppler_shift;
+    # simulate runs run_simulation on build_setup of the geometry config
+    clean = tmp_path / "clean.csv"
+    assert main(["simulate", "--config", CORNER_CFG, "--out", str(clean)]) == 0
+
+    def no_doppler(*args, **kwargs):
+        raise AssertionError("doppler_shift called")
+
+    monkeypatch.setattr(channel_module, "doppler_shift", no_doppler)
+    assert any(load_config(CORNER_CFG).rx_trajectory["velocity"])
+    patched = tmp_path / "patched.csv"
+    assert main(["simulate", "--config", CORNER_CFG, "--out", str(patched)]) == 0
+    capsys.readouterr()
+    assert patched.read_bytes() == clean.read_bytes()
 
 
 def test_metrics_csv_format():

@@ -445,6 +445,21 @@ def test_rectangle_caches_read_only_geometry():
     assert rect.local_coords(np.array([2.0, 0.0, 1.0])) == (0.5, 0.5)
 
 
+def test_rectangle_value_equality_and_hash():
+    def face(corner=(0.0, 0.0, 0.0), gamma=0.7, edges=(3,)):
+        return Rectangle(list(corner), np.array([4.0, 0.0, 0.0]), (0.0, 0.0, 2.0), gamma, list(edges))
+
+    a, b = face(), face()
+    assert a == b and hash(a) == hash(b)
+    assert face(corner=(0.0, 1e-9, 0.0)) != a
+    assert face(gamma=0.5) != a and face(edges=(1,)) != a
+    assert len({a, b, face(corner=(1.0, 0.0, 0.0))}) == 2
+    other = face(corner=(0.0, 5.0, 0.0))
+    env_a, env_b = Environment((a, other)), Environment((b, face(corner=(0.0, 5.0, 0.0))))
+    assert env_a == env_b and hash(env_a) == hash(env_b)
+    assert Environment((other, a)) != env_a
+
+
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 

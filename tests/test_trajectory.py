@@ -51,12 +51,13 @@ def test_circular_velocity_matches_central_difference():
     np.testing.assert_allclose(approx_v, traj.velocities[5], atol=1e-4)
 
 
-def test_state_at_exact_grid_lookup():
+def test_index_at_exact_grid_lookup():
     traj = linear_trajectory([0, 0, 0], [1, 0, 0], 0.0, 0.1, 10)
-    state = traj.state_at(0.1 * 3)
-    np.testing.assert_allclose(state.position, [0.30000000000000004, 0, 0])
+    i = traj.index_at(0.1 * 3)
+    assert i == 3
+    np.testing.assert_allclose(traj.positions[i], [0.30000000000000004, 0, 0])
     with pytest.raises(KeyError):
-        traj.state_at(0.35)
+        traj.index_at(0.35)
 
 
 def test_validation():

@@ -24,6 +24,7 @@ from .arrays import Direction, PlanarArray, steering_vector
 from .channel import ChannelMatrixSet
 
 __all__ = [
+    "TIE_RTOL",
     "BeamCodebook",
     "BeamSelection",
     "generate_codebook",
@@ -31,6 +32,13 @@ __all__ = [
     "select_best_pair",
     "ideal_beam_sweep",
 ]
+
+# Relative tolerance under which two sweep powers count as tied. Mirror-image
+# beams of a planar array (az and 180 - az for a vertical array) give powers
+# that are equal in exact arithmetic and differ only by rounding, ~1e-15
+# relative; 1e-12 absorbs that with room to spare, and is far below any
+# physical difference between beams.
+TIE_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -125,10 +133,13 @@ def select_best_pair(
 ) -> BeamSelection:
     """Winning pair of a (n_tx_beams, n_rx_beams) power table.
 
-    Ties are broken by the total order (power desc, tx index asc, rx index
-    asc): the first occurrence of the maximum in row-major order wins.
+    Powers within TIE_RTOL (relative) of the table maximum are tied, and the
+    first tied pair in row-major order (tx index, then rx index) wins. So the
+    pick does not hinge on the last bits of the float result. An all-zero
+    table gives pair (0, 0).
     """
-    ti, ri = divmod(int(np.argmax(table)), table.shape[1])
+    tied = table >= table.max() * (1.0 - TIE_RTOL)
+    ti, ri = divmod(int(np.argmax(tied)), table.shape[1])
     return BeamSelection(
         tx_index=ti,
         rx_index=ri,

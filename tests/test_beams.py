@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import mk_record
 from tracechan import (
+    TIE_RTOL,
     BeamCodebook,
     Direction,
     NodeState,
@@ -18,6 +19,7 @@ from tracechan import (
     build_channel_matrices,
     generate_codebook,
     ideal_beam_sweep,
+    select_best_pair,
     steering_vector,
     sweep_power_table,
 )
@@ -251,5 +253,47 @@ def test_factored_sweep_matches_dense_reference(n_subbands, n_paths, rx_shape, s
             _, pairwise = beamformed_power(ch, cb_tx.weights[i], cb_rx.weights[j], 0.5)
             assert abs(pairwise - want[i, j]) <= bound
     sel = ideal_beam_sweep(ch, cb_tx, cb_rx, 0.5)
-    assert sel.power_w == table.max()
-    assert table[sel.tx_index, sel.rx_index] == table.max()
+    # the first pair in row-major order within TIE_RTOL of the maximum wins
+    first = int(np.flatnonzero(table >= table.max() * (1.0 - TIE_RTOL))[0])
+    assert (sel.tx_index, sel.rx_index) == divmod(first, table.shape[1])
+    assert sel.power_w == table[sel.tx_index, sel.rx_index]
+
+
+def _pick(table, cb_tx, cb_rx):
+    sel = select_best_pair(table, cb_tx, cb_rx)
+    return sel.tx_index, sel.rx_index
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n_tx=st.integers(1, 6),
+    n_rx=st.integers(1, 6),
+    top=st.floats(1e-20, 1e3),
+    data=st.data(),
+)
+def test_tie_rule_ignores_rounding_noise(n_tx, n_rx, top, data):
+    # entries are either near-ties of the maximum (within 1e-13) or more than
+    # 1e-10 below it; per-entry relative noise of 1e-14 never moves the pick
+    n = n_tx * n_rx
+    tied = data.draw(st.sets(st.integers(0, n - 1), min_size=1), label="tied")
+    near = st.floats(-1e-13, 1e-13)
+    below = st.floats(0.0, 1.0 - 1e-10)
+    table = np.array([
+        top * (1.0 + data.draw(near)) if i in tied else top * data.draw(below)
+        for i in range(n)
+    ]).reshape(n_tx, n_rx)
+    eps = np.array(data.draw(st.lists(st.floats(-1e-14, 1e-14), min_size=n, max_size=n)))
+    noisy = table * (1.0 + eps.reshape(n_tx, n_rx))
+    arr = PlanarArray(1, 1, LAM)
+    cb_tx = generate_codebook(arr, 0.0, n_tx - 1.0, 1.0, 90.0, 90.0, 1.0)
+    cb_rx = generate_codebook(arr, 0.0, n_rx - 1.0, 1.0, 90.0, 90.0, 1.0)
+    want = divmod(min(tied), n_rx)
+    assert _pick(table, cb_tx, cb_rx) == want
+    assert _pick(noisy, cb_tx, cb_rx) == want
+
+
+def test_tie_rule_all_zero_table():
+    arr = PlanarArray(1, 1, LAM)
+    cb = generate_codebook(arr, 0.0, 2.0, 1.0, 90.0, 90.0, 1.0)
+    sel = select_best_pair(np.zeros((3, 3)), cb, cb)
+    assert (sel.tx_index, sel.rx_index, sel.power_w) == (0, 0, 0.0)

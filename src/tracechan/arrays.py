@@ -5,6 +5,18 @@ Arrays are uniform planar arrays in the local y-z plane with boresight along
 before the bearing rotation; flattening is row-major (r outer, c inner).
 A bearing rotates the whole array about the global z axis. Elements are
 isotropic: every element has unit gain in every direction.
+
+The response is separable. With pitch = spacing * wavelength, k = 2 pi /
+wavelength, bearing b and a direction at azimuth a, zenith z, element (r, c)
+has phase k * pitch * (c * alpha + r * beta), where
+
+    alpha = sin z * (-sin b * cos a + cos b * sin a)   (along the rotated y axis)
+    beta  = cos z                                      (along z)
+
+so the response is the Kronecker product of a row factor exp(j k pitch r beta)
+and a column factor exp(j k pitch c alpha). steering_matrix builds every
+response from these factors: R + C complex exponentials per direction
+instead of R * C. It is the one steering formula of the package.
 """
 
 from __future__ import annotations
@@ -12,6 +24,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -21,6 +34,7 @@ __all__ = [
     "SteeringVector",
     "direction_unit_vector",
     "element_positions",
+    "steering_matrix",
     "steering_vector",
 ]
 
@@ -130,12 +144,29 @@ class SteeringVector:
     vector: np.ndarray  # (N,) complex128
 
 
+def steering_matrix(array: PlanarArray, directions: Sequence[Direction]) -> np.ndarray:
+    """Un-normalized responses toward D directions, shape (N, D), one column each.
+
+    Column d is exp(j*(2 pi / wavelength) * p . r(d)) over the element
+    positions p, assembled from its (R,) row and (C,) column factors. The
+    result is the transposed view of a C-contiguous (D, N) array, so ``.T``
+    gives the per-direction rows without a copy.
+    """
+    n = len(directions)
+    ang = np.radians(
+        np.array([(d.azimuth_deg, d.zenith_deg) for d in directions], dtype=float).reshape(n, 2)
+    )
+    az, zen = ang[:, 0], ang[:, 1]
+    b = math.radians(array.bearing_deg)
+    alpha = np.sin(zen) * (-math.sin(b) * np.cos(az) + math.cos(b) * np.sin(az))
+    beta = np.cos(zen)
+    k_pitch = 2.0 * math.pi / array.wavelength_m * (array.spacing * array.wavelength_m)
+    rows = np.exp(1j * k_pitch * np.outer(beta, np.arange(array.n_rows)))  # (D, R)
+    cols = np.exp(1j * k_pitch * np.outer(alpha, np.arange(array.n_cols)))  # (D, C)
+    # (D, R, C) with c fastest, i.e. row-major element order along the last axes
+    return (rows[:, :, None] * cols[:, None, :]).reshape(n, array.n_elements).T
+
+
 def steering_vector(array: PlanarArray, d: Direction) -> SteeringVector:
     """Un-normalized array response: exp(j*(2 pi / wavelength) * p . r(d))."""
-    phases = _steering_phases(array, d)
-    return SteeringVector(d, np.exp(1j * phases))
-
-
-def _steering_phases(array: PlanarArray, d: Direction) -> np.ndarray:
-    k = 2.0 * math.pi / array.wavelength_m
-    return k * (element_positions(array) @ direction_unit_vector(d))
+    return SteeringVector(d, steering_matrix(array, [d])[:, 0])

@@ -20,7 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import Direction, PlanarArray, steering_vector
+# steering_vector is not used here; perfbench/tests/test_perfbench.py reads
+# tracechan.beams.steering_vector, so the name stays importable from beams
+from .arrays import Direction, PlanarArray, steering_matrix, steering_vector  # noqa: F401
 from .channel import ChannelMatrixSet
 
 __all__ = [
@@ -73,15 +75,10 @@ def generate_codebook(
     """Build a codebook over the az/zen grid; entry count n_az * n_zen."""
     az = _grid_points(az_min_deg, az_max_deg, az_step_deg)
     zen = _grid_points(zen_min_deg, zen_max_deg, zen_step_deg)
-    directions: list[Direction] = []
-    rows: list[np.ndarray] = []
-    scale = 1.0 / math.sqrt(array.n_elements)
-    for a in az:
-        for z in zen:
-            d = Direction.from_degrees(float(a), float(z))
-            directions.append(d)
-            rows.append(steering_vector(array, d).vector * scale)
-    return BeamCodebook(tuple(directions), np.array(rows))
+    directions = tuple(Direction.from_degrees(float(a), float(z)) for a in az for z in zen)
+    weights = steering_matrix(array, directions).T  # (n_beams, N), C-contiguous
+    weights *= 1.0 / math.sqrt(array.n_elements)
+    return BeamCodebook(directions, weights)
 
 
 @dataclass(frozen=True)

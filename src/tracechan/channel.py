@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .arrays import Direction, PlanarArray, direction_unit_vector, steering_vector
+from .arrays import Direction, PlanarArray, direction_unit_vector, steering_matrix
 from .traces import MpcRecord
 
 __all__ = [
@@ -163,17 +163,11 @@ def build_channel_matrices(
         if not np.all(np.isfinite(arr)):
             raise ValueError(f"non-finite {name} in snapshot records")
 
-    a_tx = np.column_stack(
-        [
-            steering_vector(tx_array, Direction.from_degrees(r.aod_az, r.aod_zen)).vector
-            for r in records
-        ]
+    a_tx = steering_matrix(
+        tx_array, [Direction.from_degrees(r.aod_az, r.aod_zen) for r in records]
     )  # (N_tx, P)
-    a_rx = np.column_stack(
-        [
-            steering_vector(rx_array, Direction.from_degrees(r.aoa_az, r.aoa_zen)).vector
-            for r in records
-        ]
+    a_rx = steering_matrix(
+        rx_array, [Direction.from_degrees(r.aoa_az, r.aoa_zen) for r in records]
     )  # (N_rx, P)
 
     coef = gains * np.exp(1j * phases)

@@ -57,6 +57,12 @@ def _check_on_grid(trace: TraceSet, cfg: ScenarioConfig) -> None:
             ) from None
 
 
+def _grid_times(cfg: ScenarioConfig) -> list[float] | None:
+    """The configured snapshot times of a geometry config, else None."""
+    trajectories = build_trajectories(cfg)
+    return None if trajectories is None else trajectories[cfg.tx_id].times.tolist()
+
+
 def _load_trace(cfg: ScenarioConfig, override: str | None) -> TraceSet:
     if override is not None:
         trace = parse_trace(override)
@@ -92,7 +98,7 @@ def _cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     trace = _load_trace(cfg, args.trace)
     setup = build_setup(cfg)
-    metrics = run_simulation(trace, setup, workers=args.workers)
+    metrics = run_simulation(trace, setup, workers=args.workers, times=_grid_times(cfg))
     text = metrics_to_csv(metrics)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)

@@ -13,6 +13,7 @@ import io
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from .traces import MpcRecord, PathType, TraceSet
 
 __all__ = [
     "BOLTZMANN",
+    "GRID_TOL_S",
     "SINR_FLOOR_DB",
     "LinkBudget",
     "AmcTable",
@@ -47,6 +49,7 @@ __all__ = [
 
 BOLTZMANN = 1.380649e-23  # J/K
 SINR_FLOOR_DB = -200.0  # finite stand-in for "no signal"
+GRID_TOL_S = 1e-9  # a trace time this close to a grid time sits on it
 
 METRICS_COLUMNS = (
     "t",
@@ -276,10 +279,31 @@ def _map(fn, items: list, workers: int) -> list:
         return list(pool.map(fn, items))
 
 
+def _align_to_grid(grid: Sequence[float], trace_times: list[float]) -> list[float]:
+    """Each grid time, replaced by the trace snapshot time within GRID_TOL_S of it."""
+    known = np.asarray(trace_times, dtype=float)
+    out = []
+    for t in grid:
+        i = int(np.searchsorted(known, t))
+        near = [j for j in (i - 1, i) if 0 <= j < known.size and abs(known[j] - t) <= GRID_TOL_S]
+        out.append(trace_times[near[0]] if near else float(t))
+    return out
+
+
 def run_simulation(
-    trace: TraceSet, setup: SimulationSetup, workers: int = 1
+    trace: TraceSet,
+    setup: SimulationSetup,
+    workers: int = 1,
+    times: Sequence[float] | None = None,
 ) -> list[LinkMetrics]:
     """Per-snapshot link metrics for the configured link of a trace.
+
+    times is the snapshot grid to report, one row per grid time. A grid time
+    within GRID_TOL_S of a trace snapshot takes that snapshot's time and
+    records; any other grid time is an outage, evaluated on a channel with no
+    paths (SINR floor, no MCS), since the ray tracer writes no record for a
+    snapshot without paths. Trace snapshots off the grid are not evaluated.
+    Without times the rows are the trace's own snapshot times.
 
     Beam training runs at the first snapshot and then whenever the training
     period has elapsed, always on the training snapshot's own channel; the
@@ -291,8 +315,12 @@ def run_simulation(
     if workers < 1:
         raise ValueError("workers must be >= 1")
     link = (setup.tx_id, setup.rx_id)
-    times = trace.snapshot_times(*link)
-    if not times:
+    trace_times = trace.snapshot_times(*link)
+    if times is not None:
+        times = _align_to_grid(times, trace_times)
+    elif trace_times:
+        times = trace_times
+    else:
         raise ValueError(f"trace has no snapshots for link {link}")
     groups = [trace.group(t, *link) for t in times]
 

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -289,6 +290,59 @@ def test_run_simulation_rejects_missing_link():
     other = SimulationSetup(**{**setup.__dict__, "tx_id": 5, "rx_id": 6})
     with pytest.raises(ValueError, match="no snapshots"):
         run_simulation(trace, other)
+
+
+def test_run_simulation_reports_every_grid_time():
+    # the trace misses the grid times 0.1 and 0.3; one trace time sits 1e-12 s
+    # off its grid time and keeps its own value
+    setup = _free_space_setup()
+    trace = _los_trace([0.0, 0.2 + 1e-12, 0.4], aod_az=30.0)
+    grid = [0.0, 0.1, 0.2, 0.3, 0.4]
+    metrics = run_simulation(trace, setup, times=grid)
+    assert [m.t for m in metrics] == [0.0, 0.1, 0.2 + 1e-12, 0.3, 0.4]
+    outage = [m.mcs is None for m in metrics]
+    assert outage == [False, True, False, True, False]
+    for m in metrics:
+        if m.mcs is None:
+            assert (m.sinr_db, m.los, m.delivered_bps) == (SINR_FLOOR_DB, False, 0.0)
+    # without a grid only the trace's own times are reported
+    assert len(run_simulation(trace, setup)) == 3
+
+
+def test_run_simulation_grid_without_paths_is_all_outage():
+    # a fully blocked scene writes no records; with a grid it is reported
+    setup = _free_space_setup()
+    metrics = run_simulation(TraceSet(()), setup, times=[0.0, 0.1])
+    assert [(m.t, m.mcs, m.sinr_db) for m in metrics] == [
+        (0.0, None, SINR_FLOOR_DB), (0.1, None, SINR_FLOOR_DB)
+    ]
+
+
+def test_simulate_reports_outage_snapshots(tmp_path, capsys):
+    # corner.cfg without its diffracting edge and with reflections off: the
+    # receiver sees nothing until it turns the corner, and the ray tracer
+    # writes no record for those snapshots
+    raw = yaml.safe_load(Path(CORNER_CFG).read_text())
+    for rect in raw["environment"]["rectangles"]:
+        rect.pop("diffracting_edges", None)
+    raw["max_reflection_order"] = 0
+    cfg = tmp_path / "blocked.cfg"
+    cfg.write_text(yaml.safe_dump(raw))
+    out = tmp_path / "metrics.csv"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    stdout = capsys.readouterr().out
+    rows = [ln.split(",") for ln in out.read_text().splitlines()[1:]]
+    assert [float(r[0]) for r in rows] == [0.25 * k for k in range(121)]
+    outages = [r for r in rows if float(r[6]) == SINR_FLOOR_DB]
+    assert len(outages) == 93
+    assert all(r[1] == "0" and r[7] == "0" and float(r[9]) == 0.0 for r in outages)
+    # the printed summary covers all 121 rows
+    n_los = sum(r[1] == "1" for r in rows)
+    mean_sinr = sum(float(r[6]) for r in rows) / 121
+    assert f"wrote {out}: 121 snapshots" in stdout
+    assert f"mean SINR: {mean_sinr:.2f} dB" in stdout
+    assert f"LoS fraction: {n_los / 121:.3f}" in stdout
+    assert n_los == 28
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -4,8 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tracechan import Direction, PlanarArray, direction_unit_vector, element_positions, steering_vector
+from tracechan import (
+    Direction,
+    PlanarArray,
+    direction_unit_vector,
+    element_positions,
+    generate_codebook,
+    steering_matrix,
+    steering_vector,
+)
 
 LAM = 299792458.0 / 28e9
 
@@ -145,3 +155,50 @@ def test_element_positions_cached_read_only(arr):
     assert not cached.flags.writeable
     with pytest.raises(ValueError):
         cached[0, 0] = 1.0
+
+
+arrays = st.builds(
+    PlanarArray,
+    n_rows=st.integers(1, 16),
+    n_cols=st.integers(1, 16),
+    wavelength_m=st.just(LAM),
+    spacing=st.floats(0.1, 2.0),
+    bearing_deg=st.floats(-180.0, 180.0),
+)
+directions = st.builds(
+    Direction,
+    azimuth_deg=st.floats(-180.0, 180.0, exclude_max=True),
+    zenith_deg=st.floats(0.0, 180.0),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(arr=arrays, dirs=st.lists(directions, min_size=1, max_size=12))
+def test_steering_matrix_matches_element_positions(arr, dirs):
+    got = steering_matrix(arr, dirs)
+    assert got.shape == (arr.n_elements, len(dirs))
+    u = np.array([direction_unit_vector(d) for d in dirs]).T  # (3, D)
+    want = np.exp(1j * (2 * math.pi / LAM) * (element_positions(arr) @ u))
+    assert np.max(np.abs(got - want)) <= 1e-12
+    # one formula: every column is bit-identical to the single-direction call
+    for j, d in enumerate(dirs):
+        assert got[:, j].tobytes() == steering_vector(arr, d).vector.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    arr=arrays,
+    az_lo=st.floats(-180.0, 0.0),
+    az_span=st.floats(0.0, 179.0),
+    az_step=st.floats(5.0, 60.0),
+    zen_lo=st.floats(0.0, 90.0),
+    zen_step=st.floats(5.0, 60.0),
+)
+def test_codebook_weights_contiguous_unit_norm(arr, az_lo, az_span, az_step, zen_lo, zen_step):
+    cb = generate_codebook(arr, az_lo, az_lo + az_span, az_step, zen_lo, 180.0, zen_step)
+    assert cb.weights.shape == (len(cb), arr.n_elements)
+    assert cb.weights.flags.c_contiguous
+    np.testing.assert_allclose(np.linalg.norm(cb.weights, axis=1), 1.0, rtol=0, atol=1e-12)
+    for d, w in zip(cb.directions, cb.weights):
+        want = steering_vector(arr, d).vector / math.sqrt(arr.n_elements)
+        assert w.tobytes() == want.tobytes()

@@ -4,6 +4,8 @@ Each test covers one acceptance criterion and prints a single PASS/FAIL
 line; run `pytest -s tests/test_acceptance.py` to see them.
 """
 
+import csv
+import io
 import math
 import time
 from pathlib import Path
@@ -43,6 +45,7 @@ from tracechan import (
 from tracechan.scenario import build_rt_scenario, build_setup, load_config
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+DATA_DIR = Path(__file__).resolve().parent / "data"
 C = 299792458.0
 
 
@@ -74,6 +77,40 @@ def etoile_wide():
 @pytest.fixture(scope="module")
 def corner():
     return _run_config("corner.cfg")
+
+
+EXACT_COLUMNS = (
+    "los", "tx_beam_az_deg", "tx_beam_zen_deg", "rx_beam_az_deg", "rx_beam_zen_deg", "mcs",
+)
+
+
+def _cell_matches(column, got, want):
+    if column in EXACT_COLUMNS:
+        return got == want
+    if column == "sinr_db":
+        return abs(float(got) - float(want)) <= 1e-9
+    return math.isclose(float(got), float(want), rel_tol=1e-12, abs_tol=0.0)
+
+
+@pytest.mark.parametrize("name", ["corner", "etoile", "etoile_wide"])
+def test_shipped_configs_match_stored_metrics(name, request):
+    # tests/data/<name>_metrics.csv is the simulate output of configs/<name>.cfg:
+    # beam, los and mcs exact, sinr_db within 1e-9 dB, the rest within 1e-12
+    _, _, metrics, _ = request.getfixturevalue(name)
+    got = list(csv.DictReader(io.StringIO(metrics_to_csv(metrics))))
+    with open(DATA_DIR / f"{name}_metrics.csv", encoding="utf-8", newline="") as fh:
+        want = list(csv.DictReader(fh))
+    bad = [
+        (float(w["t"]), c)
+        for g, w in zip(got, want)
+        for c in w
+        if not _cell_matches(c, g[c], w[c])
+    ]
+    _check(
+        f"{name} matches stored metrics",
+        len(got) == len(want) and not bad,
+        f"{len(got)} rows vs {len(want)} stored, {len(bad)} mismatched cells {bad[:3]}",
+    )
 
 
 def _steering_errors(metrics):

@@ -3,7 +3,10 @@
 Codebook weights are steering vectors scaled to unit norm. The Hermitian
 inner products inside the beamformed-power quadratic form supply the
 conjugation, so a beam pointed exactly at a path's direction conjugate-matches
-that path and attains the full array gain.
+that path and attains the full array gain. A codebook's beams are in
+azimuth-major order (zenith fastest), and its weights are one C-contiguous
+(n_beams, N) array: the transpose of a single steering_matrix call, scaled
+in place.
 
 Sweeps contract the factored channel H_k = A_rx diag(c_k) A_tx^H without
 forming it: the tx codebook is projected onto the P path steering vectors,
@@ -11,6 +14,11 @@ the rx side is taken in the path basis or the element basis, whichever is
 smaller, and the K subbands are compressed to min(K, P) rows of the
 triangular QR factor of the coefficient matrix. The power table is then a
 sum of |amplitude|^2 planes, one per row.
+
+The winner of a sweep is the first pair in row-major order (tx index, then
+rx index) whose power is within TIE_RTOL of the table maximum. The mirror
+beams of a planar array tie in exact arithmetic, so an exact argmax would
+pick between them on rounding noise.
 """
 
 from __future__ import annotations

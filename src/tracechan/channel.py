@@ -137,7 +137,8 @@ def build_channel_matrices(
     the snapshot time; values before the snapshot are rejected. The Doppler
     phase ramp advances linearly from the snapshot time to t_eval; at
     t_eval == t it is 1, so neither the Doppler shifts nor the node states
-    are used.
+    are used. Each side's steering factor is one steering_matrix call over
+    the group's departure or arrival directions.
     """
     if not records:
         return ChannelMatrixSet(

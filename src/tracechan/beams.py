@@ -68,7 +68,8 @@ def _grid_points(lo: float, hi: float, step: float) -> np.ndarray:
     if hi < lo:
         raise ValueError(f"grid upper bound {hi} below lower bound {lo}")
     n = int(math.floor((hi - lo) / step + 1e-9)) + 1
-    return lo + step * np.arange(n)
+    # the slack in n and the rounding of k*step may overshoot hi by an ulp
+    return np.minimum(lo + step * np.arange(n), hi)
 
 
 def generate_codebook(

@@ -17,7 +17,7 @@ import math
 import sys
 
 from .beams import select_best_pair, sweep_power_table
-from .link import metrics_to_csv, run_simulation, snapshot_channel
+from .link import SINR_FLOOR_DB, metrics_to_csv, run_simulation, snapshot_channel, snapshot_rows
 from .raytrace import generate_trace
 from .scenario import (
     ConfigError,
@@ -38,25 +38,6 @@ def _watts_to_dbm(p_w: float) -> float:
     return max(10.0 * math.log10(p_w * 1000.0), POWER_FLOOR_DBM)
 
 
-def _check_on_grid(trace: TraceSet, cfg: ScenarioConfig) -> None:
-    """A trace replayed on a geometry config must sit on the config's time grid."""
-    trajectories = build_trajectories(cfg)
-    if trajectories is None:
-        return
-    grid = trajectories[cfg.tx_id]
-    for t in trace.snapshot_times(cfg.tx_id, cfg.rx_id):
-        try:
-            grid.index_at(t)
-        except KeyError:
-            t0 = float(grid.times[0])
-            span = (f"dt={float(grid.times[1]) - t0!r} s from t={t0!r}"
-                    if len(grid) > 1 else f"one sample at t={t0!r}")
-            raise ValueError(
-                f"snapshot t={t!r} is not on the configured time grid ({span}); "
-                "snapshot_dt_s must match the trace"
-            ) from None
-
-
 def _grid_times(cfg: ScenarioConfig) -> list[float] | None:
     """The configured snapshot times of a geometry config, else None."""
     trajectories = build_trajectories(cfg)
@@ -64,12 +45,9 @@ def _grid_times(cfg: ScenarioConfig) -> list[float] | None:
 
 
 def _load_trace(cfg: ScenarioConfig, override: str | None) -> TraceSet:
-    if override is not None:
-        trace = parse_trace(override)
-        _check_on_grid(trace, cfg)
-        return trace
-    if cfg.trace_path is not None:
-        return parse_trace(cfg.trace_path)
+    path = override if override is not None else cfg.trace_path
+    if path is not None:
+        return parse_trace(path)
     return generate_trace(build_rt_scenario(cfg))
 
 
@@ -106,22 +84,25 @@ def _cmd_simulate(args) -> int:
     mean_sinr = sum(m.sinr_db for m in metrics) / n
     mean_thr = sum(m.delivered_bps for m in metrics) / n
     los_frac = sum(1 for m in metrics if m.los) / n
+    outages = sum(1 for m in metrics if m.sinr_db <= SINR_FLOOR_DB)
     print(f"wrote {args.out}: {n} snapshots")
+    print(f"outage snapshots: {outages} (SINR at the {SINR_FLOOR_DB:g} dB floor, "
+          "counted in the means)")
     print(f"mean SINR: {mean_sinr:.2f} dB")
     print(f"mean delivered: {mean_thr / 1e6:.3f} Mb/s")
     print(f"LoS fraction: {los_frac:.3f}")
     return 0
 
 
-def _pick_time(times: list[float], requested: float | None, dt: float) -> float:
+def _pick_row(rows: list, requested: float | None, dt: float) -> tuple:
     if requested is None:
-        return times[0]
-    best = min(times, key=lambda t: abs(t - requested))
-    # snap to the nearest snapshot, but only within half a snapshot interval
-    if abs(best - requested) > dt / 2 + 1e-9:
+        return rows[0]
+    best = min(rows, key=lambda row: abs(row[0] - requested))
+    # snap to the nearest grid time, but only within half a snapshot interval
+    if abs(best[0] - requested) > dt / 2 + 1e-9:
         raise ConfigError(
             [f"--time {requested} is not within {dt / 2} s of any snapshot "
-             f"(grid spans {times[0]} to {times[-1]})"]
+             f"(grid spans {rows[0][0]} to {rows[-1][0]})"]
         )
     return best
 
@@ -129,14 +110,12 @@ def _pick_time(times: list[float], requested: float | None, dt: float) -> float:
 def _cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     trace = _load_trace(cfg, args.trace)
-    times = trace.snapshot_times(cfg.tx_id, cfg.rx_id)
-    if not times:
-        raise ConfigError([f"trace has no snapshots for link ({cfg.tx_id},{cfg.rx_id})"])
-    t = _pick_time(times, args.time, cfg.snapshot_dt_s)
-
     setup = build_setup(cfg)
+    t, records = _pick_row(
+        snapshot_rows(trace, setup, _grid_times(cfg)), args.time, cfg.snapshot_dt_s
+    )
     cb_tx, cb_rx = setup.tx_codebook, setup.rx_codebook
-    channel = snapshot_channel(setup, trace.group(t, cfg.tx_id, cfg.rx_id), t)
+    channel = snapshot_channel(setup, records, t)
     table = sweep_power_table(channel, cb_tx, cb_rx, setup.budget.tx_power_w)
     best = select_best_pair(table, cb_tx, cb_rx)
 

@@ -1,9 +1,12 @@
 """Link-level abstraction: SINR, rate adaptation, and the snapshot loop.
 
-The simulation walks a trace link snapshot by snapshot: build the channel,
-retrain beams on a fixed period (ideal sweeps, no airtime), compute
-beamformed receive power, map to SINR, pick the rate, and derive throughput
-and a queueing-flavored delay from an analytic saturation model.
+snapshot_rows is the one snapshot schedule: it turns a trace and an
+optional time grid into (time, records) rows, outages included, and rejects
+a trace that is off the grid. run_simulation walks those rows in training
+segments: build the channel, retrain beams on a fixed period (ideal sweeps,
+no airtime), compute beamformed receive power, map to SINR, pick the rate,
+and derive throughput and a queueing-flavored delay from an analytic
+saturation model.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ __all__ = [
     "select_mcs",
     "throughput_delay",
     "snapshot_channel",
+    "snapshot_rows",
     "run_simulation",
     "metrics_to_csv",
     "METRICS_COLUMNS",
@@ -153,7 +157,7 @@ class AmcTable:
     def from_file(cls, path) -> "AmcTable":
         """Load a table from CSV columns mcs,sinr_threshold_db,spectral_efficiency."""
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
+            reader = csv.DictReader(fh, restval="")  # a short row reads as ''
             required = {"mcs", "sinr_threshold_db", "spectral_efficiency"}
             if reader.fieldnames is None or not required.issubset(reader.fieldnames):
                 raise ValueError(
@@ -193,7 +197,7 @@ def throughput_delay(
     """
     if not 0.0 <= overhead < 1.0:
         raise ValueError("overhead must be in [0, 1)")
-    if offered_bps < 0:
+    if not offered_bps >= 0:  # nan too
         raise ValueError("offered_bps must be >= 0")
     if mcs is not None and not 0 <= mcs < len(table):
         raise ValueError(f"mcs {mcs} outside table of {len(table)} entries")
@@ -241,7 +245,7 @@ class SimulationSetup:
     rx_id: int = 1
 
     def __post_init__(self) -> None:
-        if self.training_period_s <= 0:
+        if not self.training_period_s > 0:  # nan too
             raise ValueError("training_period_s must be positive")
 
 
@@ -260,16 +264,57 @@ def snapshot_channel(
     )
 
 
-def _training_flags(times: list[float], period: float) -> list[bool]:
-    flags = []
-    due = times[0] if times else 0.0
-    for t in times:
+def snapshot_rows(
+    trace: TraceSet, setup: SimulationSetup, times: Sequence[float] | None = None
+) -> list[tuple[float, list[MpcRecord]]]:
+    """The (time, records) rows of the configured link, in time order.
+
+    times is the configured snapshot grid. A grid time within GRID_TOL_S of a
+    trace snapshot takes that snapshot's time and records; any other grid
+    time is an outage row with no records, since the ray tracer writes no
+    record for a snapshot without paths. A trace snapshot of the link off the
+    grid, or two on one grid time, raises ValueError. Without times the rows
+    are the trace's own snapshot times.
+    """
+    link = (setup.tx_id, setup.rx_id)
+    trace_times = trace.snapshot_times(*link)
+    if times is None:
+        if not trace_times:
+            raise ValueError(f"trace has no snapshots for link {link}")
+        return [(t, trace.group(t, *link)) for t in trace_times]
+    grid = np.asarray(times, dtype=float)
+    rows: list[tuple[float, list[MpcRecord]]] = [(float(t), []) for t in grid]
+    for t in trace_times:
+        i = int(np.argmin(np.abs(grid - t)))
+        if abs(rows[i][0] - t) > GRID_TOL_S:
+            t0 = rows[0][0]
+            span = (f"dt={rows[1][0] - t0!r} s from t={t0!r}"
+                    if len(rows) > 1 else f"one sample at t={t0!r}")
+            raise ValueError(
+                f"snapshot t={t!r} is not on the configured time grid ({span}); "
+                "snapshot_dt_s must match the trace"
+            )
+        if rows[i][1]:
+            raise ValueError(f"snapshots t={rows[i][0]!r} and t={t!r} share one grid time")
+        rows[i] = (t, trace.group(t, *link))
+    return rows
+
+
+def _segments(rows: list[tuple[float, list[MpcRecord]]], period: float) -> list[range]:
+    """Row ranges of one training row plus the held rows up to the next.
+
+    The first row trains, then the first row at which the period has elapsed
+    since the last training. A training row without records is an outage: its
+    sweep finds no paths, so training stays due and the next row trains.
+    """
+    starts: list[int] = []
+    due = -math.inf
+    for i, (t, records) in enumerate(rows):
         if t >= due - 1e-9:
-            flags.append(True)
-            due = t + period
-        else:
-            flags.append(False)
-    return flags
+            starts.append(i)
+            if records:
+                due = t + period
+    return [range(a, b) for a, b in zip(starts, starts[1:] + [len(rows)])]
 
 
 def _map(fn, items: list, workers: int) -> list:
@@ -279,95 +324,51 @@ def _map(fn, items: list, workers: int) -> list:
         return list(pool.map(fn, items))
 
 
-def _align_to_grid(grid: Sequence[float], trace_times: list[float]) -> list[float]:
-    """Each grid time, replaced by the trace snapshot time within GRID_TOL_S of it."""
-    known = np.asarray(trace_times, dtype=float)
-    out = []
-    for t in grid:
-        i = int(np.searchsorted(known, t))
-        near = [j for j in (i - 1, i) if 0 <= j < known.size and abs(known[j] - t) <= GRID_TOL_S]
-        out.append(trace_times[near[0]] if near else float(t))
-    return out
-
-
 def run_simulation(
     trace: TraceSet,
     setup: SimulationSetup,
     workers: int = 1,
     times: Sequence[float] | None = None,
 ) -> list[LinkMetrics]:
-    """Per-snapshot link metrics for the configured link of a trace.
+    """Link metrics for each row of snapshot_rows(trace, setup, times).
 
-    times is the snapshot grid to report, one row per grid time. A grid time
-    within GRID_TOL_S of a trace snapshot takes that snapshot's time and
-    records; any other grid time is an outage, evaluated on a channel with no
-    paths (SINR floor, no MCS), since the ray tracer writes no record for a
-    snapshot without paths. Trace snapshots off the grid are not evaluated.
-    Without times the rows are the trace's own snapshot times.
-
-    Beam training runs at the first snapshot and then whenever the training
-    period has elapsed, always on the training snapshot's own channel; the
-    winning pair is held until the next training. Each snapshot's channel is
-    built once: a training snapshot's row is evaluated on the channel it was
-    trained on. Results are identical for any worker count: snapshots are
-    evaluated independently and reassembled in time order.
+    An outage row has no paths: SINR floor, no MCS. Beams train on the
+    first row and then once the training period has elapsed, on the training
+    row's own channel, and are held until the next training; a training row
+    that is an outage leaves training due. Each row's channel is built once.
+    Workers split the rows by training segment; results are identical for
+    any worker count.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    link = (setup.tx_id, setup.rx_id)
-    trace_times = trace.snapshot_times(*link)
-    if times is not None:
-        times = _align_to_grid(times, trace_times)
-    elif trace_times:
-        times = trace_times
-    else:
-        raise ValueError(f"trace has no snapshots for link {link}")
-    groups = [trace.group(t, *link) for t in times]
+    rows = snapshot_rows(trace, setup, times)
+    cb_tx, cb_rx = setup.tx_codebook, setup.rx_codebook
+    p_tx = setup.budget.tx_power_w
 
-    def evaluate(i: int, sel: BeamSelection, ch: ChannelMatrixSet) -> LinkMetrics:
-        _, p_rx = beamformed_power(
-            ch,
-            setup.tx_codebook.weights[sel.tx_index],
-            setup.rx_codebook.weights[sel.rx_index],
-            setup.budget.tx_power_w,
-        )
-        sinr = compute_sinr(p_rx, setup.budget)
-        mcs = select_mcs(sinr, setup.amc)
-        delivered, delay = throughput_delay(
-            mcs, setup.amc, setup.budget.bandwidth_hz, setup.offered_bps,
-            setup.overhead, setup.base_delay_s, setup.saturation_delay_s,
-        )
-        return LinkMetrics(
-            t=times[i],
-            los=classify_los(groups[i]),
-            selection=replace(sel, power_w=p_rx),
-            sinr_db=sinr,
-            mcs=mcs,
-            offered_bps=setup.offered_bps,
-            delivered_bps=delivered,
-            delay_s=delay,
-        )
+    def evaluate(segment: range) -> list[LinkMetrics]:
+        out = []
+        for i in segment:
+            t, records = rows[i]
+            ch = snapshot_channel(setup, records, t)
+            if i == segment.start:
+                sel = ideal_beam_sweep(ch, cb_tx, cb_rx, p_tx)
+            _, p_rx = beamformed_power(
+                ch, cb_tx.weights[sel.tx_index], cb_rx.weights[sel.rx_index], p_tx
+            )
+            sinr = compute_sinr(p_rx, setup.budget)
+            mcs = select_mcs(sinr, setup.amc)
+            delivered, delay = throughput_delay(
+                mcs, setup.amc, setup.budget.bandwidth_hz, setup.offered_bps,
+                setup.overhead, setup.base_delay_s, setup.saturation_delay_s,
+            )
+            out.append(LinkMetrics(
+                t, classify_los(records), replace(sel, power_w=p_rx), sinr, mcs,
+                setup.offered_bps, delivered, delay,
+            ))
+        return out
 
-    def train(i: int) -> tuple[BeamSelection, LinkMetrics]:
-        ch = snapshot_channel(setup, groups[i], times[i])
-        sel = ideal_beam_sweep(
-            ch, setup.tx_codebook, setup.rx_codebook, setup.budget.tx_power_w
-        )
-        return sel, evaluate(i, sel, ch)
-
-    flags = _training_flags(times, setup.training_period_s)
-    training_idx = [i for i, f in enumerate(flags) if f]
-    trained = dict(zip(training_idx, _map(train, training_idx, workers)))
-    active: list[BeamSelection] = []  # the first snapshot always trains
-    for i in range(len(times)):
-        active.append(trained[i][0] if flags[i] else active[-1])
-
-    def evaluate_held(i: int) -> LinkMetrics:
-        return evaluate(i, active[i], snapshot_channel(setup, groups[i], times[i]))
-
-    held_idx = [i for i, f in enumerate(flags) if not f]
-    held = dict(zip(held_idx, _map(evaluate_held, held_idx, workers)))
-    return [trained[i][1] if flags[i] else held[i] for i in range(len(times))]
+    segments = _segments(rows, setup.training_period_s)
+    return [m for part in _map(evaluate, segments, workers) for m in part]
 
 
 def _fmt(value: float) -> str:

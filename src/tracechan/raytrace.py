@@ -652,13 +652,17 @@ def generate_trace(scenario: RtScenario) -> TraceSet:
     Reflections of all snapshots and links are traced in one batch. Output
     passes validation by construction: snapshot times are strictly
     increasing, path_ids are fresh per snapshot, and at most one LOS record
-    exists per snapshot.
+    exists per snapshot. A link whose tx and rx coincide has no defined path,
+    so it raises ValueError naming the first such time.
     """
     env, f_c = scenario.environment, scenario.carrier_hz
     times = scenario.times
     keys = [(k, tx_id, rx_id) for k in range(times.size) for tx_id, rx_id in scenario.links]
     p_tx = [scenario.trajectories[tx_id].positions[k] for k, tx_id, _ in keys]
     p_rx = [scenario.trajectories[rx_id].positions[k] for k, _, rx_id in keys]
+    for (k, _, _), a, b in zip(keys, p_tx, p_rx):
+        if np.array_equal(a, b):
+            raise ValueError(f"tx and rx coincide at t={float(times[k])!r}")
     reflections = _trace_reflections_batch(p_tx, p_rx, env, scenario.max_reflection_order)
     records: list[MpcRecord] = []
     for (k, tx_id, rx_id), a, b, refl in zip(keys, p_tx, p_rx, reflections):

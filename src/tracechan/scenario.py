@@ -108,8 +108,15 @@ def _as_float(value):
     return float(value)
 
 
-def _as_int(value):
+def _as_finite(value):
     f = _as_float(value)
+    if not math.isfinite(f):
+        raise ValueError(f"{value!r} is not a finite number")
+    return f
+
+
+def _as_int(value):
+    f = _as_finite(value)
     if f != int(f):
         raise ValueError(f"{value!r} is not an integer")
     return int(f)
@@ -118,7 +125,7 @@ def _as_int(value):
 def _as_vec3(value):
     if not isinstance(value, (list, tuple)) or len(value) != 3:
         raise ValueError(f"{value!r} is not a 3-element list")
-    return [_as_float(v) for v in value]
+    return [_as_finite(v) for v in value]
 
 
 _REQUIRED = object()
@@ -161,8 +168,8 @@ def _parse_array(reader: _Reader, name: str) -> ArraySpec | None:
     sec = reader.section(name)
     rows = reader.get(sec, "rows", f"{name}.rows", _as_int)
     cols = reader.get(sec, "cols", f"{name}.cols", _as_int)
-    spacing = reader.get(sec, "spacing", f"{name}.spacing", _as_float)
-    bearing = reader.get(sec, "bearing_deg", f"{name}.bearing_deg", _as_float)
+    spacing = reader.get(sec, "spacing", f"{name}.spacing", _as_finite)
+    bearing = reader.get(sec, "bearing_deg", f"{name}.bearing_deg", _as_finite)
     if None in (rows, cols, spacing, bearing):
         return None
     return ArraySpec(rows, cols, spacing, bearing)
@@ -171,7 +178,7 @@ def _parse_array(reader: _Reader, name: str) -> ArraySpec | None:
 def _parse_codebook(reader: _Reader, name: str) -> CodebookSpec | None:
     sec = reader.section(name)
     az = [
-        reader.get(sec, k, f"{name}.{k}", _as_float)
+        reader.get(sec, k, f"{name}.{k}", _as_finite)
         for k in ("az_min", "az_max", "az_step")
     ]
     if sec is None:
@@ -183,7 +190,7 @@ def _parse_codebook(reader: _Reader, name: str) -> CodebookSpec | None:
         return None
     if has_el:
         el = [
-            reader.get(sec, k, f"{name}.{k}", _as_float)
+            reader.get(sec, k, f"{name}.{k}", _as_finite)
             for k in ("el_min", "el_max", "el_step")
         ]
         if None in el:
@@ -192,7 +199,7 @@ def _parse_codebook(reader: _Reader, name: str) -> CodebookSpec | None:
         zen = [90.0 - el[1], 90.0 - el[0], el[2]]
     else:
         zen = [
-            reader.get(sec, k, f"{name}.{k}", _as_float)
+            reader.get(sec, k, f"{name}.{k}", _as_finite)
             for k in ("zen_min", "zen_max", "zen_step")
         ]
     if None in az or None in zen:
@@ -216,13 +223,13 @@ def _parse_environment(reader: _Reader) -> Environment | None:
         corner = reader.get(item, "corner", f"{dotted}.corner", _as_vec3)
         edge_u = reader.get(item, "edge_u", f"{dotted}.edge_u", _as_vec3)
         edge_v = reader.get(item, "edge_v", f"{dotted}.edge_v", _as_vec3)
-        gamma = reader.get(item, "gamma", f"{dotted}.gamma", _as_float, default=0.7)
+        gamma = reader.get(item, "gamma", f"{dotted}.gamma", _as_finite, default=0.7)
         edges = item.get("diffracting_edges", [])
         if None in (corner, edge_u, edge_v):
             continue
         try:
             rects.append(
-                Rectangle(corner, edge_u, edge_v, gamma, tuple(int(e) for e in edges))
+                Rectangle(corner, edge_u, edge_v, gamma, tuple(_as_int(e) for e in edges))
             )
         except (TypeError, ValueError) as exc:
             reader.problems.append(f"{dotted}: {exc}")
@@ -236,15 +243,24 @@ def _parse_trajectory(reader: _Reader, name: str) -> dict | None:
     if not isinstance(sec, dict) or "kind" not in sec:
         reader.problems.append(f"{name} must be a mapping with a kind key")
         return None
-    return dict(sec)
+    # every trajectory parameter is a 3-vector or a finite number
+    return {
+        key: value if key == "kind" else reader.get(
+            sec, key, f"{name}.{key}", _as_vec3 if isinstance(value, list) else _as_finite
+        )
+        for key, value in sec.items()
+    }
 
 
 def parse_config(raw: dict, base_dir: str = ".") -> ScenarioConfig:
     if not isinstance(raw, dict):
         raise ConfigError(["config root must be a mapping"])
     reader = _Reader(raw)
+    # duration_s is checked below; an infinite training period (train once)
+    # or offered load (saturate) is meaningful
+    unbounded = {"duration_s", "training_period_s", "offered_bps"}
     top = {
-        key: reader.get(raw, key, key, _as_float)
+        key: reader.get(raw, key, key, _as_float if key in unbounded else _as_finite)
         for key in (
             "carrier_hz",
             "bandwidth_hz",
@@ -287,9 +303,10 @@ def parse_config(raw: dict, base_dir: str = ".") -> ScenarioConfig:
         elif rx_traj is None:
             reader.problems.append("missing required section rx_trajectory")
 
-    dt, duration = top["snapshot_dt_s"], top["duration_s"]
-    if dt is not None and not dt > 0:
-        reader.problems.append("snapshot_dt_s must be > 0")
+    for key in ("carrier_hz", "bandwidth_hz", "snapshot_dt_s"):
+        if top[key] is not None and not top[key] > 0:
+            reader.problems.append(f"{key} must be > 0")
+    duration = top["duration_s"]
     if duration is not None and not 0 <= duration < math.inf:
         reader.problems.append("duration_s must be >= 0 and finite")
 
@@ -300,17 +317,19 @@ def parse_config(raw: dict, base_dir: str = ".") -> ScenarioConfig:
     optional = {
         "tx_id": reader.get(raw, "tx_id", "tx_id", _as_int, default=0),
         "rx_id": reader.get(raw, "rx_id", "rx_id", _as_int, default=1),
-        "temperature_k": reader.get(raw, "temperature_k", "temperature_k", _as_float, default=290.0),
-        "interference_w": reader.get(raw, "interference_w", "interference_w", _as_float, default=0.0),
-        "base_delay_s": reader.get(raw, "base_delay_s", "base_delay_s", _as_float, default=0.5e-3),
+        "temperature_k": reader.get(raw, "temperature_k", "temperature_k", _as_finite, default=290.0),
+        "interference_w": reader.get(raw, "interference_w", "interference_w", _as_finite, default=0.0),
+        "base_delay_s": reader.get(raw, "base_delay_s", "base_delay_s", _as_finite, default=0.5e-3),
         "saturation_delay_s": reader.get(
-            raw, "saturation_delay_s", "saturation_delay_s", _as_float, default=7.5e-3
+            raw, "saturation_delay_s", "saturation_delay_s", _as_finite, default=7.5e-3
         ),
         "max_reflection_order": reader.get(
             raw, "max_reflection_order", "max_reflection_order", _as_int, default=4
         ),
     }
 
+    if optional["tx_id"] == optional["rx_id"]:
+        reader.problems.append("tx_id and rx_id must differ")
     if reader.problems:
         raise ConfigError(reader.problems)
 

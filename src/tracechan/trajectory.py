@@ -40,13 +40,6 @@ class Trajectory:
     def __len__(self) -> int:
         return int(self.times.size)
 
-    def index_at(self, t: float, tol: float = 1e-9) -> int:
-        """Index of the sample at time t; exact-grid lookup, not interpolation."""
-        i = int(np.argmin(np.abs(self.times - t)))
-        if abs(float(self.times[i]) - t) > tol:
-            raise KeyError(f"no trajectory sample at t={t!r}")
-        return i
-
 
 def _time_grid(t0: float, dt: float, n: int) -> np.ndarray:
     if dt <= 0:

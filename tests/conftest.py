@@ -2,8 +2,28 @@
 
 import cmath
 import math
+from pathlib import Path
+
+import yaml
 
 from tracechan import MpcRecord, PathType
+
+CORNER_CFG = str(Path(__file__).resolve().parents[1] / "configs" / "corner.cfg")
+
+
+def blocked_corner_config(path, **overrides):
+    """corner.cfg without its diffracting edge and with reflections off.
+
+    The receiver sees nothing until it turns the corner at t = 23.25 s, and
+    the ray tracer writes no record for the 93 snapshots before. Returns the
+    written path.
+    """
+    raw = yaml.safe_load(Path(CORNER_CFG).read_text())
+    for rect in raw["environment"]["rectangles"]:
+        rect.pop("diffracting_edges", None)
+    raw.update(max_reflection_order=0, **overrides)
+    path.write_text(yaml.safe_dump(raw))
+    return path
 
 
 def mk_record(

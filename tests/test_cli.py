@@ -1,7 +1,17 @@
 """Command-line workflows: generate-trace, validate, simulate, sweep."""
 
-import pytest
+import copy
+import io
+import math
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
+import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from conftest import blocked_corner_config
 from tracechan.cli import main
 
 # open scene: LoS always clear, one wall behind the walk adds a reflection
@@ -196,6 +206,71 @@ def test_sweep_time_snapping(scene_cfg, tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_sweep_at_outage_time_writes_floor_table(tmp_path, capsys):
+    # t = 0 is on the blocked walk's grid, but the trace has no record there
+    cfg = blocked_corner_config(tmp_path / "blocked.cfg")
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out), "--time", "0"]) == 0
+    assert "best at t=0.0:" in capsys.readouterr().out
+    rows = out.read_text().splitlines()[1:]
+    assert len(rows) == 252 * 252 + 1
+    assert {r.split(",")[4] for r in rows} == {"-200.0"}
+
+
+def test_sweep_off_grid_trace_exits_2(scene_cfg, tmp_path, capsys):
+    trace = tmp_path / "trace.csv"
+    assert main(["generate-trace", "--config", str(scene_cfg), "--out", str(trace)]) == 0
+    coarse = tmp_path / "coarse.cfg"
+    coarse.write_text(SCENE_CFG.replace("snapshot_dt_s: 0.25", "snapshot_dt_s: 0.3"))
+    capsys.readouterr()
+    assert main(["sweep", "--config", str(coarse), "--trace", str(trace),
+                 "--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err.startswith("error: snapshot t=0.25 is not on")
+
+
+def test_sweep_link_without_snapshots_exits_2(scene_cfg, tmp_path, capsys):
+    trace = tmp_path / "trace.csv"
+    assert main(["generate-trace", "--config", str(scene_cfg), "--out", str(trace)]) == 0
+    cfg = tmp_path / "replay.cfg"
+    cfg.write_text(REPLAY_CFG + "tx_id: 7\n")
+    capsys.readouterr()
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err == "error: trace has no snapshots for link (7, 1)\n"
+
+
+@pytest.mark.parametrize("old, new, problem", [
+    ("subbands: 4", "subbands: .inf", "config error: subbands: inf is not a finite number\n"),
+    ("az_max: 170.0", "az_max: .inf",
+     "config error: tx_codebook.az_max: inf is not a finite number\n"),
+    ("snapshot_dt_s: 0.25", "snapshot_dt_s: 0.25\nrx_id: 0",
+     "config error: tx_id and rx_id must differ\n"),
+    ("{kind: linear, start: [30.0, 5.0, 1.5], velocity: [0.0, -1.5, 0.0]}",
+     "{kind: static, position: [0.0, 0.0, 10.0]}",
+     "error: tx and rx coincide at t=0.0\n"),
+    ("gamma: 0.7", "gamma: 0.7\n      diffracting_edges: [.inf]",
+     "config error: environment.rectangles[0]: inf is not a finite number\n"),
+], ids=["subbands-inf", "codebook-bound-inf", "equal-node-ids", "coincident-nodes",
+        "diffracting-edge-inf"])
+@pytest.mark.parametrize("cmd", ["generate-trace", "simulate", "sweep"])
+def test_degenerate_inputs_exit_2(tmp_path, capsys, cmd, old, new, problem):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(SCENE_CFG.replace(old, new, 1))
+    assert main([cmd, "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err == problem
+
+
+@pytest.mark.parametrize("old, new, problem", [
+    ("training_period_s: 0.25", "training_period_s: .nan",
+     "error: training_period_s must be positive\n"),
+    ("offered_bps: 122.0e+6", "offered_bps: .nan", "error: offered_bps must be >= 0\n"),
+])
+def test_nan_training_period_or_load_exits_2(tmp_path, capsys, old, new, problem):
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text(SCENE_CFG.replace(old, new))
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err == problem
+
+
 def test_missing_config_keys_named(tmp_path, capsys):
     cfg = tmp_path / "thin.cfg"
     cfg.write_text("carrier_hz: 28.0e+9\n")
@@ -261,3 +336,94 @@ def test_trace_path_mode(scene_cfg, tmp_path, capsys):
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
     capsys.readouterr()
     assert len(out.read_text().splitlines()) == 10
+
+
+# The exit-code contract: 0 success, 1 validation findings (validate only),
+# 2 usage or config error, 3 I/O error, and on failure one line per problem
+# under one of these prefixes. A numpy RuntimeWarning would print a further
+# stderr line, so it breaks the contract too.
+_PREFIXES = ("config error: ", "trace error: ", "error: ", "i/o error: ")
+_MALFORMED = [None, "abc", [], {}, True, -1, 0, math.nan, math.inf, -math.inf]
+_DELETE = "<delete>"
+
+
+def _key_paths(node, prefix=()):
+    """Every path into a parsed config: mapping keys and list indices."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _key_paths(value, prefix + (key,))
+
+
+_SCENE = yaml.safe_load(SCENE_CFG)
+_SCENE_PATHS = list(_key_paths(_SCENE))
+
+
+def _assert_contract(argv, codes):
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            redirect_stdout(io.StringIO()), redirect_stderr(err):
+        warnings.simplefilter("always")
+        rc = main(argv)
+    assert rc in codes
+    assert "Traceback" not in err.getvalue()
+    assert all(line.startswith(_PREFIXES) for line in err.getvalue().splitlines())
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.fixture(scope="module")
+def contract_dir(tmp_path_factory):
+    work = tmp_path_factory.mktemp("contract")
+    (work / "scene.cfg").write_text(SCENE_CFG)
+    assert main(["generate-trace", "--config", str(work / "scene.cfg"),
+                 "--out", str(work / "trace.csv")]) == 0
+    return work
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    path=st.sampled_from(_SCENE_PATHS),
+    token=st.sampled_from([_DELETE, *_MALFORMED]),
+    cmd=st.sampled_from(["generate-trace", "simulate", "sweep"]),
+)
+@example(path=("subbands",), token=math.inf, cmd="simulate")
+@example(path=("tx_codebook", "az_max"), token=math.inf, cmd="sweep")
+def test_config_mutations_keep_exit_code_contract(contract_dir, path, token, cmd):
+    raw = copy.deepcopy(_SCENE)
+    parent = raw
+    for key in path[:-1]:
+        parent = parent[key]
+    if token == _DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = copy.deepcopy(token)
+    cfg = contract_dir / "mutated.cfg"
+    cfg.write_text(yaml.safe_dump(raw))
+    _assert_contract([cmd, "--config", str(cfg), "--out", str(contract_dir / "out.csv")],
+                     {0, 2, 3})
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    data=st.data(),
+    token=st.sampled_from(["", "abc", "nan", "inf", "-inf", "-1", "0", "1e999", "true", "[]"]),
+    cmd=st.sampled_from(["validate", "simulate", "sweep"]),
+)
+def test_trace_corruption_keeps_exit_code_contract(contract_dir, data, token, cmd):
+    lines = (contract_dir / "trace.csv").read_text().splitlines()
+    row = data.draw(st.integers(0, len(lines) - 1), label="row")
+    fields = lines[row].split(",")
+    fields[data.draw(st.integers(0, len(fields) - 1), label="field")] = token
+    lines[row] = ",".join(fields)
+    trace = contract_dir / "corrupt.csv"
+    trace.write_text("\n".join(lines) + "\n")
+    if cmd == "validate":
+        _assert_contract(["validate", "--trace", str(trace)], {0, 1, 2, 3})
+    else:
+        _assert_contract([cmd, "--config", str(contract_dir / "scene.cfg"), "--trace",
+                          str(trace), "--out", str(contract_dir / "out.csv")], {0, 2, 3})

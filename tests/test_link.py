@@ -1,17 +1,15 @@
 """SINR, rate adaptation, throughput/delay, and the simulation loop."""
 
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
-import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tracechan.channel as channel_module
 import tracechan.link as link_module
-from conftest import mk_record
+from conftest import CORNER_CFG, blocked_corner_config, mk_record
 from tracechan import (
     AmcTable,
     LinkBudget,
@@ -30,10 +28,8 @@ from tracechan import (
     throughput_delay,
 )
 from tracechan.cli import main
-from tracechan.link import METRICS_COLUMNS, SINR_FLOOR_DB
+from tracechan.link import METRICS_COLUMNS, SINR_FLOOR_DB, snapshot_rows
 from tracechan.scenario import load_config
-
-CORNER_CFG = str(Path(__file__).resolve().parents[1] / "configs" / "corner.cfg")
 
 LAM = 299792458.0 / 28e9
 
@@ -135,6 +131,11 @@ def test_amc_table_from_file(tmp_path):
     gap.write_text("mcs,sinr_threshold_db,spectral_efficiency\n0,-5,1\n2,5,2\n")
     with pytest.raises(ValueError, match="0..n-1"):
         AmcTable.from_file(gap)
+
+    short = tmp_path / "short.csv"
+    short.write_text("mcs,sinr_threshold_db,spectral_efficiency\n0,-5\n")
+    with pytest.raises(ValueError):
+        AmcTable.from_file(short)
 
 
 def test_select_mcs_boundaries():
@@ -307,6 +308,25 @@ def test_run_simulation_reports_every_grid_time():
             assert (m.sinr_db, m.los, m.delivered_bps) == (SINR_FLOOR_DB, False, 0.0)
     # without a grid only the trace's own times are reported
     assert len(run_simulation(trace, setup)) == 3
+    # a trace snapshot off the grid is an error, not a skipped row
+    with pytest.raises(ValueError, match=r"t=0\.25 is not on the configured time grid"):
+        run_simulation(_los_trace([0.0, 0.25]), setup, times=grid)
+
+
+def test_snapshot_rows_schedule():
+    setup = _free_space_setup()
+    trace = _los_trace([0.1, 0.2 + 1e-12], aod_az=30.0)
+    rows = snapshot_rows(trace, setup, [0.0, 0.1, 0.2])
+    assert [(t, len(recs)) for t, recs in rows] == [(0.0, 0), (0.1, 1), (0.2 + 1e-12, 1)]
+    assert [t for t, _ in snapshot_rows(trace, setup)] == [0.1, 0.2 + 1e-12]
+    with pytest.raises(ValueError, match=r"\(dt=0\.5 s from t=0\.0\)"):
+        snapshot_rows(trace, setup, [0.0, 0.5])
+    with pytest.raises(ValueError, match=r"one sample at t=0\.1"):
+        snapshot_rows(trace, setup, [0.1])
+    with pytest.raises(ValueError, match="trace has no snapshots for link"):
+        snapshot_rows(TraceSet(()), setup)
+    with pytest.raises(ValueError, match=r"t=0\.1 and t=0\.1000000005 share one grid time"):
+        snapshot_rows(_los_trace([0.1, 0.1 + 5e-10]), setup, [0.0, 0.1])
 
 
 def test_run_simulation_grid_without_paths_is_all_outage():
@@ -319,15 +339,7 @@ def test_run_simulation_grid_without_paths_is_all_outage():
 
 
 def test_simulate_reports_outage_snapshots(tmp_path, capsys):
-    # corner.cfg without its diffracting edge and with reflections off: the
-    # receiver sees nothing until it turns the corner, and the ray tracer
-    # writes no record for those snapshots
-    raw = yaml.safe_load(Path(CORNER_CFG).read_text())
-    for rect in raw["environment"]["rectangles"]:
-        rect.pop("diffracting_edges", None)
-    raw["max_reflection_order"] = 0
-    cfg = tmp_path / "blocked.cfg"
-    cfg.write_text(yaml.safe_dump(raw))
+    cfg = blocked_corner_config(tmp_path / "blocked.cfg")
     out = tmp_path / "metrics.csv"
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
     stdout = capsys.readouterr().out
@@ -340,9 +352,25 @@ def test_simulate_reports_outage_snapshots(tmp_path, capsys):
     n_los = sum(r[1] == "1" for r in rows)
     mean_sinr = sum(float(r[6]) for r in rows) / 121
     assert f"wrote {out}: 121 snapshots" in stdout
+    assert "outage snapshots: 93 (" in stdout
     assert f"mean SINR: {mean_sinr:.2f} dB" in stdout
     assert f"LoS fraction: {n_los / 121:.3f}" in stdout
     assert n_los == 28
+
+
+def test_training_after_outage_stays_due(tmp_path, capsys):
+    # training every 2 s on the blocked walk: a sweep over an outage finds no
+    # paths, so the first line-of-sight row at 23.25 s trains instead of
+    # holding the all-zero table's beam pair until 24.0 s
+    cfg = blocked_corner_config(tmp_path / "blocked.cfg", training_period_s=2.0)
+    out = tmp_path / "metrics.csv"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    rows = {float(r[0]): r for r in (ln.split(",") for ln in out.read_text().splitlines()[1:])}
+    for t, sinr in ((23.25, 36.978), (23.5, 36.519), (23.75, 35.825)):
+        assert [float(x) for x in rows[t][2:6]] == [10.0, 100.0, -170.0, 80.0]
+        assert float(rows[t][6]) == pytest.approx(sinr, abs=1e-3)
+        assert rows[t][7] == "28"
 
 
 @pytest.mark.parametrize("workers", [1, 2])

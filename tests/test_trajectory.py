@@ -51,15 +51,6 @@ def test_circular_velocity_matches_central_difference():
     np.testing.assert_allclose(approx_v, traj.velocities[5], atol=1e-4)
 
 
-def test_index_at_exact_grid_lookup():
-    traj = linear_trajectory([0, 0, 0], [1, 0, 0], 0.0, 0.1, 10)
-    i = traj.index_at(0.1 * 3)
-    assert i == 3
-    np.testing.assert_allclose(traj.positions[i], [0.30000000000000004, 0, 0])
-    with pytest.raises(KeyError):
-        traj.index_at(0.35)
-
-
 def test_validation():
     with pytest.raises(ValueError):
         Trajectory(np.array([0.0, 0.0]), np.zeros((2, 3)), np.zeros((2, 3)))

@@ -2,11 +2,8 @@
 
 import math
 
-import numpy as np
-
 from tracechan import (
     Direction,
-    NodeState,
     PlanarArray,
     SubbandGrid,
     beamformed_power,
@@ -30,10 +27,7 @@ lam = 299792458.0 / grid.carrier_hz
 tx_array = PlanarArray(8, 8, lam)
 rx_array = PlanarArray(2, 2, lam)
 
-chan = build_channel_matrices(
-    trace.records, tx_array, rx_array,
-    NodeState.static(), NodeState.static(), grid,
-)
+chan = build_channel_matrices(trace.records, tx_array, rx_array, grid)
 print(f"channel tensor shape: {chan.matrices.shape}  (subband, rx, tx)")
 
 # point both beams at the stronger (LOS) path

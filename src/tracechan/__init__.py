@@ -25,11 +25,9 @@ from .beams import (
 from .channel import (
     SPEED_OF_LIGHT,
     ChannelMatrixSet,
-    NodeState,
     SubbandGrid,
     beamformed_power,
     build_channel_matrices,
-    doppler_shift,
 )
 from .link import (
     AmcTable,
@@ -42,7 +40,6 @@ from .link import (
     noise_power,
     run_simulation,
     select_mcs,
-    snapshot_channel,
     throughput_delay,
 )
 from .raytrace import (
@@ -93,7 +90,6 @@ __all__ = [
     "LinkBudget",
     "LinkMetrics",
     "MpcRecord",
-    "NodeState",
     "PathType",
     "PlanarArray",
     "Rectangle",
@@ -113,7 +109,6 @@ __all__ = [
     "classify_los",
     "compute_sinr",
     "direction_unit_vector",
-    "doppler_shift",
     "element_positions",
     "fresnel_parameter",
     "generate_codebook",
@@ -131,7 +126,6 @@ __all__ = [
     "run_simulation",
     "select_best_pair",
     "select_mcs",
-    "snapshot_channel",
     "static_trajectory",
     "steering_matrix",
     "steering_vector",

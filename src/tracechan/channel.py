@@ -4,15 +4,14 @@ For each subband k with offset df_k from the carrier, the channel entry for
 rx element u and tx element s is
 
     H_k[u, s] = sum_p g_p * exp(j phi_p) * exp(-j 2 pi df_k tau_p)
-                * exp(j 2 pi nu_p (t_eval - t)) * a_rx[u](aoa_p) * conj(a_tx[s](aod_p))
+                * a_rx[u](aoa_p) * conj(a_tx[s](aod_p))
 
-where g_p, phi_p, tau_p come from the trace record, nu_p is the Doppler shift
-recomputed from node velocities, and a_rx / a_tx are steering vectors at the
-recorded arrival / departure angles. phase_rad in the trace is the total path
-phase at the carrier, so only the subband offset term is applied here. The
-Doppler ramp applies only when the channel is evaluated after its snapshot
-(t_eval > t); the link simulation evaluates every snapshot at its own time,
-where the ramp is 1.
+where g_p, phi_p, tau_p come from the trace record and a_rx / a_tx are
+steering vectors at the recorded arrival / departure angles. phase_rad in
+the trace is the total path phase at the carrier, so only the subband offset
+term is applied here. Each snapshot's channel is taken at its own time, as
+in a trace-based channel model: node motion enters only through the
+recorded paths of later snapshots.
 
 A snapshot with P paths gives a channel of rank at most P, so it is kept
 factored: H_k = A_rx diag(c_k) A_tx^H with the (K, P) per-path subband
@@ -30,14 +29,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .arrays import Direction, PlanarArray, direction_unit_vector, steering_matrix
+from .arrays import Direction, PlanarArray, steering_matrix
 from .traces import MpcRecord
 
 __all__ = [
     "SubbandGrid",
-    "NodeState",
     "ChannelMatrixSet",
-    "doppler_shift",
     "build_channel_matrices",
     "beamformed_power",
 ]
@@ -70,18 +67,6 @@ class SubbandGrid:
 
 
 @dataclass(frozen=True)
-class NodeState:
-    """Position and velocity of one node at one instant, meters and m/s."""
-
-    position: np.ndarray
-    velocity: np.ndarray
-
-    @classmethod
-    def static(cls, position=(0.0, 0.0, 0.0)) -> "NodeState":
-        return cls(np.asarray(position, dtype=float), np.zeros(3))
-
-
-@dataclass(frozen=True)
 class ChannelMatrixSet:
     """Per-subband channel H_k = a_rx diag(coef[k]) a_tx^H of one snapshot."""
 
@@ -107,38 +92,19 @@ class ChannelMatrixSet:
         return np.einsum("kp,up,sp->kus", self.coef, self.a_rx, self.a_tx.conj(), optimize=True)
 
 
-def doppler_shift(
-    record: MpcRecord, tx: NodeState, rx: NodeState, wavelength_m: float
-) -> float:
-    """Doppler shift of one path from node velocities, Hz.
-
-    nu = (v_tx . d_hat - v_rx . a_hat) / wavelength, with d_hat the departure
-    direction (from aod angles) and a_hat the propagation direction into the
-    receiver, i.e. minus the stored arrival direction.
-    """
-    d_hat = direction_unit_vector(Direction.from_degrees(record.aod_az, record.aod_zen))
-    a_hat = -direction_unit_vector(Direction.from_degrees(record.aoa_az, record.aoa_zen))
-    return float(np.dot(tx.velocity, d_hat) - np.dot(rx.velocity, a_hat)) / wavelength_m
-
-
 def build_channel_matrices(
     records: Sequence[MpcRecord],
     tx_array: PlanarArray,
     rx_array: PlanarArray,
-    tx: NodeState,
-    rx: NodeState,
     grid: SubbandGrid,
-    t_eval: float | None = None,
+    t: float | None = None,
 ) -> ChannelMatrixSet:
     """Assemble the factored per-subband channel of one snapshot group.
 
-    records must all share one (t, tx_id, rx_id); an empty group yields a
-    channel with no paths, whose matrices are all zero. t_eval defaults to
-    the snapshot time; values before the snapshot are rejected. The Doppler
-    phase ramp advances linearly from the snapshot time to t_eval; at
-    t_eval == t it is 1, so neither the Doppler shifts nor the node states
-    are used. Each side's steering factor is one steering_matrix call over
-    the group's departure or arrival directions.
+    records must all share one (t, tx_id, rx_id); t defaults to their time.
+    An empty group yields a channel at time t (default 0.0) with no paths,
+    whose matrices are all zero. Each side's steering factor is one
+    steering_matrix call over the group's departure or arrival directions.
     """
     if not records:
         return ChannelMatrixSet(
@@ -146,16 +112,13 @@ def build_channel_matrices(
             np.zeros((rx_array.n_elements, 0), dtype=complex),
             np.zeros((tx_array.n_elements, 0), dtype=complex),
             grid,
-            t_eval or 0.0,
+            t or 0.0,
         )
 
-    t = records[0].t
+    if t is None:
+        t = records[0].t
     if any((r.t, r.tx_id, r.rx_id) != (t, records[0].tx_id, records[0].rx_id) for r in records):
         raise ValueError("records must belong to a single (t, tx_id, rx_id) snapshot")
-    if t_eval is None:
-        t_eval = t
-    if t_eval < t - 1e-12:
-        raise ValueError(f"t_eval={t_eval!r} precedes snapshot time {t!r}")
 
     gains = np.array([r.gain_mag for r in records])
     phases = np.array([r.phase for r in records])
@@ -171,12 +134,10 @@ def build_channel_matrices(
         rx_array, [Direction.from_degrees(r.aoa_az, r.aoa_zen) for r in records]
     )  # (N_rx, P)
 
-    coef = gains * np.exp(1j * phases)
-    if t_eval != t:
-        nu = np.array([doppler_shift(r, tx, rx, grid.wavelength_m) for r in records])
-        coef = coef * np.exp(1j * 2.0 * math.pi * nu * (t_eval - t))
     # (K, P) per-path complex coefficient on each subband
-    coef = coef * np.exp(-1j * 2.0 * math.pi * np.outer(grid.offsets_hz(), delays))
+    coef = gains * np.exp(1j * phases) * np.exp(
+        -1j * 2.0 * math.pi * np.outer(grid.offsets_hz(), delays)
+    )
     return ChannelMatrixSet(coef, a_rx, a_tx, grid, t)
 
 

@@ -17,16 +17,10 @@ import math
 import sys
 
 from .beams import select_best_pair, sweep_power_table
-from .link import SINR_FLOOR_DB, metrics_to_csv, run_simulation, snapshot_channel, snapshot_rows
+from .channel import build_channel_matrices
+from .link import SINR_FLOOR_DB, metrics_to_csv, run_simulation, snapshot_rows
 from .raytrace import generate_trace
-from .scenario import (
-    ConfigError,
-    ScenarioConfig,
-    build_rt_scenario,
-    build_setup,
-    build_trajectories,
-    load_config,
-)
+from .scenario import ConfigError, ScenarioConfig, build_rt_scenario, build_setup, load_config
 from .traces import TraceFormatError, TraceSet, parse_trace, validate_trace, write_trace
 
 POWER_FLOOR_DBM = -200.0
@@ -36,12 +30,6 @@ def _watts_to_dbm(p_w: float) -> float:
     if p_w <= 0:
         return POWER_FLOOR_DBM
     return max(10.0 * math.log10(p_w * 1000.0), POWER_FLOOR_DBM)
-
-
-def _grid_times(cfg: ScenarioConfig) -> list[float] | None:
-    """The configured snapshot times of a geometry config, else None."""
-    trajectories = build_trajectories(cfg)
-    return None if trajectories is None else trajectories[cfg.tx_id].times.tolist()
 
 
 def _load_trace(cfg: ScenarioConfig, override: str | None) -> TraceSet:
@@ -76,7 +64,7 @@ def _cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     trace = _load_trace(cfg, args.trace)
     setup = build_setup(cfg)
-    metrics = run_simulation(trace, setup, workers=args.workers, times=_grid_times(cfg))
+    metrics = run_simulation(trace, setup, workers=args.workers)
     text = metrics_to_csv(metrics)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
@@ -111,11 +99,11 @@ def _cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     trace = _load_trace(cfg, args.trace)
     setup = build_setup(cfg)
-    t, records = _pick_row(
-        snapshot_rows(trace, setup, _grid_times(cfg)), args.time, cfg.snapshot_dt_s
-    )
+    t, records = _pick_row(snapshot_rows(trace, setup), args.time, cfg.snapshot_dt_s)
     cb_tx, cb_rx = setup.tx_codebook, setup.rx_codebook
-    channel = snapshot_channel(setup, records, t)
+    channel = build_channel_matrices(
+        records, setup.tx_array, setup.rx_array, grid=setup.grid, t=t
+    )
     table = sweep_power_table(channel, cb_tx, cb_rx, setup.budget.tx_power_w)
     best = select_best_pair(table, cb_tx, cb_rx)
 

@@ -1,12 +1,12 @@
 """Link-level abstraction: SINR, rate adaptation, and the snapshot loop.
 
-snapshot_rows is the one snapshot schedule: it turns a trace and an
-optional time grid into (time, records) rows, outages included, and rejects
-a trace that is off the grid. run_simulation walks those rows in training
-segments: build the channel, retrain beams on a fixed period (ideal sweeps,
-no airtime), compute beamformed receive power, map to SINR, pick the rate,
-and derive throughput and a queueing-flavored delay from an analytic
-saturation model.
+snapshot_rows is the one snapshot schedule: it turns a trace and the
+setup's optional time grid into (time, records) rows, outages included, and
+rejects a trace that is off the grid. run_simulation walks those rows in
+training segments: build each row's channel at its own time, retrain beams
+on a fixed period (ideal sweeps, no airtime), compute beamformed receive
+power, map to SINR, pick the rate, and derive throughput and a
+queueing-flavored delay from an analytic saturation model.
 """
 
 from __future__ import annotations
@@ -16,18 +16,11 @@ import io
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
 
 from .beams import BeamCodebook, BeamSelection, ideal_beam_sweep
-from .channel import (
-    ChannelMatrixSet,
-    NodeState,
-    SubbandGrid,
-    beamformed_power,
-    build_channel_matrices,
-)
+from .channel import SubbandGrid, beamformed_power, build_channel_matrices
 from .arrays import PlanarArray
 from .traces import MpcRecord, PathType, TraceSet
 
@@ -44,7 +37,6 @@ __all__ = [
     "classify_los",
     "select_mcs",
     "throughput_delay",
-    "snapshot_channel",
     "snapshot_rows",
     "run_simulation",
     "metrics_to_csv",
@@ -134,6 +126,8 @@ class AmcTable:
             raise ValueError("thresholds and efficiencies must have equal length")
         if not self.thresholds_db:
             raise ValueError("AMC table must not be empty")
+        if not all(map(math.isfinite, (*self.thresholds_db, *self.spectral_efficiency))):
+            raise ValueError("AMC thresholds and spectral efficiencies must be finite")
         if any(b <= a for a, b in zip(self.thresholds_db, self.thresholds_db[1:])):
             raise ValueError("thresholds must be strictly increasing")
         if any(b <= a for a, b in zip(self.spectral_efficiency, self.spectral_efficiency[1:])):
@@ -227,7 +221,11 @@ class LinkMetrics:
 
 @dataclass(frozen=True)
 class SimulationSetup:
-    """Everything run_simulation needs besides the trace itself."""
+    """Everything run_simulation needs besides the trace itself.
+
+    times is the configured snapshot grid; None takes the rows from the
+    trace's own snapshot times.
+    """
 
     tx_array: PlanarArray
     rx_array: PlanarArray
@@ -243,46 +241,36 @@ class SimulationSetup:
     saturation_delay_s: float = 7.5e-3
     tx_id: int = 0
     rx_id: int = 1
+    times: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
         if not self.training_period_s > 0:  # nan too
             raise ValueError("training_period_s must be positive")
-
-
-def snapshot_channel(
-    setup: SimulationSetup, records: list[MpcRecord], t: float
-) -> ChannelMatrixSet:
-    """Channel of the configured link from one snapshot's records, at time t.
-
-    The channel is evaluated at its own snapshot time, where the Doppler
-    phase ramp is 1, so node motion cannot change it: both nodes are passed
-    as static.
-    """
-    static = NodeState.static()
-    return build_channel_matrices(
-        records, setup.tx_array, setup.rx_array, static, static, setup.grid, t_eval=t
-    )
+        if self.times is not None:
+            t = np.asarray(self.times, dtype=float)
+            if not (t.ndim == 1 and t.size and np.isfinite(t).all() and (np.diff(t) > 0).all()):
+                raise ValueError("times must be a non-empty, finite, strictly increasing grid")
 
 
 def snapshot_rows(
-    trace: TraceSet, setup: SimulationSetup, times: Sequence[float] | None = None
+    trace: TraceSet, setup: SimulationSetup
 ) -> list[tuple[float, list[MpcRecord]]]:
     """The (time, records) rows of the configured link, in time order.
 
-    times is the configured snapshot grid. A grid time within GRID_TOL_S of a
-    trace snapshot takes that snapshot's time and records; any other grid
-    time is an outage row with no records, since the ray tracer writes no
-    record for a snapshot without paths. A trace snapshot of the link off the
-    grid, or two on one grid time, raises ValueError. Without times the rows
-    are the trace's own snapshot times.
+    setup.times is the configured snapshot grid. A grid time within
+    GRID_TOL_S of a trace snapshot takes that snapshot's time and records;
+    any other grid time is an outage row with no records, since the ray
+    tracer writes no record for a snapshot without paths. A trace snapshot of
+    the link off the grid, or two on one grid time, raises ValueError.
+    Without a grid the rows are the trace's own snapshot times.
     """
     link = (setup.tx_id, setup.rx_id)
     trace_times = trace.snapshot_times(*link)
-    if times is None:
+    if setup.times is None:
         if not trace_times:
             raise ValueError(f"trace has no snapshots for link {link}")
         return [(t, trace.group(t, *link)) for t in trace_times]
-    grid = np.asarray(times, dtype=float)
+    grid = np.asarray(setup.times, dtype=float)
     rows: list[tuple[float, list[MpcRecord]]] = [(float(t), []) for t in grid]
     for t in trace_times:
         i = int(np.argmin(np.abs(grid - t)))
@@ -325,12 +313,9 @@ def _map(fn, items: list, workers: int) -> list:
 
 
 def run_simulation(
-    trace: TraceSet,
-    setup: SimulationSetup,
-    workers: int = 1,
-    times: Sequence[float] | None = None,
+    trace: TraceSet, setup: SimulationSetup, workers: int = 1
 ) -> list[LinkMetrics]:
-    """Link metrics for each row of snapshot_rows(trace, setup, times).
+    """Link metrics for each row of snapshot_rows(trace, setup).
 
     An outage row has no paths: SINR floor, no MCS. Beams train on the
     first row and then once the training period has elapsed, on the training
@@ -341,7 +326,7 @@ def run_simulation(
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    rows = snapshot_rows(trace, setup, times)
+    rows = snapshot_rows(trace, setup)
     cb_tx, cb_rx = setup.tx_codebook, setup.rx_codebook
     p_tx = setup.budget.tx_power_w
 
@@ -349,7 +334,9 @@ def run_simulation(
         out = []
         for i in segment:
             t, records = rows[i]
-            ch = snapshot_channel(setup, records, t)
+            ch = build_channel_matrices(
+                records, setup.tx_array, setup.rx_array, grid=setup.grid, t=t
+            )
             if i == segment.start:
                 sel = ideal_beam_sweep(ch, cb_tx, cb_rx, p_tx)
             _, p_rx = beamformed_power(

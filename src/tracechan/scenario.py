@@ -21,7 +21,7 @@ from .beams import BeamCodebook, generate_codebook
 from .channel import SubbandGrid
 from .link import AmcTable, LinkBudget, SimulationSetup
 from .raytrace import Environment, Rectangle, RtScenario
-from .trajectory import Trajectory, make_trajectory
+from .trajectory import Trajectory, make_trajectory, time_grid
 
 __all__ = [
     "ConfigError",
@@ -444,8 +444,13 @@ def build_rt_scenario(cfg: ScenarioConfig) -> RtScenario:
 
 
 def build_setup(cfg: ScenarioConfig) -> SimulationSetup:
+    """The link setup; a geometry config also fixes the snapshot grid, the
+    same times build_trajectories samples, so every grid time is a row."""
     tx_array, rx_array = build_arrays(cfg)
     cb_tx, cb_rx = build_codebooks(cfg, tx_array, rx_array)
+    times = None
+    if cfg.tx_trajectory is not None and cfg.rx_trajectory is not None:
+        times = tuple(time_grid(0.0, cfg.snapshot_dt_s, n_snapshots(cfg)).tolist())
     return SimulationSetup(
         tx_array=tx_array,
         rx_array=rx_array,
@@ -461,4 +466,5 @@ def build_setup(cfg: ScenarioConfig) -> SimulationSetup:
         saturation_delay_s=cfg.saturation_delay_s,
         tx_id=cfg.tx_id,
         rx_id=cfg.rx_id,
+        times=times,
     )

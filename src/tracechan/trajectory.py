@@ -1,18 +1,19 @@
-"""Sampled node trajectories with analytic velocities.
+"""Node positions sampled on the snapshot time grid.
 
 Built-in kinds: static, linear, circular. Arbitrary motion can be expressed
-by constructing a Trajectory from explicit samples.
+by constructing a Trajectory from explicit samples. Trajectories only place
+the nodes for the ray tracer; no velocity reaches the channel.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "Trajectory",
+    "time_grid",
     "static_trajectory",
     "linear_trajectory",
     "circular_trajectory",
@@ -22,11 +23,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Positions and velocities sampled on a strictly increasing time grid."""
+    """Positions sampled on a strictly increasing time grid."""
 
     times: np.ndarray  # (n,)
     positions: np.ndarray  # (n, 3)
-    velocities: np.ndarray  # (n, 3)
 
     def __post_init__(self) -> None:
         t = np.asarray(self.times, dtype=float)
@@ -34,14 +34,15 @@ class Trajectory:
             raise ValueError("times must be a non-empty 1-d array")
         if np.any(np.diff(t) <= 0):
             raise ValueError("times must be strictly increasing")
-        if self.positions.shape != (t.size, 3) or self.velocities.shape != (t.size, 3):
-            raise ValueError("positions and velocities must have shape (n, 3)")
+        if self.positions.shape != (t.size, 3):
+            raise ValueError("positions must have shape (n, 3)")
 
     def __len__(self) -> int:
         return int(self.times.size)
 
 
-def _time_grid(t0: float, dt: float, n: int) -> np.ndarray:
+def time_grid(t0: float, dt: float, n: int) -> np.ndarray:
+    """The n grid times t0 + k*dt, k = 0..n-1."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     if n < 1:
@@ -51,17 +52,15 @@ def _time_grid(t0: float, dt: float, n: int) -> np.ndarray:
 
 
 def static_trajectory(position, t0: float, dt: float, n: int) -> Trajectory:
-    times = _time_grid(t0, dt, n)
-    pos = np.tile(np.asarray(position, dtype=float), (n, 1))
-    return Trajectory(times, pos, np.zeros((n, 3)))
+    times = time_grid(t0, dt, n)
+    return Trajectory(times, np.tile(np.asarray(position, dtype=float), (n, 1)))
 
 
 def linear_trajectory(start, velocity, t0: float, dt: float, n: int) -> Trajectory:
-    times = _time_grid(t0, dt, n)
+    times = time_grid(t0, dt, n)
     start = np.asarray(start, dtype=float)
     velocity = np.asarray(velocity, dtype=float)
-    rel = (times - t0)[:, None]
-    return Trajectory(times, start + rel * velocity, np.tile(velocity, (n, 1)))
+    return Trajectory(times, start + (times - t0)[:, None] * velocity)
 
 
 def circular_trajectory(
@@ -73,16 +72,14 @@ def circular_trajectory(
     dt: float,
     n: int,
 ) -> Trajectory:
-    """Horizontal circle about center; tangential speed = omega * radius."""
+    """Horizontal circle about center, swept at rate_deg_s."""
     if radius <= 0:
         raise ValueError("radius must be positive")
-    times = _time_grid(t0, dt, n)
+    times = time_grid(t0, dt, n)
     center = np.asarray(center, dtype=float)
     ang = np.radians(angle0_deg + rate_deg_s * (times - t0))
-    omega = math.radians(rate_deg_s)
     pos = center + radius * np.column_stack([np.cos(ang), np.sin(ang), np.zeros(n)])
-    vel = omega * radius * np.column_stack([-np.sin(ang), np.cos(ang), np.zeros(n)])
-    return Trajectory(times, pos, vel)
+    return Trajectory(times, pos)
 
 
 def make_trajectory(kind: str, params: dict, t0: float, dt: float, n: int) -> Trajectory:

@@ -70,7 +70,7 @@ def _positions(rows, cols, wavelength, spacing, bearing_deg):
     return out
 
 
-def reference_channel(records, tx_shape, rx_shape, spacing, bearings, v_tx, v_rx, grid, t_eval):
+def reference_channel(records, tx_shape, rx_shape, spacing, bearings, grid):
     """Scalar-math channel build, independent of the library internals.
 
     Returns a nested list H[k][u][s]. tx_shape/rx_shape are (rows, cols);
@@ -87,12 +87,6 @@ def reference_channel(records, tx_shape, rx_shape, spacing, bearings, v_tx, v_rx
     n_tx, n_rx = len(p_tx), len(p_rx)
     H = [[[0j for _ in range(n_tx)] for _ in range(n_rx)] for _ in range(K)]
     for rec in records:
-        d_hat = _unit(rec.aod_az, rec.aod_zen)
-        a_hat = tuple(-x for x in _unit(rec.aoa_az, rec.aoa_zen))
-        nu = (
-            sum(v * d for v, d in zip(v_tx, d_hat))
-            - sum(v * a for v, a in zip(v_rx, a_hat))
-        ) / lam
         a_tx = [
             cmath.exp(1j * k0 * sum(p * d for p, d in zip(pos, _unit(rec.aod_az, rec.aod_zen))))
             for pos in p_tx
@@ -101,9 +95,7 @@ def reference_channel(records, tx_shape, rx_shape, spacing, bearings, v_tx, v_rx
             cmath.exp(1j * k0 * sum(p * d for p, d in zip(pos, _unit(rec.aoa_az, rec.aoa_zen))))
             for pos in p_rx
         ]
-        base = rec.gain_mag * cmath.exp(1j * rec.phase) * cmath.exp(
-            1j * 2.0 * math.pi * nu * (t_eval - rec.t)
-        )
+        base = rec.gain_mag * cmath.exp(1j * rec.phase)
         for k in range(K):
             ck = base * cmath.exp(-1j * 2.0 * math.pi * offsets[k] * rec.delay)
             for u in range(n_rx):

@@ -12,7 +12,6 @@ from tracechan import (
     TIE_RTOL,
     BeamCodebook,
     Direction,
-    NodeState,
     PlanarArray,
     SubbandGrid,
     beamformed_power,
@@ -26,11 +25,10 @@ from tracechan import (
 
 LAM = 299792458.0 / 28e9
 GRID = SubbandGrid(28e9, 100e6, 4)
-STATIC = NodeState.static()
 
 
 def _channel(records, tx_arr, rx_arr):
-    return build_channel_matrices(records, tx_arr, rx_arr, STATIC, STATIC, GRID)
+    return build_channel_matrices(records, tx_arr, rx_arr, GRID)
 
 
 def test_codebook_grid_counts():
@@ -240,7 +238,7 @@ def test_factored_sweep_matches_dense_reference(n_subbands, n_paths, rx_shape, s
         )
         for i in range(n_paths)
     ]
-    ch = build_channel_matrices(recs, tx_arr, rx_arr, STATIC, STATIC, grid)
+    ch = build_channel_matrices(recs, tx_arr, rx_arr, grid)
     cb_tx = generate_codebook(tx_arr, -90.0, 90.0, 45.0)
     cb_rx = generate_codebook(rx_arr, -180.0, 90.0, 90.0, 60.0, 120.0, 60.0)
     table = sweep_power_table(ch, cb_tx, cb_rx, 0.5)

@@ -1,4 +1,4 @@
-"""Channel matrix assembly, Doppler, and beamformed power."""
+"""Channel matrix assembly and beamformed power."""
 
 import math
 
@@ -6,25 +6,10 @@ import numpy as np
 import pytest
 
 from conftest import mk_record, reference_channel
-from tracechan import (
-    NodeState,
-    PlanarArray,
-    SubbandGrid,
-    beamformed_power,
-    build_channel_matrices,
-    doppler_shift,
-)
+from tracechan import PlanarArray, SubbandGrid, beamformed_power, build_channel_matrices
 
 LAM = 299792458.0 / 28e9
 GRID1 = SubbandGrid(28e9, 100e6, 1)
-
-
-def _static(p=(0, 0, 0)):
-    return NodeState.static(p)
-
-
-def _moving(v):
-    return NodeState(np.zeros(3), np.asarray(v, dtype=float))
 
 
 def test_grid_validation_and_wavelength():
@@ -45,36 +30,10 @@ def test_subband_offsets_centered():
     assert GRID1.offsets_hz()[0] == 0.0
 
 
-def test_doppler_radial_approach():
-    # receiver closing at 1.5 m/s along the ray: +140.10 Hz at 28 GHz
-    rec = mk_record()
-    nu = doppler_shift(rec, _static(), _moving([-1.5, 0, 0]), LAM)
-    assert nu == pytest.approx(140.0969, abs=1e-3)
-    assert nu == pytest.approx(1.5 / LAM, rel=1e-12)
-
-
-def test_doppler_tx_motion_equivalent():
-    rec = mk_record()
-    nu_tx = doppler_shift(rec, _moving([1.5, 0, 0]), _static(), LAM)
-    nu_rx = doppler_shift(rec, _static(), _moving([-1.5, 0, 0]), LAM)
-    assert nu_tx == pytest.approx(nu_rx, rel=1e-12)
-
-
-def test_doppler_perpendicular_motion_zero():
-    rec = mk_record()
-    assert doppler_shift(rec, _static(), _moving([0, 1.5, 0]), LAM) == pytest.approx(0.0, abs=1e-9)
-    assert doppler_shift(rec, _static(), _moving([0, 0, 1.5]), LAM) == pytest.approx(0.0, abs=1e-9)
-
-
-def test_doppler_receding_negative():
-    rec = mk_record()
-    assert doppler_shift(rec, _static(), _moving([1.5, 0, 0]), LAM) < 0
-
-
 def test_single_path_siso():
     rec = mk_record(gain_mag=2e-5, phase=0.75)
     one = PlanarArray(1, 1, LAM)
-    ch = build_channel_matrices([rec], one, one, _static(), _static(), GRID1)
+    ch = build_channel_matrices([rec], one, one, GRID1)
     assert ch.matrices.shape == (1, 1, 1)
     expected = 2e-5 * complex(math.cos(0.75), math.sin(0.75))
     assert ch.matrices[0, 0, 0] == pytest.approx(expected, abs=1e-18)
@@ -86,7 +45,7 @@ def test_two_subband_delay_phase_flip():
     rec = mk_record(delay=1.0 / b)
     one = PlanarArray(1, 1, LAM)
     grid = SubbandGrid(28e9, b, 2)
-    ch = build_channel_matrices([rec], one, one, _static(), _static(), grid)
+    ch = build_channel_matrices([rec], one, one, grid)
     h0, h1 = ch.matrices[0, 0, 0], ch.matrices[1, 0, 0]
     assert h1 == pytest.approx(-h0, abs=1e-12)
 
@@ -97,67 +56,29 @@ def test_destructive_interference():
         mk_record(path_id=1, phase=math.pi),
     ]
     one = PlanarArray(1, 1, LAM)
-    ch = build_channel_matrices(recs, one, one, _static(), _static(), GRID1)
+    ch = build_channel_matrices(recs, one, one, GRID1)
     assert abs(ch.matrices[0, 0, 0]) < 1e-15
 
 
 def test_empty_group_zero_channel():
     tx = PlanarArray(2, 2, LAM)
     rx = PlanarArray(1, 2, LAM)
-    ch = build_channel_matrices([], tx, rx, _static(), _static(), GRID1)
+    ch = build_channel_matrices([], tx, rx, GRID1)
     assert ch.matrices.shape == (1, 2, 4)
     assert np.all(ch.matrices == 0)
+    assert ch.time == 0.0
+    assert build_channel_matrices([], tx, rx, GRID1, t=2.5).time == 2.5
 
 
 def test_mixed_snapshot_rejected():
     one = PlanarArray(1, 1, LAM)
     recs = [mk_record(t=0.0), mk_record(t=0.1, path_id=1)]
     with pytest.raises(ValueError, match="single"):
-        build_channel_matrices(recs, one, one, _static(), _static(), GRID1)
-
-
-def test_t_eval_before_snapshot_rejected():
-    one = PlanarArray(1, 1, LAM)
-    with pytest.raises(ValueError, match="t_eval"):
-        build_channel_matrices(
-            [mk_record(t=1.0)], one, one, _static(), _static(), GRID1, t_eval=0.5
-        )
-
-
-def test_t_eval_no_op_for_static_nodes():
-    tx = PlanarArray(2, 2, LAM)
-    rx = PlanarArray(2, 1, LAM)
-    recs = [mk_record(), mk_record(path_id=1, aod_az=12.0, phase=1.0)]
-    h_now = build_channel_matrices(recs, tx, rx, _static(), _static(), GRID1)
-    h_later = build_channel_matrices(
-        recs, tx, rx, _static(), _static(), GRID1, t_eval=5.0
-    )
-    np.testing.assert_allclose(h_now.matrices, h_later.matrices, atol=1e-15)
-
-
-def test_doppler_phase_ramp():
-    # one path, one subband: advancing t_eval rotates by exp(j 2 pi nu dt)
-    rec = mk_record()
-    one = PlanarArray(1, 1, LAM)
-    rx = _moving([-1.5, 0, 0])
-    nu = doppler_shift(rec, _static(), rx, LAM)
-    dt = 0.01
-    h0 = build_channel_matrices([rec], one, one, _static(), rx, GRID1).matrices[0, 0, 0]
-    h1 = build_channel_matrices(
-        [rec], one, one, _static(), rx, GRID1, t_eval=rec.t + dt
-    ).matrices[0, 0, 0]
-    rot = complex(math.cos(2 * math.pi * nu * dt), math.sin(2 * math.pi * nu * dt))
-    assert h1 == pytest.approx(h0 * rot, rel=1e-12)
-    # at t_eval == t the ramp is 1: moving nodes build the static-node channel
-    tx, rx = PlanarArray(2, 2, LAM), PlanarArray(2, 1, LAM)
-    recs = [mk_record(), mk_record(path_id=1, aod_az=12.0, phase=1.0, delay=3e-7)]
-    grid = SubbandGrid(28e9, 100e6, 4)
-    still = build_channel_matrices(recs, tx, rx, _static(), _static(), grid)
-    for t_eval in (None, recs[0].t):
-        moving = build_channel_matrices(
-            recs, tx, rx, _moving([0.5, 2.0, 0]), _moving([-1.5, 0, 0.3]), grid, t_eval=t_eval
-        )
-        assert moving.coef.tobytes() == still.coef.tobytes()
+        build_channel_matrices(recs, one, one, GRID1)
+    # an explicit time must be the records' own
+    assert build_channel_matrices(recs[:1], one, one, GRID1, t=0.0).time == 0.0
+    with pytest.raises(ValueError, match="single"):
+        build_channel_matrices(recs[:1], one, one, GRID1, t=0.5)
 
 
 def test_matches_scalar_reference_randomized():
@@ -184,19 +105,8 @@ def test_matches_scalar_reference_randomized():
             )
             for i in range(n_paths)
         ]
-        v_tx = rng.uniform(-3, 3, 3)
-        v_rx = rng.uniform(-3, 3, 3)
-        t_eval = 1.0 + float(rng.uniform(0, 0.05))
-        got = build_channel_matrices(
-            recs, tx_arr, rx_arr,
-            NodeState(np.zeros(3), v_tx), NodeState(np.zeros(3), v_rx),
-            grid, t_eval=t_eval,
-        ).matrices
-        want = np.array(
-            reference_channel(
-                recs, shape_tx, shape_rx, 0.5, bearings, v_tx, v_rx, grid, t_eval
-            )
-        )
+        got = build_channel_matrices(recs, tx_arr, rx_arr, grid).matrices
+        want = np.array(reference_channel(recs, shape_tx, shape_rx, 0.5, bearings, grid))
         scale = np.abs(want).max()
         assert np.abs(got - want).max() <= 1e-12 * max(scale, 1e-30)
 
@@ -206,7 +116,7 @@ def test_beamformed_power_matched_single_path():
     rx = PlanarArray(2, 2, LAM)
     g = 3e-6
     rec = mk_record(gain_mag=g, aod_az=20.0, aod_zen=95.0, aoa_az=-60.0, aoa_zen=85.0)
-    ch = build_channel_matrices([rec], tx, rx, _static(), _static(), GRID1)
+    ch = build_channel_matrices([rec], tx, rx, GRID1)
     from tracechan import Direction, steering_vector
 
     w_tx = steering_vector(tx, Direction(20.0, 95.0)).vector / 4.0
@@ -220,11 +130,11 @@ def test_beamformed_power_scales_quadratically_with_gain():
     one = PlanarArray(1, 1, LAM)
     w = np.ones(1, dtype=complex)
     _, p1 = beamformed_power(
-        build_channel_matrices([mk_record(gain_mag=1e-5)], one, one, _static(), _static(), GRID1),
+        build_channel_matrices([mk_record(gain_mag=1e-5)], one, one, GRID1),
         w, w, 1.0,
     )
     _, p3 = beamformed_power(
-        build_channel_matrices([mk_record(gain_mag=3e-5)], one, one, _static(), _static(), GRID1),
+        build_channel_matrices([mk_record(gain_mag=3e-5)], one, one, GRID1),
         w, w, 1.0,
     )
     assert p3 == pytest.approx(9 * p1, rel=1e-12)
@@ -238,7 +148,7 @@ def test_beamformed_power_bounded_by_total_gain():
         mk_record(path_id=i, gain_mag=1e-5, aod_az=10.0 * i, phase=0.4 * i)
         for i in range(4)
     ]
-    ch = build_channel_matrices(recs, tx, rx, _static(), _static(), GRID1)
+    ch = build_channel_matrices(recs, tx, rx, GRID1)
     from tracechan import Direction, steering_vector
 
     w_tx = steering_vector(tx, Direction(0.0, 90.0)).vector / 3.0
@@ -250,7 +160,7 @@ def test_beamformed_power_bounded_by_total_gain():
 
 def test_beamformed_power_validates_inputs():
     one = PlanarArray(1, 2, LAM)
-    ch = build_channel_matrices([mk_record()], one, one, _static(), _static(), GRID1)
+    ch = build_channel_matrices([mk_record()], one, one, GRID1)
     good = np.array([1.0, 0.0], dtype=complex)
     with pytest.raises(ValueError, match="shape"):
         beamformed_power(ch, np.ones(3) / math.sqrt(3), good, 1.0)
@@ -267,10 +177,10 @@ def test_power_splits_over_subbands():
     w = np.ones(1, dtype=complex)
     grid8 = SubbandGrid(28e9, 100e6, 8)
     per8, tot8 = beamformed_power(
-        build_channel_matrices([rec], one, one, _static(), _static(), grid8), w, w, 1.0
+        build_channel_matrices([rec], one, one, grid8), w, w, 1.0
     )
     _, tot1 = beamformed_power(
-        build_channel_matrices([rec], one, one, _static(), _static(), GRID1), w, w, 1.0
+        build_channel_matrices([rec], one, one, GRID1), w, w, 1.0
     )
     np.testing.assert_allclose(per8, per8[0])
     assert tot8 == pytest.approx(tot1, rel=1e-12)

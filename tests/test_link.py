@@ -1,15 +1,15 @@
 """SINR, rate adaptation, throughput/delay, and the simulation loop."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import tracechan.channel as channel_module
 import tracechan.link as link_module
-from conftest import CORNER_CFG, blocked_corner_config, mk_record
+from conftest import blocked_corner_config, mk_record
 from tracechan import (
     AmcTable,
     LinkBudget,
@@ -21,6 +21,7 @@ from tracechan import (
     classify_los,
     compute_sinr,
     generate_codebook,
+    generate_trace,
     metrics_to_csv,
     noise_power,
     run_simulation,
@@ -29,7 +30,7 @@ from tracechan import (
 )
 from tracechan.cli import main
 from tracechan.link import METRICS_COLUMNS, SINR_FLOOR_DB, snapshot_rows
-from tracechan.scenario import load_config
+from tracechan.scenario import build_rt_scenario, build_setup, build_trajectories, load_config
 
 LAM = 299792458.0 / 28e9
 
@@ -136,6 +137,13 @@ def test_amc_table_from_file(tmp_path):
     short.write_text("mcs,sinr_threshold_db,spectral_efficiency\n0,-5\n")
     with pytest.raises(ValueError):
         AmcTable.from_file(short)
+
+    # nan compares False with <=, so the order checks alone let it through
+    for rows in ("0,nan,1\n1,nan,2\n", "0,-5,1\n1,5,nan\n", "0,-5,1\n1,inf,2\n"):
+        odd = tmp_path / "odd.csv"
+        odd.write_text("mcs,sinr_threshold_db,spectral_efficiency\n" + rows)
+        with pytest.raises(ValueError, match="must be finite"):
+            AmcTable.from_file(odd)
 
 
 def test_select_mcs_boundaries():
@@ -298,8 +306,8 @@ def test_run_simulation_reports_every_grid_time():
     # off its grid time and keeps its own value
     setup = _free_space_setup()
     trace = _los_trace([0.0, 0.2 + 1e-12, 0.4], aod_az=30.0)
-    grid = [0.0, 0.1, 0.2, 0.3, 0.4]
-    metrics = run_simulation(trace, setup, times=grid)
+    gridded = replace(setup, times=(0.0, 0.1, 0.2, 0.3, 0.4))
+    metrics = run_simulation(trace, gridded)
     assert [m.t for m in metrics] == [0.0, 0.1, 0.2 + 1e-12, 0.3, 0.4]
     outage = [m.mcs is None for m in metrics]
     assert outage == [False, True, False, True, False]
@@ -310,29 +318,33 @@ def test_run_simulation_reports_every_grid_time():
     assert len(run_simulation(trace, setup)) == 3
     # a trace snapshot off the grid is an error, not a skipped row
     with pytest.raises(ValueError, match=r"t=0\.25 is not on the configured time grid"):
-        run_simulation(_los_trace([0.0, 0.25]), setup, times=grid)
+        run_simulation(_los_trace([0.0, 0.25]), gridded)
 
 
 def test_snapshot_rows_schedule():
     setup = _free_space_setup()
     trace = _los_trace([0.1, 0.2 + 1e-12], aod_az=30.0)
-    rows = snapshot_rows(trace, setup, [0.0, 0.1, 0.2])
+    rows = snapshot_rows(trace, replace(setup, times=(0.0, 0.1, 0.2)))
     assert [(t, len(recs)) for t, recs in rows] == [(0.0, 0), (0.1, 1), (0.2 + 1e-12, 1)]
     assert [t for t, _ in snapshot_rows(trace, setup)] == [0.1, 0.2 + 1e-12]
     with pytest.raises(ValueError, match=r"\(dt=0\.5 s from t=0\.0\)"):
-        snapshot_rows(trace, setup, [0.0, 0.5])
+        snapshot_rows(trace, replace(setup, times=(0.0, 0.5)))
     with pytest.raises(ValueError, match=r"one sample at t=0\.1"):
-        snapshot_rows(trace, setup, [0.1])
+        snapshot_rows(trace, replace(setup, times=(0.1,)))
     with pytest.raises(ValueError, match="trace has no snapshots for link"):
         snapshot_rows(TraceSet(()), setup)
     with pytest.raises(ValueError, match=r"t=0\.1 and t=0\.1000000005 share one grid time"):
-        snapshot_rows(_los_trace([0.1, 0.1 + 5e-10]), setup, [0.0, 0.1])
+        snapshot_rows(_los_trace([0.1, 0.1 + 5e-10]), replace(setup, times=(0.0, 0.1)))
+    # a grid must have a time to snap to, and be finite and strictly increasing
+    for bad in ((), (0.0, math.nan), (0.0, math.inf), (0.1, 0.1), (0.2, 0.1)):
+        with pytest.raises(ValueError, match="^times must be a non-empty, finite, strictly"):
+            replace(setup, times=bad)
 
 
 def test_run_simulation_grid_without_paths_is_all_outage():
     # a fully blocked scene writes no records; with a grid it is reported
     setup = _free_space_setup()
-    metrics = run_simulation(TraceSet(()), setup, times=[0.0, 0.1])
+    metrics = run_simulation(TraceSet(()), replace(setup, times=(0.0, 0.1)))
     assert [(m.t, m.mcs, m.sinr_db) for m in metrics] == [
         (0.0, None, SINR_FLOOR_DB), (0.1, None, SINR_FLOOR_DB)
     ]
@@ -358,6 +370,21 @@ def test_simulate_reports_outage_snapshots(tmp_path, capsys):
     assert n_los == 28
 
 
+def test_library_path_matches_simulate(tmp_path, capsys):
+    # build_setup carries the configured grid, so the library alone reports
+    # the 93 outage rows of the blocked walk, as simulate does
+    cfg_path = blocked_corner_config(tmp_path / "blocked.cfg")
+    out = tmp_path / "metrics.csv"
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
+    capsys.readouterr()
+    cfg = load_config(cfg_path)
+    setup = build_setup(cfg)
+    assert setup.times == tuple(build_trajectories(cfg)[cfg.tx_id].times.tolist())
+    text = metrics_to_csv(run_simulation(generate_trace(build_rt_scenario(cfg)), setup))
+    assert len(text.splitlines()) == 1 + 121
+    assert text.encode("utf-8") == out.read_bytes()
+
+
 def test_training_after_outage_stays_due(tmp_path, capsys):
     # training every 2 s on the blocked walk: a sweep over an outage finds no
     # paths, so the first line-of-sight row at 23.25 s trains instead of
@@ -380,7 +407,7 @@ def test_run_simulation_builds_each_channel_once(monkeypatch, workers):
     original = link_module.build_channel_matrices
 
     def counting(records, *args, **kwargs):
-        built.append(kwargs["t_eval"])
+        built.append(kwargs["t"])
         return original(records, *args, **kwargs)
 
     monkeypatch.setattr(link_module, "build_channel_matrices", counting)
@@ -401,24 +428,6 @@ def test_run_simulation_worker_counts_agree():
     assert texts[1] == texts[2] == texts[8]
     with pytest.raises(ValueError):
         run_simulation(trace, setup, workers=0)
-
-
-def test_simulation_never_computes_doppler(monkeypatch, tmp_path, capsys):
-    # every snapshot is evaluated at its own time, where the Doppler ramp is
-    # 1, so the corner walk's moving receiver must not reach doppler_shift;
-    # simulate runs run_simulation on build_setup of the geometry config
-    clean = tmp_path / "clean.csv"
-    assert main(["simulate", "--config", CORNER_CFG, "--out", str(clean)]) == 0
-
-    def no_doppler(*args, **kwargs):
-        raise AssertionError("doppler_shift called")
-
-    monkeypatch.setattr(channel_module, "doppler_shift", no_doppler)
-    assert any(load_config(CORNER_CFG).rx_trajectory["velocity"])
-    patched = tmp_path / "patched.csv"
-    assert main(["simulate", "--config", CORNER_CFG, "--out", str(patched)]) == 0
-    capsys.readouterr()
-    assert patched.read_bytes() == clean.read_bytes()
 
 
 def test_metrics_csv_format():

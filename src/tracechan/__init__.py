@@ -68,7 +68,6 @@ from .traces import (
     write_trace,
 )
 from .trajectory import (
-    Trajectory,
     circular_trajectory,
     linear_trajectory,
     make_trajectory,
@@ -99,7 +98,6 @@ __all__ = [
     "SubbandGrid",
     "TraceFormatError",
     "TraceSet",
-    "Trajectory",
     "ValidationReport",
     "Violation",
     "beamformed_power",

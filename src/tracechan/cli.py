@@ -86,8 +86,9 @@ def _pick_row(rows: list, requested: float | None, dt: float) -> tuple:
     if requested is None:
         return rows[0]
     best = min(rows, key=lambda row: abs(row[0] - requested))
-    # snap to the nearest grid time, but only within half a snapshot interval
-    if abs(best[0] - requested) > dt / 2 + 1e-9:
+    # snap to the nearest grid time, but only within half a snapshot interval;
+    # the negated test also rejects a NaN time, which no comparison holds for
+    if not abs(best[0] - requested) <= dt / 2 + 1e-9:
         raise ConfigError(
             [f"--time {requested} is not within {dt / 2} s of any snapshot "
              f"(grid spans {rows[0][0]} to {rows[-1][0]})"]

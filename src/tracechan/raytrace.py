@@ -36,7 +36,6 @@ import numpy as np
 
 from .channel import SPEED_OF_LIGHT
 from .traces import MpcRecord, PathType, TraceSet
-from .trajectory import Trajectory
 
 __all__ = [
     "Rectangle",
@@ -563,33 +562,31 @@ def _diffraction_paths(
 
 @dataclass(frozen=True)
 class RtScenario:
-    """A scene, its moving nodes, and the links to trace."""
+    """A scene, its nodes on one snapshot grid, and the links to trace.
+
+    positions maps a node id to its (n, 3) positions at the n grid times.
+    """
 
     environment: Environment
     carrier_hz: float
-    trajectories: dict[int, Trajectory]
+    times: np.ndarray  # (n,)
+    positions: dict[int, np.ndarray]
     links: tuple[tuple[int, int], ...] = field(default_factory=tuple)
     max_reflection_order: int = 4
 
     def __post_init__(self) -> None:
-        if not self.trajectories:
-            raise ValueError("at least one trajectory is required")
-        times = None
-        for node, traj in self.trajectories.items():
-            if times is None:
-                times = traj.times
-            elif traj.times.shape != times.shape or np.any(
-                np.abs(traj.times - times) > 1e-9
-            ):
-                raise ValueError(f"trajectory of node {node} is on a different time grid")
+        t = np.asarray(self.times, dtype=float)
+        if t.ndim != 1 or t.size < 1:
+            raise ValueError("times must be a non-empty 1-d array")
+        if not (np.all(np.isfinite(t)) and np.all(np.diff(t) > 0)):
+            raise ValueError("times must be finite and strictly increasing")
+        for node, pos in self.positions.items():
+            if np.shape(pos) != (t.size, 3):
+                raise ValueError(f"positions of node {node} must have shape ({t.size}, 3)")
         for tx, rx in self.links:
             for node in (tx, rx):
-                if node not in self.trajectories:
-                    raise ValueError(f"link references node {node} with no trajectory")
-
-    @property
-    def times(self) -> np.ndarray:
-        return next(iter(self.trajectories.values())).times
+                if node not in self.positions:
+                    raise ValueError(f"link references node {node} with no positions")
 
 
 def _record_from_path(
@@ -658,8 +655,8 @@ def generate_trace(scenario: RtScenario) -> TraceSet:
     env, f_c = scenario.environment, scenario.carrier_hz
     times = scenario.times
     keys = [(k, tx_id, rx_id) for k in range(times.size) for tx_id, rx_id in scenario.links]
-    p_tx = [scenario.trajectories[tx_id].positions[k] for k, tx_id, _ in keys]
-    p_rx = [scenario.trajectories[rx_id].positions[k] for k, _, rx_id in keys]
+    p_tx = [scenario.positions[tx_id][k] for k, tx_id, _ in keys]
+    p_rx = [scenario.positions[rx_id][k] for k, _, rx_id in keys]
     for (k, _, _), a, b in zip(keys, p_tx, p_rx):
         if np.array_equal(a, b):
             raise ValueError(f"tx and rx coincide at t={float(times[k])!r}")

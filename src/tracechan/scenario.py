@@ -14,14 +14,15 @@ import math
 import os
 from dataclasses import dataclass
 
+import numpy as np
 import yaml
 
 from .arrays import PlanarArray
-from .beams import BeamCodebook, generate_codebook
+from .beams import generate_codebook
 from .channel import SubbandGrid
 from .link import AmcTable, LinkBudget, SimulationSetup
 from .raytrace import Environment, Rectangle, RtScenario
-from .trajectory import Trajectory, make_trajectory, time_grid
+from .trajectory import make_trajectory, time_grid
 
 __all__ = [
     "ConfigError",
@@ -30,14 +31,6 @@ __all__ = [
     "ScenarioConfig",
     "load_config",
     "parse_config",
-    "n_snapshots",
-    "dbm_to_watts",
-    "build_arrays",
-    "build_grid",
-    "build_budget",
-    "build_codebooks",
-    "build_amc",
-    "build_trajectories",
     "build_rt_scenario",
     "build_setup",
 ]
@@ -367,96 +360,67 @@ def load_config(path) -> ScenarioConfig:
     return parse_config(raw, base_dir=os.path.dirname(os.path.abspath(path)))
 
 
-def n_snapshots(cfg: ScenarioConfig) -> int:
-    """Snapshot count of the t = 0, dt, ..., duration grid (ends inclusive)."""
-    return int(math.floor(cfg.duration_s / cfg.snapshot_dt_s + 1e-9)) + 1
-
-
-def dbm_to_watts(dbm: float) -> float:
-    return 10.0 ** ((dbm - 30.0) / 10.0)
-
-
-def build_arrays(cfg: ScenarioConfig) -> tuple[PlanarArray, PlanarArray]:
-    lam = SubbandGrid(cfg.carrier_hz, cfg.bandwidth_hz, cfg.subbands).wavelength_m
-
-    def build(arr: ArraySpec) -> PlanarArray:
-        return PlanarArray(arr.rows, arr.cols, lam, arr.spacing, arr.bearing_deg)
-
-    return build(cfg.tx_array), build(cfg.rx_array)
-
-
-def build_grid(cfg: ScenarioConfig) -> SubbandGrid:
-    return SubbandGrid(cfg.carrier_hz, cfg.bandwidth_hz, cfg.subbands)
-
-
-def build_budget(cfg: ScenarioConfig) -> LinkBudget:
-    return LinkBudget(
-        tx_power_w=dbm_to_watts(cfg.txpower_dbm),
-        bandwidth_hz=cfg.bandwidth_hz,
-        noise_figure_db=cfg.noise_figure_db,
-        temperature_k=cfg.temperature_k,
-        interference_w=cfg.interference_w,
-    )
-
-
-def build_codebooks(
-    cfg: ScenarioConfig, tx_array: PlanarArray, rx_array: PlanarArray
-) -> tuple[BeamCodebook, BeamCodebook]:
-    def build(array: PlanarArray, cb: CodebookSpec) -> BeamCodebook:
-        return generate_codebook(
-            array, cb.az_min, cb.az_max, cb.az_step,
-            cb.zen_min, cb.zen_max, cb.zen_step,
-        )
-
-    return build(tx_array, cfg.tx_codebook), build(rx_array, cfg.rx_codebook)
-
-
-def build_amc(cfg: ScenarioConfig) -> AmcTable:
-    if cfg.amc_table_path is None:
-        return AmcTable.default()
-    return AmcTable.from_file(cfg.amc_table_path)
-
-
-def build_trajectories(cfg: ScenarioConfig) -> dict[int, Trajectory] | None:
-    if cfg.tx_trajectory is None or cfg.rx_trajectory is None:
-        return None
-    n = n_snapshots(cfg)
-    out = {}
-    for node_id, section in ((cfg.tx_id, cfg.tx_trajectory), (cfg.rx_id, cfg.rx_trajectory)):
-        params = {k: v for k, v in section.items() if k != "kind"}
-        out[node_id] = make_trajectory(section["kind"], params, 0.0, cfg.snapshot_dt_s, n)
-    return out
+def _snapshot_times(cfg: ScenarioConfig) -> np.ndarray:
+    """The t = 0, dt, ..., duration snapshot grid (ends inclusive)."""
+    n = int(math.floor(cfg.duration_s / cfg.snapshot_dt_s + 1e-9)) + 1
+    return time_grid(0.0, cfg.snapshot_dt_s, n)
 
 
 def build_rt_scenario(cfg: ScenarioConfig) -> RtScenario:
-    trajectories = build_trajectories(cfg)
-    if trajectories is None:
+    """The ray-tracing scenario: both nodes placed on the snapshot grid."""
+    if cfg.tx_trajectory is None or cfg.rx_trajectory is None:
         raise ConfigError(
             ["config uses trace_path; ray tracing needs tx_trajectory and rx_trajectory"]
         )
+    times = _snapshot_times(cfg)
+    positions = {
+        node: make_trajectory(sec["kind"], {k: v for k, v in sec.items() if k != "kind"}, times)
+        for node, sec in ((cfg.tx_id, cfg.tx_trajectory), (cfg.rx_id, cfg.rx_trajectory))
+    }
     return RtScenario(
         environment=cfg.environment if cfg.environment is not None else Environment(),
         carrier_hz=cfg.carrier_hz,
-        trajectories=trajectories,
+        times=times,
+        positions=positions,
         links=((cfg.tx_id, cfg.rx_id),),
         max_reflection_order=cfg.max_reflection_order,
     )
 
 
 def build_setup(cfg: ScenarioConfig) -> SimulationSetup:
-    """The link setup; a geometry config also fixes the snapshot grid, the
-    same times build_trajectories samples, so every grid time is a row."""
-    tx_array, rx_array = build_arrays(cfg)
-    cb_tx, cb_rx = build_codebooks(cfg, tx_array, rx_array)
+    """The link setup: arrays, codebooks, subband grid, budget and AMC table.
+
+    A geometry config also fixes the snapshot grid, the times
+    build_rt_scenario traces, so every grid time is a row.
+    """
+    grid = SubbandGrid(cfg.carrier_hz, cfg.bandwidth_hz, cfg.subbands)
+    tx_array, rx_array = (
+        PlanarArray(a.rows, a.cols, grid.wavelength_m, a.spacing, a.bearing_deg)
+        for a in (cfg.tx_array, cfg.rx_array)
+    )
+    cb_tx, cb_rx = (
+        generate_codebook(array, cb.az_min, cb.az_max, cb.az_step,
+                          cb.zen_min, cb.zen_max, cb.zen_step)
+        for array, cb in ((tx_array, cfg.tx_codebook), (rx_array, cfg.rx_codebook))
+    )
     times = None
     if cfg.tx_trajectory is not None and cfg.rx_trajectory is not None:
-        times = tuple(time_grid(0.0, cfg.snapshot_dt_s, n_snapshots(cfg)).tolist())
+        times = tuple(_snapshot_times(cfg).tolist())
     return SimulationSetup(
         tx_array=tx_array,
         rx_array=rx_array,
-        grid=build_grid(cfg),
-        budget=build_budget(cfg),
-        amc=build_amc(cfg),
+        grid=grid,
+        budget=LinkBudget(
+            tx_power_w=10.0 ** ((cfg.txpower_dbm - 30.0) / 10.0),
+            bandwidth_hz=cfg.bandwidth_hz,
+            noise_figure_db=cfg.noise_figure_db,
+            temperature_k=cfg.temperature_k,
+            interference_w=cfg.interference_w,
+        ),
+        amc=(
+            AmcTable.default() if cfg.amc_table_path is None
+            else AmcTable.from_file(cfg.amc_table_path)
+        ),
         tx_codebook=cb_tx,
         rx_codebook=cb_rx,
         training_period_s=cfg.training_period_s,

@@ -1,44 +1,24 @@
 """Node positions sampled on the snapshot time grid.
 
-Built-in kinds: static, linear, circular. Arbitrary motion can be expressed
-by constructing a Trajectory from explicit samples. Trajectories only place
-the nodes for the ray tracer; no velocity reaches the channel.
+Built-in kinds: static, linear, circular. Each kind takes the grid times and
+returns the (n, 3) positions at them, with motion measured from times[0];
+arbitrary motion is any (n, 3) array. Positions only place the nodes for the
+ray tracer; no velocity reaches the channel.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numbers
 
 import numpy as np
 
 __all__ = [
-    "Trajectory",
     "time_grid",
     "static_trajectory",
     "linear_trajectory",
     "circular_trajectory",
     "make_trajectory",
 ]
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Positions sampled on a strictly increasing time grid."""
-
-    times: np.ndarray  # (n,)
-    positions: np.ndarray  # (n, 3)
-
-    def __post_init__(self) -> None:
-        t = np.asarray(self.times, dtype=float)
-        if t.ndim != 1 or t.size < 1:
-            raise ValueError("times must be a non-empty 1-d array")
-        if np.any(np.diff(t) <= 0):
-            raise ValueError("times must be strictly increasing")
-        if self.positions.shape != (t.size, 3):
-            raise ValueError("positions must have shape (n, 3)")
-
-    def __len__(self) -> int:
-        return int(self.times.size)
 
 
 def time_grid(t0: float, dt: float, n: int) -> np.ndarray:
@@ -51,51 +31,58 @@ def time_grid(t0: float, dt: float, n: int) -> np.ndarray:
     return t0 + dt * np.arange(n)
 
 
-def static_trajectory(position, t0: float, dt: float, n: int) -> Trajectory:
-    times = time_grid(t0, dt, n)
-    return Trajectory(times, np.tile(np.asarray(position, dtype=float), (n, 1)))
+def _point(kind: str, name: str, value) -> np.ndarray:
+    point = np.asarray(value, dtype=float)
+    if point.shape != (3,):
+        raise ValueError(f"{kind} trajectory: {name} must be a 3-vector, got {value!r}")
+    return point
 
 
-def linear_trajectory(start, velocity, t0: float, dt: float, n: int) -> Trajectory:
-    times = time_grid(t0, dt, n)
-    start = np.asarray(start, dtype=float)
-    velocity = np.asarray(velocity, dtype=float)
-    return Trajectory(times, start + (times - t0)[:, None] * velocity)
+def _scalar(kind: str, name: str, value) -> float:
+    if not isinstance(value, numbers.Real):
+        raise ValueError(f"{kind} trajectory: {name} must be a number, got {value!r}")
+    return float(value)
+
+
+def static_trajectory(position, times: np.ndarray) -> np.ndarray:
+    position = _point("static", "position", position)
+    return np.tile(position, (len(times), 1))
+
+
+def linear_trajectory(start, velocity, times: np.ndarray) -> np.ndarray:
+    start = _point("linear", "start", start)
+    velocity = _point("linear", "velocity", velocity)
+    return start + (times - times[0])[:, None] * velocity
 
 
 def circular_trajectory(
-    center,
-    radius: float,
-    angle0_deg: float,
-    rate_deg_s: float,
-    t0: float,
-    dt: float,
-    n: int,
-) -> Trajectory:
+    center, radius: float, angle0_deg: float, rate_deg_s: float, times: np.ndarray
+) -> np.ndarray:
     """Horizontal circle about center, swept at rate_deg_s."""
+    center = _point("circular", "center", center)
+    radius = _scalar("circular", "radius", radius)
+    angle0_deg = _scalar("circular", "angle0_deg", angle0_deg)
+    rate_deg_s = _scalar("circular", "rate_deg_s", rate_deg_s)
     if radius <= 0:
         raise ValueError("radius must be positive")
-    times = time_grid(t0, dt, n)
-    center = np.asarray(center, dtype=float)
-    ang = np.radians(angle0_deg + rate_deg_s * (times - t0))
-    pos = center + radius * np.column_stack([np.cos(ang), np.sin(ang), np.zeros(n)])
-    return Trajectory(times, pos)
+    ang = np.radians(angle0_deg + rate_deg_s * (times - times[0]))
+    return center + radius * np.column_stack([np.cos(ang), np.sin(ang), np.zeros(len(times))])
 
 
-def make_trajectory(kind: str, params: dict, t0: float, dt: float, n: int) -> Trajectory:
+def make_trajectory(kind: str, params: dict, times: np.ndarray) -> np.ndarray:
     """Dispatch on kind: static, linear, or circular."""
     try:
         if kind == "static":
-            return static_trajectory(params["position"], t0, dt, n)
+            return static_trajectory(params["position"], times)
         if kind == "linear":
-            return linear_trajectory(params["start"], params["velocity"], t0, dt, n)
+            return linear_trajectory(params["start"], params["velocity"], times)
         if kind == "circular":
             return circular_trajectory(
                 params["center"],
-                float(params["radius"]),
-                float(params["angle0_deg"]),
-                float(params["rate_deg_s"]),
-                t0, dt, n,
+                params["radius"],
+                params["angle0_deg"],
+                params["rate_deg_s"],
+                times,
             )
     except KeyError as exc:
         raise ValueError(f"trajectory kind {kind!r} missing parameter {exc}") from None

@@ -157,8 +157,8 @@ def generate_trace(scenario: RtScenario) -> TraceSet:
     for k in range(times.size):
         t = float(times[k])
         for tx_id, rx_id in scenario.links:
-            p_tx = scenario.trajectories[tx_id].positions[k]
-            p_rx = scenario.trajectories[rx_id].positions[k]
+            p_tx = scenario.positions[tx_id][k]
+            p_rx = scenario.positions[rx_id][k]
             raw_paths = trace_link_snapshot(
                 p_tx, p_rx, scenario.environment, scenario.carrier_hz,
                 scenario.max_reflection_order,

@@ -35,7 +35,6 @@ from tracechan import (
     parse_trace_text,
     run_simulation,
     select_mcs,
-    static_trajectory,
     steering_vector,
     sweep_power_table,
     trace_to_text,
@@ -248,10 +247,8 @@ def test_free_space_gain_and_edge_loss():
     scen = RtScenario(
         environment=Environment(),
         carrier_hz=28e9,
-        trajectories={
-            0: static_trajectory([0.0, 0.0, 0.0], 0.0, 1.0, 1),
-            1: static_trajectory([100.0, 0.0, 0.0], 0.0, 1.0, 1),
-        },
+        times=np.zeros(1),
+        positions={0: np.array([[0.0, 0.0, 0.0]]), 1: np.array([[100.0, 0.0, 0.0]])},
         links=((0, 1),),
     )
     rec = generate_trace(scen).records[0]
@@ -338,10 +335,8 @@ def _reciprocity_holds():
         scen = RtScenario(
             environment=env,
             carrier_hz=28e9,
-            trajectories={
-                0: static_trajectory(p, 0.0, 1.0, 1),
-                1: static_trajectory(q, 0.0, 1.0, 1),
-            },
+            times=np.zeros(1),
+            positions={0: np.array([p]), 1: np.array([q])},
             links=((0, 1),),
         )
         recs = generate_trace(scen).records

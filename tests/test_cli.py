@@ -5,6 +5,7 @@ import io
 import math
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 import yaml
@@ -13,6 +14,8 @@ from hypothesis import strategies as st
 
 from conftest import blocked_corner_config
 from tracechan.cli import main
+
+ETOILE_CFG = Path(__file__).resolve().parents[1] / "configs" / "etoile.cfg"
 
 # open scene: LoS always clear, one wall behind the walk adds a reflection
 SCENE_CFG = """\
@@ -204,6 +207,35 @@ def test_sweep_time_snapping(scene_cfg, tmp_path, capsys):
     assert main(["sweep", "--config", str(scene_cfg), "--out", str(out),
                  "--time", "99.0"]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_sweep_nan_time_exits_2(scene_cfg, tmp_path, capsys):
+    # NaN is within no distance of any snapshot, so it must not pick the first
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", str(scene_cfg), "--out", str(out),
+                 "--time", "nan"]) == 2
+    assert capsys.readouterr().err == (
+        "config error: --time nan is not within 0.125 s of any snapshot "
+        "(grid spans 0.0 to 2.0)\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("node, params, problem", [
+    ("rx_trajectory", {"radius": [1.0, 2.0, 3.0]},
+     "circular trajectory: radius must be a number, got [1.0, 2.0, 3.0]"),
+    ("rx_trajectory", {"center": 1.5}, "circular trajectory: center must be a 3-vector, got 1.5"),
+    ("rx_trajectory", {"kind": "linear", "start": [55.0, 0.0, 1.5], "velocity": 1.0},
+     "linear trajectory: velocity must be a 3-vector, got 1.0"),
+    ("tx_trajectory", {"position": 10.0}, "static trajectory: position must be a 3-vector, got 10.0"),
+], ids=["radius-vector", "center-scalar", "velocity-scalar", "position-scalar"])
+def test_trajectory_parameter_shapes_exit_2(tmp_path, capsys, node, params, problem):
+    raw = yaml.safe_load(ETOILE_CFG.read_text())
+    raw[node].update(params)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(yaml.safe_dump(raw))
+    assert main(["generate-trace", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err == f"error: {problem}\n"
 
 
 def test_sweep_at_outage_time_writes_floor_table(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,9 +31,10 @@ from tracechan import (
 )
 from tracechan.cli import main
 from tracechan.link import METRICS_COLUMNS, SINR_FLOOR_DB, snapshot_rows
-from tracechan.scenario import build_rt_scenario, build_setup, build_trajectories, load_config
+from tracechan.scenario import build_rt_scenario, build_setup, load_config
 
 LAM = 299792458.0 / 28e9
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 def budget(**kw):
@@ -379,10 +381,16 @@ def test_library_path_matches_simulate(tmp_path, capsys):
     capsys.readouterr()
     cfg = load_config(cfg_path)
     setup = build_setup(cfg)
-    assert setup.times == tuple(build_trajectories(cfg)[cfg.tx_id].times.tolist())
+    assert setup.times == tuple(build_rt_scenario(cfg).times.tolist())
     text = metrics_to_csv(run_simulation(generate_trace(build_rt_scenario(cfg)), setup))
     assert len(text.splitlines()) == 1 + 121
     assert text.encode("utf-8") == out.read_bytes()
+
+
+@pytest.mark.parametrize("name", ["corner", "etoile", "etoile_wide"])
+def test_tracer_and_setup_share_one_grid(name):
+    cfg = load_config(CONFIG_DIR / f"{name}.cfg")
+    assert tuple(build_rt_scenario(cfg).times.tolist()) == build_setup(cfg).times
 
 
 def test_training_after_outage_stays_due(tmp_path, capsys):

@@ -31,6 +31,7 @@ from tracechan import (
 from tracechan import raytrace
 from tracechan.raytrace import trace_los, trace_link_snapshot
 from tracechan.scenario import build_rt_scenario, load_config
+from tracechan.trajectory import time_grid
 from tracechan.traces import trace_to_text
 
 F_C = 28e9
@@ -81,9 +82,8 @@ def test_free_space_gain_and_delay():
 
 
 def test_free_space_record_numbers():
-    tx = static_trajectory([0, 0, 0], 0.0, 1.0, 1)
-    rx = static_trajectory([100.0, 0, 0], 0.0, 1.0, 1)
-    scn = RtScenario(Environment(), F_C, {0: tx, 1: rx}, ((0, 1),))
+    pos = {0: np.array([[0.0, 0, 0]]), 1: np.array([[100.0, 0, 0]])}
+    scn = RtScenario(Environment(), F_C, np.zeros(1), pos, ((0, 1),))
     rec = generate_trace(scn).records[0]
     assert 20.0 * math.log10(rec.gain_mag) == pytest.approx(-101.3909, abs=5e-4)
     assert rec.delay == pytest.approx(333.564e-9, abs=1e-12)
@@ -227,9 +227,8 @@ def test_reciprocity_swaps_departure_and_arrival():
     b = np.array([9.0, -0.4, 2.0])
 
     def records(p, q):
-        tx = static_trajectory(p, 0.0, 1.0, 1)
-        rx = static_trajectory(q, 0.0, 1.0, 1)
-        scn = RtScenario(env, F_C, {0: tx, 1: rx}, ((0, 1),))
+        pos = {0: np.array([p]), 1: np.array([q])}
+        scn = RtScenario(env, F_C, np.zeros(1), pos, ((0, 1),))
         return sorted(generate_trace(scn).records, key=lambda r: (r.path_type.value, r.delay))
 
     fwd = records(a, b)
@@ -259,9 +258,10 @@ def test_generated_trace_validates_clean():
                      diffracting_edges=(3,))
     street = Rectangle([10.0, 5.0, 0.0], [50.0, 0.0, 0.0], [0.0, 0.0, 20.0])
     env = Environment((wall, street))
-    tx = static_trajectory([40.0, 0.0, 10.0], 0.0, 0.5, 20)
-    rx = linear_trajectory([7.0, 20.0, 1.5], [0.0, -1.5, 0.0], 0.0, 0.5, 20)
-    scn = RtScenario(env, F_C, {0: tx, 1: rx}, ((0, 1),))
+    times = time_grid(0.0, 0.5, 20)
+    tx = static_trajectory([40.0, 0.0, 10.0], times)
+    rx = linear_trajectory([7.0, 20.0, 1.5], [0.0, -1.5, 0.0], times)
+    scn = RtScenario(env, F_C, times, {0: tx, 1: rx}, ((0, 1),))
     trace = generate_trace(scn)
     assert validate_trace(trace).ok
     for t in trace.snapshot_times(0, 1):
@@ -273,14 +273,22 @@ def test_generated_trace_validates_clean():
 
 
 def test_scenario_validation():
-    t1 = static_trajectory([0, 0, 0], 0.0, 0.1, 5)
-    t2 = static_trajectory([1, 0, 0], 0.0, 0.2, 5)
-    with pytest.raises(ValueError, match="time grid"):
-        RtScenario(Environment(), F_C, {0: t1, 1: t2}, ((0, 1),))
-    with pytest.raises(ValueError, match="no trajectory"):
-        RtScenario(Environment(), F_C, {0: t1}, ((0, 1),))
-    with pytest.raises(ValueError, match="at least one"):
-        RtScenario(Environment(), F_C, {}, ())
+    times = time_grid(0.0, 0.1, 5)
+    p0 = static_trajectory([0, 0, 0], times)
+    with pytest.raises(ValueError, match="no positions"):
+        RtScenario(Environment(), F_C, times, {0: p0}, ((0, 1),))
+    with pytest.raises(ValueError, match=r"node 1 must have shape \(5, 3\)"):
+        RtScenario(Environment(), F_C, times, {0: p0, 1: np.zeros((4, 3))}, ((0, 1),))
+    with pytest.raises(ValueError, match=r"must have shape \(2, 3\)"):
+        RtScenario(Environment(), F_C, np.array([0.0, 1.0]), {0: np.zeros((3, 3))})
+    with pytest.raises(ValueError, match=r"must have shape \(5, 3\)"):
+        RtScenario(Environment(), F_C, times, {0: np.zeros(5)})
+    with pytest.raises(ValueError, match="strictly increasing"):
+        RtScenario(Environment(), F_C, np.array([0.0, 0.0]), {0: np.zeros((2, 3))})
+    with pytest.raises(ValueError, match="strictly increasing"):
+        RtScenario(Environment(), F_C, np.array([0.0, np.nan]), {0: np.zeros((2, 3))})
+    with pytest.raises(ValueError, match="non-empty"):
+        RtScenario(Environment(), F_C, np.array([]), {})
 
 
 def _rotation(quat):

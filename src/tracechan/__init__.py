@@ -49,9 +49,6 @@ from .raytrace import (
     fresnel_parameter,
     generate_trace,
     knife_edge_loss_db,
-    los_blocked,
-    trace_diffraction,
-    trace_reflections,
 )
 from .scenario import ConfigError, ScenarioConfig, build_setup, load_config
 from .traces import (
@@ -115,7 +112,6 @@ __all__ = [
     "knife_edge_loss_db",
     "linear_trajectory",
     "load_config",
-    "los_blocked",
     "make_trajectory",
     "metrics_to_csv",
     "noise_power",
@@ -128,8 +124,6 @@ __all__ = [
     "steering_matrix",
     "steering_vector",
     "sweep_power_table",
-    "trace_diffraction",
-    "trace_reflections",
     "trace_to_text",
     "throughput_delay",
     "validate_trace",

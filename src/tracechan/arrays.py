@@ -21,7 +21,6 @@ instead of R * C. It is the one steering formula of the package.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -109,12 +108,8 @@ class PlanarArray:
         return self.n_rows * self.n_cols
 
 
-@functools.lru_cache(maxsize=64)
 def element_positions(array: PlanarArray) -> np.ndarray:
-    """(N, 3) element positions in meters, row-major, bearing applied.
-
-    Cached per (frozen, hashable) array; the shared result is read-only.
-    """
+    """(N, 3) element positions in meters, row-major, bearing applied."""
     pitch = array.spacing * array.wavelength_m
     r = np.arange(array.n_rows)
     c = np.arange(array.n_cols)
@@ -132,7 +127,6 @@ def element_positions(array: PlanarArray) -> np.ndarray:
             ]
         )
         pos = pos @ rot.T
-    pos.setflags(write=False)
     return pos
 
 

@@ -55,7 +55,7 @@ def _cmd_validate(args) -> int:
         print(f"ok: {len(trace.records)} records, no findings")
         return 0
     for v in report.violations:
-        print(f"{v.kind} link=({v.tx_id},{v.rx_id}) t={v.t}: {v.detail}")
+        print(v)
     print(f"{len(report.violations)} findings")
     return 1
 

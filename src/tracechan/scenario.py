@@ -5,14 +5,15 @@ geometry to ray-trace (tx_trajectory / rx_trajectory plus an optional
 environment of reflecting rectangles). All other keys size the arrays,
 codebooks, subband grid, and link budget. Parsing collects every problem it
 can find before raising, so a config with three missing keys reports all
-three at once.
+three at once. A key that no mapping takes is a problem too, so a misspelt
+optional key is not silently replaced by its default.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import yaml
@@ -156,9 +157,15 @@ class _Reader:
             self.problems.append(f"{dotted}: {exc}")
             return None if required else default
 
+    def reject_unknown(self, mapping: dict | None, keys, prefix: str = "") -> None:
+        """Record every key of mapping that is not one of keys."""
+        if isinstance(mapping, dict):
+            self.problems.extend(f"unknown key {prefix}{k}" for k in mapping if k not in keys)
+
 
 def _parse_array(reader: _Reader, name: str) -> ArraySpec | None:
     sec = reader.section(name)
+    reader.reject_unknown(sec, ("rows", "cols", "spacing", "bearing_deg"), f"{name}.")
     rows = reader.get(sec, "rows", f"{name}.rows", _as_int)
     cols = reader.get(sec, "cols", f"{name}.cols", _as_int)
     spacing = reader.get(sec, "spacing", f"{name}.spacing", _as_finite)
@@ -168,8 +175,12 @@ def _parse_array(reader: _Reader, name: str) -> ArraySpec | None:
     return ArraySpec(rows, cols, spacing, bearing)
 
 
+_CODEBOOK_KEYS = tuple(f"{a}_{s}" for a in ("az", "zen", "el") for s in ("min", "max", "step"))
+
+
 def _parse_codebook(reader: _Reader, name: str) -> CodebookSpec | None:
     sec = reader.section(name)
+    reader.reject_unknown(sec, _CODEBOOK_KEYS, f"{name}.")
     az = [
         reader.get(sec, k, f"{name}.{k}", _as_finite)
         for k in ("az_min", "az_max", "az_step")
@@ -200,6 +211,9 @@ def _parse_codebook(reader: _Reader, name: str) -> CodebookSpec | None:
     return CodebookSpec(az[0], az[1], az[2], zen[0], zen[1], zen[2])
 
 
+_RECTANGLE_KEYS = ("corner", "edge_u", "edge_v", "gamma", "diffracting_edges")
+
+
 def _parse_environment(reader: _Reader) -> Environment | None:
     sec = reader.raw.get("environment")
     if sec is None:
@@ -207,12 +221,14 @@ def _parse_environment(reader: _Reader) -> Environment | None:
     if not isinstance(sec, dict) or not isinstance(sec.get("rectangles"), list):
         reader.problems.append("environment must be a mapping with a rectangles list")
         return None
+    reader.reject_unknown(sec, ("rectangles",), "environment.")
     rects = []
     for i, item in enumerate(sec["rectangles"]):
         dotted = f"environment.rectangles[{i}]"
         if not isinstance(item, dict):
             reader.problems.append(f"{dotted} must be a mapping")
             continue
+        reader.reject_unknown(item, _RECTANGLE_KEYS, f"{dotted}.")
         corner = reader.get(item, "corner", f"{dotted}.corner", _as_vec3)
         edge_u = reader.get(item, "edge_u", f"{dotted}.edge_u", _as_vec3)
         edge_v = reader.get(item, "edge_v", f"{dotted}.edge_v", _as_vec3)
@@ -245,10 +261,15 @@ def _parse_trajectory(reader: _Reader, name: str) -> dict | None:
     }
 
 
+# the top-level keys are exactly the ScenarioConfig field names
+_TOP_KEYS = tuple(f.name for f in fields(ScenarioConfig))
+
+
 def parse_config(raw: dict, base_dir: str = ".") -> ScenarioConfig:
     if not isinstance(raw, dict):
         raise ConfigError(["config root must be a mapping"])
     reader = _Reader(raw)
+    reader.reject_unknown(raw, _TOP_KEYS)
     # duration_s is checked below; an infinite training period (train once)
     # or offered load (saturate) is meaningful
     unbounded = {"duration_s", "training_period_s", "offered_bps"}

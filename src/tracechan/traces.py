@@ -97,10 +97,7 @@ class Violation:
     detail: str
 
     def __str__(self) -> str:
-        return (
-            f"{self.kind}: link ({self.tx_id},{self.rx_id}) at t={self.t!r}: "
-            f"{self.detail}"
-        )
+        return f"{self.kind} link=({self.tx_id},{self.rx_id}) t={self.t}: {self.detail}"
 
 
 @dataclass(frozen=True)
@@ -110,11 +107,6 @@ class ValidationReport:
     @property
     def ok(self) -> bool:
         return not self.violations
-
-    def __str__(self) -> str:
-        if self.ok:
-            return "trace OK"
-        return "\n".join(str(v) for v in self.violations)
 
 
 @dataclass(frozen=True)

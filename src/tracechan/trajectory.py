@@ -69,21 +69,26 @@ def circular_trajectory(
     return center + radius * np.column_stack([np.cos(ang), np.sin(ang), np.zeros(len(times))])
 
 
+# kind -> (function, its parameter names before times)
+_KINDS = {
+    "static": (static_trajectory, ("position",)),
+    "linear": (linear_trajectory, ("start", "velocity")),
+    "circular": (circular_trajectory, ("center", "radius", "angle0_deg", "rate_deg_s")),
+}
+
+
 def make_trajectory(kind: str, params: dict, times: np.ndarray) -> np.ndarray:
-    """Dispatch on kind: static, linear, or circular."""
-    try:
-        if kind == "static":
-            return static_trajectory(params["position"], times)
-        if kind == "linear":
-            return linear_trajectory(params["start"], params["velocity"], times)
-        if kind == "circular":
-            return circular_trajectory(
-                params["center"],
-                params["radius"],
-                params["angle0_deg"],
-                params["rate_deg_s"],
-                times,
-            )
-    except KeyError as exc:
-        raise ValueError(f"trajectory kind {kind!r} missing parameter {exc}") from None
-    raise ValueError(f"unknown trajectory kind {kind!r}")
+    """Dispatch on kind: static, linear, or circular.
+
+    params must hold exactly the kind's parameters, by name.
+    """
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise ValueError(f"unknown trajectory kind {kind!r}")
+    func, names = _KINDS[kind]
+    missing = [name for name in names if name not in params]
+    if missing:
+        raise ValueError(f"trajectory kind {kind!r} missing parameter {missing[0]!r}")
+    extra = [key for key in params if key not in names]
+    if extra:
+        raise ValueError(f"trajectory kind {kind!r} does not take {', '.join(map(repr, extra))}")
+    return func(*(params[name] for name in names), times)

@@ -17,6 +17,7 @@ from tracechan.channel import SPEED_OF_LIGHT
 from tracechan.raytrace import (
     Environment,
     RtScenario,
+    _los_path,
     _min_path_point_on_edge,
     _mirror,
     _RawPath,
@@ -25,8 +26,6 @@ from tracechan.raytrace import (
     _segment_occluded,
     fresnel_parameter,
     knife_edge_loss_db,
-    los_blocked,
-    trace_los,
 )
 from tracechan.traces import MpcRecord, PathType, TraceSet
 
@@ -95,7 +94,7 @@ def trace_diffraction(
     """Single knife-edge paths over marked edges; only for blocked links."""
     p_tx = np.asarray(p_tx, dtype=float)
     p_rx = np.asarray(p_rx, dtype=float)
-    if not los_blocked(p_tx, p_rx, env):
+    if not _segment_occluded(p_tx, p_rx, env):
         return []
     lam = SPEED_OF_LIGHT / f_c_hz
     los_dir = p_rx - p_tx
@@ -135,8 +134,10 @@ def trace_link_snapshot(
     max_order: int = 4,
 ) -> list[_RawPath]:
     """All mechanisms for one geometry: LOS, reflections, then diffraction."""
+    p_tx = np.asarray(p_tx, dtype=float)
+    p_rx = np.asarray(p_rx, dtype=float)
     paths: list[_RawPath] = []
-    los = trace_los(p_tx, p_rx, f_c_hz, env)
+    los = None if _segment_occluded(p_tx, p_rx, env) else _los_path(p_tx, p_rx)
     if los is not None:
         paths.append(los)
     paths.extend(trace_reflections(p_tx, p_rx, env, f_c_hz, max_order))

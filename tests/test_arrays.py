@@ -141,22 +141,6 @@ def test_bearing_equivariance():
     np.testing.assert_allclose(sv0, svb, atol=1e-12)
 
 
-@pytest.mark.parametrize("arr", [
-    PlanarArray(4, 4, LAM),
-    PlanarArray(3, 5, LAM, spacing=0.7, bearing_deg=33.0),
-    PlanarArray(16, 128, LAM, bearing_deg=-90.0),
-])
-def test_element_positions_cached_read_only(arr):
-    cached = element_positions(arr)
-    uncached = element_positions.__wrapped__(arr)
-    assert cached.tobytes() == uncached.tobytes()
-    # an equal array built separately hits the same entry
-    assert element_positions(PlanarArray(**arr.__dict__)) is cached
-    assert not cached.flags.writeable
-    with pytest.raises(ValueError):
-        cached[0, 0] = 1.0
-
-
 arrays = st.builds(
     PlanarArray,
     n_rows=st.integers(1, 16),

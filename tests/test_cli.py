@@ -12,7 +12,7 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import blocked_corner_config
+from conftest import CORNER_CFG, blocked_corner_config
 from tracechan.cli import main
 
 ETOILE_CFG = Path(__file__).resolve().parents[1] / "configs" / "etoile.cfg"
@@ -225,17 +225,49 @@ def test_sweep_nan_time_exits_2(scene_cfg, tmp_path, capsys):
     ("rx_trajectory", {"radius": [1.0, 2.0, 3.0]},
      "circular trajectory: radius must be a number, got [1.0, 2.0, 3.0]"),
     ("rx_trajectory", {"center": 1.5}, "circular trajectory: center must be a 3-vector, got 1.5"),
-    ("rx_trajectory", {"kind": "linear", "start": [55.0, 0.0, 1.5], "velocity": 1.0},
+    # None drops a key: the circular parameters a linear kind does not take
+    ("rx_trajectory", {"kind": "linear", "start": [55.0, 0.0, 1.5], "velocity": 1.0,
+                       **dict.fromkeys(("center", "radius", "angle0_deg", "rate_deg_s"))},
      "linear trajectory: velocity must be a 3-vector, got 1.0"),
     ("tx_trajectory", {"position": 10.0}, "static trajectory: position must be a 3-vector, got 10.0"),
 ], ids=["radius-vector", "center-scalar", "velocity-scalar", "position-scalar"])
 def test_trajectory_parameter_shapes_exit_2(tmp_path, capsys, node, params, problem):
     raw = yaml.safe_load(ETOILE_CFG.read_text())
-    raw[node].update(params)
+    raw[node] = {k: v for k, v in {**raw[node], **params}.items() if v is not None}
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(yaml.safe_dump(raw))
     assert main(["generate-trace", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
     assert capsys.readouterr().err == f"error: {problem}\n"
+
+
+@pytest.mark.parametrize("base, old, new, problem", [
+    # a linear walk that still carries the circular kind's parameters
+    (ETOILE_CFG, "kind: circular", "kind: linear\n  start: [55.0, 0.0, 1.5]\n"
+     "  velocity: [0.0, 1.0, 0.0]",
+     "error: trajectory kind 'linear' does not take "
+     "'center', 'radius', 'angle0_deg', 'rate_deg_s'\n"),
+    # a misspelt optional key must not fall back to its default (order 4)
+    (ETOILE_CFG, "snapshot_dt_s:", "max_reflection_ordr: 0\nsnapshot_dt_s:",
+     "config error: unknown key max_reflection_ordr\n"),
+    # a misspelt edge list would silently drop every diffracted path
+    (CORNER_CFG, "diffracting_edges: [3]", "diffracting_edge: [3]",
+     "config error: unknown key environment.rectangles[1].diffracting_edge\n"),
+    (CORNER_CFG, "tx_array:\n", "bogus: 1\ntx_array:\n  row: 4\n",
+     "config error: unknown key bogus\nconfig error: unknown key tx_array.row\n"),
+    (CORNER_CFG, "zen_step: 10.0", "zen_step: 10.0\n  el_stp: 1.0\n  11: 0",
+     "config error: unknown key tx_codebook.el_stp\nconfig error: unknown key tx_codebook.11\n"),
+    (CORNER_CFG, "rectangles:", "walls: []\n  rectangles:",
+     "config error: unknown key environment.walls\n"),
+], ids=["trajectory-leftover", "top-level-typo", "rectangle-typo", "top-and-array",
+        "codebook", "environment"])
+def test_unknown_config_keys_exit_2(tmp_path, capsys, base, old, new, problem):
+    cfg = tmp_path / "typo.cfg"
+    text = Path(base).read_text()
+    assert old in text
+    cfg.write_text(text.replace(old, new, 1))
+    assert main(["generate-trace", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err == problem
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_sweep_at_outage_time_writes_floor_table(tmp_path, capsys):

@@ -18,7 +18,7 @@ import sys
 
 from .beams import select_best_pair, sweep_power_table
 from .channel import build_channel_matrices
-from .link import SINR_FLOOR_DB, metrics_to_csv, run_simulation, snapshot_rows
+from .link import GRID_TOL_S, SINR_FLOOR_DB, metrics_to_csv, run_simulation, snapshot_rows
 from .raytrace import generate_trace
 from .scenario import ConfigError, ScenarioConfig, build_rt_scenario, build_setup, load_config
 from .traces import TraceFormatError, TraceSet, parse_trace, validate_trace, write_trace
@@ -88,7 +88,7 @@ def _pick_row(rows: list, requested: float | None, dt: float) -> tuple:
     best = min(rows, key=lambda row: abs(row[0] - requested))
     # snap to the nearest grid time, but only within half a snapshot interval;
     # the negated test also rejects a NaN time, which no comparison holds for
-    if not abs(best[0] - requested) <= dt / 2 + 1e-9:
+    if not abs(best[0] - requested) <= dt / 2 + GRID_TOL_S:
         raise ConfigError(
             [f"--time {requested} is not within {dt / 2} s of any snapshot "
              f"(grid spans {rows[0][0]} to {rows[-1][0]})"]

@@ -298,7 +298,7 @@ def _segments(rows: list[tuple[float, list[MpcRecord]]], period: float) -> list[
     starts: list[int] = []
     due = -math.inf
     for i, (t, records) in enumerate(rows):
-        if t >= due - 1e-9:
+        if t >= due - GRID_TOL_S:
             starts.append(i)
             if records:
                 due = t + period

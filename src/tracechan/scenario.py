@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 import yaml
@@ -263,6 +263,29 @@ def _parse_trajectory(reader: _Reader, name: str) -> dict | None:
 
 # the top-level keys are exactly the ScenarioConfig field names
 _TOP_KEYS = tuple(f.name for f in fields(ScenarioConfig))
+_DEFAULTS = {f.name: f.default for f in fields(ScenarioConfig) if f.default is not MISSING}
+
+# the scalar top-level keys; an infinite training period (train once) or
+# offered load (saturate) is meaningful, and duration_s is checked below
+_SCALARS = {
+    "carrier_hz": _as_finite,
+    "bandwidth_hz": _as_finite,
+    "subbands": _as_int,
+    "txpower_dbm": _as_finite,
+    "noise_figure_db": _as_finite,
+    "training_period_s": _as_float,
+    "offered_bps": _as_float,
+    "overhead": _as_finite,
+    "snapshot_dt_s": _as_finite,
+    "duration_s": _as_float,
+    "tx_id": _as_int,
+    "rx_id": _as_int,
+    "temperature_k": _as_finite,
+    "interference_w": _as_finite,
+    "base_delay_s": _as_finite,
+    "saturation_delay_s": _as_finite,
+    "max_reflection_order": _as_int,
+}
 
 
 def parse_config(raw: dict, base_dir: str = ".") -> ScenarioConfig:
@@ -270,105 +293,53 @@ def parse_config(raw: dict, base_dir: str = ".") -> ScenarioConfig:
         raise ConfigError(["config root must be a mapping"])
     reader = _Reader(raw)
     reader.reject_unknown(raw, _TOP_KEYS)
-    # duration_s is checked below; an infinite training period (train once)
-    # or offered load (saturate) is meaningful
-    unbounded = {"duration_s", "training_period_s", "offered_bps"}
-    top = {
-        key: reader.get(raw, key, key, _as_float if key in unbounded else _as_finite)
-        for key in (
-            "carrier_hz",
-            "bandwidth_hz",
-            "txpower_dbm",
-            "noise_figure_db",
-            "training_period_s",
-            "offered_bps",
-            "overhead",
-            "snapshot_dt_s",
-            "duration_s",
-        )
+    values = {
+        key: reader.get(raw, key, key, cast, _DEFAULTS.get(key, _REQUIRED))
+        for key, cast in _SCALARS.items()
     }
-    subbands = reader.get(raw, "subbands", "subbands", _as_int)
+    values.update(
+        tx_array=_parse_array(reader, "tx_array"),
+        rx_array=_parse_array(reader, "rx_array"),
+        tx_codebook=_parse_codebook(reader, "tx_codebook"),
+        rx_codebook=_parse_codebook(reader, "rx_codebook"),
+        environment=_parse_environment(reader),
+        tx_trajectory=_parse_trajectory(reader, "tx_trajectory"),
+        rx_trajectory=_parse_trajectory(reader, "rx_trajectory"),
+    )
+    # a null path counts as absent; a given one resolves against base_dir
+    for key in ("trace_path", "amc_table_path"):
+        if raw.get(key) is not None:
+            values[key] = os.path.join(base_dir, str(raw[key]))
 
-    tx_array = _parse_array(reader, "tx_array")
-    rx_array = _parse_array(reader, "rx_array")
-    tx_codebook = _parse_codebook(reader, "tx_codebook")
-    rx_codebook = _parse_codebook(reader, "rx_codebook")
-
-    trace_path = raw.get("trace_path")
-    environment = _parse_environment(reader)
-    tx_traj = _parse_trajectory(reader, "tx_trajectory")
-    rx_traj = _parse_trajectory(reader, "rx_trajectory")
-
-    if trace_path is not None:
-        if tx_traj or rx_traj or environment is not None:
+    tx_traj, rx_traj = values["tx_trajectory"], values["rx_trajectory"]
+    if "trace_path" in values:
+        if tx_traj or rx_traj or values["environment"] is not None:
             reader.problems.append(
                 "give either trace_path or ray-tracing sections "
                 "(tx_trajectory/rx_trajectory/environment), not both"
             )
-        trace_path = os.path.join(base_dir, str(trace_path))
-    else:
-        if tx_traj is None and rx_traj is None:
-            reader.problems.append(
-                "missing input: set trace_path or describe geometry with "
-                "tx_trajectory and rx_trajectory"
-            )
-        elif tx_traj is None:
-            reader.problems.append("missing required section tx_trajectory")
-        elif rx_traj is None:
-            reader.problems.append("missing required section rx_trajectory")
+    elif tx_traj is None and rx_traj is None:
+        reader.problems.append(
+            "missing input: set trace_path or describe geometry with "
+            "tx_trajectory and rx_trajectory"
+        )
+    elif tx_traj is None:
+        reader.problems.append("missing required section tx_trajectory")
+    elif rx_traj is None:
+        reader.problems.append("missing required section rx_trajectory")
 
     for key in ("carrier_hz", "bandwidth_hz", "snapshot_dt_s"):
-        if top[key] is not None and not top[key] > 0:
+        if values[key] is not None and not values[key] > 0:
             reader.problems.append(f"{key} must be > 0")
-    duration = top["duration_s"]
+    duration = values["duration_s"]
     if duration is not None and not 0 <= duration < math.inf:
         reader.problems.append("duration_s must be >= 0 and finite")
 
-    amc_path = raw.get("amc_table_path")
-    if amc_path is not None:
-        amc_path = os.path.join(base_dir, str(amc_path))
-
-    optional = {
-        "tx_id": reader.get(raw, "tx_id", "tx_id", _as_int, default=0),
-        "rx_id": reader.get(raw, "rx_id", "rx_id", _as_int, default=1),
-        "temperature_k": reader.get(raw, "temperature_k", "temperature_k", _as_finite, default=290.0),
-        "interference_w": reader.get(raw, "interference_w", "interference_w", _as_finite, default=0.0),
-        "base_delay_s": reader.get(raw, "base_delay_s", "base_delay_s", _as_finite, default=0.5e-3),
-        "saturation_delay_s": reader.get(
-            raw, "saturation_delay_s", "saturation_delay_s", _as_finite, default=7.5e-3
-        ),
-        "max_reflection_order": reader.get(
-            raw, "max_reflection_order", "max_reflection_order", _as_int, default=4
-        ),
-    }
-
-    if optional["tx_id"] == optional["rx_id"]:
+    if values["tx_id"] == values["rx_id"]:
         reader.problems.append("tx_id and rx_id must differ")
     if reader.problems:
         raise ConfigError(reader.problems)
-
-    return ScenarioConfig(
-        carrier_hz=top["carrier_hz"],
-        bandwidth_hz=top["bandwidth_hz"],
-        subbands=subbands,
-        txpower_dbm=top["txpower_dbm"],
-        noise_figure_db=top["noise_figure_db"],
-        tx_array=tx_array,
-        rx_array=rx_array,
-        tx_codebook=tx_codebook,
-        rx_codebook=rx_codebook,
-        training_period_s=top["training_period_s"],
-        offered_bps=top["offered_bps"],
-        overhead=top["overhead"],
-        snapshot_dt_s=top["snapshot_dt_s"],
-        duration_s=top["duration_s"],
-        trace_path=trace_path,
-        environment=environment,
-        tx_trajectory=tx_traj,
-        rx_trajectory=rx_traj,
-        amc_table_path=amc_path,
-        **optional,
-    )
+    return ScenarioConfig(**values)
 
 
 def load_config(path) -> ScenarioConfig:

@@ -3,18 +3,21 @@
 A trace is a time series of propagation snapshots. Each CSV row describes one
 multipath component (MPC) of one directed link at one snapshot time: delay,
 amplitude gain, total phase at the carrier, and departure/arrival angles.
-Column order and header names are fixed; see ``CSV_COLUMNS``.
+The columns, their types and ranges are declared once in ``_COLUMNS``;
+``CSV_COLUMNS`` lists their header names in file order.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Iterator
+from operator import attrgetter
+from typing import Iterator
 
 __all__ = [
     "PathType",
@@ -31,22 +34,6 @@ __all__ = [
     "CSV_COLUMNS",
 ]
 
-CSV_COLUMNS = (
-    "t",
-    "tx_id",
-    "rx_id",
-    "path_id",
-    "path_type",
-    "delay_s",
-    "gain_mag",
-    "phase_rad",
-    "aod_az_deg",
-    "aod_zen_deg",
-    "aoa_az_deg",
-    "aoa_zen_deg",
-)
-
-
 class PathType(Enum):
     """Propagation mechanism of one multipath component."""
 
@@ -58,6 +45,27 @@ class PathType(Enum):
 
 class TraceFormatError(ValueError):
     """Structural or range error in a trace file; parsing is all-or-nothing."""
+
+
+# One entry per CSV column, in file order: header name, MpcRecord field, type
+# and accepted range (lo, hi, hi_open) or None. Floats must be finite and
+# lie in the range; int columns are ids, which must be >= 0.
+_COLUMNS = (
+    ("t", "t", float, None),
+    ("tx_id", "tx_id", int, None),
+    ("rx_id", "rx_id", int, None),
+    ("path_id", "path_id", int, None),
+    ("path_type", "path_type", PathType, None),
+    ("delay_s", "delay", float, (0.0, math.inf, False)),
+    ("gain_mag", "gain_mag", float, (0.0, math.inf, False)),
+    ("phase_rad", "phase", float, None),
+    ("aod_az_deg", "aod_az", float, (-180.0, 180.0, True)),
+    ("aod_zen_deg", "aod_zen", float, (0.0, 180.0, False)),
+    ("aoa_az_deg", "aoa_az", float, (-180.0, 180.0, True)),
+    ("aoa_zen_deg", "aoa_zen", float, (0.0, 180.0, False)),
+)
+
+CSV_COLUMNS = tuple(column[0] for column in _COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -151,47 +159,42 @@ class TraceSet:
         return list(by_t.get(t, []))
 
 
-def _parse_int(text: str, column: str, row: int) -> int:
+def _field(text: str, column: str, kind, bounds, row: int):
+    """One field of a row, parsed as its column's type and range-checked."""
+    if kind is PathType:
+        try:
+            return PathType(text)
+        except ValueError:
+            raise TraceFormatError(f"row {row}: unknown {column} {text!r}") from None
     try:
-        value = int(text)
+        value = kind(text)
     except ValueError:
+        what = "integer field" if kind is int else "field"
         raise TraceFormatError(
-            f"row {row}: non-numeric integer field {column!r}: {text!r}"
+            f"row {row}: non-numeric {what} {column!r}: {text!r}"
         ) from None
-    if value < 0:
-        raise TraceFormatError(f"row {row}: {column} must be >= 0, got {value}")
-    return value
-
-
-def _parse_float(text: str, column: str, row: int) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise TraceFormatError(
-            f"row {row}: non-numeric field {column!r}: {text!r}"
-        ) from None
-    if value != value or value in (float("inf"), float("-inf")):
+    if kind is int:
+        if value < 0:
+            raise TraceFormatError(f"row {row}: {column} must be >= 0, got {value}")
+        return value
+    if not math.isfinite(value):
         raise TraceFormatError(f"row {row}: non-finite value in {column!r}")
-    return value
-
-
-def _check_range(
-    value: float, column: str, row: int, lo: float, hi: float, hi_open: bool
-) -> float:
-    bad = value < lo or (value >= hi if hi_open else value > hi)
-    if bad:
-        bracket = ")" if hi_open else "]"
-        raise TraceFormatError(
-            f"row {row}: {column}={value!r} outside [{lo}, {hi}{bracket}"
-        )
+    if bounds is not None:
+        lo, hi, hi_open = bounds
+        if value < lo or (value >= hi if hi_open else value > hi):
+            bracket = ")" if hi_open else "]"
+            raise TraceFormatError(
+                f"row {row}: {column}={value!r} outside [{lo}, {hi}{bracket}"
+            )
     return value
 
 
 def parse_trace_text(text: str) -> TraceSet:
     """Parse trace CSV text. Any structural or range error aborts the parse.
 
-    Unknown extra columns are ignored with a warning; missing or renamed
-    required columns are an error. Rows keep their file order.
+    Header names bind the columns in any order. Unknown extra columns are
+    ignored with a warning; a missing, renamed or repeated column is an
+    error. Rows keep their file order.
     """
     reader = csv.reader(io.StringIO(text))
     try:
@@ -202,12 +205,20 @@ def parse_trace_text(text: str) -> TraceSet:
     missing = [c for c in CSV_COLUMNS if c not in header]
     if missing:
         raise TraceFormatError(f"missing required column(s): {', '.join(missing)}")
+    duplicate = sorted({h for h in header if header.count(h) > 1}, key=header.index)
+    if duplicate:
+        raise TraceFormatError(f"duplicate column(s): {', '.join(duplicate)}")
     extra = [h for h in header if h not in CSV_COLUMNS]
     if extra:
         warnings.warn(
             f"ignoring unknown trace column(s): {', '.join(extra)}", stacklevel=2
         )
-    col = {name: header.index(name) for name in CSV_COLUMNS}
+    # path_type is checked first, so a row with several bad fields names it
+    plan = sorted(
+        ((header.index(name), name, attr, kind, bounds)
+         for name, attr, kind, bounds in _COLUMNS),
+        key=lambda column: column[3] is not PathType,
+    )
 
     records: list[MpcRecord] = []
     for row_no, row in enumerate(reader, start=2):
@@ -217,47 +228,10 @@ def parse_trace_text(text: str) -> TraceSet:
             raise TraceFormatError(
                 f"row {row_no}: expected {len(header)} fields, got {len(row)}"
             )
-        get = lambda name: row[col[name]].strip()  # noqa: E731
-        type_text = get("path_type")
-        try:
-            ptype = PathType(type_text)
-        except ValueError:
-            raise TraceFormatError(
-                f"row {row_no}: unknown path_type {type_text!r}"
-            ) from None
-        rec = MpcRecord(
-            t=_parse_float(get("t"), "t", row_no),
-            tx_id=_parse_int(get("tx_id"), "tx_id", row_no),
-            rx_id=_parse_int(get("rx_id"), "rx_id", row_no),
-            path_id=_parse_int(get("path_id"), "path_id", row_no),
-            path_type=ptype,
-            delay=_check_range(
-                _parse_float(get("delay_s"), "delay_s", row_no),
-                "delay_s", row_no, 0.0, float("inf"), False,
-            ),
-            gain_mag=_check_range(
-                _parse_float(get("gain_mag"), "gain_mag", row_no),
-                "gain_mag", row_no, 0.0, float("inf"), False,
-            ),
-            phase=_parse_float(get("phase_rad"), "phase_rad", row_no),
-            aod_az=_check_range(
-                _parse_float(get("aod_az_deg"), "aod_az_deg", row_no),
-                "aod_az_deg", row_no, -180.0, 180.0, True,
-            ),
-            aod_zen=_check_range(
-                _parse_float(get("aod_zen_deg"), "aod_zen_deg", row_no),
-                "aod_zen_deg", row_no, 0.0, 180.0, False,
-            ),
-            aoa_az=_check_range(
-                _parse_float(get("aoa_az_deg"), "aoa_az_deg", row_no),
-                "aoa_az_deg", row_no, -180.0, 180.0, True,
-            ),
-            aoa_zen=_check_range(
-                _parse_float(get("aoa_zen_deg"), "aoa_zen_deg", row_no),
-                "aoa_zen_deg", row_no, 0.0, 180.0, False,
-            ),
-        )
-        records.append(rec)
+        records.append(MpcRecord(**{
+            attr: _field(row[i].strip(), name, kind, bounds, row_no)
+            for i, name, attr, kind, bounds in plan
+        }))
     return TraceSet(tuple(records))
 
 
@@ -312,9 +286,9 @@ def validate_trace(trace: TraceSet) -> ValidationReport:
     return ValidationReport(tuple(violations))
 
 
-def _fmt(value: float) -> str:
-    # repr of a float is the shortest string that round-trips exactly
-    return repr(float(value))
+# csv writes a float as str(), the shortest string that round-trips exactly;
+# float() first turns a numpy scalar into a plain float
+_CELL = {float: float, int: str, PathType: attrgetter("value")}
 
 
 def trace_to_text(trace: TraceSet) -> str:
@@ -322,23 +296,9 @@ def trace_to_text(trace: TraceSet) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for r in trace.records:
-        writer.writerow(
-            [
-                _fmt(r.t),
-                r.tx_id,
-                r.rx_id,
-                r.path_id,
-                r.path_type.value,
-                _fmt(r.delay),
-                _fmt(r.gain_mag),
-                _fmt(r.phase),
-                _fmt(r.aod_az),
-                _fmt(r.aod_zen),
-                _fmt(r.aoa_az),
-                _fmt(r.aoa_zen),
-            ]
-        )
+    values = attrgetter(*(attr for _, attr, _, _ in _COLUMNS))
+    cells = [_CELL[kind] for _, _, kind, _ in _COLUMNS]
+    writer.writerows([cell(v) for cell, v in zip(cells, values(r))] for r in trace.records)
     return out.getvalue()
 
 

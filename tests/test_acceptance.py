@@ -110,6 +110,38 @@ def test_shipped_configs_match_stored_metrics(name, request):
     )
 
 
+TRACE_EXACT_COLUMNS = ("tx_id", "rx_id", "path_id", "path_type")
+
+
+def _trace_cell_matches(column, got, want):
+    if column in TRACE_EXACT_COLUMNS:
+        return got == want
+    if column == "phase_rad":
+        return abs(float(got) - float(want)) <= 1e-12
+    return math.isclose(float(got), float(want), rel_tol=1e-12, abs_tol=0.0)
+
+
+@pytest.mark.parametrize("name", ["corner", "etoile", "etoile_wide"])
+def test_shipped_configs_match_stored_traces(name, request):
+    # tests/data/<name>_trace.csv is the generate-trace output of configs/<name>.cfg:
+    # ids and path_type exact, phase within 1e-12 rad, the rest within 1e-12
+    trace, _, _, _ = request.getfixturevalue(name)
+    got = list(csv.DictReader(io.StringIO(trace_to_text(trace))))
+    with open(DATA_DIR / f"{name}_trace.csv", encoding="utf-8", newline="") as fh:
+        want = list(csv.DictReader(fh))
+    bad = [
+        (float(w["t"]), c)
+        for g, w in zip(got, want)
+        for c in w
+        if not _trace_cell_matches(c, g[c], w[c])
+    ]
+    _check(
+        f"{name} matches stored trace",
+        len(got) == len(want) and not bad,
+        f"{len(got)} records vs {len(want)} stored, {len(bad)} mismatched cells {bad[:3]}",
+    )
+
+
 def _steering_errors(metrics):
     """(true_az, error) per snapshot; the walk circles at 10 deg/s from 0."""
     out = []

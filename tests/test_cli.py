@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import CORNER_CFG, blocked_corner_config
 from tracechan.cli import main
+from tracechan.scenario import parse_config
 
 ETOILE_CFG = Path(__file__).resolve().parents[1] / "configs" / "etoile.cfg"
 
@@ -344,6 +345,18 @@ def test_missing_config_keys_named(tmp_path, capsys):
     assert "bandwidth_hz" in err
     assert "tx_array" in err
     assert "duration_s" in err
+
+
+def test_optional_config_keys_take_documented_defaults():
+    raw = yaml.safe_load(SCENE_CFG)
+    cfg = parse_config(raw)
+    assert (cfg.tx_id, cfg.rx_id) == (0, 1)
+    assert (cfg.temperature_k, cfg.interference_w) == (290.0, 0.0)
+    assert (cfg.base_delay_s, cfg.saturation_delay_s) == (0.5e-3, 7.5e-3)
+    assert cfg.max_reflection_order == 4
+    assert (cfg.trace_path, cfg.amc_table_path) == (None, None)
+    # a null path counts as absent
+    assert parse_config({**raw, "trace_path": None, "amc_table_path": None}) == cfg
 
 
 @pytest.mark.parametrize("key, value, problem", [

@@ -81,6 +81,8 @@ def test_free_space_gain_and_delay():
     path = _paths(np.zeros(3), np.array([100.0, 0.0, 0.0]), Environment(), 0, PathType.LOS)[0]
     assert path is not None
     gain_db = 20.0 * math.log10(path.amp_scale * LAM / (4 * math.pi * path.length))
+    assert gain_db == pytest.approx(-101.3909, abs=5e-4)
+    assert path.length == 100.0
     # record-level check instead: build through the snapshot helper
     paths = _paths(np.zeros(3), np.array([100.0, 0.0, 0.0]), Environment())
     assert len(paths) == 1 and paths[0].path_type is PathType.LOS

@@ -1,6 +1,7 @@
 """Trace CSV parsing, validation, and round-trip serialization."""
 
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +25,17 @@ HEADER = (
 )
 
 ROW = "0.5,0,1,0,LOS,3.3356e-07,1.2e-05,-1.25,37.0,98.5,-143.0,81.5"
+
+DATA_DIR = Path(__file__).resolve().parent / "data"
+
+
+def _text_with(**fields):
+    """HEADER plus ROW with the named columns replaced."""
+    cols = HEADER.split(",")
+    vals = ROW.split(",")
+    for column, value in fields.items():
+        vals[cols.index(column)] = value
+    return f"{HEADER}\n" + ",".join(vals) + "\n"
 
 
 def test_parse_single_row():
@@ -118,6 +130,34 @@ def test_azimuth_lower_bound_inclusive():
     vals[cols.index("aoa_az_deg")] = "-180.0"
     trace = parse_trace_text(f"{HEADER}\n" + ",".join(vals) + "\n")
     assert trace.records[0].aoa_az == -180.0
+
+
+def test_parse_duplicate_column_is_error():
+    # the second gain_mag would otherwise be ignored, out of range or not
+    with pytest.raises(TraceFormatError) as exc:
+        parse_trace_text(f"{HEADER}, gain_mag\n{ROW},-5\n")
+    assert str(exc.value) == "duplicate column(s): gain_mag"
+
+
+def test_bad_path_type_reported_before_numeric_fields():
+    with pytest.raises(TraceFormatError) as exc:
+        parse_trace_text(_text_with(t="abc", path_type="BOUNCE"))
+    assert str(exc.value) == "row 2: unknown path_type 'BOUNCE'"
+
+
+def test_first_bad_column_in_file_order_reported():
+    with pytest.raises(TraceFormatError) as exc:
+        parse_trace_text(_text_with(aoa_zen_deg="200", delay_s="nan"))
+    assert str(exc.value) == "row 2: non-finite value in 'delay_s'"
+
+
+@pytest.mark.parametrize("name", ["corner", "etoile", "etoile_wide"])
+def test_stored_traces_round_trip_byte_for_byte(name):
+    # pins the writer's number and row format against the stored traces
+    path = DATA_DIR / f"{name}_trace.csv"
+    with open(path, encoding="utf-8", newline="") as fh:
+        text = fh.read()
+    assert trace_to_text(parse_trace(path)) == text
 
 
 def test_grouping_accessors():

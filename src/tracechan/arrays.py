@@ -14,9 +14,10 @@ has phase k * pitch * (c * alpha + r * beta), where
     beta  = cos z                                      (along z)
 
 so the response is the Kronecker product of a row factor exp(j k pitch r beta)
-and a column factor exp(j k pitch c alpha). steering_matrix builds every
-response from these factors: R + C complex exponentials per direction
-instead of R * C. It is the one steering formula of the package.
+and a column factor exp(j k pitch c alpha). One private helper computes
+these factors, R + C complex exponentials per direction instead of R * C;
+steering_matrix and the beam codebooks build every response from them, so
+it is the one steering formula of the package.
 """
 
 from __future__ import annotations
@@ -138,13 +139,13 @@ class SteeringVector:
     vector: np.ndarray  # (N,) complex128
 
 
-def steering_matrix(array: PlanarArray, directions: Sequence[Direction]) -> np.ndarray:
-    """Un-normalized responses toward D directions, shape (N, D), one column each.
+def _steering_factors(
+    array: PlanarArray, directions: Sequence[Direction]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (D, R) row and (D, C) column factors of D responses, unit modulus.
 
-    Column d is exp(j*(2 pi / wavelength) * p . r(d)) over the element
-    positions p, assembled from its (R,) row and (C,) column factors. The
-    result is the transposed view of a C-contiguous (D, N) array, so ``.T``
-    gives the per-direction rows without a copy.
+    Both factors are exp(0) = 1 at index 0, so element (0, 0) of every
+    response is exactly 1.
     """
     n = len(directions)
     ang = np.radians(
@@ -157,8 +158,20 @@ def steering_matrix(array: PlanarArray, directions: Sequence[Direction]) -> np.n
     k_pitch = 2.0 * math.pi / array.wavelength_m * (array.spacing * array.wavelength_m)
     rows = np.exp(1j * k_pitch * np.outer(beta, np.arange(array.n_rows)))  # (D, R)
     cols = np.exp(1j * k_pitch * np.outer(alpha, np.arange(array.n_cols)))  # (D, C)
+    return rows, cols
+
+
+def steering_matrix(array: PlanarArray, directions: Sequence[Direction]) -> np.ndarray:
+    """Un-normalized responses toward D directions, shape (N, D), one column each.
+
+    Column d is exp(j*(2 pi / wavelength) * p . r(d)) over the element
+    positions p, assembled from its (R,) row and (C,) column factors. The
+    result is the transposed view of a C-contiguous (D, N) array, so ``.T``
+    gives the per-direction rows without a copy.
+    """
+    rows, cols = _steering_factors(array, directions)
     # (D, R, C) with c fastest, i.e. row-major element order along the last axes
-    return (rows[:, :, None] * cols[:, None, :]).reshape(n, array.n_elements).T
+    return (rows[:, :, None] * cols[:, None, :]).reshape(len(directions), array.n_elements).T
 
 
 def steering_vector(array: PlanarArray, d: Direction) -> SteeringVector:

@@ -4,21 +4,32 @@ Codebook weights are steering vectors scaled to unit norm. The Hermitian
 inner products inside the beamformed-power quadratic form supply the
 conjugation, so a beam pointed exactly at a path's direction conjugate-matches
 that path and attains the full array gain. A codebook's beams are in
-azimuth-major order (zenith fastest), and its weights are one C-contiguous
-(n_beams, N) array: the transpose of a single steering_matrix call, scaled
-in place.
+azimuth-major order (zenith fastest). A planar array's response is the
+Kronecker product of a row factor and a column factor, so a codebook keeps
+only its (n_beams, R) row and (n_beams, C) column factors; the dense
+(n_beams, N) weights are assembled when ``BeamCodebook.weights`` is read,
+and one beam's weights by ``BeamCodebook.beam_weights``.
 
 Sweeps contract the factored channel H_k = A_rx diag(c_k) A_tx^H without
-forming it: the tx codebook is projected onto the P path steering vectors,
-the rx side is taken in the path basis or the element basis, whichever is
+forming it. A codebook is projected onto the P path steering vectors through
+its factors, (F_r A_r^*) * (F_c A_c^*) / sqrt(N), in O(n_beams (R + C) P).
+The rx side is taken in the path basis or the element basis, whichever is
 smaller, and the K subbands are compressed to min(K, P) rows of the
-triangular QR factor of the coefficient matrix. The power table is then a
-sum of |amplitude|^2 planes, one per row.
+triangular QR factor of the coefficient matrix. A power table row is then a
+sum of |amplitude|^2 rows, one per coefficient row.
 
 The winner of a sweep is the first pair in row-major order (tx index, then
 rx index) whose power is within TIE_RTOL of the table maximum. The mirror
 beams of a planar array tie in exact arithmetic, so an exact argmax would
 pick between them on rounding noise.
+
+ideal_beam_sweep finds that winner without filling the whole table. A pair's
+power is a Rayleigh quotient of M = coef^H coef, so each tx beam's row has
+an upper bound; only the rows whose bound reaches the tie threshold of the
+best confirmed power are computed, by the same row kernel as
+sweep_power_table, so the winner and its power are bit-equal to
+select_best_pair on the full table. When the rx side is in the element
+basis, the full table is computed instead.
 """
 
 from __future__ import annotations
@@ -30,7 +41,7 @@ import numpy as np
 
 # steering_vector is not used here; perfbench/tests/test_perfbench.py reads
 # tracechan.beams.steering_vector, so the name stays importable from beams
-from .arrays import Direction, PlanarArray, steering_matrix, steering_vector  # noqa: F401
+from .arrays import Direction, PlanarArray, _steering_factors, steering_vector  # noqa: F401
 from .channel import ChannelMatrixSet
 
 __all__ = [
@@ -50,16 +61,55 @@ __all__ = [
 # physical difference between beams.
 TIE_RTOL = 1e-12
 
+# Error-budget unit of the row bound, eight unit roundoffs, as in the ray
+# tracer's batched filter: each complex multiply or add moves its result by
+# at most one unit of the magnitudes it touched.
+_ROUND = 2.0**-50
+
 
 @dataclass(frozen=True)
 class BeamCodebook:
-    """Beams on a regular azimuth x zenith grid, azimuth-major order."""
+    """Beams on a regular azimuth x zenith grid, azimuth-major order.
+
+    Beam b's weights are the Kronecker product of row_factors[b] and
+    col_factors[b] over sqrt(R * C): unit norm, in steering_matrix's
+    row-major element order.
+    """
 
     directions: tuple[Direction, ...]
-    weights: np.ndarray  # (n_beams, N) complex, rows unit-norm
+    row_factors: np.ndarray  # (n_beams, R) complex, unit modulus
+    col_factors: np.ndarray  # (n_beams, C) complex, unit modulus
+
+    def __post_init__(self) -> None:
+        n = len(self.directions)
+        if (self.row_factors.ndim != 2 or self.row_factors.shape[0] != n
+                or self.col_factors.ndim != 2 or self.col_factors.shape[0] != n):
+            raise ValueError(
+                f"factor shapes {self.row_factors.shape} and {self.col_factors.shape} "
+                f"do not fit {n} beams"
+            )
 
     def __len__(self) -> int:
         return len(self.directions)
+
+    @property
+    def n_elements(self) -> int:
+        return self.row_factors.shape[1] * self.col_factors.shape[1]
+
+    @property
+    def weights(self) -> np.ndarray:
+        """Dense (n_beams, N) weights, C-contiguous, assembled on every read."""
+        w = self.row_factors[:, :, None] * self.col_factors[:, None, :]
+        w = w.reshape(len(self), self.n_elements)
+        w *= 1.0 / math.sqrt(self.n_elements)
+        return w
+
+    def beam_weights(self, index: int) -> np.ndarray:
+        """One beam's (N,) weights, bit-equal to ``weights[index]``."""
+        w = self.row_factors[index, :, None] * self.col_factors[index, None, :]
+        w = w.reshape(self.n_elements)
+        w *= 1.0 / math.sqrt(self.n_elements)
+        return w
 
 
 def _grid_points(lo: float, hi: float, step: float) -> np.ndarray:
@@ -85,9 +135,7 @@ def generate_codebook(
     az = _grid_points(az_min_deg, az_max_deg, az_step_deg)
     zen = _grid_points(zen_min_deg, zen_max_deg, zen_step_deg)
     directions = tuple(Direction.from_degrees(float(a), float(z)) for a in az for z in zen)
-    weights = steering_matrix(array, directions).T  # (n_beams, N), C-contiguous
-    weights *= 1.0 / math.sqrt(array.n_elements)
-    return BeamCodebook(directions, weights)
+    return BeamCodebook(directions, *_steering_factors(array, directions))
 
 
 @dataclass(frozen=True)
@@ -101,6 +149,101 @@ class BeamSelection:
     power_w: float
 
 
+def _project(codebook: BeamCodebook, a: np.ndarray) -> np.ndarray:
+    """(n_beams, P) inner products ``codebook.weights @ a.conj()``, from the factors.
+
+    a is an (N, P) steering matrix of the codebook's array. Its response to
+    path p has element (0, 0) exactly 1 (see ChannelMatrixSet), so path p's
+    row factor is its column c = 0 and its column factor its row r = 0.
+    """
+    n_rows, n_cols = codebook.row_factors.shape[1], codebook.col_factors.shape[1]
+    if a.shape[0] != n_rows * n_cols:
+        raise ValueError(
+            f"a {n_rows}x{n_cols} codebook cannot steer a {a.shape[0]}-element array"
+        )
+    cube = a.T.reshape(a.shape[1], n_rows, n_cols)  # (P, R, C)
+    t = codebook.row_factors @ cube[:, :, 0].T.conj()
+    t *= codebook.col_factors @ cube[:, 0, :].T.conj()
+    t *= 1.0 / math.sqrt(n_rows * n_cols)
+    return t
+
+
+def _sweep_factors(
+    channel: ChannelMatrixSet,
+    tx_codebook: BeamCodebook,
+    rx_codebook: BeamCodebook,
+    p_tx_w: float,
+) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...], float]:
+    """The tx projection, coefficient rows, rx factors and scale of a sweep.
+
+    With x = (a_tx^H w_tx) * (a_rx^T w_rx^*) the pair's per-subband
+    amplitudes are coef @ x, and sum_k |coef @ x|^2 equals sum_j |r @ x|^2
+    for the QR factor r of coef, which has min(K, P) rows. The rx side is
+    (P, n_rx_b) in the path basis, or the (P, N_rx) and (N_rx, n_rx_b)
+    element-basis pair when there are more paths than rx elements.
+    """
+    if p_tx_w < 0:
+        raise ValueError("p_tx_w must be non-negative")
+    tx_paths = _project(tx_codebook, channel.a_tx)  # (n_tx_b, P)
+    n_rx, n_paths = channel.a_rx.shape
+    if n_paths <= n_rx:
+        rx_side = (_project(rx_codebook, channel.a_rx).conj().T,)
+    else:
+        rx_side = (channel.a_rx.T, rx_codebook.weights.conj().T)
+    coef = channel.coef
+    if coef.shape[0] > n_paths:
+        coef = np.linalg.qr(coef, mode="r")  # (P, P) with r^H r = coef^H coef
+    return tx_paths, coef, rx_side, p_tx_w / channel.grid.n_subbands
+
+
+def _power_rows(
+    tx_paths: np.ndarray, coef: np.ndarray, rx_side: tuple[np.ndarray, ...], scale: float
+) -> np.ndarray:
+    """Power table rows of the tx beams projected in tx_paths, watts.
+
+    The one row kernel of every sweep. A row's bits do not depend on which
+    other rows are computed with it, as long as there are at least two:
+    BLAS runs a one-row product as a matrix-vector product, which rounds
+    differently.
+    """
+    table = np.zeros((tx_paths.shape[0], rx_side[-1].shape[1]))
+    for row in coef:  # one (rows, n_rx_b) amplitude plane at a time
+        amp = tx_paths * row
+        for factor in rx_side:
+            amp = amp @ factor
+        table += amp.real**2 + amp.imag**2
+    return scale * table
+
+
+def _row_bounds(
+    tx_paths: np.ndarray, coef: np.ndarray, rx_paths: np.ndarray, scale: float
+) -> np.ndarray:
+    """An upper bound on every power table row, one per tx beam, watts.
+
+    With x = tx_paths[i] * rx_paths[:, l] and M = coef^H coef, pair (i, l)
+    has power scale * x^H M x <= scale * lam * sum_p |tx_paths[i, p]|^2 g_p,
+    where lam >= lambda_max(M) is the largest Gershgorin row sum of M and
+    g_p = max_l |rx_paths[p, l]|^2.
+
+    The factor 1 + margin makes the computed bound exceed the computed
+    entries. In units of _ROUND, with m <= P coefficient rows: the amplitudes
+    err by (P + 1) units of sum_p |tx_paths||coef||rx_paths|, which adds at
+    most 2 (P + 1) sqrt(P) units to the power, since
+    lambda_max(|coef|^T |coef|) <= trace(M) <= P lambda_max(M); M itself errs
+    by (m + 1) units of |coef|^T |coef|, which moves lam by at most
+    (m + 1) P units of lambda_max(M); the sums of squares, the row sums and
+    this bound's own products add (m + 2) + (P + 1) + (P + 4) units. That is
+    at most 3 P^2 + 6 P + 7 units, below 4 (P + 2)^2.
+    """
+    n_paths = coef.shape[1]
+    gram = coef.conj().T @ coef  # (P, P)
+    lam = np.abs(gram).sum(axis=1).max(initial=0.0)
+    rx_gain = (rx_paths.real**2 + rx_paths.imag**2).max(axis=1, initial=0.0)  # (P,)
+    gain = tx_paths.real**2 + tx_paths.imag**2  # (n_tx_b, P)
+    margin = 4.0 * (n_paths + 2) ** 2 * _ROUND
+    return (scale * lam * (1.0 + margin)) * (gain @ rx_gain)
+
+
 def sweep_power_table(
     channel: ChannelMatrixSet,
     tx_codebook: BeamCodebook,
@@ -110,28 +253,25 @@ def sweep_power_table(
     """Total received power for every (tx beam, rx beam) pair, watts.
 
     Returns shape (n_tx_beams, n_rx_beams). Matches beamformed_power
-    evaluated pairwise. With x = (a_tx^H w_tx) * (a_rx^T w_rx^*) the pair's
-    per-subband amplitudes are coef @ x, and sum_k |coef @ x|^2 equals
-    sum_j |r @ x|^2 for the QR factor r of coef, which has min(K, P) rows.
+    evaluated pairwise.
     """
-    if p_tx_w < 0:
-        raise ValueError("p_tx_w must be non-negative")
-    tx_paths = tx_codebook.weights @ channel.a_tx.conj()  # (n_tx_b, P)
-    wr_t = rx_codebook.weights.conj().T  # (N_rx, n_rx_b)
-    a_rx_t = channel.a_rx.T  # (P, N_rx)
-    n_paths, n_rx = a_rx_t.shape
-    # rx side in the smaller basis: the P paths, else the N_rx elements
-    rx_side = (a_rx_t @ wr_t,) if n_paths <= n_rx else (a_rx_t, wr_t)
-    coef = channel.coef
-    if coef.shape[0] > n_paths:
-        coef = np.linalg.qr(coef, mode="r")  # (P, P) with r^H r = coef^H coef
-    table = np.zeros((tx_paths.shape[0], wr_t.shape[1]))
-    for row in coef:  # one (n_tx_b, n_rx_b) amplitude plane at a time
-        amp = tx_paths * row
-        for factor in rx_side:
-            amp = amp @ factor
-        table += amp.real**2 + amp.imag**2
-    return (p_tx_w / channel.grid.n_subbands) * table
+    return _power_rows(*_sweep_factors(channel, tx_codebook, rx_codebook, p_tx_w))
+
+
+def _pick(
+    table: np.ndarray, tx_rows, tx_codebook: BeamCodebook, rx_codebook: BeamCodebook
+) -> BeamSelection:
+    """select_best_pair's rule on the table rows of the tx beams tx_rows (ascending)."""
+    tied = table >= table.max() * (1.0 - TIE_RTOL)
+    k, ri = divmod(int(np.argmax(tied)), table.shape[1])
+    ti = int(tx_rows[k])
+    return BeamSelection(
+        tx_index=ti,
+        rx_index=ri,
+        tx_direction=tx_codebook.directions[ti],
+        rx_direction=rx_codebook.directions[ri],
+        power_w=float(table[k, ri]),
+    )
 
 
 def select_best_pair(
@@ -144,15 +284,7 @@ def select_best_pair(
     pick does not hinge on the last bits of the float result. An all-zero
     table gives pair (0, 0).
     """
-    tied = table >= table.max() * (1.0 - TIE_RTOL)
-    ti, ri = divmod(int(np.argmax(tied)), table.shape[1])
-    return BeamSelection(
-        tx_index=ti,
-        rx_index=ri,
-        tx_direction=tx_codebook.directions[ti],
-        rx_direction=rx_codebook.directions[ri],
-        power_w=float(table[ti, ri]),
-    )
+    return _pick(table, range(table.shape[0]), tx_codebook, rx_codebook)
 
 
 def ideal_beam_sweep(
@@ -164,8 +296,27 @@ def ideal_beam_sweep(
     """Exhaustive sweep over all beam pairs on one snapshot's channel.
 
     Training is ideal: no airtime is consumed and the channel does not
-    change during the sweep. The winner is chosen by select_best_pair, so
-    the result does not depend on evaluation schedule.
+    change during the sweep. The result equals select_best_pair on
+    sweep_power_table, bit for bit, but only the tx rows whose bound
+    (_row_bounds) reaches the tie threshold are computed: first the two
+    best-bounded rows, then every row whose bound clears
+    best * (1 - TIE_RTOL). A row outside that set has no pair tied with the
+    maximum, and the maximum's row is inside it.
     """
-    table = sweep_power_table(channel, tx_codebook, rx_codebook, p_tx_w)
-    return select_best_pair(table, tx_codebook, rx_codebook)
+    tx_paths, coef, rx_side, scale = _sweep_factors(channel, tx_codebook, rx_codebook, p_tx_w)
+    n_tx_b = tx_paths.shape[0]
+    # In the element basis an amplitude's rounding scales with the rx weights'
+    # 1-norm, not with rx_paths, so the bound's relative margin holds in the
+    # path basis only. Two rows per call keep BLAS on its GEMM kernel.
+    if len(rx_side) == 1 and n_tx_b > 2:
+        bound = _row_bounds(tx_paths, coef, rx_side[0], scale)
+        top = np.sort(np.argpartition(bound, -2)[-2:])
+        table = _power_rows(tx_paths[top], coef, rx_side, scale)
+        keep = np.flatnonzero(bound >= table.max() * (1.0 - TIE_RTOL))
+        if np.isin(keep, top).all():
+            return _pick(table, top, tx_codebook, rx_codebook)
+        # keep holds the maximum's row too, so it has two rows or more here
+        return _pick(_power_rows(tx_paths[keep], coef, rx_side, scale), keep,
+                     tx_codebook, rx_codebook)
+    table = _power_rows(tx_paths, coef, rx_side, scale)
+    return _pick(table, range(n_tx_b), tx_codebook, rx_codebook)

@@ -68,7 +68,14 @@ class SubbandGrid:
 
 @dataclass(frozen=True)
 class ChannelMatrixSet:
-    """Per-subband channel H_k = a_rx diag(coef[k]) a_tx^H of one snapshot."""
+    """Per-subband channel H_k = a_rx diag(coef[k]) a_tx^H of one snapshot.
+
+    a_rx and a_tx are steering matrices of R x C planar arrays: column p is
+    the Kronecker product of a row factor and a column factor, and its
+    element (0, 0) is exactly exp(0) = 1. So ``a.T.reshape(P, R, C)[:, :, 0]``
+    and ``[:, 0, :]`` are path p's row and column factors, bit for bit; the
+    beam sweeps project codebooks onto the paths through them.
+    """
 
     coef: np.ndarray  # (K, P) complex per-path coefficient on each subband
     a_rx: np.ndarray  # (N_rx, P) arrival steering vectors, one column per path

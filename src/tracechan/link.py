@@ -340,7 +340,7 @@ def run_simulation(
             if i == segment.start:
                 sel = ideal_beam_sweep(ch, cb_tx, cb_rx, p_tx)
             _, p_rx = beamformed_power(
-                ch, cb_tx.weights[sel.tx_index], cb_rx.weights[sel.rx_index], p_tx
+                ch, cb_tx.beam_weights(sel.tx_index), cb_rx.beam_weights(sel.rx_index), p_tx
             )
             sinr = compute_sinr(p_rx, setup.budget)
             mcs = select_mcs(sinr, setup.amc)

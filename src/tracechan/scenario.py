@@ -95,11 +95,27 @@ class ScenarioConfig:
     max_reflection_order: int = 4
 
 
+def _yaml_text(value) -> str:
+    """A config value as the config spells it, on one line, for messages."""
+    if isinstance(value, dict):
+        return "a mapping"
+    if isinstance(value, list):
+        return "a list"
+    text = yaml.safe_dump(value, default_flow_style=True, width=math.inf)
+    text = text.removesuffix("\n...\n").strip()
+    if "\n" in text:  # a string with line breaks: double-quoted, breaks escaped
+        text = yaml.safe_dump(value, default_style='"', width=math.inf).strip()
+    return text
+
+
 def _as_float(value):
     # YAML 1.1 reads bare "1e9" as a string; accept numeric strings too
-    if isinstance(value, bool):
-        raise ValueError("boolean is not a number")
-    return float(value)
+    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except ValueError:
+            pass
+    raise ValueError(f"expected a number, got {_yaml_text(value)}")
 
 
 def _as_finite(value):
@@ -342,13 +358,44 @@ def parse_config(raw: dict, base_dir: str = ".") -> ScenarioConfig:
     return ScenarioConfig(**values)
 
 
+class _ConfigLoader(yaml.SafeLoader):
+    """SafeLoader that records the keys repeated within any one mapping.
+
+    yaml.safe_load keeps the last of two equal keys, so a repeated key would
+    silently drop the first value.
+    """
+
+    def __init__(self, stream):
+        super().__init__(stream)
+        self.repeated: dict = {}  # insertion-ordered set
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            if key_node.tag == "tag:yaml.org,2002:merge":
+                continue
+            key = self.construct_object(key_node, deep=True)
+            try:
+                if key in seen:
+                    self.repeated[key] = None
+                seen.add(key)
+            except TypeError:
+                pass  # unhashable: SafeLoader rejects the key itself
+        return super().construct_mapping(node, deep=deep)
+
+
 def load_config(path) -> ScenarioConfig:
     """Read a YAML config file; relative paths inside it resolve against it."""
     with open(path, "r", encoding="utf-8") as fh:
+        loader = _ConfigLoader(fh)
         try:
-            raw = yaml.safe_load(fh)
+            raw = loader.get_single_data()
         except yaml.YAMLError as exc:
             raise ConfigError([f"config is not valid YAML: {exc}"]) from exc
+        finally:
+            loader.dispose()
+    if loader.repeated:
+        raise ConfigError([f"duplicate key(s): {', '.join(map(str, loader.repeated))}"])
     return parse_config(raw, base_dir=os.path.dirname(os.path.abspath(path)))
 
 

@@ -19,9 +19,9 @@ from tracechan import (
     generate_codebook,
     ideal_beam_sweep,
     select_best_pair,
-    steering_vector,
     sweep_power_table,
 )
+from tracechan import beams
 
 LAM = 299792458.0 / 28e9
 GRID = SubbandGrid(28e9, 100e6, 4)
@@ -128,7 +128,8 @@ def test_sweep_tie_breaks_to_lowest_index():
     ch = _channel([rec], arr, arr)
     base = generate_codebook(arr, 0.0, 10.0, 10.0, 90.0, 90.0, 10.0)
     dup = BeamCodebook(base.directions + base.directions,
-                       np.vstack([base.weights, base.weights]))
+                       np.vstack([base.row_factors, base.row_factors]),
+                       np.vstack([base.col_factors, base.col_factors]))
     sel = ideal_beam_sweep(ch, dup, dup, 1.0)
     assert sel.tx_index < len(base)
     assert sel.rx_index < len(base)
@@ -141,8 +142,9 @@ def test_sweep_tie_between_mirror_beams():
     rx_arr = PlanarArray(1, 1, LAM)
     ch = _channel([rec], arr, rx_arr)
     dirs = (Direction(30.0, 90.0), Direction(150.0, 90.0))
-    rows = [steering_vector(arr, d).vector / math.sqrt(2) for d in dirs]
-    cb_tx = BeamCodebook(dirs, np.array(rows))
+    # half-wavelength columns: column factor exp(j pi c sin(az)) at zenith 90
+    cols = np.exp(1j * math.pi * np.outer(np.sin(np.radians([30.0, 150.0])), np.arange(2)))
+    cb_tx = BeamCodebook(dirs, np.ones((2, 1), dtype=complex), cols)
     cb_rx = generate_codebook(rx_arr, 0.0, 0.0, 1.0, 90.0, 90.0, 1.0)
     np.testing.assert_allclose(cb_tx.weights[0], cb_tx.weights[1], atol=1e-15)
     sel = ideal_beam_sweep(ch, cb_tx, cb_rx, 1.0)
@@ -295,3 +297,120 @@ def test_tie_rule_all_zero_table():
     cb = generate_codebook(arr, 0.0, 2.0, 1.0, 90.0, 90.0, 1.0)
     sel = select_best_pair(np.zeros((3, 3)), cb, cb)
     assert (sel.tx_index, sel.rx_index, sel.power_w) == (0, 0, 0.0)
+
+
+def _random_records(rng, n_paths):
+    return [
+        mk_record(
+            path_id=i,
+            gain_mag=float(rng.uniform(0, 1e-4)),
+            phase=float(rng.uniform(-math.pi, math.pi)),
+            delay=float(rng.uniform(0, 2e-7)),
+            aod_az=float(rng.uniform(-180, 179)),
+            aod_zen=float(rng.uniform(0, 180)),
+            aoa_az=float(rng.uniform(-180, 179)),
+            aoa_zen=float(rng.uniform(0, 180)),
+        )
+        for i in range(n_paths)
+    ]
+
+
+def _with_copies(cb, index, copies):
+    """cb plus copies of beam index, each (before, k) a copy inserted before or
+    after it whose powers are scaled by 1 - TIE_RTOL + k ulps: near-ties placed
+    on the tie threshold, plus or minus rounding."""
+    rows, cols, dirs = list(cb.row_factors), list(cb.col_factors), list(cb.directions)
+    beam = (cb.row_factors[index], cb.col_factors[index], cb.directions[index])
+    for before, k in copies:
+        at = index if before else index + 1
+        rows.insert(at, beam[0] * math.sqrt(1.0 - TIE_RTOL + k * 2.0**-52))
+        cols.insert(at, beam[1])
+        dirs.insert(at, beam[2])
+        index += before
+    return BeamCodebook(tuple(dirs), np.array(rows), np.array(cols))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n_subbands=st.integers(1, 8),
+    n_paths=st.integers(0, 7),
+    rx_shape=st.sampled_from([(1, 1), (1, 2), (2, 2), (2, 3)]),
+    rx_beams=st.sampled_from([1, 8]),
+    tx_copies=st.lists(st.tuples(st.booleans(), st.integers(-8, 8)), max_size=12),
+    rx_copies=st.lists(st.tuples(st.booleans(), st.integers(-8, 8)), max_size=2),
+    seed=st.integers(0, 2**32 - 1),
+)
+# P on both sides of N_rx, K on both sides of P, one path (a single confirmed
+# row), near-tied tx rows below and above the winner, and a one-beam rx
+# codebook, on which BLAS runs every product as a matrix-vector product
+# whatever the row count; with one path the bound is tight, so the two
+# examples with a run of copies fail without the margin
+@example(n_subbands=8, n_paths=1, rx_shape=(2, 2), rx_beams=8, tx_copies=[], rx_copies=[],
+         seed=0)
+@example(n_subbands=8, n_paths=1, rx_shape=(1, 1), rx_beams=8,
+         tx_copies=[(True, k) for k in range(-6, 7)], rx_copies=[], seed=0)
+@example(n_subbands=1, n_paths=1, rx_shape=(2, 2), rx_beams=8,
+         tx_copies=[(True, k) for k in range(-6, 7)], rx_copies=[], seed=1)
+@example(n_subbands=1, n_paths=3, rx_shape=(2, 2), rx_beams=8, tx_copies=[(True, 0)],
+         rx_copies=[], seed=1)
+@example(n_subbands=8, n_paths=3, rx_shape=(1, 2), rx_beams=8,
+         tx_copies=[(True, 1), (False, -1)], rx_copies=[(True, 0)], seed=2)
+@example(n_subbands=2, n_paths=6, rx_shape=(2, 3), rx_beams=8,
+         tx_copies=[(True, -1), (True, 2)], rx_copies=[], seed=3)
+@example(n_subbands=4, n_paths=2, rx_shape=(2, 2), rx_beams=1,
+         tx_copies=[(True, -1), (False, 1), (False, 2)], rx_copies=[], seed=4)
+def test_bounded_sweep_matches_full_table(
+    n_subbands, n_paths, rx_shape, rx_beams, tx_copies, rx_copies, seed
+):
+    rng = np.random.default_rng(seed)
+    grid = SubbandGrid(28e9, 400e6, n_subbands)
+    tx_arr = PlanarArray(2, 3, LAM, bearing_deg=float(rng.uniform(-90, 90)))
+    rx_arr = PlanarArray(*rx_shape, LAM)
+    ch = build_channel_matrices(_random_records(rng, n_paths), tx_arr, rx_arr, grid)
+    cb_tx = generate_codebook(tx_arr, -90.0, 90.0, 15.0)
+    if rx_beams == 1:
+        cb_rx = generate_codebook(rx_arr, 0.0, 0.0, 1.0, 90.0, 90.0, 1.0)
+    else:
+        cb_rx = generate_codebook(rx_arr, -180.0, 90.0, 90.0, 60.0, 120.0, 60.0)
+    first = select_best_pair(sweep_power_table(ch, cb_tx, cb_rx, 0.5), cb_tx, cb_rx)
+    cb_tx = _with_copies(cb_tx, first.tx_index, tx_copies)
+    cb_rx = _with_copies(cb_rx, first.rx_index, rx_copies)
+    want = select_best_pair(sweep_power_table(ch, cb_tx, cb_rx, 0.5), cb_tx, cb_rx)
+    got = ideal_beam_sweep(ch, cb_tx, cb_rx, 0.5)
+    assert (got.tx_index, got.rx_index) == (want.tx_index, want.rx_index)
+    assert np.float64(got.power_w).tobytes() == np.float64(want.power_w).tobytes()
+
+
+def test_single_path_sweep_computes_two_rows(monkeypatch):
+    # one path: the bound is tight, so only the two best-bounded tx rows of
+    # the 637 are computed, and they hold the winner
+    tx_arr = PlanarArray(16, 128, LAM)
+    rx_arr = PlanarArray(4, 4, LAM)
+    rec = mk_record(aod_az=37.0, aod_zen=100.0, aoa_az=-140.0, aoa_zen=80.0)
+    ch = _channel([rec], tx_arr, rx_arr)
+    cb_tx = generate_codebook(tx_arr, 0.0, 90.0, 1.0)
+    cb_rx = generate_codebook(rx_arr, -180.0, 170.0, 10.0)
+    rows = []
+    kernel = beams._power_rows
+
+    def counting(tx_paths, *args):
+        rows.append(tx_paths.shape[0])
+        return kernel(tx_paths, *args)
+
+    monkeypatch.setattr(beams, "_power_rows", counting)
+    sel = ideal_beam_sweep(ch, cb_tx, cb_rx, 1.0)
+    assert rows == [2]
+    assert (sel.tx_direction.azimuth_deg, sel.tx_direction.zenith_deg) == (37.0, 100.0)
+
+
+def test_beam_weights_and_projection_match_dense_weights():
+    arr = PlanarArray(3, 5, LAM, bearing_deg=20.0)
+    cb = generate_codebook(arr, -60.0, 60.0, 20.0)
+    dense = cb.weights
+    assert dense.flags.c_contiguous
+    for i in range(len(cb)):
+        assert cb.beam_weights(i).tobytes() == dense[i].tobytes()
+    rng = np.random.default_rng(5)
+    ch = _channel(_random_records(rng, 4), arr, arr)
+    np.testing.assert_allclose(
+        beams._project(cb, ch.a_tx), dense @ ch.a_tx.conj(), rtol=0, atol=1e-14)

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import mk_record, reference_channel
 from tracechan import PlanarArray, SubbandGrid, beamformed_power, build_channel_matrices
+from tracechan.arrays import Direction, _steering_factors
 
 LAM = 299792458.0 / 28e9
 GRID1 = SubbandGrid(28e9, 100e6, 1)
@@ -109,6 +110,29 @@ def test_matches_scalar_reference_randomized():
         want = np.array(reference_channel(recs, shape_tx, shape_rx, 0.5, bearings, grid))
         scale = np.abs(want).max()
         assert np.abs(got - want).max() <= 1e-12 * max(scale, 1e-30)
+
+
+def test_steering_factors_recovered_exactly_from_channel():
+    # element (0, 0) of every response is exactly 1, so a_tx and a_rx hold
+    # each path's row and column factors bit for bit (the sweeps rely on it)
+    rng = np.random.default_rng(9)
+    recs = [
+        mk_record(path_id=i,
+                  aod_az=float(rng.uniform(-180, 179)), aod_zen=float(rng.uniform(0, 180)),
+                  aoa_az=float(rng.uniform(-180, 179)), aoa_zen=float(rng.uniform(0, 180)))
+        for i in range(6)
+    ]
+    tx_arr = PlanarArray(3, 5, LAM, bearing_deg=37.0)
+    rx_arr = PlanarArray(4, 2, LAM, bearing_deg=-120.0)
+    ch = build_channel_matrices(recs, tx_arr, rx_arr, SubbandGrid(28e9, 100e6, 4))
+    for a, arr, key in ((ch.a_tx, tx_arr, "aod"), (ch.a_rx, rx_arr, "aoa")):
+        dirs = [Direction.from_degrees(getattr(r, f"{key}_az"), getattr(r, f"{key}_zen"))
+                for r in recs]
+        rows, cols = _steering_factors(arr, dirs)
+        cube = a.T.reshape(len(recs), arr.n_rows, arr.n_cols)
+        assert np.all(cube[:, 0, 0] == 1.0)
+        assert np.array_equal(cube[:, :, 0], rows)
+        assert np.array_equal(cube[:, 0, :], cols)
 
 
 def test_beamformed_power_matched_single_path():

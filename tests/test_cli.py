@@ -14,9 +14,11 @@ from hypothesis import strategies as st
 
 from conftest import CORNER_CFG, blocked_corner_config
 from tracechan.cli import main
+from tracechan.link import SINR_FLOOR_DB
 from tracechan.scenario import parse_config
 
 ETOILE_CFG = Path(__file__).resolve().parents[1] / "configs" / "etoile.cfg"
+ROOT = ETOILE_CFG.parents[1]
 
 # open scene: LoS always clear, one wall behind the walk adds a reflection
 SCENE_CFG = """\
@@ -182,6 +184,29 @@ def test_sweep_winner_matches_simulate_training(scene_cfg, tmp_path, capsys):
     assert [float(x) for x in winner] == [float(x) for x in row[2:6]]
 
 
+@pytest.mark.parametrize("name", ["corner", "etoile", "etoile_wide"])
+def test_sweep_winner_matches_simulate_on_shipped_configs(name, tmp_path, capsys):
+    # every shipped config trains on every snapshot, so each simulate row
+    # holds the winner of its own sweep: simulate takes it from
+    # ideal_beam_sweep's bounded rows, sweep from the full table
+    cfg = ROOT / "configs" / f"{name}.cfg"
+    raw = yaml.safe_load(cfg.read_text())
+    assert raw["training_period_s"] <= raw["snapshot_dt_s"]
+    trace = ROOT / "tests" / "data" / f"{name}_trace.csv"
+    metrics = tmp_path / "metrics.csv"
+    assert main(["simulate", "--config", str(cfg), "--trace", str(trace),
+                 "--out", str(metrics)]) == 0
+    rows = [ln.split(",") for ln in metrics.read_text().splitlines()[1:]]
+    rows = [r for r in rows if float(r[6]) > SINR_FLOOR_DB]
+    for row in (rows[0], rows[len(rows) // 2], rows[-1]):
+        sweep = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", str(cfg), "--trace", str(trace),
+                     "--time", row[0], "--out", str(sweep)]) == 0
+        winner = sweep.read_text().splitlines()[-1].split(",")[:4]
+        assert winner == row[2:6], f"t={row[0]}"
+    capsys.readouterr()
+
+
 def test_simulate_mismatched_time_grid_exits_2(scene_cfg, tmp_path, capsys):
     trace = tmp_path / "trace.csv"
     assert main(["generate-trace", "--config", str(scene_cfg), "--out", str(trace)]) == 0
@@ -322,6 +347,48 @@ def test_degenerate_inputs_exit_2(tmp_path, capsys, cmd, old, new, problem):
     cfg.write_text(SCENE_CFG.replace(old, new, 1))
     assert main([cmd, "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
     assert capsys.readouterr().err == problem
+
+
+@pytest.mark.parametrize("value, spelled", [
+    ("null", "null"), ("[4]", "a list"), ("{a: 1}", "a mapping"), ("abc", "abc"), ("true", "true"),
+    # longer than YAML's 80-column line width, and a string with a line break:
+    # the message stays one line
+    pytest.param(f'"{"word " * 20}end"', f'{"word " * 20}end', id="long-string"),
+    pytest.param('"x\\ny"', '"x\\ny"', id="line-break"),
+])
+@pytest.mark.parametrize("line", ["txpower_dbm: 10.0", "subbands: 4"], ids=["float", "int"])
+def test_non_number_scalar_exits_2_in_config_terms(tmp_path, capsys, line, value, spelled):
+    key = line.split(":")[0]
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(SCENE_CFG.replace(line, f"{key}: {value}", 1))
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err == f"config error: {key}: expected a number, got {spelled}\n"
+
+
+_CORNER_TEXT = Path(CORNER_CFG).read_text()
+# every "key:" line of corner.cfg, at any depth (list items start with "- ")
+_KEY_LINES = [i for i, ln in enumerate(_CORNER_TEXT.splitlines())
+              if ln.strip() and ln.lstrip()[0].isalpha() and ":" in ln]
+
+
+@pytest.mark.parametrize("index", _KEY_LINES)
+def test_repeated_config_key_exits_2(tmp_path, capsys, index):
+    # a YAML loader keeps the last of two equal keys; the config must not
+    lines = _CORNER_TEXT.splitlines()
+    key = lines[index].split(":")[0].strip()
+    lines.insert(index + 1, lines[index])
+    cfg = tmp_path / "dup.cfg"
+    cfg.write_text("\n".join(lines) + "\n")
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err == f"config error: duplicate key(s): {key}\n"
+
+
+def test_repeated_keys_in_flow_mapping_named_once_each(tmp_path, capsys):
+    cfg = tmp_path / "dup.cfg"
+    cfg.write_text(SCENE_CFG.replace("{rows: 4, cols: 4,", "{rows: 4, cols: 4, rows: 2, cols: 2,")
+                   + "subbands: 8\n")
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err == "config error: duplicate key(s): subbands, rows, cols\n"
 
 
 @pytest.mark.parametrize("old, new, problem", [

@@ -1,0 +1,165 @@
+"""Fresh-process timing of ``tracechan simulate`` on the shipped configs.
+
+Usage (from the repository root):
+
+    python3 tools/bench_fresh.py --runs 9 --out BENCH.json
+    python3 tools/bench_fresh.py --runs 9 --src before=../old/src --src after=src --out BENCH.json
+
+Each run is a new interpreter. It imports tracechan from one source tree
+(and fails if the package came from anywhere else),
+wraps ``ideal_beam_sweep`` under the name the link layer calls it by, and
+runs ``simulate`` on one config through ``cli.main``: ray tracing, setup,
+channel assembly, training sweeps, evaluation and CSV output. It reports the
+wall time of that call, the time spent inside the wrapped sweeps, and the
+growth of the process's minor page faults (``ru_minflt``) over the call.
+
+Fresh processes matter: repeating configs in one process lets the allocator
+keep memory that a single ``simulate`` has to fault in. With several
+``--src`` trees, every round runs each config once per tree, in alternating
+order. The output JSON holds, per tree and config, every run and the
+medians, plus the Python, numpy and BLAS versions and the BLAS thread
+settings the runs inherited. Uses the standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ("corner", "etoile", "etoile_wide")
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+METRICS = ("wall_s", "sweep_s", "minflt")
+
+# one simulate in a fresh interpreter; prints one JSON line
+_CHILD = r"""
+import contextlib, io, json, os, resource, sys, time
+src, config, out = sys.argv[1:4]
+sys.path.insert(0, src)
+import tracechan
+from tracechan import cli, link
+if os.path.dirname(os.path.realpath(tracechan.__file__)) != os.path.join(src, "tracechan"):
+    sys.exit(f"imported tracechan from {tracechan.__file__}, not from {src}")
+
+sweep = link.ideal_beam_sweep
+spent = [0.0, 0]
+
+def timed(*args, **kwargs):
+    start = time.perf_counter()
+    try:
+        return sweep(*args, **kwargs)
+    finally:
+        spent[0] += time.perf_counter() - start
+        spent[1] += 1
+
+link.ideal_beam_sweep = timed
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+start = time.perf_counter()
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = cli.main(["simulate", "--config", config, "--out", out])
+wall = time.perf_counter() - start
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+with open(out, encoding="utf-8") as fh:
+    rows = sum(1 for _ in fh) - 1
+print(json.dumps({"rc": rc, "wall_s": wall, "sweep_s": spent[0], "sweeps": spent[1],
+                  "minflt": faults, "rows": rows}))
+"""
+
+_PROBE = r"""
+import json
+import numpy
+try:
+    blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    blas = f"{blas['name']} {blas['version']}"
+except (AttributeError, KeyError, TypeError):
+    blas = "unknown"
+print(json.dumps({"numpy": numpy.__version__, "blas": blas}))
+"""
+
+
+def _python(code: str, *args: str) -> dict:
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          text=True, check=False)
+    if proc.returncode != 0:
+        raise RuntimeError(f"child exited {proc.returncode}: {proc.stderr.strip()}")
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _source(spec: str) -> tuple[str, Path]:
+    name, sep, path = spec.partition("=")
+    src = Path(path if sep else spec).resolve()
+    if not (src / "tracechan" / "__init__.py").is_file():
+        raise argparse.ArgumentTypeError(f"no tracechan package under {src}")
+    return (name if sep else str(src)), src
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--runs", type=int, default=9, help="fresh processes per config and tree")
+    parser.add_argument("--src", action="append", type=_source, metavar="NAME=DIR",
+                        help="a source tree holding tracechan/ (repeatable; default: this repo's src)")
+    parser.add_argument("--out", required=True, help="JSON file to write")
+    args = parser.parse_args(argv)
+    if args.runs < 1:
+        parser.error("--runs must be >= 1")
+    sources = args.src or [("src", ROOT / "src")]
+    if len({name for name, _ in sources}) != len(sources):
+        parser.error("--src names must differ")
+
+    runs = {name: {c: [] for c in CONFIGS} for name, _ in sources}
+    with tempfile.TemporaryDirectory() as work:
+        out = str(Path(work) / "metrics.csv")
+        for round_ in range(args.runs):
+            order = sources if round_ % 2 == 0 else sources[::-1]
+            for config in CONFIGS:
+                cfg = str(ROOT / "configs" / f"{config}.cfg")
+                for name, src in order:
+                    result = _python(_CHILD, str(src), cfg, out)
+                    if result["rc"] != 0:
+                        raise RuntimeError(f"{name} {config}: simulate exited {result['rc']}")
+                    runs[name][config].append(result)
+                    print(f"{name} {config} run {round_ + 1}: wall {result['wall_s']:.3f} s, "
+                          f"sweep {result['sweep_s']:.3f} s, minflt {result['minflt']}",
+                          flush=True)
+
+    report = {
+        "about": "tracechan simulate on the shipped configs, one fresh process per run: "
+                 "median wall time of cli.main, time inside ideal_beam_sweep, and "
+                 "ru_minflt growth over the call",
+        "environment": {
+            "python": platform.python_version(),
+            "machine": platform.machine(),
+            "usable_cpus": len(os.sched_getaffinity(0)),
+            "threads": {var: os.environ.get(var) for var in THREAD_VARS},
+        },
+        "runs_per_config": args.runs,
+        "results": {},
+    }
+    versions = _python(_PROBE)
+    for name, _ in sources:
+        report["results"][name] = {"versions": versions, "configs": {
+            config: {
+                "rows": results[0]["rows"],
+                "sweeps": results[0]["sweeps"],
+                **{f"median_{m}": statistics.median(r[m] for r in results) for m in METRICS},
+                "runs": {m: [r[m] for r in results] for m in METRICS},
+            }
+            for config, results in runs[name].items()
+        }}
+    Path(args.out).write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
+    for name, res in report["results"].items():
+        for config, c in res["configs"].items():
+            print(f"{name:>10} {config:<12} wall {c['median_wall_s']:.3f} s  "
+                  f"sweep {c['median_sweep_s']:.4f} s  minflt {c['median_minflt']:.0f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -23,13 +23,15 @@ rx index) whose power is within TIE_RTOL of the table maximum. The mirror
 beams of a planar array tie in exact arithmetic, so an exact argmax would
 pick between them on rounding noise.
 
-ideal_beam_sweep finds that winner without filling the whole table. A pair's
-power is a Rayleigh quotient of M = coef^H coef, so each tx beam's row has
-an upper bound; only the rows whose bound reaches the tie threshold of the
+ideal_beam_sweep finds that winner without filling the whole table. Each tx
+beam's row has an upper bound. In the path basis a pair's power is a
+Rayleigh quotient of M = coef^H coef, bounded through a Gershgorin bound on
+its largest eigenvalue. In the element basis it is at most the squared norm
+of the pair's rx-element amplitudes, since the rx weights have unit norm
+(Cauchy-Schwarz). Only the rows whose bound reaches the tie threshold of the
 best confirmed power are computed, by the same row kernel as
 sweep_power_table, so the winner and its power are bit-equal to
-select_best_pair on the full table. When the rx side is in the element
-basis, the full table is computed instead.
+select_best_pair on the full table.
 """
 
 from __future__ import annotations
@@ -204,7 +206,8 @@ def _power_rows(
     The one row kernel of every sweep. A row's bits do not depend on which
     other rows are computed with it, as long as there are at least two:
     BLAS runs a one-row product as a matrix-vector product, which rounds
-    differently.
+    differently. The element-basis bound of _row_bounds relies on this for
+    the first product, (tx_paths * row) @ a_rx^T.
     """
     table = np.zeros((tx_paths.shape[0], rx_side[-1].shape[1]))
     for row in coef:  # one (rows, n_rx_b) amplitude plane at a time
@@ -216,13 +219,14 @@ def _power_rows(
 
 
 def _row_bounds(
-    tx_paths: np.ndarray, coef: np.ndarray, rx_paths: np.ndarray, scale: float
+    tx_paths: np.ndarray, coef: np.ndarray, rx_side: tuple[np.ndarray, ...], scale: float
 ) -> np.ndarray:
     """An upper bound on every power table row, one per tx beam, watts.
 
-    With x = tx_paths[i] * rx_paths[:, l] and M = coef^H coef, pair (i, l)
-    has power scale * x^H M x <= scale * lam * sum_p |tx_paths[i, p]|^2 g_p,
-    where lam >= lambda_max(M) is the largest Gershgorin row sum of M and
+    In the path basis, rx_side is (rx_paths,). With x = tx_paths[i] *
+    rx_paths[:, l] and M = coef^H coef, pair (i, l) has power
+    scale * x^H M x <= scale * lam * sum_p |tx_paths[i, p]|^2 g_p, where
+    lam >= lambda_max(M) is the largest Gershgorin row sum of M and
     g_p = max_l |rx_paths[p, l]|^2.
 
     The factor 1 + margin makes the computed bound exceed the computed
@@ -234,7 +238,29 @@ def _row_bounds(
     (m + 1) P units of lambda_max(M); the sums of squares, the row sums and
     this bound's own products add (m + 2) + (P + 1) + (P + 4) units. That is
     at most 3 P^2 + 6 P + 7 units, below 4 (P + 2)^2.
+
+    In the element basis, rx_side is (a_rx^T, W^*) for the unit-norm rx
+    weights w_l. Pair (i, l) has amplitude z_ik . w_l^* on coefficient row
+    k, where z_ik = (tx_paths[i] * coef[k]) @ a_rx^T, so by Cauchy-Schwarz
+    its power is at most scale * sum_k |z_ik|^2. The z here are the first
+    product of _power_rows, with the same bits, so every rounding is
+    relative to them. With N rx elements, m coefficient rows and the unit
+    roundoff u = _ROUND / 8: the N-term complex dot product errs by at most
+    sqrt(2) gamma_2N sum_j |z_j||w_j| <= sqrt(2) gamma_2N |z||w|, which
+    adds 4 sqrt(2) N u to the power; the computed |w|^2 is within 16 u of
+    1; the table's squares, m-term sum and scale add (m + 2) u, and this
+    bound's squares, sums and products (N + m + 4) u. That is below
+    (7 N + 2 m + 22) u, so below N + m + 3 units.
     """
+    if len(rx_side) == 2:
+        a_rx_t, _ = rx_side
+        norms = np.zeros(tx_paths.shape[0])
+        for row in coef:  # one (n_tx_b, N_rx) plane at a time, as in _power_rows
+            z = (tx_paths * row) @ a_rx_t
+            norms += (z.real**2 + z.imag**2).sum(axis=1)
+        margin = (a_rx_t.shape[1] + coef.shape[0] + 3) * _ROUND
+        return (scale * (1.0 + margin)) * norms
+    rx_paths = rx_side[0]
     n_paths = coef.shape[1]
     gram = coef.conj().T @ coef  # (P, P)
     lam = np.abs(gram).sum(axis=1).max(initial=0.0)
@@ -298,25 +324,20 @@ def ideal_beam_sweep(
     Training is ideal: no airtime is consumed and the channel does not
     change during the sweep. The result equals select_best_pair on
     sweep_power_table, bit for bit, but only the tx rows whose bound
-    (_row_bounds) reaches the tie threshold are computed: first the two
-    best-bounded rows, then every row whose bound clears
-    best * (1 - TIE_RTOL). A row outside that set has no pair tied with the
-    maximum, and the maximum's row is inside it.
+    (_row_bounds, in the path or the element basis) reaches the tie
+    threshold are computed: first the two best-bounded rows, then every row
+    whose bound clears best * (1 - TIE_RTOL). A row outside that set has no
+    pair tied with the maximum, and the maximum's row is inside it.
     """
     tx_paths, coef, rx_side, scale = _sweep_factors(channel, tx_codebook, rx_codebook, p_tx_w)
-    n_tx_b = tx_paths.shape[0]
-    # In the element basis an amplitude's rounding scales with the rx weights'
-    # 1-norm, not with rx_paths, so the bound's relative margin holds in the
-    # path basis only. Two rows per call keep BLAS on its GEMM kernel.
-    if len(rx_side) == 1 and n_tx_b > 2:
-        bound = _row_bounds(tx_paths, coef, rx_side[0], scale)
-        top = np.sort(np.argpartition(bound, -2)[-2:])
-        table = _power_rows(tx_paths[top], coef, rx_side, scale)
-        keep = np.flatnonzero(bound >= table.max() * (1.0 - TIE_RTOL))
-        if np.isin(keep, top).all():
-            return _pick(table, top, tx_codebook, rx_codebook)
-        # keep holds the maximum's row too, so it has two rows or more here
-        return _pick(_power_rows(tx_paths[keep], coef, rx_side, scale), keep,
-                     tx_codebook, rx_codebook)
-    table = _power_rows(tx_paths, coef, rx_side, scale)
-    return _pick(table, range(n_tx_b), tx_codebook, rx_codebook)
+    bound = _row_bounds(tx_paths, coef, rx_side, scale)
+    # two rows per call keep BLAS on its GEMM kernel; a one-beam codebook's
+    # full table is its one row
+    top = np.sort(np.argsort(bound)[-2:])
+    table = _power_rows(tx_paths[top], coef, rx_side, scale)
+    keep = np.flatnonzero(bound >= table.max() * (1.0 - TIE_RTOL))
+    if np.isin(keep, top).all():
+        return _pick(table, top, tx_codebook, rx_codebook)
+    # keep holds the maximum's row too, so it has two rows or more here
+    return _pick(_power_rows(tx_paths[keep], coef, rx_side, scale), keep,
+                 tx_codebook, rx_codebook)

@@ -384,16 +384,26 @@ class _ConfigLoader(yaml.SafeLoader):
         return super().construct_mapping(node, deep=deep)
 
 
+def _yaml_problem(exc: yaml.YAMLError) -> str:
+    """One line for a YAML error: PyYAML's problem and its 1-based position."""
+    problem, mark = getattr(exc, "problem", None), getattr(exc, "problem_mark", None)
+    if not problem:  # a reader error: its first line names the character
+        return str(exc).partition("\n")[0]
+    where = f" (line {mark.line + 1}, column {mark.column + 1})" if mark is not None else ""
+    return problem.partition("\n")[0] + where
+
+
 def load_config(path) -> ScenarioConfig:
     """Read a YAML config file; relative paths inside it resolve against it."""
     with open(path, "r", encoding="utf-8") as fh:
-        loader = _ConfigLoader(fh)
         try:
-            raw = loader.get_single_data()
+            loader = _ConfigLoader(fh)  # reads and checks the first chunk already
+            try:
+                raw = loader.get_single_data()
+            finally:
+                loader.dispose()
         except yaml.YAMLError as exc:
-            raise ConfigError([f"config is not valid YAML: {exc}"]) from exc
-        finally:
-            loader.dispose()
+            raise ConfigError([f"config is not valid YAML: {_yaml_problem(exc)}"]) from exc
     if loader.repeated:
         raise ConfigError([f"duplicate key(s): {', '.join(map(str, loader.repeated))}"])
     return parse_config(raw, base_dir=os.path.dirname(os.path.abspath(path)))

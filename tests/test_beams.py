@@ -1,6 +1,7 @@
 """Codebook generation and exhaustive beam sweeps."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -330,12 +331,42 @@ def _with_copies(cb, index, copies):
     return BeamCodebook(tuple(dirs), np.array(rows), np.array(cols))
 
 
+def _aimed_at_first_path(cb, array, records):
+    """cb plus one beam aimed at the first record's arrival direction."""
+    aim = generate_codebook(array, records[0].aoa_az, records[0].aoa_az, 1.0,
+                            records[0].aoa_zen, records[0].aoa_zen, 1.0)
+    return BeamCodebook(cb.directions + aim.directions,
+                        np.vstack([cb.row_factors, aim.row_factors]),
+                        np.vstack([cb.col_factors, aim.col_factors]))
+
+
+def _sweep_case(rng, n_subbands, n_paths, rx_shape, rx_beams, weak, aim_rx):
+    """A channel and codebooks: paths after the first scaled by weak, and the
+    rx codebook optionally holding a beam aimed at the first path."""
+    grid = SubbandGrid(28e9, 400e6, n_subbands)
+    tx_arr = PlanarArray(2, 3, LAM, bearing_deg=float(rng.uniform(-90, 90)))
+    rx_arr = PlanarArray(*rx_shape, LAM)
+    records = _random_records(rng, n_paths)
+    records[1:] = [replace(r, gain_mag=r.gain_mag * weak) for r in records[1:]]
+    ch = build_channel_matrices(records, tx_arr, rx_arr, grid)
+    cb_tx = generate_codebook(tx_arr, -90.0, 90.0, 15.0)
+    if rx_beams == 1:
+        cb_rx = generate_codebook(rx_arr, 0.0, 0.0, 1.0, 90.0, 90.0, 1.0)
+    else:
+        cb_rx = generate_codebook(rx_arr, -180.0, 90.0, 90.0, 60.0, 120.0, 60.0)
+    if aim_rx and records:
+        cb_rx = _aimed_at_first_path(cb_rx, rx_arr, records)
+    return ch, cb_tx, cb_rx
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     n_subbands=st.integers(1, 8),
-    n_paths=st.integers(0, 7),
+    n_paths=st.integers(0, 9),
     rx_shape=st.sampled_from([(1, 1), (1, 2), (2, 2), (2, 3)]),
     rx_beams=st.sampled_from([1, 8]),
+    weak=st.sampled_from([1.0, 1e-3, 1e-9, 0.0]),
+    aim_rx=st.booleans(),
     tx_copies=st.lists(st.tuples(st.booleans(), st.integers(-8, 8)), max_size=12),
     rx_copies=st.lists(st.tuples(st.booleans(), st.integers(-8, 8)), max_size=2),
     seed=st.integers(0, 2**32 - 1),
@@ -345,33 +376,40 @@ def _with_copies(cb, index, copies):
 # codebook, on which BLAS runs every product as a matrix-vector product
 # whatever the row count; with one path the bound is tight, so the two
 # examples with a run of copies fail without the margin
-@example(n_subbands=8, n_paths=1, rx_shape=(2, 2), rx_beams=8, tx_copies=[], rx_copies=[],
-         seed=0)
-@example(n_subbands=8, n_paths=1, rx_shape=(1, 1), rx_beams=8,
+@example(n_subbands=8, n_paths=1, rx_shape=(2, 2), rx_beams=8, weak=1.0, aim_rx=False,
+         tx_copies=[], rx_copies=[], seed=0)
+@example(n_subbands=8, n_paths=1, rx_shape=(1, 1), rx_beams=8, weak=1.0, aim_rx=False,
          tx_copies=[(True, k) for k in range(-6, 7)], rx_copies=[], seed=0)
-@example(n_subbands=1, n_paths=1, rx_shape=(2, 2), rx_beams=8,
+@example(n_subbands=1, n_paths=1, rx_shape=(2, 2), rx_beams=8, weak=1.0, aim_rx=False,
          tx_copies=[(True, k) for k in range(-6, 7)], rx_copies=[], seed=1)
-@example(n_subbands=1, n_paths=3, rx_shape=(2, 2), rx_beams=8, tx_copies=[(True, 0)],
-         rx_copies=[], seed=1)
-@example(n_subbands=8, n_paths=3, rx_shape=(1, 2), rx_beams=8,
+@example(n_subbands=1, n_paths=3, rx_shape=(2, 2), rx_beams=8, weak=1.0, aim_rx=False,
+         tx_copies=[(True, 0)], rx_copies=[], seed=1)
+@example(n_subbands=8, n_paths=3, rx_shape=(1, 2), rx_beams=8, weak=1.0, aim_rx=False,
          tx_copies=[(True, 1), (False, -1)], rx_copies=[(True, 0)], seed=2)
-@example(n_subbands=2, n_paths=6, rx_shape=(2, 3), rx_beams=8,
+@example(n_subbands=2, n_paths=6, rx_shape=(2, 3), rx_beams=8, weak=1.0, aim_rx=False,
          tx_copies=[(True, -1), (True, 2)], rx_copies=[], seed=3)
-@example(n_subbands=4, n_paths=2, rx_shape=(2, 2), rx_beams=1,
+@example(n_subbands=4, n_paths=2, rx_shape=(2, 2), rx_beams=1, weak=1.0, aim_rx=False,
          tx_copies=[(True, -1), (False, 1), (False, 2)], rx_copies=[], seed=4)
+# the element basis (P > N_rx): one dominant path over at least N_rx weak
+# ones, an rx beam aimed at it so that the Cauchy-Schwarz bound is nearly
+# tight, and runs of near-tied tx copies around the tie threshold; K on both
+# sides of P, and a one-beam rx codebook plus the aimed beam. The first four
+# fail without the margin, and all five if only the top two rows are computed
+@example(n_subbands=8, n_paths=5, rx_shape=(2, 2), rx_beams=8, weak=1e-9, aim_rx=True,
+         tx_copies=[(True, k) for k in range(-6, 7)], rx_copies=[], seed=16)
+@example(n_subbands=1, n_paths=5, rx_shape=(2, 2), rx_beams=8, weak=1e-9, aim_rx=True,
+         tx_copies=[(True, k) for k in range(-6, 7)], rx_copies=[], seed=6)
+@example(n_subbands=2, n_paths=7, rx_shape=(2, 3), rx_beams=8, weak=1e-9, aim_rx=True,
+         tx_copies=[(True, k) for k in range(-6, 7)], rx_copies=[], seed=6)
+@example(n_subbands=3, n_paths=8, rx_shape=(2, 3), rx_beams=1, weak=0.0, aim_rx=True,
+         tx_copies=[(True, k) for k in range(-6, 7)], rx_copies=[(True, 0)], seed=0)
+@example(n_subbands=1, n_paths=3, rx_shape=(1, 2), rx_beams=8, weak=1e-3, aim_rx=True,
+         tx_copies=[(True, k) for k in range(-6, 7)], rx_copies=[], seed=8)
 def test_bounded_sweep_matches_full_table(
-    n_subbands, n_paths, rx_shape, rx_beams, tx_copies, rx_copies, seed
+    n_subbands, n_paths, rx_shape, rx_beams, weak, aim_rx, tx_copies, rx_copies, seed
 ):
     rng = np.random.default_rng(seed)
-    grid = SubbandGrid(28e9, 400e6, n_subbands)
-    tx_arr = PlanarArray(2, 3, LAM, bearing_deg=float(rng.uniform(-90, 90)))
-    rx_arr = PlanarArray(*rx_shape, LAM)
-    ch = build_channel_matrices(_random_records(rng, n_paths), tx_arr, rx_arr, grid)
-    cb_tx = generate_codebook(tx_arr, -90.0, 90.0, 15.0)
-    if rx_beams == 1:
-        cb_rx = generate_codebook(rx_arr, 0.0, 0.0, 1.0, 90.0, 90.0, 1.0)
-    else:
-        cb_rx = generate_codebook(rx_arr, -180.0, 90.0, 90.0, 60.0, 120.0, 60.0)
+    ch, cb_tx, cb_rx = _sweep_case(rng, n_subbands, n_paths, rx_shape, rx_beams, weak, aim_rx)
     first = select_best_pair(sweep_power_table(ch, cb_tx, cb_rx, 0.5), cb_tx, cb_rx)
     cb_tx = _with_copies(cb_tx, first.tx_index, tx_copies)
     cb_rx = _with_copies(cb_rx, first.rx_index, rx_copies)
@@ -379,6 +417,35 @@ def test_bounded_sweep_matches_full_table(
     got = ideal_beam_sweep(ch, cb_tx, cb_rx, 0.5)
     assert (got.tx_index, got.rx_index) == (want.tx_index, want.rx_index)
     assert np.float64(got.power_w).tobytes() == np.float64(want.power_w).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n_subbands=st.integers(1, 8),
+    extra_paths=st.integers(1, 6),
+    rx_shape=st.sampled_from([(1, 1), (1, 2), (2, 2), (2, 3)]),
+    rx_beams=st.sampled_from([1, 8]),
+    weak=st.sampled_from([1.0, 1e-3, 1e-9, 0.0]),
+    aim_rx=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n_subbands=8, extra_paths=1, rx_shape=(2, 2), rx_beams=8, weak=0.0, aim_rx=True,
+         seed=0)
+@example(n_subbands=1, extra_paths=3, rx_shape=(2, 3), rx_beams=1, weak=1e-3, aim_rx=True,
+         seed=1)
+def test_element_basis_bound_covers_every_entry(
+    n_subbands, extra_paths, rx_shape, rx_beams, weak, aim_rx, seed
+):
+    # P > N_rx: the rx side is in the element basis, and each row's bound is
+    # at or above every computed entry of its row, also where it is tight
+    rng = np.random.default_rng(seed)
+    n_paths = rx_shape[0] * rx_shape[1] + extra_paths
+    ch, cb_tx, cb_rx = _sweep_case(rng, n_subbands, n_paths, rx_shape, rx_beams, weak, aim_rx)
+    tx_paths, coef, rx_side, scale = beams._sweep_factors(ch, cb_tx, cb_rx, 0.5)
+    assert len(rx_side) == 2
+    table = sweep_power_table(ch, cb_tx, cb_rx, 0.5)
+    bound = beams._row_bounds(tx_paths, coef, rx_side, scale)
+    assert np.all(bound[:, None] >= table)
 
 
 def test_single_path_sweep_computes_two_rows(monkeypatch):
@@ -401,6 +468,48 @@ def test_single_path_sweep_computes_two_rows(monkeypatch):
     sel = ideal_beam_sweep(ch, cb_tx, cb_rx, 1.0)
     assert rows == [2]
     assert (sel.tx_direction.azimuth_deg, sel.tx_direction.zenith_deg) == (37.0, 100.0)
+
+
+@pytest.mark.parametrize("n_tx_beams", [1, 2])
+@pytest.mark.parametrize("n_paths", [3, 6])
+def test_one_or_two_tx_beams_match_full_table(n_tx_beams, n_paths):
+    # the two best-bounded rows are then the whole table
+    rng = np.random.default_rng(n_paths)
+    tx_arr = PlanarArray(2, 2, LAM)
+    rx_arr = PlanarArray(2, 2, LAM)  # 3 paths: path basis; 6: element basis
+    ch = _channel(_random_records(rng, n_paths), tx_arr, rx_arr)
+    cb_tx = generate_codebook(tx_arr, 0.0, 10.0 * (n_tx_beams - 1), 10.0, 90.0, 90.0, 1.0)
+    cb_rx = generate_codebook(rx_arr, -180.0, 170.0, 30.0)
+    want = select_best_pair(sweep_power_table(ch, cb_tx, cb_rx, 1.0), cb_tx, cb_rx)
+    got = ideal_beam_sweep(ch, cb_tx, cb_rx, 1.0)
+    assert (got.tx_index, got.rx_index) == (want.tx_index, want.rx_index)
+    assert np.float64(got.power_w).tobytes() == np.float64(want.power_w).tobytes()
+
+
+def test_many_path_sweep_never_computes_the_full_table(monkeypatch):
+    # 24 paths on 16 rx elements put the rx side in the element basis; the
+    # bound must leave most of the 252 tx rows uncomputed
+    tx_arr = PlanarArray(16, 16, LAM)
+    rx_arr = PlanarArray(4, 4, LAM)
+    rng = np.random.default_rng(7)
+    records = _random_records(rng, 24)
+    records[0] = replace(records[0], gain_mag=1e-3)
+    ch = build_channel_matrices(records, tx_arr, rx_arr, SubbandGrid(28e9, 400e6, 16))
+    cb_tx = generate_codebook(tx_arr, -180.0, 170.0, 10.0)
+    cb_rx = generate_codebook(rx_arr, -180.0, 170.0, 10.0)
+    rows = []
+    kernel = beams._power_rows
+
+    def counting(tx_paths, *args):
+        rows.append(tx_paths.shape[0])
+        return kernel(tx_paths, *args)
+
+    monkeypatch.setattr(beams, "_power_rows", counting)
+    got = ideal_beam_sweep(ch, cb_tx, cb_rx, 1.0)
+    assert rows[0] == 2 and sum(rows) < len(cb_tx) // 10, rows
+    monkeypatch.setattr(beams, "_power_rows", kernel)
+    want = select_best_pair(sweep_power_table(ch, cb_tx, cb_rx, 1.0), cb_tx, cb_rx)
+    assert (got.tx_index, got.rx_index, got.power_w) == (want.tx_index, want.rx_index, want.power_w)
 
 
 def test_beam_weights_and_projection_match_dense_weights():

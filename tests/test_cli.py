@@ -7,12 +7,14 @@ import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import CORNER_CFG, blocked_corner_config
+from conftest import CORNER_CFG, blocked_corner_config, mk_record
+from tracechan import PathType, TraceSet, write_trace
 from tracechan.cli import main
 from tracechan.link import SINR_FLOOR_DB
 from tracechan.scenario import parse_config
@@ -207,6 +209,40 @@ def test_sweep_winner_matches_simulate_on_shipped_configs(name, tmp_path, capsys
     capsys.readouterr()
 
 
+def test_sweep_winner_matches_simulate_on_many_path_replay(tmp_path, capsys):
+    # 10 paths per snapshot on a 2x2 rx array: training sweeps bound their
+    # rows in the element basis, which no shipped config reaches
+    rng = np.random.default_rng(12)
+    records = []
+    for k in range(9):  # REPLAY_CFG's grid, t = 0 to 2 s, training every snapshot
+        t = 0.25 * k
+        records.append(mk_record(t=t, gain_mag=1e-6, aod_az=-30.0 + 4.0 * k, aod_zen=95.0,
+                                 aoa_az=150.0 - 5.0 * k, aoa_zen=85.0))
+        records += [
+            mk_record(t=t, path_id=p, path_type=PathType.REFLECTION,
+                      gain_mag=float(rng.uniform(1e-8, 3e-7)),
+                      phase=float(rng.uniform(-math.pi, math.pi)),
+                      delay=float(rng.uniform(4e-7, 9e-7)),
+                      aod_az=float(rng.uniform(-180, 179)), aod_zen=float(rng.uniform(60, 120)),
+                      aoa_az=float(rng.uniform(-180, 179)), aoa_zen=float(rng.uniform(60, 120)))
+            for p in range(1, 10)
+        ]
+    write_trace(TraceSet(tuple(records)), tmp_path / "trace.csv")
+    cfg = tmp_path / "replay.cfg"
+    cfg.write_text(REPLAY_CFG)
+    metrics = tmp_path / "metrics.csv"
+    assert main(["simulate", "--config", str(cfg), "--out", str(metrics)]) == 0
+    rows = [ln.split(",") for ln in metrics.read_text().splitlines()[1:]]
+    assert len(rows) == 9
+    for row in (rows[0], rows[len(rows) // 2], rows[-1]):
+        sweep = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", str(cfg), "--time", row[0],
+                     "--out", str(sweep)]) == 0
+        winner = sweep.read_text().splitlines()[-1].split(",")[:4]
+        assert winner == row[2:6], f"t={row[0]}"
+    capsys.readouterr()
+
+
 def test_simulate_mismatched_time_grid_exits_2(scene_cfg, tmp_path, capsys):
     trace = tmp_path / "trace.csv"
     assert main(["generate-trace", "--config", str(scene_cfg), "--out", str(trace)]) == 0
@@ -389,6 +425,23 @@ def test_repeated_keys_in_flow_mapping_named_once_each(tmp_path, capsys):
                    + "subbands: 8\n")
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
     assert capsys.readouterr().err == "config error: duplicate key(s): subbands, rows, cols\n"
+
+
+@pytest.mark.parametrize("text, problem", [
+    ("carrier_hz: [1, 2\n", "expected ',' or ']', but got '<stream end>' (line 2, column 1)"),
+    (SCENE_CFG.replace("\nbandwidth_hz", "\n  bandwidth_hz", 1),
+     "mapping values are not allowed here (line 2, column 15)"),
+    (SCENE_CFG.replace("  rectangles:", "\trectangles:", 1),
+     "found character '\\t' that cannot start any token (line 21, column 1)"),
+    (SCENE_CFG.replace("subbands: 4", "subbands: 4\x01", 1),
+     "unacceptable character #x0001: special characters are not allowed"),
+], ids=["unclosed-flow-sequence", "bad-indent", "tab", "control-character"])
+def test_yaml_syntax_error_is_one_line(tmp_path, capsys, text, problem):
+    # PyYAML's own message spans several lines: context, marks and carets
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err == f"config error: config is not valid YAML: {problem}\n"
 
 
 @pytest.mark.parametrize("old, new, problem", [

@@ -1,9 +1,14 @@
-"""Fresh-process timing of ``tracechan simulate`` on the shipped configs.
+"""Fresh-process timing of ``tracechan simulate`` on scenario configs.
 
 Usage (from the repository root):
 
     python3 tools/bench_fresh.py --runs 9 --out BENCH.json
     python3 tools/bench_fresh.py --runs 9 --src before=../old/src --src after=src --out BENCH.json
+    python3 tools/bench_fresh.py --config configs/corner.cfg --config work/dense_replay.cfg \
+        --out BENCH.json
+
+Without ``--config`` it runs the three shipped configs; each ``--config`` adds
+one config file, reported under its file name without the extension.
 
 Each run is a new interpreter. It imports tracechan from one source tree
 (and fails if the package came from anywhere else),
@@ -105,6 +110,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--runs", type=int, default=9, help="fresh processes per config and tree")
     parser.add_argument("--src", action="append", type=_source, metavar="NAME=DIR",
                         help="a source tree holding tracechan/ (repeatable; default: this repo's src)")
+    parser.add_argument("--config", action="append", type=Path, metavar="PATH",
+                        help="a scenario config to simulate (repeatable; default: the shipped "
+                             f"{', '.join(CONFIGS)})")
     parser.add_argument("--out", required=True, help="JSON file to write")
     args = parser.parse_args(argv)
     if args.runs < 1:
@@ -112,16 +120,22 @@ def main(argv: list[str] | None = None) -> int:
     sources = args.src or [("src", ROOT / "src")]
     if len({name for name, _ in sources}) != len(sources):
         parser.error("--src names must differ")
+    paths = args.config or [ROOT / "configs" / f"{c}.cfg" for c in CONFIGS]
+    configs = {path.stem: path.resolve() for path in paths}
+    if len(configs) != len(paths):
+        parser.error("--config file names must differ")
+    for path in configs.values():
+        if not path.is_file():
+            parser.error(f"no config file {path}")
 
-    runs = {name: {c: [] for c in CONFIGS} for name, _ in sources}
+    runs = {name: {c: [] for c in configs} for name, _ in sources}
     with tempfile.TemporaryDirectory() as work:
         out = str(Path(work) / "metrics.csv")
         for round_ in range(args.runs):
             order = sources if round_ % 2 == 0 else sources[::-1]
-            for config in CONFIGS:
-                cfg = str(ROOT / "configs" / f"{config}.cfg")
+            for config, cfg in configs.items():
                 for name, src in order:
-                    result = _python(_CHILD, str(src), cfg, out)
+                    result = _python(_CHILD, str(src), str(cfg), out)
                     if result["rc"] != 0:
                         raise RuntimeError(f"{name} {config}: simulate exited {result['rc']}")
                     runs[name][config].append(result)
@@ -130,7 +144,7 @@ def main(argv: list[str] | None = None) -> int:
                           flush=True)
 
     report = {
-        "about": "tracechan simulate on the shipped configs, one fresh process per run: "
+        "about": "tracechan simulate on each config, one fresh process per run: "
                  "median wall time of cli.main, time inside ideal_beam_sweep, and "
                  "ru_minflt growth over the call",
         "environment": {

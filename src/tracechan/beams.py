@@ -327,10 +327,14 @@ def ideal_beam_sweep(
     (_row_bounds, in the path or the element basis) reaches the tie
     threshold are computed: first the two best-bounded rows, then every row
     whose bound clears best * (1 - TIE_RTOL). A row outside that set has no
-    pair tied with the maximum, and the maximum's row is inside it.
+    pair tied with the maximum, and the maximum's row is inside it. When
+    every bound is 0 (no paths, or only zero-gain ones) no row is computed:
+    the answer is the all-zero table's pair (0, 0) at 0 W.
     """
     tx_paths, coef, rx_side, scale = _sweep_factors(channel, tx_codebook, rx_codebook, p_tx_w)
     bound = _row_bounds(tx_paths, coef, rx_side, scale)
+    if not bound.any():  # every bound covers its row, so the table is all zero
+        return _pick(np.zeros((1, 1)), (0,), tx_codebook, rx_codebook)
     # two rows per call keep BLAS on its GEMM kernel; a one-beam codebook's
     # full table is its one row
     top = np.sort(np.argsort(bound)[-2:])

@@ -64,7 +64,7 @@ def _cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     trace = _load_trace(cfg, args.trace)
     setup = build_setup(cfg)
-    metrics = run_simulation(trace, setup, workers=args.workers)
+    metrics = run_simulation(trace, setup)
     text = metrics_to_csv(metrics)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
@@ -153,7 +153,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="scenario config file (YAML)")
     p.add_argument("--out", required=True, help="output metrics CSV path")
     p.add_argument("--trace", help="trace CSV (overrides the config's source)")
-    p.add_argument("--workers", type=int, default=1, help="parallel workers (default 1)")
+    p.add_argument("--workers", type=int, choices=[1], default=1,
+                   help="accepts only 1; kept so existing command lines still work")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("sweep", help="exhaustive beam sweep at one snapshot")

@@ -3,10 +3,10 @@
 snapshot_rows is the one snapshot schedule: it turns a trace and the
 setup's optional time grid into (time, records) rows, outages included, and
 rejects a trace that is off the grid. run_simulation walks those rows in
-training segments: build each row's channel at its own time, retrain beams
-on a fixed period (ideal sweeps, no airtime), compute beamformed receive
-power, map to SINR, pick the rate, and derive throughput and a
-queueing-flavored delay from an analytic saturation model.
+order: build each row's channel at its own time, retrain beams on a fixed
+period (ideal sweeps, no airtime), compute beamformed receive power, map to
+SINR, pick the rate, and derive throughput and a queueing-flavored delay
+from an analytic saturation model.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -288,74 +287,42 @@ def snapshot_rows(
     return rows
 
 
-def _segments(rows: list[tuple[float, list[MpcRecord]]], period: float) -> list[range]:
-    """Row ranges of one training row plus the held rows up to the next.
-
-    The first row trains, then the first row at which the period has elapsed
-    since the last training. A training row without records is an outage: its
-    sweep finds no paths, so training stays due and the next row trains.
-    """
-    starts: list[int] = []
-    due = -math.inf
-    for i, (t, records) in enumerate(rows):
-        if t >= due - GRID_TOL_S:
-            starts.append(i)
-            if records:
-                due = t + period
-    return [range(a, b) for a, b in zip(starts, starts[1:] + [len(rows)])]
-
-
-def _map(fn, items: list, workers: int) -> list:
-    if workers == 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
-def run_simulation(
-    trace: TraceSet, setup: SimulationSetup, workers: int = 1
-) -> list[LinkMetrics]:
+def run_simulation(trace: TraceSet, setup: SimulationSetup) -> list[LinkMetrics]:
     """Link metrics for each row of snapshot_rows(trace, setup).
 
     An outage row has no paths: SINR floor, no MCS. Beams train on the
-    first row and then once the training period has elapsed, on the training
-    row's own channel, and are held until the next training; a training row
-    that is an outage leaves training due. Each row's channel is built once.
-    Workers split the rows by training segment; results are identical for
-    any worker count.
+    first row and then on the first row at which the training period has
+    elapsed since the last training, on the training row's own channel, and
+    are held until the next training. A training row that is an outage finds
+    no paths, so training stays due and the next row trains. Each row's
+    channel is built once.
     """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    rows = snapshot_rows(trace, setup)
     cb_tx, cb_rx = setup.tx_codebook, setup.rx_codebook
     p_tx = setup.budget.tx_power_w
-
-    def evaluate(segment: range) -> list[LinkMetrics]:
-        out = []
-        for i in segment:
-            t, records = rows[i]
-            ch = build_channel_matrices(
-                records, setup.tx_array, setup.rx_array, grid=setup.grid, t=t
-            )
-            if i == segment.start:
-                sel = ideal_beam_sweep(ch, cb_tx, cb_rx, p_tx)
-            _, p_rx = beamformed_power(
-                ch, cb_tx.beam_weights(sel.tx_index), cb_rx.beam_weights(sel.rx_index), p_tx
-            )
-            sinr = compute_sinr(p_rx, setup.budget)
-            mcs = select_mcs(sinr, setup.amc)
-            delivered, delay = throughput_delay(
-                mcs, setup.amc, setup.budget.bandwidth_hz, setup.offered_bps,
-                setup.overhead, setup.base_delay_s, setup.saturation_delay_s,
-            )
-            out.append(LinkMetrics(
-                t, classify_los(records), replace(sel, power_w=p_rx), sinr, mcs,
-                setup.offered_bps, delivered, delay,
-            ))
-        return out
-
-    segments = _segments(rows, setup.training_period_s)
-    return [m for part in _map(evaluate, segments, workers) for m in part]
+    due = -math.inf
+    out = []
+    for t, records in snapshot_rows(trace, setup):
+        ch = build_channel_matrices(
+            records, setup.tx_array, setup.rx_array, grid=setup.grid, t=t
+        )
+        if t >= due - GRID_TOL_S:
+            sel = ideal_beam_sweep(ch, cb_tx, cb_rx, p_tx)
+            if records:
+                due = t + setup.training_period_s
+        _, p_rx = beamformed_power(
+            ch, cb_tx.beam_weights(sel.tx_index), cb_rx.beam_weights(sel.rx_index), p_tx
+        )
+        sinr = compute_sinr(p_rx, setup.budget)
+        mcs = select_mcs(sinr, setup.amc)
+        delivered, delay = throughput_delay(
+            mcs, setup.amc, setup.budget.bandwidth_hz, setup.offered_bps,
+            setup.overhead, setup.base_delay_s, setup.saturation_delay_s,
+        )
+        out.append(LinkMetrics(
+            t, classify_los(records), replace(sel, power_w=p_rx), sinr, mcs,
+            setup.offered_bps, delivered, delay,
+        ))
+    return out
 
 
 def _fmt(value: float) -> str:

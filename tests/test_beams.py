@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import mk_record
+from conftest import CORNER_CFG, mk_record
 from tracechan import (
     TIE_RTOL,
     BeamCodebook,
@@ -23,6 +23,7 @@ from tracechan import (
     sweep_power_table,
 )
 from tracechan import beams
+from tracechan.scenario import build_setup, load_config
 
 LAM = 299792458.0 / 28e9
 GRID = SubbandGrid(28e9, 100e6, 4)
@@ -510,6 +511,30 @@ def test_many_path_sweep_never_computes_the_full_table(monkeypatch):
     monkeypatch.setattr(beams, "_power_rows", kernel)
     want = select_best_pair(sweep_power_table(ch, cb_tx, cb_rx, 1.0), cb_tx, cb_rx)
     assert (got.tx_index, got.rx_index, got.power_w) == (want.tx_index, want.rx_index, want.power_w)
+
+
+@pytest.mark.parametrize("n_paths", [0, 1, 20])
+def test_zero_bound_sweep_computes_no_row(monkeypatch, n_paths):
+    # corner's codebooks; no paths, or only zero-gain ones (1 path is the path
+    # basis, 20 paths on 16 rx elements the element basis): every bound is 0
+    setup = build_setup(load_config(CORNER_CFG))
+    rng = np.random.default_rng(11)
+    records = [replace(r, gain_mag=0.0) for r in _random_records(rng, n_paths)]
+    ch = build_channel_matrices(records, setup.tx_array, setup.rx_array, setup.grid)
+    cb_tx, cb_rx = setup.tx_codebook, setup.rx_codebook
+    want = select_best_pair(sweep_power_table(ch, cb_tx, cb_rx, 1.0), cb_tx, cb_rx)
+    rows = []
+    kernel = beams._power_rows
+
+    def counting(tx_paths, *args):
+        rows.append(tx_paths.shape[0])
+        return kernel(tx_paths, *args)
+
+    monkeypatch.setattr(beams, "_power_rows", counting)
+    got = ideal_beam_sweep(ch, cb_tx, cb_rx, 1.0)
+    assert rows == []
+    assert (got.tx_index, got.rx_index) == (want.tx_index, want.rx_index) == (0, 0)
+    assert np.float64(got.power_w).tobytes() == np.float64(want.power_w).tobytes()
 
 
 def test_beam_weights_and_projection_match_dense_weights():

@@ -146,14 +146,19 @@ def test_simulate_trace_override_matches_pipeline(scene_cfg, tmp_path, capsys):
 
 
 def test_simulate_worker_counts_byte_identical(scene_cfg, tmp_path, capsys):
-    outs = {}
-    for w in (1, 2, 8):
+    # --workers accepts only 1, so existing command lines keep working
+    plain, one = tmp_path / "plain.csv", tmp_path / "one.csv"
+    assert main(["simulate", "--config", str(scene_cfg), "--out", str(plain)]) == 0
+    assert main(["simulate", "--config", str(scene_cfg), "--out", str(one),
+                 "--workers", "1"]) == 0
+    assert one.read_bytes() == plain.read_bytes()
+    for w in ("2", "0"):
         out = tmp_path / f"metrics_{w}.csv"
-        assert main(["simulate", "--config", str(scene_cfg),
-                     "--out", str(out), "--workers", str(w)]) == 0
-        outs[w] = out.read_bytes()
-    capsys.readouterr()
-    assert outs[1] == outs[2] == outs[8]
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--config", str(scene_cfg), "--out", str(out), "--workers", w])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_sweep_table_layout(scene_cfg, tmp_path, capsys):

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tracechan.link as link_module
@@ -408,8 +408,7 @@ def test_training_after_outage_stays_due(tmp_path, capsys):
         assert rows[t][7] == "28"
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_run_simulation_builds_each_channel_once(monkeypatch, workers):
+def test_run_simulation_builds_each_channel_once(monkeypatch):
     # training every 0.2 s on a 0.1 s grid: both trained and held snapshots
     built = []
     original = link_module.build_channel_matrices
@@ -420,22 +419,59 @@ def test_run_simulation_builds_each_channel_once(monkeypatch, workers):
 
     monkeypatch.setattr(link_module, "build_channel_matrices", counting)
     times = [0.1 * k for k in range(7)]
-    metrics = run_simulation(
-        _los_trace(times), _free_space_setup(training_period=0.2), workers=workers
-    )
+    metrics = run_simulation(_los_trace(times), _free_space_setup(training_period=0.2))
     assert len(metrics) == 7
     assert sorted(built) == times
 
 
-def test_run_simulation_worker_counts_agree():
-    setup = _free_space_setup()
-    trace = _los_trace([0.1 * k for k in range(9)])
-    texts = {
-        w: metrics_to_csv(run_simulation(trace, setup, workers=w)) for w in (1, 2, 8)
-    }
-    assert texts[1] == texts[2] == texts[8]
-    with pytest.raises(ValueError):
-        run_simulation(trace, setup, workers=0)
+SCHEDULE_DT = 0.1
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    outage=st.lists(st.booleans(), min_size=1, max_size=30),
+    period=st.one_of(
+        st.just(math.inf),
+        st.integers(1, 12).map(lambda m: m * SCHEDULE_DT),  # exact multiples of dt
+        st.floats(1e-3, 2.0),
+    ),
+)
+# 0.6000000000000001 + 0.30000000000000004 > 0.9 and 0.1 + 1.2000000000000002 > 1.3:
+# rows 9 and 13 train only through GRID_TOL_S
+@example(outage=[False] * 10, period=3 * SCHEDULE_DT)
+@example(outage=[True] + [False] * 13, period=12 * SCHEDULE_DT)
+def test_training_schedule_follows_the_rule(outage, period):
+    # grid times k * dt; the masked ones get no trace record and are outages
+    times = [SCHEDULE_DT * k for k in range(len(outage))]
+    trace = _los_trace([t for t, out in zip(times, outage) if not out])
+    setup = replace(_free_space_setup(training_period=period), times=tuple(times))
+    # the rule, written out: the first row trains; after that, the first row
+    # with t >= last + period - GRID_TOL_S, where last is the latest training
+    # row that had records; an outage training row leaves training due
+    expected, last = [], None
+    for t, out in zip(times, outage):
+        if last is None or t >= last + period - link_module.GRID_TOL_S:
+            expected.append(t)
+            if not out:
+                last = t
+    built, swept = [], []
+    build, sweep = link_module.build_channel_matrices, link_module.ideal_beam_sweep
+
+    def counting(records, *args, **kwargs):
+        built.append(kwargs["t"])
+        return build(records, *args, **kwargs)
+
+    def spying(channel, *args):
+        swept.append(channel.time)
+        return sweep(channel, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(link_module, "build_channel_matrices", counting)
+        mp.setattr(link_module, "ideal_beam_sweep", spying)
+        metrics = run_simulation(trace, setup)
+    assert [m.t for m in metrics] == times
+    assert built == times
+    assert swept == expected
 
 
 def test_metrics_csv_format():

@@ -15,8 +15,10 @@ Each run is a new interpreter. It imports tracechan from one source tree
 wraps ``ideal_beam_sweep`` under the name the link layer calls it by, and
 runs ``simulate`` on one config through ``cli.main``: ray tracing, setup,
 channel assembly, training sweeps, evaluation and CSV output. It reports the
-wall time of that call, the time spent inside the wrapped sweeps, and the
-growth of the process's minor page faults (``ru_minflt``) over the call.
+wall time of that call, the process CPU time it took (``time.process_time``,
+all threads; CPU time above wall time means extra threads did the work), the
+time spent inside the wrapped sweeps, and the growth of the process's minor
+page faults (``ru_minflt``) over the call.
 
 Fresh processes matter: repeating configs in one process lets the allocator
 keep memory that a single ``simulate`` has to fault in. With several
@@ -41,7 +43,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ("corner", "etoile", "etoile_wide")
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-METRICS = ("wall_s", "sweep_s", "minflt")
+METRICS = ("wall_s", "cpu_s", "sweep_s", "minflt")
 
 # one simulate in a fresh interpreter; prints one JSON line
 _CHILD = r"""
@@ -66,15 +68,15 @@ def timed(*args, **kwargs):
 
 link.ideal_beam_sweep = timed
 faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-start = time.perf_counter()
+start, cpu = time.perf_counter(), time.process_time()
 with contextlib.redirect_stdout(io.StringIO()):
     rc = cli.main(["simulate", "--config", config, "--out", out])
-wall = time.perf_counter() - start
+wall, cpu = time.perf_counter() - start, time.process_time() - cpu
 faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
 with open(out, encoding="utf-8") as fh:
     rows = sum(1 for _ in fh) - 1
-print(json.dumps({"rc": rc, "wall_s": wall, "sweep_s": spent[0], "sweeps": spent[1],
-                  "minflt": faults, "rows": rows}))
+print(json.dumps({"rc": rc, "wall_s": wall, "cpu_s": cpu, "sweep_s": spent[0],
+                  "sweeps": spent[1], "minflt": faults, "rows": rows}))
 """
 
 _PROBE = r"""
@@ -140,13 +142,14 @@ def main(argv: list[str] | None = None) -> int:
                         raise RuntimeError(f"{name} {config}: simulate exited {result['rc']}")
                     runs[name][config].append(result)
                     print(f"{name} {config} run {round_ + 1}: wall {result['wall_s']:.3f} s, "
-                          f"sweep {result['sweep_s']:.3f} s, minflt {result['minflt']}",
+                          f"cpu {result['cpu_s']:.3f} s, sweep {result['sweep_s']:.3f} s, "
+                          f"minflt {result['minflt']}",
                           flush=True)
 
     report = {
         "about": "tracechan simulate on each config, one fresh process per run: "
-                 "median wall time of cli.main, time inside ideal_beam_sweep, and "
-                 "ru_minflt growth over the call",
+                 "median wall time and process CPU time of cli.main, time inside "
+                 "ideal_beam_sweep, and ru_minflt growth over the call",
         "environment": {
             "python": platform.python_version(),
             "machine": platform.machine(),
@@ -171,7 +174,7 @@ def main(argv: list[str] | None = None) -> int:
     for name, res in report["results"].items():
         for config, c in res["configs"].items():
             print(f"{name:>10} {config:<12} wall {c['median_wall_s']:.3f} s  "
-                  f"sweep {c['median_sweep_s']:.4f} s  minflt {c['median_minflt']:.0f}")
+                  f"cpu {c['median_cpu_s']:.3f} s  sweep {c['median_sweep_s']:.4f} s  minflt {c['median_minflt']:.0f}")
     return 0
 
 

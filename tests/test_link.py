@@ -408,8 +408,10 @@ def test_training_after_outage_stays_due(tmp_path, capsys):
         assert rows[t][7] == "28"
 
 
-def test_run_simulation_builds_each_channel_once(monkeypatch):
-    # training every 0.2 s on a 0.1 s grid: both trained and held snapshots
+@pytest.mark.parametrize("steps", [1, 2])
+def test_run_simulation_builds_each_channel_once(monkeypatch, steps):
+    # training every `steps` grid steps on a 0.1 s grid: every snapshot trains
+    # (1), or trained and held snapshots alternate (2)
     built = []
     original = link_module.build_channel_matrices
 
@@ -419,7 +421,7 @@ def test_run_simulation_builds_each_channel_once(monkeypatch):
 
     monkeypatch.setattr(link_module, "build_channel_matrices", counting)
     times = [0.1 * k for k in range(7)]
-    metrics = run_simulation(_los_trace(times), _free_space_setup(training_period=0.2))
+    metrics = run_simulation(_los_trace(times), _free_space_setup(training_period=0.1 * steps))
     assert len(metrics) == 7
     assert sorted(built) == times
 

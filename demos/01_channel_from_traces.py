@@ -3,13 +3,12 @@
 import math
 
 from tracechan import (
-    Direction,
     PlanarArray,
     SubbandGrid,
     beamformed_power,
     build_channel_matrices,
     parse_trace_text,
-    steering_vector,
+    steering_matrix,
 )
 
 TRACE = """\
@@ -32,12 +31,12 @@ print(f"channel tensor shape: {chan.matrices.shape}  (subband, rx, tx)")
 
 # point both beams at the stronger (LOS) path
 los = trace.records[0]
-w_tx = steering_vector(
-    tx_array, Direction.from_degrees(los.aod_az, los.aod_zen)
-).vector / math.sqrt(tx_array.n_elements)
-w_rx = steering_vector(
-    rx_array, Direction.from_degrees(los.aoa_az, los.aoa_zen)
-).vector / math.sqrt(rx_array.n_elements)
+w_tx = steering_matrix(tx_array, [los.aod_az], [los.aod_zen])[:, 0] / math.sqrt(
+    tx_array.n_elements
+)
+w_rx = steering_matrix(rx_array, [los.aoa_az], [los.aoa_zen])[:, 0] / math.sqrt(
+    rx_array.n_elements
+)
 
 per_subband, total = beamformed_power(chan, w_tx, w_rx, p_tx_w=1.0)
 print("per-subband receive power, dBm:")

@@ -18,20 +18,23 @@ and a column factor exp(j k pitch c alpha). One private helper computes
 these factors, R + C complex exponentials per direction instead of R * C;
 steering_matrix and the beam codebooks build every response from them, so
 it is the one steering formula of the package.
+
+Steering takes azimuth and zenith arrays in degrees, one entry per
+direction; Direction only labels codebook beams and sweep winners. Callers
+wrap azimuths with _wrap_azimuth, the one azimuth wrap of the package.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 __all__ = [
     "Direction",
     "PlanarArray",
-    "SteeringVector",
     "direction_unit_vector",
     "element_positions",
     "steering_matrix",
@@ -59,25 +62,23 @@ class Direction:
     @classmethod
     def from_degrees(cls, azimuth_deg: float, zenith_deg: float) -> "Direction":
         """Construct with the azimuth wrapped into [-180, 180)."""
-        az = ((azimuth_deg + 180.0) % 360.0) - 180.0
-        if az >= 180.0:  # guard rounding at the wrap point
-            az = -180.0
-        return cls(az, zenith_deg)
+        with np.errstate(invalid="ignore"):  # an infinite azimuth fails as NaN below
+            return cls(float(_wrap_azimuth(azimuth_deg)), zenith_deg)
 
-    @property
-    def azimuth(self) -> float:
-        """Azimuth in radians."""
-        return math.radians(self.azimuth_deg)
 
-    @property
-    def zenith(self) -> float:
-        """Zenith in radians."""
-        return math.radians(self.zenith_deg)
+def _wrap_azimuth(az_deg: ArrayLike) -> np.ndarray:
+    """Azimuths in degrees wrapped into [-180, 180), elementwise.
+
+    Not the identity in range: 0.1 gives 0.09999999999999432. NaN and inf
+    give NaN.
+    """
+    az = (np.asarray(az_deg, dtype=float) + 180.0) % 360.0 - 180.0
+    return np.where(az >= 180.0, -180.0, az)  # guard rounding at the wrap point
 
 
 def direction_unit_vector(d: Direction) -> np.ndarray:
     """Unit vector (sin z cos a, sin z sin a, cos z) for a Direction."""
-    az, zen = d.azimuth, d.zenith
+    az, zen = math.radians(d.azimuth_deg), math.radians(d.zenith_deg)
     sz = math.sin(zen)
     return np.array([sz * math.cos(az), sz * math.sin(az), math.cos(zen)])
 
@@ -131,27 +132,17 @@ def element_positions(array: PlanarArray) -> np.ndarray:
     return pos
 
 
-@dataclass(frozen=True)
-class SteeringVector:
-    """Array response toward one direction. Entries have unit magnitude."""
-
-    direction: Direction
-    vector: np.ndarray  # (N,) complex128
-
-
 def _steering_factors(
-    array: PlanarArray, directions: Sequence[Direction]
+    array: PlanarArray, az_deg: ArrayLike, zen_deg: ArrayLike
 ) -> tuple[np.ndarray, np.ndarray]:
     """The (D, R) row and (D, C) column factors of D responses, unit modulus.
 
-    Both factors are exp(0) = 1 at index 0, so element (0, 0) of every
-    response is exactly 1.
+    az_deg and zen_deg hold the D directions' azimuths and zeniths in
+    degrees, taken as given (no wrap). Both factors are exp(0) = 1 at
+    index 0, so element (0, 0) of every response is exactly 1.
     """
-    n = len(directions)
-    ang = np.radians(
-        np.array([(d.azimuth_deg, d.zenith_deg) for d in directions], dtype=float).reshape(n, 2)
-    )
-    az, zen = ang[:, 0], ang[:, 1]
+    az = np.radians(np.asarray(az_deg, dtype=float))
+    zen = np.radians(np.asarray(zen_deg, dtype=float))
     b = math.radians(array.bearing_deg)
     alpha = np.sin(zen) * (-math.sin(b) * np.cos(az) + math.cos(b) * np.sin(az))
     beta = np.cos(zen)
@@ -161,19 +152,20 @@ def _steering_factors(
     return rows, cols
 
 
-def steering_matrix(array: PlanarArray, directions: Sequence[Direction]) -> np.ndarray:
+def steering_matrix(array: PlanarArray, az_deg: ArrayLike, zen_deg: ArrayLike) -> np.ndarray:
     """Un-normalized responses toward D directions, shape (N, D), one column each.
 
+    az_deg and zen_deg are the directions' azimuths and zeniths in degrees.
     Column d is exp(j*(2 pi / wavelength) * p . r(d)) over the element
     positions p, assembled from its (R,) row and (C,) column factors. The
     result is the transposed view of a C-contiguous (D, N) array, so ``.T``
     gives the per-direction rows without a copy.
     """
-    rows, cols = _steering_factors(array, directions)
+    rows, cols = _steering_factors(array, az_deg, zen_deg)
     # (D, R, C) with c fastest, i.e. row-major element order along the last axes
-    return (rows[:, :, None] * cols[:, None, :]).reshape(len(directions), array.n_elements).T
+    return (rows[:, :, None] * cols[:, None, :]).reshape(len(rows), array.n_elements).T
 
 
-def steering_vector(array: PlanarArray, d: Direction) -> SteeringVector:
-    """Un-normalized array response: exp(j*(2 pi / wavelength) * p . r(d))."""
-    return SteeringVector(d, steering_matrix(array, [d])[:, 0])
+def steering_vector(array: PlanarArray, d: Direction) -> np.ndarray:
+    """Un-normalized (N,) array response: exp(j*(2 pi / wavelength) * p . r(d))."""
+    return steering_matrix(array, [d.azimuth_deg], [d.zenith_deg])[:, 0]

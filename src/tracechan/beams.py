@@ -8,7 +8,9 @@ azimuth-major order (zenith fastest). A planar array's response is the
 Kronecker product of a row factor and a column factor, so a codebook keeps
 only its (n_beams, R) row and (n_beams, C) column factors; the dense
 (n_beams, N) weights are assembled when ``BeamCodebook.weights`` is read,
-and one beam's weights by ``BeamCodebook.beam_weights``.
+and one beam's weights by ``BeamCodebook.beam_weights``. A codebook's
+factors are computed from its azimuth and zenith grid arrays; its Direction
+objects only label the beams.
 
 Sweeps contract the factored channel H_k = A_rx diag(c_k) A_tx^H without
 forming it. A codebook is projected onto the P path steering vectors through
@@ -41,9 +43,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .arrays import Direction, PlanarArray, _steering_factors, _wrap_azimuth
 # steering_vector is not used here; perfbench/tests/test_perfbench.py reads
 # tracechan.beams.steering_vector, so the name stays importable from beams
-from .arrays import Direction, PlanarArray, _steering_factors, steering_vector  # noqa: F401
+from .arrays import steering_vector  # noqa: F401
 from .channel import ChannelMatrixSet
 
 __all__ = [
@@ -133,11 +136,16 @@ def generate_codebook(
     zen_max_deg: float = 120.0,
     zen_step_deg: float = 10.0,
 ) -> BeamCodebook:
-    """Build a codebook over the az/zen grid; entry count n_az * n_zen."""
-    az = _grid_points(az_min_deg, az_max_deg, az_step_deg)
+    """Build a codebook over the az/zen grid; entry count n_az * n_zen.
+
+    The labels are made first, so a bad zenith fails as a Direction; the
+    factors come from the same wrapped angle arrays.
+    """
+    az = _wrap_azimuth(_grid_points(az_min_deg, az_max_deg, az_step_deg))
     zen = _grid_points(zen_min_deg, zen_max_deg, zen_step_deg)
-    directions = tuple(Direction.from_degrees(float(a), float(z)) for a in az for z in zen)
-    return BeamCodebook(directions, *_steering_factors(array, directions))
+    az, zen = np.repeat(az, zen.size), np.tile(zen, az.size)
+    directions = tuple(map(Direction, az.tolist(), zen.tolist()))
+    return BeamCodebook(directions, *_steering_factors(array, az, zen))
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,10 @@ rx element u and tx element s is
                 * a_rx[u](aoa_p) * conj(a_tx[s](aod_p))
 
 where g_p, phi_p, tau_p come from the trace record and a_rx / a_tx are
-steering vectors at the recorded arrival / departure angles. phase_rad in
-the trace is the total path phase at the carrier, so only the subband offset
-term is applied here. Each snapshot's channel is taken at its own time, as
+steering vectors at the recorded arrival / departure angles, passed to
+steering_matrix as arrays (no Direction objects). phase_rad in the trace is
+the total path phase at the carrier, so only the subband offset term is
+applied here. Each snapshot's channel is taken at its own time, as
 in a trace-based channel model: node motion enters only through the
 recorded paths of later snapshots.
 
@@ -29,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .arrays import Direction, PlanarArray, steering_matrix
+from .arrays import PlanarArray, _wrap_azimuth, steering_matrix
 from .traces import MpcRecord
 
 __all__ = [
@@ -40,6 +41,8 @@ __all__ = [
 ]
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
+# the record fields a channel is built from, in the order they are read
+_FIELDS = ("gain_mag", "phase_rad", "delay_s", "aod_az", "aoa_az", "aod_zen", "aoa_zen")
 
 
 @dataclass(frozen=True)
@@ -108,38 +111,34 @@ def build_channel_matrices(
 ) -> ChannelMatrixSet:
     """Assemble the factored per-subband channel of one snapshot group.
 
-    records must all share one (t, tx_id, rx_id); t defaults to their time.
-    An empty group yields a channel at time t (default 0.0) with no paths,
-    whose matrices are all zero. Each side's steering factor is one
-    steering_matrix call over the group's departure or arrival directions.
+    records must all share one (t, tx_id, rx_id); t defaults to their time,
+    or 0.0 for an empty group, whose channel has zero-column factors and
+    all-zero matrices. The records' fields are read into one array, and each
+    side's steering factor is one steering_matrix call over its angle
+    columns. A non-finite gain, phase, delay or azimuth, or a zenith outside
+    [0, 180], raises ValueError.
     """
-    if not records:
-        return ChannelMatrixSet(
-            np.zeros((grid.n_subbands, 0), dtype=complex),
-            np.zeros((rx_array.n_elements, 0), dtype=complex),
-            np.zeros((tx_array.n_elements, 0), dtype=complex),
-            grid,
-            t or 0.0,
-        )
-
     if t is None:
-        t = records[0].t
+        t = records[0].t if records else 0.0
     if any((r.t, r.tx_id, r.rx_id) != (t, records[0].tx_id, records[0].rx_id) for r in records):
         raise ValueError("records must belong to a single (t, tx_id, rx_id) snapshot")
 
-    gains = np.array([r.gain_mag for r in records])
-    phases = np.array([r.phase for r in records])
-    delays = np.array([r.delay for r in records])
-    for name, arr in (("gain_mag", gains), ("phase_rad", phases), ("delay_s", delays)):
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"non-finite {name} in snapshot records")
+    fields = np.array(  # (7, P), one contiguous row per field of _FIELDS
+        [(r.gain_mag, r.phase, r.delay, r.aod_az, r.aoa_az, r.aod_zen, r.aoa_zen) for r in records],
+        dtype=float,
+    ).reshape(-1, 7).T.copy()
+    finite = np.isfinite(fields).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"non-finite {_FIELDS[finite.argmin()]} in snapshot records")
+    zen = fields[5:]
+    in_range = ((zen >= 0.0) & (zen <= 180.0)).all(axis=1)
+    if not in_range.all():
+        raise ValueError(f"{_FIELDS[5 + in_range.argmin()]} outside [0, 180] in snapshot records")
+    gains, phases, delays = fields[:3]
+    aod_az, aoa_az = _wrap_azimuth(fields[3:5])
 
-    a_tx = steering_matrix(
-        tx_array, [Direction.from_degrees(r.aod_az, r.aod_zen) for r in records]
-    )  # (N_tx, P)
-    a_rx = steering_matrix(
-        rx_array, [Direction.from_degrees(r.aoa_az, r.aoa_zen) for r in records]
-    )  # (N_rx, P)
+    a_tx = steering_matrix(tx_array, aod_az, zen[0])  # (N_tx, P)
+    a_rx = steering_matrix(rx_array, aoa_az, zen[1])  # (N_rx, P)
 
     # (K, P) per-path complex coefficient on each subband
     coef = gains * np.exp(1j * phases) * np.exp(

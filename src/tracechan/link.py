@@ -274,8 +274,8 @@ def snapshot_rows(
     for t in trace_times:
         i = int(np.argmin(np.abs(grid - t)))
         if abs(rows[i][0] - t) > GRID_TOL_S:
-            t0 = rows[0][0]
-            span = (f"dt={rows[1][0] - t0!r} s from t={t0!r}"
+            t0 = float(grid[0])  # rows may already hold snapped trace times
+            span = (f"dt={float(grid[1]) - t0!r} s from t={t0!r}"
                     if len(rows) > 1 else f"one sample at t={t0!r}")
             raise ValueError(
                 f"snapshot t={t!r} is not on the configured time grid ({span}); "

@@ -17,7 +17,6 @@ from conftest import mk_record, reference_channel
 from tracechan import (
     TIE_RTOL,
     AmcTable,
-    Direction,
     Environment,
     PathType,
     PlanarArray,
@@ -35,7 +34,7 @@ from tracechan import (
     parse_trace_text,
     run_simulation,
     select_mcs,
-    steering_vector,
+    steering_matrix,
     sweep_power_table,
     trace_to_text,
 )
@@ -306,12 +305,12 @@ def test_matched_beams_recover_array_gain():
         gain_mag=g, aod_az=37.3, aod_zen=81.2, aoa_az=-122.6, aoa_zen=95.4
     )
     chan = build_channel_matrices([rec], tx_arr, rx_arr, grid)
-    w_tx = steering_vector(
-        tx_arr, Direction.from_degrees(rec.aod_az, rec.aod_zen)
-    ).vector / math.sqrt(tx_arr.n_elements)
-    w_rx = steering_vector(
-        rx_arr, Direction.from_degrees(rec.aoa_az, rec.aoa_zen)
-    ).vector / math.sqrt(rx_arr.n_elements)
+    w_tx = steering_matrix(tx_arr, [rec.aod_az], [rec.aod_zen])[:, 0] / math.sqrt(
+        tx_arr.n_elements
+    )
+    w_rx = steering_matrix(rx_arr, [rec.aoa_az], [rec.aoa_zen])[:, 0] / math.sqrt(
+        rx_arr.n_elements
+    )
     _, total = beamformed_power(chan, w_tx, w_rx, p_tx)
     expected = p_tx * g * g * tx_arr.n_elements * rx_arr.n_elements
     rel = abs(total - expected) / expected

@@ -6,8 +6,14 @@ import numpy as np
 import pytest
 
 from conftest import mk_record, reference_channel
-from tracechan import PlanarArray, SubbandGrid, beamformed_power, build_channel_matrices
-from tracechan.arrays import Direction, _steering_factors
+from tracechan import (
+    PlanarArray,
+    SubbandGrid,
+    beamformed_power,
+    build_channel_matrices,
+    steering_matrix,
+)
+from tracechan.arrays import Direction, _steering_factors, _wrap_azimuth
 
 LAM = 299792458.0 / 28e9
 GRID1 = SubbandGrid(28e9, 100e6, 1)
@@ -69,6 +75,57 @@ def test_empty_group_zero_channel():
     assert np.all(ch.matrices == 0)
     assert ch.time == 0.0
     assert build_channel_matrices([], tx, rx, GRID1, t=2.5).time == 2.5
+    # the factors are complex and have no columns
+    grid = SubbandGrid(28e9, 100e6, 5)
+    ch = build_channel_matrices([], tx, rx, grid)
+    for a, shape in ((ch.coef, (5, 0)), (ch.a_rx, (2, 0)), (ch.a_tx, (4, 0))):
+        assert a.shape == shape
+        assert a.dtype == np.complex128
+
+
+@pytest.mark.parametrize("side", ["aod", "aoa"])
+@pytest.mark.parametrize("field,value", [
+    ("az", math.nan), ("az", math.inf), ("az", -math.inf),
+    ("zen", -0.1), ("zen", 180.1), ("zen", math.nan),
+])
+def test_bad_record_angles_rejected(side, field, value):
+    # unchecked, a NaN azimuth would give a NaN channel
+    tx = PlanarArray(2, 2, LAM)
+    rx = PlanarArray(1, 2, LAM)
+    recs = [mk_record(path_id=0), mk_record(path_id=1, **{f"{side}_{field}": value})]
+    with pytest.raises(ValueError):
+        build_channel_matrices(recs, tx, rx, GRID1)
+
+
+@pytest.mark.parametrize("field", ["gain_mag", "phase", "delay"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_record_values_rejected(field, value):
+    one = PlanarArray(1, 1, LAM)
+    with pytest.raises(ValueError, match="non-finite"):
+        build_channel_matrices([mk_record(**{field: value})], one, one, GRID1)
+
+
+def test_channel_build_makes_no_direction(monkeypatch):
+    # the record angles go to the steering code as arrays, never as objects
+    rng = np.random.default_rng(11)
+    recs = [
+        mk_record(path_id=i, gain_mag=float(rng.uniform(0, 1e-4)),
+                  phase=float(rng.uniform(-math.pi, math.pi)),
+                  delay=float(rng.uniform(0, 1e-6)),
+                  aod_az=float(rng.uniform(-180, 180)), aod_zen=float(rng.uniform(0, 180)),
+                  aoa_az=float(rng.uniform(-180, 180)), aoa_zen=float(rng.uniform(0, 180)))
+        for i in range(64)
+    ]
+    args = (recs, PlanarArray(16, 16, LAM), PlanarArray(4, 4, LAM), SubbandGrid(28e9, 400e6, 64))
+    want = build_channel_matrices(*args)
+
+    def refuse(self):
+        raise AssertionError("a channel build constructed a Direction")
+
+    monkeypatch.setattr(Direction, "__post_init__", refuse)
+    got = build_channel_matrices(*args)
+    for name in ("coef", "a_rx", "a_tx"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
 
 def test_mixed_snapshot_rejected():
@@ -122,13 +179,15 @@ def test_steering_factors_recovered_exactly_from_channel():
                   aoa_az=float(rng.uniform(-180, 179)), aoa_zen=float(rng.uniform(0, 180)))
         for i in range(6)
     ]
+    # the wrap moves azimuths near 0 by many ulps (0.1 -> 0.09999999999999432),
+    # which changes these arrays' factor bits: the channel wraps as codebooks do
+    recs.append(mk_record(path_id=6, aod_az=0.1, aoa_az=-0.3))
     tx_arr = PlanarArray(3, 5, LAM, bearing_deg=37.0)
     rx_arr = PlanarArray(4, 2, LAM, bearing_deg=-120.0)
     ch = build_channel_matrices(recs, tx_arr, rx_arr, SubbandGrid(28e9, 100e6, 4))
     for a, arr, key in ((ch.a_tx, tx_arr, "aod"), (ch.a_rx, rx_arr, "aoa")):
-        dirs = [Direction.from_degrees(getattr(r, f"{key}_az"), getattr(r, f"{key}_zen"))
-                for r in recs]
-        rows, cols = _steering_factors(arr, dirs)
+        rows, cols = _steering_factors(arr, _wrap_azimuth([getattr(r, f"{key}_az") for r in recs]),
+                                       [getattr(r, f"{key}_zen") for r in recs])
         cube = a.T.reshape(len(recs), arr.n_rows, arr.n_cols)
         assert np.all(cube[:, 0, 0] == 1.0)
         assert np.array_equal(cube[:, :, 0], rows)
@@ -141,10 +200,8 @@ def test_beamformed_power_matched_single_path():
     g = 3e-6
     rec = mk_record(gain_mag=g, aod_az=20.0, aod_zen=95.0, aoa_az=-60.0, aoa_zen=85.0)
     ch = build_channel_matrices([rec], tx, rx, GRID1)
-    from tracechan import Direction, steering_vector
-
-    w_tx = steering_vector(tx, Direction(20.0, 95.0)).vector / 4.0
-    w_rx = steering_vector(rx, Direction(-60.0, 85.0)).vector / 2.0
+    w_tx = steering_matrix(tx, [20.0], [95.0])[:, 0] / 4.0
+    w_rx = steering_matrix(rx, [-60.0], [85.0])[:, 0] / 2.0
     per, total = beamformed_power(ch, w_tx, w_rx, p_tx_w=2.0)
     assert per.shape == (1,)
     assert total == pytest.approx(2.0 * g**2 * 16 * 4, rel=1e-12)
@@ -173,10 +230,8 @@ def test_beamformed_power_bounded_by_total_gain():
         for i in range(4)
     ]
     ch = build_channel_matrices(recs, tx, rx, GRID1)
-    from tracechan import Direction, steering_vector
-
-    w_tx = steering_vector(tx, Direction(0.0, 90.0)).vector / 3.0
-    w_rx = steering_vector(rx, Direction(0.0, 90.0)).vector / 2.0
+    w_tx = steering_matrix(tx, [0.0], [90.0])[:, 0] / 3.0
+    w_rx = steering_matrix(rx, [0.0], [90.0])[:, 0] / 2.0
     _, total = beamformed_power(ch, w_tx, w_rx, 1.0)
     bound = (4 * 1e-5) ** 2 * 9 * 4
     assert total <= bound * (1 + 1e-12)

@@ -331,6 +331,10 @@ def test_snapshot_rows_schedule():
     assert [t for t, _ in snapshot_rows(trace, setup)] == [0.1, 0.2 + 1e-12]
     with pytest.raises(ValueError, match=r"\(dt=0\.5 s from t=0\.0\)"):
         snapshot_rows(trace, replace(setup, times=(0.0, 0.5)))
+    # the message reports the configured grid, not trace times already snapped onto it
+    with pytest.raises(ValueError, match=r"^snapshot t=0\.25 .*\(dt=0\.1 s from t=0\.0\)"):
+        snapshot_rows(_los_trace([4e-10, 0.1 + 8e-10, 0.25]),
+                      replace(setup, times=(0.0, 0.1, 0.2, 0.3)))
     with pytest.raises(ValueError, match=r"one sample at t=0\.1"):
         snapshot_rows(trace, replace(setup, times=(0.1,)))
     with pytest.raises(ValueError, match="trace has no snapshots for link"):

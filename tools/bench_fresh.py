@@ -12,13 +12,14 @@ one config file, reported under its file name without the extension.
 
 Each run is a new interpreter. It imports tracechan from one source tree
 (and fails if the package came from anywhere else),
-wraps ``ideal_beam_sweep`` under the name the link layer calls it by, and
-runs ``simulate`` on one config through ``cli.main``: ray tracing, setup,
-channel assembly, training sweeps, evaluation and CSV output. It reports the
-wall time of that call, the process CPU time it took (``time.process_time``,
-all threads; CPU time above wall time means extra threads did the work), the
-time spent inside the wrapped sweeps, and the growth of the process's minor
-page faults (``ru_minflt``) over the call.
+wraps ``ideal_beam_sweep`` and ``build_channel_matrices`` under the names the
+link layer calls them by, and runs ``simulate`` on one config through
+``cli.main``: ray tracing, setup, channel assembly, training sweeps,
+evaluation and CSV output. It reports the wall time of that call, the process
+CPU time it took (``time.process_time``, all threads; CPU time above wall time
+means extra threads did the work), the time spent inside the wrapped sweeps
+and channel builds, and the growth of the process's minor page faults
+(``ru_minflt``) over the call.
 
 Fresh processes matter: repeating configs in one process lets the allocator
 keep memory that a single ``simulate`` has to fault in. With several
@@ -43,7 +44,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ("corner", "etoile", "etoile_wide")
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-METRICS = ("wall_s", "cpu_s", "sweep_s", "minflt")
+METRICS = ("wall_s", "cpu_s", "sweep_s", "channel_s", "minflt")
 
 # one simulate in a fresh interpreter; prints one JSON line
 _CHILD = r"""
@@ -55,18 +56,22 @@ from tracechan import cli, link
 if os.path.dirname(os.path.realpath(tracechan.__file__)) != os.path.join(src, "tracechan"):
     sys.exit(f"imported tracechan from {tracechan.__file__}, not from {src}")
 
-sweep = link.ideal_beam_sweep
-spent = [0.0, 0]
+def timed(name):
+    """Wrap link.<name>; the returned [seconds, calls] fills as it runs."""
+    fn, spent = getattr(link, name), [0.0, 0]
 
-def timed(*args, **kwargs):
-    start = time.perf_counter()
-    try:
-        return sweep(*args, **kwargs)
-    finally:
-        spent[0] += time.perf_counter() - start
-        spent[1] += 1
+    def wrapper(*args, **kwargs):
+        start = time.perf_counter()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            spent[0] += time.perf_counter() - start
+            spent[1] += 1
 
-link.ideal_beam_sweep = timed
+    setattr(link, name, wrapper)
+    return spent
+
+sweep, channel = timed("ideal_beam_sweep"), timed("build_channel_matrices")
 faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 start, cpu = time.perf_counter(), time.process_time()
 with contextlib.redirect_stdout(io.StringIO()):
@@ -75,8 +80,9 @@ wall, cpu = time.perf_counter() - start, time.process_time() - cpu
 faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
 with open(out, encoding="utf-8") as fh:
     rows = sum(1 for _ in fh) - 1
-print(json.dumps({"rc": rc, "wall_s": wall, "cpu_s": cpu, "sweep_s": spent[0],
-                  "sweeps": spent[1], "minflt": faults, "rows": rows}))
+print(json.dumps({"rc": rc, "wall_s": wall, "cpu_s": cpu, "sweep_s": sweep[0],
+                  "sweeps": sweep[1], "channel_s": channel[0], "channels": channel[1],
+                  "minflt": faults, "rows": rows}))
 """
 
 _PROBE = r"""
@@ -143,13 +149,14 @@ def main(argv: list[str] | None = None) -> int:
                     runs[name][config].append(result)
                     print(f"{name} {config} run {round_ + 1}: wall {result['wall_s']:.3f} s, "
                           f"cpu {result['cpu_s']:.3f} s, sweep {result['sweep_s']:.3f} s, "
-                          f"minflt {result['minflt']}",
+                          f"channel {result['channel_s']:.3f} s, minflt {result['minflt']}",
                           flush=True)
 
     report = {
         "about": "tracechan simulate on each config, one fresh process per run: "
                  "median wall time and process CPU time of cli.main, time inside "
-                 "ideal_beam_sweep, and ru_minflt growth over the call",
+                 "ideal_beam_sweep and build_channel_matrices, and ru_minflt growth "
+                 "over the call",
         "environment": {
             "python": platform.python_version(),
             "machine": platform.machine(),
@@ -165,6 +172,7 @@ def main(argv: list[str] | None = None) -> int:
             config: {
                 "rows": results[0]["rows"],
                 "sweeps": results[0]["sweeps"],
+                "channels": results[0]["channels"],
                 **{f"median_{m}": statistics.median(r[m] for r in results) for m in METRICS},
                 "runs": {m: [r[m] for r in results] for m in METRICS},
             }
@@ -174,7 +182,8 @@ def main(argv: list[str] | None = None) -> int:
     for name, res in report["results"].items():
         for config, c in res["configs"].items():
             print(f"{name:>10} {config:<12} wall {c['median_wall_s']:.3f} s  "
-                  f"cpu {c['median_cpu_s']:.3f} s  sweep {c['median_sweep_s']:.4f} s  minflt {c['median_minflt']:.0f}")
+                  f"cpu {c['median_cpu_s']:.3f} s  sweep {c['median_sweep_s']:.4f} s  "
+                  f"channel {c['median_channel_s']:.4f} s  minflt {c['median_minflt']:.0f}")
     return 0
 
 

@@ -8,8 +8,8 @@ rolled up into per-snapshot link metrics.
 from .arrays import (
     Direction,
     PlanarArray,
-    direction_unit_vector,
     element_positions,
+    steering_factors,
     steering_matrix,
     steering_vector,
 )
@@ -25,9 +25,11 @@ from .beams import (
 from .channel import (
     SPEED_OF_LIGHT,
     ChannelMatrixSet,
+    PathFactors,
     SubbandGrid,
     beamformed_power,
     build_channel_matrices,
+    path_factors,
 )
 from .link import (
     AmcTable,
@@ -86,6 +88,7 @@ __all__ = [
     "LinkBudget",
     "LinkMetrics",
     "MpcRecord",
+    "PathFactors",
     "PathType",
     "PlanarArray",
     "Rectangle",
@@ -103,7 +106,6 @@ __all__ = [
     "circular_trajectory",
     "classify_los",
     "compute_sinr",
-    "direction_unit_vector",
     "element_positions",
     "fresnel_parameter",
     "generate_codebook",
@@ -116,11 +118,13 @@ __all__ = [
     "metrics_to_csv",
     "noise_power",
     "parse_trace",
+    "path_factors",
     "parse_trace_text",
     "run_simulation",
     "select_best_pair",
     "select_mcs",
     "static_trajectory",
+    "steering_factors",
     "steering_matrix",
     "steering_vector",
     "sweep_power_table",

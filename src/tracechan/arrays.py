@@ -14,10 +14,11 @@ has phase k * pitch * (c * alpha + r * beta), where
     beta  = cos z                                      (along z)
 
 so the response is the Kronecker product of a row factor exp(j k pitch r beta)
-and a column factor exp(j k pitch c alpha). One private helper computes
-these factors, R + C complex exponentials per direction instead of R * C;
-steering_matrix and the beam codebooks build every response from them, so
-it is the one steering formula of the package.
+and a column factor exp(j k pitch c alpha). steering_factors computes these
+factors, R + C complex exponentials per direction instead of R * C;
+steering_matrix, the channel's path factors and the beam codebooks build
+every response from them, so it is the one steering formula of the
+package, and one private helper forms the Kronecker products.
 
 Steering takes azimuth and zenith arrays in degrees, one entry per
 direction; Direction only labels codebook beams and sweep winners. Callers
@@ -35,8 +36,8 @@ from numpy.typing import ArrayLike
 __all__ = [
     "Direction",
     "PlanarArray",
-    "direction_unit_vector",
     "element_positions",
+    "steering_factors",
     "steering_matrix",
     "steering_vector",
 ]
@@ -59,12 +60,6 @@ class Direction:
         if not 0.0 <= self.zenith_deg <= 180.0:
             raise ValueError(f"zenith {self.zenith_deg!r} outside [0, 180]")
 
-    @classmethod
-    def from_degrees(cls, azimuth_deg: float, zenith_deg: float) -> "Direction":
-        """Construct with the azimuth wrapped into [-180, 180)."""
-        with np.errstate(invalid="ignore"):  # an infinite azimuth fails as NaN below
-            return cls(float(_wrap_azimuth(azimuth_deg)), zenith_deg)
-
 
 def _wrap_azimuth(az_deg: ArrayLike) -> np.ndarray:
     """Azimuths in degrees wrapped into [-180, 180), elementwise.
@@ -74,13 +69,6 @@ def _wrap_azimuth(az_deg: ArrayLike) -> np.ndarray:
     """
     az = (np.asarray(az_deg, dtype=float) + 180.0) % 360.0 - 180.0
     return np.where(az >= 180.0, -180.0, az)  # guard rounding at the wrap point
-
-
-def direction_unit_vector(d: Direction) -> np.ndarray:
-    """Unit vector (sin z cos a, sin z sin a, cos z) for a Direction."""
-    az, zen = math.radians(d.azimuth_deg), math.radians(d.zenith_deg)
-    sz = math.sin(zen)
-    return np.array([sz * math.cos(az), sz * math.sin(az), math.cos(zen)])
 
 
 @dataclass(frozen=True)
@@ -132,12 +120,13 @@ def element_positions(array: PlanarArray) -> np.ndarray:
     return pos
 
 
-def _steering_factors(
+def steering_factors(
     array: PlanarArray, az_deg: ArrayLike, zen_deg: ArrayLike
 ) -> tuple[np.ndarray, np.ndarray]:
     """The (D, R) row and (D, C) column factors of D responses, unit modulus.
 
-    az_deg and zen_deg hold the D directions' azimuths and zeniths in
+    Response d is the Kronecker product of row d of each factor (see
+    steering_matrix). az_deg and zen_deg hold the D directions' azimuths and zeniths in
     degrees, taken as given (no wrap). Both factors are exp(0) = 1 at
     index 0, so element (0, 0) of every response is exactly 1.
     """
@@ -161,9 +150,17 @@ def steering_matrix(array: PlanarArray, az_deg: ArrayLike, zen_deg: ArrayLike) -
     result is the transposed view of a C-contiguous (D, N) array, so ``.T``
     gives the per-direction rows without a copy.
     """
-    rows, cols = _steering_factors(array, az_deg, zen_deg)
+    return _responses(*steering_factors(array, az_deg, zen_deg))
+
+
+def _responses(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The (R*C, D) responses of (D, R) row and (D, C) column factors.
+
+    Column d is the Kronecker product of row d of each factor. The result is
+    the transposed view of a C-contiguous (D, R*C) array.
+    """
     # (D, R, C) with c fastest, i.e. row-major element order along the last axes
-    return (rows[:, :, None] * cols[:, None, :]).reshape(len(rows), array.n_elements).T
+    return (rows[:, :, None] * cols[:, None, :]).reshape(len(rows), rows.shape[1] * cols.shape[1]).T
 
 
 def steering_vector(array: PlanarArray, d: Direction) -> np.ndarray:

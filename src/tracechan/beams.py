@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import Direction, PlanarArray, _steering_factors, _wrap_azimuth
+from .arrays import Direction, PlanarArray, _wrap_azimuth, steering_factors
 # steering_vector is not used here; perfbench/tests/test_perfbench.py reads
 # tracechan.beams.steering_vector, so the name stays importable from beams
 from .arrays import steering_vector  # noqa: F401
@@ -145,7 +145,7 @@ def generate_codebook(
     zen = _grid_points(zen_min_deg, zen_max_deg, zen_step_deg)
     az, zen = np.repeat(az, zen.size), np.tile(zen, az.size)
     directions = tuple(map(Direction, az.tolist(), zen.tolist()))
-    return BeamCodebook(directions, *_steering_factors(array, az, zen))
+    return BeamCodebook(directions, *steering_factors(array, az, zen))
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,11 @@ rx element u and tx element s is
                 * a_rx[u](aoa_p) * conj(a_tx[s](aod_p))
 
 where g_p, phi_p, tau_p come from the trace record and a_rx / a_tx are
-steering vectors at the recorded arrival / departure angles, passed to
-steering_matrix as arrays (no Direction objects). phase_rad in the trace is
-the total path phase at the carrier, so only the subband offset term is
+steering vectors at the recorded arrival / departure angles. path_factors
+computes g_p exp(j phi_p) and both sides' row and column steering factors
+of many paths at once, from the trace's columns (no Direction objects);
+a snapshot's channel takes its paths' slice of them. phase_rad in the trace
+is the total path phase at the carrier, so only the subband offset term is
 applied here. Each snapshot's channel is taken at its own time, as
 in a trace-based channel model: node motion enters only through the
 recorded paths of later snapshots.
@@ -30,19 +32,23 @@ from typing import Sequence
 
 import numpy as np
 
-from .arrays import PlanarArray, _wrap_azimuth, steering_matrix
-from .traces import MpcRecord
+from .arrays import PlanarArray, _responses, _wrap_azimuth, steering_factors
+from .traces import MpcRecord, TraceSet
 
 __all__ = [
     "SubbandGrid",
     "ChannelMatrixSet",
+    "PathFactors",
+    "path_factors",
     "build_channel_matrices",
     "beamformed_power",
 ]
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
-# the record fields a channel is built from, in the order they are read
-_FIELDS = ("gain_mag", "phase_rad", "delay_s", "aod_az", "aoa_az", "aod_zen", "aoa_zen")
+# the record fields a channel is built from, in the order they are checked,
+# and the names error messages give them
+_FIELDS = {"gain_mag": "gain_mag", "phase": "phase_rad", "delay": "delay_s",
+           "aod_az": "aod_az", "aoa_az": "aoa_az", "aod_zen": "aod_zen", "aoa_zen": "aoa_zen"}
 
 
 @dataclass(frozen=True)
@@ -102,48 +108,96 @@ class ChannelMatrixSet:
         return np.einsum("kp,up,sp->kus", self.coef, self.a_rx, self.a_tx.conj(), optimize=True)
 
 
+@dataclass(frozen=True)
+class PathFactors:
+    """The per-path factors a channel is assembled from, one row per path.
+
+    phasor is g_p exp(j phi_p), delay is tau_p in seconds, and each side's
+    (rows, cols) are the row and column steering factors of the path's
+    departure (tx) or arrival (rx) direction. A slice selects paths, so one
+    link's factors can be computed at once and each snapshot's paths sliced
+    out of them.
+    """
+
+    phasor: np.ndarray  # (P,) complex
+    delay: np.ndarray  # (P,)
+    tx_rows: np.ndarray  # (P, R_tx)
+    tx_cols: np.ndarray  # (P, C_tx)
+    rx_rows: np.ndarray  # (P, R_rx)
+    rx_cols: np.ndarray  # (P, C_rx)
+
+    def __len__(self) -> int:
+        return len(self.delay)
+
+    def __getitem__(self, paths: slice) -> PathFactors:
+        return PathFactors(*(factor[paths] for factor in vars(self).values()))
+
+
+def _check_fields(columns) -> None:
+    """Raise ValueError naming the first bad channel field, in _FIELDS order.
+
+    Non-finite values are reported first, then zeniths outside [0, 180].
+    """
+    fields = np.stack([columns[attr] for attr in _FIELDS])  # (7, P)
+    names = list(_FIELDS.values())
+    finite = np.isfinite(fields).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"non-finite {names[finite.argmin()]} in snapshot records")
+    zen = fields[5:]
+    in_range = ((zen >= 0.0) & (zen <= 180.0)).all(axis=1)
+    if not in_range.all():
+        raise ValueError(f"{names[5 + in_range.argmin()]} outside [0, 180] in snapshot records")
+
+
+def path_factors(
+    paths: TraceSet | Sequence[MpcRecord], tx_array: PlanarArray, rx_array: PlanarArray
+) -> PathFactors:
+    """The PathFactors of paths, in their order: one steering call per side.
+
+    paths may span several snapshots; run_simulation passes one link's
+    paths. A non-finite gain, phase, delay or azimuth, or a zenith outside
+    [0, 180], on any path raises ValueError (see _check_fields).
+    """
+    c = (paths if isinstance(paths, TraceSet) else TraceSet(paths)).columns
+    _check_fields(c)
+    tx_rows, tx_cols = steering_factors(tx_array, _wrap_azimuth(c["aod_az"]), c["aod_zen"])
+    rx_rows, rx_cols = steering_factors(rx_array, _wrap_azimuth(c["aoa_az"]), c["aoa_zen"])
+    return PathFactors(
+        c["gain_mag"] * np.exp(1j * c["phase"]), c["delay"], tx_rows, tx_cols, rx_rows, rx_cols
+    )
+
+
 def build_channel_matrices(
-    records: Sequence[MpcRecord],
+    paths: TraceSet | Sequence[MpcRecord] | PathFactors,
     tx_array: PlanarArray,
     rx_array: PlanarArray,
     grid: SubbandGrid,
     t: float | None = None,
 ) -> ChannelMatrixSet:
-    """Assemble the factored per-subband channel of one snapshot group.
+    """Assemble the factored per-subband channel of one snapshot.
 
-    records must all share one (t, tx_id, rx_id); t defaults to their time,
-    or 0.0 for an empty group, whose channel has zero-column factors and
-    all-zero matrices. The records' fields are read into one array, and each
-    side's steering factor is one steering_matrix call over its angle
-    columns. A non-finite gain, phase, delay or azimuth, or a zenith outside
-    [0, 180], raises ValueError.
+    paths is the snapshot's paths: a TraceSet or MpcRecords, which must all
+    share one (t, tx_id, rx_id), or their PathFactors for these arrays
+    (run_simulation slices them out of its link's). t defaults to the
+    records' time, else 0.0; no paths give a channel with zero-column
+    factors and all-zero matrices. Records go through path_factors, so the
+    same fields raise ValueError.
     """
-    if t is None:
-        t = records[0].t if records else 0.0
-    if any((r.t, r.tx_id, r.rx_id) != (t, records[0].tx_id, records[0].rx_id) for r in records):
-        raise ValueError("records must belong to a single (t, tx_id, rx_id) snapshot")
+    if not isinstance(paths, PathFactors):
+        trace = paths if isinstance(paths, TraceSet) else TraceSet(paths)
+        c = trace.columns
+        if t is None:
+            t = c["t"][0].item() if len(trace) else 0.0
+        if ((c["t"] != t) | (c["tx_id"] != c["tx_id"][:1]) | (c["rx_id"] != c["rx_id"][:1])).any():
+            raise ValueError("records must belong to a single (t, tx_id, rx_id) snapshot")
+        paths = path_factors(trace, tx_array, rx_array)
+    elif t is None:
+        t = 0.0
 
-    fields = np.array(  # (7, P), one contiguous row per field of _FIELDS
-        [(r.gain_mag, r.phase, r.delay, r.aod_az, r.aoa_az, r.aod_zen, r.aoa_zen) for r in records],
-        dtype=float,
-    ).reshape(-1, 7).T.copy()
-    finite = np.isfinite(fields).all(axis=1)
-    if not finite.all():
-        raise ValueError(f"non-finite {_FIELDS[finite.argmin()]} in snapshot records")
-    zen = fields[5:]
-    in_range = ((zen >= 0.0) & (zen <= 180.0)).all(axis=1)
-    if not in_range.all():
-        raise ValueError(f"{_FIELDS[5 + in_range.argmin()]} outside [0, 180] in snapshot records")
-    gains, phases, delays = fields[:3]
-    aod_az, aoa_az = _wrap_azimuth(fields[3:5])
-
-    a_tx = steering_matrix(tx_array, aod_az, zen[0])  # (N_tx, P)
-    a_rx = steering_matrix(rx_array, aoa_az, zen[1])  # (N_rx, P)
-
+    a_tx = _responses(paths.tx_rows, paths.tx_cols)  # (N_tx, P)
+    a_rx = _responses(paths.rx_rows, paths.rx_cols)  # (N_rx, P)
     # (K, P) per-path complex coefficient on each subband
-    coef = gains * np.exp(1j * phases) * np.exp(
-        -1j * 2.0 * math.pi * np.outer(grid.offsets_hz(), delays)
-    )
+    coef = paths.phasor * np.exp(-1j * 2.0 * math.pi * np.outer(grid.offsets_hz(), paths.delay))
     return ChannelMatrixSet(coef, a_rx, a_tx, grid, t)
 
 

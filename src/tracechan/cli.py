@@ -43,8 +43,8 @@ def _cmd_generate_trace(args) -> int:
     cfg = load_config(args.config)
     trace = generate_trace(build_rt_scenario(cfg))
     write_trace(trace, args.out)
-    times = {r.t for r in trace.records}
-    print(f"wrote {args.out}: {len(times)} snapshots, {len(trace.records)} path records")
+    snapshots = len(set(trace.columns["t"].tolist()))
+    print(f"wrote {args.out}: {snapshots} snapshots, {len(trace)} path records")
     return 0
 
 
@@ -52,7 +52,7 @@ def _cmd_validate(args) -> int:
     trace = parse_trace(args.trace)
     report = validate_trace(trace)
     if report.ok:
-        print(f"ok: {len(trace.records)} records, no findings")
+        print(f"ok: {len(trace)} records, no findings")
         return 0
     for v in report.violations:
         print(v)
@@ -100,10 +100,10 @@ def _cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     trace = _load_trace(cfg, args.trace)
     setup = build_setup(cfg)
-    t, records = _pick_row(snapshot_rows(trace, setup), args.time, cfg.snapshot_dt_s)
+    t, paths = _pick_row(snapshot_rows(trace, setup), args.time, cfg.snapshot_dt_s)
     cb_tx, cb_rx = setup.tx_codebook, setup.rx_codebook
     channel = build_channel_matrices(
-        records, setup.tx_array, setup.rx_array, grid=setup.grid, t=t
+        paths, setup.tx_array, setup.rx_array, grid=setup.grid, t=t
     )
     table = sweep_power_table(channel, cb_tx, cb_rx, setup.budget.tx_power_w)
     best = select_best_pair(table, cb_tx, cb_rx)

@@ -1,12 +1,13 @@
 """Link-level abstraction: SINR, rate adaptation, and the snapshot loop.
 
 snapshot_rows is the one snapshot schedule: it turns a trace and the
-setup's optional time grid into (time, records) rows, outages included, and
-rejects a trace that is off the grid. run_simulation walks those rows in
-order: build each row's channel at its own time, retrain beams on a fixed
-period (ideal sweeps, no airtime), compute beamformed receive power, map to
-SINR, pick the rate, and derive throughput and a queueing-flavored delay
-from an analytic saturation model.
+setup's optional time grid into (time, paths) rows, outages included, and
+rejects a trace that is off the grid. run_simulation computes the link's
+steering factors a block of rows at a time and walks those rows in order:
+build each row's channel at its own time from its slice of them, retrain
+beams on a fixed period (ideal sweeps, no airtime), compute beamformed
+receive power, map to SINR, pick the rate, and derive throughput and a
+queueing-flavored delay from an analytic saturation model.
 """
 
 from __future__ import annotations
@@ -15,11 +16,12 @@ import csv
 import io
 import math
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
 from .beams import BeamCodebook, BeamSelection, ideal_beam_sweep
-from .channel import SubbandGrid, beamformed_power, build_channel_matrices
+from .channel import SubbandGrid, beamformed_power, build_channel_matrices, path_factors
 from .arrays import PlanarArray
 from .traces import MpcRecord, PathType, TraceSet
 
@@ -98,9 +100,11 @@ def compute_sinr(p_rx_w: float, budget: LinkBudget) -> float:
     return max(10.0 * math.log10(p_rx_w / denom), SINR_FLOOR_DB)
 
 
-def classify_los(records: list[MpcRecord]) -> bool:
+def classify_los(paths: TraceSet | Sequence[MpcRecord]) -> bool:
     """A snapshot is line-of-sight when it contains a LOS record."""
-    return any(r.path_type is PathType.LOS for r in records)
+    if isinstance(paths, TraceSet):
+        return PathType.LOS in paths.columns["path_type"]
+    return any(r.path_type is PathType.LOS for r in paths)
 
 
 # 29-step spectral-efficiency ladder, bits/s/Hz, strictly increasing.
@@ -253,15 +257,16 @@ class SimulationSetup:
 
 def snapshot_rows(
     trace: TraceSet, setup: SimulationSetup
-) -> list[tuple[float, list[MpcRecord]]]:
-    """The (time, records) rows of the configured link, in time order.
+) -> list[tuple[float, TraceSet]]:
+    """The (time, paths) rows of the configured link, in time order.
 
     setup.times is the configured snapshot grid. A grid time within
-    GRID_TOL_S of a trace snapshot takes that snapshot's time and records;
-    any other grid time is an outage row with no records, since the ray
-    tracer writes no record for a snapshot without paths. A trace snapshot of
-    the link off the grid, or two on one grid time, raises ValueError.
-    Without a grid the rows are the trace's own snapshot times.
+    GRID_TOL_S of a trace snapshot takes that snapshot's time and paths
+    (trace.group); any other grid time is an outage row with no paths, since
+    the ray tracer writes no record for a snapshot without paths. A trace
+    snapshot of the link off the grid, or two on one grid time, raises
+    ValueError. Without a grid the rows are the trace's own snapshot times.
+    Either way the rows' paths, in order, tile trace.link(tx_id, rx_id).
     """
     link = (setup.tx_id, setup.rx_id)
     trace_times = trace.snapshot_times(*link)
@@ -270,7 +275,8 @@ def snapshot_rows(
             raise ValueError(f"trace has no snapshots for link {link}")
         return [(t, trace.group(t, *link)) for t in trace_times]
     grid = np.asarray(setup.times, dtype=float)
-    rows: list[tuple[float, list[MpcRecord]]] = [(float(t), []) for t in grid]
+    no_paths = TraceSet()
+    rows: list[tuple[float, TraceSet]] = [(float(t), no_paths) for t in grid]
     for t in trace_times:
         i = int(np.argmin(np.abs(grid - t)))
         if abs(rows[i][0] - t) > GRID_TOL_S:
@@ -287,6 +293,12 @@ def snapshot_rows(
     return rows
 
 
+# run_simulation computes the link's path factors in blocks of about this many
+# bytes, each starting at a row: few calls per link, and a long link never
+# holds all of its factors at once
+_FACTOR_BYTES = 1 << 20
+
+
 def run_simulation(trace: TraceSet, setup: SimulationSetup) -> list[LinkMetrics]:
     """Link metrics for each row of snapshot_rows(trace, setup).
 
@@ -295,19 +307,29 @@ def run_simulation(trace: TraceSet, setup: SimulationSetup) -> list[LinkMetrics]
     elapsed since the last training, on the training row's own channel, and
     are held until the next training. A training row that is an outage finds
     no paths, so training stays due and the next row trains. Each row's
-    channel is built once.
+    channel is built once, from its slice of the link's path_factors.
     """
     cb_tx, cb_rx = setup.tx_codebook, setup.rx_codebook
+    tx, rx = setup.tx_array, setup.rx_array
     p_tx = setup.budget.tx_power_w
+    rows = snapshot_rows(trace, setup)
+    link_paths = trace.link(setup.tx_id, setup.rx_id)
+    block = max(1, _FACTOR_BYTES // (16 * (tx.n_rows + tx.n_cols + rx.n_rows + rx.n_cols + 2)))
+    factors, first = None, 0  # the factors of link_paths[first:first + len(factors)]
+    start = 0
     due = -math.inf
     out = []
-    for t, records in snapshot_rows(trace, setup):
+    for t, paths in rows:
+        stop = start + len(paths)
+        if factors is None or stop > first + len(factors):
+            factors, first = path_factors(link_paths[start:max(stop, start + block)], tx, rx), start
         ch = build_channel_matrices(
-            records, setup.tx_array, setup.rx_array, grid=setup.grid, t=t
+            factors[start - first:stop - first], tx, rx, grid=setup.grid, t=t
         )
+        start = stop
         if t >= due - GRID_TOL_S:
             sel = ideal_beam_sweep(ch, cb_tx, cb_rx, p_tx)
-            if records:
+            if paths:
                 due = t + setup.training_period_s
         _, p_rx = beamformed_power(
             ch, cb_tx.beam_weights(sel.tx_index), cb_rx.beam_weights(sel.rx_index), p_tx
@@ -319,7 +341,7 @@ def run_simulation(trace: TraceSet, setup: SimulationSetup) -> list[LinkMetrics]
             setup.overhead, setup.base_delay_s, setup.saturation_delay_s,
         )
         out.append(LinkMetrics(
-            t, classify_los(records), replace(sel, power_w=p_rx), sinr, mcs,
+            t, classify_los(paths), replace(sel, power_w=p_rx), sinr, mcs,
             setup.offered_bps, delivered, delay,
         ))
     return out

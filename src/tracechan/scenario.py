@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
@@ -358,8 +359,8 @@ def parse_config(raw: dict, base_dir: str = ".") -> ScenarioConfig:
     return ScenarioConfig(**values)
 
 
-class _ConfigLoader(yaml.SafeLoader):
-    """SafeLoader that records the keys repeated within any one mapping.
+class _DuplicateKeys:
+    """Loader mixin that records the keys repeated within any one mapping.
 
     yaml.safe_load keeps the last of two equal keys, so a repeated key would
     silently drop the first value.
@@ -384,6 +385,20 @@ class _ConfigLoader(yaml.SafeLoader):
         return super().construct_mapping(node, deep=deep)
 
 
+class _ConfigLoader(_DuplicateKeys, yaml.SafeLoader):
+    """The pure-Python loader, whose error messages load_config reports."""
+
+
+# the characters of text that libyaml is not given: all but printable ASCII lines
+_NOT_PLAIN = re.compile(r"[^\n\x20-\x7e]")
+
+if yaml.__with_libyaml__:
+    class _FastConfigLoader(_DuplicateKeys, yaml.CSafeLoader):
+        """The same loader on libyaml's parser, several times faster."""
+else:
+    _FastConfigLoader = _ConfigLoader
+
+
 def _yaml_problem(exc: yaml.YAMLError) -> str:
     """One line for a YAML error: PyYAML's problem and its 1-based position."""
     problem, mark = getattr(exc, "problem", None), getattr(exc, "problem_mark", None)
@@ -393,17 +408,38 @@ def _yaml_problem(exc: yaml.YAMLError) -> str:
     return problem.partition("\n")[0] + where
 
 
+def _load_yaml(loader_class, stream):
+    loader = loader_class(stream)
+    try:
+        return loader.get_single_data(), loader
+    finally:
+        loader.dispose()
+
+
 def load_config(path) -> ScenarioConfig:
-    """Read a YAML config file; relative paths inside it resolve against it."""
+    """Read a YAML config file; relative paths inside it resolve against it.
+
+    libyaml parses it when PyYAML has it and the text is printable ASCII
+    lines. libyaml words its messages differently, and it reads tabs and
+    byte-order marks differently from PyYAML. So the pure-Python loader
+    parses any other text and any text that libyaml rejects, and gives the
+    result or the message.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            loader = _ConfigLoader(fh)  # reads and checks the first chunk already
+        text = fh.read()
+        loaded = None
+        if not _NOT_PLAIN.search(text):
             try:
-                raw = loader.get_single_data()
-            finally:
-                loader.dispose()
-        except yaml.YAMLError as exc:
-            raise ConfigError([f"config is not valid YAML: {_yaml_problem(exc)}"]) from exc
+                loaded = _load_yaml(_FastConfigLoader, text)
+            except yaml.YAMLError:
+                pass
+        if loaded is None:
+            fh.seek(0)
+            try:
+                loaded = _load_yaml(_ConfigLoader, fh)
+            except yaml.YAMLError as exc:
+                raise ConfigError([f"config is not valid YAML: {_yaml_problem(exc)}"]) from exc
+    raw, loader = loaded
     if loader.repeated:
         raise ConfigError([f"duplicate key(s): {', '.join(map(str, loader.repeated))}"])
     return parse_config(raw, base_dir=os.path.dirname(os.path.abspath(path)))

@@ -5,6 +5,12 @@ multipath component (MPC) of one directed link at one snapshot time: delay,
 amplitude gain, total phase at the carrier, and departure/arrival angles.
 The columns, their types and ranges are declared once in ``_COLUMNS``;
 ``CSV_COLUMNS`` lists their header names in file order.
+
+A TraceSet holds one array per column. The parser reads every column with
+numpy and checks each column's range at once; text that this rejects is
+parsed again row by row, which gives the error message (or the result, for
+the few spellings that only Python's float() and int() accept). MpcRecord
+objects are built only when asked for.
 """
 
 from __future__ import annotations
@@ -17,7 +23,10 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from operator import attrgetter
-from typing import Iterator
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, NamedTuple
+
+import numpy as np
 
 __all__ = [
     "PathType",
@@ -49,7 +58,7 @@ class TraceFormatError(ValueError):
 
 # One entry per CSV column, in file order: header name, MpcRecord field, type
 # and accepted range (lo, hi, hi_open) or None. Floats must be finite and
-# lie in the range; int columns are ids, which must be >= 0.
+# lie in the range; int columns are ids, which must be >= 0 and fit int64.
 _COLUMNS = (
     ("t", "t", float, None),
     ("tx_id", "tx_id", int, None),
@@ -66,6 +75,9 @@ _COLUMNS = (
 )
 
 CSV_COLUMNS = tuple(column[0] for column in _COLUMNS)
+_ID_LIMIT = 2**63  # ids are held as int64
+# the array dtype of each column type; path_type holds PathType members
+_DTYPES = {float: np.float64, int: np.int64, PathType: object}
 
 
 @dataclass(frozen=True)
@@ -117,46 +129,128 @@ class ValidationReport:
         return not self.violations
 
 
-@dataclass(frozen=True)
-class TraceSet:
-    """All MPC records of a trace, in construction (file) order.
+def _frozen(columns: dict[str, np.ndarray]) -> Mapping[str, np.ndarray]:
+    for col in columns.values():
+        col.flags.writeable = False
+    return MappingProxyType(columns)
 
-    Grouping accessors index records by (snapshot time, link). Construction
-    order is preserved so that serialization round-trips exactly and so that
+
+class _Index(NamedTuple):
+    """A trace's rows sorted by link and time, and where each snapshot lies."""
+
+    rows: TraceSet  # the rows sorted by (tx_id, rx_id, t)
+    bounds: list[int]  # snapshot g is rows[bounds[g]:bounds[g + 1]]
+    times: np.ndarray  # each snapshot's time
+    links: dict[tuple[int, int], tuple[int, int]]  # link -> its (first, stop) snapshots
+
+
+class TraceSet:
+    """The MPC records of a trace, held as one array per column.
+
+    ``columns`` maps each MpcRecord field, in field order, to a read-only
+    array in construction (file) order: float64 for the float fields, int64
+    for the ids and PathType members for ``path_type``. MpcRecords are built
+    only when ``records`` or iteration asks for them.
+
+    The grouping accessors index the rows by (link, snapshot time). ``group``
+    and ``link`` return TraceSets that view one snapshot's rows, or one
+    link's rows in time order, without copying them. Construction order is
+    preserved so that serialization round-trips exactly and so that
     file-order checks (snapshot monotonicity) remain possible.
     """
 
-    records: tuple[MpcRecord, ...] = ()
+    def __init__(self, records: Iterable[MpcRecord] = ()) -> None:
+        records = tuple(records)
+        self.columns = _frozen({
+            attr: np.array([getattr(r, attr) for r in records], dtype=_DTYPES[kind])
+            for _, attr, kind, _ in _COLUMNS
+        })
+        self.__dict__["records"] = records
+
+    @classmethod
+    def _of(cls, columns: Mapping[str, np.ndarray]) -> TraceSet:
+        """A TraceSet over the given read-only columns, taken as they are."""
+        trace = cls.__new__(cls)
+        trace.columns = columns
+        return trace
+
+    @cached_property
+    def records(self) -> tuple[MpcRecord, ...]:
+        """The rows as MpcRecords, built on first access."""
+        return tuple(map(MpcRecord, *(col.tolist() for col in self.columns.values())))
 
     def __iter__(self) -> Iterator[MpcRecord]:
         return iter(self.records)
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.columns["t"])
+
+    def __getitem__(self, rows: slice) -> TraceSet:
+        """The view of a run of rows."""
+        return TraceSet._of(MappingProxyType({attr: col[rows] for attr, col in self.columns.items()}))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TraceSet):
+            return NotImplemented
+        return all(np.array_equal(col, other.columns[attr]) for attr, col in self.columns.items())
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"TraceSet(<{len(self)} records>)"
 
     @cached_property
-    def _index(self) -> dict[tuple[int, int], dict[float, list[MpcRecord]]]:
-        idx: dict[tuple[int, int], dict[float, list[MpcRecord]]] = {}
-        for rec in self.records:
-            by_t = idx.setdefault((rec.tx_id, rec.rx_id), {})
-            by_t.setdefault(rec.t, []).append(rec)
-        return idx
+    def _index(self) -> _Index:
+        """The (link, time) index, links ascending.
+
+        The sort is stable, so a snapshot keeps its rows' file order; a time
+        equal to an earlier one (-0.0 and 0.0) joins that snapshot, which
+        keeps the earlier spelling.
+        """
+        c = self.columns
+        order = np.lexsort((c["t"], c["rx_id"], c["tx_id"]))
+        rows = _frozen({attr: col[order] for attr, col in c.items()})
+        tx, rx, t = rows["tx_id"], rows["rx_id"], rows["t"]
+        new_link = np.ones(len(t), dtype=bool)
+        new_link[1:] = (tx[1:] != tx[:-1]) | (rx[1:] != rx[:-1])
+        new_snapshot = new_link.copy()
+        new_snapshot[1:] |= t[1:] != t[:-1]
+        starts = np.flatnonzero(new_snapshot)
+        firsts = np.flatnonzero(new_link[starts])  # each link's first snapshot
+        links = dict(zip(
+            zip(tx[starts[firsts]].tolist(), rx[starts[firsts]].tolist()),
+            zip(firsts.tolist(), [*firsts[1:].tolist(), len(starts)]),
+        ))
+        return _Index(TraceSet._of(rows), [*starts.tolist(), len(t)], t[starts], links)
 
     def links(self) -> list[tuple[int, int]]:
         """Directed (tx_id, rx_id) pairs present in the trace, sorted."""
-        return sorted(self._index)
+        return list(self._index.links)
 
     def snapshot_times(self, tx_id: int, rx_id: int) -> list[float]:
         """Sorted snapshot times of one link. Empty list for unknown links."""
-        by_t = self._index.get((tx_id, rx_id))
-        return sorted(by_t) if by_t else []
+        _, _, times, links = self._index
+        first, stop = links.get((tx_id, rx_id), (0, 0))
+        return times[first:stop].tolist()
 
-    def group(self, t: float, tx_id: int, rx_id: int) -> list[MpcRecord]:
-        """Records of one (time, link) snapshot, in file order."""
-        by_t = self._index.get((tx_id, rx_id))
-        if not by_t:
-            return []
-        return list(by_t.get(t, []))
+    def link(self, tx_id: int, rx_id: int) -> TraceSet:
+        """The rows of one link by snapshot time, each snapshot in file order.
+
+        Empty for an unknown link. The groups of snapshot_times, in order,
+        tile it.
+        """
+        rows, bounds, _, links = self._index
+        first, stop = links.get((tx_id, rx_id), (0, 0))
+        return rows[bounds[first]:bounds[stop]]
+
+    def group(self, t: float, tx_id: int, rx_id: int) -> TraceSet:
+        """The rows of one (time, link) snapshot, in file order; may be empty."""
+        rows, bounds, times, links = self._index
+        first, stop = links.get((tx_id, rx_id), (0, 0))
+        i = first + int(np.searchsorted(times[first:stop], t))
+        if i == stop or times[i] != t:
+            return rows[:0]
+        return rows[bounds[i]:bounds[i + 1]]
 
 
 def _field(text: str, column: str, kind, bounds, row: int):
@@ -176,6 +270,8 @@ def _field(text: str, column: str, kind, bounds, row: int):
     if kind is int:
         if value < 0:
             raise TraceFormatError(f"row {row}: {column} must be >= 0, got {value}")
+        if value >= _ID_LIMIT:
+            raise TraceFormatError(f"row {row}: {column} must be < 2**63, got {value}")
         return value
     if not math.isfinite(value):
         raise TraceFormatError(f"row {row}: non-finite value in {column!r}")
@@ -189,6 +285,80 @@ def _field(text: str, column: str, kind, bounds, row: int):
     return value
 
 
+def _in_range(col: np.ndarray, kind, bounds) -> bool:
+    """Whether every value of a numeric column passes _field's checks."""
+    if kind is int:
+        return bool((col >= 0).all())
+    ok = np.isfinite(col)
+    if bounds is not None:
+        lo, hi, hi_open = bounds
+        ok &= (col >= lo) & ((col < hi) if hi_open else (col <= hi))
+    return bool(ok.all())
+
+
+def _parse_columns(header: list[str], lines: list[str]) -> TraceSet | None:
+    """The lines after the header, every column parsed by numpy at once.
+
+    None when numpy rejects the text (a ragged row, a spelling such as
+    "1_0" that only float() or int() accepts) or a value fails its column's
+    check; the row parser then gives the result or the message. The caller
+    passes only lines without quotes or carriage returns, which split into
+    fields at every comma for csv and numpy alike.
+    """
+    if not any(lines):
+        return None  # only blank lines: no rows
+    kinds = {name: kind for name, _, kind, _ in _COLUMNS}
+    # an unknown column is read as a one-character string and dropped
+    dtype = [(f"f{i}", _DTYPES[kinds[name]] if name in kinds else "U1")
+             for i, name in enumerate(header)]
+    try:
+        with warnings.catch_warnings():
+            # older numpy reads "1.0" as an int with a DeprecationWarning,
+            # which int() rejects: a value read with a warning is not read
+            warnings.simplefilter("error")
+            table = np.loadtxt(lines, dtype=dtype, delimiter=",",
+                               comments=None, quotechar=None, ndmin=1)
+    except (ValueError, Warning):
+        return None
+    columns = {}
+    for name, attr, kind, bounds in _COLUMNS:
+        col = table[f"f{header.index(name)}"]
+        if kind is PathType:
+            spellings = col.tolist()
+            try:
+                types = {text: PathType(text.strip()) for text in set(spellings)}
+            except ValueError:
+                return None
+            col = np.array([types[text] for text in spellings], dtype=object)
+        elif not _in_range(col, kind, bounds):
+            return None
+        columns[attr] = np.ascontiguousarray(col)
+    return TraceSet._of(_frozen(columns))
+
+
+def _parse_rows(header: list[str], reader) -> TraceSet:
+    """The rows after the header, parsed field by field into MpcRecords."""
+    # path_type is checked first, so a row with several bad fields names it
+    plan = sorted(
+        ((header.index(name), name, attr, kind, bounds)
+         for name, attr, kind, bounds in _COLUMNS),
+        key=lambda column: column[3] is not PathType,
+    )
+    records: list[MpcRecord] = []
+    for row_no, row in enumerate(reader, start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue  # ignore blank lines
+        if len(row) < len(header):
+            raise TraceFormatError(
+                f"row {row_no}: expected {len(header)} fields, got {len(row)}"
+            )
+        records.append(MpcRecord(**{
+            attr: _field(row[i].strip(), name, kind, bounds, row_no)
+            for i, name, attr, kind, bounds in plan
+        }))
+    return TraceSet(records)
+
+
 def parse_trace_text(text: str) -> TraceSet:
     """Parse trace CSV text. Any structural or range error aborts the parse.
 
@@ -196,7 +366,14 @@ def parse_trace_text(text: str) -> TraceSet:
     ignored with a warning; a missing, renamed or repeated column is an
     error. Rows keep their file order.
     """
-    reader = csv.reader(io.StringIO(text))
+    # text without quotes or carriage returns has one row per line for csv
+    # and numpy alike; its lines are split once and serve both parsers
+    plain = '"' not in text and "\r" not in text
+    if plain:
+        lines = text.split("\n")
+        if not lines[-1]:
+            lines.pop()  # as a file reads it: no line after a final newline
+    reader = csv.reader(lines if plain else io.StringIO(text))
     try:
         header = next(reader)
     except StopIteration:
@@ -213,26 +390,11 @@ def parse_trace_text(text: str) -> TraceSet:
         warnings.warn(
             f"ignoring unknown trace column(s): {', '.join(extra)}", stacklevel=2
         )
-    # path_type is checked first, so a row with several bad fields names it
-    plan = sorted(
-        ((header.index(name), name, attr, kind, bounds)
-         for name, attr, kind, bounds in _COLUMNS),
-        key=lambda column: column[3] is not PathType,
-    )
-
-    records: list[MpcRecord] = []
-    for row_no, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue  # ignore blank lines
-        if len(row) < len(header):
-            raise TraceFormatError(
-                f"row {row_no}: expected {len(header)} fields, got {len(row)}"
-            )
-        records.append(MpcRecord(**{
-            attr: _field(row[i].strip(), name, kind, bounds, row_no)
-            for i, name, attr, kind, bounds in plan
-        }))
-    return TraceSet(tuple(records))
+    if plain:
+        trace = _parse_columns(header, lines[1:])
+        if trace is not None:
+            return trace
+    return _parse_rows(header, reader)
 
 
 def parse_trace(path) -> TraceSet:
@@ -250,10 +412,11 @@ def validate_trace(trace: TraceSet) -> ValidationReport:
     violations: list[Violation] = []
 
     order: dict[tuple[int, int], list[float]] = {}
-    for rec in trace.records:
-        seq = order.setdefault((rec.tx_id, rec.rx_id), [])
-        if not seq or seq[-1] != rec.t:
-            seq.append(rec.t)
+    c = trace.columns
+    for t, tx, rx in zip(c["t"].tolist(), c["tx_id"].tolist(), c["rx_id"].tolist()):
+        seq = order.setdefault((tx, rx), [])
+        if not seq or seq[-1] != t:
+            seq.append(t)
     for (tx, rx), seq in sorted(order.items()):
         for prev, cur in zip(seq, seq[1:]):
             if cur <= prev:
@@ -266,28 +429,27 @@ def validate_trace(trace: TraceSet) -> ValidationReport:
 
     for tx, rx in trace.links():
         for t in trace.snapshot_times(tx, rx):
-            group = trace.group(t, tx, rx)
-            n_los = sum(1 for r in group if r.path_type is PathType.LOS)
+            group = trace.group(t, tx, rx).columns
+            n_los = int(np.count_nonzero(group["path_type"] == PathType.LOS))
             if n_los > 1:
                 violations.append(
                     Violation("DuplicateLos", tx, rx, t, f"{n_los} LOS records")
                 )
             seen: set[int] = set()
-            for r in group:
-                if r.path_id in seen:
+            for path_id in group["path_id"].tolist():
+                if path_id in seen:
                     violations.append(
                         Violation(
                             "DuplicatePathId", tx, rx, t,
-                            f"path_id {r.path_id} repeated",
+                            f"path_id {path_id} repeated",
                         )
                     )
-                seen.add(r.path_id)
+                seen.add(path_id)
 
     return ValidationReport(tuple(violations))
 
 
-# csv writes a float as str(), the shortest string that round-trips exactly;
-# float() first turns a numpy scalar into a plain float
+# csv writes a float as str(), the shortest string that round-trips exactly
 _CELL = {float: float, int: str, PathType: attrgetter("value")}
 
 
@@ -296,9 +458,9 @@ def trace_to_text(trace: TraceSet) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    values = attrgetter(*(attr for _, attr, _, _ in _COLUMNS))
-    cells = [_CELL[kind] for _, _, kind, _ in _COLUMNS]
-    writer.writerows([cell(v) for cell, v in zip(cells, values(r))] for r in trace.records)
+    writer.writerows(zip(*(
+        map(_CELL[kind], trace.columns[attr].tolist()) for _, attr, kind, _ in _COLUMNS
+    )))
     return out.getvalue()
 
 

@@ -13,7 +13,7 @@ from tracechan import (
     build_channel_matrices,
     steering_matrix,
 )
-from tracechan.arrays import Direction, _steering_factors, _wrap_azimuth
+from tracechan.arrays import Direction, steering_factors, _wrap_azimuth
 
 LAM = 299792458.0 / 28e9
 GRID1 = SubbandGrid(28e9, 100e6, 1)
@@ -186,7 +186,7 @@ def test_steering_factors_recovered_exactly_from_channel():
     rx_arr = PlanarArray(4, 2, LAM, bearing_deg=-120.0)
     ch = build_channel_matrices(recs, tx_arr, rx_arr, SubbandGrid(28e9, 100e6, 4))
     for a, arr, key in ((ch.a_tx, tx_arr, "aod"), (ch.a_rx, rx_arr, "aoa")):
-        rows, cols = _steering_factors(arr, _wrap_azimuth([getattr(r, f"{key}_az") for r in recs]),
+        rows, cols = steering_factors(arr, _wrap_azimuth([getattr(r, f"{key}_az") for r in recs]),
                                        [getattr(r, f"{key}_zen") for r in recs])
         cube = a.T.reshape(len(recs), arr.n_rows, arr.n_cols)
         assert np.all(cube[:, 0, 0] == 1.0)

@@ -17,6 +17,7 @@ from conftest import CORNER_CFG, blocked_corner_config, mk_record
 from tracechan import PathType, TraceSet, write_trace
 from tracechan.cli import main
 from tracechan.link import SINR_FLOOR_DB
+from tracechan import scenario
 from tracechan.scenario import parse_config
 
 ETOILE_CFG = Path(__file__).resolve().parents[1] / "configs" / "etoile.cfg"
@@ -629,3 +630,48 @@ def test_trace_corruption_keeps_exit_code_contract(contract_dir, data, token, cm
     else:
         _assert_contract([cmd, "--config", str(contract_dir / "scene.cfg"), "--trace",
                           str(trace), "--out", str(contract_dir / "out.csv")], {0, 2, 3})
+
+
+_CONFIG_DIR = ETOILE_CFG.parent
+# characters with a meaning to YAML, and a few it rejects or treats specially
+_YAML_CHARS = " \t\n\r:-,.[]{}#&*!|>'\"%@`?~=0123456789eE+nax_\x01\x85\xa0\u2028\ufeff\u00e9"
+
+
+def _load_outcome(path):
+    try:
+        return repr(scenario.load_config(path))
+    except Exception as exc:  # compared, not judged: both loaders must agree
+        return type(exc).__name__, getattr(exc, "problems", str(exc))
+
+
+def _pure_load_outcome(path):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scenario, "_FastConfigLoader", scenario._ConfigLoader)
+        return _load_outcome(path)
+
+
+@pytest.mark.parametrize("old, new", [
+    ("\n  cols: 16", "\n  c\tols: 16"),  # only libyaml reads a tab inside a key
+    ("\nsubbands: 8", "\n\ufeffsubbands: 8"),  # only PyYAML reads a BOM inside the text
+], ids=["tab-in-key", "bom-in-text"])
+def test_text_libyaml_reads_differently_goes_to_the_pure_loader(tmp_path, old, new):
+    path = tmp_path / "odd.cfg"
+    path.write_text((_CONFIG_DIR / "corner.cfg").read_text().replace(old, new, 1),
+                    encoding="utf-8", newline="")
+    assert _load_outcome(path) == _pure_load_outcome(path)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data(), name=st.sampled_from(["corner", "etoile", "etoile_wide"]))
+def test_libyaml_and_pure_loaders_agree_on_mutated_configs(tmp_path_factory, data, name):
+    # up to four single-character edits of a shipped config: load_config on
+    # libyaml gives the pure loader's value, or its one-line message
+    text = (_CONFIG_DIR / f"{name}.cfg").read_text()
+    for _ in range(data.draw(st.integers(1, 4), label="edits")):
+        at = data.draw(st.integers(0, len(text)), label="at")
+        char = data.draw(st.sampled_from(_YAML_CHARS), label="char")
+        op = data.draw(st.sampled_from(["insert", "replace", "delete"]), label="op")
+        text = text[:at] + (char if op != "delete" else "") + text[at + (op != "insert"):]
+    path = tmp_path_factory.getbasetemp() / "mutated.cfg"
+    path.write_text(text, encoding="utf-8", newline="")
+    assert _load_outcome(path) == _pure_load_outcome(path)

@@ -14,6 +14,7 @@ from conftest import blocked_corner_config, mk_record
 from tracechan import (
     AmcTable,
     LinkBudget,
+    MpcRecord,
     PathType,
     PlanarArray,
     SimulationSetup,
@@ -25,10 +26,14 @@ from tracechan import (
     generate_trace,
     metrics_to_csv,
     noise_power,
+    parse_trace_text,
     run_simulation,
     select_mcs,
+    steering_matrix,
     throughput_delay,
+    trace_to_text,
 )
+from tracechan.arrays import _wrap_azimuth
 from tracechan.cli import main
 from tracechan.link import METRICS_COLUMNS, SINR_FLOOR_DB, snapshot_rows
 from tracechan.scenario import build_rt_scenario, build_setup, load_config
@@ -428,6 +433,104 @@ def test_run_simulation_builds_each_channel_once(monkeypatch, steps):
     metrics = run_simulation(_los_trace(times), _free_space_setup(training_period=0.1 * steps))
     assert len(metrics) == 7
     assert sorted(built) == times
+
+
+
+def _per_snapshot_factors(records, tx_array, rx_array, grid):
+    """coef, a_rx, a_tx as built one snapshot at a time from a (7, P) field array."""
+    fields = np.array(
+        [(r.gain_mag, r.phase, r.delay, r.aod_az, r.aoa_az, r.aod_zen, r.aoa_zen) for r in records],
+        dtype=float,
+    ).reshape(-1, 7).T.copy()
+    gains, phases, delays = fields[:3]
+    aod_az, aoa_az = _wrap_azimuth(fields[3:5])
+    a_tx = steering_matrix(tx_array, aod_az, fields[5])
+    a_rx = steering_matrix(rx_array, aoa_az, fields[6])
+    coef = gains * np.exp(1j * phases) * np.exp(
+        -1j * 2.0 * math.pi * np.outer(grid.offsets_hz(), delays)
+    )
+    return coef, a_rx, a_tx
+
+
+_azimuths = st.floats(-180.0, 180.0, exclude_max=True) | st.sampled_from([0.1, -0.3, 179.99, -180.0])
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_link_wide_factors_match_per_snapshot_builds(data):
+    # run_simulation slices every row's channel out of its link's factors,
+    # computed in blocks of whole rows: each has the bytes and strides of a
+    # channel built from that snapshot alone, outage rows (no paths) and
+    # 1-path rows included, whether a block holds one row, some or all
+    counts = data.draw(st.lists(st.sampled_from([0, 1, 1, 2, 5]), min_size=1, max_size=7),
+                       label="paths per snapshot")
+    blocks = []
+    for k, n in enumerate(counts):
+        blocks.append([
+            mk_record(t=0.1 * k, path_id=p,
+                      path_type=data.draw(st.sampled_from(list(PathType))),
+                      delay=data.draw(st.floats(0.0, 1e-6)), gain_mag=data.draw(st.floats(0.0, 1e-3)),
+                      phase=data.draw(st.floats(-math.pi, math.pi)),
+                      aod_az=data.draw(_azimuths), aod_zen=data.draw(st.floats(0.0, 180.0)),
+                      aoa_az=data.draw(_azimuths), aoa_zen=data.draw(st.floats(0.0, 180.0)))
+            for p in range(n)
+        ])
+    blocks.append([mk_record(t=0.0, tx_id=1, rx_id=0)])  # another link's record
+    order = data.draw(st.permutations(range(len(blocks))), label="file order")
+    trace = TraceSet([r for i in order for r in blocks[i]])
+    shapes = [data.draw(st.tuples(st.integers(1, 5), st.integers(1, 5))) for _ in range(2)]
+    tx_arr, rx_arr = (PlanarArray(r, c, LAM, bearing_deg=data.draw(st.floats(-180.0, 180.0)))
+                      for r, c in shapes)
+    setup = replace(
+        _free_space_setup(training_period=0.2), tx_array=tx_arr, rx_array=rx_arr,
+        grid=SubbandGrid(28e9, 100e6, data.draw(st.integers(1, 5), label="subbands")),
+        tx_codebook=generate_codebook(tx_arr, -60.0, 60.0, 30.0, 60.0, 120.0, 30.0),
+        rx_codebook=generate_codebook(rx_arr, -180.0, 90.0, 90.0, 90.0, 90.0, 1.0),
+        times=tuple(0.1 * k for k in range(len(counts))),
+    )
+    built = []
+    build = link_module.build_channel_matrices
+
+    def keeping(paths, *args, **kwargs):
+        built.append(build(paths, *args, **kwargs))
+        return built[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(link_module, "build_channel_matrices", keeping)
+        mp.setattr(link_module, "_FACTOR_BYTES",
+                   data.draw(st.sampled_from([1, 2000, 1 << 20]), label="factor block bytes"))
+        run_simulation(trace, setup)
+    rows = snapshot_rows(trace, setup)
+    assert [len(paths) for _, paths in rows] == counts
+    for (t, paths), ch in zip(rows, built, strict=True):
+        assert ch.time == t
+        want = _per_snapshot_factors(paths.records, tx_arr, rx_arr, setup.grid)
+        for got, ref in zip((ch.coef, ch.a_rx, ch.a_tx), want):
+            assert (got.shape, got.strides, got.dtype) == (ref.shape, ref.strides, ref.dtype)
+            assert got.tobytes() == ref.tobytes()
+
+
+def test_run_simulation_on_a_parsed_trace_makes_no_mpc_record(monkeypatch):
+    # 64 paths per snapshot go from the CSV columns to the channels as arrays
+    rng = np.random.default_rng(5)
+    recs = [
+        mk_record(t=0.1 * k, path_id=p,
+                  path_type=PathType.LOS if p == 0 else PathType.REFLECTION,
+                  gain_mag=1e-5 if p == 0 else float(rng.uniform(0, 1e-6)),
+                  delay=float(rng.uniform(0, 1e-6)), phase=float(rng.uniform(-math.pi, math.pi)),
+                  aod_az=float(rng.uniform(-180, 180)), aod_zen=float(rng.uniform(0, 180)),
+                  aoa_az=float(rng.uniform(-180, 180)), aoa_zen=float(rng.uniform(0, 180)))
+        for k in range(4) for p in range(64)
+    ]
+    text = trace_to_text(TraceSet(recs))
+    setup = replace(_free_space_setup(), times=(0.0, 0.1, 0.2, 0.3, 0.4))
+    want = metrics_to_csv(run_simulation(TraceSet(recs), setup))
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("an MpcRecord was built")
+
+    monkeypatch.setattr(MpcRecord, "__init__", refuse)
+    assert metrics_to_csv(run_simulation(parse_trace_text(text), setup)) == want
 
 
 SCHEDULE_DT = 0.1

@@ -1,6 +1,7 @@
 """Trace CSV parsing, validation, and round-trip serialization."""
 
 import math
+import warnings
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,8 @@ from tracechan import (
     validate_trace,
     write_trace,
 )
+from tracechan import traces
+from tracechan.traces import CSV_COLUMNS
 
 HEADER = (
     "t,tx_id,rx_id,path_id,path_type,delay_s,gain_mag,phase_rad,"
@@ -173,7 +176,30 @@ def test_grouping_accessors():
     assert trace.snapshot_times(9, 9) == []
     group = trace.group(0.0, 0, 1)
     assert [r.path_id for r in group] == [0, 1]
-    assert trace.group(0.5, 0, 1) == []
+    assert group.records == tuple(recs[:2])
+    assert len(trace.group(0.5, 0, 1)) == 0
+    assert len(trace.group(0.0, 9, 9)) == 0
+
+
+def test_link_rows_by_time_then_file_order():
+    # snapshots out of file order; -0.0 joins the 0.0 snapshot that came first
+    recs = [
+        mk_record(t=0.2, path_id=0),
+        mk_record(t=0.0, tx_id=2, rx_id=3),
+        mk_record(t=0.0, path_id=5),
+        mk_record(t=0.1, path_id=0),
+        mk_record(t=-0.0, path_id=4),
+    ]
+    trace = TraceSet(recs)
+    link = trace.link(0, 1)
+    assert [(r.t, r.path_id) for r in link] == [(0.0, 5), (0.0, 4), (0.1, 0), (0.2, 0)]
+    times = trace.snapshot_times(0, 1)
+    assert [math.copysign(1.0, t) for t in times] == [1.0, 1.0, 1.0]
+    # the snapshots' groups, in time order, tile the link
+    tiles = [trace.group(t, 0, 1) for t in times]
+    assert sum((g.records for g in tiles), ()) == link.records
+    assert len(trace.link(9, 9)) == 0
+    assert len(TraceSet().link(0, 1)) == 0 and TraceSet().links() == []
 
 
 def test_validate_clean():
@@ -252,3 +278,91 @@ _records = st.builds(
 def test_round_trip_property(records):
     trace = TraceSet(tuple(records))
     assert parse_trace_text(trace_to_text(trace)) == trace
+
+
+# odd spellings of one field of each type: ones that only Python's float()
+# and int() accept, that numpy reads but that fail the range checks, and
+# ones that every reader rejects
+_ODD_SPELLINGS = {
+    float: ["1_0", "inf", "-inf", "nan", "NaN", "1e400", "-1e-9", "180.0", "200", "",
+            "abc", "0x10", "1.5d0", "\u0663"],
+    int: ["1_0", "-1", "1e3", "1.0", "\u0663", "9223372036854775807",
+          "9223372036854775808", "99999999999999999999", ""],
+    PathType: ["los", "BOUNCE", "REFLX", ""],
+    None: ["x", "", "1"],  # an unknown column takes any text
+}
+
+
+def _valid_spellings(kind, bounds):
+    """Spellings of in-range values, canonical and odd ones alike."""
+    if kind is PathType:
+        return st.sampled_from(["LOS", "REFL", "DIFF", "SCAT", " REFL ", "DIFF\t"])
+    if kind is int:
+        return st.sampled_from(["0", "1", "2", "+1", " 2 ", "-0", "007"])
+    lo, hi, hi_open = bounds or (-1e4, 1e4, False)
+    value = st.floats(lo, min(hi, 1e4), exclude_max=hi_open)
+    odd = ["-0.0", "0.0", " 1.5 ", "\t2.5", "+1", "1e1", ".5", "5.", "1E-3"]
+    return value.map(repr) | st.sampled_from(
+        [t for t in odd if lo <= float(t) and (float(t) < hi if hi_open else float(t) <= hi)]
+    )
+
+
+_BY_NAME = {name: (kind, bounds) for name, _, kind, bounds in traces._COLUMNS}
+
+
+def _outcome(parse, text):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = parse(text)
+        except TraceFormatError as exc:
+            result = str(exc)
+    return result, [str(w.message) for w in caught]
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_columnar_parse_matches_row_parse(data):
+    # files of in-range values in odd spellings, with at most a few odd cells
+    # or rows: the columnar reader gives the row parser's trace bit for bit,
+    # or the row parser's message
+    header = data.draw(st.permutations(CSV_COLUMNS), label="header")
+    header += data.draw(st.lists(st.sampled_from(["note", "snr_db"]), max_size=2, unique=True),
+                        label="extra columns")
+    rows = [[data.draw(_valid_spellings(*_BY_NAME[name]) if name in _BY_NAME else st.just("x"))
+             for name in header]
+            for _ in range(data.draw(st.integers(0, 6), label="rows"))]
+    for _ in range(data.draw(st.sampled_from([0, 0, 0, 1, 2]), label="odd cells") if rows else 0):
+        r, c = data.draw(st.integers(0, len(rows) - 1)), data.draw(st.integers(0, len(header) - 1))
+        rows[r][c] = data.draw(st.sampled_from(_ODD_SPELLINGS[_BY_NAME.get(header[c], (None,))[0]]))
+    lines = [",".join(header)]
+    for cells in rows:
+        shape = data.draw(st.sampled_from(["plain"] * 12 + ["short", "long", "quoted", "blank"]))
+        if shape == "short":
+            cells = cells[:data.draw(st.integers(0, len(cells) - 1))]
+        elif shape == "long":
+            cells = [*cells, "9"]
+        elif shape == "quoted":
+            i = data.draw(st.integers(0, len(cells) - 1))
+            cells = [*cells[:i], f'"{cells[i]}"', *cells[i + 1:]]
+        elif shape == "blank":
+            lines.append(data.draw(st.sampled_from(["", "  ", "\t"])))
+        lines.append(",".join(cells))
+    end = data.draw(st.sampled_from(["\n"] * 4 + ["\r\n", "none"]), label="line end")
+    text = "\n".join(lines) if end == "none" else end.join(lines) + end
+    got, got_warnings = _outcome(parse_trace_text, text)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(traces, "_parse_columns", lambda header, body: None)
+        want, want_warnings = _outcome(parse_trace_text, text)
+    assert got_warnings == want_warnings
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert isinstance(got, TraceSet) and list(got.columns) == list(want.columns)
+    for attr, col in want.columns.items():
+        other = got.columns[attr]
+        assert other.dtype == col.dtype and other.shape == col.shape
+        if col.dtype == object:
+            assert all(a is b for a, b in zip(other, col))
+        else:
+            assert other.tobytes() == col.tobytes()

@@ -11,15 +11,20 @@ Without ``--config`` it runs the three shipped configs; each ``--config`` adds
 one config file, reported under its file name without the extension.
 
 Each run is a new interpreter. It imports tracechan from one source tree
-(and fails if the package came from anywhere else),
-wraps ``ideal_beam_sweep`` and ``build_channel_matrices`` under the names the
-link layer calls them by, and runs ``simulate`` on one config through
-``cli.main``: ray tracing, setup, channel assembly, training sweeps,
-evaluation and CSV output. It reports the wall time of that call, the process
-CPU time it took (``time.process_time``, all threads; CPU time above wall time
-means extra threads did the work), the time spent inside the wrapped sweeps
-and channel builds, and the growth of the process's minor page faults
-(``ru_minflt``) over the call.
+(and fails if the package came from anywhere else), wraps the stage
+functions under the names their callers use, and runs ``simulate`` on one
+config through ``cli.main``: ray tracing or trace parsing, setup, channel
+assembly, training sweeps, evaluation and CSV output. It reports the wall
+time of that call, the process CPU time it took (``time.process_time``, all
+threads; CPU time above wall time means extra threads did the work), the
+growth of the process's minor page faults (``ru_minflt``) over the call, and
+the time spent inside
+
+- ``ideal_beam_sweep`` (``sweep_s``),
+- channel assembly (``channel_s``): ``build_channel_matrices``, plus the
+  link-wide ``path_factors`` where the tree has it,
+- ``parse_trace`` (``parse_s``; 0 when the config traces its own scene),
+- ``load_config`` (``load_s``).
 
 Fresh processes matter: repeating configs in one process lets the allocator
 keep memory that a single ``simulate`` has to fault in. With several
@@ -44,7 +49,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ("corner", "etoile", "etoile_wide")
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-METRICS = ("wall_s", "cpu_s", "sweep_s", "channel_s", "minflt")
+METRICS = ("wall_s", "cpu_s", "sweep_s", "channel_s", "parse_s", "load_s", "minflt")
 
 # one simulate in a fresh interpreter; prints one JSON line
 _CHILD = r"""
@@ -56,22 +61,26 @@ from tracechan import cli, link
 if os.path.dirname(os.path.realpath(tracechan.__file__)) != os.path.join(src, "tracechan"):
     sys.exit(f"imported tracechan from {tracechan.__file__}, not from {src}")
 
-def timed(name):
-    """Wrap link.<name>; the returned [seconds, calls] fills as it runs."""
-    fn, spent = getattr(link, name), [0.0, 0]
+# wrap module.<name> for each name it has; [seconds, calls] fills as they run
+def timed(module, *names):
+    spent = [0.0, 0]
+    for name in names:
+        if not hasattr(module, name):
+            continue
 
-    def wrapper(*args, **kwargs):
-        start = time.perf_counter()
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            spent[0] += time.perf_counter() - start
-            spent[1] += 1
+        def wrapper(*args, _fn=getattr(module, name), **kwargs):
+            start = time.perf_counter()
+            try:
+                return _fn(*args, **kwargs)
+            finally:
+                spent[0] += time.perf_counter() - start
+                spent[1] += 1
 
-    setattr(link, name, wrapper)
+        setattr(module, name, wrapper)
     return spent
 
-sweep, channel = timed("ideal_beam_sweep"), timed("build_channel_matrices")
+sweep, channel = timed(link, "ideal_beam_sweep"), timed(link, "build_channel_matrices", "path_factors")
+parse, load = timed(cli, "parse_trace"), timed(cli, "load_config")
 faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 start, cpu = time.perf_counter(), time.process_time()
 with contextlib.redirect_stdout(io.StringIO()):
@@ -82,7 +91,7 @@ with open(out, encoding="utf-8") as fh:
     rows = sum(1 for _ in fh) - 1
 print(json.dumps({"rc": rc, "wall_s": wall, "cpu_s": cpu, "sweep_s": sweep[0],
                   "sweeps": sweep[1], "channel_s": channel[0], "channels": channel[1],
-                  "minflt": faults, "rows": rows}))
+                  "parse_s": parse[0], "load_s": load[0], "minflt": faults, "rows": rows}))
 """
 
 _PROBE = r"""
@@ -149,14 +158,15 @@ def main(argv: list[str] | None = None) -> int:
                     runs[name][config].append(result)
                     print(f"{name} {config} run {round_ + 1}: wall {result['wall_s']:.3f} s, "
                           f"cpu {result['cpu_s']:.3f} s, sweep {result['sweep_s']:.3f} s, "
-                          f"channel {result['channel_s']:.3f} s, minflt {result['minflt']}",
-                          flush=True)
+                          f"channel {result['channel_s']:.3f} s, parse {result['parse_s']:.3f} s, "
+                          f"load {result['load_s']:.4f} s, minflt {result['minflt']}", flush=True)
 
     report = {
         "about": "tracechan simulate on each config, one fresh process per run: "
                  "median wall time and process CPU time of cli.main, time inside "
-                 "ideal_beam_sweep and build_channel_matrices, and ru_minflt growth "
-                 "over the call",
+                 "ideal_beam_sweep, channel assembly (build_channel_matrices and, "
+                 "where present, path_factors), parse_trace and load_config, and "
+                 "ru_minflt growth over the call",
         "environment": {
             "python": platform.python_version(),
             "machine": platform.machine(),
@@ -183,7 +193,8 @@ def main(argv: list[str] | None = None) -> int:
         for config, c in res["configs"].items():
             print(f"{name:>10} {config:<12} wall {c['median_wall_s']:.3f} s  "
                   f"cpu {c['median_cpu_s']:.3f} s  sweep {c['median_sweep_s']:.4f} s  "
-                  f"channel {c['median_channel_s']:.4f} s  minflt {c['median_minflt']:.0f}")
+                  f"channel {c['median_channel_s']:.4f} s  parse {c['median_parse_s']:.4f} s  "
+                  f"load {c['median_load_s']:.4f} s  minflt {c['median_minflt']:.0f}")
     return 0
 
 

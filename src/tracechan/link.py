@@ -102,9 +102,8 @@ def compute_sinr(p_rx_w: float, budget: LinkBudget) -> float:
 
 def classify_los(paths: TraceSet | Sequence[MpcRecord]) -> bool:
     """A snapshot is line-of-sight when it contains a LOS record."""
-    if isinstance(paths, TraceSet):
-        return PathType.LOS in paths.columns["path_type"]
-    return any(r.path_type is PathType.LOS for r in paths)
+    trace = paths if isinstance(paths, TraceSet) else TraceSet(paths)
+    return PathType.LOS in trace.columns["path_type"]
 
 
 # 29-step spectral-efficiency ladder, bits/s/Hz, strictly increasing.

@@ -133,6 +133,14 @@ def _as_int(value):
     return int(f)
 
 
+def _as_node_id(value):
+    # traces hold node ids as int64 and accept none below 0
+    i = _as_int(value)
+    if not 0 <= i < 2**63:
+        raise ValueError(f"{value!r} is not in [0, 2**63)")
+    return i
+
+
 def _as_vec3(value):
     if not isinstance(value, (list, tuple)) or len(value) != 3:
         raise ValueError(f"{value!r} is not a 3-element list")
@@ -295,8 +303,8 @@ _SCALARS = {
     "overhead": _as_finite,
     "snapshot_dt_s": _as_finite,
     "duration_s": _as_float,
-    "tx_id": _as_int,
-    "rx_id": _as_int,
+    "tx_id": _as_node_id,
+    "rx_id": _as_node_id,
     "temperature_k": _as_finite,
     "interference_w": _as_finite,
     "base_delay_s": _as_finite,

@@ -376,13 +376,18 @@ def test_sweep_link_without_snapshots_exits_2(scene_cfg, tmp_path, capsys):
      "config error: tx_codebook.az_max: inf is not a finite number\n"),
     ("snapshot_dt_s: 0.25", "snapshot_dt_s: 0.25\nrx_id: 0",
      "config error: tx_id and rx_id must differ\n"),
+    # node ids are int64 in a trace, and a trace holds none below 0
+    ("snapshot_dt_s: 0.25", "snapshot_dt_s: 0.25\nrx_id: 9223372036854775808",
+     "config error: rx_id: 9223372036854775808 is not in [0, 2**63)\n"),
+    ("snapshot_dt_s: 0.25", "snapshot_dt_s: 0.25\ntx_id: -1",
+     "config error: tx_id: -1 is not in [0, 2**63)\n"),
     ("{kind: linear, start: [30.0, 5.0, 1.5], velocity: [0.0, -1.5, 0.0]}",
      "{kind: static, position: [0.0, 0.0, 10.0]}",
      "error: tx and rx coincide at t=0.0\n"),
     ("gamma: 0.7", "gamma: 0.7\n      diffracting_edges: [.inf]",
      "config error: environment.rectangles[0]: inf is not a finite number\n"),
-], ids=["subbands-inf", "codebook-bound-inf", "equal-node-ids", "coincident-nodes",
-        "diffracting-edge-inf"])
+], ids=["subbands-inf", "codebook-bound-inf", "equal-node-ids", "node-id-2**63",
+        "node-id-negative", "coincident-nodes", "diffracting-edge-inf"])
 @pytest.mark.parametrize("cmd", ["generate-trace", "simulate", "sweep"])
 def test_degenerate_inputs_exit_2(tmp_path, capsys, cmd, old, new, problem):
     cfg = tmp_path / "bad.cfg"
@@ -596,6 +601,7 @@ def contract_dir(tmp_path_factory):
 )
 @example(path=("subbands",), token=math.inf, cmd="simulate")
 @example(path=("tx_codebook", "az_max"), token=math.inf, cmd="sweep")
+@example(path=("tx_id",), token=2**63, cmd="generate-trace")
 def test_config_mutations_keep_exit_code_contract(contract_dir, path, token, cmd):
     raw = copy.deepcopy(_SCENE)
     parent = raw

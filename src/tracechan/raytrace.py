@@ -11,13 +11,22 @@ Reflections are traced in two stages. A batched numpy filter takes every
 chunks of bounded size: it builds the image chain, walks back from the
 receiver and tests every leg against every face. Each test also carries a
 bound on how far its numpy values can sit from those of the scalar code, so
-it comes out as a clear hit, a clear miss or undecided; a candidate is
-dropped only when a test rejects it clearly. The candidates left are
-confirmed by the scalar image-method code (`_mirror`, `_segment_hit`,
-`_segment_occluded`), and only that stage produces paths. The confirm stage
-stays scalar because numpy's batched dot products round differently from the
-BLAS dot of two 3-vectors in the last bit, and traces must stay
-byte-identical to those of the scalar tracer.
+it comes out as a clear hit, a clear miss or undecided. Each candidate then
+has one of three outcomes:
+
+- a test rejects it clearly: it is dropped;
+- every test passes clearly (each reflection step a clear hit of its face,
+  each leg a clear miss of every face): it is certified, and the scalar code
+  computes its path without testing it again;
+- otherwise it is kept, and the scalar image-method code (`_mirror`,
+  `_segment_hit`, `_segment_occluded`) runs every test again.
+
+Only the scalar code produces paths, certified or not: image chain,
+reflection points (`_plane_crossing`, the arithmetic `_segment_hit` tests),
+leg lengths and reflection coefficients. It stays scalar because numpy's
+batched dot products round differently from the BLAS dot of two 3-vectors in
+the last bit, and traces must stay byte-identical to those of the scalar
+tracer.
 
 Amplitude model: free-space spreading lambda/(4 pi d) on the unfolded path
 length, one real reflection coefficient per bounce, and the standard
@@ -140,10 +149,14 @@ class Environment:
         object.__setattr__(self, "rectangles", tuple(self.rectangles))
 
 
-def _segment_hit(
+def _plane_crossing(
     p0: np.ndarray, p1: np.ndarray, rect: Rectangle
 ) -> tuple[float, np.ndarray] | None:
-    """Open-segment vs rectangle crossing; endpoint touches excluded."""
+    """(t, point) where the open segment crosses the face's plane.
+
+    Endpoint touches are excluded, and the point is not tested against the
+    rectangle: that is `_segment_hit`.
+    """
     d = p1 - p0
     n = rect.normal
     denom = float(n @ d)
@@ -152,9 +165,16 @@ def _segment_hit(
     t = float(n @ (rect.corner - p0)) / denom
     if t <= _EPS or t >= 1.0 - _EPS:
         return None
-    point = p0 + t * d
-    if rect.contains(point):
-        return t, point
+    return t, p0 + t * d
+
+
+def _segment_hit(
+    p0: np.ndarray, p1: np.ndarray, rect: Rectangle
+) -> tuple[float, np.ndarray] | None:
+    """Open-segment vs rectangle crossing; endpoint touches excluded."""
+    hit = _plane_crossing(p0, p1, rect)
+    if hit is not None and rect.contains(hit[1]):
+        return hit
     return None
 
 
@@ -212,15 +232,20 @@ def _mirror(point: np.ndarray, rect: Rectangle) -> np.ndarray:
 
 
 def _confirm_reflection(
-    p_tx: np.ndarray, p_rx: np.ndarray, seq: list[int], env: Environment
+    p_tx: np.ndarray, p_rx: np.ndarray, seq: list[int], env: Environment,
+    certified: bool = False,
 ) -> _RawPath | None:
     """The scalar image method for one face sequence; None when invalid.
 
     The sequence is valid when every reflection point lands inside its
     rectangle and every leg of the unfolded path clears all faces (touching
-    a face at a leg endpoint does not occlude).
+    a face at a leg endpoint does not occlude). A certified sequence is one
+    the batched filter found valid with every test clear-cut: its points
+    come from the same arithmetic, but neither the containment nor the
+    occlusion test is run again.
     """
     rects = env.rectangles
+    step = _plane_crossing if certified else _segment_hit
     images = []
     img = p_tx
     for idx in seq:
@@ -230,14 +255,14 @@ def _confirm_reflection(
     points: list[np.ndarray] = []
     q = p_rx
     for idx, img in zip(reversed(seq), reversed(images)):
-        hit = _segment_hit(q, img, rects[idx])
+        hit = step(q, img, rects[idx])
         if hit is None:
             return None
         q = hit[1]
         points.append(q)
     points.reverse()
     legs = [p_tx, *points, p_rx]
-    if any(_segment_occluded(a, b, env) for a, b in zip(legs, legs[1:])):
+    if not certified and any(_segment_occluded(a, b, env) for a, b in zip(legs, legs[1:])):
         return None
     length = float(sum(np.linalg.norm(b - a) for a, b in zip(legs, legs[1:])))
     gamma = math.prod(rects[i].gamma for i in seq)
@@ -326,15 +351,19 @@ def _classify(pq, pd, q1, d1, eq, ed, consts):
 
 def _filter_candidates(
     tx: np.ndarray, rx: np.ndarray, seq: np.ndarray, faces: _Faces
-) -> np.ndarray:
-    """Rows of (tx, rx, face sequence) that the scalar code might accept.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(keep, certified): rows of (tx, rx, face sequence) that the scalar
+    code might accept, and those it certainly accepts.
 
     A row is dropped only when a test of the scalar image method rejects it
     clearly: a reflection step that clearly misses its face, or a leg that
-    clearly crosses a face. Undecided rows are kept for the confirm stage.
+    clearly crosses a face. Undecided rows are kept for the confirm stage. A
+    kept row is certified when every test passed clearly: each reflection
+    step a clear hit of its face, each leg a clear miss of every face.
     """
     rows, order = seq.shape
     keep = np.zeros(rows, dtype=bool)
+    certified = np.zeros(rows, dtype=bool)
     images, image_err = [], []
     img, err = tx, np.zeros(rows)
     for j in range(order):
@@ -367,21 +396,24 @@ def _filter_candidates(
     legs = [(tx[live], np.zeros(live.size)), *reversed(walk)]
     n_faces = faces.corners.shape[0]
     consts = faces.consts[:, None, :]
+    sure = np.ones(live.size, dtype=bool)  # every leg so far clearly misses every face
     for i in range(len(legs) - 1):
         (a, ea), (b, eb) = legs[i], legs[i + 1]
         d = b - a
         d1 = _l1(d)
-        blocked, _, _, _ = _classify(
+        blocked, missed = _classify(
             (a @ faces.flat).reshape(-1, 3, n_faces).transpose(1, 0, 2),
             (d @ faces.flat).reshape(-1, 3, n_faces).transpose(1, 0, 2),
             _l1(a)[:, None], d1[:, None], ea[:, None], (ea + eb + _ROUND * d1)[:, None],
             consts,
-        )
+        )[:2]
         clear = ~blocked.any(axis=1)
+        sure = (sure & missed.all(axis=1))[clear]
         live = live[clear]
         legs = [(p[clear], e[clear]) for p, e in legs]
     keep[live] = True
-    return keep
+    certified[live[sure]] = True
+    return keep, certified
 
 
 def _face_sequences(index: np.ndarray, n_faces: int, order: int) -> np.ndarray:
@@ -424,9 +456,10 @@ def _trace_reflections_batch(
         for start in range(0, rows, chunk):
             geometry, index = np.divmod(np.arange(start, min(start + chunk, rows)), per_geometry)
             seq = _face_sequences(index, n, order)
-            keep = _filter_candidates(tx[geometry], rx[geometry], seq, faces)
-            for g, s in zip(geometry[keep].tolist(), seq[keep].tolist()):
-                path = _confirm_reflection(tx[g], rx[g], s, env)
+            keep, certified = _filter_candidates(tx[geometry], rx[geometry], seq, faces)
+            for g, s, c in zip(geometry[keep].tolist(), seq[keep].tolist(),
+                               certified[keep].tolist()):
+                path = _confirm_reflection(tx[g], rx[g], s, env, c)
                 if path is not None:
                     paths[g].append(path)
     return paths

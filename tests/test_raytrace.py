@@ -338,15 +338,24 @@ def _specular_coord(rect, tx, rx):
     return rect.local_coords(rx + t * d)[0]
 
 
-def _at_containment_limit(rect, tx, rx):
-    """Stretch edge_u by a few ulps so that the scalar code finds the specular
-    point as far out along edge_u as its containment tolerance allows."""
-    best, best_a = rect, -math.inf
+def _crossing_coord(rect, p0, p1):
+    """Local coordinate a where the scalar code finds segment p0..p1 crossing
+    rect's plane; nan when it finds no crossing."""
+    hit = raytrace._plane_crossing(p0, p1, rect)
+    return math.nan if hit is None else rect.local_coords(hit[1])[0]
+
+
+def _at_containment_limit(rect, coord, beyond=False):
+    """Stretch edge_u by a few ulps so that coord(rect), a local coordinate
+    along edge_u as the scalar code computes it, sits at the containment
+    tolerance: the largest value inside it, or with beyond the smallest one
+    outside it."""
+    best, best_a = rect, math.inf if beyond else -math.inf
     for k in range(-16, 17):
         cand = Rectangle(rect.corner, rect.edge_u * (1.0 + k * 2.0**-52), rect.edge_v,
                          rect.gamma, rect.diffracting_edges)
-        a = _specular_coord(cand, tx, rx)
-        if best_a < a <= 1.0 + 1e-9:
+        a = coord(cand)
+        if (1.0 + 1e-9 < a < best_a) if beyond else (best_a < a <= 1.0 + 1e-9):
             best, best_a = cand, a
     return best
 
@@ -361,7 +370,9 @@ def _rt_scenes(draw):
     Degenerate placements: a receiver on or within 1e-13 of a face plane, a
     tx-rx leg parallel to a face pair, a coplanar face whose edge passes
     through a specular point or puts it right at the containment tolerance
-    (local coordinate 1 + 1e-9 as the scalar code computes it), coplanar faces.
+    (local coordinate 1 + 1e-9 as the scalar code computes it, or one step
+    past it), a face whose edge a reflection leg crosses right at that
+    tolerance, coplanar faces.
     """
     dims = np.array(draw(st.tuples(*[st.floats(2.0, 12.0)] * 3)))
     tx = dims * np.array(draw(st.tuples(_unit, _unit, _unit)))
@@ -379,7 +390,9 @@ def _rt_scenes(draw):
         hi = [o * draw(st.floats(0.65, 1.0)) for o in other]
         local.append(_plane_rect(axis, off, lo, hi, 0.5, draw(st.sampled_from([(), (1,), (0, 2)]))))
     kind = draw(st.sampled_from(
-        ["plain", "rx_on_plane", "rx_near_plane", "parallel_leg", "edge_point"] + ["tol_edge"] * 3))
+        ["plain", "rx_on_plane", "rx_near_plane", "parallel_leg", "edge_point"]
+        + ["tol_edge"] * 3 + ["tol_leg"] * 3))
+    beyond = draw(st.booleans())
     rx = rxs[0]
     axis, off = box[draw(st.integers(0, 5))]
     if kind == "rx_on_plane":
@@ -396,6 +409,16 @@ def _rt_scenes(draw):
         if kind == "tol_edge":
             reach = reach / (1.0 + 1e-9)
         local.append(_plane_rect(axis, off, (b0, 0.0), (b0 + reach, dims[c]), 0.9))
+    elif kind == "tol_leg":
+        # the face (axis, off) reflects; a face across the leg from tx to its
+        # specular point has its far edge through that leg
+        wall = _plane_rect(axis, off, (0.0, 0.0), [dims[k] for k in range(3) if k != axis])
+        cut_axis = [k for k in range(3) if k != axis][draw(st.integers(0, 1))]
+        cut = tx + draw(st.floats(0.2, 0.8)) * (_specular_point(tx, rx, axis, off) - tx)
+        b, c = [k for k in range(3) if k != cut_axis]
+        b0 = cut[b] * draw(st.floats(0.0, 0.8))
+        local += [wall, _plane_rect(cut_axis, cut[cut_axis], (b0, 0.0),
+                                    (b0 + (cut[b] - b0) / (1.0 + 1e-9), dims[c]), 0.9)]
     rot = _rotation(draw(st.tuples(*[st.floats(-1.0, 1.0)] * 4)
                          .filter(lambda q: np.linalg.norm(q) > 0.1)))
     if draw(st.booleans()):
@@ -404,7 +427,14 @@ def _rt_scenes(draw):
     rects = [Rectangle(origin + rot @ c, rot @ u, rot @ v, g, e) for c, u, v, g, e in local]
     tx, rxs = origin + rot @ tx, [origin + rot @ p for p in rxs]
     if kind == "tol_edge":
-        rects[-1] = _at_containment_limit(rects[-1], tx, rxs[0])
+        rects[-1] = _at_containment_limit(
+            rects[-1], lambda r: _specular_coord(r, tx, rxs[0]), beyond)
+    elif kind == "tol_leg":
+        wall = rects[-2]
+        point = raytrace._segment_hit(rxs[0], raytrace._mirror(tx, wall), wall)
+        if point is not None:
+            rects[-1] = _at_containment_limit(
+                rects[-1], lambda r: _crossing_coord(r, tx, point[1]), beyond)
     env = Environment(tuple(rects))
     order = draw(st.integers(0, 4))
     n = len(env.rectangles)
@@ -438,6 +468,81 @@ def test_batched_tracer_matches_scalar_oracle(scene, batch):
         assert [_path_bytes(p) for p in paths] == [_path_bytes(p) for p in want]
     want = raytrace_oracle.trace_link_snapshot(tx, rxs[0], env, F_C, order)
     assert [_path_bytes(p) for p in snapshot] == [_path_bytes(p) for p in want]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rt_scenes(), st.sampled_from([64, 1024, raytrace._BATCH]))
+def test_certified_rows_pass_every_scalar_test(scene, batch):
+    env, tx, rxs, order = scene
+    rects = env.rectangles
+    rows = []  # (tx, rx, face sequence) of every certified row
+    real = raytrace._filter_candidates
+
+    def spy(tx, rx, seq, faces):
+        keep, certified = real(tx, rx, seq, faces)
+        assert not (certified & ~keep).any()
+        rows.extend(zip(tx[certified], rx[certified], seq[certified].tolist()))
+        return keep, certified
+
+    with mock.patch.object(raytrace, "_BATCH", batch), \
+            mock.patch.object(raytrace, "_filter_candidates", spy):
+        raytrace._trace_reflections_batch([tx] * len(rxs), rxs, env, order)
+    for p_tx, p_rx, seq in rows:
+        path = raytrace._confirm_reflection(p_tx, p_rx, seq, env)
+        assert path is not None
+        certified = raytrace._confirm_reflection(p_tx, p_rx, seq, env, certified=True)
+        assert _path_bytes(certified) == _path_bytes(path)
+        images = [p_tx]
+        for idx in seq:
+            images.append(raytrace._mirror(images[-1], rects[idx]))
+        points = [p_rx]
+        for idx, img in zip(reversed(seq), reversed(images[1:])):
+            hit = raytrace._segment_hit(points[-1], img, rects[idx])
+            assert hit is not None
+            points.append(hit[1])
+        legs = [p_tx, *reversed(points)]
+        assert not any(raytrace._segment_occluded(a, b, env) for a, b in zip(legs, legs[1:]))
+        assert (legs[1] - legs[0]).tobytes() == certified.first_leg.tobytes()
+        assert (legs[-2] - legs[-1]).tobytes() == certified.last_leg_back.tobytes()
+
+
+def _grazing_blocker():
+    """A face in the plane y = 2 whose far edge the first leg of the WALL_Y5
+    bounce (tx -> (5, 5, 1)) crosses as far out as the containment tolerance
+    allows: the scalar code finds that leg occluded, by the tolerance alone."""
+    point = raytrace._segment_hit(P_RX, raytrace._mirror(P_TX, WALL_Y5), WALL_Y5)[1]
+    face = Rectangle([1.0, 2.0, 0.0], [1.0 / (1.0 + 1e-9), 0.0, 0.0], [0.0, 0.0, 10.0])
+    face = _at_containment_limit(face, lambda r: _crossing_coord(r, P_TX, point))
+    assert 1.0 < _crossing_coord(face, P_TX, point) <= 1.0 + 1e-9
+    return face
+
+
+def test_undecided_leg_is_kept_but_not_certified():
+    faces = raytrace._stack_faces((WALL_Y5,))
+    _, certified = raytrace._filter_candidates(P_TX[None], P_RX[None], np.array([[0]]), faces)
+    assert certified.tolist() == [True]  # the bounce alone passes every test clearly
+    env = Environment((WALL_Y5, _grazing_blocker()))
+    keep, certified = raytrace._filter_candidates(
+        np.array([P_TX, P_TX]), np.array([P_RX, P_RX]), np.array([[0], [1]]),
+        raytrace._stack_faces(env.rectangles))
+    assert keep.tolist() == [True, False] and certified.tolist() == [False, False]
+    assert raytrace._confirm_reflection(P_TX, P_RX, [0], env) is None
+    want = raytrace_oracle.trace_reflections(P_TX, P_RX, env, F_C, 1)
+    assert want == []
+    assert raytrace._trace_reflections_batch([P_TX], [P_RX], env, 1) == [want]
+
+    # certifying every kept row, as if an undecided test were a clear miss,
+    # emits the occluded bounce
+    real = raytrace._filter_candidates
+
+    def certify_kept(*args):
+        keep, _ = real(*args)
+        return keep, keep
+
+    with mock.patch.object(raytrace, "_filter_candidates", certify_kept):
+        got = raytrace._trace_reflections_batch([P_TX], [P_RX], env, 1)[0]
+    assert [p.path_type for p in got] == [PathType.REFLECTION]
+    assert [_path_bytes(p) for p in got] != [_path_bytes(p) for p in want]
 
 
 @pytest.mark.parametrize("n_faces,order", [(1, 3), (2, 4), (3, 3), (5, 2)])

@@ -4,11 +4,15 @@ Usage (from the repository root):
 
     python3 tools/bench_fresh.py --runs 9 --out BENCH.json
     python3 tools/bench_fresh.py --runs 9 --src before=../old/src --src after=src --out BENCH.json
-    python3 tools/bench_fresh.py --config configs/corner.cfg --config work/dense_replay.cfg \
+    python3 tools/bench_fresh.py --config configs/corner.cfg --workload room_trace:3 \
         --out BENCH.json
 
-Without ``--config`` it runs the three shipped configs; each ``--config`` adds
-one config file, reported under its file name without the extension.
+Without ``--config`` or ``--workload`` it runs the three shipped configs.
+Each ``--config`` adds one config file, reported under its file name
+without the extension. Each ``--workload NAME:SEED`` adds the config that
+``perfbench/workloads.py`` writes for that benchmark workload and seed (into
+a temporary directory, with its trace file where it has one), reported as
+``NAME:SEED``.
 
 Each run is a new interpreter. It imports tracechan from one source tree
 (and fails if the package came from anywhere else), wraps the stage
@@ -20,6 +24,8 @@ threads; CPU time above wall time means extra threads did the work), the
 growth of the process's minor page faults (``ru_minflt``) over the call, and
 the time spent inside
 
+- ray tracing, ``generate_trace`` (``trace_s``; 0 when the config replays
+  a trace),
 - ``ideal_beam_sweep`` (``sweep_s``),
 - channel assembly (``channel_s``): ``build_channel_matrices``, plus the
   link-wide ``path_factors`` where the tree has it,
@@ -37,6 +43,8 @@ settings the runs inherited. Uses the standard library only.
 from __future__ import annotations
 
 import argparse
+import functools
+import importlib.util
 import json
 import os
 import platform
@@ -49,7 +57,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ("corner", "etoile", "etoile_wide")
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-METRICS = ("wall_s", "cpu_s", "sweep_s", "channel_s", "parse_s", "load_s", "minflt")
+METRICS = ("wall_s", "cpu_s", "trace_s", "sweep_s", "channel_s", "parse_s", "load_s", "minflt")
 
 # one simulate in a fresh interpreter; prints one JSON line
 _CHILD = r"""
@@ -81,6 +89,7 @@ def timed(module, *names):
 
 sweep, channel = timed(link, "ideal_beam_sweep"), timed(link, "build_channel_matrices", "path_factors")
 parse, load = timed(cli, "parse_trace"), timed(cli, "load_config")
+trace = timed(cli, "generate_trace")
 faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 start, cpu = time.perf_counter(), time.process_time()
 with contextlib.redirect_stdout(io.StringIO()):
@@ -89,7 +98,7 @@ wall, cpu = time.perf_counter() - start, time.process_time() - cpu
 faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
 with open(out, encoding="utf-8") as fh:
     rows = sum(1 for _ in fh) - 1
-print(json.dumps({"rc": rc, "wall_s": wall, "cpu_s": cpu, "sweep_s": sweep[0],
+print(json.dumps({"rc": rc, "wall_s": wall, "cpu_s": cpu, "trace_s": trace[0], "sweep_s": sweep[0],
                   "sweeps": sweep[1], "channel_s": channel[0], "channels": channel[1],
                   "parse_s": parse[0], "load_s": load[0], "minflt": faults, "rows": rows}))
 """
@@ -122,6 +131,25 @@ def _source(spec: str) -> tuple[str, Path]:
     return (name if sep else str(src)), src
 
 
+@functools.cache
+def _workloads():
+    """perfbench/workloads.py, imported from its file (perfbench is no package)."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def _workload(spec: str) -> tuple[str, int]:
+    name, _, seed = spec.partition(":")
+    if name not in _workloads().WORKLOADS:
+        raise argparse.ArgumentTypeError(f"no workload {name!r}: one of "
+                                         f"{', '.join(_workloads().WORKLOADS)}")
+    return name, int(seed)  # a ValueError is argparse's "invalid value" message
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--runs", type=int, default=9, help="fresh processes per config and tree")
@@ -130,6 +158,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--config", action="append", type=Path, metavar="PATH",
                         help="a scenario config to simulate (repeatable; default: the shipped "
                              f"{', '.join(CONFIGS)})")
+    parser.add_argument("--workload", action="append", type=_workload, metavar="NAME:SEED",
+                        help="a perfbench workload's config, written for SEED (repeatable)")
     parser.add_argument("--out", required=True, help="JSON file to write")
     args = parser.parse_args(argv)
     if args.runs < 1:
@@ -137,7 +167,8 @@ def main(argv: list[str] | None = None) -> int:
     sources = args.src or [("src", ROOT / "src")]
     if len({name for name, _ in sources}) != len(sources):
         parser.error("--src names must differ")
-    paths = args.config or [ROOT / "configs" / f"{c}.cfg" for c in CONFIGS]
+    paths = args.config or ([] if args.workload else
+                            [ROOT / "configs" / f"{c}.cfg" for c in CONFIGS])
     configs = {path.stem: path.resolve() for path in paths}
     if len(configs) != len(paths):
         parser.error("--config file names must differ")
@@ -145,8 +176,15 @@ def main(argv: list[str] | None = None) -> int:
         if not path.is_file():
             parser.error(f"no config file {path}")
 
-    runs = {name: {c: [] for c in configs} for name, _ in sources}
     with tempfile.TemporaryDirectory() as work:
+        for name, seed in args.workload or []:
+            key = f"{name}:{seed}"
+            if key in configs:
+                parser.error(f"{key} is given twice")
+            workdir = Path(work) / f"{name}_{seed}"
+            workdir.mkdir()
+            configs[key] = _workloads().generate(name, seed, workdir).config
+        runs = {name: {c: [] for c in configs} for name, _ in sources}
         out = str(Path(work) / "metrics.csv")
         for round_ in range(args.runs):
             order = sources if round_ % 2 == 0 else sources[::-1]
@@ -157,14 +195,15 @@ def main(argv: list[str] | None = None) -> int:
                         raise RuntimeError(f"{name} {config}: simulate exited {result['rc']}")
                     runs[name][config].append(result)
                     print(f"{name} {config} run {round_ + 1}: wall {result['wall_s']:.3f} s, "
-                          f"cpu {result['cpu_s']:.3f} s, sweep {result['sweep_s']:.3f} s, "
+                          f"cpu {result['cpu_s']:.3f} s, trace {result['trace_s']:.3f} s, "
+                          f"sweep {result['sweep_s']:.3f} s, "
                           f"channel {result['channel_s']:.3f} s, parse {result['parse_s']:.3f} s, "
                           f"load {result['load_s']:.4f} s, minflt {result['minflt']}", flush=True)
 
     report = {
         "about": "tracechan simulate on each config, one fresh process per run: "
                  "median wall time and process CPU time of cli.main, time inside "
-                 "ideal_beam_sweep, channel assembly (build_channel_matrices and, "
+                 "generate_trace, ideal_beam_sweep, channel assembly (build_channel_matrices and, "
                  "where present, path_factors), parse_trace and load_config, and "
                  "ru_minflt growth over the call",
         "environment": {
@@ -192,7 +231,8 @@ def main(argv: list[str] | None = None) -> int:
     for name, res in report["results"].items():
         for config, c in res["configs"].items():
             print(f"{name:>10} {config:<12} wall {c['median_wall_s']:.3f} s  "
-                  f"cpu {c['median_cpu_s']:.3f} s  sweep {c['median_sweep_s']:.4f} s  "
+                  f"cpu {c['median_cpu_s']:.3f} s  trace {c['median_trace_s']:.4f} s  "
+                  f"sweep {c['median_sweep_s']:.4f} s  "
                   f"channel {c['median_channel_s']:.4f} s  parse {c['median_parse_s']:.4f} s  "
                   f"load {c['median_load_s']:.4f} s  minflt {c['median_minflt']:.0f}")
     return 0

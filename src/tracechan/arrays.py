@@ -15,10 +15,11 @@ has phase k * pitch * (c * alpha + r * beta), where
 
 so the response is the Kronecker product of a row factor exp(j k pitch r beta)
 and a column factor exp(j k pitch c alpha). steering_factors computes these
-factors, R + C complex exponentials per direction instead of R * C;
-steering_matrix, the channel's path factors and the beam codebooks build
-every response from them, so it is the one steering formula of the
-package, and one private helper forms the Kronecker products.
+factors, R + C complex exponentials per direction instead of R * C, and
+it is the one steering formula of the package. The channel's path factors
+and the beam codebooks keep the factors and contract weights through them;
+one private helper, _responses, forms the Kronecker products where whole
+responses are read (steering_matrix, a channel's a_rx and a_tx).
 
 Steering takes azimuth and zenith arrays in degrees, one entry per
 direction; Direction only labels codebook beams and sweep winners. Callers
@@ -127,8 +128,7 @@ def steering_factors(
 
     Response d is the Kronecker product of row d of each factor (see
     steering_matrix). az_deg and zen_deg hold the D directions' azimuths and zeniths in
-    degrees, taken as given (no wrap). Both factors are exp(0) = 1 at
-    index 0, so element (0, 0) of every response is exactly 1.
+    degrees, taken as given (no wrap).
     """
     az = np.radians(np.asarray(az_deg, dtype=float))
     zen = np.radians(np.asarray(zen_deg, dtype=float))

@@ -13,11 +13,13 @@ factors are computed from its azimuth and zenith grid arrays; its Direction
 objects only label the beams.
 
 Sweeps contract the factored channel H_k = A_rx diag(c_k) A_tx^H without
-forming it. A codebook is projected onto the P path steering vectors through
-its factors, (F_r A_r^*) * (F_c A_c^*) / sqrt(N), in O(n_beams (R + C) P).
-The rx side is taken in the path basis or the element basis, whichever is
-smaller, and the K subbands are compressed to min(K, P) rows of the
-triangular QR factor of the coefficient matrix. A power table row is then a
+forming it. A codebook with factors F_r, F_c is projected onto the P path
+steering vectors straight from the channel's (P, R) and (P, C) path
+factors A_r, A_c: (F_r A_r^H) * (F_c A_c^H) / sqrt(N), in
+O(n_beams (R + C) P). The rx side is taken in the path basis or the element
+basis, whichever is smaller (only the element basis assembles A_rx), and
+the K subbands are compressed to min(K, P) rows of the triangular QR factor
+of the coefficient matrix. A power table row is then a
 sum of |amplitude|^2 rows, one per coefficient row.
 
 The winner of a sweep is the first pair in row-major order (tx index, then
@@ -47,7 +49,7 @@ from .arrays import Direction, PlanarArray, _wrap_azimuth, steering_factors
 # steering_vector is not used here; perfbench/tests/test_perfbench.py reads
 # tracechan.beams.steering_vector, so the name stays importable from beams
 from .arrays import steering_vector  # noqa: F401
-from .channel import ChannelMatrixSet
+from .channel import ChannelMatrixSet, _finite_power
 
 __all__ = [
     "TIE_RTOL",
@@ -159,22 +161,17 @@ class BeamSelection:
     power_w: float
 
 
-def _project(codebook: BeamCodebook, a: np.ndarray) -> np.ndarray:
+def _project(codebook: BeamCodebook, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """(n_beams, P) inner products ``codebook.weights @ a.conj()``, from the factors.
 
-    a is an (N, P) steering matrix of the codebook's array. Its response to
-    path p has element (0, 0) exactly 1 (see ChannelMatrixSet), so path p's
-    row factor is its column c = 0 and its column factor its row r = 0.
+    a is the (N, P) steering matrix of the codebook's array whose column p
+    is the Kronecker product of rows[p] and cols[p]: the (P, R) row and
+    (P, C) column factors a ChannelMatrixSet keeps in its paths. Factors
+    of another array shape fail in the products with ValueError.
     """
-    n_rows, n_cols = codebook.row_factors.shape[1], codebook.col_factors.shape[1]
-    if a.shape[0] != n_rows * n_cols:
-        raise ValueError(
-            f"a {n_rows}x{n_cols} codebook cannot steer a {a.shape[0]}-element array"
-        )
-    cube = a.T.reshape(a.shape[1], n_rows, n_cols)  # (P, R, C)
-    t = codebook.row_factors @ cube[:, :, 0].T.conj()
-    t *= codebook.col_factors @ cube[:, 0, :].T.conj()
-    t *= 1.0 / math.sqrt(n_rows * n_cols)
+    t = codebook.row_factors @ rows.T.conj()
+    t *= codebook.col_factors @ cols.T.conj()
+    t *= 1.0 / math.sqrt(codebook.n_elements)
     return t
 
 
@@ -190,18 +187,19 @@ def _sweep_factors(
     amplitudes are coef @ x, and sum_k |coef @ x|^2 equals sum_j |r @ x|^2
     for the QR factor r of coef, which has min(K, P) rows. The rx side is
     (P, n_rx_b) in the path basis, or the (P, N_rx) and (N_rx, n_rx_b)
-    element-basis pair when there are more paths than rx elements.
+    element-basis pair when there are more paths than rx elements; only
+    then is a_rx assembled.
     """
     if p_tx_w < 0:
         raise ValueError("p_tx_w must be non-negative")
-    tx_paths = _project(tx_codebook, channel.a_tx)  # (n_tx_b, P)
-    n_rx, n_paths = channel.a_rx.shape
-    if n_paths <= n_rx:
-        rx_side = (_project(rx_codebook, channel.a_rx).conj().T,)
+    f = channel.paths
+    tx_paths = _project(tx_codebook, f.tx_rows, f.tx_cols)  # (n_tx_b, P)
+    if len(f) <= rx_codebook.n_elements:
+        rx_side = (_project(rx_codebook, f.rx_rows, f.rx_cols).conj().T,)
     else:
         rx_side = (channel.a_rx.T, rx_codebook.weights.conj().T)
     coef = channel.coef
-    if coef.shape[0] > n_paths:
+    if coef.shape[0] > len(f):
         coef = np.linalg.qr(coef, mode="r")  # (P, P) with r^H r = coef^H coef
     return tx_paths, coef, rx_side, p_tx_w / channel.grid.n_subbands
 
@@ -321,6 +319,7 @@ def select_best_pair(
     return _pick(table, range(table.shape[0]), tx_codebook, rx_codebook)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowed winner raises instead
 def ideal_beam_sweep(
     channel: ChannelMatrixSet,
     tx_codebook: BeamCodebook,
@@ -337,7 +336,8 @@ def ideal_beam_sweep(
     whose bound clears best * (1 - TIE_RTOL). A row outside that set has no
     pair tied with the maximum, and the maximum's row is inside it. When
     every bound is 0 (no paths, or only zero-gain ones) no row is computed:
-    the answer is the all-zero table's pair (0, 0) at 0 W.
+    the answer is the all-zero table's pair (0, 0) at 0 W. A winning power
+    that is not finite raises ValueError naming the channel's time.
     """
     tx_paths, coef, rx_side, scale = _sweep_factors(channel, tx_codebook, rx_codebook, p_tx_w)
     bound = _row_bounds(tx_paths, coef, rx_side, scale)
@@ -348,8 +348,8 @@ def ideal_beam_sweep(
     top = np.sort(np.argsort(bound)[-2:])
     table = _power_rows(tx_paths[top], coef, rx_side, scale)
     keep = np.flatnonzero(bound >= table.max() * (1.0 - TIE_RTOL))
-    if np.isin(keep, top).all():
-        return _pick(table, top, tx_codebook, rx_codebook)
-    # keep holds the maximum's row too, so it has two rows or more here
-    return _pick(_power_rows(tx_paths[keep], coef, rx_side, scale), keep,
-                 tx_codebook, rx_codebook)
+    if not np.isin(keep, top).all():
+        # keep holds the maximum's row too, so it has two rows or more here
+        top, table = keep, _power_rows(tx_paths[keep], coef, rx_side, scale)
+    _finite_power(table.max(), channel.time)
+    return _pick(table, top, tx_codebook, rx_codebook)

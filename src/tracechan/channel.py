@@ -18,10 +18,12 @@ recorded paths of later snapshots.
 
 A snapshot with P paths gives a channel of rank at most P, so it is kept
 factored: H_k = A_rx diag(c_k) A_tx^H with the (K, P) per-path subband
-coefficients c, the (N_rx, P) arrival steering matrix A_rx and the (N_tx, P)
-departure steering matrix A_tx. Beamformed power and beam sweeps contract
-these factors directly; the dense (K, N_rx, N_tx) tensor is built only when
-``ChannelMatrixSet.matrices`` is read.
+coefficients c and the snapshot's PathFactors, whose row and column
+factors define the (N_rx, P) arrival and (N_tx, P) departure steering
+matrices A_rx and A_tx. Beamformed power and beam sweeps contract the
+factors directly; A_rx, A_tx and the dense (K, N_rx, N_tx) tensor are
+assembled only when ``ChannelMatrixSet.a_rx``, ``.a_tx`` or ``.matrices``
+is read.
 """
 
 from __future__ import annotations
@@ -76,39 +78,6 @@ class SubbandGrid:
 
 
 @dataclass(frozen=True)
-class ChannelMatrixSet:
-    """Per-subband channel H_k = a_rx diag(coef[k]) a_tx^H of one snapshot.
-
-    a_rx and a_tx are steering matrices of R x C planar arrays: column p is
-    the Kronecker product of a row factor and a column factor, and its
-    element (0, 0) is exactly exp(0) = 1. So ``a.T.reshape(P, R, C)[:, :, 0]``
-    and ``[:, 0, :]`` are path p's row and column factors, bit for bit; the
-    beam sweeps project codebooks onto the paths through them.
-    """
-
-    coef: np.ndarray  # (K, P) complex per-path coefficient on each subband
-    a_rx: np.ndarray  # (N_rx, P) arrival steering vectors, one column per path
-    a_tx: np.ndarray  # (N_tx, P) departure steering vectors, one column per path
-    grid: SubbandGrid
-    time: float
-
-    def __post_init__(self) -> None:
-        n_paths = self.coef.shape[1]
-        if (self.coef.shape != (self.grid.n_subbands, n_paths)
-                or self.a_rx.ndim != 2 or self.a_rx.shape[1] != n_paths
-                or self.a_tx.ndim != 2 or self.a_tx.shape[1] != n_paths):
-            raise ValueError(
-                f"factor shapes coef {self.coef.shape}, a_rx {self.a_rx.shape}, "
-                f"a_tx {self.a_tx.shape} do not form a {self.grid.n_subbands}-subband channel"
-            )
-
-    @property
-    def matrices(self) -> np.ndarray:
-        """Dense (K, N_rx, N_tx) channel tensor, assembled on every read."""
-        return np.einsum("kp,up,sp->kus", self.coef, self.a_rx, self.a_tx.conj(), optimize=True)
-
-
-@dataclass(frozen=True)
 class PathFactors:
     """The per-path factors a channel is assembled from, one row per path.
 
@@ -131,6 +100,41 @@ class PathFactors:
 
     def __getitem__(self, paths: slice) -> PathFactors:
         return PathFactors(*(factor[paths] for factor in vars(self).values()))
+
+
+@dataclass(frozen=True)
+class ChannelMatrixSet:
+    """Per-subband channel H_k = a_rx diag(coef[k]) a_tx^H of one snapshot.
+
+    paths is the snapshot's PathFactors. a_rx and a_tx, the (N_rx, P) and
+    (N_tx, P) steering matrices whose column p is the Kronecker product of
+    path p's row and column factors, are assembled from them on every read.
+    """
+
+    coef: np.ndarray  # (K, P) complex per-path coefficient on each subband
+    paths: PathFactors
+    grid: SubbandGrid
+    time: float
+
+    def __post_init__(self) -> None:
+        if self.coef.shape != (self.grid.n_subbands, len(self.paths)):
+            raise ValueError(f"coef shape {self.coef.shape} does not fit {len(self.paths)} "
+                             f"paths on {self.grid.n_subbands} subbands")
+
+    @property
+    def a_rx(self) -> np.ndarray:
+        """(N_rx, P) arrival steering vectors, one column per path."""
+        return _responses(self.paths.rx_rows, self.paths.rx_cols)
+
+    @property
+    def a_tx(self) -> np.ndarray:
+        """(N_tx, P) departure steering vectors, one column per path."""
+        return _responses(self.paths.tx_rows, self.paths.tx_cols)
+
+    @property
+    def matrices(self) -> np.ndarray:
+        """Dense (K, N_rx, N_tx) channel tensor, assembled on every read."""
+        return np.einsum("kp,up,sp->kus", self.coef, self.a_rx, self.a_tx.conj(), optimize=True)
 
 
 def _check_fields(columns) -> None:
@@ -179,9 +183,9 @@ def build_channel_matrices(
     paths is the snapshot's paths: a TraceSet or MpcRecords, which must all
     share one (t, tx_id, rx_id), or their PathFactors for these arrays
     (run_simulation slices them out of its link's). t defaults to the
-    records' time, else 0.0; no paths give a channel with zero-column
-    factors and all-zero matrices. Records go through path_factors, so the
-    same fields raise ValueError.
+    records' time, else 0.0; no paths give a channel with zero-path factors
+    and all-zero matrices. Records go through path_factors, so the same
+    fields raise ValueError. No steering matrix is assembled here.
     """
     if not isinstance(paths, PathFactors):
         trace = paths if isinstance(paths, TraceSet) else TraceSet(paths)
@@ -193,14 +197,19 @@ def build_channel_matrices(
         paths = path_factors(trace, tx_array, rx_array)
     elif t is None:
         t = 0.0
-
-    a_tx = _responses(paths.tx_rows, paths.tx_cols)  # (N_tx, P)
-    a_rx = _responses(paths.rx_rows, paths.rx_cols)  # (N_rx, P)
     # (K, P) per-path complex coefficient on each subband
     coef = paths.phasor * np.exp(-1j * 2.0 * math.pi * np.outer(grid.offsets_hz(), paths.delay))
-    return ChannelMatrixSet(coef, a_rx, a_tx, grid, t)
+    return ChannelMatrixSet(coef, paths, grid, t)
 
 
+def _finite_power(power: float, t: float) -> float:
+    """power, or ValueError naming the snapshot time t if it is inf or NaN."""
+    if not math.isfinite(power):
+        raise ValueError(f"received power at t={t!r} overflows to {float(power)}")
+    return power
+
+
+@np.errstate(over="ignore", invalid="ignore")  # an overflowed power raises instead
 def beamformed_power(
     channel: ChannelMatrixSet,
     w_tx: np.ndarray,
@@ -211,21 +220,26 @@ def beamformed_power(
 
     P_k = (p_tx / K) * |w_rx^H H_k w_tx|^2. Both weight vectors must have
     unit norm (tolerance 1e-9); transmit power splits evenly over subbands.
-    The amplitude is contracted in the path domain:
-    w_rx^H H_k w_tx = sum_p coef[k, p] (w_rx^H a_rx[:, p]) (a_tx[:, p]^H w_tx).
+    The amplitude is contracted through the path factors: with W the (R, C)
+    row-major reshape of w, w^H a[:, p] = ((rows @ W^*) * cols).sum(axis=1)[p]
+    for any weights, and w_rx^H H_k w_tx = sum_p coef[k, p]
+    (w_rx^H a_rx[:, p]) conj(w_tx^H a_tx[:, p]). A total that is not finite
+    raises ValueError naming the channel's time (see _finite_power).
     """
-    w_tx = np.asarray(w_tx)
-    w_rx = np.asarray(w_rx)
-    for name, w, n in (("w_tx", w_tx, channel.a_tx.shape[0]),
-                       ("w_rx", w_rx, channel.a_rx.shape[0])):
-        if w.shape != (n,):
-            raise ValueError(f"{name} must have shape ({n},), got {w.shape}")
-        norm = np.linalg.norm(w)
-        if abs(norm - 1.0) > 1e-9:
+    f = channel.paths
+    gains = []  # w^H a[:, p] of the tx side, then the rx side
+    for name, w, rows, cols in (("w_tx", w_tx, f.tx_rows, f.tx_cols),
+                                ("w_rx", w_rx, f.rx_rows, f.rx_cols)):
+        w, shape = np.asarray(w), (rows.shape[1], cols.shape[1])
+        if w.shape != (shape[0] * shape[1],):
+            raise ValueError(f"{name} must have shape ({shape[0] * shape[1]},), got {w.shape}")
+        norm = math.sqrt(np.vdot(w, w).real)
+        if not abs(norm - 1.0) <= 1e-9:  # NaN too
             raise ValueError(f"{name} must have unit norm, got {norm!r}")
+        gains.append(((rows @ w.reshape(shape).conj()) * cols).sum(axis=1))
     if p_tx_w < 0:
         raise ValueError("p_tx_w must be non-negative")
 
-    amp = channel.coef @ ((w_rx.conj() @ channel.a_rx) * (w_tx @ channel.a_tx.conj()))  # (K,)
+    amp = channel.coef @ (gains[1] * gains[0].conj())  # (K,)
     per_subband = (p_tx_w / channel.grid.n_subbands) * np.abs(amp) ** 2
-    return per_subband, float(per_subband.sum())
+    return per_subband, _finite_power(float(per_subband.sum()), channel.time)

@@ -75,8 +75,9 @@ class Rectangle:
     """Planar parallelogram face: corner plus two edge vectors, meters.
 
     gamma is the real amplitude reflection coefficient in [0, 1].
-    diffracting_edges marks perimeter edges by index: 0 = corner..corner+u,
-    1 = corner+u..corner+u+v, 2 = corner+u+v..corner+v, 3 = corner+v..corner.
+    diffracting_edges marks perimeter edges by index, each at most once:
+    0 = corner..corner+u, 1 = corner+u..corner+u+v, 2 = corner+u+v..corner+v,
+    3 = corner+v..corner.
     The vectors are stored as read-only copies, so the unit normal and the
     Gram terms of (edge_u, edge_v), computed once here, cannot go stale.
     Faces compare and hash by value: the three vectors, gamma and
@@ -103,6 +104,8 @@ class Rectangle:
             raise ValueError(f"gamma {self.gamma!r} outside [0, 1]")
         if any(e not in (0, 1, 2, 3) for e in self.diffracting_edges):
             raise ValueError("diffracting edge indices must be in 0..3")
+        if len(set(self.diffracting_edges)) != len(self.diffracting_edges):
+            raise ValueError(f"diffracting edges {self.diffracting_edges} repeat an index")
         object.__setattr__(self, "normal", _read_only(n / np.linalg.norm(n)))
         uu = float(self.edge_u @ self.edge_u)
         vv = float(self.edge_v @ self.edge_v)

@@ -262,6 +262,8 @@ def _parse_environment(reader: _Reader) -> Environment | None:
         if None in (corner, edge_u, edge_v):
             continue
         try:
+            if not isinstance(edges, list):
+                raise ValueError(f"diffracting_edges must be a list, got {_yaml_text(edges)}")
             rects.append(
                 Rectangle(corner, edge_u, edge_v, gamma, tuple(_as_int(e) for e in edges))
             )

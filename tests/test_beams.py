@@ -1,6 +1,7 @@
 """Codebook generation and exhaustive beam sweeps."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -547,4 +548,20 @@ def test_beam_weights_and_projection_match_dense_weights():
     rng = np.random.default_rng(5)
     ch = _channel(_random_records(rng, 4), arr, arr)
     np.testing.assert_allclose(
-        beams._project(cb, ch.a_tx), dense @ ch.a_tx.conj(), rtol=0, atol=1e-14)
+        beams._project(cb, ch.paths.tx_rows, ch.paths.tx_cols), dense @ ch.a_tx.conj(),
+        rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("n_paths", [1, 3], ids=["path-basis", "element-basis"])
+def test_overflowing_sweep_raises_naming_the_time(n_paths):
+    # a 1x2 rx array takes three paths in the element basis
+    tx_arr, rx_arr = PlanarArray(2, 2, LAM), PlanarArray(1, 2, LAM)
+    records = [mk_record(t=0.25, path_id=p, gain_mag=1e170, aod_az=20.0 * p, aoa_az=-30.0 * p)
+               for p in range(n_paths)]
+    ch = _channel(records, tx_arr, rx_arr)
+    cb_tx = generate_codebook(tx_arr, -60.0, 60.0, 30.0)
+    cb_rx = generate_codebook(rx_arr, -60.0, 60.0, 30.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the error replaces numpy's overflow warnings
+        with pytest.raises(ValueError, match=r"^received power at t=0\.25 overflows to (inf|nan)$"):
+            ideal_beam_sweep(ch, cb_tx, cb_rx, 1.0)

@@ -1,9 +1,12 @@
 """Channel matrix assembly and beamformed power."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import mk_record, reference_channel
 from tracechan import (
@@ -13,7 +16,7 @@ from tracechan import (
     build_channel_matrices,
     steering_matrix,
 )
-from tracechan.arrays import Direction, steering_factors, _wrap_azimuth
+from tracechan.arrays import Direction
 
 LAM = 299792458.0 / 28e9
 GRID1 = SubbandGrid(28e9, 100e6, 1)
@@ -169,29 +172,62 @@ def test_matches_scalar_reference_randomized():
         assert np.abs(got - want).max() <= 1e-12 * max(scale, 1e-30)
 
 
-def test_steering_factors_recovered_exactly_from_channel():
-    # element (0, 0) of every response is exactly 1, so a_tx and a_rx hold
-    # each path's row and column factors bit for bit (the sweeps rely on it)
-    rng = np.random.default_rng(9)
+_shapes = st.tuples(st.integers(1, 4), st.integers(1, 4))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(tx_shape=_shapes, rx_shape=_shapes, n_paths=st.integers(0, 20),
+       bearings=st.tuples(st.floats(-180.0, 180.0), st.floats(-180.0, 180.0)),
+       seed=st.integers(0, 2**32 - 1))
+# R = 1 or C = 1 on either side; P = 0, 1, below N_rx and above it
+@example(tx_shape=(1, 4), rx_shape=(3, 1), n_paths=0, bearings=(37.0, -120.0), seed=1)
+@example(tx_shape=(4, 1), rx_shape=(1, 2), n_paths=1, bearings=(-15.0, 90.0), seed=2)
+@example(tx_shape=(3, 4), rx_shape=(4, 4), n_paths=9, bearings=(170.0, -45.0), seed=3)
+@example(tx_shape=(2, 3), rx_shape=(2, 2), n_paths=11, bearings=(60.0, 12.5), seed=4)
+def test_beamformed_power_matches_dense_channel_for_any_weights(tx_shape, rx_shape, n_paths,
+                                                                 bearings, seed):
+    # the path-factor contraction against p/K |w_rx^H H_k w_tx|^2 on the dense
+    # tensor, for unit-norm weights that are not Kronecker products of a row
+    # and a column factor, as every codebook beam is
+    rng = np.random.default_rng(seed)
+    tx_arr, rx_arr = (PlanarArray(*shape, LAM, bearing_deg=b)
+                      for shape, b in zip((tx_shape, rx_shape), bearings))
     recs = [
-        mk_record(path_id=i,
-                  aod_az=float(rng.uniform(-180, 179)), aod_zen=float(rng.uniform(0, 180)),
-                  aoa_az=float(rng.uniform(-180, 179)), aoa_zen=float(rng.uniform(0, 180)))
-        for i in range(6)
+        mk_record(path_id=p, gain_mag=float(rng.uniform(0.0, 1e-4)),
+                  phase=float(rng.uniform(-math.pi, math.pi)), delay=float(rng.uniform(0, 1e-6)),
+                  aod_az=float(rng.uniform(-180, 180)), aod_zen=float(rng.uniform(0, 180)),
+                  aoa_az=float(rng.uniform(-180, 180)), aoa_zen=float(rng.uniform(0, 180)))
+        for p in range(n_paths)
     ]
-    # the wrap moves azimuths near 0 by many ulps (0.1 -> 0.09999999999999432),
-    # which changes these arrays' factor bits: the channel wraps as codebooks do
-    recs.append(mk_record(path_id=6, aod_az=0.1, aoa_az=-0.3))
-    tx_arr = PlanarArray(3, 5, LAM, bearing_deg=37.0)
-    rx_arr = PlanarArray(4, 2, LAM, bearing_deg=-120.0)
-    ch = build_channel_matrices(recs, tx_arr, rx_arr, SubbandGrid(28e9, 100e6, 4))
-    for a, arr, key in ((ch.a_tx, tx_arr, "aod"), (ch.a_rx, rx_arr, "aoa")):
-        rows, cols = steering_factors(arr, _wrap_azimuth([getattr(r, f"{key}_az") for r in recs]),
-                                       [getattr(r, f"{key}_zen") for r in recs])
-        cube = a.T.reshape(len(recs), arr.n_rows, arr.n_cols)
-        assert np.all(cube[:, 0, 0] == 1.0)
-        assert np.array_equal(cube[:, :, 0], rows)
-        assert np.array_equal(cube[:, 0, :], cols)
+    grid = SubbandGrid(28e9, 400e6, int(rng.integers(1, 6)))
+    ch = build_channel_matrices(recs, tx_arr, rx_arr, grid)
+    weights = []
+    for shape in (tx_shape, rx_shape):
+        w = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        assert min(shape) == 1 or np.linalg.matrix_rank(w) > 1  # no Kronecker product
+        weights.append(w.ravel() / np.linalg.norm(w))
+    w_tx, w_rx = weights
+    p_tx = float(rng.uniform(0.1, 10.0))
+
+    per, total = beamformed_power(ch, w_tx, w_rx, p_tx)
+    amp = np.einsum("u,kus,s->k", w_rx.conj(), ch.matrices, w_tx)
+    want = p_tx / grid.n_subbands * np.abs(amp) ** 2
+    # |w^H a| <= |a| = sqrt(N) for unit-norm w, so no subband exceeds scale
+    scale = (p_tx / grid.n_subbands * sum(r.gain_mag for r in recs) ** 2
+             * tx_arr.n_elements * rx_arr.n_elements)
+    assert per.shape == (grid.n_subbands,)
+    assert np.abs(per - want).max() <= 1e-12 * scale
+    assert abs(total - want.sum()) <= 1e-12 * scale * grid.n_subbands
+
+
+def test_power_overflow_raises_naming_the_time():
+    one = PlanarArray(1, 1, LAM)
+    ch = build_channel_matrices([mk_record(t=0.5, gain_mag=1e170)], one, one, GRID1)
+    w = np.ones(1, dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the error replaces numpy's overflow warning
+        with pytest.raises(ValueError, match=r"^received power at t=0\.5 overflows to inf$"):
+            beamformed_power(ch, w, w, 1.0)
 
 
 def test_beamformed_power_matched_single_path():
@@ -245,6 +281,8 @@ def test_beamformed_power_validates_inputs():
         beamformed_power(ch, np.ones(3) / math.sqrt(3), good, 1.0)
     with pytest.raises(ValueError, match="unit norm"):
         beamformed_power(ch, good * 2.0, good, 1.0)
+    with pytest.raises(ValueError, match="w_rx must have unit norm"):  # NaN too
+        beamformed_power(ch, good, np.array([np.nan, 0.0]), 1.0)
     with pytest.raises(ValueError, match="non-negative"):
         beamformed_power(ch, good, good, -1.0)
 

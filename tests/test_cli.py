@@ -249,6 +249,24 @@ def test_sweep_winner_matches_simulate_on_many_path_replay(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("gain", ["1e170", "1e200"])
+def test_simulate_overflowing_path_gains_exits_2(tmp_path, capsys, gain):
+    # etoile's snapshots hold one path each, and a gain of 1e170 squares past
+    # float64's range: the first training sweep finds no finite power
+    header, *rows = (ROOT / "tests" / "data" / "etoile_trace.csv").read_text().splitlines()
+    col = header.split(",").index("gain_mag")
+    rows = [",".join(gain if i == col else v for i, v in enumerate(r.split(","))) for r in rows]
+    trace = tmp_path / "trace.csv"
+    trace.write_text("\n".join([header, *rows]) + "\n")
+    out = tmp_path / "metrics.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warnings would be extra lines
+        assert main(["simulate", "--config", str(ETOILE_CFG), "--trace", str(trace),
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", "error: received power at t=0.0 overflows to inf\n")
+    assert not out.exists()
+
+
 def test_simulate_mismatched_time_grid_exits_2(scene_cfg, tmp_path, capsys):
     trace = tmp_path / "trace.csv"
     assert main(["generate-trace", "--config", str(scene_cfg), "--out", str(trace)]) == 0
@@ -386,8 +404,17 @@ def test_sweep_link_without_snapshots_exits_2(scene_cfg, tmp_path, capsys):
      "error: tx and rx coincide at t=0.0\n"),
     ("gamma: 0.7", "gamma: 0.7\n      diffracting_edges: [.inf]",
      "config error: environment.rectangles[0]: inf is not a finite number\n"),
+    # not a list: a string's characters or an int's iteration are no edges
+    ("gamma: 0.7", 'gamma: 0.7\n      diffracting_edges: "12"',
+     "config error: environment.rectangles[0]: diffracting_edges must be a list, got '12'\n"),
+    ("gamma: 0.7", "gamma: 0.7\n      diffracting_edges: 12",
+     "config error: environment.rectangles[0]: diffracting_edges must be a list, got 12\n"),
+    # a repeated edge would emit its knife-edge path twice
+    ("gamma: 0.7", "gamma: 0.7\n      diffracting_edges: [1, 1]",
+     "config error: environment.rectangles[0]: diffracting edges (1, 1) repeat an index\n"),
 ], ids=["subbands-inf", "codebook-bound-inf", "equal-node-ids", "node-id-2**63",
-        "node-id-negative", "coincident-nodes", "diffracting-edge-inf"])
+        "node-id-negative", "coincident-nodes", "diffracting-edge-inf",
+        "diffracting-edges-string", "diffracting-edges-int", "diffracting-edge-repeated"])
 @pytest.mark.parametrize("cmd", ["generate-trace", "simulate", "sweep"])
 def test_degenerate_inputs_exit_2(tmp_path, capsys, cmd, old, new, problem):
     cfg = tmp_path / "bad.cfg"

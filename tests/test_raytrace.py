@@ -55,6 +55,8 @@ def test_rectangle_validation():
         Rectangle([0, 0, 0], [1, 0, 0], [0, 1, 0], gamma=1.5)
     with pytest.raises(ValueError, match="edge"):
         Rectangle([0, 0, 0], [1, 0, 0], [0, 1, 0], diffracting_edges=(4,))
+    with pytest.raises(ValueError, match=r"diffracting edges \(1, 1\) repeat an index"):
+        Rectangle([0, 0, 0], [1, 0, 0], [0, 1, 0], diffracting_edges=[1, 1])
 
 
 def test_rectangle_edges_form_perimeter():

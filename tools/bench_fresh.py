@@ -29,6 +29,7 @@ the time spent inside
 - ``ideal_beam_sweep`` (``sweep_s``),
 - channel assembly (``channel_s``): ``build_channel_matrices``, plus the
   link-wide ``path_factors`` where the tree has it,
+- per-snapshot evaluation, ``beamformed_power`` (``eval_s``),
 - ``parse_trace`` (``parse_s``; 0 when the config traces its own scene),
 - ``load_config`` (``load_s``).
 
@@ -57,7 +58,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ("corner", "etoile", "etoile_wide")
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-METRICS = ("wall_s", "cpu_s", "trace_s", "sweep_s", "channel_s", "parse_s", "load_s", "minflt")
+METRICS = ("wall_s", "cpu_s", "trace_s", "sweep_s", "channel_s", "eval_s", "parse_s", "load_s",
+           "minflt")
 
 # one simulate in a fresh interpreter; prints one JSON line
 _CHILD = r"""
@@ -88,6 +90,7 @@ def timed(module, *names):
     return spent
 
 sweep, channel = timed(link, "ideal_beam_sweep"), timed(link, "build_channel_matrices", "path_factors")
+evaluation = timed(link, "beamformed_power")
 parse, load = timed(cli, "parse_trace"), timed(cli, "load_config")
 trace = timed(cli, "generate_trace")
 faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -100,6 +103,7 @@ with open(out, encoding="utf-8") as fh:
     rows = sum(1 for _ in fh) - 1
 print(json.dumps({"rc": rc, "wall_s": wall, "cpu_s": cpu, "trace_s": trace[0], "sweep_s": sweep[0],
                   "sweeps": sweep[1], "channel_s": channel[0], "channels": channel[1],
+                  "eval_s": evaluation[0], "evals": evaluation[1],
                   "parse_s": parse[0], "load_s": load[0], "minflt": faults, "rows": rows}))
 """
 
@@ -197,15 +201,16 @@ def main(argv: list[str] | None = None) -> int:
                     print(f"{name} {config} run {round_ + 1}: wall {result['wall_s']:.3f} s, "
                           f"cpu {result['cpu_s']:.3f} s, trace {result['trace_s']:.3f} s, "
                           f"sweep {result['sweep_s']:.3f} s, "
-                          f"channel {result['channel_s']:.3f} s, parse {result['parse_s']:.3f} s, "
+                          f"channel {result['channel_s']:.3f} s, eval {result['eval_s']:.3f} s, "
+                          f"parse {result['parse_s']:.3f} s, "
                           f"load {result['load_s']:.4f} s, minflt {result['minflt']}", flush=True)
 
     report = {
         "about": "tracechan simulate on each config, one fresh process per run: "
                  "median wall time and process CPU time of cli.main, time inside "
                  "generate_trace, ideal_beam_sweep, channel assembly (build_channel_matrices and, "
-                 "where present, path_factors), parse_trace and load_config, and "
-                 "ru_minflt growth over the call",
+                 "where present, path_factors), beamformed_power, parse_trace and load_config, "
+                 "and ru_minflt growth over the call",
         "environment": {
             "python": platform.python_version(),
             "machine": platform.machine(),
@@ -222,6 +227,7 @@ def main(argv: list[str] | None = None) -> int:
                 "rows": results[0]["rows"],
                 "sweeps": results[0]["sweeps"],
                 "channels": results[0]["channels"],
+                "evals": results[0]["evals"],
                 **{f"median_{m}": statistics.median(r[m] for r in results) for m in METRICS},
                 "runs": {m: [r[m] for r in results] for m in METRICS},
             }
@@ -233,7 +239,8 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{name:>10} {config:<12} wall {c['median_wall_s']:.3f} s  "
                   f"cpu {c['median_cpu_s']:.3f} s  trace {c['median_trace_s']:.4f} s  "
                   f"sweep {c['median_sweep_s']:.4f} s  "
-                  f"channel {c['median_channel_s']:.4f} s  parse {c['median_parse_s']:.4f} s  "
+                  f"channel {c['median_channel_s']:.4f} s  eval {c['median_eval_s']:.4f} s  "
+                  f"parse {c['median_parse_s']:.4f} s  "
                   f"load {c['median_load_s']:.4f} s  minflt {c['median_minflt']:.0f}")
     return 0
 

@@ -19,6 +19,7 @@ from .beams import (
     BeamSelection,
     generate_codebook,
     ideal_beam_sweep,
+    ideal_beam_sweeps,
     select_best_pair,
     sweep_power_table,
 )
@@ -111,6 +112,7 @@ __all__ = [
     "generate_codebook",
     "generate_trace",
     "ideal_beam_sweep",
+    "ideal_beam_sweeps",
     "knife_edge_loss_db",
     "linear_trajectory",
     "load_config",

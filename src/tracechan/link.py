@@ -3,25 +3,30 @@
 snapshot_rows is the one snapshot schedule: it turns a trace and the
 setup's optional time grid into (time, paths) rows, outages included, and
 rejects a trace that is off the grid. run_simulation computes the link's
-steering factors a block of rows at a time and walks those rows in order:
-build each row's channel at its own time from its slice of them, retrain
-beams on a fixed period (ideal sweeps, no airtime), compute beamformed
-receive power, map to SINR, pick the rate, and derive throughput and a
+steering factors a block of rows at a time, trains the block's training
+rows in one batched sweep (ideal sweeps, no airtime, on a fixed period),
+and walks the rows in order: build each row's channel at its own time from
+its slice of the factors, compute beamformed receive power through the
+beams last trained, map to SINR, pick the rate, and derive throughput and a
 queueing-flavored delay from an analytic saturation model.
 """
 
 from __future__ import annotations
 
+import bisect
 import csv
 import io
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from .beams import BeamCodebook, BeamSelection, ideal_beam_sweep
-from .channel import SubbandGrid, beamformed_power, build_channel_matrices, path_factors
+from .beams import BeamCodebook, BeamSelection, ideal_beam_sweeps
+from .channel import (
+    ChannelMatrixSet, SubbandGrid, beamformed_power, build_channel_matrices, path_factors,
+)
 from .arrays import PlanarArray
 from .traces import MpcRecord, PathType, TraceSet
 
@@ -298,6 +303,24 @@ def snapshot_rows(
 _FACTOR_BYTES = 1 << 20
 
 
+def _row_metrics(
+    ch: ChannelMatrixSet, sel: BeamSelection, los: bool, setup: SimulationSetup
+) -> LinkMetrics:
+    """One row's metrics: ch received through the beam pair sel."""
+    _, p_rx = beamformed_power(
+        ch, setup.tx_codebook.beam_weights(sel.tx_index),
+        setup.rx_codebook.beam_weights(sel.rx_index), setup.budget.tx_power_w,
+    )
+    sinr = compute_sinr(p_rx, setup.budget)
+    mcs = select_mcs(sinr, setup.amc)
+    delivered, delay = throughput_delay(
+        mcs, setup.amc, setup.budget.bandwidth_hz, setup.offered_bps,
+        setup.overhead, setup.base_delay_s, setup.saturation_delay_s,
+    )
+    return LinkMetrics(ch.time, los, replace(sel, power_w=p_rx), sinr, mcs,
+                       setup.offered_bps, delivered, delay)
+
+
 def run_simulation(trace: TraceSet, setup: SimulationSetup) -> list[LinkMetrics]:
     """Link metrics for each row of snapshot_rows(trace, setup).
 
@@ -305,44 +328,49 @@ def run_simulation(trace: TraceSet, setup: SimulationSetup) -> list[LinkMetrics]
     first row and then on the first row at which the training period has
     elapsed since the last training, on the training row's own channel, and
     are held until the next training. A training row that is an outage finds
-    no paths, so training stays due and the next row trains. Each row's
-    channel is built once, from its slice of the link's path_factors.
+    no paths, so training stays due and the next row trains. The schedule
+    depends only on the row times and on which rows have paths, so it is
+    fixed up front, and each block of path_factors trains all of its
+    training rows in one ideal_beam_sweeps call. Each row's channel is built
+    once, from its slice of the block: the training rows' before the sweep,
+    held until their row is evaluated, and the other rows' when their row
+    is. A training row whose sweep overflows raises before the held rows of
+    its block are evaluated.
     """
     cb_tx, cb_rx = setup.tx_codebook, setup.rx_codebook
     tx, rx = setup.tx_array, setup.rx_array
     p_tx = setup.budget.tx_power_w
     rows = snapshot_rows(trace, setup)
+    trains, due = [], -math.inf
+    for t, paths in rows:
+        trains.append(t >= due - GRID_TOL_S)
+        if trains[-1] and paths:
+            due = t + setup.training_period_s
     link_paths = trace.link(setup.tx_id, setup.rx_id)
     block = max(1, _FACTOR_BYTES // (16 * (tx.n_rows + tx.n_cols + rx.n_rows + rx.n_cols + 2)))
-    factors, first = None, 0  # the factors of link_paths[first:first + len(factors)]
-    start = 0
-    due = -math.inf
-    out = []
-    for t, paths in rows:
-        stop = start + len(paths)
-        if factors is None or stop > first + len(factors):
-            factors, first = path_factors(link_paths[start:max(stop, start + block)], tx, rx), start
-        ch = build_channel_matrices(
-            factors[start - first:stop - first], tx, rx, grid=setup.grid, t=t
-        )
-        start = stop
-        if t >= due - GRID_TOL_S:
-            sel = ideal_beam_sweep(ch, cb_tx, cb_rx, p_tx)
-            if paths:
-                due = t + setup.training_period_s
-        _, p_rx = beamformed_power(
-            ch, cb_tx.beam_weights(sel.tx_index), cb_rx.beam_weights(sel.rx_index), p_tx
-        )
-        sinr = compute_sinr(p_rx, setup.budget)
-        mcs = select_mcs(sinr, setup.amc)
-        delivered, delay = throughput_delay(
-            mcs, setup.amc, setup.budget.bandwidth_hz, setup.offered_bps,
-            setup.overhead, setup.base_delay_s, setup.saturation_delay_s,
-        )
-        out.append(LinkMetrics(
-            t, classify_los(paths), replace(sel, power_w=p_rx), sinr, mcs,
-            setup.offered_bps, delivered, delay,
-        ))
+    # row i's paths are link_paths[offsets[i]:offsets[i + 1]]
+    offsets = list(itertools.accumulate((len(paths) for _, paths in rows), initial=0))
+    out, sel = [], None
+    first = 0  # the first row of the next block
+    while first < len(rows):
+        start = offsets[first]
+        factors = path_factors(
+            link_paths[start:max(offsets[first + 1], start + block)], tx, rx)
+        end = bisect.bisect_right(offsets, start + len(factors)) - 1
+
+        def channel(i):  # row i's channel, from its slice of this block's factors
+            return build_channel_matrices(
+                factors[offsets[i] - start:offsets[i + 1] - start], tx, rx,
+                grid=setup.grid, t=rows[i][0])
+
+        channels = {i: channel(i) for i in range(first, end) if trains[i]}
+        picks = dict(zip(channels, ideal_beam_sweeps(list(channels.values()), cb_tx, cb_rx, p_tx)))
+        for i in range(first, end):
+            sel = picks.get(i, sel)  # the first row trains, so sel is set there
+            # no channel outlives its row, so no block's factors outlive the block
+            out.append(_row_metrics(channels.pop(i) if trains[i] else channel(i), sel,
+                                    classify_los(rows[i][1]), setup))
+        first = end
     return out
 
 

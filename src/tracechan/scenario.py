@@ -358,6 +358,13 @@ def parse_config(raw: dict, base_dir: str = ".") -> ScenarioConfig:
     for key in ("carrier_hz", "bandwidth_hz", "snapshot_dt_s"):
         if values[key] is not None and not values[key] > 0:
             reader.problems.append(f"{key} must be > 0")
+    # build_setup and noise_power take the dB values to linear ratios
+    for key, offset in (("txpower_dbm", 30.0), ("noise_figure_db", 0.0)):
+        if values[key] is not None:
+            try:
+                10.0 ** ((values[key] - offset) / 10.0)
+            except OverflowError:
+                reader.problems.append(f"{key}: {values[key]!r} overflows as a linear ratio")
     duration = values["duration_s"]
     if duration is not None and not 0 <= duration < math.inf:
         reader.problems.append("duration_s must be >= 0 and finite")

@@ -20,6 +20,7 @@ from tracechan import (
     build_channel_matrices,
     generate_codebook,
     ideal_beam_sweep,
+    ideal_beam_sweeps,
     select_best_pair,
     sweep_power_table,
 )
@@ -443,11 +444,11 @@ def test_element_basis_bound_covers_every_entry(
     rng = np.random.default_rng(seed)
     n_paths = rx_shape[0] * rx_shape[1] + extra_paths
     ch, cb_tx, cb_rx = _sweep_case(rng, n_subbands, n_paths, rx_shape, rx_beams, weak, aim_rx)
-    tx_paths, coef, rx_side, scale = beams._sweep_factors(ch, cb_tx, cb_rx, 0.5)
+    tx_paths, coef, rx_side, scale = beams._sweep_factors([ch], cb_tx, cb_rx, 0.5)
     assert len(rx_side) == 2
     table = sweep_power_table(ch, cb_tx, cb_rx, 0.5)
     bound = beams._row_bounds(tx_paths, coef, rx_side, scale)
-    assert np.all(bound[:, None] >= table)
+    assert np.all(bound[0, :, None] >= table)
 
 
 def test_single_path_sweep_computes_two_rows(monkeypatch):
@@ -462,8 +463,8 @@ def test_single_path_sweep_computes_two_rows(monkeypatch):
     rows = []
     kernel = beams._power_rows
 
-    def counting(tx_paths, *args):
-        rows.append(tx_paths.shape[0])
+    def counting(tx_paths, *args):  # tx rows confirmed, over every channel of the call
+        rows.append(math.prod(tx_paths.shape[:-1]))
         return kernel(tx_paths, *args)
 
     monkeypatch.setattr(beams, "_power_rows", counting)
@@ -502,8 +503,8 @@ def test_many_path_sweep_never_computes_the_full_table(monkeypatch):
     rows = []
     kernel = beams._power_rows
 
-    def counting(tx_paths, *args):
-        rows.append(tx_paths.shape[0])
+    def counting(tx_paths, *args):  # tx rows confirmed, over every channel of the call
+        rows.append(math.prod(tx_paths.shape[:-1]))
         return kernel(tx_paths, *args)
 
     monkeypatch.setattr(beams, "_power_rows", counting)
@@ -527,8 +528,8 @@ def test_zero_bound_sweep_computes_no_row(monkeypatch, n_paths):
     rows = []
     kernel = beams._power_rows
 
-    def counting(tx_paths, *args):
-        rows.append(tx_paths.shape[0])
+    def counting(tx_paths, *args):  # tx rows confirmed, over every channel of the call
+        rows.append(math.prod(tx_paths.shape[:-1]))
         return kernel(tx_paths, *args)
 
     monkeypatch.setattr(beams, "_power_rows", counting)
@@ -536,6 +537,88 @@ def test_zero_bound_sweep_computes_no_row(monkeypatch, n_paths):
     assert rows == []
     assert (got.tx_index, got.rx_index) == (want.tx_index, want.rx_index) == (0, 0)
     assert np.float64(got.power_w).tobytes() == np.float64(want.power_w).tobytes()
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    rows=st.lists(st.tuples(st.sampled_from([0, 1, 1, 2, 3, 5, 7]), st.booleans()),
+                  min_size=1, max_size=8),
+    n_subbands=st.integers(1, 6),
+    rx_shape=st.sampled_from([(1, 2), (2, 2)]),
+    tx_beams=st.sampled_from([1, 2, 91]),
+    rx_beams=st.sampled_from([1, 8]),
+    sweep_bytes=st.sampled_from([1, 3000, 10000, 1 << 16]),
+    seed=st.integers(0, 2**32 - 1),
+)
+# each row is (paths, all gains zero): outage rows (P = 0) between equal and
+# mixed path counts, P on both sides of N_rx = 4, chunks of two 1-path
+# channels of the 91-beam codebook, and zero-gain channels (every bound 0)
+# in a chunk with live ones
+@example(rows=[(1, False), (0, False), (1, True), (1, False), (5, False), (0, False),
+               (3, False), (5, True)],
+         n_subbands=4, rx_shape=(2, 2), tx_beams=91, rx_beams=8, sweep_bytes=3000, seed=0)
+@example(rows=[(2, False), (2, True), (2, False)], n_subbands=1, rx_shape=(1, 2), tx_beams=1,
+         rx_beams=1, sweep_bytes=1 << 16, seed=1)
+@example(rows=[(0, False), (0, False)], n_subbands=3, rx_shape=(2, 2), tx_beams=2, rx_beams=8,
+         sweep_bytes=1, seed=2)
+def test_batched_sweeps_match_per_channel_sweeps(
+    rows, n_subbands, rx_shape, tx_beams, rx_beams, sweep_bytes, seed
+):
+    # one batch of channels against each channel swept alone: in a batch the
+    # tx projection may be a matrix-matrix product, so a power may move in
+    # its last bits, but no winner moves
+    rng = np.random.default_rng(seed)
+    grid = SubbandGrid(28e9, 400e6, n_subbands)
+    tx_arr = PlanarArray(2, 3, LAM, bearing_deg=float(rng.uniform(-90, 90)))
+    rx_arr = PlanarArray(*rx_shape, LAM)
+    channels = [
+        build_channel_matrices(
+            [replace(r, t=0.1 * k, gain_mag=0.0 if zero else r.gain_mag)
+             for r in _random_records(rng, n_paths)],
+            tx_arr, rx_arr, grid, t=0.1 * k)
+        for k, (n_paths, zero) in enumerate(rows)
+    ]
+    if tx_beams == 91:
+        cb_tx = generate_codebook(tx_arr, -90.0, 90.0, 15.0)
+    else:
+        cb_tx = generate_codebook(tx_arr, 0.0, 10.0 * (tx_beams - 1), 10.0, 90.0, 90.0, 1.0)
+    if rx_beams == 1:
+        cb_rx = generate_codebook(rx_arr, 0.0, 0.0, 1.0, 90.0, 90.0, 1.0)
+    else:
+        cb_rx = generate_codebook(rx_arr, -180.0, 90.0, 90.0, 60.0, 120.0, 60.0)
+    assert (len(cb_tx), len(cb_rx)) == (tx_beams, rx_beams)
+    want = [ideal_beam_sweep(ch, cb_tx, cb_rx, 0.5) for ch in channels]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(beams, "_SWEEP_BYTES", sweep_bytes)
+        got = ideal_beam_sweeps(channels, cb_tx, cb_rx, 0.5)
+    for g, w in zip(got, want, strict=True):
+        assert (g.tx_index, g.rx_index) == (w.tx_index, w.rx_index)
+        assert g.power_w == pytest.approx(w.power_w, rel=1e-12, abs=0.0)
+
+
+def test_batched_sweep_names_the_first_overflowing_channel():
+    # every channel is swept before the first non-finite winner raises
+    tx_arr, rx_arr = PlanarArray(2, 2, LAM), PlanarArray(1, 2, LAM)
+    cb_tx = generate_codebook(tx_arr, -60.0, 60.0, 30.0)
+    cb_rx = generate_codebook(rx_arr, -60.0, 60.0, 30.0)
+    gains = {0.5: 1e-6, 0.25: 1e170, 0.75: 1e200}  # 1e170 squares past float64's range
+    channels = [_channel([mk_record(t=t, gain_mag=g, aod_az=20.0)], tx_arr, rx_arr)
+                for t, g in gains.items()]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^received power at t=0\.25 overflows to inf$"):
+            ideal_beam_sweeps(channels, cb_tx, cb_rx, 1.0)
+
+
+def test_overflowing_sweep_table_raises_naming_the_time():
+    tx_arr, rx_arr = PlanarArray(2, 2, LAM), PlanarArray(1, 2, LAM)
+    ch = _channel([mk_record(t=0.5, gain_mag=1e200)], tx_arr, rx_arr)
+    cb_tx = generate_codebook(tx_arr, -60.0, 60.0, 30.0)
+    cb_rx = generate_codebook(rx_arr, -60.0, 60.0, 30.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the error replaces numpy's overflow warnings
+        with pytest.raises(ValueError, match=r"^received power at t=0\.5 overflows to inf$"):
+            sweep_power_table(ch, cb_tx, cb_rx, 1.0)
 
 
 def test_beam_weights_and_projection_match_dense_weights():

@@ -267,6 +267,22 @@ def test_simulate_overflowing_path_gains_exits_2(tmp_path, capsys, gain):
     assert not out.exists()
 
 
+def test_sweep_overflowing_path_gains_exits_2(tmp_path, capsys):
+    # as simulate: the full table's maximum is not finite, so no file is written
+    header, *rows = (ROOT / "tests" / "data" / "etoile_trace.csv").read_text().splitlines()
+    col = header.split(",").index("gain_mag")
+    rows = [",".join("1e200" if i == col else v for i, v in enumerate(r.split(","))) for r in rows]
+    trace = tmp_path / "trace.csv"
+    trace.write_text("\n".join([header, *rows]) + "\n")
+    out = tmp_path / "sweep.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warnings would be extra lines
+        assert main(["sweep", "--config", str(ETOILE_CFG), "--trace", str(trace),
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", "error: received power at t=0.0 overflows to inf\n")
+    assert not out.exists()
+
+
 def test_simulate_mismatched_time_grid_exits_2(scene_cfg, tmp_path, capsys):
     trace = tmp_path / "trace.csv"
     assert main(["generate-trace", "--config", str(scene_cfg), "--out", str(trace)]) == 0
@@ -412,9 +428,15 @@ def test_sweep_link_without_snapshots_exits_2(scene_cfg, tmp_path, capsys):
     # a repeated edge would emit its knife-edge path twice
     ("gamma: 0.7", "gamma: 0.7\n      diffracting_edges: [1, 1]",
      "config error: environment.rectangles[0]: diffracting edges (1, 1) repeat an index\n"),
+    # dB values whose linear ratio overflows float64
+    ("txpower_dbm: 10.0", "txpower_dbm: 4000.0",
+     "config error: txpower_dbm: 4000.0 overflows as a linear ratio\n"),
+    ("noise_figure_db: 5.0", "noise_figure_db: 4000.0",
+     "config error: noise_figure_db: 4000.0 overflows as a linear ratio\n"),
 ], ids=["subbands-inf", "codebook-bound-inf", "equal-node-ids", "node-id-2**63",
         "node-id-negative", "coincident-nodes", "diffracting-edge-inf",
-        "diffracting-edges-string", "diffracting-edges-int", "diffracting-edge-repeated"])
+        "diffracting-edges-string", "diffracting-edges-int", "diffracting-edge-repeated",
+        "txpower-overflow", "noise-figure-overflow"])
 @pytest.mark.parametrize("cmd", ["generate-trace", "simulate", "sweep"])
 def test_degenerate_inputs_exit_2(tmp_path, capsys, cmd, old, new, problem):
     cfg = tmp_path / "bad.cfg"

@@ -502,8 +502,11 @@ def test_link_wide_factors_match_per_snapshot_builds(data):
         run_simulation(trace, setup)
     rows = snapshot_rows(trace, setup)
     assert [len(paths) for _, paths in rows] == counts
-    for (t, paths), ch in zip(rows, built, strict=True):
-        assert ch.time == t
+    # a block builds its training rows' channels first, so match them by time
+    by_time = {ch.time: ch for ch in built}
+    assert sorted(by_time) == [t for t, _ in rows] and len(built) == len(rows)
+    for t, paths in rows:
+        ch = by_time[t]
         want = _per_snapshot_factors(paths.records, tx_arr, rx_arr, setup.grid)
         for got, ref in zip((ch.coef, ch.a_rx, ch.a_tx), want):
             assert (got.shape, got.strides, got.dtype) == (ref.shape, ref.strides, ref.dtype)
@@ -564,22 +567,23 @@ def test_training_schedule_follows_the_rule(outage, period):
             if not out:
                 last = t
     built, swept = [], []
-    build, sweep = link_module.build_channel_matrices, link_module.ideal_beam_sweep
+    build, sweep = link_module.build_channel_matrices, link_module.ideal_beam_sweeps
 
     def counting(records, *args, **kwargs):
         built.append(kwargs["t"])
         return build(records, *args, **kwargs)
 
-    def spying(channel, *args):
-        swept.append(channel.time)
-        return sweep(channel, *args)
+    def spying(channels, *args):
+        swept.extend(ch.time for ch in channels)
+        return sweep(channels, *args)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(link_module, "build_channel_matrices", counting)
-        mp.setattr(link_module, "ideal_beam_sweep", spying)
+        mp.setattr(link_module, "ideal_beam_sweeps", spying)
         metrics = run_simulation(trace, setup)
     assert [m.t for m in metrics] == times
-    assert built == times
+    # one build per row; a block builds its training rows' channels first
+    assert sorted(built) == times
     assert swept == expected
 
 

@@ -26,7 +26,9 @@ the time spent inside
 
 - ray tracing, ``generate_trace`` (``trace_s``; 0 when the config replays
   a trace),
-- ``ideal_beam_sweep`` (``sweep_s``),
+- the training sweeps (``sweep_s``): ``ideal_beam_sweeps`` where the tree
+  has it, else ``ideal_beam_sweep``; ``sweeps`` counts the rows trained
+  either way,
 - channel assembly (``channel_s``): ``build_channel_matrices``, plus the
   link-wide ``path_factors`` where the tree has it,
 - per-snapshot evaluation, ``beamformed_power`` (``eval_s``),
@@ -71,8 +73,9 @@ from tracechan import cli, link
 if os.path.dirname(os.path.realpath(tracechan.__file__)) != os.path.join(src, "tracechan"):
     sys.exit(f"imported tracechan from {tracechan.__file__}, not from {src}")
 
-# wrap module.<name> for each name it has; [seconds, calls] fills as they run
-def timed(module, *names):
+# wrap module.<name> for each name it has; [seconds, count] fills as they run,
+# count adding count(args) per call
+def timed(module, *names, count=lambda args: 1):
     spent = [0.0, 0]
     for name in names:
         if not hasattr(module, name):
@@ -84,12 +87,18 @@ def timed(module, *names):
                 return _fn(*args, **kwargs)
             finally:
                 spent[0] += time.perf_counter() - start
-                spent[1] += 1
+                spent[1] += count(args)
 
         setattr(module, name, wrapper)
     return spent
 
-sweep, channel = timed(link, "ideal_beam_sweep"), timed(link, "build_channel_matrices", "path_factors")
+# the training sweeps, counted in rows trained: one batched call per block of
+# rows where the tree has ideal_beam_sweeps, one call per row otherwise
+if hasattr(link, "ideal_beam_sweeps"):
+    sweep = timed(link, "ideal_beam_sweeps", count=lambda args: len(args[0]))
+else:
+    sweep = timed(link, "ideal_beam_sweep")
+channel = timed(link, "build_channel_matrices", "path_factors")
 evaluation = timed(link, "beamformed_power")
 parse, load = timed(cli, "parse_trace"), timed(cli, "load_config")
 trace = timed(cli, "generate_trace")
@@ -208,7 +217,8 @@ def main(argv: list[str] | None = None) -> int:
     report = {
         "about": "tracechan simulate on each config, one fresh process per run: "
                  "median wall time and process CPU time of cli.main, time inside "
-                 "generate_trace, ideal_beam_sweep, channel assembly (build_channel_matrices and, "
+                 "generate_trace, the training sweeps (ideal_beam_sweeps or, in older trees, "
+                 "ideal_beam_sweep), channel assembly (build_channel_matrices and, "
                  "where present, path_factors), beamformed_power, parse_trace and load_config, "
                  "and ru_minflt growth over the call",
         "environment": {

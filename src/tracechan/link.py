@@ -1,8 +1,8 @@
 """Link-level abstraction: SINR, rate adaptation, and the snapshot loop.
 
 snapshot_rows is the one snapshot schedule: it turns a trace and the
-setup's optional time grid into (time, paths) rows, outages included, and
-rejects a trace that is off the grid. run_simulation computes the link's
+setup's time grid into (time, paths) rows, outages included, and rejects a
+trace that is off the grid. run_simulation computes the link's
 steering factors a block of rows at a time, trains the block's training
 rows in one batched sweep (ideal sweeps, no airtime, on a fixed period),
 and walks the rows in order: build each row's channel at its own time from
@@ -228,11 +228,7 @@ class LinkMetrics:
 
 @dataclass(frozen=True)
 class SimulationSetup:
-    """Everything run_simulation needs besides the trace itself.
-
-    times is the configured snapshot grid; None takes the rows from the
-    trace's own snapshot times.
-    """
+    """Everything run_simulation needs besides the trace; times is the snapshot grid."""
 
     tx_array: PlanarArray
     rx_array: PlanarArray
@@ -244,53 +240,51 @@ class SimulationSetup:
     training_period_s: float
     offered_bps: float
     overhead: float
+    times: tuple[float, ...]
     base_delay_s: float = 0.5e-3
     saturation_delay_s: float = 7.5e-3
     tx_id: int = 0
     rx_id: int = 1
-    times: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
         if not self.training_period_s > 0:  # nan too
             raise ValueError("training_period_s must be positive")
-        if self.times is not None:
-            t = np.asarray(self.times, dtype=float)
-            if not (t.ndim == 1 and t.size and np.isfinite(t).all() and (np.diff(t) > 0).all()):
-                raise ValueError("times must be a non-empty, finite, strictly increasing grid")
+        t = np.asarray(self.times, dtype=float)
+        if not (t.ndim == 1 and t.size and np.isfinite(t).all() and (np.diff(t) > 0).all()):
+            raise ValueError("times must be a non-empty, finite, strictly increasing grid")
 
 
 def snapshot_rows(
     trace: TraceSet, setup: SimulationSetup
 ) -> list[tuple[float, TraceSet]]:
-    """The (time, paths) rows of the configured link, in time order.
+    """The (time, paths) rows of the configured link, one per grid time.
 
     setup.times is the configured snapshot grid. A grid time within
     GRID_TOL_S of a trace snapshot takes that snapshot's time and paths
-    (trace.group); any other grid time is an outage row with no paths, since
-    the ray tracer writes no record for a snapshot without paths. A trace
-    snapshot of the link off the grid, or two on one grid time, raises
-    ValueError. Without a grid the rows are the trace's own snapshot times.
-    Either way the rows' paths, in order, tile trace.link(tx_id, rx_id).
+    (trace.group); any other grid time, a snapshot without paths or a gap in
+    a measured trace, is an outage row with no paths, so an empty trace is
+    all outages. A trace with records but none of the link, a link snapshot
+    off the grid or past its end, or two on one grid time, raises
+    ValueError. The rows' paths, in order, tile trace.link(tx_id, rx_id).
     """
     link = (setup.tx_id, setup.rx_id)
     trace_times = trace.snapshot_times(*link)
-    if setup.times is None:
-        if not trace_times:
-            raise ValueError(f"trace has no snapshots for link {link}")
-        return [(t, trace.group(t, *link)) for t in trace_times]
+    if len(trace) and not trace_times:
+        raise ValueError(f"trace has no snapshots for link {link}")
     grid = np.asarray(setup.times, dtype=float)
     no_paths = TraceSet()
     rows: list[tuple[float, TraceSet]] = [(float(t), no_paths) for t in grid]
     for t in trace_times:
         i = int(np.argmin(np.abs(grid - t)))
         if abs(rows[i][0] - t) > GRID_TOL_S:
-            t0 = float(grid[0])  # rows may already hold snapped trace times
+            t0, end = float(grid[0]), float(grid[-1])  # rows may hold snapped trace times
+            if t > end:
+                raise ValueError(f"snapshot t={t!r} is past the configured time grid's end "
+                                 f"t={end!r}; duration_s must cover the trace")
             span = (f"dt={float(grid[1]) - t0!r} s from t={t0!r}"
                     if len(rows) > 1 else f"one sample at t={t0!r}")
-            raise ValueError(
-                f"snapshot t={t!r} is not on the configured time grid ({span}); "
-                "snapshot_dt_s must match the trace"
-            )
+            raise ValueError(f"snapshot t={t!r} is not on the configured time grid ({span}); "
+                             "snapshot_dt_s must match the trace")
         if rows[i][1]:
             raise ValueError(f"snapshots t={rows[i][0]!r} and t={t!r} share one grid time")
         rows[i] = (t, trace.group(t, *link))

@@ -22,7 +22,7 @@ import yaml
 from .arrays import PlanarArray
 from .beams import generate_codebook
 from .channel import SubbandGrid
-from .link import AmcTable, LinkBudget, SimulationSetup
+from .link import AmcTable, LinkBudget, SimulationSetup, noise_power
 from .raytrace import Environment, Rectangle, RtScenario
 from .trajectory import make_trajectory, time_grid
 
@@ -365,6 +365,15 @@ def parse_config(raw: dict, base_dir: str = ".") -> ScenarioConfig:
                 10.0 ** ((values[key] - offset) / 10.0)
             except OverflowError:
                 reader.problems.append(f"{key}: {values[key]!r} overflows as a linear ratio")
+    # compute_sinr divides by the noise plus interference power
+    noise = [values[k] for k in ("bandwidth_hz", "noise_figure_db", "temperature_k",
+                                 "interference_w")]
+    try:
+        if None not in noise and noise_power(LinkBudget(0.0, *noise)) + noise[3] == 0.0:
+            reader.problems.append(f"noise_figure_db {noise[1]!r} and temperature_k "
+                                   f"{noise[2]!r} make the noise plus interference power 0 W")
+    except (ValueError, OverflowError):
+        pass  # a value reported above, or by build_setup's LinkBudget
     duration = values["duration_s"]
     if duration is not None and not 0 <= duration < math.inf:
         reader.problems.append("duration_s must be >= 0 and finite")
@@ -490,10 +499,9 @@ def build_rt_scenario(cfg: ScenarioConfig) -> RtScenario:
 
 
 def build_setup(cfg: ScenarioConfig) -> SimulationSetup:
-    """The link setup: arrays, codebooks, subband grid, budget and AMC table.
-
-    A geometry config also fixes the snapshot grid, the times
-    build_rt_scenario traces, so every grid time is a row.
+    """The link setup: arrays, codebooks, subband grid, budget, AMC table
+    and the snapshot grid, the times build_rt_scenario traces, so every grid
+    time is a row whatever the trace source.
     """
     grid = SubbandGrid(cfg.carrier_hz, cfg.bandwidth_hz, cfg.subbands)
     tx_array, rx_array = (
@@ -505,9 +513,6 @@ def build_setup(cfg: ScenarioConfig) -> SimulationSetup:
                           cb.zen_min, cb.zen_max, cb.zen_step)
         for array, cb in ((tx_array, cfg.tx_codebook), (rx_array, cfg.rx_codebook))
     )
-    times = None
-    if cfg.tx_trajectory is not None and cfg.rx_trajectory is not None:
-        times = tuple(_snapshot_times(cfg).tolist())
     return SimulationSetup(
         tx_array=tx_array,
         rx_array=rx_array,
@@ -528,9 +533,9 @@ def build_setup(cfg: ScenarioConfig) -> SimulationSetup:
         training_period_s=cfg.training_period_s,
         offered_bps=cfg.offered_bps,
         overhead=cfg.overhead,
+        times=tuple(_snapshot_times(cfg).tolist()),
         base_delay_s=cfg.base_delay_s,
         saturation_delay_s=cfg.saturation_delay_s,
         tx_id=cfg.tx_id,
         rx_id=cfg.rx_id,
-        times=times,
     )

@@ -26,6 +26,20 @@ def blocked_corner_config(path, **overrides):
     return path
 
 
+def replay_config(path, geometry_cfg, trace):
+    """geometry_cfg with its geometry replaced by trace_path: trace.
+
+    The trajectories, environment and max_reflection_order go; the grid,
+    arrays, codebooks and link budget stay. Returns the written path.
+    """
+    raw = yaml.safe_load(Path(geometry_cfg).read_text())
+    for key in ("tx_trajectory", "rx_trajectory", "environment", "max_reflection_order"):
+        raw.pop(key, None)
+    raw["trace_path"] = str(trace)
+    path.write_text(yaml.safe_dump(raw))
+    return path
+
+
 def mk_record(
     t=0.0,
     tx_id=0,

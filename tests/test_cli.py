@@ -404,6 +404,48 @@ def test_sweep_link_without_snapshots_exits_2(scene_cfg, tmp_path, capsys):
     assert capsys.readouterr().err == "error: trace has no snapshots for link (7, 1)\n"
 
 
+@pytest.mark.parametrize("kind", ["geometry", "replay"])
+def test_trace_of_another_link_exits_2_and_empty_trace_is_all_outage(
+        scene_cfg, tmp_path, capsys, kind):
+    # both config kinds run on the configured grid, t = 0 to 2 s every 0.25 s
+    trace = tmp_path / "trace.csv"
+    if kind == "geometry":
+        source = ["--config", str(scene_cfg), "--trace", str(trace)]
+    else:
+        (tmp_path / "replay.cfg").write_text(REPLAY_CFG)  # trace_path: trace.csv
+        source = ["--config", str(tmp_path / "replay.cfg")]
+    out = str(tmp_path / "out.csv")
+    write_trace(TraceSet([mk_record(t=0.25 * k, tx_id=1, rx_id=0) for k in range(9)]), trace)
+    for cmd in ("simulate", "sweep"):
+        assert main([cmd, *source, "--out", out]) == 2
+        assert capsys.readouterr().err == "error: trace has no snapshots for link (0, 1)\n"
+    # a fully blocked scene writes no records: every grid time is an outage
+    write_trace(TraceSet(()), trace)
+    assert main(["simulate", *source, "--out", out]) == 0
+    assert "outage snapshots: 9 (" in capsys.readouterr().out
+    rows = [ln.split(",") for ln in Path(out).read_text().splitlines()[1:]]
+    assert [float(r[0]) for r in rows] == [0.25 * k for k in range(9)]
+    assert all(float(r[6]) == SINR_FLOOR_DB and r[7] == "0" for r in rows)
+    # sweep without --time takes the grid's first time
+    assert main(["sweep", *source, "--out", out]) == 0
+    assert "best at t=0.0:" in capsys.readouterr().out
+
+
+def test_replay_past_duration_exits_2(scene_cfg, tmp_path, capsys):
+    # the trace runs to t = 2 s; the replay config's grid ends at 1.5 s, and
+    # 1.75 s is on its 0.25 s steps
+    assert main(["generate-trace", "--config", str(scene_cfg),
+                 "--out", str(tmp_path / "trace.csv")]) == 0
+    cfg = tmp_path / "replay.cfg"
+    cfg.write_text(REPLAY_CFG.replace("duration_s: 2.0", "duration_s: 1.5"))
+    capsys.readouterr()
+    for cmd in ("simulate", "sweep"):
+        assert main([cmd, "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err == (
+            "error: snapshot t=1.75 is past the configured time grid's end t=1.5; "
+            "duration_s must cover the trace\n")
+
+
 @pytest.mark.parametrize("old, new, problem", [
     ("subbands: 4", "subbands: .inf", "config error: subbands: inf is not a finite number\n"),
     ("az_max: 170.0", "az_max: .inf",
@@ -433,10 +475,18 @@ def test_sweep_link_without_snapshots_exits_2(scene_cfg, tmp_path, capsys):
      "config error: txpower_dbm: 4000.0 overflows as a linear ratio\n"),
     ("noise_figure_db: 5.0", "noise_figure_db: 4000.0",
      "config error: noise_figure_db: 4000.0 overflows as a linear ratio\n"),
+    # noise plus interference power that underflows to 0 W: SINR would divide by it
+    ("noise_figure_db: 5.0", "noise_figure_db: -4000.0",
+     "config error: noise_figure_db -4000.0 and temperature_k 290.0 "
+     "make the noise plus interference power 0 W\n"),
+    ("noise_figure_db: 5.0", "noise_figure_db: 5.0\ntemperature_k: 1.0e-320",
+     "config error: noise_figure_db 5.0 and temperature_k 1e-320 "
+     "make the noise plus interference power 0 W\n"),
 ], ids=["subbands-inf", "codebook-bound-inf", "equal-node-ids", "node-id-2**63",
         "node-id-negative", "coincident-nodes", "diffracting-edge-inf",
         "diffracting-edges-string", "diffracting-edges-int", "diffracting-edge-repeated",
-        "txpower-overflow", "noise-figure-overflow"])
+        "txpower-overflow", "noise-figure-overflow", "noise-underflow",
+        "temperature-underflow"])
 @pytest.mark.parametrize("cmd", ["generate-trace", "simulate", "sweep"])
 def test_degenerate_inputs_exit_2(tmp_path, capsys, cmd, old, new, problem):
     cfg = tmp_path / "bad.cfg"

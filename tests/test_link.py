@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tracechan.link as link_module
-from conftest import blocked_corner_config, mk_record
+from conftest import blocked_corner_config, mk_record, replay_config
 from tracechan import (
     AmcTable,
     LinkBudget,
@@ -247,6 +247,7 @@ def _free_space_setup(n_snapshots=5, dt=0.1, training_period=0.1, tx_power=1.0):
         training_period_s=training_period,
         offered_bps=122e6,
         overhead=0.14,
+        times=tuple(dt * k for k in range(n_snapshots)),
     )
 
 
@@ -280,7 +281,7 @@ def test_run_simulation_matched_sinr():
 def test_run_simulation_training_schedule_holds_beams():
     # beam retrains every 0.2 s on a 0.1 s snapshot grid; the held beam is
     # stale on the openings between trainings
-    setup = _free_space_setup(training_period=0.2)
+    setup = _free_space_setup(n_snapshots=6, training_period=0.2)
     times = [0.1 * k for k in range(6)]
     # the path azimuth moves 5 degrees per snapshot
     recs = tuple(
@@ -294,7 +295,7 @@ def test_run_simulation_training_schedule_holds_beams():
 
 
 def test_run_simulation_first_snapshot_always_trains():
-    setup = _free_space_setup(training_period=100.0)
+    setup = replace(_free_space_setup(training_period=100.0), times=(5.0, 5.1, 5.2))
     trace = _los_trace([5.0, 5.1, 5.2], aod_az=42.0)
     metrics = run_simulation(trace, setup)
     assert all(m.selection.tx_direction.azimuth_deg == 42.0 for m in metrics)
@@ -311,9 +312,8 @@ def test_run_simulation_rejects_missing_link():
 def test_run_simulation_reports_every_grid_time():
     # the trace misses the grid times 0.1 and 0.3; one trace time sits 1e-12 s
     # off its grid time and keeps its own value
-    setup = _free_space_setup()
+    gridded = replace(_free_space_setup(), times=(0.0, 0.1, 0.2, 0.3, 0.4))
     trace = _los_trace([0.0, 0.2 + 1e-12, 0.4], aod_az=30.0)
-    gridded = replace(setup, times=(0.0, 0.1, 0.2, 0.3, 0.4))
     metrics = run_simulation(trace, gridded)
     assert [m.t for m in metrics] == [0.0, 0.1, 0.2 + 1e-12, 0.3, 0.4]
     outage = [m.mcs is None for m in metrics]
@@ -321,8 +321,6 @@ def test_run_simulation_reports_every_grid_time():
     for m in metrics:
         if m.mcs is None:
             assert (m.sinr_db, m.los, m.delivered_bps) == (SINR_FLOOR_DB, False, 0.0)
-    # without a grid only the trace's own times are reported
-    assert len(run_simulation(trace, setup)) == 3
     # a trace snapshot off the grid is an error, not a skipped row
     with pytest.raises(ValueError, match=r"t=0\.25 is not on the configured time grid"):
         run_simulation(_los_trace([0.0, 0.25]), gridded)
@@ -333,7 +331,9 @@ def test_snapshot_rows_schedule():
     trace = _los_trace([0.1, 0.2 + 1e-12], aod_az=30.0)
     rows = snapshot_rows(trace, replace(setup, times=(0.0, 0.1, 0.2)))
     assert [(t, len(recs)) for t, recs in rows] == [(0.0, 0), (0.1, 1), (0.2 + 1e-12, 1)]
-    assert [t for t, _ in snapshot_rows(trace, setup)] == [0.1, 0.2 + 1e-12]
+    # one row per grid time: the setup's 0.0 .. 0.4 grid
+    assert [(t, len(recs)) for t, recs in snapshot_rows(trace, setup)] == [
+        (0.0, 0), (0.1, 1), (0.2 + 1e-12, 1), (0.30000000000000004, 0), (0.4, 0)]
     with pytest.raises(ValueError, match=r"\(dt=0\.5 s from t=0\.0\)"):
         snapshot_rows(trace, replace(setup, times=(0.0, 0.5)))
     # the message reports the configured grid, not trace times already snapped onto it
@@ -341,9 +341,17 @@ def test_snapshot_rows_schedule():
         snapshot_rows(_los_trace([4e-10, 0.1 + 8e-10, 0.25]),
                       replace(setup, times=(0.0, 0.1, 0.2, 0.3)))
     with pytest.raises(ValueError, match=r"one sample at t=0\.1"):
-        snapshot_rows(trace, replace(setup, times=(0.1,)))
-    with pytest.raises(ValueError, match="trace has no snapshots for link"):
-        snapshot_rows(TraceSet(()), setup)
+        snapshot_rows(_los_trace([0.0]), replace(setup, times=(0.1,)))
+    # a time past the grid's end names duration_s, even when it is on the dt grid
+    for times in ((0.1,), (0.0, 0.1)):
+        with pytest.raises(ValueError, match=r"^snapshot t=0\.20000000000100002 is past the "
+                           r"configured time grid's end t=0\.1; duration_s must cover the trace$"):
+            snapshot_rows(trace, replace(setup, times=times))
+    # an empty trace is all outages; records of another link only are an error
+    assert [(t, len(recs)) for t, recs in snapshot_rows(TraceSet(()), setup)] == [
+        (t, 0) for t in setup.times]
+    with pytest.raises(ValueError, match=r"trace has no snapshots for link \(0, 1\)"):
+        snapshot_rows(TraceSet([mk_record(t=0.0, tx_id=1, rx_id=0)]), setup)
     with pytest.raises(ValueError, match=r"t=0\.1 and t=0\.1000000005 share one grid time"):
         snapshot_rows(_los_trace([0.1, 0.1 + 5e-10]), replace(setup, times=(0.0, 0.1)))
     # a grid must have a time to snap to, and be finite and strictly increasing
@@ -379,6 +387,80 @@ def test_simulate_reports_outage_snapshots(tmp_path, capsys):
     assert f"mean SINR: {mean_sinr:.2f} dB" in stdout
     assert f"LoS fraction: {n_los / 121:.3f}" in stdout
     assert n_los == 28
+
+
+def test_blocked_walk_replay_matches_its_geometry_run(tmp_path, capsys):
+    # the trace has no record for the 93 blocked snapshots; replayed through a
+    # trace_path config they are outage rows on the configured grid, as in the
+    # geometry run
+    geometry = blocked_corner_config(tmp_path / "blocked.cfg")
+    trace = tmp_path / "trace.csv"
+    assert main(["generate-trace", "--config", str(geometry), "--out", str(trace)]) == 0
+    replay = replay_config(tmp_path / "replay.cfg", geometry, trace)
+    summaries = []
+    for cfg in (geometry, replay):
+        capsys.readouterr()
+        assert main(["simulate", "--config", str(cfg), "--out", str(cfg) + ".csv"]) == 0
+        summaries.append(capsys.readouterr().out.split("\n", 1)[1])  # after "wrote <path>"
+    text = Path(str(replay) + ".csv").read_bytes()
+    assert text == Path(str(geometry) + ".csv").read_bytes()
+    assert len(text.splitlines()) == 1 + 121
+    assert summaries[0] == summaries[1] and "outage snapshots: 93 (" in summaries[1]
+
+
+def _run_and_trainings(trace, setup):
+    """run_simulation's rows, and the times of the rows that trained."""
+    swept = []
+    sweep = link_module.ideal_beam_sweeps
+
+    def spying(channels, *args):
+        swept.extend(ch.time for ch in channels)
+        return sweep(channels, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(link_module, "ideal_beam_sweeps", spying)
+        return run_simulation(trace, setup), swept
+
+
+_PERIODS = (0.25, 1.0, 2.5, math.inf)  # training every 1, 4 and 10 rows, and once
+
+
+@pytest.fixture(scope="module")
+def corner_walk(tmp_path_factory):
+    """corner.cfg's traced walk, its replay config's setup, and for each
+    training period the geometry run and the times of its training rows."""
+    work = tmp_path_factory.mktemp("corner")
+    geometry = CONFIG_DIR / "corner.cfg"
+    cfg = load_config(geometry)
+    replay = load_config(replay_config(work / "replay.cfg", geometry, work / "trace.csv"))
+    trace, setup = generate_trace(build_rt_scenario(cfg)), build_setup(cfg)
+    runs = {p: _run_and_trainings(trace, replace(setup, training_period_s=p)) for p in _PERIODS}
+    return trace, build_setup(replay), runs
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(gone=st.sets(st.integers(0, 120)), period=st.sampled_from(_PERIODS))
+@example(gone=set(range(121)), period=0.25)  # an empty trace
+@example(gone={1, 2, 5}, period=1.0)  # held rows only: the schedule stays
+def test_replay_with_missing_snapshots_keeps_the_grid(corner_walk, gone, period):
+    # a measured trace may miss snapshots: each missing one is an outage row
+    # of the replay, and until the first one that was due to train, every
+    # other row is the geometry run's
+    trace, replay_setup, runs = corner_walk
+    want, trained = runs[period]
+    times = tuple(m.t for m in want)
+    missing = {times[i] for i in gone}
+    got = run_simulation(TraceSet([r for r in trace if r.t not in missing]),
+                         replace(replay_setup, training_period_s=period))
+    assert tuple(m.t for m in got) == replay_setup.times == times
+    first = min((i for i in gone if times[i] in trained), default=len(times))
+    want_rows = metrics_to_csv(want).splitlines()
+    got_rows = metrics_to_csv(got).splitlines()
+    for i, m in enumerate(got):
+        if i in gone:
+            assert (m.los, m.sinr_db, m.mcs, m.delivered_bps) == (False, SINR_FLOOR_DB, None, 0.0)
+        elif i < first:
+            assert got_rows[1 + i] == want_rows[1 + i], f"t={m.t}"
 
 
 def test_library_path_matches_simulate(tmp_path, capsys):
@@ -430,7 +512,8 @@ def test_run_simulation_builds_each_channel_once(monkeypatch, steps):
 
     monkeypatch.setattr(link_module, "build_channel_matrices", counting)
     times = [0.1 * k for k in range(7)]
-    metrics = run_simulation(_los_trace(times), _free_space_setup(training_period=0.1 * steps))
+    setup = _free_space_setup(n_snapshots=7, training_period=0.1 * steps)
+    metrics = run_simulation(_los_trace(times), setup)
     assert len(metrics) == 7
     assert sorted(built) == times
 
@@ -499,6 +582,10 @@ def test_link_wide_factors_match_per_snapshot_builds(data):
         mp.setattr(link_module, "build_channel_matrices", keeping)
         mp.setattr(link_module, "_FACTOR_BYTES",
                    data.draw(st.sampled_from([1, 2000, 1 << 20]), label="factor block bytes"))
+        if not any(counts):  # only the other link has records
+            with pytest.raises(ValueError, match=r"trace has no snapshots for link \(0, 1\)"):
+                run_simulation(trace, setup)
+            return
         run_simulation(trace, setup)
     rows = snapshot_rows(trace, setup)
     assert [len(paths) for _, paths in rows] == counts
@@ -604,8 +691,8 @@ def test_metrics_csv_format():
 
 
 def test_metrics_csv_round_trip_floats():
-    setup = _free_space_setup()
+    setup = _free_space_setup(n_snapshots=4)
     trace = _los_trace([0.30000000000000004])
     text = metrics_to_csv(run_simulation(trace, setup))
-    t_field = text.splitlines()[1].split(",")[0]
+    t_field = text.splitlines()[-1].split(",")[0]
     assert float(t_field) == 0.30000000000000004

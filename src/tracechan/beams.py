@@ -19,8 +19,9 @@ factors A_r, A_c: (F_r A_r^H) * (F_c A_c^H) / sqrt(N), in
 O(n_beams (R + C) P). The rx side is taken in the path basis or the element
 basis, whichever is smaller (only the element basis assembles A_rx), and
 the K subbands are compressed to min(K, P) rows of the triangular QR factor
-of the coefficient matrix. A power table row is then a
-sum of |amplitude|^2 rows, one per coefficient row.
+of the coefficient matrix. A power table row is then a sum of
+|amplitude|^2 rows, one per coefficient row, whose amplitude planes are
+computed a block of coefficient rows per product.
 
 The winner of a sweep is the first pair in row-major order (tx index, then
 rx index) whose power is within TIE_RTOL of the table maximum. The mirror
@@ -32,17 +33,21 @@ filling their tables. Each tx beam's row has an upper bound. In the path
 basis a pair's power is a Rayleigh quotient of M = coef^H coef, bounded
 through a Gershgorin bound on its largest eigenvalue. In the element basis
 it is at most the squared norm of the pair's rx-element amplitudes, since
-the rx weights have unit norm (Cauchy-Schwarz). Only the rows whose bound
-reaches the tie threshold of the best confirmed power are computed, by the
-same row kernel as sweep_power_table. Channels with equal coefficient
-shapes are swept together: their factors are stacked on a leading channel
-axis, so each projection, the QR, the bounds and the first confirm are one
-call per chunk of channels. The winner is the one select_best_pair picks
-on the channel's sweep_power_table. A one-channel sweep (ideal_beam_sweep)
-computes every product as that table does, so its power is bit-equal too;
-in a batch the tx projection is a matrix-matrix product, so a power may
-move in its last bits, and a winner only if that carries a pair across
-the tie threshold.
+the rx weights have unit norm (Cauchy-Schwarz). Summed over the
+coefficient rows, that norm is a quadratic form of the tx projection in a
+P x P Gram matrix: one small product per channel, or, for very many
+paths, one product per coefficient row, whichever takes fewer
+multiply-adds. A NaN bound, from an overflowed product, reads inf. Only
+the rows whose bound reaches the tie threshold of the best confirmed
+power are computed, by the same row kernel as sweep_power_table.
+Channels with equal coefficient shapes are swept together: their factors
+are stacked on a leading channel axis, so each projection, the QR, the
+bounds and the first confirm are one call per chunk of channels. The
+winner is the one select_best_pair picks on the channel's
+sweep_power_table. A one-channel sweep (ideal_beam_sweep) computes every
+product as that table does, so its power is bit-equal too; in a batch the
+tx projection is a matrix-matrix product, so a power may move in its last
+bits, and a winner only if that carries a pair across the tie threshold.
 """
 
 from __future__ import annotations
@@ -87,7 +92,8 @@ _ROUND = 2.0**-50
 # channel): few calls per link, and a long link never holds every training
 # row's projection. Larger chunks buy little speed: on the arc_wide benchmark
 # (2 vCPUs, 2 BLAS threads) 256 KiB ran 7 % faster for 0.5 MB more peak
-# memory, and 1 MiB ran slower for 4 MB more.
+# memory, and 1 MiB ran slower for 4 MB more. _power_rows stacks the
+# amplitude planes of its coefficient rows in products of about the same size.
 _SWEEP_BYTES = 1 << 17
 
 
@@ -238,20 +244,26 @@ def _power_rows(
 
     The one row kernel of every sweep: (..., rows, P) tx projections give
     (..., rows, n_rx_b) rows, where the leading axes, if any, are the
-    channel axis of _sweep_factors. A stacked product runs one BLAS call per
-    channel, so a channel's rows come out as they would alone. A row's bits
-    do not depend on which other rows are computed with it, as long as
-    there are at least two: BLAS runs a one-row product as a matrix-vector
-    product, which rounds differently. The element-basis bound of
-    _row_bounds relies on this for the first product, (tx_paths * row) @
-    a_rx^T.
+    channel axis of _sweep_factors. The amplitude planes of several
+    coefficient rows are stacked into one product of about _SWEEP_BYTES,
+    and the planes' powers are summed in coefficient-row order. A stacked
+    product runs one BLAS call per channel, so a channel's rows come out as
+    they would alone. A row's bits do not depend on which other rows are
+    computed with it, as long as a product has at least two rows: BLAS runs
+    a one-row product as a matrix-vector product, which rounds differently.
     """
-    table = np.zeros((*tx_paths.shape[:-1], rx_side[-1].shape[-1]))
-    for k in range(coef.shape[-2]):  # one amplitude plane per coefficient row
-        amp = tx_paths * coef[..., k, None, :]
+    *lead, rows, p = tx_paths.shape
+    n_rx_b = rx_side[-1].shape[-1]
+    table = np.zeros((*lead, rows, n_rx_b))
+    step = max(1, _SWEEP_BYTES // (16 * math.prod(lead) * rows * n_rx_b))
+    for lo in range(0, coef.shape[-2], step):  # a block of coefficient rows per product
+        amp = (tx_paths[..., None, :, :] * coef[..., lo:lo + step, None, :]).reshape(*lead, -1, p)
         for factor in rx_side:
             amp = amp @ factor
-        table += amp.real**2 + amp.imag**2
+        power = amp.real**2
+        power += amp.imag**2
+        for k in range(0, power.shape[-2], rows):
+            table += power[..., k:k + rows, :]
     return scale * table
 
 
@@ -286,34 +298,82 @@ def _row_bounds(
     at most 3 P^2 + 6 P + 7 units, below 4 (P + 2)^2.
 
     In the element basis, rx_side is (a_rx^T, W^*) for the unit-norm rx
-    weights w_l. Pair (i, l) has amplitude z_ik . w_l^* on coefficient row
-    k, where z_ik = (tx_paths[i] * coef[k]) @ a_rx^T, so by Cauchy-Schwarz
-    its power is at most scale * sum_k |z_ik|^2. The z here are the first
-    product of _power_rows, with the same bits, so every rounding is
-    relative to them. With N rx elements, m coefficient rows and the unit
-    roundoff u = _ROUND / 8: the N-term complex dot product errs by at most
-    sqrt(2) gamma_2N sum_j |z_j||w_j| <= sqrt(2) gamma_2N |z||w|, which
-    adds 4 sqrt(2) N u to the power; the computed |w|^2 is within 16 u of
-    1; the table's squares, m-term sum and scale add (m + 2) u, and this
-    bound's squares, sums and products (N + m + 4) u. That is below
-    (7 N + 2 m + 22) u, so below N + m + 3 units.
+    weights w_l. With A = a_rx^T and z_ik = (tx_paths[i] * coef[k]) @ A,
+    pair (i, l) has amplitude z_ik . w_l^* on coefficient row k, so by
+    Cauchy-Schwarz its power is at most scale * B_i with
+    B_i = sum_k |z_ik|^2 = t_i Q t_i^H, t_i = tx_paths[i] and
+    Q = (A A^H) * (coef^T coef^*), a P x P Hermitian matrix. The cheaper of
+    two forms computes B, by their complex multiply-accumulate counts: the
+    Gram form builds Q and takes one (n_tx_b, P) @ (P, P) product,
+    P^2 (N + m + n_tx_b) MACs with N rx elements and m coefficient rows;
+    the loop takes one (n_tx_b, P) @ (P, N) product per coefficient row,
+    m n_tx_b P N MACs. The Gram form wins unless P is near m N or above.
+
+    The computed B can cancel, so the margin has an absolute part too. Let
+    zeta_ik = (|tx_paths[i]| * |coef[k]|) @ |A| and
+    S_i = sum_k |zeta_ik|^2 = |t_i| Q_abs |t_i|^T, with
+    Q_abs = (|A| |A|^T) * (|coef|^T |coef|). S_i <= sum_p |t_ip|^2 rho_p,
+    where rho_p is row p's sum of the symmetric Q_abs (|t_p||t_q| <=
+    (|t_p|^2 + |t_q|^2) / 2); rho takes two real products of P N m
+    multiply-adds.
+
+    In units of _ROUND, to first order: a table amplitude errs by (P + 1)
+    units of zeta_ik . |w_l| in its first product and N units of
+    |z_ik| . |w_l| in its second, at most (P + N + 1) units of
+    |zeta_ik||w_l|, which moves its square by 2 (P + N + 1) units of
+    |z_ik||zeta_ik||w_l|^2 and the sum over k by 2 (P + N + 1) units of
+    S_i |w_l|^2; the stored weights' |w_l|^2 is within 2 units of 1, and the
+    table's squares, m-term sum and scale add m + 2, so an entry is at most
+    scale ((1 + (m + 4) units) B_i + 2 (P + N + 1) units of S_i). The Gram
+    form's Q errs by N + m + 1 units of Q_abs, t Q by P more units of
+    |t| Q_abs, and its real dot with t^* by 2 P + 1 more, so the computed B
+    errs by at most N + m + 3 P + 2 units of S_i; the loop's z errs by
+    P + 1 units of zeta, which moves its squares by 2 (P + 1) units of S_i,
+    and its squares and sums add N + m + 1 units of B_i <= S_i, at most
+    N + m + 2 P + 3 units of S_i. The computed slack
+    sum is within 2 P + N + m + 5 units of its value, a second-order term,
+    and this bound's own two multiplies, sum and scale add 4 units of S_i.
+    So the relative part m + 4 units and the absolute part
+    3 N + m + 5 P + 9 units of the slack sum cover every entry; the latter
+    is below 6 (P + N + m), as P >= 2. The products of two error terms
+    stay below one unit while P, N and m are below 2**20.
+
+    In either basis a NaN bound, from an overflowed product (inf - inf or
+    inf * 0 in M, Q or the slack), reads inf, so it drops no row. In the
+    element basis an entry that overflows has an unscaled sum past the
+    float range, and so has its bound, which is summed before it is scaled.
     """
     if len(rx_side) == 2:
-        a_rx_t, _ = rx_side
-        norms = np.zeros(tx_paths.shape[:-1])
-        for k in range(coef.shape[-2]):  # one (..., n_tx_b, N_rx) plane at a time
-            z = (tx_paths * coef[..., k, None, :]) @ a_rx_t
-            norms += (z.real**2 + z.imag**2).sum(axis=-1)
-        margin = (a_rx_t.shape[-1] + coef.shape[-2] + 3) * _ROUND
-        return (scale * (1.0 + margin)) * norms
-    rx_paths = rx_side[0]
-    n_paths = coef.shape[-1]
-    gram = coef.conj().swapaxes(-1, -2) @ coef  # (..., P, P)
-    lam = np.abs(gram).sum(axis=-1).max(axis=-1, initial=0.0)  # (...)
-    rx_gain = (rx_paths.real**2 + rx_paths.imag**2).max(axis=-1, initial=0.0)  # (..., P)
-    gain = tx_paths.real**2 + tx_paths.imag**2  # (..., n_tx_b, P)
-    margin = 4.0 * (n_paths + 2) ** 2 * _ROUND
-    return (scale * lam * (1.0 + margin))[..., None] * (gain @ rx_gain[..., None])[..., 0]
+        a_rx_t = rx_side[0]  # (..., P, N)
+        n_tx, (m, p), n = tx_paths.shape[-2], coef.shape[-2:], a_rx_t.shape[-1]
+        if p * (n + m + n_tx) < m * n_tx * n:  # the Gram form costs fewer MACs
+            q = a_rx_t @ a_rx_t.conj().swapaxes(-1, -2)
+            q *= coef.swapaxes(-1, -2) @ coef.conj()
+            q = tx_paths @ q  # (..., n_tx_b, P)
+            norms = (np.einsum("...p,...p->...", q.real, tx_paths.real)
+                     + np.einsum("...p,...p->...", q.imag, tx_paths.imag))
+        else:
+            norms = np.zeros(tx_paths.shape[:-1])
+            for k in range(m):  # one (..., n_tx_b, N_rx) plane at a time
+                z = (tx_paths * coef[..., k, None, :]) @ a_rx_t
+                norms += (z.real**2 + z.imag**2).sum(axis=-1)
+        abs_a, abs_ct = np.abs(a_rx_t), np.abs(coef).swapaxes(-1, -2)
+        rho = ((abs_a @ (abs_a.swapaxes(-1, -2) @ abs_ct)) * abs_ct).sum(axis=-1)  # (..., P)
+        slack = (np.einsum("...ip,...ip,...p->...i", tx_paths.real, tx_paths.real, rho)
+                 + np.einsum("...ip,...ip,...p->...i", tx_paths.imag, tx_paths.imag, rho))
+        bound = scale * ((1.0 + (m + 4) * _ROUND) * norms
+                         + (6 * (p + n + m) * _ROUND) * slack)
+    else:
+        rx_paths = rx_side[0]
+        n_paths = coef.shape[-1]
+        gram = coef.conj().swapaxes(-1, -2) @ coef  # (..., P, P)
+        lam = np.abs(gram).sum(axis=-1).max(axis=-1, initial=0.0)  # (...)
+        rx_gain = (rx_paths.real**2 + rx_paths.imag**2).max(axis=-1, initial=0.0)  # (..., P)
+        gain = tx_paths.real**2 + tx_paths.imag**2  # (..., n_tx_b, P)
+        margin = 4.0 * (n_paths + 2) ** 2 * _ROUND
+        bound = (scale * lam * (1.0 + margin))[..., None] * (gain @ rx_gain[..., None])[..., 0]
+    bound[np.isnan(bound)] = np.inf
+    return bound
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflowed table raises instead

@@ -254,6 +254,23 @@ class SimulationSetup:
             raise ValueError("times must be a non-empty, finite, strictly increasing grid")
 
 
+def _nearest_slots(grid: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Each time's np.argmin(np.abs(grid - t)) slot, for a strictly increasing grid.
+
+    |grid - t| does not grow from the first grid time at or above t down to
+    the nearest one below it, so each slot starts there and steps down while
+    the next lower distance is no larger: a tie takes the lower index, as
+    argmin takes the first minimum, also where rounding ties distinct grid
+    times far from t.
+    """
+    slots = np.minimum(np.searchsorted(grid, times), len(grid) - 1)
+    while True:
+        back = (slots > 0) & (np.abs(grid[slots - 1] - times) <= np.abs(grid[slots] - times))
+        if not back.any():
+            return slots
+        slots -= back
+
+
 def snapshot_rows(
     trace: TraceSet, setup: SimulationSetup
 ) -> list[tuple[float, TraceSet]]:
@@ -274,8 +291,8 @@ def snapshot_rows(
     grid = np.asarray(setup.times, dtype=float)
     no_paths = TraceSet()
     rows: list[tuple[float, TraceSet]] = [(float(t), no_paths) for t in grid]
-    for t in trace_times:
-        i = int(np.argmin(np.abs(grid - t)))
+    for i, t in zip(_nearest_slots(grid, np.asarray(trace_times, dtype=float)).tolist(),
+                    trace_times):
         if abs(rows[i][0] - t) > GRID_TOL_S:
             t0, end = float(grid[0]), float(grid[-1])  # rows may hold snapped trace times
             if t > end:

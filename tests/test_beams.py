@@ -422,33 +422,130 @@ def test_bounded_sweep_matches_full_table(
     assert np.float64(got.power_w).tobytes() == np.float64(want.power_w).tobytes()
 
 
-@settings(max_examples=100, deadline=None)
+def _one_beam(cb):
+    return BeamCodebook(cb.directions[:1], cb.row_factors[:1], cb.col_factors[:1])
+
+
+@settings(max_examples=150, deadline=None)
 @given(
-    n_subbands=st.integers(1, 8),
-    extra_paths=st.integers(1, 6),
+    n_subbands=st.integers(1, 12),
+    extra_paths=st.integers(1, 24),
     rx_shape=st.sampled_from([(1, 1), (1, 2), (2, 2), (2, 3)]),
+    one_tx_beam=st.booleans(),
     rx_beams=st.sampled_from([1, 8]),
     weak=st.sampled_from([1.0, 1e-3, 1e-9, 0.0]),
     aim_rx=st.booleans(),
+    tx_copies=st.lists(st.tuples(st.booleans(), st.integers(-8, 8)), max_size=12),
+    rx_copies=st.lists(st.tuples(st.booleans(), st.integers(-8, 8)), max_size=2),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(n_subbands=8, extra_paths=1, rx_shape=(2, 2), rx_beams=8, weak=0.0, aim_rx=True,
-         seed=0)
-@example(n_subbands=1, extra_paths=3, rx_shape=(2, 3), rx_beams=1, weak=1e-3, aim_rx=True,
-         seed=1)
+@example(n_subbands=8, extra_paths=1, rx_shape=(2, 2), one_tx_beam=False, rx_beams=8,
+         weak=0.0, aim_rx=True, tx_copies=[], rx_copies=[], seed=0)
+@example(n_subbands=1, extra_paths=3, rx_shape=(2, 3), one_tx_beam=False, rx_beams=1,
+         weak=1e-3, aim_rx=True, tx_copies=[], rx_copies=[], seed=1)
+# P > N_rx, K on both sides of P. The next example takes the Gram form of
+# the bound (K > P, 104 tx beams); the last two take the per-row loop, with
+# more MACs in Q than in the loop (25 paths on K = 2, or one tx beam). All
+# three have an rx beam aimed at a dominant path, so the bound is nearly
+# tight, and all three fail without the margin
+@example(n_subbands=12, extra_paths=1, rx_shape=(2, 2), one_tx_beam=False, rx_beams=8,
+         weak=1e-9, aim_rx=True, tx_copies=[(True, k) for k in range(-6, 7)], rx_copies=[],
+         seed=16)
+@example(n_subbands=2, extra_paths=21, rx_shape=(2, 2), one_tx_beam=False, rx_beams=8,
+         weak=1e-9, aim_rx=True, tx_copies=[(True, k) for k in range(-6, 7)], rx_copies=[],
+         seed=6)
+@example(n_subbands=3, extra_paths=1, rx_shape=(2, 2), one_tx_beam=True, rx_beams=1,
+         weak=1e-9, aim_rx=True, tx_copies=[], rx_copies=[], seed=0)
 def test_element_basis_bound_covers_every_entry(
-    n_subbands, extra_paths, rx_shape, rx_beams, weak, aim_rx, seed
+    n_subbands, extra_paths, rx_shape, one_tx_beam, rx_beams, weak, aim_rx, tx_copies,
+    rx_copies, seed
 ):
     # P > N_rx: the rx side is in the element basis, and each row's bound is
-    # at or above every computed entry of its row, also where it is tight
+    # at or above every computed entry of its row, also where it is tight;
+    # the bounded sweep picks the table's pair
     rng = np.random.default_rng(seed)
     n_paths = rx_shape[0] * rx_shape[1] + extra_paths
     ch, cb_tx, cb_rx = _sweep_case(rng, n_subbands, n_paths, rx_shape, rx_beams, weak, aim_rx)
+    if one_tx_beam:
+        cb_tx = _one_beam(cb_tx)
+    first = select_best_pair(sweep_power_table(ch, cb_tx, cb_rx, 0.5), cb_tx, cb_rx)
+    cb_tx = _with_copies(cb_tx, first.tx_index, tx_copies)
+    cb_rx = _with_copies(cb_rx, first.rx_index, rx_copies)
     tx_paths, coef, rx_side, scale = beams._sweep_factors([ch], cb_tx, cb_rx, 0.5)
     assert len(rx_side) == 2
     table = sweep_power_table(ch, cb_tx, cb_rx, 0.5)
     bound = beams._row_bounds(tx_paths, coef, rx_side, scale)
     assert np.all(bound[0, :, None] >= table)
+    want = select_best_pair(table, cb_tx, cb_rx)
+    got = ideal_beam_sweep(ch, cb_tx, cb_rx, 0.5)
+    assert (got.tx_index, got.rx_index) == (want.tx_index, want.rx_index)
+    assert np.float64(got.power_w).tobytes() == np.float64(want.power_w).tobytes()
+
+
+@pytest.mark.parametrize("n_tx_beams, n_paths", [(91, 6), (91, 20), (1, 9)],
+                         ids=["gram-k-above-p", "gram-k-below-p", "loop"])
+def test_element_basis_bound_is_the_cauchy_schwarz_sum(n_tx_beams, n_paths):
+    # with K = 8 subbands and 4 rx elements, 91 tx beams take the Gram form
+    # and one tx beam the loop; either way the bound is scale * sum_k |z_ik|^2
+    # up to its rounding margin, so it keeps no more rows than that sum would
+    rng = np.random.default_rng(n_paths)
+    tx_arr, rx_arr = PlanarArray(2, 3, LAM), PlanarArray(2, 2, LAM)
+    ch = build_channel_matrices(_random_records(rng, n_paths), tx_arr, rx_arr,
+                                SubbandGrid(28e9, 400e6, 8))
+    cb_tx = generate_codebook(tx_arr, -90.0, 90.0, 15.0)
+    cb_tx = cb_tx if n_tx_beams == 91 else _one_beam(cb_tx)
+    cb_rx = generate_codebook(rx_arr, -180.0, 90.0, 90.0, 60.0, 120.0, 60.0)
+    tx_paths, coef, rx_side, scale = beams._sweep_factors([ch], cb_tx, cb_rx, 0.5)
+    assert len(tx_paths[0]) == n_tx_beams
+    z = np.einsum("ip,kp,pn->ikn", tx_paths[0], ch.coef, ch.a_rx.T)
+    exact = 0.5 / 8 * (np.abs(z) ** 2).sum(axis=(1, 2))
+    bound = beams._row_bounds(tx_paths, coef, rx_side, scale)[0]
+    np.testing.assert_allclose(bound, exact, rtol=1e-9, atol=0.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    exponents=st.lists(st.floats(150.0, 160.0), min_size=1, max_size=8),
+    null_rx=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+# NaN bounds on finite tables whose maximum is not among the rows a NaN
+# bound would leave: the element basis, with and without the nulling beam,
+# and the path basis
+@example(exponents=[154.0, 150.0, 150.0], null_rx=True, seed=0)
+@example(exponents=[150.0, 150.0, 154.0], null_rx=False, seed=0)
+@example(exponents=[156.0, 153.0], null_rx=True, seed=1)
+def test_near_overflow_sweep_returns_the_tables_pair_or_raises(exponents, null_rx, seed):
+    # gains of 1e150..1e160; three or more paths on the 1x2 rx array are the
+    # element basis, one or two the path basis. With null_rx the one rx beam
+    # (az -30) nulls the first path (az 30): its products overflow in the
+    # bound (Q, or coef^H coef), which turns NaN, while the table stays
+    # finite. The sweep picks the table's pair, or raises the table's
+    # overflow line when its maximum is not finite
+    rng = np.random.default_rng(seed)
+    tx_arr, rx_arr = PlanarArray(2, 2, LAM), PlanarArray(1, 2, LAM)
+    records = [replace(r, t=0.25, gain_mag=10.0**e)
+               for r, e in zip(_random_records(rng, len(exponents)), exponents)]
+    records[0] = replace(records[0], aoa_az=30.0, aoa_zen=90.0)
+    ch = build_channel_matrices(records, tx_arr, rx_arr, GRID, t=0.25)
+    cb_tx = generate_codebook(tx_arr, -60.0, 60.0, 30.0)
+    if null_rx:
+        cb_rx = generate_codebook(rx_arr, -30.0, -30.0, 1.0, 90.0, 90.0, 1.0)
+    else:
+        cb_rx = generate_codebook(rx_arr, -60.0, 60.0, 30.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the error replaces numpy's overflow warnings
+        try:
+            table = sweep_power_table(ch, cb_tx, cb_rx, 1.0)
+        except ValueError as exc:
+            assert str(exc) == "received power at t=0.25 overflows to inf"
+            with pytest.raises(ValueError, match=r"^received power at t=0\.25 overflows to inf$"):
+                ideal_beam_sweep(ch, cb_tx, cb_rx, 1.0)
+            return
+        got = ideal_beam_sweep(ch, cb_tx, cb_rx, 1.0)
+    want = select_best_pair(table, cb_tx, cb_rx)
+    assert (got.tx_index, got.rx_index) == (want.tx_index, want.rx_index)
+    assert np.float64(got.power_w).tobytes() == np.float64(want.power_w).tobytes()
 
 
 def test_single_path_sweep_computes_two_rows(monkeypatch):

@@ -360,6 +360,41 @@ def test_snapshot_rows_schedule():
             replace(setup, times=bad)
 
 
+_TIMES = st.floats(-1e3, 1e3, allow_nan=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    grid=st.one_of(
+        st.builds(lambda t0, dt, n: t0 + dt * np.arange(n),
+                  _TIMES, st.floats(1e-12, 10.0), st.integers(1, 40)),
+        st.lists(_TIMES, min_size=1, max_size=12, unique=True).map(sorted).map(np.array),
+    ),
+    picks=st.lists(st.tuples(st.integers(0, 60), st.sampled_from(["on", "mid", "near"]),
+                             _TIMES), max_size=20),
+)
+# grid times far apart relative to the time tie after rounding (1 - 0 and
+# 1 - 1e-20 are both 1.0): argmin takes the first of them
+@example(grid=np.array([0.0, 1e-20, 2e-20]), picks=[(0, "near", 1.0)])
+@example(grid=np.array([-1.0, 0.0, 1.0]), picks=[(0, "mid", 0.0), (1, "mid", 0.0)])
+def test_nearest_slots_match_argmin(grid, picks):
+    # every trace time's slot is the one np.argmin(np.abs(grid - t)) finds,
+    # grid times, midpoints between neighbours and times beyond the ends included
+    grid = np.unique(grid)
+    times = []
+    for i, kind, t in picks:
+        i %= len(grid)
+        if kind == "on":
+            times.append(grid[i])
+        elif kind == "mid" and i + 1 < len(grid):
+            times.append(grid[i] + (grid[i + 1] - grid[i]) / 2)
+        else:
+            times.append(t)
+    times = np.array(times, dtype=float)
+    want = [int(np.argmin(np.abs(grid - t))) for t in times]
+    assert link_module._nearest_slots(grid, times).tolist() == want
+
+
 def test_run_simulation_grid_without_paths_is_all_outage():
     # a fully blocked scene writes no records; with a grid it is reported
     setup = _free_space_setup()

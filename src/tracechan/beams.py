@@ -19,9 +19,8 @@ factors A_r, A_c: (F_r A_r^H) * (F_c A_c^H) / sqrt(N), in
 O(n_beams (R + C) P). The rx side is taken in the path basis or the element
 basis, whichever is smaller (only the element basis assembles A_rx), and
 the K subbands are compressed to min(K, P) rows of the triangular QR factor
-of the coefficient matrix. A power table row is then a sum of
-|amplitude|^2 rows, one per coefficient row, whose amplitude planes are
-computed a block of coefficient rows per product.
+of the coefficient matrix. A power table row is then a
+sum of |amplitude|^2 rows, one per coefficient row.
 
 The winner of a sweep is the first pair in row-major order (tx index, then
 rx index) whose power is within TIE_RTOL of the table maximum. The mirror
@@ -92,8 +91,7 @@ _ROUND = 2.0**-50
 # channel): few calls per link, and a long link never holds every training
 # row's projection. Larger chunks buy little speed: on the arc_wide benchmark
 # (2 vCPUs, 2 BLAS threads) 256 KiB ran 7 % faster for 0.5 MB more peak
-# memory, and 1 MiB ran slower for 4 MB more. _power_rows stacks the
-# amplitude planes of its coefficient rows in products of about the same size.
+# memory, and 1 MiB ran slower for 4 MB more.
 _SWEEP_BYTES = 1 << 17
 
 
@@ -244,26 +242,18 @@ def _power_rows(
 
     The one row kernel of every sweep: (..., rows, P) tx projections give
     (..., rows, n_rx_b) rows, where the leading axes, if any, are the
-    channel axis of _sweep_factors. The amplitude planes of several
-    coefficient rows are stacked into one product of about _SWEEP_BYTES,
-    and the planes' powers are summed in coefficient-row order. A stacked
-    product runs one BLAS call per channel, so a channel's rows come out as
-    they would alone. A row's bits do not depend on which other rows are
-    computed with it, as long as a product has at least two rows: BLAS runs
-    a one-row product as a matrix-vector product, which rounds differently.
+    channel axis of _sweep_factors. A stacked product runs one BLAS call per
+    channel, so a channel's rows come out as they would alone. A row's bits
+    do not depend on which other rows are computed with it, as long as
+    there are at least two: BLAS runs a one-row product as a matrix-vector
+    product, which rounds differently.
     """
-    *lead, rows, p = tx_paths.shape
-    n_rx_b = rx_side[-1].shape[-1]
-    table = np.zeros((*lead, rows, n_rx_b))
-    step = max(1, _SWEEP_BYTES // (16 * math.prod(lead) * rows * n_rx_b))
-    for lo in range(0, coef.shape[-2], step):  # a block of coefficient rows per product
-        amp = (tx_paths[..., None, :, :] * coef[..., lo:lo + step, None, :]).reshape(*lead, -1, p)
+    table = np.zeros((*tx_paths.shape[:-1], rx_side[-1].shape[-1]))
+    for k in range(coef.shape[-2]):  # one amplitude plane per coefficient row
+        amp = tx_paths * coef[..., k, None, :]
         for factor in rx_side:
             amp = amp @ factor
-        power = amp.real**2
-        power += amp.imag**2
-        for k in range(0, power.shape[-2], rows):
-            table += power[..., k:k + rows, :]
+        table += amp.real**2 + amp.imag**2
     return scale * table
 
 
@@ -307,7 +297,14 @@ def _row_bounds(
     Gram form builds Q and takes one (n_tx_b, P) @ (P, P) product,
     P^2 (N + m + n_tx_b) MACs with N rx elements and m coefficient rows;
     the loop takes one (n_tx_b, P) @ (P, N) product per coefficient row,
-    m n_tx_b P N MACs. The Gram form wins unless P is near m N or above.
+    m n_tx_b P N MACs. The Gram form wins unless P is near m N or above;
+    it is taken only below m N, so its two P x P temporaries stay below
+    32 (m N)^2 bytes. On generated dense_replay traces (m = 64, N = 16,
+    252 tx beams, 2 vCPUs) the count switches at P = 778, while the Gram
+    form's sweeps measured faster up to about 1,800 paths (354 against
+    481 ms a pass at P = 1,024, 937 against 941 ms at 1,792) but slower at
+    2,048 (1,164 against 1,046 ms), with 15 MB more peak memory at 1,536
+    paths and 52 MB more at 2,048.
 
     The computed B can cancel, so the margin has an absolute part too. Let
     zeta_ik = (|tx_paths[i]| * |coef[k]|) @ |A| and

@@ -81,10 +81,10 @@ __all__ = [
 # physical difference between beams.
 TIE_RTOL = 1e-12
 
-# Error-budget unit of the row bound, eight unit roundoffs, as in the ray
-# tracer's batched filter: each complex multiply or add moves its result by
-# at most one unit of the magnitudes it touched.
-_ROUND = 2.0**-50
+# Error-budget unit of the row bound, eight unit roundoffs: each complex
+# multiply or add moves its result by at most one unit of the magnitudes it
+# touched.
+_ERR_UNIT = 2.0**-50
 
 # ideal_beam_sweeps projects the tx beams onto the paths of a chunk of
 # channels at once, in a product of about this many bytes (at least one
@@ -278,7 +278,7 @@ def _row_bounds(
     g_p = max_l |rx_paths[p, l]|^2.
 
     The factor 1 + margin makes the computed bound exceed the computed
-    entries. In units of _ROUND, with m <= P coefficient rows: the amplitudes
+    entries. In units of _ERR_UNIT, with m <= P coefficient rows: the amplitudes
     err by (P + 1) units of sum_p |tx_paths||coef||rx_paths|, which adds at
     most 2 (P + 1) sqrt(P) units to the power, since
     lambda_max(|coef|^T |coef|) <= trace(M) <= P lambda_max(M); M itself errs
@@ -314,7 +314,7 @@ def _row_bounds(
     (|t_p|^2 + |t_q|^2) / 2); rho takes two real products of P N m
     multiply-adds.
 
-    In units of _ROUND, to first order: a table amplitude errs by (P + 1)
+    In units of _ERR_UNIT, to first order: a table amplitude errs by (P + 1)
     units of zeta_ik . |w_l| in its first product and N units of
     |z_ik| . |w_l| in its second, at most (P + N + 1) units of
     |zeta_ik||w_l|, which moves its square by 2 (P + N + 1) units of
@@ -358,8 +358,8 @@ def _row_bounds(
         rho = ((abs_a @ (abs_a.swapaxes(-1, -2) @ abs_ct)) * abs_ct).sum(axis=-1)  # (..., P)
         slack = (np.einsum("...ip,...ip,...p->...i", tx_paths.real, tx_paths.real, rho)
                  + np.einsum("...ip,...ip,...p->...i", tx_paths.imag, tx_paths.imag, rho))
-        bound = scale * ((1.0 + (m + 4) * _ROUND) * norms
-                         + (6 * (p + n + m) * _ROUND) * slack)
+        bound = scale * ((1.0 + (m + 4) * _ERR_UNIT) * norms
+                         + (6 * (p + n + m) * _ERR_UNIT) * slack)
     else:
         rx_paths = rx_side[0]
         n_paths = coef.shape[-1]
@@ -367,7 +367,7 @@ def _row_bounds(
         lam = np.abs(gram).sum(axis=-1).max(axis=-1, initial=0.0)  # (...)
         rx_gain = (rx_paths.real**2 + rx_paths.imag**2).max(axis=-1, initial=0.0)  # (..., P)
         gain = tx_paths.real**2 + tx_paths.imag**2  # (..., n_tx_b, P)
-        margin = 4.0 * (n_paths + 2) ** 2 * _ROUND
+        margin = 4.0 * (n_paths + 2) ** 2 * _ERR_UNIT
         bound = (scale * lam * (1.0 + margin))[..., None] * (gain @ rx_gain[..., None])[..., 0]
     bound[np.isnan(bound)] = np.inf
     return bound

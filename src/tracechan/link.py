@@ -277,22 +277,25 @@ def snapshot_rows(
     """The (time, paths) rows of the configured link, one per grid time.
 
     setup.times is the configured snapshot grid. A grid time within
-    GRID_TOL_S of a trace snapshot takes that snapshot's time and paths
-    (trace.group); any other grid time, a snapshot without paths or a gap in
-    a measured trace, is an outage row with no paths, so an empty trace is
-    all outages. A trace with records but none of the link, a link snapshot
-    off the grid or past its end, or two on one grid time, raises
-    ValueError. The rows' paths, in order, tile trace.link(tx_id, rx_id).
+    GRID_TOL_S of a trace snapshot takes that snapshot's time and paths (as
+    trace.group gives them, sliced by the trace's index bounds); any other
+    grid time, a snapshot without paths or a gap in a measured trace, is an
+    outage row with no paths, so an empty trace is all outages. A trace with
+    records but none of the link, a link snapshot off the grid or past its
+    end, or two on one grid time, raises ValueError. The rows' paths, in
+    order, tile trace.link(tx_id, rx_id).
     """
     link = (setup.tx_id, setup.rx_id)
-    trace_times = trace.snapshot_times(*link)
-    if len(trace) and not trace_times:
+    indexed, bounds, times, links = trace._index
+    first, stop = links.get(link, (0, 0))
+    if len(trace) and first == stop:
         raise ValueError(f"trace has no snapshots for link {link}")
     grid = np.asarray(setup.times, dtype=float)
     no_paths = TraceSet()
     rows: list[tuple[float, TraceSet]] = [(float(t), no_paths) for t in grid]
-    for i, t in zip(_nearest_slots(grid, np.asarray(trace_times, dtype=float)).tolist(),
-                    trace_times):
+    trace_times = times[first:stop]
+    for i, t, lo, hi in zip(_nearest_slots(grid, trace_times).tolist(), trace_times.tolist(),
+                            bounds[first:stop], bounds[first + 1:stop + 1]):
         if abs(rows[i][0] - t) > GRID_TOL_S:
             t0, end = float(grid[0]), float(grid[-1])  # rows may hold snapped trace times
             if t > end:
@@ -304,7 +307,7 @@ def snapshot_rows(
                              "snapshot_dt_s must match the trace")
         if rows[i][1]:
             raise ValueError(f"snapshots t={rows[i][0]!r} and t={t!r} share one grid time")
-        rows[i] = (t, trace.group(t, *link))
+        rows[i] = (t, indexed[lo:hi])
     return rows
 
 

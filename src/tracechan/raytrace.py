@@ -6,27 +6,19 @@ line of sight, specular reflections off planar rectangles up to a configurable
 order (image method), and single knife-edge diffraction at marked rectangle
 edges, emitted only while the direct path is blocked.
 
-Reflections are traced in two stages. A batched numpy filter takes every
-(snapshot, face sequence) candidate of one reflection order at once, in
-chunks of bounded size: it builds the image chain, walks back from the
-receiver and tests every leg against every face. Each test also carries a
-bound on how far its numpy values can sit from those of the scalar code, so
-it comes out as a clear hit, a clear miss or undecided. Each candidate then
-has one of three outcomes:
-
-- a test rejects it clearly: it is dropped;
-- every test passes clearly (each reflection step a clear hit of its face,
-  each leg a clear miss of every face): it is certified, and the scalar code
-  computes its path without testing it again;
-- otherwise it is kept, and the scalar image-method code (`_mirror`,
-  `_segment_hit`, `_segment_occluded`) runs every test again.
-
-Only the scalar code produces paths, certified or not: image chain,
-reflection points (`_plane_crossing`, the arithmetic `_segment_hit` tests),
-leg lengths and reflection coefficients. It stays scalar because numpy's
-batched dot products round differently from the BLAS dot of two 3-vectors in
-the last bit, and traces must stay byte-identical to those of the scalar
-tracer.
+Reflections are traced as arrays: every (snapshot, face sequence) row of one
+reflection order at once, in chunks of bounded size. Each chunk builds the
+image chain, walks back from the receiver to find the reflection points, and
+tests every leg of the unfolded path against every face, dropping the rows
+that fail after each step. A step is the per-sequence image method's test
+as it stands, with its tolerances. Every dot product goes through `_dot`, a
+stacked matmul, which takes the same dot kernel as the 1-D `a @ b` of two
+3-vectors, so the arrays carry the per-sequence arithmetic bit for bit and
+traces are byte-identical to those of a per-sequence tracer. The LOS test
+uses the same crossing test. Paths are held as record arrays, and
+`generate_trace` writes the trace's columns from them; only the angles are
+computed per path, in `math`, since numpy's vectorized transcendentals may
+round differently from libm.
 
 Amplitude model: free-space spreading lambda/(4 pi d) on the unfolded path
 length, one real reflection coefficient per bounce, and the standard
@@ -39,12 +31,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from functools import cached_property
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .channel import SPEED_OF_LIGHT
-from .traces import MpcRecord, PathType, TraceSet
+from .traces import PathType, TraceSet, _frozen
 
 __all__ = [
     "Rectangle",
@@ -58,11 +51,16 @@ __all__ = [
 _EPS = 1e-9  # segment-parameter slack: endpoints touching a surface do not block
 _CONTAINS_TOL = 1e-9  # Rectangle.contains slack, in units of the edge vectors
 _PARALLEL = 1e-15  # |normal . segment| below this: parallel or in-plane, no crossing
-# Error-budget unit of the batched filter, eight unit roundoffs. Each bound
-# sums such terms over the magnitudes a computation touched, so a
-# well-conditioned test gets a slack near 1e-14, far below _EPS.
-_ROUND = 2.0**-50
-_BATCH = 1 << 13  # (candidate, face) pairs per filter chunk; bounds its memory
+_BATCH = 1 << 13  # (row, face) pairs per reflection chunk; bounds its memory
+
+# One path per record: its mechanism, the index of its snapshot geometry, its
+# unfolded length, amplitude factor on top of free space, direction of
+# departure and direction from the receiver toward the last interaction (both
+# not normalized).
+_PATH = np.dtype([
+    ("path_type", object), ("snapshot", np.intp), ("length", float), ("amp_scale", float),
+    ("first_leg", float, 3), ("last_leg_back", float, 3),
+])
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -151,272 +149,123 @@ class Environment:
     def __post_init__(self) -> None:
         object.__setattr__(self, "rectangles", tuple(self.rectangles))
 
+    @cached_property
+    def _stacked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The faces as arrays: their (normal, corner, edge_u, edge_v) as
+        (4, F, 3), their Gram terms (uu, vv, uv, det) as (4, F) and gamma (F,)."""
+        rects = self.rectangles
+        vectors = ("normal", "corner", "edge_u", "edge_v")
+        return (
+            np.array([[getattr(r, k) for r in rects] for k in vectors]).reshape(4, -1, 3),
+            np.array([r._gram for r in rects]).reshape(-1, 4).T,
+            np.array([r.gamma for r in rects], dtype=float),
+        )
 
-def _plane_crossing(
-    p0: np.ndarray, p1: np.ndarray, rect: Rectangle
-) -> tuple[float, np.ndarray] | None:
-    """(t, point) where the open segment crosses the face's plane.
 
-    Endpoint touches are excluded, and the point is not tested against the
-    rectangle: that is `_segment_hit`.
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products over the last axis, broadcast over the others.
+
+    A stacked matmul runs the same dot kernel as the 1-D `a @ b` for every
+    pair of rows, so each product is bit-equal to it; einsum and elementwise
+    sums round differently.
     """
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+def _crossings(
+    p0: np.ndarray, p1: np.ndarray, faces: np.ndarray, gram: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(hit, point): where each open segment p0..p1 crosses each face's plane.
+
+    faces (4, ..., 3) and gram (4, ...) are faces of Environment._stacked;
+    the operands broadcast. A hit crosses the plane away from both endpoints
+    (segment parameter t in (_EPS, 1 - _EPS), |normal . segment| at least
+    _PARALLEL) at a point whose local coordinates lie within _CONTAINS_TOL of
+    the face, all computed as Rectangle.contains computes them.
+    """
+    n, c, u, v = faces
+    uu, vv, uv, det = gram
     d = p1 - p0
-    n = rect.normal
-    denom = float(n @ d)
-    if abs(denom) < _PARALLEL:
-        return None  # parallel or in-plane: no crossing
-    t = float(n @ (rect.corner - p0)) / denom
-    if t <= _EPS or t >= 1.0 - _EPS:
-        return None
-    return t, p0 + t * d
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        denom = _dot(n, d)
+        t = _dot(n, c - p0) / denom
+        point = p0 + t[..., None] * d
+        w = point - c
+        uw, vw = _dot(u, w), _dot(v, w)
+        a = (vv * uw - uv * vw) / det
+        b = (uu * vw - uv * uw) / det
+        lo, hi = -_CONTAINS_TOL, 1.0 + _CONTAINS_TOL
+        crosses = ~((np.abs(denom) < _PARALLEL) | (t <= _EPS) | (t >= 1.0 - _EPS))
+        return crosses & (lo <= a) & (a <= hi) & (lo <= b) & (b <= hi), point
 
 
-def _segment_hit(
-    p0: np.ndarray, p1: np.ndarray, rect: Rectangle
-) -> tuple[float, np.ndarray] | None:
-    """Open-segment vs rectangle crossing; endpoint touches excluded."""
-    hit = _plane_crossing(p0, p1, rect)
-    if hit is not None and rect.contains(hit[1]):
-        return hit
-    return None
+def _path_rows(
+    path_type: PathType, snapshot: ArrayLike, length: ArrayLike, amp_scale: ArrayLike,
+    first_leg: ArrayLike, last_leg_back: ArrayLike,
+) -> np.recarray:
+    """Paths as _PATH records, one per entry of length; the other columns
+    broadcast to it."""
+    rows = np.recarray(len(length), _PATH)
+    rows.path_type, rows.snapshot, rows.length = path_type, snapshot, length
+    rows.amp_scale, rows.first_leg, rows.last_leg_back = amp_scale, first_leg, last_leg_back
+    return rows
 
 
-def _segment_occluded(
-    p0: np.ndarray, p1: np.ndarray, env: Environment
-) -> bool:
-    return any(_segment_hit(p0, p1, r) is not None for r in env.rectangles)
+def _joined(parts: list[np.recarray]) -> np.recarray:
+    return np.concatenate(parts).view(np.recarray)
 
 
-def _angles_deg(vec: np.ndarray) -> tuple[float, float]:
-    """(azimuth, zenith) of a direction vector, degrees; az in [-180, 180)."""
-    norm = float(np.linalg.norm(vec))
-    az = math.degrees(math.atan2(vec[1], vec[0]))
-    if az >= 180.0:
-        az = -180.0
-    zen = math.degrees(math.acos(max(-1.0, min(1.0, vec[2] / norm))))
-    return az, zen
+def _angles_deg(vec: np.ndarray) -> tuple[list[float], list[float]]:
+    """(azimuth, zenith) of each direction row, degrees; az in [-180, 180)."""
+    cos = (vec[:, 2] / np.sqrt(_dot(vec, vec))).tolist()
+    az = [math.degrees(math.atan2(y, x)) for x, y in vec[:, :2].tolist()]
+    return ([-180.0 if a >= 180.0 else a for a in az],
+            [math.degrees(math.acos(max(-1.0, min(1.0, c)))) for c in cos])
 
 
-def _wrap_phase(phase: float) -> float:
-    """Principal value in [-pi, pi)."""
-    out = math.fmod(phase + math.pi, 2.0 * math.pi)
-    if out < 0.0:
-        out += 2.0 * math.pi
-    return out - math.pi
+def _wrap_phase(phase: np.ndarray) -> np.ndarray:
+    """Principal values in [-pi, pi)."""
+    out = np.fmod(phase + math.pi, 2.0 * math.pi)
+    return np.where(out < 0.0, out + 2.0 * math.pi, out) - math.pi
 
 
-def _path_fields(length: float, f_c_hz: float) -> tuple[float, float, float]:
-    """(delay, free-space amplitude gain, carrier phase) for a path length."""
+def _path_fields(length: np.ndarray, f_c_hz: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(delay, free-space amplitude gain, carrier phase) of path lengths."""
     lam = SPEED_OF_LIGHT / f_c_hz
     return length / SPEED_OF_LIGHT, lam / (4.0 * math.pi * length), _wrap_phase(
         -2.0 * math.pi * length / lam
     )
 
 
-@dataclass(frozen=True)
-class _RawPath:
-    """Geometry-only path description before record numbering."""
+def _image_method(
+    tx: np.ndarray, rx: np.ndarray, seq: np.ndarray, faces: np.ndarray, gram: np.ndarray
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """(valid rows, path points) of the image method on rows (tx, rx, face sequence).
 
-    path_type: PathType
-    length: float
-    amp_scale: float  # reflection/diffraction amplitude factor on top of free space
-    first_leg: np.ndarray  # direction of departure (not normalized)
-    last_leg_back: np.ndarray  # from receiver toward last interaction
-
-
-def _los_path(p_tx: np.ndarray, p_rx: np.ndarray) -> _RawPath:
-    d = p_rx - p_tx
-    return _RawPath(PathType.LOS, float(np.linalg.norm(d)), 1.0, d, -d)
-
-
-def _mirror(point: np.ndarray, rect: Rectangle) -> np.ndarray:
-    n = rect.normal
-    return point - 2.0 * float(n @ (point - rect.corner)) * n
-
-
-def _confirm_reflection(
-    p_tx: np.ndarray, p_rx: np.ndarray, seq: list[int], env: Environment,
-    certified: bool = False,
-) -> _RawPath | None:
-    """The scalar image method for one face sequence; None when invalid.
-
-    The sequence is valid when every reflection point lands inside its
-    rectangle and every leg of the unfolded path clears all faces (touching
-    a face at a leg endpoint does not occlude). A certified sequence is one
-    the batched filter found valid with every test clear-cut: its points
-    come from the same arithmetic, but neither the containment nor the
-    occlusion test is run again.
+    A row is valid when every reflection point lands inside its face and
+    every leg of the unfolded path clears all faces (touching a face at a
+    leg endpoint does not occlude). The points of the valid rows are tx,
+    the reflection points in bounce order, then rx.
     """
-    rects = env.rectangles
-    step = _plane_crossing if certified else _segment_hit
     images = []
-    img = p_tx
-    for idx in seq:
-        img = _mirror(img, rects[idx])
+    img = tx
+    for f in seq.T:
+        n = faces[0, f]
+        img = img - (2.0 * _dot(n, img - faces[1, f]))[:, None] * n
         images.append(img)
-    # walk backward from the receiver through the image chain
-    points: list[np.ndarray] = []
-    q = p_rx
-    for idx, img in zip(reversed(seq), reversed(images)):
-        hit = step(q, img, rects[idx])
-        if hit is None:
-            return None
-        q = hit[1]
-        points.append(q)
-    points.reverse()
-    legs = [p_tx, *points, p_rx]
-    if not certified and any(_segment_occluded(a, b, env) for a, b in zip(legs, legs[1:])):
-        return None
-    length = float(sum(np.linalg.norm(b - a) for a, b in zip(legs, legs[1:])))
-    gamma = math.prod(rects[i].gamma for i in seq)
-    return _RawPath(PathType.REFLECTION, length, gamma, legs[1] - legs[0], legs[-2] - legs[-1])
-
-
-class _Faces(NamedTuple):
-    """Face geometry stacked for the batched filter.
-
-    basis[f] has the rows (normal, edge_u, edge_v) of face f; flat is the
-    same vectors as columns grouped by kind, so x @ flat projects rows of x
-    onto every face at once. consts[:, f] = (n.c, u.c, v.c, |c|_1, |u|_1,
-    |v|_1, uu, vv, uv, det) with c the corner and the Gram terms as cached.
-    """
-
-    basis: np.ndarray  # (F, 3, 3)
-    flat: np.ndarray  # (3, 3F)
-    corners: np.ndarray  # (F, 3)
-    consts: np.ndarray  # (10, F)
-
-
-def _stack_faces(rects: tuple[Rectangle, ...]) -> _Faces:
-    basis = np.array([(r.normal, r.edge_u, r.edge_v) for r in rects])
-    corners = np.array([r.corner for r in rects])
-    consts = np.vstack([
-        np.einsum("fij,fj->if", basis, corners),
-        np.abs(corners).sum(axis=1),
-        np.abs(basis[:, 1]).sum(axis=1),
-        np.abs(basis[:, 2]).sum(axis=1),
-        np.array([r._gram for r in rects]).T,
-    ])
-    return _Faces(basis, basis.transpose(1, 0, 2).reshape(-1, 3).T, corners, consts)
-
-
-def _l1(x: np.ndarray) -> np.ndarray:
-    return np.abs(x).sum(axis=-1)
-
-
-def _classify(pq, pd, q1, d1, eq, ed, consts):
-    """Decide `_segment_hit(q, q + d, face)` from numpy values near the scalar ones.
-
-    pq and pd stack the projections of q and d onto the face's (normal,
-    edge_u, edge_v) along axis 0; q1 and d1 are their L1 norms. eq bounds the
-    distance of q from the point the scalar code starts from, ed that of d
-    from the scalar segment vector. Every other rounding, in this code and in
-    the scalar code, is bounded by _ROUND terms. The slack on t grows as
-    |n.d| shrinks against those bounds, so a near-parallel test comes out
-    undecided. Returns (hit, miss, t, e_point): the tests whose scalar
-    outcome is certain, the segment parameter, and a bound on the crossing
-    point's distance from the scalar one. A test that is neither hit nor
-    miss is undecided.
-    """
-    nc, uc, vc, c1, u1, v1, uu, vv, uv, det = consts
-    e_den = ed + _ROUND * d1
-    e_num = eq + _ROUND * (c1 + q1)
-    abs_den = np.abs(pd[0])
-    low_den = abs_den - e_den
-    parallel = abs_den + e_den < _PARALLEL
-    crossing = low_den >= _PARALLEL
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        t = (nc - pq[0]) / pd[0]
-        abs_t = np.abs(t)
-        e_t = (e_num + abs_t * e_den) / low_den + _ROUND * abs_t
-        e_point = eq + abs_t * ed + (d1 + ed) * e_t
-        e_w = e_point + 2.0 * _ROUND * (q1 + abs_t * d1 + c1)
-        uw = (pq[1] - uc) + t * pd[1]
-        vw = (pq[2] - vc) + t * pd[2]
-        abs_uv = np.abs(uv)
-        a = (vv * uw - uv * vw) / det
-        b = (uu * vw - uv * uw) / det
-        e_a = (vv * u1 * e_w + abs_uv * v1 * e_w
-               + _ROUND * (vv * np.abs(uw) + abs_uv * np.abs(vw))) / det + _ROUND * np.abs(a)
-        e_b = (uu * v1 * e_w + abs_uv * u1 * e_w
-               + _ROUND * (uu * np.abs(vw) + abs_uv * np.abs(uw))) / det + _ROUND * np.abs(b)
-        e_next = e_point + _ROUND * (q1 + abs_t * d1)
-        lo, hi = -_CONTAINS_TOL, 1.0 + _CONTAINS_TOL
-        t_in = (t - e_t > _EPS) & (t + e_t < 1.0 - _EPS)
-        t_out = (t + e_t <= _EPS) | (t - e_t >= 1.0 - _EPS)
-        inside = (a - e_a >= lo) & (a + e_a <= hi) & (b - e_b >= lo) & (b + e_b <= hi)
-        outside = (a + e_a < lo) | (a - e_a > hi) | (b + e_b < lo) | (b - e_b > hi)
-    # non-finite values (a parallel segment) compare False: undecided
-    hit = crossing & t_in & inside
-    miss = parallel | (crossing & (t_out | (t_in & outside)))
-    return hit, miss, t, e_next
-
-
-def _filter_candidates(
-    tx: np.ndarray, rx: np.ndarray, seq: np.ndarray, faces: _Faces
-) -> tuple[np.ndarray, np.ndarray]:
-    """(keep, certified): rows of (tx, rx, face sequence) that the scalar
-    code might accept, and those it certainly accepts.
-
-    A row is dropped only when a test of the scalar image method rejects it
-    clearly: a reflection step that clearly misses its face, or a leg that
-    clearly crosses a face. Undecided rows are kept for the confirm stage. A
-    kept row is certified when every test passed clearly: each reflection
-    step a clear hit of its face, each leg a clear miss of every face.
-    """
-    rows, order = seq.shape
-    keep = np.zeros(rows, dtype=bool)
-    certified = np.zeros(rows, dtype=bool)
-    images, image_err = [], []
-    img, err = tx, np.zeros(rows)
-    for j in range(order):
-        f = seq[:, j]
-        n = faces.basis[f, 0]
-        new = img - (2.0 * np.einsum("ij,ij->i", n, img - faces.corners[f]))[:, None] * n
-        # a mirror is an isometry: input errors pass through, roundings add
-        err = err + 3.0 * _ROUND * (_l1(img) + faces.consts[3, f] + _l1(new))
-        img = new
-        images.append(img)
-        image_err.append(err)
-
-    live = np.arange(rows)  # rows whose every test so far is a clear pass
-    walk = [(rx, np.zeros(rows))]  # receiver, then reflection points backward
-    for j in reversed(range(order)):
-        q, eq = walk[-1]
-        p1, e1 = images[j][live], image_err[j][live]
-        d = p1 - q
-        d1 = _l1(d)
-        basis = faces.basis[seq[live, j]]
-        hit, miss, t, e_point = _classify(
-            np.einsum("rij,rj->ir", basis, q), np.einsum("rij,rj->ir", basis, d),
-            _l1(q), d1, eq, eq + e1 + _ROUND * d1, faces.consts[:, seq[live, j]],
-        )
-        keep[live[~(hit | miss)]] = True
+    live = np.arange(len(seq))
+    points = [rx]  # the receiver, then the reflection points walking backward
+    for j in reversed(range(seq.shape[1])):
+        f = seq[live, j]
+        hit, point = _crossings(points[-1], images[j][live], faces[:, f], gram[:, f])
         live = live[hit]
-        walk = [(p[hit], e[hit]) for p, e in walk]
-        walk.append((q[hit] + t[hit, None] * d[hit], e_point[hit]))
-
-    legs = [(tx[live], np.zeros(live.size)), *reversed(walk)]
-    n_faces = faces.corners.shape[0]
-    consts = faces.consts[:, None, :]
-    sure = np.ones(live.size, dtype=bool)  # every leg so far clearly misses every face
-    for i in range(len(legs) - 1):
-        (a, ea), (b, eb) = legs[i], legs[i + 1]
-        d = b - a
-        d1 = _l1(d)
-        blocked, missed = _classify(
-            (a @ faces.flat).reshape(-1, 3, n_faces).transpose(1, 0, 2),
-            (d @ faces.flat).reshape(-1, 3, n_faces).transpose(1, 0, 2),
-            _l1(a)[:, None], d1[:, None], ea[:, None], (ea + eb + _ROUND * d1)[:, None],
-            consts,
-        )[:2]
-        clear = ~blocked.any(axis=1)
-        sure = (sure & missed.all(axis=1))[clear]
+        points = [p[hit] for p in points] + [point[hit]]
+    points = [tx[live], *reversed(points)]
+    for i in range(len(points) - 1):
+        clear = ~_crossings(points[i][:, None], points[i + 1][:, None], faces, gram)[0].any(axis=1)
         live = live[clear]
-        legs = [(p[clear], e[clear]) for p, e in legs]
-    keep[live] = True
-    certified[live[sure]] = True
-    return keep, certified
+        points = [p[clear] for p in points]
+    return live, points
 
 
 def _face_sequences(index: np.ndarray, n_faces: int, order: int) -> np.ndarray:
@@ -436,36 +285,45 @@ def _face_sequences(index: np.ndarray, n_faces: int, order: int) -> np.ndarray:
     return seq
 
 
-def _trace_reflections_batch(
-    p_tx: list[np.ndarray], p_rx: list[np.ndarray], env: Environment, max_order: int
-) -> list[list[_RawPath]]:
-    """Specular paths for many geometries, geometry g being (p_tx[g], p_rx[g]).
+def _reflections(
+    tx: np.ndarray, rx: np.ndarray, env: Environment, max_order: int
+) -> np.recarray:
+    """Specular paths of the geometries (tx[g], rx[g]), geometry g's with
+    `snapshot` g.
 
     Each geometry's paths come in order of reflection order, then face
-    sequence in itertools.product order, as from a per-sequence loop.
+    sequence in itertools.product order, as from a per-sequence loop. A path's
+    length sums its legs' lengths and its amp_scale multiplies its faces'
+    gammas, both in bounce order.
     """
-    paths: list[list[_RawPath]] = [[] for _ in p_tx]
-    rects = env.rectangles
-    if not rects or max_order < 1 or not paths:
-        return paths
-    faces = _stack_faces(rects)
-    tx = np.asarray(p_tx, dtype=float).reshape(-1, 3)
-    rx = np.asarray(p_rx, dtype=float).reshape(-1, 3)
-    n = len(rects)
-    chunk = max(1, _BATCH // n)
+    faces, gram, gamma = env._stacked
+    n = faces.shape[1]
+    chunk = max(1, _BATCH // max(n, 1))
+    found = [np.recarray(0, _PATH)]
     for order in range(1, max_order + 1):
         per_geometry = n * (n - 1) ** (order - 1)
-        rows = len(paths) * per_geometry
+        rows = len(tx) * per_geometry
         for start in range(0, rows, chunk):
             geometry, index = np.divmod(np.arange(start, min(start + chunk, rows)), per_geometry)
             seq = _face_sequences(index, n, order)
-            keep, certified = _filter_candidates(tx[geometry], rx[geometry], seq, faces)
-            for g, s, c in zip(geometry[keep].tolist(), seq[keep].tolist(),
-                               certified[keep].tolist()):
-                path = _confirm_reflection(tx[g], rx[g], s, env, c)
-                if path is not None:
-                    paths[g].append(path)
-    return paths
+            live, points = _image_method(tx[geometry], rx[geometry], seq, faces, gram)
+            legs = [b - a for a, b in zip(points, points[1:])]
+            found.append(_path_rows(
+                PathType.REFLECTION, geometry[live], sum(np.sqrt(_dot(leg, leg)) for leg in legs),
+                math.prod(gamma[seq[live]].T), legs[0], points[-2] - points[-1],
+            ))
+    return _joined(found)
+
+
+def _trace_reflections_batch(
+    p_tx: list[np.ndarray], p_rx: list[np.ndarray], env: Environment, max_order: int
+) -> list[np.recarray]:
+    """The specular paths of each geometry (p_tx[g], p_rx[g]) on its own."""
+    tx = np.asarray(p_tx, dtype=float).reshape(-1, 3)
+    paths = _reflections(tx, np.asarray(p_rx, dtype=float).reshape(-1, 3), env, max_order)
+    paths = paths[np.argsort(paths.snapshot, kind="stable")]
+    ends = np.cumsum(np.bincount(paths.snapshot, minlength=len(tx))).tolist()
+    return [paths[a:b] for a, b in zip([0, *ends], ends)]
 
 
 def fresnel_parameter(
@@ -540,50 +398,14 @@ class RtScenario:
                     raise ValueError(f"link references node {node} with no positions")
 
 
-def _record_from_path(
-    raw: _RawPath, t: float, tx_id: int, rx_id: int, path_id: int, f_c_hz: float
-) -> MpcRecord:
-    delay, friis, phase = _path_fields(raw.length, f_c_hz)
-    aod_az, aod_zen = _angles_deg(raw.first_leg)
-    aoa_az, aoa_zen = _angles_deg(raw.last_leg_back)
-    return MpcRecord(
-        t=t,
-        tx_id=tx_id,
-        rx_id=rx_id,
-        path_id=path_id,
-        path_type=raw.path_type,
-        delay=delay,
-        gain_mag=friis * raw.amp_scale,
-        phase=phase,
-        aod_az=aod_az,
-        aod_zen=aod_zen,
-        aoa_az=aoa_az,
-        aoa_zen=aoa_zen,
-    )
-
-
-def _snapshot_paths(
-    p_tx: np.ndarray,
-    p_rx: np.ndarray,
-    env: Environment,
-    f_c_hz: float,
-    reflections: list[_RawPath],
-) -> list[_RawPath]:
-    """LOS, the given reflections, then diffraction when LOS is blocked.
-
-    Each face is tested against tx..rx once. Any crossing blocks LOS; a
-    blocked link gets one knife-edge path per marked edge, and the edge's
-    clearance h is positive when its own face is one that crosses.
-    """
-    p_tx = np.asarray(p_tx, dtype=float)
-    p_rx = np.asarray(p_rx, dtype=float)
-    blocks = [_segment_hit(p_tx, p_rx, r) is not None for r in env.rectangles]
-    if not any(blocks):
-        return [_los_path(p_tx, p_rx), *reflections]
-    lam = SPEED_OF_LIGHT / f_c_hz
+def _diffraction(
+    p_tx: np.ndarray, p_rx: np.ndarray, env: Environment, blocks: list[bool], lam: float
+) -> list[tuple[float, float, np.ndarray, np.ndarray]]:
+    """(length, loss, first_leg, last_leg_back) of each knife-edge path of a
+    blocked link, blocks[f] saying whether face f crosses tx..rx."""
     los_dir = p_rx - p_tx
     los_dir = los_dir / np.linalg.norm(los_dir)
-    paths = list(reflections)
+    paths = []
     for rect, owner_blocks in zip(env.rectangles, blocks):
         for edge_idx in rect.diffracting_edges:
             e0, e1 = rect.edge_points(edge_idx)
@@ -597,31 +419,82 @@ def _snapshot_paths(
                 h = -h
             nu = fresnel_parameter(h, d1, d2, lam)
             loss = 10.0 ** (-knife_edge_loss_db(nu) / 20.0)
-            paths.append(_RawPath(PathType.DIFFRACTION, d1 + d2, loss, point - p_tx, point - p_rx))
+            paths.append((d1 + d2, loss, point - p_tx, point - p_rx))
     return paths
+
+
+def _snapshot_paths(
+    p_tx: np.ndarray,
+    p_rx: np.ndarray,
+    env: Environment,
+    f_c_hz: float,
+    reflections: np.recarray,
+) -> np.recarray:
+    """The paths of snapshot geometries: LOS, the given reflections, then
+    diffraction when LOS is blocked.
+
+    p_tx and p_rx hold one geometry (3,) or many (G, 3); reflections are
+    theirs, numbered by `snapshot`. Each face is tested against each tx..rx
+    once. Any crossing blocks LOS; a blocked link gets one knife-edge path per
+    marked edge, and the edge's clearance h is positive when its own face is
+    one that crosses. The paths come by snapshot, then mechanism.
+    """
+    tx = np.asarray(p_tx, dtype=float).reshape(-1, 3)
+    rx = np.asarray(p_rx, dtype=float).reshape(-1, 3)
+    faces, gram, _ = env._stacked
+    blocks = _crossings(tx[:, None], rx[:, None], faces, gram)[0]
+    blocked = blocks.any(axis=1)
+    los = np.flatnonzero(~blocked)
+    d = rx[los] - tx[los]
+    parts = [_path_rows(PathType.LOS, los, np.sqrt(_dot(d, d)), 1.0, d, -d), reflections]
+    lam = SPEED_OF_LIGHT / f_c_hz
+    diffraction = [(g, *path) for g in np.flatnonzero(blocked).tolist()
+                   for path in _diffraction(tx[g], rx[g], env, blocks[g].tolist(), lam)]
+    if diffraction:
+        parts.append(_path_rows(PathType.DIFFRACTION, *zip(*diffraction)))
+    paths = _joined(parts)
+    mechanism = np.repeat(np.arange(len(parts)), [len(part) for part in parts])
+    return paths[np.lexsort((mechanism, paths.snapshot))]
 
 
 def generate_trace(scenario: RtScenario) -> TraceSet:
     """Trace every link of the scenario over its snapshot grid.
 
-    Reflections of all snapshots and links are traced in one batch. Output
-    passes validation by construction: snapshot times are strictly
-    increasing, path_ids are fresh per snapshot, and at most one LOS record
-    exists per snapshot. A link whose tx and rx coincide has no defined path,
-    so it raises ValueError naming the first such time.
+    All snapshots and links are traced in one batch, and the trace's
+    columns are computed from all paths at once. Output passes
+    validation by construction: snapshot times are strictly increasing,
+    path_ids are fresh per snapshot, and at most one LOS record exists per
+    snapshot. A link whose tx and rx coincide has no defined path, so it
+    raises ValueError naming the first such time.
     """
     env, f_c = scenario.environment, scenario.carrier_hz
-    times = scenario.times
+    times = np.asarray(scenario.times, dtype=float)
     keys = [(k, tx_id, rx_id) for k in range(times.size) for tx_id, rx_id in scenario.links]
-    p_tx = [scenario.positions[tx_id][k] for k, tx_id, _ in keys]
-    p_rx = [scenario.positions[rx_id][k] for k, _, rx_id in keys]
-    for (k, _, _), a, b in zip(keys, p_tx, p_rx):
-        if np.array_equal(a, b):
-            raise ValueError(f"tx and rx coincide at t={float(times[k])!r}")
-    reflections = _trace_reflections_batch(p_tx, p_rx, env, scenario.max_reflection_order)
-    records: list[MpcRecord] = []
-    for (k, tx_id, rx_id), a, b, refl in zip(keys, p_tx, p_rx, reflections):
-        t = float(times[k])
-        for pid, raw in enumerate(_snapshot_paths(a, b, env, f_c, refl)):
-            records.append(_record_from_path(raw, t, tx_id, rx_id, pid, f_c))
-    return TraceSet(tuple(records))
+    tx = np.array([scenario.positions[tx_id][k] for k, tx_id, _ in keys], dtype=float)
+    rx = np.array([scenario.positions[rx_id][k] for k, _, rx_id in keys], dtype=float)
+    tx, rx = tx.reshape(-1, 3), rx.reshape(-1, 3)
+    coincide = np.flatnonzero((tx == rx).all(axis=1))
+    if coincide.size:
+        raise ValueError(f"tx and rx coincide at t={float(times[keys[coincide[0]][0]])!r}")
+    reflections = _reflections(tx, rx, env, scenario.max_reflection_order)
+    paths = _snapshot_paths(tx, rx, env, f_c, reflections)
+    counts = np.bincount(paths.snapshot, minlength=len(keys))
+    key = np.array(keys, dtype=np.int64).reshape(-1, 3)[paths.snapshot]
+    first_row = (np.cumsum(counts) - counts)[paths.snapshot]
+    delay, friis, phase = _path_fields(paths.length, f_c)
+    aod_az, aod_zen = _angles_deg(paths.first_leg)
+    aoa_az, aoa_zen = _angles_deg(paths.last_leg_back)
+    return TraceSet._of(_frozen({
+        "t": times[key[:, 0]],
+        "tx_id": key[:, 1].copy(),
+        "rx_id": key[:, 2].copy(),
+        "path_id": np.arange(len(paths), dtype=np.int64) - first_row,
+        "path_type": np.array(paths.path_type),
+        "delay": delay,
+        "gain_mag": friis * paths.amp_scale,
+        "phase": phase,
+        "aod_az": np.array(aod_az),
+        "aod_zen": np.array(aod_zen),
+        "aoa_az": np.array(aoa_az),
+        "aoa_zen": np.array(aoa_zen),
+    }))

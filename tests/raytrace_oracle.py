@@ -1,33 +1,140 @@
-"""The scalar tracer that the batched one in tracechan.raytrace replaced.
+"""The scalar tracer that the array one in tracechan.raytrace replaced.
 
 trace_reflections, trace_diffraction, trace_link_snapshot and generate_trace
 are the per-sequence, per-snapshot implementations as they stood before the
 batched filter, kept verbatim as the reference the tests compare against:
-the batched tracer must give the same paths in the same order, bit for bit.
+the array tracer must give the same paths in the same order, bit for bit.
+The scalar image-method helpers (_plane_crossing, _segment_hit,
+_segment_occluded, _mirror), the path type _RawPath and the record code
+(_los_path, _record_from_path and the field and angle functions) are kept
+here verbatim too, so that the reference does not run the code it checks.
+It shares only the tolerances, the face type and the diffraction code.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from tracechan.channel import SPEED_OF_LIGHT
 from tracechan.raytrace import (
+    _EPS,
+    _PARALLEL,
     Environment,
+    Rectangle,
     RtScenario,
-    _los_path,
     _min_path_point_on_edge,
-    _mirror,
-    _RawPath,
-    _record_from_path,
-    _segment_hit,
-    _segment_occluded,
     fresnel_parameter,
     knife_edge_loss_db,
 )
 from tracechan.traces import MpcRecord, PathType, TraceSet
+
+
+def _plane_crossing(
+    p0: np.ndarray, p1: np.ndarray, rect: Rectangle
+) -> tuple[float, np.ndarray] | None:
+    """(t, point) where the open segment crosses the face's plane.
+
+    Endpoint touches are excluded, and the point is not tested against the
+    rectangle: that is `_segment_hit`.
+    """
+    d = p1 - p0
+    n = rect.normal
+    denom = float(n @ d)
+    if abs(denom) < _PARALLEL:
+        return None  # parallel or in-plane: no crossing
+    t = float(n @ (rect.corner - p0)) / denom
+    if t <= _EPS or t >= 1.0 - _EPS:
+        return None
+    return t, p0 + t * d
+
+
+def _segment_hit(
+    p0: np.ndarray, p1: np.ndarray, rect: Rectangle
+) -> tuple[float, np.ndarray] | None:
+    """Open-segment vs rectangle crossing; endpoint touches excluded."""
+    hit = _plane_crossing(p0, p1, rect)
+    if hit is not None and rect.contains(hit[1]):
+        return hit
+    return None
+
+
+def _segment_occluded(
+    p0: np.ndarray, p1: np.ndarray, env: Environment
+) -> bool:
+    return any(_segment_hit(p0, p1, r) is not None for r in env.rectangles)
+
+
+def _angles_deg(vec: np.ndarray) -> tuple[float, float]:
+    """(azimuth, zenith) of a direction vector, degrees; az in [-180, 180)."""
+    norm = float(np.linalg.norm(vec))
+    az = math.degrees(math.atan2(vec[1], vec[0]))
+    if az >= 180.0:
+        az = -180.0
+    zen = math.degrees(math.acos(max(-1.0, min(1.0, vec[2] / norm))))
+    return az, zen
+
+
+def _wrap_phase(phase: float) -> float:
+    """Principal value in [-pi, pi)."""
+    out = math.fmod(phase + math.pi, 2.0 * math.pi)
+    if out < 0.0:
+        out += 2.0 * math.pi
+    return out - math.pi
+
+
+def _path_fields(length: float, f_c_hz: float) -> tuple[float, float, float]:
+    """(delay, free-space amplitude gain, carrier phase) for a path length."""
+    lam = SPEED_OF_LIGHT / f_c_hz
+    return length / SPEED_OF_LIGHT, lam / (4.0 * math.pi * length), _wrap_phase(
+        -2.0 * math.pi * length / lam
+    )
+
+
+@dataclass(frozen=True)
+class _RawPath:
+    """Geometry-only path description before record numbering."""
+
+    path_type: PathType
+    length: float
+    amp_scale: float  # reflection/diffraction amplitude factor on top of free space
+    first_leg: np.ndarray  # direction of departure (not normalized)
+    last_leg_back: np.ndarray  # from receiver toward last interaction
+
+
+def _los_path(p_tx: np.ndarray, p_rx: np.ndarray) -> _RawPath:
+    d = p_rx - p_tx
+    return _RawPath(PathType.LOS, float(np.linalg.norm(d)), 1.0, d, -d)
+
+
+def _mirror(point: np.ndarray, rect: Rectangle) -> np.ndarray:
+    n = rect.normal
+    return point - 2.0 * float(n @ (point - rect.corner)) * n
+
+
+def _record_from_path(
+    raw: _RawPath, t: float, tx_id: int, rx_id: int, path_id: int, f_c_hz: float
+) -> MpcRecord:
+    delay, friis, phase = _path_fields(raw.length, f_c_hz)
+    aod_az, aod_zen = _angles_deg(raw.first_leg)
+    aoa_az, aoa_zen = _angles_deg(raw.last_leg_back)
+    return MpcRecord(
+        t=t,
+        tx_id=tx_id,
+        rx_id=rx_id,
+        path_id=path_id,
+        path_type=raw.path_type,
+        delay=delay,
+        gain_mag=friis * raw.amp_scale,
+        phase=phase,
+        aod_az=aod_az,
+        aod_zen=aod_zen,
+        aoa_az=aoa_az,
+        aoa_zen=aoa_zen,
+    )
 
 
 def trace_reflections(

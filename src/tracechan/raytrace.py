@@ -154,11 +154,12 @@ class Environment:
         """The faces as arrays: their (normal, corner, edge_u, edge_v) as
         (4, F, 3), their Gram terms (uu, vv, uv, det) as (4, F) and gamma (F,)."""
         rects = self.rectangles
-        vectors = ("normal", "corner", "edge_u", "edge_v")
+        vectors = np.array([[getattr(r, k) for r in rects]
+                            for k in ("normal", "corner", "edge_u", "edge_v")])
         return (
-            np.array([[getattr(r, k) for r in rects] for k in vectors]).reshape(4, -1, 3),
-            np.array([r._gram for r in rects]).reshape(-1, 4).T,
-            np.array([r.gamma for r in rects], dtype=float),
+            _read_only(vectors.reshape(4, -1, 3)),
+            _read_only(np.array([r._gram for r in rects]).reshape(-1, 4).T),
+            _read_only(np.array([r.gamma for r in rects], dtype=float)),
         )
 
 

@@ -37,7 +37,6 @@ from .link import (
     LinkBudget,
     LinkMetrics,
     SimulationSetup,
-    classify_los,
     compute_sinr,
     metrics_to_csv,
     noise_power,
@@ -105,7 +104,6 @@ __all__ = [
     "build_channel_matrices",
     "build_setup",
     "circular_trajectory",
-    "classify_los",
     "compute_sinr",
     "element_positions",
     "fresnel_parameter",

@@ -34,8 +34,8 @@ through a Gershgorin bound on its largest eigenvalue. In the element basis
 it is at most the squared norm of the pair's rx-element amplitudes, since
 the rx weights have unit norm (Cauchy-Schwarz). Summed over the
 coefficient rows, that norm is a quadratic form of the tx projection in a
-P x P Gram matrix: one small product per channel, or, for very many
-paths, one product per coefficient row, whichever takes fewer
+P x P Gram matrix: one small product per channel, or one product per
+coefficient row (many paths, or one tx beam), whichever takes fewer
 multiply-adds. A NaN bound, from an overflowed product, reads inf. Only
 the rows whose bound reaches the tie threshold of the best confirmed
 power are computed, by the same row kernel as sweep_power_table.
@@ -297,14 +297,19 @@ def _row_bounds(
     Gram form builds Q and takes one (n_tx_b, P) @ (P, P) product,
     P^2 (N + m + n_tx_b) MACs with N rx elements and m coefficient rows;
     the loop takes one (n_tx_b, P) @ (P, N) product per coefficient row,
-    m n_tx_b P N MACs. The Gram form wins unless P is near m N or above;
-    it is taken only below m N, so its two P x P temporaries stay below
-    32 (m N)^2 bytes. On generated dense_replay traces (m = 64, N = 16,
-    252 tx beams, 2 vCPUs) the count switches at P = 778, while the Gram
-    form's sweeps measured faster up to about 1,800 paths (354 against
-    481 ms a pass at P = 1,024, 937 against 941 ms at 1,792) but slower at
-    2,048 (1,164 against 1,046 ms), with 15 MB more peak memory at 1,536
-    paths and 52 MB more at 2,048.
+    m n_tx_b P N MACs. The Gram form wins unless P is near m N or above,
+    or tx beams are few: with one, as m <= P, it never wins, and the loop
+    runs at every P > N (the element basis), where it is the faster form.
+    With N = 16, m = 64 and one BLAS thread (2 vCPUs), the Gram form took
+    1.8-2.7 ms against the loop's 0.5-0.9 ms at P = 256, and 107-124
+    against 1.1-2.0 ms at P = 2,048. The Gram form is taken only below
+    m N, so its two P x P temporaries stay below 32 (m N)^2 bytes. On
+    generated dense_replay traces (m = 64, N = 16, 252 tx beams, 2 vCPUs)
+    the count switches at P = 778, while the Gram form's sweeps measured
+    faster up to about 1,800 paths (354 against 481 ms a pass at
+    P = 1,024, 937 against 941 ms at 1,792) but slower at 2,048 (1,164
+    against 1,046 ms), with 15 MB more peak memory at 1,536 paths and
+    52 MB more at 2,048.
 
     The computed B can cancel, so the margin has an absolute part too. Let
     zeta_ik = (|tx_paths[i]| * |coef[k]|) @ |A| and

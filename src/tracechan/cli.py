@@ -82,16 +82,16 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _pick_row(rows: list, requested: float | None, dt: float) -> tuple:
+def _pick_row(times: list[float], requested: float | None, dt: float) -> int:
     if requested is None:
-        return rows[0]
-    best = min(rows, key=lambda row: abs(row[0] - requested))
+        return 0
+    best = min(range(len(times)), key=lambda i: abs(times[i] - requested))
     # snap to the nearest grid time, but only within half a snapshot interval;
     # the negated test also rejects a NaN time, which no comparison holds for
-    if not abs(best[0] - requested) <= dt / 2 + GRID_TOL_S:
+    if not abs(times[best] - requested) <= dt / 2 + GRID_TOL_S:
         raise ConfigError(
             [f"--time {requested} is not within {dt / 2} s of any snapshot "
-             f"(grid spans {rows[0][0]} to {rows[-1][0]})"]
+             f"(grid spans {times[0]} to {times[-1]})"]
         )
     return best
 
@@ -100,7 +100,9 @@ def _cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     trace = _load_trace(cfg, args.trace)
     setup = build_setup(cfg)
-    t, paths = _pick_row(snapshot_rows(trace, setup), args.time, cfg.snapshot_dt_s)
+    times, offsets = snapshot_rows(trace, setup)
+    pick = _pick_row(times, args.time, cfg.snapshot_dt_s)
+    t, paths = times[pick], trace.link(setup.tx_id, setup.rx_id)[offsets[pick]:offsets[pick + 1]]
     cb_tx, cb_rx = setup.tx_codebook, setup.rx_codebook
     channel = build_channel_matrices(
         paths, setup.tx_array, setup.rx_array, grid=setup.grid, t=t

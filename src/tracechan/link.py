@@ -1,14 +1,15 @@
 """Link-level abstraction: SINR, rate adaptation, and the snapshot loop.
 
 snapshot_rows is the one snapshot schedule: it turns a trace and the
-setup's time grid into (time, paths) rows, outages included, and rejects a
-trace that is off the grid. run_simulation computes the link's
-steering factors a block of rows at a time, trains the block's training
-rows in one batched sweep (ideal sweeps, no airtime, on a fixed period),
-and walks the rows in order: build each row's channel at its own time from
-its slice of the factors, compute beamformed receive power through the
-beams last trained, map to SINR, pick the rate, and derive throughput and a
-queueing-flavored delay from an analytic saturation model.
+setup's time grid into row times and offsets into the link's paths,
+outages included, and rejects a trace that is off the grid. run_simulation
+computes the link's steering factors a block of rows at a time, trains the
+block's training rows in one batched sweep (ideal sweeps, no airtime, on a
+fixed period), and walks the rows in order: build each row's channel at
+its own time from its slice of the factors, compute beamformed receive
+power through the beams last trained, map to SINR, pick the rate, and
+derive throughput and a queueing-flavored delay from an analytic
+saturation model.
 """
 
 from __future__ import annotations
@@ -16,10 +17,8 @@ from __future__ import annotations
 import bisect
 import csv
 import io
-import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
 
@@ -28,7 +27,7 @@ from .channel import (
     ChannelMatrixSet, SubbandGrid, beamformed_power, build_channel_matrices, path_factors,
 )
 from .arrays import PlanarArray
-from .traces import MpcRecord, PathType, TraceSet
+from .traces import PathType, TraceSet
 
 __all__ = [
     "BOLTZMANN",
@@ -40,7 +39,6 @@ __all__ = [
     "SimulationSetup",
     "noise_power",
     "compute_sinr",
-    "classify_los",
     "select_mcs",
     "throughput_delay",
     "snapshot_rows",
@@ -103,12 +101,6 @@ def compute_sinr(p_rx_w: float, budget: LinkBudget) -> float:
     if p_rx_w == 0.0:
         return SINR_FLOOR_DB
     return max(10.0 * math.log10(p_rx_w / denom), SINR_FLOOR_DB)
-
-
-def classify_los(paths: TraceSet | Sequence[MpcRecord]) -> bool:
-    """A snapshot is line-of-sight when it contains a LOS record."""
-    trace = paths if isinstance(paths, TraceSet) else TraceSet(paths)
-    return PathType.LOS in trace.columns["path_type"]
 
 
 # 29-step spectral-efficiency ladder, bits/s/Hz, strictly increasing.
@@ -271,44 +263,49 @@ def _nearest_slots(grid: np.ndarray, times: np.ndarray) -> np.ndarray:
         slots -= back
 
 
-def snapshot_rows(
-    trace: TraceSet, setup: SimulationSetup
-) -> list[tuple[float, TraceSet]]:
-    """The (time, paths) rows of the configured link, one per grid time.
+def snapshot_rows(trace: TraceSet, setup: SimulationSetup) -> tuple[list[float], np.ndarray]:
+    """The (times, offsets) of the configured link's rows, one per grid time.
 
     setup.times is the configured snapshot grid. A grid time within
-    GRID_TOL_S of a trace snapshot takes that snapshot's time and paths (as
-    trace.group gives them, sliced by the trace's index bounds); any other
-    grid time, a snapshot without paths or a gap in a measured trace, is an
-    outage row with no paths, so an empty trace is all outages. A trace with
+    GRID_TOL_S of a trace snapshot takes that snapshot's time and paths; any
+    other grid time, a snapshot without paths or a gap in a measured trace,
+    is an outage row with no paths, so an empty trace is all outages. Row
+    i's paths are trace.link(tx_id, rx_id)[offsets[i]:offsets[i + 1]], read
+    from the trace index's bounds, so the rows tile the link. A trace with
     records but none of the link, a link snapshot off the grid or past its
-    end, or two on one grid time, raises ValueError. The rows' paths, in
-    order, tile trace.link(tx_id, rx_id).
+    end, or two on one grid time, raises ValueError for the earliest one.
     """
     link = (setup.tx_id, setup.rx_id)
-    indexed, bounds, times, links = trace._index
+    _, bounds, times, links = trace._index
     first, stop = links.get(link, (0, 0))
     if len(trace) and first == stop:
         raise ValueError(f"trace has no snapshots for link {link}")
     grid = np.asarray(setup.times, dtype=float)
-    no_paths = TraceSet()
-    rows: list[tuple[float, TraceSet]] = [(float(t), no_paths) for t in grid]
     trace_times = times[first:stop]
-    for i, t, lo, hi in zip(_nearest_slots(grid, trace_times).tolist(), trace_times.tolist(),
-                            bounds[first:stop], bounds[first + 1:stop + 1]):
-        if abs(rows[i][0] - t) > GRID_TOL_S:
-            t0, end = float(grid[0]), float(grid[-1])  # rows may hold snapped trace times
+    slots = _nearest_slots(grid, trace_times)
+    # a slot's first snapshot is checked against its grid time, a later one
+    # against the snapshot before it, which took the slot's time
+    shared = np.diff(slots, prepend=-1) == 0
+    ref = np.where(shared, np.roll(trace_times, 1), grid[slots])
+    off = np.abs(ref - trace_times) > GRID_TOL_S
+    if (off | shared).any():
+        j = int((off | shared).argmax())  # the earliest bad snapshot
+        t = float(trace_times[j])
+        if off[j]:
+            t0, end = float(grid[0]), float(grid[-1])
             if t > end:
                 raise ValueError(f"snapshot t={t!r} is past the configured time grid's end "
                                  f"t={end!r}; duration_s must cover the trace")
             span = (f"dt={float(grid[1]) - t0!r} s from t={t0!r}"
-                    if len(rows) > 1 else f"one sample at t={t0!r}")
+                    if len(grid) > 1 else f"one sample at t={t0!r}")
             raise ValueError(f"snapshot t={t!r} is not on the configured time grid ({span}); "
                              "snapshot_dt_s must match the trace")
-        if rows[i][1]:
-            raise ValueError(f"snapshots t={rows[i][0]!r} and t={t!r} share one grid time")
-        rows[i] = (t, indexed[lo:hi])
-    return rows
+        raise ValueError(f"snapshots t={float(ref[j])!r} and t={t!r} share one grid time")
+    row_times = grid.copy()
+    row_times[slots] = trace_times
+    offsets = np.zeros(len(grid) + 1, dtype=np.int64)
+    offsets[slots + 1] = np.diff(bounds[first:stop + 1])
+    return row_times.tolist(), np.cumsum(offsets, out=offsets)
 
 
 # run_simulation computes the link's path factors in blocks of about this many
@@ -354,19 +351,21 @@ def run_simulation(trace: TraceSet, setup: SimulationSetup) -> list[LinkMetrics]
     cb_tx, cb_rx = setup.tx_codebook, setup.rx_codebook
     tx, rx = setup.tx_array, setup.rx_array
     p_tx = setup.budget.tx_power_w
-    rows = snapshot_rows(trace, setup)
-    trains, due = [], -math.inf
-    for t, paths in rows:
-        trains.append(t >= due - GRID_TOL_S)
-        if trains[-1] and paths:
-            due = t + setup.training_period_s
+    times, offsets = snapshot_rows(trace, setup)
     link_paths = trace.link(setup.tx_id, setup.rx_id)
+    # row i holds a LOS record when the running LOS count grows over its paths
+    n_los = np.concatenate(([0], np.cumsum(link_paths.columns["path_type"] == PathType.LOS)))
+    los = (n_los[offsets[1:]] > n_los[offsets[:-1]]).tolist()
+    trains, due = [], -math.inf
+    for t, has in zip(times, (offsets[1:] > offsets[:-1]).tolist()):
+        trains.append(t >= due - GRID_TOL_S)
+        if trains[-1] and has:
+            due = t + setup.training_period_s
     block = max(1, _FACTOR_BYTES // (16 * (tx.n_rows + tx.n_cols + rx.n_rows + rx.n_cols + 2)))
-    # row i's paths are link_paths[offsets[i]:offsets[i + 1]]
-    offsets = list(itertools.accumulate((len(paths) for _, paths in rows), initial=0))
+    offsets = offsets.tolist()  # row i's paths are link_paths[offsets[i]:offsets[i + 1]]
     out, sel = [], None
     first = 0  # the first row of the next block
-    while first < len(rows):
+    while first < len(times):
         start = offsets[first]
         factors = path_factors(
             link_paths[start:max(offsets[first + 1], start + block)], tx, rx)
@@ -375,7 +374,7 @@ def run_simulation(trace: TraceSet, setup: SimulationSetup) -> list[LinkMetrics]
         def channel(i):  # row i's channel, from its slice of this block's factors
             return build_channel_matrices(
                 factors[offsets[i] - start:offsets[i + 1] - start], tx, rx,
-                grid=setup.grid, t=rows[i][0])
+                grid=setup.grid, t=times[i])
 
         channels = {i: channel(i) for i in range(first, end) if trains[i]}
         picks = dict(zip(channels, ideal_beam_sweeps(list(channels.values()), cb_tx, cb_rx, p_tx)))
@@ -383,7 +382,7 @@ def run_simulation(trace: TraceSet, setup: SimulationSetup) -> list[LinkMetrics]
             sel = picks.get(i, sel)  # the first row trains, so sel is set there
             # no channel outlives its row, so no block's factors outlive the block
             out.append(_row_metrics(channels.pop(i) if trains[i] else channel(i), sel,
-                                    classify_los(rows[i][1]), setup))
+                                    los[i], setup))
         first = end
     return out
 

@@ -139,7 +139,7 @@ class _Index(NamedTuple):
     """A trace's rows sorted by link and time, and where each snapshot lies."""
 
     rows: TraceSet  # the rows sorted by (tx_id, rx_id, t)
-    bounds: list[int]  # snapshot g is rows[bounds[g]:bounds[g + 1]]
+    bounds: np.ndarray  # snapshot g is rows[bounds[g]:bounds[g + 1]]
     times: np.ndarray  # each snapshot's time
     links: dict[tuple[int, int], tuple[int, int]]  # link -> its (first, stop) snapshots
 
@@ -152,11 +152,11 @@ class TraceSet:
     for the ids and PathType members for ``path_type``. MpcRecords are built
     only when ``records`` or iteration asks for them.
 
-    The grouping accessors index the rows by (link, snapshot time). ``group``
-    and ``link`` return TraceSets that view one snapshot's rows, or one
-    link's rows in time order, without copying them. Construction order is
-    preserved so that serialization round-trips exactly and so that
-    file-order checks (snapshot monotonicity) remain possible.
+    The grouping accessors index the rows by (link, snapshot time). ``link``
+    returns a TraceSet that views one link's rows in time order, without
+    copying them; the index bounds split it into snapshots. Construction
+    order is preserved so that serialization round-trips exactly and so
+    that file-order checks (snapshot monotonicity) remain possible.
     """
 
     def __init__(self, records: Iterable[MpcRecord] = ()) -> None:
@@ -221,7 +221,7 @@ class TraceSet:
             zip(tx[starts[firsts]].tolist(), rx[starts[firsts]].tolist()),
             zip(firsts.tolist(), [*firsts[1:].tolist(), len(starts)]),
         ))
-        return _Index(TraceSet._of(rows), [*starts.tolist(), len(t)], t[starts], links)
+        return _Index(TraceSet._of(rows), np.append(starts, len(t)), t[starts], links)
 
     def links(self) -> list[tuple[int, int]]:
         """Directed (tx_id, rx_id) pairs present in the trace, sorted."""
@@ -242,15 +242,6 @@ class TraceSet:
         rows, bounds, _, links = self._index
         first, stop = links.get((tx_id, rx_id), (0, 0))
         return rows[bounds[first]:bounds[stop]]
-
-    def group(self, t: float, tx_id: int, rx_id: int) -> TraceSet:
-        """The rows of one (time, link) snapshot, in file order; may be empty."""
-        rows, bounds, times, links = self._index
-        first, stop = links.get((tx_id, rx_id), (0, 0))
-        i = first + int(np.searchsorted(times[first:stop], t))
-        if i == stop or times[i] != t:
-            return rows[:0]
-        return rows[bounds[i]:bounds[i + 1]]
 
 
 def _field(text: str, column: str, kind, bounds, row: int):
@@ -427,24 +418,25 @@ def validate_trace(trace: TraceSet) -> ValidationReport:
                     )
                 )
 
-    for tx, rx in trace.links():
-        for t in trace.snapshot_times(tx, rx):
-            group = trace.group(t, tx, rx).columns
-            n_los = int(np.count_nonzero(group["path_type"] == PathType.LOS))
-            if n_los > 1:
-                violations.append(
-                    Violation("DuplicateLos", tx, rx, t, f"{n_los} LOS records")
-                )
-            seen: set[int] = set()
-            for path_id in group["path_id"].tolist():
-                if path_id in seen:
-                    violations.append(
-                        Violation(
-                            "DuplicatePathId", tx, rx, t,
-                            f"path_id {path_id} repeated",
-                        )
-                    )
-                seen.add(path_id)
+    # the snapshots in index order (links ascending, then times), each
+    # snapshot's rows in file order
+    rows, bounds, times, _ = trace._index
+    c = rows.columns
+    n_los = np.diff(np.concatenate(([0], np.cumsum(c["path_type"] == PathType.LOS)))[bounds])
+    # a row repeats a path_id when an earlier row of its snapshot has it
+    snapshot = np.repeat(np.arange(len(times)), np.diff(bounds))
+    by_id = np.lexsort((c["path_id"], snapshot))  # stable: a repeat follows its first
+    key = np.stack((snapshot, c["path_id"]))[:, by_id]
+    repeats = np.sort(by_id[1:][(key[:, 1:] == key[:, :-1]).all(axis=0)])
+    repeated: dict[int, list[int]] = {}
+    for g, path_id in zip(snapshot[repeats].tolist(), c["path_id"][repeats].tolist()):
+        repeated.setdefault(g, []).append(path_id)
+    for g in sorted({*np.flatnonzero(n_los > 1).tolist(), *repeated}):
+        tx, rx, t = int(c["tx_id"][bounds[g]]), int(c["rx_id"][bounds[g]]), float(times[g])
+        if n_los[g] > 1:
+            violations.append(Violation("DuplicateLos", tx, rx, t, f"{n_los[g]} LOS records"))
+        violations += (Violation("DuplicatePathId", tx, rx, t, f"path_id {path_id} repeated")
+                       for path_id in repeated.get(g, ()))
 
     return ValidationReport(tuple(violations))
 

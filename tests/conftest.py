@@ -61,6 +61,18 @@ def mk_record(
     )
 
 
+def snapshot_groups(trace, tx_id, rx_id):
+    """One link's snapshots as (time, rows) pairs in time order.
+
+    The rows are the trace index's run for that snapshot, so they view the
+    link's rows in file order; an unknown link has none.
+    """
+    rows, bounds, times, links = trace._index
+    first, stop = links.get((tx_id, rx_id), (0, 0))
+    return [(t, rows[lo:hi]) for t, lo, hi in
+            zip(times[first:stop].tolist(), bounds[first:stop], bounds[first + 1:stop + 1])]
+
+
 def _unit(az_deg, zen_deg):
     az, zen = math.radians(az_deg), math.radians(zen_deg)
     return (

@@ -1,6 +1,7 @@
 """SINR, rate adaptation, throughput/delay, and the simulation loop."""
 
 import math
+import random
 from dataclasses import replace
 from pathlib import Path
 
@@ -20,7 +21,6 @@ from tracechan import (
     SimulationSetup,
     SubbandGrid,
     TraceSet,
-    classify_los,
     compute_sinr,
     generate_codebook,
     generate_trace,
@@ -85,13 +85,6 @@ def test_compute_sinr_with_interference():
     b = budget(interference_w=noise_power(budget()))
     # interference equal to noise halves the ratio: -3.01 dB at p = noise
     assert compute_sinr(noise_power(b), b) == pytest.approx(-3.0103, abs=1e-3)
-
-
-def test_classify_los():
-    assert classify_los([mk_record()])
-    assert not classify_los([mk_record(path_type=PathType.REFLECTION)])
-    assert not classify_los([])
-    assert classify_los([mk_record(path_type=PathType.DIFFRACTION), mk_record(path_id=1)])
 
 
 def test_amc_table_shape():
@@ -326,13 +319,19 @@ def test_run_simulation_reports_every_grid_time():
         run_simulation(_los_trace([0.0, 0.25]), gridded)
 
 
+def _row_sizes(trace, setup):
+    """snapshot_rows' rows as (time, path count) pairs."""
+    times, offsets = snapshot_rows(trace, setup)
+    return list(zip(times, np.diff(offsets).tolist()))
+
+
 def test_snapshot_rows_schedule():
     setup = _free_space_setup()
     trace = _los_trace([0.1, 0.2 + 1e-12], aod_az=30.0)
-    rows = snapshot_rows(trace, replace(setup, times=(0.0, 0.1, 0.2)))
-    assert [(t, len(recs)) for t, recs in rows] == [(0.0, 0), (0.1, 1), (0.2 + 1e-12, 1)]
+    rows = _row_sizes(trace, replace(setup, times=(0.0, 0.1, 0.2)))
+    assert rows == [(0.0, 0), (0.1, 1), (0.2 + 1e-12, 1)]
     # one row per grid time: the setup's 0.0 .. 0.4 grid
-    assert [(t, len(recs)) for t, recs in snapshot_rows(trace, setup)] == [
+    assert _row_sizes(trace, setup) == [
         (0.0, 0), (0.1, 1), (0.2 + 1e-12, 1), (0.30000000000000004, 0), (0.4, 0)]
     with pytest.raises(ValueError, match=r"\(dt=0\.5 s from t=0\.0\)"):
         snapshot_rows(trace, replace(setup, times=(0.0, 0.5)))
@@ -348,8 +347,7 @@ def test_snapshot_rows_schedule():
                            r"configured time grid's end t=0\.1; duration_s must cover the trace$"):
             snapshot_rows(trace, replace(setup, times=times))
     # an empty trace is all outages; records of another link only are an error
-    assert [(t, len(recs)) for t, recs in snapshot_rows(TraceSet(()), setup)] == [
-        (t, 0) for t in setup.times]
+    assert _row_sizes(TraceSet(()), setup) == [(t, 0) for t in setup.times]
     with pytest.raises(ValueError, match=r"trace has no snapshots for link \(0, 1\)"):
         snapshot_rows(TraceSet([mk_record(t=0.0, tx_id=1, rx_id=0)]), setup)
     with pytest.raises(ValueError, match=r"t=0\.1 and t=0\.1000000005 share one grid time"):
@@ -358,6 +356,122 @@ def test_snapshot_rows_schedule():
     for bad in ((), (0.0, math.nan), (0.0, math.inf), (0.1, 0.1), (0.2, 0.1)):
         with pytest.raises(ValueError, match="^times must be a non-empty, finite, strictly"):
             replace(setup, times=bad)
+
+
+def _reference_rows(trace, setup):
+    """The (time, paths) rows of the configured link, one TraceSet per row.
+
+    A per-snapshot loop that checks each of the link's trace times in turn:
+    snapshot_rows must give the same rows, and raise the same first error.
+    """
+    link = (setup.tx_id, setup.rx_id)
+    indexed, bounds, times, links = trace._index
+    first, stop = links.get(link, (0, 0))
+    if len(trace) and first == stop:
+        raise ValueError(f"trace has no snapshots for link {link}")
+    grid = np.asarray(setup.times, dtype=float)
+    no_paths = TraceSet()
+    rows = [(float(t), no_paths) for t in grid]
+    trace_times = times[first:stop]
+    for i, t, lo, hi in zip(link_module._nearest_slots(grid, trace_times).tolist(),
+                            trace_times.tolist(), bounds[first:stop], bounds[first + 1:stop + 1]):
+        if abs(rows[i][0] - t) > link_module.GRID_TOL_S:
+            t0, end = float(grid[0]), float(grid[-1])  # rows may hold snapped trace times
+            if t > end:
+                raise ValueError(f"snapshot t={t!r} is past the configured time grid's end "
+                                 f"t={end!r}; duration_s must cover the trace")
+            span = (f"dt={float(grid[1]) - t0!r} s from t={t0!r}"
+                    if len(rows) > 1 else f"one sample at t={t0!r}")
+            raise ValueError(f"snapshot t={t!r} is not on the configured time grid ({span}); "
+                             "snapshot_dt_s must match the trace")
+        if rows[i][1]:
+            raise ValueError(f"snapshots t={rows[i][0]!r} and t={t!r} share one grid time")
+        rows[i] = (t, indexed[lo:hi])
+    return rows
+
+
+# offsets from a grid time: on it, within GRID_TOL_S of it (two of them 1e-9
+# or 1.8e-9 apart, so a second snapshot is checked against the first), just
+# past the tolerance, and midway to the next grid time
+_NEAR = (0.0, -0.0, 5e-10, -5e-10, 9e-10, -9e-10, 2e-9, 0.05)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n_grid=st.integers(1, 6),
+    picks=st.lists(st.tuples(st.integers(0, 7), st.sampled_from(_NEAR)), max_size=6),
+    other=st.booleans(),
+)
+@example(n_grid=3, picks=[(1, 9e-10), (1, -9e-10)], other=False)
+@example(n_grid=3, picks=[(1, 5e-10), (1, -5e-10)], other=False)
+@example(n_grid=2, picks=[(0, 0.0), (3, 0.0), (1, 0.05)], other=True)
+def test_snapshot_rows_match_the_per_snapshot_loop(n_grid, picks, other):
+    # the same row times (signs included) and paths, or the same first error
+    setup = replace(_free_space_setup(), times=tuple(0.1 * k for k in range(n_grid)))
+    recs = [mk_record(t=0.1 * k + dt if k else dt, path_id=j) for j, (k, dt) in enumerate(picks)]
+    trace = TraceSet(recs + [mk_record(t=0.33, tx_id=1, rx_id=0)] * other)
+    try:
+        want = _reference_rows(trace, setup)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            snapshot_rows(trace, setup)
+        assert str(got.value) == str(exc)
+        return
+    times, offsets = snapshot_rows(trace, setup)
+    link = trace.link(0, 1)
+    assert list(map(repr, times)) == [repr(t) for t, _ in want]
+    assert [link[lo:hi] for lo, hi in zip(offsets, offsets[1:])] == [p for _, p in want]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    slots=st.lists(st.lists(st.sampled_from(list(PathType)), max_size=3), min_size=1, max_size=8),
+    tail=st.integers(0, 2),
+    jitter=st.sampled_from([0.0, -0.0, 4e-10, -4e-10]),
+    others=st.lists(st.tuples(st.sampled_from([(1, 0), (0, 2), (2, 1)]), st.integers(0, 20)),
+                    max_size=6),
+    shuffle=st.randoms(use_true_random=False),
+)
+# a snapshot at the grid's last time; the LOS record first, alone, after a
+# diffraction record, missing, and an outage row
+@example(slots=[[PathType.LOS], [PathType.REFLECTION], [], [PathType.DIFFRACTION, PathType.LOS]],
+         tail=0, jitter=0.0, others=[], shuffle=random.Random(0))
+@example(slots=[[PathType.REFLECTION, PathType.LOS, PathType.LOS]], tail=2, jitter=-0.0,
+         others=[((1, 0), 3), ((0, 2), 0)], shuffle=random.Random(1))
+def test_snapshot_rows_slice_the_link(slots, tail, jitter, others, shuffle):
+    # slots[k] lists the path types of the configured link's snapshot at grid
+    # time k, [] for none; the grid runs tail times past the last slot. Each
+    # row's offsets slice trace.link to the rows a column mask finds for its
+    # (time, link), the rows tile the link, and run_simulation flags a row LOS
+    # exactly when it holds a LOS record
+    setup = replace(_free_space_setup(), times=tuple(0.1 * k for k in range(len(slots) + tail)))
+    recs = [mk_record(t=setup.times[k] + jitter if k else jitter, path_id=p, path_type=kind,
+                      gain_mag=1e-5)
+            for k, kinds in enumerate(slots) for p, kind in enumerate(kinds)]
+    # other links' records may lie anywhere: only the configured link is scheduled
+    recs += [mk_record(t=0.05 * k, tx_id=tx, rx_id=rx) for (tx, rx), k in others]
+    shuffle.shuffle(recs)
+    trace = TraceSet(recs)
+    if others and not any(slots):
+        with pytest.raises(ValueError, match=r"trace has no snapshots for link \(0, 1\)"):
+            snapshot_rows(trace, setup)
+        return
+    times, offsets = snapshot_rows(trace, setup)
+    link = trace.link(0, 1)
+    assert offsets.tolist() == sorted(offsets.tolist())
+    assert (len(times), offsets[0], offsets[-1]) == (len(setup.times), 0, len(link))
+    kinds = slots + [[]] * tail
+    c = trace.columns
+    on_link = (c["tx_id"] == 0) & (c["rx_id"] == 1)
+    for i, t in enumerate(times):
+        snapped = setup.times[i] + jitter if i else jitter
+        assert repr(t) == repr(snapped if kinds[i] else setup.times[i])
+        mask = on_link & (c["t"] == t)
+        want = tuple(r for r, keep in zip(trace.records, mask.tolist()) if keep)
+        assert link[offsets[i]:offsets[i + 1]].records == want
+        assert len(want) == len(kinds[i])
+    metrics = run_simulation(trace, setup)
+    assert [m.los for m in metrics] == [PathType.LOS in k for k in kinds]
 
 
 _TIMES = st.floats(-1e3, 1e3, allow_nan=False)
@@ -622,7 +736,9 @@ def test_link_wide_factors_match_per_snapshot_builds(data):
                 run_simulation(trace, setup)
             return
         run_simulation(trace, setup)
-    rows = snapshot_rows(trace, setup)
+    times, offsets = snapshot_rows(trace, setup)
+    link = trace.link(0, 1)
+    rows = [(t, link[offsets[i]:offsets[i + 1]]) for i, t in enumerate(times)]
     assert [len(paths) for _, paths in rows] == counts
     # a block builds its training rows' channels first, so match them by time
     by_time = {ch.time: ch for ch in built}

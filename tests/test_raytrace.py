@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import raytrace_oracle
+from conftest import snapshot_groups
 
 from tracechan import (
     Environment,
@@ -273,8 +274,7 @@ def test_generated_trace_validates_clean():
     scn = RtScenario(env, F_C, times, {0: tx, 1: rx}, ((0, 1),))
     trace = generate_trace(scn)
     assert validate_trace(trace).ok
-    for t in trace.snapshot_times(0, 1):
-        group = trace.group(t, 0, 1)
+    for _, group in snapshot_groups(trace, 0, 1):
         assert [r.path_id for r in group] == list(range(len(group)))
         has_los = any(r.path_type is PathType.LOS for r in group)
         has_diff = any(r.path_type is PathType.DIFFRACTION for r in group)

@@ -4,15 +4,18 @@ import math
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import mk_record
+from conftest import mk_record, snapshot_groups
 from tracechan import (
     PathType,
     TraceFormatError,
     TraceSet,
+    ValidationReport,
+    Violation,
     parse_trace,
     parse_trace_text,
     trace_to_text,
@@ -174,11 +177,11 @@ def test_grouping_accessors():
     assert trace.links() == [(0, 1), (2, 3)]
     assert trace.snapshot_times(0, 1) == [0.0, 0.1]
     assert trace.snapshot_times(9, 9) == []
-    group = trace.group(0.0, 0, 1)
-    assert [r.path_id for r in group] == [0, 1]
-    assert group.records == tuple(recs[:2])
-    assert len(trace.group(0.5, 0, 1)) == 0
-    assert len(trace.group(0.0, 9, 9)) == 0
+    groups = snapshot_groups(trace, 0, 1)
+    assert [(t, [r.path_id for r in group]) for t, group in groups] == [(0.0, [0, 1]), (0.1, [0])]
+    assert groups[0][1].records == tuple(recs[:2])
+    assert trace.link(0, 1).records == tuple(recs[:3])
+    assert snapshot_groups(trace, 9, 9) == [] and len(trace.link(9, 9)) == 0
 
 
 def test_link_rows_by_time_then_file_order():
@@ -195,9 +198,10 @@ def test_link_rows_by_time_then_file_order():
     assert [(r.t, r.path_id) for r in link] == [(0.0, 5), (0.0, 4), (0.1, 0), (0.2, 0)]
     times = trace.snapshot_times(0, 1)
     assert [math.copysign(1.0, t) for t in times] == [1.0, 1.0, 1.0]
-    # the snapshots' groups, in time order, tile the link
-    tiles = [trace.group(t, 0, 1) for t in times]
-    assert sum((g.records for g in tiles), ()) == link.records
+    # the snapshots' index runs, in time order, tile the link
+    groups = snapshot_groups(trace, 0, 1)
+    assert [t for t, _ in groups] == times
+    assert sum((g.records for _, g in groups), ()) == link.records
     assert len(trace.link(9, 9)) == 0
     assert len(TraceSet().link(0, 1)) == 0 and TraceSet().links() == []
 
@@ -233,6 +237,87 @@ def test_validate_non_monotonic_survives_round_trip():
     trace = TraceSet((mk_record(t=0.2), mk_record(t=0.1)))
     again = parse_trace_text(trace_to_text(trace))
     assert [v.kind for v in validate_trace(again).violations] == ["NonMonotonicTime"]
+
+
+def _group(trace, t, tx_id, rx_id):
+    """The rows of one (time, link) snapshot, in file order; may be empty."""
+    rows, bounds, times, links = trace._index
+    first, stop = links.get((tx_id, rx_id), (0, 0))
+    i = first + int(np.searchsorted(times[first:stop], t))
+    if i == stop or times[i] != t:
+        return rows[:0]
+    return rows[bounds[i]:bounds[i + 1]]
+
+
+def _reference_validate(trace):
+    """validate_trace as a per-snapshot loop: each snapshot searched by _group."""
+    violations: list[Violation] = []
+
+    order: dict[tuple[int, int], list[float]] = {}
+    c = trace.columns
+    for t, tx, rx in zip(c["t"].tolist(), c["tx_id"].tolist(), c["rx_id"].tolist()):
+        seq = order.setdefault((tx, rx), [])
+        if not seq or seq[-1] != t:
+            seq.append(t)
+    for (tx, rx), seq in sorted(order.items()):
+        for prev, cur in zip(seq, seq[1:]):
+            if cur <= prev:
+                violations.append(
+                    Violation(
+                        "NonMonotonicTime", tx, rx, cur,
+                        f"snapshot t={cur!r} follows t={prev!r}",
+                    )
+                )
+
+    for tx, rx in trace.links():
+        for t in trace.snapshot_times(tx, rx):
+            group = _group(trace, t, tx, rx).columns
+            n_los = int(np.count_nonzero(group["path_type"] == PathType.LOS))
+            if n_los > 1:
+                violations.append(
+                    Violation("DuplicateLos", tx, rx, t, f"{n_los} LOS records")
+                )
+            seen: set[int] = set()
+            for path_id in group["path_id"].tolist():
+                if path_id in seen:
+                    violations.append(
+                        Violation(
+                            "DuplicatePathId", tx, rx, t,
+                            f"path_id {path_id} repeated",
+                        )
+                    )
+                seen.add(path_id)
+
+    return ValidationReport(tuple(violations))
+
+
+# few links, times (-0.0 and 0.0 among them), ids and types, so that drawn
+# traces repeat LOS records and ids within a snapshot and step back in time
+_findings_records = st.builds(
+    lambda link, **kw: mk_record(tx_id=link[0], rx_id=link[1], **kw),
+    link=st.sampled_from([(0, 1), (1, 0), (2, 1)]),
+    t=st.sampled_from([0.0, -0.0, 0.1, 0.2, 0.30000000000000004]),
+    path_id=st.integers(0, 2),
+    path_type=st.sampled_from([PathType.LOS, PathType.LOS, PathType.REFLECTION,
+                               PathType.DIFFRACTION]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_findings_records, max_size=30))
+# one id three times, two LOS records, and -0.0 joining the 0.0 snapshot
+@example([mk_record(t=0.0, path_id=1, path_type=PathType.REFLECTION),
+          mk_record(t=-0.0, path_id=1), mk_record(t=0.0, path_id=2),
+          mk_record(t=0.0, path_id=1, path_type=PathType.DIFFRACTION)])
+@example([mk_record(t=0.2, path_id=0), mk_record(t=0.1, path_id=0, tx_id=2),
+          mk_record(t=0.1, path_id=0), mk_record(t=0.1, path_id=0)])
+def test_validate_matches_the_per_snapshot_loop(records):
+    # the same findings in the same order: NonMonotonicTime in file order
+    # first, then per link and time DuplicateLos before the repeated ids
+    trace = TraceSet(records)
+    got, want = validate_trace(trace).violations, _reference_validate(trace).violations
+    assert list(map(repr, got)) == list(map(repr, want))
+    assert list(map(str, got)) == list(map(str, want))
 
 
 def test_round_trip_identity():

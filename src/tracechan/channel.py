@@ -12,18 +12,17 @@ computes g_p exp(j phi_p) and both sides' row and column steering factors
 of many paths at once, from the trace's columns (no Direction objects);
 a snapshot's channel takes its paths' slice of them. phase_rad in the trace
 is the total path phase at the carrier, so only the subband offset term is
-applied here. Each snapshot's channel is taken at its own time, as
-in a trace-based channel model: node motion enters only through the
-recorded paths of later snapshots.
+applied here. Each snapshot's channel is taken at its own time: node motion
+enters only through the recorded paths of later snapshots.
 
 A snapshot with P paths gives a channel of rank at most P, so it is kept
 factored: H_k = A_rx diag(c_k) A_tx^H with the (K, P) per-path subband
 coefficients c and the snapshot's PathFactors, whose row and column
 factors define the (N_rx, P) arrival and (N_tx, P) departure steering
-matrices A_rx and A_tx. Beamformed power and beam sweeps contract the
-factors directly; A_rx, A_tx and the dense (K, N_rx, N_tx) tensor are
-assembled only when ``ChannelMatrixSet.a_rx``, ``.a_tx`` or ``.matrices``
-is read.
+matrices A_rx and A_tx. Beam sweeps and beamformed_power contract the
+factors directly, and run_simulation takes a held pair's power straight
+from a block of PathFactors, with no channel. A_rx, A_tx and the dense
+(K, N_rx, N_tx) tensor are assembled only when read.
 """
 
 from __future__ import annotations

@@ -5,11 +5,10 @@ setup's time grid into row times and offsets into the link's paths,
 outages included, and rejects a trace that is off the grid. run_simulation
 computes the link's steering factors a block of rows at a time, trains the
 block's training rows in one batched sweep (ideal sweeps, no airtime, on a
-fixed period), and walks the rows in order: build each row's channel at
-its own time from its slice of the factors, compute beamformed receive
-power through the beams last trained, map to SINR, pick the rate, and
-derive throughput and a queueing-flavored delay from an analytic
-saturation model.
+fixed period), computes every row's received power through the beams last
+trained in one vectorised pass over the block's paths, and walks the rows
+in order: map the power to SINR, pick the rate, and derive throughput and
+a queueing-flavored delay from an analytic saturation model.
 """
 
 from __future__ import annotations
@@ -18,14 +17,12 @@ import bisect
 import csv
 import io
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .beams import BeamCodebook, BeamSelection, ideal_beam_sweeps
-from .channel import (
-    ChannelMatrixSet, SubbandGrid, beamformed_power, build_channel_matrices, path_factors,
-)
+from .channel import PathFactors, SubbandGrid, _finite_power, build_channel_matrices, path_factors
 from .arrays import PlanarArray
 from .traces import PathType, TraceSet
 
@@ -77,6 +74,8 @@ class LinkBudget:
     interference_w: float = 0.0
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, vars(self).values())):
+            raise ValueError(f"link budget values must be finite: {vars(self)}")
         if self.tx_power_w < 0 or self.bandwidth_hz <= 0:
             raise ValueError("tx_power_w must be >= 0 and bandwidth_hz > 0")
         if self.temperature_k <= 0 or self.interference_w < 0:
@@ -95,8 +94,8 @@ def noise_power(budget: LinkBudget) -> float:
 
 def compute_sinr(p_rx_w: float, budget: LinkBudget) -> float:
     """SINR in dB over noise plus (fixed, default zero) interference."""
-    if p_rx_w < 0:
-        raise ValueError("p_rx_w must be >= 0")
+    if not 0 <= p_rx_w < math.inf:
+        raise ValueError(f"p_rx_w must be >= 0 and finite, got {p_rx_w!r}")
     denom = noise_power(budget) + budget.interference_w
     if p_rx_w == 0.0:
         return SINR_FLOOR_DB
@@ -167,8 +166,10 @@ class AmcTable:
 
 
 def select_mcs(sinr_db: float, table: AmcTable) -> int | None:
-    """Largest index whose threshold is <= sinr_db; None below the first."""
-    idx = int(np.searchsorted(np.asarray(table.thresholds_db), sinr_db, side="right")) - 1
+    """Largest index whose threshold is <= sinr_db; None below the first; NaN raises."""
+    if math.isnan(sinr_db):
+        raise ValueError("sinr_db must not be NaN")
+    idx = bisect.bisect_right(table.thresholds_db, sinr_db) - 1
     return idx if idx >= 0 else None
 
 
@@ -308,28 +309,43 @@ def snapshot_rows(trace: TraceSet, setup: SimulationSetup) -> tuple[list[float],
     return row_times.tolist(), np.cumsum(offsets, out=offsets)
 
 
-# run_simulation computes the link's path factors in blocks of about this many
-# bytes, each starting at a row: few calls per link, and a long link never
-# holds all of its factors at once
+# run_simulation takes the link's path factors, then two (P, K) coefficient arrays,
+# a block of rows of about this many bytes at a time: a long link is never held whole
 _FACTOR_BYTES = 1 << 20
 
 
-def _row_metrics(
-    ch: ChannelMatrixSet, sel: BeamSelection, los: bool, setup: SimulationSetup
-) -> LinkMetrics:
-    """One row's metrics: ch received through the beam pair sel."""
-    _, p_rx = beamformed_power(
-        ch, setup.tx_codebook.beam_weights(sel.tx_index),
-        setup.rx_codebook.beam_weights(sel.rx_index), setup.budget.tx_power_w,
-    )
-    sinr = compute_sinr(p_rx, setup.budget)
-    mcs = select_mcs(sinr, setup.amc)
-    delivered, delay = throughput_delay(
-        mcs, setup.amc, setup.budget.bandwidth_hz, setup.offered_bps,
-        setup.overhead, setup.base_delay_s, setup.saturation_delay_s,
-    )
-    return LinkMetrics(ch.time, los, replace(sel, power_w=p_rx), sinr, mcs,
-                       setup.offered_bps, delivered, delay)
+def _gains(codebook: BeamCodebook, side: str, sels: list, counts, factors: PathFactors):
+    """w_b^H a[:, p], b the beam of path p's row: (rows . F_r[b]*) (cols . F_c[b]*) / sqrt(N)."""
+    b = np.repeat([getattr(sel, f"{side}_index") for sel in sels], counts)
+    return ((getattr(factors, f"{side}_rows") * codebook.row_factors[b].conj()).sum(axis=1)
+            * (getattr(factors, f"{side}_cols") * codebook.col_factors[b].conj()).sum(axis=1)
+            / math.sqrt(codebook.n_elements))
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a row whose power overflows raises instead
+def _row_powers(factors: PathFactors, counts: np.ndarray, sels: list[BeamSelection],
+                setup: SimulationSetup) -> list[float]:
+    """Each row's power through its pair sels[i], watts, from its counts[i] paths in factors.
+
+    A path's projection costs O(R + C) a side and its coefficients are build_channel_matrices',
+    bit for bit. Only elementwise products and per-row sums run: no row depends on another.
+    """
+    has, power = counts > 0, np.zeros(len(counts))
+    if has.any():
+        # no product of two arrays writes over one: numpy may round such an in-place
+        # product by its position in the array, and so by the rows beside it
+        x = _gains(setup.rx_codebook, "rx", sels, counts, factors) * _gains(
+            setup.tx_codebook, "tx", sels, counts, factors).conj()
+        # (P, K) coefficients in build_channel_matrices' operation order
+        coef = np.zeros((len(factors), setup.grid.n_subbands), complex)
+        np.outer(factors.delay, setup.grid.offsets_hz(), out=coef.real)
+        np.multiply(-1j * 2.0 * math.pi, coef, out=coef)
+        np.exp(coef, out=coef)
+        terms = np.multiply(factors.phasor[:, None], coef)
+        amp = np.add.reduceat(np.multiply(terms, x[:, None], out=coef),
+                              (np.cumsum(counts) - counts)[has], axis=0)
+        power[has] = (setup.budget.tx_power_w / setup.grid.n_subbands * np.abs(amp) ** 2).sum(1)
+    return power.tolist()
 
 
 def run_simulation(trace: TraceSet, setup: SimulationSetup) -> list[LinkMetrics]:
@@ -342,15 +358,12 @@ def run_simulation(trace: TraceSet, setup: SimulationSetup) -> list[LinkMetrics]
     no paths, so training stays due and the next row trains. The schedule
     depends only on the row times and on which rows have paths, so it is
     fixed up front, and each block of path_factors trains all of its
-    training rows in one ideal_beam_sweeps call. Each row's channel is built
-    once, from its slice of the block: the training rows' before the sweep,
-    held until their row is evaluated, and the other rows' when their row
-    is. A training row whose sweep overflows raises before the held rows of
-    its block are evaluated.
+    training rows in one ideal_beam_sweeps call; then _row_powers gives each
+    row its power through the pair last trained, with no held row's channel.
+    In row order, a pair's beams must have unit norm and a power be finite.
     """
     cb_tx, cb_rx = setup.tx_codebook, setup.rx_codebook
     tx, rx = setup.tx_array, setup.rx_array
-    p_tx = setup.budget.tx_power_w
     times, offsets = snapshot_rows(trace, setup)
     link_paths = trace.link(setup.tx_id, setup.rx_id)
     # row i holds a LOS record when the running LOS count grows over its paths
@@ -361,28 +374,35 @@ def run_simulation(trace: TraceSet, setup: SimulationSetup) -> list[LinkMetrics]
         trains.append(t >= due - GRID_TOL_S)
         if trains[-1] and has:
             due = t + setup.training_period_s
-    block = max(1, _FACTOR_BYTES // (16 * (tx.n_rows + tx.n_cols + rx.n_rows + rx.n_cols + 2)))
+    block = max(1, _FACTOR_BYTES // (16 * (tx.n_rows + tx.n_cols + rx.n_rows + rx.n_cols + 2
+                                           + 2 * setup.grid.n_subbands)))  # bytes a path
     offsets = offsets.tolist()  # row i's paths are link_paths[offsets[i]:offsets[i + 1]]
-    out, sel = [], None
-    first = 0  # the first row of the next block
+    # each beam's weight norm, from its factors; a row checks its pair's, tx first
+    norms = [(np.linalg.norm(cb.row_factors, axis=1) * np.linalg.norm(cb.col_factors, axis=1)
+              / math.sqrt(cb.n_elements)).tolist() for cb in (cb_tx, cb_rx)]
+    out, sel, first = [], None, 0  # first: the next block's first row
     while first < len(times):
         start = offsets[first]
-        factors = path_factors(
-            link_paths[start:max(offsets[first + 1], start + block)], tx, rx)
+        factors = path_factors(link_paths[start:max(offsets[first + 1], start + block)], tx, rx)
         end = bisect.bisect_right(offsets, start + len(factors)) - 1
-
-        def channel(i):  # row i's channel, from its slice of this block's factors
-            return build_channel_matrices(
-                factors[offsets[i] - start:offsets[i + 1] - start], tx, rx,
-                grid=setup.grid, t=times[i])
-
-        channels = {i: channel(i) for i in range(first, end) if trains[i]}
-        picks = dict(zip(channels, ideal_beam_sweeps(list(channels.values()), cb_tx, cb_rx, p_tx)))
-        for i in range(first, end):
-            sel = picks.get(i, sel)  # the first row trains, so sel is set there
-            # no channel outlives its row, so no block's factors outlive the block
-            out.append(_row_metrics(channels.pop(i) if trains[i] else channel(i), sel,
-                                    los[i], setup))
+        rows = [i for i in range(first, end) if trains[i]]
+        picks = dict(zip(rows, ideal_beam_sweeps([build_channel_matrices(
+            factors[offsets[i] - start:offsets[i + 1] - start], tx, rx, grid=setup.grid,
+            t=times[i]) for i in rows], cb_tx, cb_rx, setup.budget.tx_power_w)))
+        sels = [sel := picks.get(i, sel) for i in range(first, end)]  # the first row trains
+        powers = _row_powers(factors[:offsets[end] - start],
+                             np.diff(offsets[first:end + 1]), sels, setup)
+        for i, sel, p_rx in zip(range(first, end), sels, powers):
+            for name, norm in (("w_tx", norms[0][sel.tx_index]), ("w_rx", norms[1][sel.rx_index])):
+                if not abs(norm - 1.0) <= 1e-9:  # NaN too
+                    raise ValueError(f"{name} must have unit norm, got {norm!r}")
+            sinr = compute_sinr(_finite_power(p_rx, times[i]), setup.budget)
+            mcs = select_mcs(sinr, setup.amc)
+            rate = throughput_delay(mcs, setup.amc, setup.budget.bandwidth_hz, setup.offered_bps,
+                                    setup.overhead, setup.base_delay_s, setup.saturation_delay_s)
+            held = BeamSelection(sel.tx_index, sel.rx_index, sel.tx_direction, sel.rx_direction,
+                                 p_rx)
+            out.append(LinkMetrics(times[i], los[i], held, sinr, mcs, setup.offered_bps, *rate))
         first = end
     return out
 

@@ -33,7 +33,9 @@ from tracechan import (
     throughput_delay,
     trace_to_text,
 )
-from tracechan.arrays import _wrap_azimuth
+from tracechan.arrays import Direction, _wrap_azimuth
+from tracechan.beams import BeamCodebook
+from tracechan.channel import beamformed_power, build_channel_matrices, path_factors
 from tracechan.cli import main
 from tracechan.link import METRICS_COLUMNS, SINR_FLOOR_DB, snapshot_rows
 from tracechan.scenario import build_rt_scenario, build_setup, load_config
@@ -70,6 +72,14 @@ def test_budget_validation():
         budget(interference_w=-1e-9)
 
 
+@pytest.mark.parametrize("field", ["tx_power_w", "bandwidth_hz", "noise_figure_db",
+                                   "temperature_k", "interference_w"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_budget_rejects_non_finite_fields(field, value):
+    with pytest.raises(ValueError, match="link budget values must be finite"):
+        budget(**{field: value})
+
+
 def test_compute_sinr():
     b = budget()
     n = noise_power(b)
@@ -79,6 +89,12 @@ def test_compute_sinr():
     assert compute_sinr(n * 1e-30, b) == SINR_FLOOR_DB
     with pytest.raises(ValueError):
         compute_sinr(-1.0, b)
+
+
+@pytest.mark.parametrize("p_rx", [math.nan, math.inf, -math.inf, -1e-300])
+def test_compute_sinr_rejects_non_finite_or_negative_power(p_rx):
+    with pytest.raises(ValueError, match=r"^p_rx_w must be >= 0 and finite, got "):
+        compute_sinr(p_rx, budget())
 
 
 def test_compute_sinr_with_interference():
@@ -156,6 +172,18 @@ def test_select_mcs_boundaries():
     assert select_mcs(table.thresholds_db[28], table) == 28
     assert select_mcs(table.thresholds_db[28] - 1e-9, table) == 27
     assert select_mcs(-200.0, table) is None
+
+
+@pytest.mark.parametrize("sinr", [math.nan, math.inf, -math.inf, SINR_FLOOR_DB, -0.0, 12.5])
+def test_select_mcs_rejects_nan(sinr):
+    table = AmcTable.default()
+    if math.isnan(sinr):
+        with pytest.raises(ValueError, match="^sinr_db must not be NaN$"):
+            select_mcs(sinr, table)
+        return
+    # every other float takes the linear scan's index
+    want = max((i for i, thr in enumerate(table.thresholds_db) if sinr >= thr), default=None)
+    assert select_mcs(sinr, table) == want
 
 
 def test_select_mcs_matches_linear_scan():
@@ -651,20 +679,33 @@ def test_training_after_outage_stays_due(tmp_path, capsys):
 @pytest.mark.parametrize("steps", [1, 2])
 def test_run_simulation_builds_each_channel_once(monkeypatch, steps):
     # training every `steps` grid steps on a 0.1 s grid: every snapshot trains
-    # (1), or trained and held snapshots alternate (2)
-    built = []
-    original = link_module.build_channel_matrices
+    # (1), or trained and held snapshots alternate (2). Only a training row
+    # builds a channel, once; every row's power is computed once, in its
+    # block's one _row_powers call, whether a block holds one row or all
+    built, evaluated = [], []
+    build, row_powers = link_module.build_channel_matrices, link_module._row_powers
 
     def counting(records, *args, **kwargs):
         built.append(kwargs["t"])
-        return original(records, *args, **kwargs)
+        return build(records, *args, **kwargs)
+
+    def evaluating(factors, counts, sels, setup):
+        evaluated.append((len(factors), counts.tolist()))
+        return row_powers(factors, counts, sels, setup)
 
     monkeypatch.setattr(link_module, "build_channel_matrices", counting)
+    monkeypatch.setattr(link_module, "_row_powers", evaluating)
     times = [0.1 * k for k in range(7)]
     setup = _free_space_setup(n_snapshots=7, training_period=0.1 * steps)
-    metrics = run_simulation(_los_trace(times), setup)
-    assert len(metrics) == 7
-    assert sorted(built) == times
+    for factor_bytes, blocks in ((1, 7), (1 << 20, 1)):  # one-row blocks, one block
+        built.clear()
+        evaluated.clear()
+        monkeypatch.setattr(link_module, "_FACTOR_BYTES", factor_bytes)
+        assert len(run_simulation(_los_trace(times), setup)) == 7
+        assert built == times[::steps]
+        assert [c for _, counts in evaluated for c in counts] == [1] * 7
+        assert [n for n, _ in evaluated] == [sum(counts) for _, counts in evaluated]
+        assert len(evaluated) == blocks
 
 
 
@@ -713,22 +754,29 @@ def test_link_wide_factors_match_per_snapshot_builds(data):
     shapes = [data.draw(st.tuples(st.integers(1, 5), st.integers(1, 5))) for _ in range(2)]
     tx_arr, rx_arr = (PlanarArray(r, c, LAM, bearing_deg=data.draw(st.floats(-180.0, 180.0)))
                       for r, c in shapes)
+    # every row trains (0.1 s) or trained and held rows alternate (0.2 s)
+    period = data.draw(st.sampled_from([0.1, 0.2]), label="training period")
     setup = replace(
-        _free_space_setup(training_period=0.2), tx_array=tx_arr, rx_array=rx_arr,
+        _free_space_setup(training_period=period), tx_array=tx_arr, rx_array=rx_arr,
         grid=SubbandGrid(28e9, 100e6, data.draw(st.integers(1, 5), label="subbands")),
         tx_codebook=generate_codebook(tx_arr, -60.0, 60.0, 30.0, 60.0, 120.0, 30.0),
         rx_codebook=generate_codebook(rx_arr, -180.0, 90.0, 90.0, 90.0, 90.0, 1.0),
         times=tuple(0.1 * k for k in range(len(counts))),
     )
-    built = []
-    build = link_module.build_channel_matrices
+    built, swept = [], []
+    build, sweep = link_module.build_channel_matrices, link_module.ideal_beam_sweeps
 
     def keeping(paths, *args, **kwargs):
         built.append(build(paths, *args, **kwargs))
         return built[-1]
 
+    def spying(channels, *args):
+        swept.extend(ch.time for ch in channels)
+        return sweep(channels, *args)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(link_module, "build_channel_matrices", keeping)
+        mp.setattr(link_module, "ideal_beam_sweeps", spying)
         mp.setattr(link_module, "_FACTOR_BYTES",
                    data.draw(st.sampled_from([1, 2000, 1 << 20]), label="factor block bytes"))
         if not any(counts):  # only the other link has records
@@ -740,15 +788,108 @@ def test_link_wide_factors_match_per_snapshot_builds(data):
     link = trace.link(0, 1)
     rows = [(t, link[offsets[i]:offsets[i + 1]]) for i, t in enumerate(times)]
     assert [len(paths) for _, paths in rows] == counts
-    # a block builds its training rows' channels first, so match them by time
+    # only the training rows build a channel, each once, and each is swept
     by_time = {ch.time: ch for ch in built}
-    assert sorted(by_time) == [t for t, _ in rows] and len(built) == len(rows)
+    assert [ch.time for ch in built] == swept and len(by_time) == len(built)
+    if period == 0.1:
+        assert swept == [t for t, _ in rows]
     for t, paths in rows:
+        if t not in by_time:
+            continue
         ch = by_time[t]
         want = _per_snapshot_factors(paths.records, tx_arr, rx_arr, setup.grid)
         for got, ref in zip((ch.coef, ch.a_rx, ch.a_tx), want):
             assert (got.shape, got.strides, got.dtype) == (ref.shape, ref.strides, ref.dtype)
             assert got.tobytes() == ref.tobytes()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    counts=st.lists(st.sampled_from([0, 0, 1, 1, 2, 3]), min_size=1, max_size=9),
+    period=st.sampled_from([0.1, 0.2, 0.35, math.inf]),
+    factor_bytes=st.sampled_from([1, 700, 1 << 20]),
+    seed=st.integers(0, 2**32 - 1),
+)
+# a training row that is an outage (row 3), and held pairs in one-row blocks
+@example(counts=[0, 1, 1, 0, 2, 1, 3], period=0.2, factor_bytes=1, seed=0)
+# a held pair whose block starts mid-way between two trainings
+@example(counts=[2, 1, 3, 1, 1, 2, 1], period=0.35, factor_bytes=700, seed=1)
+def test_row_power_does_not_depend_on_its_block(counts, period, factor_bytes, seed):
+    # each row's power is bit-equal to its row evaluated alone, whichever rows
+    # share its block, and matches beamformed_power on the row's own channel
+    rng = np.random.default_rng(seed)
+    recs = [mk_record(t=0.1 * k, path_id=p, delay=rng.uniform(0.0, 1e-6),
+                      gain_mag=rng.uniform(0.0, 1e-3), phase=rng.uniform(-math.pi, math.pi),
+                      aod_az=rng.uniform(-180.0, 180.0), aod_zen=rng.uniform(0.0, 180.0),
+                      aoa_az=rng.uniform(-180.0, 180.0), aoa_zen=rng.uniform(0.0, 180.0))
+            for k, n in enumerate(counts) for p in range(n)]
+    tx_arr, rx_arr = PlanarArray(3, 4, LAM, bearing_deg=20.0), PlanarArray(2, 3, LAM)
+    setup = replace(
+        _free_space_setup(training_period=period), tx_array=tx_arr, rx_array=rx_arr,
+        grid=SubbandGrid(28e9, 100e6, 5),
+        tx_codebook=generate_codebook(tx_arr, -60.0, 60.0, 30.0, 60.0, 120.0, 30.0),
+        rx_codebook=generate_codebook(rx_arr, -180.0, 90.0, 90.0, 90.0, 90.0, 1.0),
+        times=tuple(0.1 * k for k in range(len(counts))),
+    )
+    trace = TraceSet(recs)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(link_module, "_FACTOR_BYTES", factor_bytes)
+        metrics = run_simulation(trace, setup)
+    times, offsets = snapshot_rows(trace, setup)
+    link = trace.link(0, 1)
+    for i, m in enumerate(metrics):
+        paths, sel = link[offsets[i]:offsets[i + 1]], m.selection
+        alone = link_module._row_powers(path_factors(paths, tx_arr, rx_arr),
+                                        np.array([len(paths)]), [sel], setup)
+        assert alone[0].hex() == sel.power_w.hex(), f"row {i}"
+        _, want = beamformed_power(
+            build_channel_matrices(paths, tx_arr, rx_arr, setup.grid, times[i]),
+            setup.tx_codebook.beam_weights(sel.tx_index),
+            setup.rx_codebook.beam_weights(sel.rx_index), setup.budget.tx_power_w)
+        assert sel.power_w == pytest.approx(want, rel=1e-12, abs=0.0), f"row {i}"
+        assert m.sinr_db == compute_sinr(sel.power_w, setup.budget)
+
+
+def _dft_codebook(scale3):
+    """Four beams over a 1 x 4 array, beam b's column factors i^(b c) and its row
+    factor 1 (scale3 for beam 3): exact, so each norm is exact too."""
+    quarter = (1, 1j, -1, -1j)
+    cols = np.array([[quarter[b * c % 4] for c in range(4)] for b in range(4)], dtype=complex)
+    rows = np.array([[1.0], [1.0], [1.0], [scale3]], dtype=complex)
+    directions = tuple(Direction(az, 90.0) for az in (0.0, 30.0, 90.0, -30.0))
+    return BeamCodebook(directions, rows, cols)
+
+
+def test_off_norm_beam_raises_on_the_row_that_first_uses_it():
+    # a path at azimuth 0, 30 and -30 degrees is beam 0's, 1's and 3's
+    # direction; beam 3's weights have norm 1.5, so row 2, whose sweep picks
+    # it, raises after rows 0 and 1 pass, with the per-row check's message
+    tx_arr, rx_arr = PlanarArray(1, 4, LAM), PlanarArray(1, 1, LAM)
+    setup = replace(
+        _free_space_setup(n_snapshots=4, training_period=0.1), tx_array=tx_arr,
+        rx_array=rx_arr, tx_codebook=_dft_codebook(1.5),
+        rx_codebook=BeamCodebook((Direction(0.0, 90.0),), np.ones((1, 1), complex),
+                                 np.ones((1, 1), complex)),
+    )
+    trace = TraceSet([mk_record(t=0.1 * k, gain_mag=1e-5, aod_az=az, aod_zen=90.0, aoa_zen=90.0)
+                      for k, az in enumerate((0.0, 30.0, -30.0, 0.0))])
+    with pytest.raises(ValueError) as exc:
+        run_simulation(trace, setup)
+    assert str(exc.value) == "w_tx must have unit norm, got 1.5"
+    # with every beam at unit norm the same rows pick beams 0, 1, 3 and 0
+    picked = run_simulation(trace, replace(setup, tx_codebook=_dft_codebook(1.0)))
+    assert [m.selection.tx_index for m in picked] == [0, 1, 3, 0]
+
+
+def test_held_row_overflow_raises_after_its_blocks_sweep():
+    # row 0 trains, row 1 holds its pair and overflows, row 2 would be fine:
+    # the error names row 1 once the block's one sweep has run
+    setup = _free_space_setup(n_snapshots=3, training_period=1.0)
+    trace = TraceSet([mk_record(t=0.1 * k, gain_mag=g, aod_az=30.0, aod_zen=90.0, aoa_az=0.0,
+                                aoa_zen=90.0) for k, g in enumerate((1e-5, 1e200, 1e-5))])
+    with pytest.raises(ValueError) as exc:
+        _run_and_trainings(trace, setup)
+    assert str(exc.value) == "received power at t=0.1 overflows to inf"
 
 
 def test_run_simulation_on_a_parsed_trace_makes_no_mpc_record(monkeypatch):
@@ -804,24 +945,9 @@ def test_training_schedule_follows_the_rule(outage, period):
             expected.append(t)
             if not out:
                 last = t
-    built, swept = [], []
-    build, sweep = link_module.build_channel_matrices, link_module.ideal_beam_sweeps
-
-    def counting(records, *args, **kwargs):
-        built.append(kwargs["t"])
-        return build(records, *args, **kwargs)
-
-    def spying(channels, *args):
-        swept.extend(ch.time for ch in channels)
-        return sweep(channels, *args)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(link_module, "build_channel_matrices", counting)
-        mp.setattr(link_module, "ideal_beam_sweeps", spying)
-        metrics = run_simulation(trace, setup)
+    metrics, swept = _run_and_trainings(trace, setup)
     assert [m.t for m in metrics] == times
-    # one build per row; a block builds its training rows' channels first
-    assert sorted(built) == times
+    # the training rows, outages included, are swept once each, in row order
     assert swept == expected
 
 

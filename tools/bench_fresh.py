@@ -31,7 +31,9 @@ the time spent inside
   either way,
 - channel assembly (``channel_s``): ``build_channel_matrices``, plus the
   link-wide ``path_factors`` where the tree has it,
-- per-snapshot evaluation, ``beamformed_power`` (``eval_s``),
+- per-row evaluation (``eval_s``): ``_row_powers``, one pass per block of
+  rows, where the tree has it, else ``beamformed_power``, one call per row;
+  ``evals`` counts the rows evaluated either way,
 - ``parse_trace`` (``parse_s``; 0 when the config traces its own scene),
 - ``load_config`` (``load_s``).
 
@@ -99,7 +101,12 @@ if hasattr(link, "ideal_beam_sweeps"):
 else:
     sweep = timed(link, "ideal_beam_sweep")
 channel = timed(link, "build_channel_matrices", "path_factors")
-evaluation = timed(link, "beamformed_power")
+# per-row evaluation, counted in rows: one pass per block of rows where the
+# tree has _row_powers, one beamformed_power call per row otherwise
+if hasattr(link, "_row_powers"):
+    evaluation = timed(link, "_row_powers", count=lambda args: len(args[1]))
+else:
+    evaluation = timed(link, "beamformed_power")
 parse, load = timed(cli, "parse_trace"), timed(cli, "load_config")
 trace = timed(cli, "generate_trace")
 faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -219,7 +226,8 @@ def main(argv: list[str] | None = None) -> int:
                  "median wall time and process CPU time of cli.main, time inside "
                  "generate_trace, the training sweeps (ideal_beam_sweeps or, in older trees, "
                  "ideal_beam_sweep), channel assembly (build_channel_matrices and, "
-                 "where present, path_factors), beamformed_power, parse_trace and load_config, "
+                 "where present, path_factors), row evaluation (_row_powers or, in older trees, "
+                 "beamformed_power), parse_trace and load_config, "
                  "and ru_minflt growth over the call",
         "environment": {
             "python": platform.python_version(),

@@ -15,11 +15,16 @@ has phase k * pitch * (c * alpha + r * beta), where
 
 so the response is the Kronecker product of a row factor exp(j k pitch r beta)
 and a column factor exp(j k pitch c alpha). steering_factors computes these
-factors, R + C complex exponentials per direction instead of R * C, and
-it is the one steering formula of the package. The channel's path factors
-and the beam codebooks keep the factors and contract weights through them;
-one private helper, _responses, forms the Kronecker products where whole
-responses are read (steering_matrix, a channel's a_rx and a_tx).
+factors, and it is the one steering formula of the package. The channel's
+path factors and the beam codebooks keep the factors and contract weights
+through them; one private helper, _responses, forms the Kronecker products
+where whole responses are read (steering_matrix, a channel's a_rx and a_tx).
+
+Each factor is a uniform phase ramp exp(j phi k), k = 0..n-1, and so are
+the channel's subband coefficients over the subband index. One private
+kernel, _phase_ramp, computes every such ramp from two short exponential
+tables, about 2 sqrt(n) complex exponentials a ramp instead of n: a
+direction costs about 2 (sqrt(R) + sqrt(C)) instead of R + C.
 
 Steering takes azimuth and zenith arrays in degrees, one entry per
 direction; Direction only labels codebook beams and sweep winners. Callers
@@ -128,7 +133,8 @@ def steering_factors(
 
     Response d is the Kronecker product of row d of each factor (see
     steering_matrix). az_deg and zen_deg hold the D directions' azimuths and zeniths in
-    degrees, taken as given (no wrap).
+    degrees, taken as given (no wrap). Either factor may be a view of a wider array
+    (see _phase_ramp).
     """
     az = np.radians(np.asarray(az_deg, dtype=float))
     zen = np.radians(np.asarray(zen_deg, dtype=float))
@@ -136,9 +142,27 @@ def steering_factors(
     alpha = np.sin(zen) * (-math.sin(b) * np.cos(az) + math.cos(b) * np.sin(az))
     beta = np.cos(zen)
     k_pitch = 2.0 * math.pi / array.wavelength_m * (array.spacing * array.wavelength_m)
-    rows = np.exp(1j * k_pitch * np.outer(beta, np.arange(array.n_rows)))  # (D, R)
-    cols = np.exp(1j * k_pitch * np.outer(alpha, np.arange(array.n_cols)))  # (D, C)
-    return rows, cols
+    return _phase_ramp(k_pitch * beta, array.n_rows), _phase_ramp(k_pitch * alpha, array.n_cols)
+
+
+def _phase_ramp(phi: np.ndarray, n: int) -> np.ndarray:
+    """exp(1j * phi[:, None] * arange(n)): the (D, n) ramps of D phase steps phi, n >= 1.
+
+    exp(j phi k) = exp(j phi a m) exp(j phi b) for k = a m + b, so with
+    m = ceil(sqrt(n)) a coarse table over a < ceil(n / m) and a fine table
+    over b < m give every term in one broadcast product: about 2 sqrt(n)
+    complex exponentials a row instead of n. The product writes a new array,
+    not over a table, and runs along one row at a time, so a row is
+    bit-equal whichever rows share its call. The result may be a view cut
+    from a (D, m ceil(n / m)) array.
+    """
+    m = math.isqrt(n - 1) + 1
+    # held first, so a ramp too long to hold fails before any exponential is taken
+    ramps = np.empty((len(phi), -(-n // m), m), complex)
+    fine = np.exp(1j * np.multiply.outer(phi, np.arange(m)))  # (D, m)
+    coarse = np.exp(1j * np.multiply.outer(phi, np.arange(0, n, m)))  # (D, ceil(n / m))
+    np.multiply(coarse[:, :, None], fine[:, None, :], out=ramps)
+    return ramps.reshape(len(phi), ramps.shape[1] * m)[:, :n]
 
 
 def steering_matrix(array: PlanarArray, az_deg: ArrayLike, zen_deg: ArrayLike) -> np.ndarray:

@@ -7,9 +7,9 @@ that path and attains the full array gain. A codebook's beams are in
 azimuth-major order (zenith fastest). A planar array's response is the
 Kronecker product of a row factor and a column factor, so a codebook keeps
 only its (n_beams, R) row and (n_beams, C) column factors; the dense
-(n_beams, N) weights are assembled when ``BeamCodebook.weights`` is read,
-and one beam's weights by ``BeamCodebook.beam_weights``. A codebook's
-factors are computed from its azimuth and zenith grid arrays; its Direction
+(n_beams, N) weights are assembled when ``BeamCodebook.weights`` is read.
+A codebook's factors are computed from its azimuth and zenith grid arrays,
+by the same phase-ramp kernel as the channel's path factors; its Direction
 objects only label the beams.
 
 Sweeps contract the factored channel H_k = A_rx diag(c_k) A_tx^H without
@@ -129,13 +129,6 @@ class BeamCodebook:
         """Dense (n_beams, N) weights, C-contiguous, assembled on every read."""
         w = self.row_factors[:, :, None] * self.col_factors[:, None, :]
         w = w.reshape(len(self), self.n_elements)
-        w *= 1.0 / math.sqrt(self.n_elements)
-        return w
-
-    def beam_weights(self, index: int) -> np.ndarray:
-        """One beam's (N,) weights, bit-equal to ``weights[index]``."""
-        w = self.row_factors[index, :, None] * self.col_factors[index, None, :]
-        w = w.reshape(self.n_elements)
         w *= 1.0 / math.sqrt(self.n_elements)
         return w
 

@@ -19,9 +19,15 @@ A snapshot with P paths gives a channel of rank at most P, so it is kept
 factored: H_k = A_rx diag(c_k) A_tx^H with the (K, P) per-path subband
 coefficients c and the snapshot's PathFactors, whose row and column
 factors define the (N_rx, P) arrival and (N_tx, P) departure steering
-matrices A_rx and A_tx. Beam sweeps and beamformed_power contract the
-factors directly, and run_simulation takes a held pair's power straight
-from a block of PathFactors, with no channel. A_rx, A_tx and the dense
+matrices A_rx and A_tx. The subband offsets step evenly, so a path's
+coefficients are a phase ramp over the subband index times one first
+term: _subband_terms computes them as (P, K) rows, about 2 sqrt(K)
+complex exponentials a path (see arrays._phase_ramp), and
+build_channel_matrices transposes them into coef. run_simulation computes
+a block of rows' terms once, cuts each training row's channel out of
+them, bit-equal to that row's build_channel_matrices, and takes every
+row's power through its held pair from the same terms. Beam sweeps and
+beamformed_power contract the factors directly. A_rx, A_tx and the dense
 (K, N_rx, N_tx) tensor are assembled only when read.
 """
 
@@ -33,7 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .arrays import PlanarArray, _responses, _wrap_azimuth, steering_factors
+from .arrays import PlanarArray, _phase_ramp, _responses, _wrap_azimuth, steering_factors
 from .traces import MpcRecord, TraceSet
 
 __all__ = [
@@ -196,9 +202,24 @@ def build_channel_matrices(
         paths = path_factors(trace, tx_array, rx_array)
     elif t is None:
         t = 0.0
-    # (K, P) per-path complex coefficient on each subband
-    coef = paths.phasor * np.exp(-1j * 2.0 * math.pi * np.outer(grid.offsets_hz(), paths.delay))
+    # (K, P) per-path complex coefficient on each subband, a new C-ordered array
+    coef = _subband_terms(paths.phasor, paths.delay, grid).T.copy()
     return ChannelMatrixSet(coef, paths, grid, t)
+
+
+def _subband_terms(scale: np.ndarray, delay: np.ndarray, grid: SubbandGrid) -> np.ndarray:
+    """The (P, K) terms scale[p] exp(-j 2 pi df_k delay[p]) of P paths on grid's subbands.
+
+    The offsets df_k = f_0 + k B/K step evenly from the first one, f_0, so a
+    path's row is scale exp(-j 2 pi f_0 tau) times the phase ramp of step
+    -2 pi (B/K) tau (arrays._phase_ramp): about 2 sqrt(K) complex
+    exponentials a path instead of K. Every product writes a new array, so a
+    path's row is bit-equal whichever paths share the call, and a channel's
+    coef is the transposed rows of its paths.
+    """
+    step = grid.bandwidth_hz / grid.n_subbands
+    first = scale * np.exp(-2j * math.pi * (0.5 * step - grid.bandwidth_hz / 2) * delay)
+    return first[:, None] * _phase_ramp(-2.0 * math.pi * step * delay, grid.n_subbands)
 
 
 def _finite_power(power: float, t: float) -> float:

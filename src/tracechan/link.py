@@ -3,12 +3,13 @@
 snapshot_rows is the one snapshot schedule: it turns a trace and the
 setup's time grid into row times and offsets into the link's paths,
 outages included, and rejects a trace that is off the grid. run_simulation
-computes the link's steering factors a block of rows at a time, trains the
-block's training rows in one batched sweep (ideal sweeps, no airtime, on a
-fixed period), computes every row's received power through the beams last
-trained in one vectorised pass over the block's paths, and walks the rows
-in order: map the power to SINR, pick the rate, and derive throughput and
-a queueing-flavored delay from an analytic saturation model.
+computes the link's steering factors and subband terms a block of rows at
+a time, trains the block's training rows in one batched sweep on channels
+cut from them (ideal sweeps, no airtime, on a fixed period), computes every
+row's received power through the beams last trained in one vectorised pass
+over the same terms, and walks the rows in order: map the power to SINR,
+pick the rate, and derive throughput and a queueing-flavored delay from an
+analytic saturation model.
 """
 
 from __future__ import annotations
@@ -22,7 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .beams import BeamCodebook, BeamSelection, ideal_beam_sweeps
-from .channel import PathFactors, SubbandGrid, _finite_power, build_channel_matrices, path_factors
+from .channel import (ChannelMatrixSet, PathFactors, SubbandGrid, _finite_power, _subband_terms,
+                      path_factors)
+# build_channel_matrices is not used here; perfbench/tests/test_perfbench.py reads
+# tracechan.link.build_channel_matrices, so the name stays importable from link
+from .channel import build_channel_matrices  # noqa: F401
 from .arrays import PlanarArray
 from .traces import PathType, TraceSet
 
@@ -309,8 +314,9 @@ def snapshot_rows(trace: TraceSet, setup: SimulationSetup) -> tuple[list[float],
     return row_times.tolist(), np.cumsum(offsets, out=offsets)
 
 
-# run_simulation takes the link's path factors, then two (P, K) coefficient arrays,
-# a block of rows of about this many bytes at a time: a long link is never held whole
+# run_simulation takes the link's path factors, their (P, K) subband terms and the
+# terms' product with the rows' beam gains, a block of rows of about this many bytes
+# at a time: a long link is never held whole
 _FACTOR_BYTES = 1 << 20
 
 
@@ -323,12 +329,13 @@ def _gains(codebook: BeamCodebook, side: str, sels: list, counts, factors: PathF
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a row whose power overflows raises instead
-def _row_powers(factors: PathFactors, counts: np.ndarray, sels: list[BeamSelection],
-                setup: SimulationSetup) -> list[float]:
+def _row_powers(factors: PathFactors, terms: np.ndarray, counts: np.ndarray,
+                sels: list[BeamSelection], setup: SimulationSetup) -> list[float]:
     """Each row's power through its pair sels[i], watts, from its counts[i] paths in factors.
 
-    A path's projection costs O(R + C) a side and its coefficients are build_channel_matrices',
-    bit for bit. Only elementwise products and per-row sums run: no row depends on another.
+    terms is the paths' (P, K) _subband_terms, whose rows transposed are the coefficients of
+    the rows' channels, bit for bit. A path's projection costs O(R + C) a side. Only
+    elementwise products and per-row sums run: no row depends on another.
     """
     has, power = counts > 0, np.zeros(len(counts))
     if has.any():
@@ -336,14 +343,7 @@ def _row_powers(factors: PathFactors, counts: np.ndarray, sels: list[BeamSelecti
         # product by its position in the array, and so by the rows beside it
         x = _gains(setup.rx_codebook, "rx", sels, counts, factors) * _gains(
             setup.tx_codebook, "tx", sels, counts, factors).conj()
-        # (P, K) coefficients in build_channel_matrices' operation order
-        coef = np.zeros((len(factors), setup.grid.n_subbands), complex)
-        np.outer(factors.delay, setup.grid.offsets_hz(), out=coef.real)
-        np.multiply(-1j * 2.0 * math.pi, coef, out=coef)
-        np.exp(coef, out=coef)
-        terms = np.multiply(factors.phasor[:, None], coef)
-        amp = np.add.reduceat(np.multiply(terms, x[:, None], out=coef),
-                              (np.cumsum(counts) - counts)[has], axis=0)
+        amp = np.add.reduceat(terms * x[:, None], (np.cumsum(counts) - counts)[has], axis=0)
         power[has] = (setup.budget.tx_power_w / setup.grid.n_subbands * np.abs(amp) ** 2).sum(1)
     return power.tolist()
 
@@ -357,9 +357,11 @@ def run_simulation(trace: TraceSet, setup: SimulationSetup) -> list[LinkMetrics]
     are held until the next training. A training row that is an outage finds
     no paths, so training stays due and the next row trains. The schedule
     depends only on the row times and on which rows have paths, so it is
-    fixed up front, and each block of path_factors trains all of its
-    training rows in one ideal_beam_sweeps call; then _row_powers gives each
-    row its power through the pair last trained, with no held row's channel.
+    fixed up front. Each block of path_factors has its _subband_terms
+    computed once, and trains all of its training rows in one
+    ideal_beam_sweeps call on channels cut from the two; then _row_powers
+    gives each row its power through the pair last trained from the same
+    terms, with no held row's channel.
     In row order, a pair's beams must have unit norm and a power be finite.
     """
     cb_tx, cb_rx = setup.tx_codebook, setup.rx_codebook
@@ -385,13 +387,16 @@ def run_simulation(trace: TraceSet, setup: SimulationSetup) -> list[LinkMetrics]
         start = offsets[first]
         factors = path_factors(link_paths[start:max(offsets[first + 1], start + block)], tx, rx)
         end = bisect.bisect_right(offsets, start + len(factors)) - 1
-        rows = [i for i in range(first, end) if trains[i]]
-        picks = dict(zip(rows, ideal_beam_sweeps([build_channel_matrices(
-            factors[offsets[i] - start:offsets[i + 1] - start], tx, rx, grid=setup.grid,
-            t=times[i]) for i in rows], cb_tx, cb_rx, setup.budget.tx_power_w)))
+        factors = factors[:offsets[end] - start]  # the block's whole rows
+        terms = _subband_terms(factors.phasor, factors.delay, setup.grid)
+        # a training row's channel, cut from the block's: build_channel_matrices', bit for bit
+        cuts = {i: slice(offsets[i] - start, offsets[i + 1] - start)
+                for i in range(first, end) if trains[i]}
+        picks = dict(zip(cuts, ideal_beam_sweeps(
+            [ChannelMatrixSet(terms[cut].T.copy(), factors[cut], setup.grid, times[i])
+             for i, cut in cuts.items()], cb_tx, cb_rx, setup.budget.tx_power_w)))
         sels = [sel := picks.get(i, sel) for i in range(first, end)]  # the first row trains
-        powers = _row_powers(factors[:offsets[end] - start],
-                             np.diff(offsets[first:end + 1]), sels, setup)
+        powers = _row_powers(factors, terms, np.diff(offsets[first:end + 1]), sels, setup)
         for i, sel, p_rx in zip(range(first, end), sels, powers):
             for name, norm in (("w_tx", norms[0][sel.tx_index]), ("w_rx", norms[1][sel.rx_index])):
                 if not abs(norm - 1.0) <= 1e-9:  # NaN too

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tracechan import (
@@ -15,7 +15,7 @@ from tracechan import (
     steering_matrix,
     steering_vector,
 )
-from tracechan.arrays import _wrap_azimuth
+from tracechan.arrays import _phase_ramp, _wrap_azimuth
 
 LAM = 299792458.0 / 28e9
 
@@ -202,3 +202,28 @@ def test_codebook_weights_contiguous_unit_norm(arr, az_lo, az_span, az_step, zen
     for d, w in zip(cb.directions, cb.weights):
         want = steering_vector(arr, d) / math.sqrt(arr.n_elements)
         assert w.tobytes() == want.tobytes()
+
+
+EPS = np.finfo(float).eps
+# 1, 2, perfect squares, one below and above them, and primes
+_RAMP_LENGTHS = st.integers(1, 300) | st.sampled_from(
+    [1, 2, 3, 4, 5, 8, 9, 10, 16, 17, 127, 128, 144, 256, 257, 289, 293, 300])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(n=_RAMP_LENGTHS,
+       phi=st.lists(st.floats(-3000.0, 3000.0) | st.sampled_from([0.0, -0.0, math.pi, 2500.0]),
+                    min_size=1, max_size=6))
+@example(n=300, phi=[2500.0, -2499.75, 0.1])
+@example(n=1, phi=[-7.5])
+def test_phase_ramp_matches_one_exponential_per_term(n, phi):
+    phi = np.array(phi)
+    got = _phase_ramp(phi, n)
+    assert got.shape == (len(phi), n) and got.dtype == complex
+    want = np.exp(1j * np.multiply.outer(phi, np.arange(n)))
+    assert (np.abs(got - want) <= 8 * EPS * (1 + np.abs(phi)[:, None] * (n - 1))).all()
+    assert (np.abs(np.abs(got) - 1.0) <= 4 * EPS).all()
+    assert (got[:, 0] == 1.0).all()
+    # a row is bit-equal whichever rows share its call
+    for d in range(len(phi)):
+        assert _phase_ramp(phi[d:d + 1], n)[0].tobytes() == got[d].tobytes()

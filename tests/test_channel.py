@@ -17,6 +17,7 @@ from tracechan import (
     steering_matrix,
 )
 from tracechan.arrays import Direction
+from tracechan.channel import _subband_terms
 
 LAM = 299792458.0 / 28e9
 GRID1 = SubbandGrid(28e9, 100e6, 1)
@@ -301,3 +302,28 @@ def test_power_splits_over_subbands():
     )
     np.testing.assert_allclose(per8, per8[0])
     assert tot8 == pytest.approx(tot1, rel=1e-12)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(k=st.integers(1, 100) | st.sampled_from([1, 2, 64, 65]),
+       delays=st.lists(st.floats(0.0, 2e-6), min_size=1, max_size=5),
+       seed=st.integers(0, 2**32 - 1))
+def test_subband_terms_match_one_exponential_per_subband(k, delays, seed):
+    rng = np.random.default_rng(seed)
+    grid = SubbandGrid(28e9, 400e6, k)
+    delay = np.array(delays)
+    scale = rng.uniform(0.0, 1e-3, len(delay)) * np.exp(1j * rng.uniform(-math.pi, math.pi,
+                                                                           len(delay)))
+    got = _subband_terms(scale, delay, grid)
+    want = scale[:, None] * np.exp(-2j * math.pi * np.multiply.outer(delay, grid.offsets_hz()))
+    bound = 16 * np.finfo(float).eps * (1 + math.pi * grid.bandwidth_hz * delay) * np.abs(scale)
+    assert (np.abs(got - want) <= bound[:, None]).all()
+    # a path's terms are bit-equal whichever paths share the call, and a
+    # channel's coef is its paths' terms transposed
+    for p in range(len(delay)):
+        assert _subband_terms(scale[p:p + 1], delay[p:p + 1], grid)[0].tobytes() == \
+            got[p].tobytes()
+    recs = [mk_record(path_id=p, delay=float(tau)) for p, tau in enumerate(delay)]
+    ch = build_channel_matrices(recs, PlanarArray(1, 1, LAM), PlanarArray(1, 1, LAM), grid)
+    assert ch.coef.flags.c_contiguous
+    assert ch.coef.tobytes() == _subband_terms(ch.paths.phasor, ch.paths.delay, grid).T.tobytes()

@@ -495,6 +495,24 @@ def test_degenerate_inputs_exit_2(tmp_path, capsys, cmd, old, new, problem):
     assert capsys.readouterr().err == problem
 
 
+# sizes whose first array numpy is refused at once: each needs petabytes, more than a
+# 47-bit address space holds, so even a host that overcommits memory refuses the request
+@pytest.mark.parametrize("old, new", [
+    ("subbands: 4", "subbands: 100000000000000"),  # the subband terms, 2.84 PiB
+    ("az_step: 30.0", "az_step: 1.0e-12"),  # the codebook grid, 2.49 PiB
+    ("duration_s: 2.0", "duration_s: 1.0e+15"),  # the time grid, 28.4 PiB
+], ids=["subbands", "codebook-step", "duration"])
+@pytest.mark.parametrize("cmd", ["simulate", "sweep"])
+def test_config_too_large_to_allocate_exits_2(tmp_path, capsys, cmd, old, new):
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(SCENE_CFG.replace(old, new, 1))
+    assert main([cmd, "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: not enough memory: Unable to allocate ")
+    assert err.endswith("\n") and err.count("\n") == 1
+    assert not (tmp_path / "x.csv").exists()
+
+
 @pytest.mark.parametrize("value, spelled", [
     ("null", "null"), ("[4]", "a list"), ("{a: 1}", "a mapping"), ("abc", "abc"), ("true", "true"),
     # longer than YAML's 80-column line width, and a string with a line break:

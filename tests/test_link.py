@@ -35,7 +35,8 @@ from tracechan import (
 )
 from tracechan.arrays import Direction, _wrap_azimuth
 from tracechan.beams import BeamCodebook
-from tracechan.channel import beamformed_power, build_channel_matrices, path_factors
+from tracechan.channel import (_subband_terms, beamformed_power, build_channel_matrices,
+                               path_factors)
 from tracechan.cli import main
 from tracechan.link import METRICS_COLUMNS, SINR_FLOOR_DB, snapshot_rows
 from tracechan.scenario import build_rt_scenario, build_setup, load_config
@@ -680,20 +681,20 @@ def test_training_after_outage_stays_due(tmp_path, capsys):
 def test_run_simulation_builds_each_channel_once(monkeypatch, steps):
     # training every `steps` grid steps on a 0.1 s grid: every snapshot trains
     # (1), or trained and held snapshots alternate (2). Only a training row
-    # builds a channel, once; every row's power is computed once, in its
+    # has a channel, swept once; every row's power is computed once, in its
     # block's one _row_powers call, whether a block holds one row or all
     built, evaluated = [], []
-    build, row_powers = link_module.build_channel_matrices, link_module._row_powers
+    sweep, row_powers = link_module.ideal_beam_sweeps, link_module._row_powers
 
-    def counting(records, *args, **kwargs):
-        built.append(kwargs["t"])
-        return build(records, *args, **kwargs)
+    def counting(channels, *args):
+        built.extend(ch.time for ch in channels)
+        return sweep(channels, *args)
 
-    def evaluating(factors, counts, sels, setup):
-        evaluated.append((len(factors), counts.tolist()))
-        return row_powers(factors, counts, sels, setup)
+    def evaluating(factors, terms, counts, sels, setup):
+        evaluated.append((len(factors), len(terms), counts.tolist()))
+        return row_powers(factors, terms, counts, sels, setup)
 
-    monkeypatch.setattr(link_module, "build_channel_matrices", counting)
+    monkeypatch.setattr(link_module, "ideal_beam_sweeps", counting)
     monkeypatch.setattr(link_module, "_row_powers", evaluating)
     times = [0.1 * k for k in range(7)]
     setup = _free_space_setup(n_snapshots=7, training_period=0.1 * steps)
@@ -703,26 +704,24 @@ def test_run_simulation_builds_each_channel_once(monkeypatch, steps):
         monkeypatch.setattr(link_module, "_FACTOR_BYTES", factor_bytes)
         assert len(run_simulation(_los_trace(times), setup)) == 7
         assert built == times[::steps]
-        assert [c for _, counts in evaluated for c in counts] == [1] * 7
-        assert [n for n, _ in evaluated] == [sum(counts) for _, counts in evaluated]
+        assert [c for _, _, counts in evaluated for c in counts] == [1] * 7
+        assert [n for n, _, _ in evaluated] == [sum(counts) for _, _, counts in evaluated]
+        assert [n for _, n, _ in evaluated] == [sum(counts) for _, _, counts in evaluated]
         assert len(evaluated) == blocks
 
 
 
-def _per_snapshot_factors(records, tx_array, rx_array, grid):
-    """coef, a_rx, a_tx as built one snapshot at a time from a (7, P) field array."""
+def _per_snapshot_factors(records, tx_array, rx_array, grid, t):
+    """coef, a_rx, a_tx as built one snapshot at a time: coef by a standalone
+    build_channel_matrices, the steering matrices from a (7, P) field array."""
     fields = np.array(
         [(r.gain_mag, r.phase, r.delay, r.aod_az, r.aoa_az, r.aod_zen, r.aoa_zen) for r in records],
         dtype=float,
     ).reshape(-1, 7).T.copy()
-    gains, phases, delays = fields[:3]
     aod_az, aoa_az = _wrap_azimuth(fields[3:5])
     a_tx = steering_matrix(tx_array, aod_az, fields[5])
     a_rx = steering_matrix(rx_array, aoa_az, fields[6])
-    coef = gains * np.exp(1j * phases) * np.exp(
-        -1j * 2.0 * math.pi * np.outer(grid.offsets_hz(), delays)
-    )
-    return coef, a_rx, a_tx
+    return build_channel_matrices(records, tx_array, rx_array, grid, t).coef, a_rx, a_tx
 
 
 _azimuths = st.floats(-180.0, 180.0, exclude_max=True) | st.sampled_from([0.1, -0.3, 179.99, -180.0])
@@ -731,10 +730,11 @@ _azimuths = st.floats(-180.0, 180.0, exclude_max=True) | st.sampled_from([0.1, -
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_link_wide_factors_match_per_snapshot_builds(data):
-    # run_simulation slices every row's channel out of its link's factors,
-    # computed in blocks of whole rows: each has the bytes and strides of a
-    # channel built from that snapshot alone, outage rows (no paths) and
-    # 1-path rows included, whether a block holds one row, some or all
+    # run_simulation cuts every training row's channel out of its link's
+    # factors and subband terms, computed in blocks of whole rows: each has
+    # the bytes and strides of a channel built from that snapshot alone,
+    # outage rows (no paths) and 1-path rows included, whether a block holds
+    # one row, some or all
     counts = data.draw(st.lists(st.sampled_from([0, 1, 1, 2, 5]), min_size=1, max_size=7),
                        label="paths per snapshot")
     blocks = []
@@ -763,19 +763,14 @@ def test_link_wide_factors_match_per_snapshot_builds(data):
         rx_codebook=generate_codebook(rx_arr, -180.0, 90.0, 90.0, 90.0, 90.0, 1.0),
         times=tuple(0.1 * k for k in range(len(counts))),
     )
-    built, swept = [], []
-    build, sweep = link_module.build_channel_matrices, link_module.ideal_beam_sweeps
-
-    def keeping(paths, *args, **kwargs):
-        built.append(build(paths, *args, **kwargs))
-        return built[-1]
+    built = []
+    sweep = link_module.ideal_beam_sweeps
 
     def spying(channels, *args):
-        swept.extend(ch.time for ch in channels)
+        built.extend(channels)
         return sweep(channels, *args)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(link_module, "build_channel_matrices", keeping)
         mp.setattr(link_module, "ideal_beam_sweeps", spying)
         mp.setattr(link_module, "_FACTOR_BYTES",
                    data.draw(st.sampled_from([1, 2000, 1 << 20]), label="factor block bytes"))
@@ -788,16 +783,16 @@ def test_link_wide_factors_match_per_snapshot_builds(data):
     link = trace.link(0, 1)
     rows = [(t, link[offsets[i]:offsets[i + 1]]) for i, t in enumerate(times)]
     assert [len(paths) for _, paths in rows] == counts
-    # only the training rows build a channel, each once, and each is swept
+    # only the training rows have a channel, each swept once
     by_time = {ch.time: ch for ch in built}
-    assert [ch.time for ch in built] == swept and len(by_time) == len(built)
+    assert len(by_time) == len(built)
     if period == 0.1:
-        assert swept == [t for t, _ in rows]
+        assert [ch.time for ch in built] == [t for t, _ in rows]
     for t, paths in rows:
         if t not in by_time:
             continue
         ch = by_time[t]
-        want = _per_snapshot_factors(paths.records, tx_arr, rx_arr, setup.grid)
+        want = _per_snapshot_factors(paths.records, tx_arr, rx_arr, setup.grid, t)
         for got, ref in zip((ch.coef, ch.a_rx, ch.a_tx), want):
             assert (got.shape, got.strides, got.dtype) == (ref.shape, ref.strides, ref.dtype)
             assert got.tobytes() == ref.tobytes()
@@ -815,8 +810,9 @@ def test_link_wide_factors_match_per_snapshot_builds(data):
 # a held pair whose block starts mid-way between two trainings
 @example(counts=[2, 1, 3, 1, 1, 2, 1], period=0.35, factor_bytes=700, seed=1)
 def test_row_power_does_not_depend_on_its_block(counts, period, factor_bytes, seed):
-    # each row's power is bit-equal to its row evaluated alone, whichever rows
-    # share its block, and matches beamformed_power on the row's own channel
+    # each row's power is bit-equal to its row evaluated alone, from its own
+    # subband terms, whichever rows share its block, and matches
+    # beamformed_power on the row's own channel
     rng = np.random.default_rng(seed)
     recs = [mk_record(t=0.1 * k, path_id=p, delay=rng.uniform(0.0, 1e-6),
                       gain_mag=rng.uniform(0.0, 1e-3), phase=rng.uniform(-math.pi, math.pi),
@@ -839,13 +835,14 @@ def test_row_power_does_not_depend_on_its_block(counts, period, factor_bytes, se
     link = trace.link(0, 1)
     for i, m in enumerate(metrics):
         paths, sel = link[offsets[i]:offsets[i + 1]], m.selection
-        alone = link_module._row_powers(path_factors(paths, tx_arr, rx_arr),
+        own = path_factors(paths, tx_arr, rx_arr)
+        alone = link_module._row_powers(own, _subband_terms(own.phasor, own.delay, setup.grid),
                                         np.array([len(paths)]), [sel], setup)
         assert alone[0].hex() == sel.power_w.hex(), f"row {i}"
         _, want = beamformed_power(
             build_channel_matrices(paths, tx_arr, rx_arr, setup.grid, times[i]),
-            setup.tx_codebook.beam_weights(sel.tx_index),
-            setup.rx_codebook.beam_weights(sel.rx_index), setup.budget.tx_power_w)
+            setup.tx_codebook.weights[sel.tx_index],
+            setup.rx_codebook.weights[sel.rx_index], setup.budget.tx_power_w)
         assert sel.power_w == pytest.approx(want, rel=1e-12, abs=0.0), f"row {i}"
         assert m.sinr_db == compute_sinr(sel.power_w, setup.budget)
 

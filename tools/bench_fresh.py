@@ -30,12 +30,14 @@ the time spent inside
   has it, else ``ideal_beam_sweep``; ``sweeps`` counts the rows trained
   either way,
 - channel assembly (``channel_s``): ``build_channel_matrices``, plus the
-  link-wide ``path_factors`` where the tree has it,
+  link-wide ``path_factors`` and the per-block ``_subband_terms`` where the
+  tree has them,
 - per-row evaluation (``eval_s``): ``_row_powers``, one pass per block of
   rows, where the tree has it, else ``beamformed_power``, one call per row;
   ``evals`` counts the rows evaluated either way,
 - ``parse_trace`` (``parse_s``; 0 when the config traces its own scene),
-- ``load_config`` (``load_s``).
+- ``load_config`` (``load_s``) and ``build_setup`` (``setup_s``: the arrays,
+  codebooks and link budget).
 
 Fresh processes matter: repeating configs in one process lets the allocator
 keep memory that a single ``simulate`` has to fault in. With several
@@ -63,11 +65,11 @@ ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ("corner", "etoile", "etoile_wide")
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 METRICS = ("wall_s", "cpu_s", "trace_s", "sweep_s", "channel_s", "eval_s", "parse_s", "load_s",
-           "minflt")
+           "setup_s", "minflt")
 
 # one simulate in a fresh interpreter; prints one JSON line
 _CHILD = r"""
-import contextlib, io, json, os, resource, sys, time
+import contextlib, inspect, io, json, os, resource, sys, time
 src, config, out = sys.argv[1:4]
 sys.path.insert(0, src)
 import tracechan
@@ -100,14 +102,17 @@ if hasattr(link, "ideal_beam_sweeps"):
     sweep = timed(link, "ideal_beam_sweeps", count=lambda args: len(args[0]))
 else:
     sweep = timed(link, "ideal_beam_sweep")
-channel = timed(link, "build_channel_matrices", "path_factors")
+channel = timed(link, "build_channel_matrices", "path_factors", "_subband_terms")
 # per-row evaluation, counted in rows: one pass per block of rows where the
-# tree has _row_powers, one beamformed_power call per row otherwise
+# tree has _row_powers (its counts argument holds one entry a row), one
+# beamformed_power call per row otherwise
 if hasattr(link, "_row_powers"):
-    evaluation = timed(link, "_row_powers", count=lambda args: len(args[1]))
+    rows_at = list(inspect.signature(link._row_powers).parameters).index("counts")
+    evaluation = timed(link, "_row_powers", count=lambda args: len(args[rows_at]))
 else:
     evaluation = timed(link, "beamformed_power")
 parse, load = timed(cli, "parse_trace"), timed(cli, "load_config")
+setup = timed(cli, "build_setup")
 trace = timed(cli, "generate_trace")
 faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 start, cpu = time.perf_counter(), time.process_time()
@@ -120,7 +125,8 @@ with open(out, encoding="utf-8") as fh:
 print(json.dumps({"rc": rc, "wall_s": wall, "cpu_s": cpu, "trace_s": trace[0], "sweep_s": sweep[0],
                   "sweeps": sweep[1], "channel_s": channel[0], "channels": channel[1],
                   "eval_s": evaluation[0], "evals": evaluation[1],
-                  "parse_s": parse[0], "load_s": load[0], "minflt": faults, "rows": rows}))
+                  "parse_s": parse[0], "load_s": load[0], "setup_s": setup[0], "minflt": faults,
+                  "rows": rows}))
 """
 
 _PROBE = r"""
@@ -218,16 +224,17 @@ def main(argv: list[str] | None = None) -> int:
                           f"cpu {result['cpu_s']:.3f} s, trace {result['trace_s']:.3f} s, "
                           f"sweep {result['sweep_s']:.3f} s, "
                           f"channel {result['channel_s']:.3f} s, eval {result['eval_s']:.3f} s, "
-                          f"parse {result['parse_s']:.3f} s, "
-                          f"load {result['load_s']:.4f} s, minflt {result['minflt']}", flush=True)
+                          f"parse {result['parse_s']:.3f} s, load {result['load_s']:.4f} s, "
+                          f"setup {result['setup_s']:.4f} s, minflt {result['minflt']}", flush=True)
 
     report = {
         "about": "tracechan simulate on each config, one fresh process per run: "
                  "median wall time and process CPU time of cli.main, time inside "
                  "generate_trace, the training sweeps (ideal_beam_sweeps or, in older trees, "
                  "ideal_beam_sweep), channel assembly (build_channel_matrices and, "
-                 "where present, path_factors), row evaluation (_row_powers or, in older trees, "
-                 "beamformed_power), parse_trace and load_config, "
+                 "where present, path_factors and _subband_terms), row evaluation (_row_powers "
+                 "or, in older trees, beamformed_power), parse_trace, load_config and "
+                 "build_setup, "
                  "and ru_minflt growth over the call",
         "environment": {
             "python": platform.python_version(),
@@ -258,8 +265,8 @@ def main(argv: list[str] | None = None) -> int:
                   f"cpu {c['median_cpu_s']:.3f} s  trace {c['median_trace_s']:.4f} s  "
                   f"sweep {c['median_sweep_s']:.4f} s  "
                   f"channel {c['median_channel_s']:.4f} s  eval {c['median_eval_s']:.4f} s  "
-                  f"parse {c['median_parse_s']:.4f} s  "
-                  f"load {c['median_load_s']:.4f} s  minflt {c['median_minflt']:.0f}")
+                  f"parse {c['median_parse_s']:.4f} s  load {c['median_load_s']:.4f} s  "
+                  f"setup {c['median_setup_s']:.4f} s  minflt {c['median_minflt']:.0f}")
     return 0
 
 

@@ -1,15 +1,16 @@
 """Grid codebooks and exhaustive beam-pair sweeps.
 
-Codebook weights are steering vectors scaled to unit norm. The Hermitian
-inner products inside the beamformed-power quadratic form supply the
-conjugation, so a beam pointed exactly at a path's direction conjugate-matches
-that path and attains the full array gain. A codebook's beams are in
-azimuth-major order (zenith fastest). A planar array's response is the
-Kronecker product of a row factor and a column factor, so a codebook keeps
-only its (n_beams, R) row and (n_beams, C) column factors; the dense
-(n_beams, N) weights are assembled when ``BeamCodebook.weights`` is read.
-A codebook's factors are computed from its azimuth and zenith grid arrays,
-by the same phase-ramp kernel as the channel's path factors; its Direction
+Codebook weights are steering vectors scaled to unit norm, a BeamCodebook
+invariant (its factors are read-only), so no caller re-checks a beam. The
+Hermitian inner products inside the beamformed-power quadratic form supply
+the conjugation, so a beam pointed exactly at a path's direction
+conjugate-matches that path and attains the full array gain. A codebook's
+beams are in azimuth-major order (zenith fastest). A planar array's response
+is the Kronecker product of a row factor and a column factor, so a codebook
+keeps only its (n_beams, R) row and (n_beams, C) column factors; the dense
+(n_beams, N) weights are assembled when ``BeamCodebook.weights`` is read. A
+codebook's factors are computed from its azimuth and zenith grid arrays, by
+the same phase-ramp kernel as the channel's path factors; its Direction
 objects only label the beams.
 
 Sweeps contract the factored channel H_k = A_rx diag(c_k) A_tx^H without
@@ -61,7 +62,7 @@ from .arrays import Direction, PlanarArray, _wrap_azimuth, steering_factors
 # steering_vector is not used here; perfbench/tests/test_perfbench.py reads
 # tracechan.beams.steering_vector, so the name stays importable from beams
 from .arrays import steering_vector  # noqa: F401
-from .channel import ChannelMatrixSet, _finite_power
+from .channel import _NORM_TOL, ChannelMatrixSet, _finite_power
 
 __all__ = [
     "TIE_RTOL",
@@ -100,22 +101,31 @@ class BeamCodebook:
     """Beams on a regular azimuth x zenith grid, azimuth-major order.
 
     Beam b's weights are the Kronecker product of row_factors[b] and
-    col_factors[b] over sqrt(R * C): unit norm, in steering_matrix's
-    row-major element order.
+    col_factors[b] over sqrt(R * C), in steering_matrix's row-major element
+    order, and must have unit norm within _NORM_TOL (NaN fails too). The
+    factors are kept read-only; a writeable one is copied first.
     """
 
     directions: tuple[Direction, ...]
     row_factors: np.ndarray  # (n_beams, R) complex, unit modulus
     col_factors: np.ndarray  # (n_beams, C) complex, unit modulus
 
+    @np.errstate(over="ignore", invalid="ignore")  # an overflowed norm fails the check
     def __post_init__(self) -> None:
         n = len(self.directions)
-        if (self.row_factors.ndim != 2 or self.row_factors.shape[0] != n
-                or self.col_factors.ndim != 2 or self.col_factors.shape[0] != n):
-            raise ValueError(
-                f"factor shapes {self.row_factors.shape} and {self.col_factors.shape} "
-                f"do not fit {n} beams"
-            )
+        for name in ("row_factors", "col_factors"):
+            f = np.asarray(getattr(self, name), dtype=complex)
+            if f.ndim != 2 or len(f) != n:
+                raise ValueError(f"{name} shape {f.shape} does not fit {n} beams")
+            if f.flags.writeable or f.strides[1] != f.itemsize:  # copied: the caller keeps its own
+                f = np.array(f, order="C")
+                f.flags.writeable = False
+            object.__setattr__(self, name, f)
+        r, c = self.row_factors.view(float), self.col_factors.view(float)  # real dots: |f|^2
+        norm = np.sqrt(np.einsum("ij,ij->i", r, r) * np.einsum("ij,ij->i", c, c) / self.n_elements)
+        if (bad := ~(np.abs(norm - 1.0) <= _NORM_TOL)).any():  # NaN too
+            raise ValueError(f"codebook beam {bad.argmax()} has weight norm "
+                             f"{float(norm[bad.argmax()])!r}, not within {_NORM_TOL!r} of 1")
 
     def __len__(self) -> int:
         return len(self.directions)
@@ -161,7 +171,9 @@ def generate_codebook(
     zen = _grid_points(zen_min_deg, zen_max_deg, zen_step_deg)
     az, zen = np.repeat(az, zen.size), np.tile(zen, az.size)
     directions = tuple(map(Direction, az.tolist(), zen.tolist()))
-    return BeamCodebook(directions, *steering_factors(array, az, zen))
+    rows, cols = steering_factors(array, az, zen)
+    rows.flags.writeable = cols.flags.writeable = False  # fresh, so kept with no copy
+    return BeamCodebook(directions, rows, cols)
 
 
 @dataclass(frozen=True)
@@ -187,6 +199,13 @@ def _project(codebook: BeamCodebook, rows: np.ndarray, cols: np.ndarray) -> np.n
     t *= codebook.col_factors @ cols.T.conj()
     t *= 1.0 / math.sqrt(codebook.n_elements)
     return t
+
+
+def _gains(codebook: BeamCodebook, b: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """(P,) gains w_{b[p]}^H a[:, p]: _project's entry (b[p], p) conjugated, O(R + C) a path."""
+    return ((rows * codebook.row_factors[b].conj()).sum(axis=1)
+            * (cols * codebook.col_factors[b].conj()).sum(axis=1)
+            / math.sqrt(codebook.n_elements))
 
 
 def _sweep_factors(
@@ -317,21 +336,24 @@ def _row_bounds(
     |z_ik| . |w_l| in its second, at most (P + N + 1) units of
     |zeta_ik||w_l|, which moves its square by 2 (P + N + 1) units of
     |z_ik||zeta_ik||w_l|^2 and the sum over k by 2 (P + N + 1) units of
-    S_i |w_l|^2; the stored weights' |w_l|^2 is within 2 units of 1, and the
-    table's squares, m-term sum and scale add m + 2, so an entry is at most
-    scale ((1 + (m + 4) units) B_i + 2 (P + N + 1) units of S_i). The Gram
-    form's Q errs by N + m + 1 units of Q_abs, t Q by P more units of
-    |t| Q_abs, and its real dot with t^* by 2 P + 1 more, so the computed B
-    errs by at most N + m + 3 P + 2 units of S_i; the loop's z errs by
-    P + 1 units of zeta, which moves its squares by 2 (P + 1) units of S_i,
-    and its squares and sums add N + m + 1 units of B_i <= S_i, at most
-    N + m + 2 P + 3 units of S_i. The computed slack
-    sum is within 2 P + N + m + 5 units of its value, a second-order term,
-    and this bound's own two multiplies, sum and scale add 4 units of S_i.
-    So the relative part m + 4 units and the absolute part
+    S_i |w_l|^2. BeamCodebook admits a beam whose computed norm is within
+    tau = _NORM_TOL of 1, computed within R + C + 2 roundoffs (below N
+    units), and storing w_l errs by 2 units, so |w_l|^2 is at most
+    1 + 2 tau + (2 N + 3) units; the table's squares, m-term sum and scale
+    add m + 2, so an entry is at most scale ((1 + 2 tau + (m + 2 N + 5)
+    units) B_i + 2 (P + N + 1) units of S_i). The Gram form's Q errs by
+    N + m + 1 units of Q_abs, t Q by P more units of |t| Q_abs, and its
+    real dot with t^* by 2 P + 1 more, so the computed B errs by at most
+    N + m + 3 P + 2 units of S_i; the loop's z errs by P + 1 units of
+    zeta, which moves its squares by 2 (P + 1) units of S_i, and its
+    squares and sums add N + m + 1 units of B_i <= S_i, at most
+    N + m + 2 P + 3 units of S_i. The computed slack sum is within
+    2 P + N + m + 5 units of its value, a second-order term, and this
+    bound's own two multiplies, sum and scale add 4 units of S_i. So the
+    relative part 2 tau + (m + 2 N + 5) units and the absolute part
     3 N + m + 5 P + 9 units of the slack sum cover every entry; the latter
     is below 6 (P + N + m), as P >= 2. The products of two error terms
-    stay below one unit while P, N and m are below 2**20.
+    (tau's too) stay below one unit while P, N and m are below 2**20.
 
     In either basis a NaN bound, from an overflowed product (inf - inf or
     inf * 0 in M, Q or the slack), reads inf, so it drops no row. In the
@@ -356,7 +378,7 @@ def _row_bounds(
         rho = ((abs_a @ (abs_a.swapaxes(-1, -2) @ abs_ct)) * abs_ct).sum(axis=-1)  # (..., P)
         slack = (np.einsum("...ip,...ip,...p->...i", tx_paths.real, tx_paths.real, rho)
                  + np.einsum("...ip,...ip,...p->...i", tx_paths.imag, tx_paths.imag, rho))
-        bound = scale * ((1.0 + (m + 4) * _ERR_UNIT) * norms
+        bound = scale * ((1.0 + 2 * _NORM_TOL + (m + 2 * n + 5) * _ERR_UNIT) * norms
                          + (6 * (p + n + m) * _ERR_UNIT) * slack)
     else:
         rx_paths = rx_side[0]

@@ -56,6 +56,7 @@ SPEED_OF_LIGHT = 299792458.0  # m/s
 # and the names error messages give them
 _FIELDS = {"gain_mag": "gain_mag", "phase": "phase_rad", "delay": "delay_s",
            "aod_az": "aod_az", "aoa_az": "aoa_az", "aod_zen": "aod_zen", "aoa_zen": "aoa_zen"}
+_NORM_TOL = 1e-9  # a beam weight norm this close to 1 counts as unit norm
 
 
 @dataclass(frozen=True)
@@ -239,7 +240,7 @@ def beamformed_power(
     """Received power through one beam pair: per subband and total, watts.
 
     P_k = (p_tx / K) * |w_rx^H H_k w_tx|^2. Both weight vectors must have
-    unit norm (tolerance 1e-9); transmit power splits evenly over subbands.
+    unit norm (tolerance _NORM_TOL); transmit power splits evenly over subbands.
     The amplitude is contracted through the path factors: with W the (R, C)
     row-major reshape of w, w^H a[:, p] = ((rows @ W^*) * cols).sum(axis=1)[p]
     for any weights, and w_rx^H H_k w_tx = sum_p coef[k, p]
@@ -254,7 +255,7 @@ def beamformed_power(
         if w.shape != (shape[0] * shape[1],):
             raise ValueError(f"{name} must have shape ({shape[0] * shape[1]},), got {w.shape}")
         norm = math.sqrt(np.vdot(w, w).real)
-        if not abs(norm - 1.0) <= 1e-9:  # NaN too
+        if not abs(norm - 1.0) <= _NORM_TOL:  # NaN too
             raise ValueError(f"{name} must have unit norm, got {norm!r}")
         gains.append(((rows @ w.reshape(shape).conj()) * cols).sum(axis=1))
     if p_tx_w < 0:

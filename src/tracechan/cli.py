@@ -18,7 +18,8 @@ import sys
 
 from .beams import select_best_pair, sweep_power_table
 from .channel import build_channel_matrices
-from .link import GRID_TOL_S, SINR_FLOOR_DB, metrics_to_csv, run_simulation, snapshot_rows
+from .link import (GRID_TOL_S, SINR_FLOOR_DB, _nearest_slots, metrics_to_csv, run_simulation,
+                   snapshot_rows)
 from .raytrace import generate_trace
 from .scenario import ConfigError, ScenarioConfig, build_rt_scenario, build_setup, load_config
 from .traces import TraceFormatError, TraceSet, parse_trace, validate_trace, write_trace
@@ -85,14 +86,12 @@ def _cmd_simulate(args) -> int:
 def _pick_row(times: list[float], requested: float | None, dt: float) -> int:
     if requested is None:
         return 0
-    best = min(range(len(times)), key=lambda i: abs(times[i] - requested))
+    best = int(_nearest_slots(times, [requested])[0])  # a tie takes the lower index
     # snap to the nearest grid time, but only within half a snapshot interval;
     # the negated test also rejects a NaN time, which no comparison holds for
     if not abs(times[best] - requested) <= dt / 2 + GRID_TOL_S:
-        raise ConfigError(
-            [f"--time {requested} is not within {dt / 2} s of any snapshot "
-             f"(grid spans {times[0]} to {times[-1]})"]
-        )
+        raise ConfigError([f"--time {requested} is not within {dt / 2} s of any snapshot "
+                           f"(grid spans {times[0]} to {times[-1]})"])
     return best
 
 

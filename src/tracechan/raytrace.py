@@ -316,17 +316,6 @@ def _reflections(
     return _joined(found)
 
 
-def _trace_reflections_batch(
-    p_tx: list[np.ndarray], p_rx: list[np.ndarray], env: Environment, max_order: int
-) -> list[np.recarray]:
-    """The specular paths of each geometry (p_tx[g], p_rx[g]) on its own."""
-    tx = np.asarray(p_tx, dtype=float).reshape(-1, 3)
-    paths = _reflections(tx, np.asarray(p_rx, dtype=float).reshape(-1, 3), env, max_order)
-    paths = paths[np.argsort(paths.snapshot, kind="stable")]
-    ends = np.cumsum(np.bincount(paths.snapshot, minlength=len(tx))).tolist()
-    return [paths[a:b] for a, b in zip([0, *ends], ends)]
-
-
 def fresnel_parameter(
     h_m: float, d1_m: float, d2_m: float, wavelength_m: float
 ) -> float:

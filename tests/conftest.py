@@ -4,9 +4,10 @@ import cmath
 import math
 from pathlib import Path
 
+import numpy as np
 import yaml
 
-from tracechan import MpcRecord, PathType
+from tracechan import BeamCodebook, Direction, MpcRecord, PathType
 
 CORNER_CFG = str(Path(__file__).resolve().parents[1] / "configs" / "corner.cfg")
 
@@ -59,6 +60,16 @@ def mk_record(
         delay=delay, gain_mag=gain_mag, phase=phase,
         aod_az=aod_az, aod_zen=aod_zen, aoa_az=aoa_az, aoa_zen=aoa_zen,
     )
+
+
+def dft_codebook(scale3=1.0):
+    """Four beams over a 1 x 4 array, beam b's column factors i^(b c) and its row
+    factor 1 (scale3 for beam 3): exact, so each norm is exact too."""
+    quarter = (1, 1j, -1, -1j)
+    cols = np.array([[quarter[b * c % 4] for c in range(4)] for b in range(4)], dtype=complex)
+    rows = np.array([[1.0], [1.0], [1.0], [scale3]], dtype=complex)
+    directions = tuple(Direction(az, 90.0) for az in (0.0, 30.0, 90.0, -30.0))
+    return BeamCodebook(directions, rows, cols)
 
 
 def snapshot_groups(trace, tx_id, rx_id):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import CORNER_CFG, mk_record
+from conftest import CORNER_CFG, dft_codebook, mk_record
 from tracechan import (
     TIE_RTOL,
     BeamCodebook,
@@ -69,6 +69,40 @@ def test_codebook_rows_unit_norm():
     cb = generate_codebook(arr, -60.0, 60.0, 20.0)
     norms = np.linalg.norm(cb.weights, axis=1)
     np.testing.assert_allclose(norms, 1.0, atol=1e-12)
+
+
+def test_codebook_rejects_off_norm_and_nan_beams():
+    with pytest.raises(ValueError) as exc:
+        dft_codebook(1.5)
+    assert str(exc.value) == "codebook beam 3 has weight norm 1.5, not within 1e-09 of 1"
+    cols = dft_codebook().col_factors.copy()
+    cols[3, 1] = np.nan
+    with pytest.raises(ValueError) as exc:
+        replace(dft_codebook(), col_factors=cols)
+    assert str(exc.value) == "codebook beam 3 has weight norm nan, not within 1e-09 of 1"
+    with pytest.raises(ValueError, match="beam 3 has weight norm 1.000000002"):
+        dft_codebook(1.0 + 2e-9)
+    # norms within 1e-9 of 1 are admitted: the sweep tests scale beams by
+    # sqrt(1 - TIE_RTOL), 5e-13 below 1
+    for scale in (1.0 - 9e-10, 1.0 + 9e-10, math.sqrt(1.0 - TIE_RTOL)):
+        assert len(dft_codebook(scale)) == 4
+    with pytest.raises(ValueError, match=r"^col_factors shape \(4,\) does not fit 4 beams$"):
+        BeamCodebook(dft_codebook().directions, np.ones((4, 1)), np.ones(4))
+
+
+def test_codebook_factors_are_read_only():
+    rows = np.ones((4, 1), dtype=complex)
+    cb = replace(dft_codebook(), row_factors=rows)
+    for f in (cb.row_factors, cb.col_factors):
+        assert not f.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            f[0, 0] = 3.0
+    rows[0, 0] = 3.0  # the caller's array stays its own and writeable
+    assert cb.row_factors[0, 0] == 1.0
+    generated = generate_codebook(PlanarArray(2, 3, LAM), -30.0, 30.0, 30.0)
+    for f in (generated.row_factors, generated.col_factors):
+        with pytest.raises(ValueError, match="read-only"):
+            f[0] *= 3.0
 
 
 def test_sweep_table_matches_pairwise_power():
@@ -482,12 +516,83 @@ def test_element_basis_bound_covers_every_entry(
     assert np.float64(got.power_w).tobytes() == np.float64(want.power_w).tobytes()
 
 
+def _scaled_codebook(rng, array, n_beams, scales):
+    """n_beams beams of random unit-modulus factors, beam b's scaled by scales[b]."""
+    phases = rng.uniform(-math.pi, math.pi, (n_beams, array.n_rows + array.n_cols))
+    factors = np.exp(1j * phases)
+    factors[:, :array.n_rows] *= np.asarray(scales)[:, None]
+    dirs = tuple(Direction(0.0, 90.0) for _ in range(n_beams))
+    return BeamCodebook(dirs, factors[:, :array.n_rows], factors[:, array.n_rows:])
+
+
+def _at_upper_edge(cb, b):
+    """cb with beam b rescaled to about the largest norm BeamCodebook admits,
+    1 + _NORM_TOL less a few ulps of rounding in its check."""
+    rows, unit = cb.row_factors.copy(), cb.row_factors[b] / np.linalg.norm(cb.weights[b])
+    for ulps in range(64):
+        rows[b] = unit * (1.0 + beams._NORM_TOL - ulps * 2.0**-52)
+        try:
+            return replace(cb, row_factors=rows)
+        except ValueError:
+            pass
+    raise AssertionError(f"no norm within 64 ulps of 1 + _NORM_TOL admitted for beam {b}")
+
+
+_norm_slack = st.floats(-1.0, 1.0).map(lambda t: 1.0 + t * (beams._NORM_TOL - 1e-14))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n_subbands=st.integers(1, 6),
+    extra_paths=st.integers(1, 8),
+    rx_cols=st.integers(2, 4),
+    tx_scales=st.lists(_norm_slack, min_size=1, max_size=10),
+    rx_scales=st.lists(_norm_slack, min_size=1, max_size=6),
+    aim=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+# one subband and an rx beam aimed at the best tx row: Cauchy-Schwarz is
+# tight, so that beam's entry exceeds the bound of a unit-norm margin
+@example(n_subbands=1, extra_paths=1, rx_cols=2, tx_scales=[1.0, 1.0], rx_scales=[1.0],
+         aim=True, seed=0)
+def test_element_basis_sweep_admits_every_norm_the_codebook_does(
+    n_subbands, extra_paths, rx_cols, tx_scales, rx_scales, aim, seed
+):
+    # P > N_rx: the rx weights enter the bound only through their norm, which
+    # BeamCodebook admits within 1e-9 of 1; one rx beam sits at the upper edge
+    rng = np.random.default_rng(seed)
+    tx_arr, rx_arr = PlanarArray(2, 3, LAM), PlanarArray(1, rx_cols, LAM)
+    ch = build_channel_matrices(_random_records(rng, rx_cols + extra_paths), tx_arr, rx_arr,
+                                SubbandGrid(28e9, 400e6, n_subbands))
+    cb_tx = _scaled_codebook(rng, tx_arr, len(tx_scales), tx_scales)
+    cb_rx = _scaled_codebook(rng, rx_arr, len(rx_scales), rx_scales)
+    edge = len(rx_scales) - 1
+    if aim:  # the last rx beam along the best tx row's strongest rx-element direction
+        tx_paths, coef, (a_rx_t, _), _ = beams._sweep_factors([ch], cb_tx, cb_rx, 0.5)
+        z = (tx_paths[0, :, None, :] * coef[0]) @ a_rx_t[0]  # (n_tx_b, m, N_rx)
+        best = int(np.argmax((np.abs(z) ** 2).sum(axis=(1, 2))))
+        v = np.linalg.svd(z[best])[2][0]  # w = v maximises sum_k |z_k . w^*|^2
+        cols = cb_rx.col_factors.copy()
+        cols[edge] = v * math.sqrt(rx_cols)
+        cb_rx = replace(cb_rx, col_factors=cols)
+    cb_rx = _at_upper_edge(cb_rx, edge)
+    tx_paths, coef, rx_side, scale = beams._sweep_factors([ch], cb_tx, cb_rx, 0.5)
+    assert len(rx_side) == 2
+    table = sweep_power_table(ch, cb_tx, cb_rx, 0.5)
+    assert np.all(beams._row_bounds(tx_paths, coef, rx_side, scale)[0, :, None] >= table)
+    want = select_best_pair(table, cb_tx, cb_rx)
+    got = ideal_beam_sweeps([ch], cb_tx, cb_rx, 0.5)[0]
+    assert (got.tx_index, got.rx_index) == (want.tx_index, want.rx_index)
+    assert np.float64(got.power_w).tobytes() == np.float64(want.power_w).tobytes()
+
+
 @pytest.mark.parametrize("n_tx_beams, n_paths", [(91, 6), (91, 20), (1, 9)],
                          ids=["gram-k-above-p", "gram-k-below-p", "loop"])
 def test_element_basis_bound_is_the_cauchy_schwarz_sum(n_tx_beams, n_paths):
     # with K = 8 subbands and 4 rx elements, 91 tx beams take the Gram form
-    # and one tx beam the loop; either way the bound is scale * sum_k |z_ik|^2
-    # up to its rounding margin, so it keeps no more rows than that sum would
+    # and one tx beam the loop; either way the bound is scale * sum_k |z_ik|^2,
+    # widened by the admitted norm slack 2 * _NORM_TOL, up to its rounding
+    # margin, so it keeps no more rows than that sum would
     rng = np.random.default_rng(n_paths)
     tx_arr, rx_arr = PlanarArray(2, 3, LAM), PlanarArray(2, 2, LAM)
     ch = build_channel_matrices(_random_records(rng, n_paths), tx_arr, rx_arr,
@@ -500,7 +605,7 @@ def test_element_basis_bound_is_the_cauchy_schwarz_sum(n_tx_beams, n_paths):
     z = np.einsum("ip,kp,pn->ikn", tx_paths[0], ch.coef, ch.a_rx.T)
     exact = 0.5 / 8 * (np.abs(z) ** 2).sum(axis=(1, 2))
     bound = beams._row_bounds(tx_paths, coef, rx_side, scale)[0]
-    np.testing.assert_allclose(bound, exact, rtol=1e-9, atol=0.0)
+    np.testing.assert_allclose(bound, exact * (1 + 2 * beams._NORM_TOL), rtol=1e-9, atol=0.0)
 
 
 @settings(max_examples=80, deadline=None)

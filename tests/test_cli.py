@@ -309,18 +309,24 @@ def test_sweep_time_snapping(scene_cfg, tmp_path, capsys):
     assert main(["sweep", "--config", str(scene_cfg), "--out", str(out),
                  "--time", "99.0"]) == 2
     assert "config error" in capsys.readouterr().err
+    # 0.375 is midway between snapshots 0.25 and 0.5: the tie takes the lower
+    assert main(["sweep", "--config", str(scene_cfg), "--out", str(out),
+                 "--time", "0.375"]) == 0
+    assert "t=0.25" in capsys.readouterr().out
 
 
 def test_sweep_nan_time_exits_2(scene_cfg, tmp_path, capsys):
-    # NaN is within no distance of any snapshot, so it must not pick the first
+    # NaN is within no distance of any snapshot, so it must not pick the first;
+    # nor is either infinity, which is infinitely far from every snapshot
     out = tmp_path / "sweep.csv"
-    assert main(["sweep", "--config", str(scene_cfg), "--out", str(out),
-                 "--time", "nan"]) == 2
-    assert capsys.readouterr().err == (
-        "config error: --time nan is not within 0.125 s of any snapshot "
-        "(grid spans 0.0 to 2.0)\n"
-    )
-    assert not out.exists()
+    for time in ("nan", "inf", "-inf"):  # --time=-inf, as -inf alone reads as an option
+        assert main(["sweep", "--config", str(scene_cfg), "--out", str(out),
+                     f"--time={time}"]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: --time {time} is not within 0.125 s of any snapshot "
+            "(grid spans 0.0 to 2.0)\n"
+        )
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("node, params, problem", [

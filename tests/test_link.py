@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tracechan.link as link_module
-from conftest import blocked_corner_config, mk_record, replay_config
+from conftest import blocked_corner_config, dft_codebook, mk_record, replay_config
 from tracechan import (
     AmcTable,
     LinkBudget,
@@ -847,34 +847,24 @@ def test_row_power_does_not_depend_on_its_block(counts, period, factor_bytes, se
         assert m.sinr_db == compute_sinr(sel.power_w, setup.budget)
 
 
-def _dft_codebook(scale3):
-    """Four beams over a 1 x 4 array, beam b's column factors i^(b c) and its row
-    factor 1 (scale3 for beam 3): exact, so each norm is exact too."""
-    quarter = (1, 1j, -1, -1j)
-    cols = np.array([[quarter[b * c % 4] for c in range(4)] for b in range(4)], dtype=complex)
-    rows = np.array([[1.0], [1.0], [1.0], [scale3]], dtype=complex)
-    directions = tuple(Direction(az, 90.0) for az in (0.0, 30.0, 90.0, -30.0))
-    return BeamCodebook(directions, rows, cols)
-
-
-def test_off_norm_beam_raises_on_the_row_that_first_uses_it():
+def test_off_norm_beam_fails_at_codebook_construction():
+    # beam 3's weights have norm 1.5: the codebook fails to construct, so no
+    # link can sweep or hold it, and run_simulation checks no norm per row
+    with pytest.raises(ValueError) as exc:
+        dft_codebook(1.5)
+    assert str(exc.value) == "codebook beam 3 has weight norm 1.5, not within 1e-09 of 1"
     # a path at azimuth 0, 30 and -30 degrees is beam 0's, 1's and 3's
-    # direction; beam 3's weights have norm 1.5, so row 2, whose sweep picks
-    # it, raises after rows 0 and 1 pass, with the per-row check's message
+    # direction; with every beam at unit norm the rows pick beams 0, 1, 3 and 0
     tx_arr, rx_arr = PlanarArray(1, 4, LAM), PlanarArray(1, 1, LAM)
     setup = replace(
         _free_space_setup(n_snapshots=4, training_period=0.1), tx_array=tx_arr,
-        rx_array=rx_arr, tx_codebook=_dft_codebook(1.5),
+        rx_array=rx_arr, tx_codebook=dft_codebook(),
         rx_codebook=BeamCodebook((Direction(0.0, 90.0),), np.ones((1, 1), complex),
                                  np.ones((1, 1), complex)),
     )
     trace = TraceSet([mk_record(t=0.1 * k, gain_mag=1e-5, aod_az=az, aod_zen=90.0, aoa_zen=90.0)
                       for k, az in enumerate((0.0, 30.0, -30.0, 0.0))])
-    with pytest.raises(ValueError) as exc:
-        run_simulation(trace, setup)
-    assert str(exc.value) == "w_tx must have unit norm, got 1.5"
-    # with every beam at unit norm the same rows pick beams 0, 1, 3 and 0
-    picked = run_simulation(trace, replace(setup, tx_codebook=_dft_codebook(1.0)))
+    picked = run_simulation(trace, setup)
     assert [m.selection.tx_index for m in picked] == [0, 1, 3, 0]
 
 

@@ -44,7 +44,7 @@ def _paths(p_tx, p_rx, env, order=4, kind=None):
     """The paths generate_trace emits for one geometry, reflections traced up
     to order; only those of PathType kind when given."""
     p_tx, p_rx = np.asarray(p_tx, dtype=float), np.asarray(p_rx, dtype=float)
-    reflections = raytrace._trace_reflections_batch([p_tx], [p_rx], env, order)[0]
+    reflections = raytrace._reflections(p_tx[None], p_rx[None], env, order)
     paths = raytrace._snapshot_paths(p_tx, p_rx, env, F_C, reflections)
     return [p for p in paths if kind is None or p.path_type is kind]
 
@@ -463,7 +463,8 @@ def test_batched_tracer_matches_scalar_oracle(scene, batch):
     with mock.patch.object(raytrace, "_BATCH", batch), np.errstate(
         divide="raise", over="raise", invalid="raise"
     ):
-        batched = raytrace._trace_reflections_batch([tx] * len(rxs), rxs, env, order)
+        paths = raytrace._reflections(np.tile(tx, (len(rxs), 1)), np.array(rxs), env, order)
+        batched = [paths[paths.snapshot == g] for g in range(len(rxs))]
         snapshot = raytrace._snapshot_paths(tx, rxs[0], env, F_C, batched[0])
     for rx, paths in zip(rxs, batched):
         want = raytrace_oracle.trace_reflections(tx, rx, env, F_C, order)
@@ -489,7 +490,7 @@ def test_grazing_blocker_occludes_like_the_oracle():
     for env, count in ((Environment((WALL_Y5,)), 1),
                        (Environment((WALL_Y5, _grazing_blocker())), 0)):
         want = raytrace_oracle.trace_reflections(P_TX, P_RX, env, F_C, 1)
-        got = raytrace._trace_reflections_batch([P_TX], [P_RX], env, 1)[0]
+        got = raytrace._reflections(P_TX[None], P_RX[None], env, 1)
         assert len(want) == count
         assert [_path_bytes(p) for p in got] == [_path_bytes(p) for p in want]
 

@@ -29,25 +29,10 @@ beams of a planar array tie in exact arithmetic, so an exact argmax would
 pick between them on rounding noise.
 
 ideal_beam_sweeps finds that winner for each of many channels without
-filling their tables. Each tx beam's row has an upper bound. In the path
-basis a pair's power is a Rayleigh quotient of M = coef^H coef, bounded
-through a Gershgorin bound on its largest eigenvalue. In the element basis
-it is at most the squared norm of the pair's rx-element amplitudes, since
-the rx weights have unit norm (Cauchy-Schwarz). Summed over the
-coefficient rows, that norm is a quadratic form of the tx projection in a
-P x P Gram matrix: one small product per channel, or one product per
-coefficient row (many paths, or one tx beam), whichever takes fewer
-multiply-adds. A NaN bound, from an overflowed product, reads inf. Only
-the rows whose bound reaches the tie threshold of the best confirmed
-power are computed, by the same row kernel as sweep_power_table.
-Channels with equal coefficient shapes are swept together: their factors
-are stacked on a leading channel axis, so each projection, the QR, the
-bounds and the first confirm are one call per chunk of channels. The
-winner is the one select_best_pair picks on the channel's
-sweep_power_table. A one-channel sweep (ideal_beam_sweep) computes every
-product as that table does, so its power is bit-equal too; in a batch the
-tx projection is a matrix-matrix product, so a power may move in its last
-bits, and a winner only if that carries a pair across the tie threshold.
+filling their tables: only the tx rows whose upper bound (_row_bounds)
+reaches the tie threshold of the best confirmed power are computed, by the
+same row kernel as sweep_power_table. Channels on one subband grid with
+equal path counts are swept together, in chunks (see ideal_beam_sweeps).
 """
 
 from __future__ import annotations
@@ -58,11 +43,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .arrays import Direction, PlanarArray, _wrap_azimuth, steering_factors
+from .arrays import Direction, PlanarArray, _responses, _wrap_azimuth, steering_factors
 # steering_vector is not used here; perfbench/tests/test_perfbench.py reads
 # tracechan.beams.steering_vector, so the name stays importable from beams
 from .arrays import steering_vector  # noqa: F401
-from .channel import _NORM_TOL, ChannelMatrixSet, _finite_power
+from .channel import _NORM_TOL, ChannelMatrixSet, PathFactors, _finite_power, _subband_terms
 
 __all__ = [
     "TIE_RTOL",
@@ -74,6 +59,11 @@ __all__ = [
     "ideal_beam_sweep",
     "ideal_beam_sweeps",
 ]
+
+# No elided temporaries: a complex product never takes a call result or an
+# expression as an operand unless its output is explicit (out=, or an in-place *=
+# such as _project's). numpy computes a * b with a temporary b of 16,384 elements or
+# more as b * a in b's buffer; the two may round apart, by how many paths share a call.
 
 # Relative tolerance under which two sweep powers count as tied. Mirror-image
 # beams of a planar array (az and 180 - az for a vertical array) give powers
@@ -96,14 +86,15 @@ _ERR_UNIT = 2.0**-50
 _SWEEP_BYTES = 1 << 17
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BeamCodebook:
     """Beams on a regular azimuth x zenith grid, azimuth-major order.
 
     Beam b's weights are the Kronecker product of row_factors[b] and
     col_factors[b] over sqrt(R * C), in steering_matrix's row-major element
     order, and must have unit norm within _NORM_TOL (NaN fails too). The
-    factors are kept read-only; a writeable one is copied first.
+    factors are kept read-only; a writeable one is copied first. Codebooks
+    compare and hash by their directions and the factors' shapes and bytes.
     """
 
     directions: tuple[Direction, ...]
@@ -126,6 +117,16 @@ class BeamCodebook:
         if (bad := ~(np.abs(norm - 1.0) <= _NORM_TOL)).any():  # NaN too
             raise ValueError(f"codebook beam {bad.argmax()} has weight norm "
                              f"{float(norm[bad.argmax()])!r}, not within {_NORM_TOL!r} of 1")
+
+    def _key(self) -> tuple:
+        return self.directions, *((f.shape, f.tobytes()) for f in (self.row_factors,
+                                                                   self.col_factors))
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, BeamCodebook) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def __len__(self) -> int:
         return len(self.directions)
@@ -203,9 +204,10 @@ def _project(codebook: BeamCodebook, rows: np.ndarray, cols: np.ndarray) -> np.n
 
 def _gains(codebook: BeamCodebook, b: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """(P,) gains w_{b[p]}^H a[:, p]: _project's entry (b[p], p) conjugated, O(R + C) a path."""
-    return ((rows * codebook.row_factors[b].conj()).sum(axis=1)
-            * (cols * codebook.col_factors[b].conj()).sum(axis=1)
-            / math.sqrt(codebook.n_elements))
+    row_f, col_f = codebook.row_factors[b].conj(), codebook.col_factors[b].conj()
+    row_g, col_g = (rows * row_f).sum(axis=1), (cols * col_f).sum(axis=1)
+    gain = row_g * col_g
+    return gain / math.sqrt(codebook.n_elements)
 
 
 def _sweep_factors(
@@ -216,35 +218,37 @@ def _sweep_factors(
 ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...], float]:
     """The tx projections, coefficient rows, rx factors and scale of a sweep.
 
-    channels share one (K, P) coefficient shape; every factor but the shared
-    element-basis rx weights is stacked on a leading channel axis G. With
+    channels share one grid and one path count P. Their PathFactors are
+    concatenated once, every factor but the shared element-basis rx weights
+    is stacked on a leading channel axis G, and the (G, K, P) coefficients,
+    each channel's bit-equal to its coef, are one _subband_terms call. With
     x = (a_tx^H w_tx) * (a_rx^T w_rx^*) a pair's per-subband amplitudes are
     coef @ x, and sum_k |coef @ x|^2 equals sum_j |r @ x|^2 for the QR
     factor r of coef, which has min(K, P) rows. The tx projections of all
     channels are one _project product, (G, n_tx_b, P), and so are the rx
     projections in the path basis, (G, P, n_rx_b). With more paths than rx
     elements the rx side is the element-basis pair (G, P, N_rx) and
-    (N_rx, n_rx_b), and only then is a_rx assembled.
+    (N_rx, n_rx_b), and only then is a_rx assembled, in one _responses call.
     """
     if p_tx_w < 0:
         raise ValueError("p_tx_w must be non-negative")
-    n, (k, p) = len(channels), channels[0].coef.shape
-    paths = [ch.paths for ch in channels]
-
-    def project(codebook, rows, cols):  # (n_beams, G, P), one product for every channel
-        t = _project(codebook, np.concatenate([getattr(f, rows) for f in paths]),
-                     np.concatenate([getattr(f, cols) for f in paths]))
-        return t.reshape(len(codebook), n, p)
-
-    tx_paths = project(tx_codebook, "tx_rows", "tx_cols").transpose(1, 0, 2)
+    n, p, grid = len(channels), len(channels[0].paths), channels[0].grid
+    f = PathFactors(*map(np.concatenate, zip(*(vars(ch.paths).values() for ch in channels))))
+    tx_paths = _project(tx_codebook, f.tx_rows, f.tx_cols).reshape(len(tx_codebook), n, p)
+    tx_paths = tx_paths.transpose(1, 0, 2)
     if p <= rx_codebook.n_elements:
-        rx_side = (project(rx_codebook, "rx_rows", "rx_cols").conj().transpose(1, 2, 0),)
+        rx_paths = _project(rx_codebook, f.rx_rows, f.rx_cols).reshape(len(rx_codebook), n, p)
+        rx_side = (rx_paths.conj().transpose(1, 2, 0),)
     else:
-        rx_side = (np.stack([ch.a_rx.T for ch in channels]), rx_codebook.weights.conj().T)
-    coef = np.stack([ch.coef for ch in channels])
-    if k > p:
+        a_rx_t = _responses(f.rx_rows, f.rx_cols).T  # (G P, N_rx), C-ordered
+        rx_side = (a_rx_t.reshape(n, p, -1), rx_codebook.weights.conj().T)
+    # a new C-ordered (G, K, P) array: a transposed view would keep a 16 K byte
+    # stride on a size-1 axis at P = 1, which can take matmul off BLAS
+    coef = _subband_terms(f.phasor, f.delay, grid).reshape(n, p, grid.n_subbands)
+    coef = coef.transpose(0, 2, 1).copy()
+    if grid.n_subbands > p:
         coef = np.linalg.qr(coef, mode="r")  # (G, P, P) with r^H r = coef^H coef
-    return tx_paths, coef, rx_side, p_tx_w / channels[0].grid.n_subbands
+    return tx_paths, coef, rx_side, p_tx_w / grid.n_subbands
 
 
 def _power_rows(
@@ -474,7 +478,7 @@ def ideal_beam_sweeps(
     every bound is 0 (no paths, or only zero-gain ones) no row is computed:
     the answer is the all-zero table's pair (0, 0) at 0 W.
 
-    The channels are grouped by coefficient shape (K, P), and each group is
+    The channels are grouped by subband grid and path count, and each group is
     swept in chunks of about _SWEEP_BYTES of tx projections: one projection
     product per side, one stacked QR, bound and two-row confirm per chunk.
     In a chunk of several channels the tx projection is a matrix-matrix
@@ -485,9 +489,9 @@ def ideal_beam_sweeps(
     raises ValueError naming the time of the first such channel.
     """
     results: list = [None] * len(channels)
-    groups: dict = {}  # coefficient shape -> indices of its channels
+    groups: dict = {}  # (grid, path count) -> indices of its channels
     for i, ch in enumerate(channels):
-        groups.setdefault(ch.coef.shape, []).append(i)
+        groups.setdefault((ch.grid, len(ch.paths)), []).append(i)
     for (_, n_paths), members in groups.items():
         per = max(1, _SWEEP_BYTES // (16 * len(tx_codebook) * max(n_paths, 1)))
         for lo in range(0, len(members), per):
@@ -506,7 +510,7 @@ def _sweep_chunk(
     rx_codebook: BeamCodebook,
     p_tx_w: float,
 ) -> list[tuple[BeamSelection, float]]:
-    """ideal_beam_sweeps' winner and table maximum of each channel of one shape."""
+    """ideal_beam_sweeps' winner and table maximum of each channel of one group."""
     tx_paths, coef, rx_side, scale = _sweep_factors(channels, tx_codebook, rx_codebook, p_tx_w)
     bound = _row_bounds(tx_paths, coef, rx_side, scale)  # (G, n_tx_b)
     # every bound covers its row, so a channel whose bounds are all 0 has an

@@ -19,16 +19,16 @@ A snapshot with P paths gives a channel of rank at most P, so it is kept
 factored: H_k = A_rx diag(c_k) A_tx^H with the (K, P) per-path subband
 coefficients c and the snapshot's PathFactors, whose row and column
 factors define the (N_rx, P) arrival and (N_tx, P) departure steering
-matrices A_rx and A_tx. The subband offsets step evenly, so a path's
-coefficients are a phase ramp over the subband index times one first
-term: _subband_terms computes them as (P, K) rows, about 2 sqrt(K)
-complex exponentials a path (see arrays._phase_ramp), and
-build_channel_matrices transposes them into coef. run_simulation computes
-a block of rows' terms once, cuts each training row's channel out of
-them, bit-equal to that row's build_channel_matrices, and takes every
-row's power through its held pair from the same terms. Beam sweeps and
-beamformed_power contract the factors directly. A_rx, A_tx and the dense
-(K, N_rx, N_tx) tensor are assembled only when read.
+matrices A_rx and A_tx. A channel stores only its PathFactors: c, A_rx,
+A_tx and the dense (K, N_rx, N_tx) tensor are computed from them when
+read. The subband offsets step evenly, so a path's coefficients are a
+phase ramp over the subband index times one first term: _subband_terms
+computes them as (P, K) rows, about 2 sqrt(K) complex exponentials a path
+(see arrays._phase_ramp), and a row's bits do not depend on which paths
+share the call. So every consumer computes the coefficients it needs from
+the factors it holds: ChannelMatrixSet.coef, a beam sweep for its chunk of
+channels, and run_simulation's row evaluation for its block of rows, all
+bit-equal on the same paths.
 """
 
 from __future__ import annotations
@@ -77,11 +77,6 @@ class SubbandGrid:
     def wavelength_m(self) -> float:
         return SPEED_OF_LIGHT / self.carrier_hz
 
-    def offsets_hz(self) -> np.ndarray:
-        """Subband center offsets from the carrier: (k + 0.5) B/K - B/2."""
-        k = np.arange(self.n_subbands)
-        return (k + 0.5) * self.bandwidth_hz / self.n_subbands - self.bandwidth_hz / 2
-
 
 @dataclass(frozen=True)
 class PathFactors:
@@ -112,20 +107,20 @@ class PathFactors:
 class ChannelMatrixSet:
     """Per-subband channel H_k = a_rx diag(coef[k]) a_tx^H of one snapshot.
 
-    paths is the snapshot's PathFactors. a_rx and a_tx, the (N_rx, P) and
-    (N_tx, P) steering matrices whose column p is the Kronecker product of
-    path p's row and column factors, are assembled from them on every read.
+    paths is the snapshot's PathFactors. coef, and a_rx and a_tx, the
+    (N_rx, P) and (N_tx, P) steering matrices whose column p is the
+    Kronecker product of path p's row and column factors, are computed from
+    them on every read.
     """
 
-    coef: np.ndarray  # (K, P) complex per-path coefficient on each subband
     paths: PathFactors
     grid: SubbandGrid
     time: float
 
-    def __post_init__(self) -> None:
-        if self.coef.shape != (self.grid.n_subbands, len(self.paths)):
-            raise ValueError(f"coef shape {self.coef.shape} does not fit {len(self.paths)} "
-                             f"paths on {self.grid.n_subbands} subbands")
+    @property
+    def coef(self) -> np.ndarray:
+        """(K, P) per-path coefficients on each subband, a new C-ordered array."""
+        return _subband_terms(self.paths.phasor, self.paths.delay, self.grid).T.copy()
 
     @property
     def a_rx(self) -> np.ndarray:
@@ -178,7 +173,7 @@ def path_factors(
 
 
 def build_channel_matrices(
-    paths: TraceSet | Sequence[MpcRecord] | PathFactors,
+    paths: TraceSet | Sequence[MpcRecord],
     tx_array: PlanarArray,
     rx_array: PlanarArray,
     grid: SubbandGrid,
@@ -186,40 +181,36 @@ def build_channel_matrices(
 ) -> ChannelMatrixSet:
     """Assemble the factored per-subband channel of one snapshot.
 
-    paths is the snapshot's paths: a TraceSet or MpcRecords, which must all
-    share one (t, tx_id, rx_id), or their PathFactors for these arrays
-    (run_simulation slices them out of its link's). t defaults to the
-    records' time, else 0.0; no paths give a channel with zero-path factors
-    and all-zero matrices. Records go through path_factors, so the same
-    fields raise ValueError. No steering matrix is assembled here.
+    paths is the snapshot's TraceSet or MpcRecords, which must all share one
+    (t, tx_id, rx_id). t defaults to the records' time, else 0.0; no paths
+    give a channel with zero-path factors and all-zero matrices. Records go
+    through path_factors, so the same fields raise ValueError. No steering
+    matrix or coefficient is computed here.
     """
-    if not isinstance(paths, PathFactors):
-        trace = paths if isinstance(paths, TraceSet) else TraceSet(paths)
-        c = trace.columns
-        if t is None:
-            t = c["t"][0].item() if len(trace) else 0.0
-        if ((c["t"] != t) | (c["tx_id"] != c["tx_id"][:1]) | (c["rx_id"] != c["rx_id"][:1])).any():
-            raise ValueError("records must belong to a single (t, tx_id, rx_id) snapshot")
-        paths = path_factors(trace, tx_array, rx_array)
-    elif t is None:
-        t = 0.0
-    # (K, P) per-path complex coefficient on each subband, a new C-ordered array
-    coef = _subband_terms(paths.phasor, paths.delay, grid).T.copy()
-    return ChannelMatrixSet(coef, paths, grid, t)
+    trace = paths if isinstance(paths, TraceSet) else TraceSet(paths)
+    c = trace.columns
+    if t is None:
+        t = c["t"][0].item() if len(trace) else 0.0
+    if ((c["t"] != t) | (c["tx_id"] != c["tx_id"][:1]) | (c["rx_id"] != c["rx_id"][:1])).any():
+        raise ValueError("records must belong to a single (t, tx_id, rx_id) snapshot")
+    return ChannelMatrixSet(path_factors(trace, tx_array, rx_array), grid, t)
 
 
 def _subband_terms(scale: np.ndarray, delay: np.ndarray, grid: SubbandGrid) -> np.ndarray:
     """The (P, K) terms scale[p] exp(-j 2 pi df_k delay[p]) of P paths on grid's subbands.
 
-    The offsets df_k = f_0 + k B/K step evenly from the first one, f_0, so a
+    Subband k's center sits df_k = (k + 0.5) B/K - B/2 from the carrier, so
+    the offsets step evenly from the first one, f_0 = B/(2K) - B/2, and a
     path's row is scale exp(-j 2 pi f_0 tau) times the phase ramp of step
     -2 pi (B/K) tau (arrays._phase_ramp): about 2 sqrt(K) complex
-    exponentials a path instead of K. Every product writes a new array, so a
-    path's row is bit-equal whichever paths share the call, and a channel's
-    coef is the transposed rows of its paths.
+    exponentials a path instead of K. Every product writes a new array from
+    named or view operands (see the rule in beams), so a path's row is
+    bit-equal whichever paths share the call, and a channel's coef is the
+    transposed rows of its paths.
     """
     step = grid.bandwidth_hz / grid.n_subbands
-    first = scale * np.exp(-2j * math.pi * (0.5 * step - grid.bandwidth_hz / 2) * delay)
+    turn = np.exp(-2j * math.pi * (0.5 * step - grid.bandwidth_hz / 2) * delay)
+    first = scale * turn
     return first[:, None] * _phase_ramp(-2.0 * math.pi * step * delay, grid.n_subbands)
 
 
@@ -257,10 +248,12 @@ def beamformed_power(
         norm = math.sqrt(np.vdot(w, w).real)
         if not abs(norm - 1.0) <= _NORM_TOL:  # NaN too
             raise ValueError(f"{name} must have unit norm, got {norm!r}")
-        gains.append(((rows @ w.reshape(shape).conj()) * cols).sum(axis=1))
+        proj = rows @ w.reshape(shape).conj()  # (P, C)
+        gains.append((proj * cols).sum(axis=1))
     if p_tx_w < 0:
         raise ValueError("p_tx_w must be non-negative")
 
-    amp = channel.coef @ (gains[1] * gains[0].conj())  # (K,)
+    tx_conj = gains[0].conj()
+    amp = channel.coef @ (gains[1] * tx_conj)  # (K,)
     per_subband = (p_tx_w / channel.grid.n_subbands) * np.abs(amp) ** 2
     return per_subband, _finite_power(float(per_subband.sum()), channel.time)

@@ -3,13 +3,13 @@
 snapshot_rows is the one snapshot schedule: it turns a trace and the
 setup's time grid into row times and offsets into the link's paths,
 outages included, and rejects a trace that is off the grid. run_simulation
-computes the link's steering factors and subband terms a block of rows at
-a time, trains the block's training rows in one batched sweep on channels
-cut from them (ideal sweeps, no airtime, on a fixed period), computes every
-row's received power through the beams last trained in one vectorised pass
-over the same terms, and walks the rows in order: map the power to SINR,
-pick the rate, and derive throughput and a queueing-flavored delay from an
-analytic saturation model.
+computes the link's path factors a block of rows at a time, trains the
+block's training rows in one batched sweep on their slices of them (ideal
+sweeps, no airtime, on a fixed period), computes every row's received power
+through the beams last trained in one vectorised pass over the same
+factors, and walks the rows in order: map the power to SINR, pick the rate,
+and derive throughput and a queueing-flavored delay from an analytic
+saturation model. No subband coefficients pass between these steps.
 """
 
 from __future__ import annotations
@@ -255,19 +255,24 @@ class SimulationSetup:
 def _nearest_slots(grid: np.typing.ArrayLike, times: np.typing.ArrayLike) -> np.ndarray:
     """Each time's np.argmin(np.abs(grid - t)) slot, for a strictly increasing grid.
 
-    |grid - t| does not grow from the first grid time at or above t down to
-    the nearest one below it, so each slot starts there and steps down while
-    the next lower distance is no larger: a tie takes the lower index, as
-    argmin takes the first minimum, also where rounding ties distinct grid
-    times far from t.
+    |grid - t| does not grow up to the first grid time at or above t, so a
+    time's slot is the first one no farther than the nearer of that grid time
+    and the one below it: argmin takes the first minimum, also where rounding
+    ties distinct grid times far from t (past the end, or at inf or NaN, it
+    may tie them all). A slot whose lower neighbour is farther is settled at
+    once; the others are bisected together in about log2(len(grid)) steps.
     """
     grid, times = np.asarray(grid), np.asarray(times)
-    slots = np.minimum(np.searchsorted(grid, times), len(grid) - 1)
-    while True:
-        back = (slots > 0) & (np.abs(grid[slots - 1] - times) <= np.abs(grid[slots] - times))
-        if not back.any():
-            return slots
-        slots -= back
+    hi = np.minimum(np.searchsorted(grid, times), len(grid) - 1)
+    lower = np.maximum(hi - 1, 0)
+    hi = np.where(np.abs(grid[lower] - times) <= np.abs(grid[hi] - times), lower, hi)
+    best = np.abs(grid[hi] - times)
+    lo = np.where(np.abs(grid[np.maximum(hi - 1, 0)] - times) > best, hi, 0)
+    while (lo < hi).any():
+        mid = (lo + hi) // 2
+        near = ~(np.abs(grid[mid] - times) > best)  # NaN too
+        lo, hi = np.where(near, lo, mid + 1), np.where(near, mid, hi)
+    return hi
 
 
 def snapshot_rows(trace: TraceSet, setup: SimulationSetup) -> tuple[list[float], np.ndarray]:
@@ -322,21 +327,21 @@ _FACTOR_BYTES = 1 << 20
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a row whose power overflows raises instead
-def _row_powers(factors: PathFactors, terms: np.ndarray, counts: np.ndarray,
-                sels: list[BeamSelection], setup: SimulationSetup) -> list[float]:
+def _row_powers(factors: PathFactors, counts: np.ndarray, sels: list[BeamSelection],
+                setup: SimulationSetup) -> list[float]:
     """Each row's power through its pair sels[i], watts, from its counts[i] paths in factors.
 
-    terms is the paths' (P, K) _subband_terms, whose rows transposed are the coefficients of
-    the rows' channels, bit for bit. Only elementwise products (beams._gains, O(R + C) a
-    path) and per-row sums run: no row depends on another.
+    The paths' (P, K) _subband_terms, whose rows transposed are the coefficients of the
+    rows' channels, are computed here. Only elementwise products with no elided temporary
+    (see beams) and per-row sums run: no row depends on another.
     """
     has, power = counts > 0, np.zeros(len(counts))
     if has.any():
-        # no product of two arrays writes over one: numpy may round such an in-place
-        # product by its position in the array, and so by the rows beside it
         b = np.repeat([(sel.tx_index, sel.rx_index) for sel in sels], counts, axis=0)
-        x = (_gains(setup.rx_codebook, b[:, 1], factors.rx_rows, factors.rx_cols)
-             * _gains(setup.tx_codebook, b[:, 0], factors.tx_rows, factors.tx_cols).conj())
+        rx_g = _gains(setup.rx_codebook, b[:, 1], factors.rx_rows, factors.rx_cols)
+        tx_conj = _gains(setup.tx_codebook, b[:, 0], factors.tx_rows, factors.tx_cols).conj()
+        x = rx_g * tx_conj
+        terms = _subband_terms(factors.phasor, factors.delay, setup.grid)
         amp = np.add.reduceat(terms * x[:, None], (np.cumsum(counts) - counts)[has], axis=0)
         power[has] = (setup.budget.tx_power_w / setup.grid.n_subbands * np.abs(amp) ** 2).sum(1)
     return power.tolist()
@@ -351,12 +356,12 @@ def run_simulation(trace: TraceSet, setup: SimulationSetup) -> list[LinkMetrics]
     are held until the next training. A training row that is an outage finds
     no paths, so training stays due and the next row trains. The schedule
     depends only on the row times and on which rows have paths, so it is
-    fixed up front. Each block of path_factors has its _subband_terms
-    computed once, and trains all of its training rows in one
-    ideal_beam_sweeps call on channels cut from the two; then _row_powers
-    gives each row its power through the pair last trained from the same
-    terms, with no held row's channel. The first row whose power is not
-    finite raises; beams need no check, as a BeamCodebook has unit norm.
+    fixed up front. Each block of path_factors trains all of its training
+    rows in one ideal_beam_sweeps call on channels that hold the rows'
+    slices of the block's factors; then _row_powers gives each row its
+    power through the pair last trained from the same factors, with no held
+    row's channel. The first row whose power is not finite raises; beams
+    need no check, as a BeamCodebook has unit norm.
     """
     cb_tx, cb_rx = setup.tx_codebook, setup.rx_codebook
     tx, rx = setup.tx_array, setup.rx_array
@@ -379,15 +384,12 @@ def run_simulation(trace: TraceSet, setup: SimulationSetup) -> list[LinkMetrics]
         factors = path_factors(link_paths[start:max(offsets[first + 1], start + block)], tx, rx)
         end = bisect.bisect_right(offsets, start + len(factors)) - 1
         factors = factors[:offsets[end] - start]  # the block's whole rows
-        terms = _subband_terms(factors.phasor, factors.delay, setup.grid)
-        # a training row's channel, cut from the block's: build_channel_matrices', bit for bit
-        cuts = {i: slice(offsets[i] - start, offsets[i + 1] - start)
-                for i in range(first, end) if trains[i]}
-        picks = dict(zip(cuts, ideal_beam_sweeps(
-            [ChannelMatrixSet(terms[cut].T.copy(), factors[cut], setup.grid, times[i])
-             for i, cut in cuts.items()], cb_tx, cb_rx, setup.budget.tx_power_w)))
+        trained = [i for i in range(first, end) if trains[i]]
+        picks = dict(zip(trained, ideal_beam_sweeps(
+            [ChannelMatrixSet(factors[offsets[i] - start:offsets[i + 1] - start], setup.grid,
+                              times[i]) for i in trained], cb_tx, cb_rx, setup.budget.tx_power_w)))
         sels = [sel := picks.get(i, sel) for i in range(first, end)]  # the first row trains
-        powers = _row_powers(factors, terms, np.diff(offsets[first:end + 1]), sels, setup)
+        powers = _row_powers(factors, np.diff(offsets[first:end + 1]), sels, setup)
         for i, sel, p_rx in zip(range(first, end), sels, powers):
             sinr = compute_sinr(_finite_power(p_rx, times[i]), setup.budget)
             mcs = select_mcs(sinr, setup.amc)

@@ -1,6 +1,7 @@
 """Codebook generation and exhaustive beam sweeps."""
 
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -103,6 +104,42 @@ def test_codebook_factors_are_read_only():
     for f in (generated.row_factors, generated.col_factors):
         with pytest.raises(ValueError, match="read-only"):
             f[0] *= 3.0
+
+
+def test_codebooks_compare_and_hash_by_value():
+    arr = PlanarArray(2, 3, LAM, bearing_deg=20.0)
+    a, b = (generate_codebook(arr, -60.0, 60.0, 30.0) for _ in range(2))
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != generate_codebook(arr, -60.0, 60.0, 20.0)  # other directions
+    # the same directions with another array's factors
+    assert a != generate_codebook(replace(arr, bearing_deg=30.0), -60.0, 60.0, 30.0)
+    assert a != replace(a, row_factors=a.row_factors[:, :1], col_factors=a.col_factors[:, :1])
+    assert a != "a codebook"
+    cfg = load_config(CORNER_CFG)
+    first, second = build_setup(cfg), build_setup(cfg)
+    assert first == second and hash(first) == hash(second)
+
+
+def test_numpy_elides_a_temporary_of_16384_elements():
+    # the premise of beams' rule against elided temporaries: numpy computes
+    # a * b with a temporary b of 16,384 complex128 elements (256 KiB) or more
+    # in b's buffer, as b * a, and allocates a new array one element below.
+    # Where b * a and a * b round apart, a path's bits would then depend on how
+    # many paths share its call
+    rng = np.random.default_rng(0)
+    was_tracing = tracemalloc.is_tracing()
+    for n, elided in ((16383, False), (16384, True)):
+        a, f = (rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(2))
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        got = a * np.conj(f)
+        peak = tracemalloc.get_traced_memory()[1] - start
+        if not was_tracing:
+            tracemalloc.stop()
+        assert (peak < 24 * n) == elided  # one buffer of 16 n bytes, or two
+        want = np.multiply(np.conj(f), a) if elided else np.multiply(a, np.conj(f))
+        assert got.tobytes() == want.tobytes()
 
 
 def test_sweep_table_matches_pairwise_power():
@@ -796,6 +833,24 @@ def test_batched_sweeps_match_per_channel_sweeps(
     for g, w in zip(got, want, strict=True):
         assert (g.tx_index, g.rx_index) == (w.tx_index, w.rx_index)
         assert g.power_w == pytest.approx(w.power_w, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("n_paths", [3, 6], ids=["path-basis", "element-basis"])
+def test_batched_sweeps_group_channels_by_grid(n_paths):
+    # channels with equal (K, P) on two grids that differ only in bandwidth
+    # are swept apart: each one's pick and power are its own sweep's, bit for bit
+    rng = np.random.default_rng(n_paths)
+    tx_arr, rx_arr = PlanarArray(2, 3, LAM, bearing_deg=10.0), PlanarArray(2, 2, LAM)
+    cb_tx = generate_codebook(tx_arr, -90.0, 90.0, 15.0)
+    cb_rx = generate_codebook(rx_arr, -180.0, 90.0, 90.0, 60.0, 120.0, 60.0)
+    channels = [build_channel_matrices(_random_records(rng, n_paths), tx_arr, rx_arr,
+                                       SubbandGrid(28e9, bandwidth, 4))
+                for bandwidth in (100e6, 400e6)]
+    got = ideal_beam_sweeps(channels, cb_tx, cb_rx, 0.5)
+    for g, ch in zip(got, channels, strict=True):
+        w = ideal_beam_sweep(ch, cb_tx, cb_rx, 0.5)
+        assert (g.tx_index, g.rx_index, g.power_w.hex()) == (w.tx_index, w.rx_index,
+                                                            w.power_w.hex())
 
 
 def test_batched_sweep_names_the_first_overflowing_channel():

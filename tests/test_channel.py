@@ -31,16 +31,6 @@ def test_grid_validation_and_wavelength():
         SubbandGrid(28e9, 100e6, 0)
 
 
-def test_subband_offsets_centered():
-    grid = SubbandGrid(28e9, 100e6, 8)
-    offs = grid.offsets_hz()
-    assert offs[0] == pytest.approx(-43.75e6)
-    assert offs[-1] == pytest.approx(43.75e6)
-    assert offs.sum() == pytest.approx(0.0, abs=1e-6)
-    # K = 1 degenerates to the carrier itself
-    assert GRID1.offsets_hz()[0] == 0.0
-
-
 def test_single_path_siso():
     rec = mk_record(gain_mag=2e-5, phase=0.75)
     one = PlanarArray(1, 1, LAM)
@@ -315,7 +305,9 @@ def test_subband_terms_match_one_exponential_per_subband(k, delays, seed):
     scale = rng.uniform(0.0, 1e-3, len(delay)) * np.exp(1j * rng.uniform(-math.pi, math.pi,
                                                                            len(delay)))
     got = _subband_terms(scale, delay, grid)
-    want = scale[:, None] * np.exp(-2j * math.pi * np.multiply.outer(delay, grid.offsets_hz()))
+    # subband centers (k + 0.5) B/K - B/2 from the carrier
+    offsets = (np.arange(k) + 0.5) * grid.bandwidth_hz / k - grid.bandwidth_hz / 2
+    want = scale[:, None] * np.exp(-2j * math.pi * np.multiply.outer(delay, offsets))
     bound = 16 * np.finfo(float).eps * (1 + math.pi * grid.bandwidth_hz * delay) * np.abs(scale)
     assert (np.abs(got - want) <= bound[:, None]).all()
     # a path's terms are bit-equal whichever paths share the call, and a

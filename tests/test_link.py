@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -35,8 +36,7 @@ from tracechan import (
 )
 from tracechan.arrays import Direction, _wrap_azimuth
 from tracechan.beams import BeamCodebook
-from tracechan.channel import (_subband_terms, beamformed_power, build_channel_matrices,
-                               path_factors)
+from tracechan.channel import beamformed_power, build_channel_matrices, path_factors
 from tracechan.cli import main
 from tracechan.link import METRICS_COLUMNS, SINR_FLOOR_DB, snapshot_rows
 from tracechan.scenario import build_rt_scenario, build_setup, load_config
@@ -538,6 +538,27 @@ def test_nearest_slots_match_argmin(grid, picks):
     assert link_module._nearest_slots(grid, times).tolist() == want
 
 
+@pytest.mark.parametrize("past, slot", [(math.inf, 0), (1e300, 0), ("next", 15999),
+                                        (math.nan, 0)])
+def test_nearest_slots_settle_times_past_the_grid_at_once(past, slot):
+    # every distance from inf or 1e300 to a 16,000-slot grid rounds to one
+    # value, so argmin takes slot 0; a time just past the end takes the last
+    # slot. Neither walks the grid one slot at a time (about 0.1 s for 16,000
+    # slots), so each call stays within a few ms
+    grid = 0.01 * np.arange(16000)
+    t = np.nextafter(grid[-1], math.inf) if past == "next" else past
+    times = np.array([t, 5.0, t])
+    want = [int(np.argmin(np.abs(grid - x))) for x in times]
+    assert want == [slot, 500, slot]
+    spent = []
+    for _ in range(5):
+        start = time.perf_counter()
+        got = link_module._nearest_slots(grid, times)
+        spent.append(time.perf_counter() - start)
+        assert got.tolist() == want
+    assert min(spent) < 5e-3
+
+
 def test_run_simulation_grid_without_paths_is_all_outage():
     # a fully blocked scene writes no records; with a grid it is reported
     setup = _free_space_setup()
@@ -690,9 +711,9 @@ def test_run_simulation_builds_each_channel_once(monkeypatch, steps):
         built.extend(ch.time for ch in channels)
         return sweep(channels, *args)
 
-    def evaluating(factors, terms, counts, sels, setup):
-        evaluated.append((len(factors), len(terms), counts.tolist()))
-        return row_powers(factors, terms, counts, sels, setup)
+    def evaluating(factors, counts, sels, setup):
+        evaluated.append((len(factors), counts.tolist()))
+        return row_powers(factors, counts, sels, setup)
 
     monkeypatch.setattr(link_module, "ideal_beam_sweeps", counting)
     monkeypatch.setattr(link_module, "_row_powers", evaluating)
@@ -704,9 +725,8 @@ def test_run_simulation_builds_each_channel_once(monkeypatch, steps):
         monkeypatch.setattr(link_module, "_FACTOR_BYTES", factor_bytes)
         assert len(run_simulation(_los_trace(times), setup)) == 7
         assert built == times[::steps]
-        assert [c for _, _, counts in evaluated for c in counts] == [1] * 7
-        assert [n for n, _, _ in evaluated] == [sum(counts) for _, _, counts in evaluated]
-        assert [n for _, n, _ in evaluated] == [sum(counts) for _, _, counts in evaluated]
+        assert [c for _, counts in evaluated for c in counts] == [1] * 7
+        assert [n for n, _ in evaluated] == [sum(counts) for _, counts in evaluated]
         assert len(evaluated) == blocks
 
 
@@ -731,10 +751,10 @@ _azimuths = st.floats(-180.0, 180.0, exclude_max=True) | st.sampled_from([0.1, -
 @given(data=st.data())
 def test_link_wide_factors_match_per_snapshot_builds(data):
     # run_simulation cuts every training row's channel out of its link's
-    # factors and subband terms, computed in blocks of whole rows: each has
-    # the bytes and strides of a channel built from that snapshot alone,
-    # outage rows (no paths) and 1-path rows included, whether a block holds
-    # one row, some or all
+    # factors, computed in blocks of whole rows: each has the bytes and
+    # strides of a channel built from that snapshot alone, outage rows (no
+    # paths) and 1-path rows included, whether a block holds one row, some or
+    # all
     counts = data.draw(st.lists(st.sampled_from([0, 1, 1, 2, 5]), min_size=1, max_size=7),
                        label="paths per snapshot")
     blocks = []
@@ -804,22 +824,29 @@ def test_link_wide_factors_match_per_snapshot_builds(data):
     period=st.sampled_from([0.1, 0.2, 0.35, math.inf]),
     factor_bytes=st.sampled_from([1, 700, 1 << 20]),
     seed=st.integers(0, 2**32 - 1),
+    tx_shape=st.just((3, 4)),
 )
 # a training row that is an outage (row 3), and held pairs in one-row blocks
-@example(counts=[0, 1, 1, 0, 2, 1, 3], period=0.2, factor_bytes=1, seed=0)
+@example(counts=[0, 1, 1, 0, 2, 1, 3], period=0.2, factor_bytes=1, seed=0, tx_shape=(3, 4))
 # a held pair whose block starts mid-way between two trainings
-@example(counts=[2, 1, 3, 1, 1, 2, 1], period=0.35, factor_bytes=700, seed=1)
-def test_row_power_does_not_depend_on_its_block(counts, period, factor_bytes, seed):
+@example(counts=[2, 1, 3, 1, 1, 2, 1], period=0.35, factor_bytes=700, seed=1, tx_shape=(3, 4))
+# real size: 24 rows of 64 paths on a 16 x 16 tx array, in one-row blocks, the
+# shipped blocks and 8 MiB ones. A block of 16 or more rows has (P, 16) gain
+# temporaries of 16,384 elements or more, which numpy would elide
+@example(counts=[64] * 24, period=0.35, factor_bytes=1, seed=2, tx_shape=(16, 16))
+@example(counts=[64] * 24, period=0.35, factor_bytes=1 << 20, seed=2, tx_shape=(16, 16))
+@example(counts=[64] * 24, period=0.35, factor_bytes=8 << 20, seed=2, tx_shape=(16, 16))
+def test_row_power_does_not_depend_on_its_block(counts, period, factor_bytes, seed, tx_shape):
     # each row's power is bit-equal to its row evaluated alone, from its own
-    # subband terms, whichever rows share its block, and matches
-    # beamformed_power on the row's own channel
+    # factors, whichever rows share its block, and matches beamformed_power
+    # on the row's own channel
     rng = np.random.default_rng(seed)
     recs = [mk_record(t=0.1 * k, path_id=p, delay=rng.uniform(0.0, 1e-6),
                       gain_mag=rng.uniform(0.0, 1e-3), phase=rng.uniform(-math.pi, math.pi),
                       aod_az=rng.uniform(-180.0, 180.0), aod_zen=rng.uniform(0.0, 180.0),
                       aoa_az=rng.uniform(-180.0, 180.0), aoa_zen=rng.uniform(0.0, 180.0))
             for k, n in enumerate(counts) for p in range(n)]
-    tx_arr, rx_arr = PlanarArray(3, 4, LAM, bearing_deg=20.0), PlanarArray(2, 3, LAM)
+    tx_arr, rx_arr = PlanarArray(*tx_shape, LAM, bearing_deg=20.0), PlanarArray(2, 3, LAM)
     setup = replace(
         _free_space_setup(training_period=period), tx_array=tx_arr, rx_array=rx_arr,
         grid=SubbandGrid(28e9, 100e6, 5),
@@ -836,8 +863,7 @@ def test_row_power_does_not_depend_on_its_block(counts, period, factor_bytes, se
     for i, m in enumerate(metrics):
         paths, sel = link[offsets[i]:offsets[i + 1]], m.selection
         own = path_factors(paths, tx_arr, rx_arr)
-        alone = link_module._row_powers(own, _subband_terms(own.phasor, own.delay, setup.grid),
-                                        np.array([len(paths)]), [sel], setup)
+        alone = link_module._row_powers(own, np.array([len(paths)]), [sel], setup)
         assert alone[0].hex() == sel.power_w.hex(), f"row {i}"
         _, want = beamformed_power(
             build_channel_matrices(paths, tx_arr, rx_arr, setup.grid, times[i]),

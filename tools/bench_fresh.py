@@ -26,18 +26,20 @@ the time spent inside
 
 - ray tracing, ``generate_trace`` (``trace_s``; 0 when the config replays
   a trace),
-- the training sweeps (``sweep_s``): ``ideal_beam_sweeps`` where the tree
-  has it, else ``ideal_beam_sweep``; ``sweeps`` counts the rows trained
-  either way,
-- channel assembly (``channel_s``): ``build_channel_matrices``, plus the
-  link-wide ``path_factors`` and the per-block ``_subband_terms`` where the
-  tree has them,
+- the training sweeps (``sweep_s``): ``ideal_beam_sweeps``, one call per
+  block of rows; ``sweeps`` counts the rows trained,
+- channel assembly (``channel_s``): the block-wide ``path_factors``, and
+  ``_subband_terms`` where ``run_simulation`` calls it itself,
 - per-row evaluation (``eval_s``): ``_row_powers``, one pass per block of
-  rows, where the tree has it, else ``beamformed_power``, one call per row;
-  ``evals`` counts the rows evaluated either way,
+  rows; ``evals`` counts the rows evaluated,
 - ``parse_trace`` (``parse_s``; 0 when the config traces its own scene),
 - ``load_config`` (``load_s``) and ``build_setup`` (``setup_s``: the arrays,
   codebooks and link budget).
+
+The stages are disjoint: a wrapped function called inside another wrapped
+call (``_subband_terms`` inside ``_row_powers``) is part of the stage that
+called it and is not timed again. A stage function missing from the tree
+fails the run.
 
 Fresh processes matter: repeating configs in one process lets the allocator
 keep memory that a single ``simulate`` has to fault in. With several
@@ -77,40 +79,36 @@ from tracechan import cli, link
 if os.path.dirname(os.path.realpath(tracechan.__file__)) != os.path.join(src, "tracechan"):
     sys.exit(f"imported tracechan from {tracechan.__file__}, not from {src}")
 
-# wrap module.<name> for each name it has; [seconds, count] fills as they run,
-# count adding count(args) per call
+# wrap module.<name> for each name; [seconds, count] fills as they run, count
+# adding count(args) per call. A call inside another wrapped call belongs to
+# the outer one's stage and is not timed again, so the stages stay disjoint.
+depth = [0]
 def timed(module, *names, count=lambda args: 1):
     spent = [0.0, 0]
     for name in names:
-        if not hasattr(module, name):
-            continue
 
         def wrapper(*args, _fn=getattr(module, name), **kwargs):
+            if depth[0]:
+                return _fn(*args, **kwargs)
+            depth[0] += 1
             start = time.perf_counter()
             try:
                 return _fn(*args, **kwargs)
             finally:
                 spent[0] += time.perf_counter() - start
                 spent[1] += count(args)
+                depth[0] -= 1
 
         setattr(module, name, wrapper)
     return spent
 
-# the training sweeps, counted in rows trained: one batched call per block of
-# rows where the tree has ideal_beam_sweeps, one call per row otherwise
-if hasattr(link, "ideal_beam_sweeps"):
-    sweep = timed(link, "ideal_beam_sweeps", count=lambda args: len(args[0]))
-else:
-    sweep = timed(link, "ideal_beam_sweep")
-channel = timed(link, "build_channel_matrices", "path_factors", "_subband_terms")
-# per-row evaluation, counted in rows: one pass per block of rows where the
-# tree has _row_powers (its counts argument holds one entry a row), one
-# beamformed_power call per row otherwise
-if hasattr(link, "_row_powers"):
-    rows_at = list(inspect.signature(link._row_powers).parameters).index("counts")
-    evaluation = timed(link, "_row_powers", count=lambda args: len(args[rows_at]))
-else:
-    evaluation = timed(link, "beamformed_power")
+# the training sweeps, counted in rows trained: one batched call per block of rows
+sweep = timed(link, "ideal_beam_sweeps", count=lambda args: len(args[0]))
+channel = timed(link, "path_factors", "_subband_terms")
+# per-row evaluation, counted in rows: one pass per block of rows, whose counts
+# argument holds one entry a row
+rows_at = list(inspect.signature(link._row_powers).parameters).index("counts")
+evaluation = timed(link, "_row_powers", count=lambda args: len(args[rows_at]))
 parse, load = timed(cli, "parse_trace"), timed(cli, "load_config")
 setup = timed(cli, "build_setup")
 trace = timed(cli, "generate_trace")
@@ -230,11 +228,9 @@ def main(argv: list[str] | None = None) -> int:
     report = {
         "about": "tracechan simulate on each config, one fresh process per run: "
                  "median wall time and process CPU time of cli.main, time inside "
-                 "generate_trace, the training sweeps (ideal_beam_sweeps or, in older trees, "
-                 "ideal_beam_sweep), channel assembly (build_channel_matrices and, "
-                 "where present, path_factors and _subband_terms), row evaluation (_row_powers "
-                 "or, in older trees, beamformed_power), parse_trace, load_config and "
-                 "build_setup, "
+                 "generate_trace, the training sweeps (ideal_beam_sweeps), channel assembly "
+                 "(path_factors, and _subband_terms outside the other stages), row "
+                 "evaluation (_row_powers), parse_trace, load_config and build_setup, "
                  "and ru_minflt growth over the call",
         "environment": {
             "python": platform.python_version(),

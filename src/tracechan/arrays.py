@@ -34,6 +34,7 @@ wrap azimuths with _wrap_azimuth, the one azimuth wrap of the package.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,6 +93,12 @@ class PlanarArray:
     bearing_deg: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("n_rows", "n_cols"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name in ("wavelength_m", "spacing", "bearing_deg"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.n_rows < 1 or self.n_cols < 1:
             raise ValueError("array must have at least one row and column")
         if self.wavelength_m <= 0:

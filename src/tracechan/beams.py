@@ -28,11 +28,14 @@ rx index) whose power is within TIE_RTOL of the table maximum. The mirror
 beams of a planar array tie in exact arithmetic, so an exact argmax would
 pick between them on rounding noise.
 
-ideal_beam_sweeps finds that winner for each of many channels without
-filling their tables: only the tx rows whose upper bound (_row_bounds)
-reaches the tie threshold of the best confirmed power are computed, by the
-same row kernel as sweep_power_table. Channels on one subband grid with
-equal path counts are swept together, in chunks (see ideal_beam_sweeps).
+ideal_beam_sweeps finds that winner for each of many channels, by the same
+row kernel as sweep_power_table. Where a bound costs fewer multiply-adds
+than the table, only the tx rows whose upper bound (_row_bounds) reaches
+the tie threshold of the best confirmed power are computed. In the element
+basis the bound has one form, a Gram matrix's quadratic form; where that
+costs about as much as the table, every row is computed once instead.
+Channels on one subband grid with equal path counts are swept together, in
+chunks (see ideal_beam_sweeps).
 """
 
 from __future__ import annotations
@@ -140,7 +143,7 @@ class BeamCodebook:
         """Dense (n_beams, N) weights, C-contiguous, assembled on every read."""
         w = self.row_factors[:, :, None] * self.col_factors[:, None, :]
         w = w.reshape(len(self), self.n_elements)
-        w *= 1.0 / math.sqrt(self.n_elements)
+        w /= math.sqrt(self.n_elements)  # as steering_matrix(...) / sqrt(N), signed zeros too
         return w
 
 
@@ -270,6 +273,7 @@ def _power_rows(
         for factor in rx_side:
             amp = amp @ factor
         table += amp.real**2 + amp.imag**2
+        del amp  # freed before the next plane is allocated
     return scale * table
 
 
@@ -308,24 +312,19 @@ def _row_bounds(
     pair (i, l) has amplitude z_ik . w_l^* on coefficient row k, so by
     Cauchy-Schwarz its power is at most scale * B_i with
     B_i = sum_k |z_ik|^2 = t_i Q t_i^H, t_i = tx_paths[i] and
-    Q = (A A^H) * (coef^T coef^*), a P x P Hermitian matrix. The cheaper of
-    two forms computes B, by their complex multiply-accumulate counts: the
-    Gram form builds Q and takes one (n_tx_b, P) @ (P, P) product,
-    P^2 (N + m + n_tx_b) MACs with N rx elements and m coefficient rows;
-    the loop takes one (n_tx_b, P) @ (P, N) product per coefficient row,
-    m n_tx_b P N MACs. The Gram form wins unless P is near m N or above,
-    or tx beams are few: with one, as m <= P, it never wins, and the loop
-    runs at every P > N (the element basis), where it is the faster form.
-    With N = 16, m = 64 and one BLAS thread (2 vCPUs), the Gram form took
-    1.8-2.7 ms against the loop's 0.5-0.9 ms at P = 256, and 107-124
-    against 1.1-2.0 ms at P = 2,048. The Gram form is taken only below
-    m N, so its two P x P temporaries stay below 32 (m N)^2 bytes. On
-    generated dense_replay traces (m = 64, N = 16, 252 tx beams, 2 vCPUs)
-    the count switches at P = 778, while the Gram form's sweeps measured
-    faster up to about 1,800 paths (354 against 481 ms a pass at
-    P = 1,024, 937 against 941 ms at 1,792) but slower at 2,048 (1,164
-    against 1,046 ms), with 15 MB more peak memory at 1,536 paths and
-    52 MB more at 2,048.
+    Q = (A A^H) * (coef^T coef^*), a P x P Hermitian matrix. The Gram form
+    computes B: it builds Q and takes one (n_tx_b, P) @ (P, P) product,
+    P^2 (N + m + n_tx_b) complex multiply-accumulates (MACs) with N rx
+    elements and m coefficient rows, while the table costs
+    m n_tx_b N (P + n_rx_b). Where the Gram form costs at least
+    m n_tx_b N P MACs, about the table's, no bound is computed: every row
+    reads inf, and the sweep computes every row once. That is the case
+    for one or two tx beams at every P > N (as m <= P), and for 252 tx
+    beams from P = 778 at N = 16 and m = 64. There the table is the
+    faster route: on a dense replay of 2,048 paths (one BLAS thread,
+    2 vCPUs) the Gram form alone took 243 ms and the whole table 218-227.
+    The Gram form is taken only below m N paths, so its two P x P
+    temporaries stay below 32 (m N)^2 bytes.
 
     The computed B can cancel, so the margin has an absolute part too. Let
     zeta_ik = (|tx_paths[i]| * |coef[k]|) @ |A| and
@@ -348,10 +347,7 @@ def _row_bounds(
     units) B_i + 2 (P + N + 1) units of S_i). The Gram form's Q errs by
     N + m + 1 units of Q_abs, t Q by P more units of |t| Q_abs, and its
     real dot with t^* by 2 P + 1 more, so the computed B errs by at most
-    N + m + 3 P + 2 units of S_i; the loop's z errs by P + 1 units of
-    zeta, which moves its squares by 2 (P + 1) units of S_i, and its
-    squares and sums add N + m + 1 units of B_i <= S_i, at most
-    N + m + 2 P + 3 units of S_i. The computed slack sum is within
+    N + m + 3 P + 2 units of S_i. The computed slack sum is within
     2 P + N + m + 5 units of its value, a second-order term, and this
     bound's own two multiplies, sum and scale add 4 units of S_i. So the
     relative part 2 tau + (m + 2 N + 5) units and the absolute part
@@ -367,17 +363,13 @@ def _row_bounds(
     if len(rx_side) == 2:
         a_rx_t = rx_side[0]  # (..., P, N)
         n_tx, (m, p), n = tx_paths.shape[-2], coef.shape[-2:], a_rx_t.shape[-1]
-        if p * (n + m + n_tx) < m * n_tx * n:  # the Gram form costs fewer MACs
-            q = a_rx_t @ a_rx_t.conj().swapaxes(-1, -2)
-            q *= coef.swapaxes(-1, -2) @ coef.conj()
-            q = tx_paths @ q  # (..., n_tx_b, P)
-            norms = (np.einsum("...p,...p->...", q.real, tx_paths.real)
-                     + np.einsum("...p,...p->...", q.imag, tx_paths.imag))
-        else:
-            norms = np.zeros(tx_paths.shape[:-1])
-            for k in range(m):  # one (..., n_tx_b, N_rx) plane at a time
-                z = (tx_paths * coef[..., k, None, :]) @ a_rx_t
-                norms += (z.real**2 + z.imag**2).sum(axis=-1)
+        if p * (n + m + n_tx) >= m * n_tx * n:  # Gram form as dear as the table: no bound
+            return np.full(tx_paths.shape[:-1], np.inf)
+        q = a_rx_t @ a_rx_t.conj().swapaxes(-1, -2)
+        q *= coef.swapaxes(-1, -2) @ coef.conj()
+        q = tx_paths @ q  # (..., n_tx_b, P)
+        norms = (np.einsum("...p,...p->...", q.real, tx_paths.real)
+                 + np.einsum("...p,...p->...", q.imag, tx_paths.imag))
         abs_a, abs_ct = np.abs(a_rx_t), np.abs(coef).swapaxes(-1, -2)
         rho = ((abs_a @ (abs_a.swapaxes(-1, -2) @ abs_ct)) * abs_ct).sum(axis=-1)  # (..., P)
         slack = (np.einsum("...ip,...ip,...p->...i", tx_paths.real, tx_paths.real, rho)
@@ -474,9 +466,11 @@ def ideal_beam_sweeps(
     (_row_bounds, in the path or the element basis) reaches the tie
     threshold are computed: first the two best-bounded rows, then every row
     whose bound clears best * (1 - TIE_RTOL). A row outside that set has no
-    pair tied with the maximum, and the maximum's row is inside it. When
-    every bound is 0 (no paths, or only zero-gain ones) no row is computed:
-    the answer is the all-zero table's pair (0, 0) at 0 W.
+    pair tied with the maximum, and the maximum's row is inside it. Where
+    the element basis has no bound (every bound inf), every row is computed
+    once, in one call. When every bound is 0 (no paths, or only zero-gain
+    ones) no row is computed: the answer is the all-zero table's pair
+    (0, 0) at 0 W.
 
     The channels are grouped by subband grid and path count, and each group is
     swept in chunks of about _SWEEP_BYTES of tx projections: one projection
@@ -519,12 +513,13 @@ def _sweep_chunk(
     live = bound.any(axis=1)
     if not live.any():
         return [zero] * len(channels)
-    # two rows per channel keep BLAS on its GEMM kernel; a one-beam codebook's
-    # full table is its one row
-    n_top = min(2, bound.shape[1])
+    # two rows per channel keep BLAS on its GEMM kernel; with no bound (all inf)
+    # the top rows are every row, the whole table
+    n_tx = bound.shape[1]
+    n_top = n_tx if np.isinf(bound).all() else min(2, n_tx)
     top = np.sort(np.argpartition(bound, -n_top, axis=1)[:, -n_top:], axis=1)
-    table = _power_rows(np.take_along_axis(tx_paths, top[:, :, None], axis=1),
-                        coef, rx_side, scale)  # (G, n_top, n_rx_b)
+    top_paths = tx_paths if n_top == n_tx else np.take_along_axis(tx_paths, top[:, :, None], axis=1)
+    table = _power_rows(top_paths, coef, rx_side, scale)  # (G, n_top, n_rx_b)
     threshold = table.max(axis=(1, 2)) * (1.0 - TIE_RTOL)
     # the rows that may hold a tied pair are all among the top rows
     inside = (bound >= threshold[:, None]).sum(axis=1) == (

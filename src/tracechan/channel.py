@@ -34,6 +34,7 @@ bit-equal on the same paths.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -68,6 +69,11 @@ class SubbandGrid:
     n_subbands: int = 64
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.carrier_hz) and math.isfinite(self.bandwidth_hz)):
+            raise ValueError(f"carrier_hz and bandwidth_hz must be finite, got "
+                             f"{self.carrier_hz!r} and {self.bandwidth_hz!r}")
+        if not isinstance(self.n_subbands, numbers.Integral):
+            raise ValueError(f"n_subbands must be an integer, got {self.n_subbands!r}")
         if self.carrier_hz <= 0 or self.bandwidth_hz <= 0:
             raise ValueError("carrier_hz and bandwidth_hz must be positive")
         if self.n_subbands < 1:
@@ -78,7 +84,7 @@ class SubbandGrid:
         return SPEED_OF_LIGHT / self.carrier_hz
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PathFactors:
     """The per-path factors a channel is assembled from, one row per path.
 
@@ -86,7 +92,7 @@ class PathFactors:
     (rows, cols) are the row and column steering factors of the path's
     departure (tx) or arrival (rx) direction. A slice selects paths, so one
     link's factors can be computed at once and each snapshot's paths sliced
-    out of them.
+    out of them. Factors compare and hash by identity.
     """
 
     phasor: np.ndarray  # (P,) complex
@@ -103,14 +109,14 @@ class PathFactors:
         return PathFactors(*(factor[paths] for factor in vars(self).values()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChannelMatrixSet:
     """Per-subband channel H_k = a_rx diag(coef[k]) a_tx^H of one snapshot.
 
     paths is the snapshot's PathFactors. coef, and a_rx and a_tx, the
     (N_rx, P) and (N_tx, P) steering matrices whose column p is the
     Kronecker product of path p's row and column factors, are computed from
-    them on every read.
+    them on every read. Channels compare and hash by identity.
     """
 
     paths: PathFactors

@@ -359,11 +359,12 @@ def _min_path_point_on_edge(
     return e0 + 0.5 * (lo + hi) * edge
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RtScenario:
     """A scene, its nodes on one snapshot grid, and the links to trace.
 
     positions maps a node id to its (n, 3) positions at the n grid times.
+    Scenarios compare and hash by identity.
     """
 
     environment: Environment

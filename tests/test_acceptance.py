@@ -8,6 +8,7 @@ import csv
 import io
 import math
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +39,7 @@ from tracechan import (
     sweep_power_table,
     trace_to_text,
 )
+from tracechan.link import SINR_FLOOR_DB, snapshot_rows
 from tracechan.scenario import build_rt_scenario, build_setup, load_config
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -106,6 +108,38 @@ def test_shipped_configs_match_stored_metrics(name, request):
         f"{name} matches stored metrics",
         len(got) == len(want) and not bad,
         f"{len(got)} rows vs {len(want)} stored, {len(bad)} mismatched cells {bad[:3]}",
+    )
+
+
+@pytest.mark.parametrize("name", ["corner", "etoile"])
+def test_tx_power_step_shifts_sinr_by_the_step(name, request):
+    # metamorphic, no stored values: x dB more transmit power scales every
+    # table entry and row power by one factor, so every sinr_db above the
+    # floor moves by x dB, and a beam moves only within its row's tie set
+    trace, setup, metrics, _ = request.getfixturevalue(name)
+    cfg = load_config(CONFIG_DIR / f"{name}.cfg")
+    assert cfg.training_period_s == cfg.snapshot_dt_s  # every row is its own sweep's winner
+    times, offsets = snapshot_rows(trace, setup)
+    link = trace.link(setup.tx_id, setup.rx_id)
+    worst, moved = 0.0, 0
+    for x in (-20.0, 3.0, 12.5):
+        scaled = build_setup(replace(cfg, txpower_dbm=cfg.txpower_dbm + x))
+        for i, (a, b) in enumerate(zip(metrics, run_simulation(trace, scaled), strict=True)):
+            if a.sinr_db > SINR_FLOOR_DB and b.sinr_db > SINR_FLOOR_DB:
+                worst = max(worst, abs(b.sinr_db - a.sinr_db - x))
+            pairs = {(m.selection.tx_index, m.selection.rx_index) for m in (a, b)}
+            if len(pairs) == 2:
+                moved += 1
+                ch = build_channel_matrices(link[offsets[i]:offsets[i + 1]], setup.tx_array,
+                                            setup.rx_array, setup.grid, t=times[i])
+                for s in (setup, scaled):
+                    table = sweep_power_table(ch, s.tx_codebook, s.rx_codebook,
+                                              s.budget.tx_power_w)
+                    assert all(table[p] >= table.max() * (1.0 - TIE_RTOL) for p in pairs), (x, i)
+    _check(
+        f"{name} sinr_db moves by the tx power step",
+        worst <= 1e-9,
+        f"worst {worst:.2e} dB off the step over 3 steps, {moved} beams moved within ties",
     )
 
 

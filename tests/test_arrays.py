@@ -194,6 +194,10 @@ def test_steering_matrix_matches_element_positions(arr, dirs):
     zen_lo=st.floats(0.0, 90.0),
     zen_step=st.floats(5.0, 60.0),
 )
+# a zenith of 1.4e-305 leaves signed zeros in the weights, whose sign a
+# multiply by 1 / sqrt(N) sets apart from steering_vector's divide
+@example(arr=PlanarArray(8, 13, 0.0107068735, spacing=0.125, bearing_deg=180.0), az_lo=0.0,
+         az_span=0.0, az_step=5.0, zen_lo=1.4380524758371243e-305, zen_step=5.0)
 def test_codebook_weights_contiguous_unit_norm(arr, az_lo, az_span, az_step, zen_lo, zen_step):
     cb = generate_codebook(arr, az_lo, az_lo + az_span, az_step, zen_lo, 180.0, zen_step)
     assert cb.weights.shape == (len(cb), arr.n_elements)

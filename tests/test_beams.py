@@ -515,10 +515,10 @@ def _one_beam(cb):
 @example(n_subbands=1, extra_paths=3, rx_shape=(2, 3), one_tx_beam=False, rx_beams=1,
          weak=1e-3, aim_rx=True, tx_copies=[], rx_copies=[], seed=1)
 # P > N_rx, K on both sides of P. The next example takes the Gram form of
-# the bound (K > P, 104 tx beams); the last two take the per-row loop, with
-# more MACs in Q than in the loop (25 paths on K = 2, or one tx beam). All
-# three have an rx beam aimed at a dominant path, so the bound is nearly
-# tight, and all three fail without the margin
+# the bound (K > P, 104 tx beams), and has an rx beam aimed at a dominant
+# path, so the bound is nearly tight: it fails without the margin. The last
+# two have no bound, as the Gram form would cost about the table (25 paths
+# on K = 2, or one tx beam): every bound is inf and every row is computed
 @example(n_subbands=12, extra_paths=1, rx_shape=(2, 2), one_tx_beam=False, rx_beams=8,
          weak=1e-9, aim_rx=True, tx_copies=[(True, k) for k in range(-6, 7)], rx_copies=[],
          seed=16)
@@ -623,22 +623,19 @@ def test_element_basis_sweep_admits_every_norm_the_codebook_does(
     assert np.float64(got.power_w).tobytes() == np.float64(want.power_w).tobytes()
 
 
-@pytest.mark.parametrize("n_tx_beams, n_paths", [(91, 6), (91, 20), (1, 9)],
-                         ids=["gram-k-above-p", "gram-k-below-p", "loop"])
-def test_element_basis_bound_is_the_cauchy_schwarz_sum(n_tx_beams, n_paths):
-    # with K = 8 subbands and 4 rx elements, 91 tx beams take the Gram form
-    # and one tx beam the loop; either way the bound is scale * sum_k |z_ik|^2,
-    # widened by the admitted norm slack 2 * _NORM_TOL, up to its rounding
-    # margin, so it keeps no more rows than that sum would
+@pytest.mark.parametrize("n_paths", [6, 20], ids=["gram-k-above-p", "gram-k-below-p"])
+def test_element_basis_bound_is_the_cauchy_schwarz_sum(n_paths):
+    # with K = 8 subbands and 4 rx elements, 91 tx beams take the Gram form,
+    # and the bound is scale * sum_k |z_ik|^2, widened by the admitted norm
+    # slack 2 * _NORM_TOL, up to its rounding margin, so it keeps no more
+    # rows than that sum would
     rng = np.random.default_rng(n_paths)
     tx_arr, rx_arr = PlanarArray(2, 3, LAM), PlanarArray(2, 2, LAM)
     ch = build_channel_matrices(_random_records(rng, n_paths), tx_arr, rx_arr,
                                 SubbandGrid(28e9, 400e6, 8))
     cb_tx = generate_codebook(tx_arr, -90.0, 90.0, 15.0)
-    cb_tx = cb_tx if n_tx_beams == 91 else _one_beam(cb_tx)
     cb_rx = generate_codebook(rx_arr, -180.0, 90.0, 90.0, 60.0, 120.0, 60.0)
     tx_paths, coef, rx_side, scale = beams._sweep_factors([ch], cb_tx, cb_rx, 0.5)
-    assert len(tx_paths[0]) == n_tx_beams
     z = np.einsum("ip,kp,pn->ikn", tx_paths[0], ch.coef, ch.a_rx.T)
     exact = 0.5 / 8 * (np.abs(z) ** 2).sum(axis=(1, 2))
     bound = beams._row_bounds(tx_paths, coef, rx_side, scale)[0]
@@ -784,7 +781,7 @@ def test_zero_bound_sweep_computes_no_row(monkeypatch, n_paths):
                   min_size=1, max_size=8),
     n_subbands=st.integers(1, 6),
     rx_shape=st.sampled_from([(1, 2), (2, 2)]),
-    tx_beams=st.sampled_from([1, 2, 91]),
+    tx_beams=st.sampled_from([1, 2, 21, 91]),
     rx_beams=st.sampled_from([1, 8]),
     sweep_bytes=st.sampled_from([1, 3000, 10000, 1 << 16]),
     seed=st.integers(0, 2**32 - 1),
@@ -792,7 +789,11 @@ def test_zero_bound_sweep_computes_no_row(monkeypatch, n_paths):
 # each row is (paths, all gains zero): outage rows (P = 0) between equal and
 # mixed path counts, P on both sides of N_rx = 4, chunks of two 1-path
 # channels of the 91-beam codebook, and zero-gain channels (every bound 0)
-# in a chunk with live ones
+# in a chunk with live ones. The next three are on the table side of the
+# element basis (P > N_rx, where the Gram form would cost about the table):
+# 1, 2 and 21 tx beams, K above and below P, chunks of one channel and of
+# several, and a zero-gain channel among them. The last one's 21 tx beams on
+# K = 6 take the Gram form
 @example(rows=[(1, False), (0, False), (1, True), (1, False), (5, False), (0, False),
                (3, False), (5, True)],
          n_subbands=4, rx_shape=(2, 2), tx_beams=91, rx_beams=8, sweep_bytes=3000, seed=0)
@@ -800,12 +801,23 @@ def test_zero_bound_sweep_computes_no_row(monkeypatch, n_paths):
          rx_beams=1, sweep_bytes=1 << 16, seed=1)
 @example(rows=[(0, False), (0, False)], n_subbands=3, rx_shape=(2, 2), tx_beams=2, rx_beams=8,
          sweep_bytes=1, seed=2)
+@example(rows=[(5, False), (7, False), (5, True), (5, False), (7, False)], n_subbands=6,
+         rx_shape=(2, 2), tx_beams=1, rx_beams=8, sweep_bytes=1 << 16, seed=3)
+@example(rows=[(6, False), (6, False), (3, False), (6, False)], n_subbands=2, rx_shape=(2, 2),
+         tx_beams=2, rx_beams=1, sweep_bytes=3000, seed=4)
+@example(rows=[(5, False), (5, False), (7, True), (7, False)], n_subbands=1, rx_shape=(1, 2),
+         tx_beams=21, rx_beams=8, sweep_bytes=1, seed=5)
+@example(rows=[(5, False), (5, False), (7, False), (7, False)], n_subbands=6, rx_shape=(2, 2),
+         tx_beams=21, rx_beams=8, sweep_bytes=10000, seed=6)
 def test_batched_sweeps_match_per_channel_sweeps(
     rows, n_subbands, rx_shape, tx_beams, rx_beams, sweep_bytes, seed
 ):
     # one batch of channels against each channel swept alone: in a batch the
     # tx projection may be a matrix-matrix product, so a power may move in
-    # its last bits, but no winner moves
+    # its last bits, but no winner moves. A channel swept alone computes every
+    # product as its table does, so its pick and power are the table's, bit
+    # for bit. Where the element basis has no bound cheaper than the table,
+    # the batch computes each tx row of each channel exactly once
     rng = np.random.default_rng(seed)
     grid = SubbandGrid(28e9, 400e6, n_subbands)
     tx_arr = PlanarArray(2, 3, LAM, bearing_deg=float(rng.uniform(-90, 90)))
@@ -819,6 +831,8 @@ def test_batched_sweeps_match_per_channel_sweeps(
     ]
     if tx_beams == 91:
         cb_tx = generate_codebook(tx_arr, -90.0, 90.0, 15.0)
+    elif tx_beams == 21:
+        cb_tx = generate_codebook(tx_arr, -90.0, 90.0, 30.0, 60.0, 120.0, 30.0)
     else:
         cb_tx = generate_codebook(tx_arr, 0.0, 10.0 * (tx_beams - 1), 10.0, 90.0, 90.0, 1.0)
     if rx_beams == 1:
@@ -827,12 +841,29 @@ def test_batched_sweeps_match_per_channel_sweeps(
         cb_rx = generate_codebook(rx_arr, -180.0, 90.0, 90.0, 60.0, 120.0, 60.0)
     assert (len(cb_tx), len(cb_rx)) == (tx_beams, rx_beams)
     want = [ideal_beam_sweep(ch, cb_tx, cb_rx, 0.5) for ch in channels]
+    for ch, w in zip(channels, want):
+        t = select_best_pair(sweep_power_table(ch, cb_tx, cb_rx, 0.5), cb_tx, cb_rx)
+        assert (w.tx_index, w.rx_index, w.power_w.hex()) == (t.tx_index, t.rx_index,
+                                                            t.power_w.hex())
+    seen = {}  # path count -> tx rows computed, over every channel of that count
+    kernel = beams._power_rows
+
+    def counting(tx_paths, *args):
+        seen[tx_paths.shape[-1]] = seen.get(tx_paths.shape[-1], 0) + math.prod(tx_paths.shape[:-1])
+        return kernel(tx_paths, *args)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(beams, "_SWEEP_BYTES", sweep_bytes)
+        mp.setattr(beams, "_power_rows", counting)
         got = ideal_beam_sweeps(channels, cb_tx, cb_rx, 0.5)
     for g, w in zip(got, want, strict=True):
         assert (g.tx_index, g.rx_index) == (w.tx_index, w.rx_index)
         assert g.power_w == pytest.approx(w.power_w, rel=1e-12, abs=0.0)
+    n_rx = rx_arr.n_elements
+    for p in {n_paths for n_paths, _ in rows}:
+        m = min(n_subbands, p)  # coefficient rows
+        if p > n_rx and p * (n_rx + m + tx_beams) >= m * tx_beams * n_rx:  # no Gram form
+            assert seen[p] == tx_beams * sum(n_paths == p for n_paths, _ in rows)
 
 
 @pytest.mark.parametrize("n_paths", [3, 6], ids=["path-basis", "element-basis"])

@@ -10,10 +10,13 @@ from hypothesis import strategies as st
 
 from conftest import mk_record, reference_channel
 from tracechan import (
+    Environment,
     PlanarArray,
+    RtScenario,
     SubbandGrid,
     beamformed_power,
     build_channel_matrices,
+    path_factors,
     steering_matrix,
 )
 from tracechan.arrays import Direction
@@ -29,6 +32,50 @@ def test_grid_validation_and_wavelength():
         SubbandGrid(-1.0, 100e6, 4)
     with pytest.raises(ValueError):
         SubbandGrid(28e9, 100e6, 0)
+    assert SubbandGrid(28e9, 100e6, np.int64(4)) == SubbandGrid(28e9, 100e6, 4)
+
+
+_VALID = {
+    SubbandGrid: {"carrier_hz": 28e9, "bandwidth_hz": 100e6, "n_subbands": 4},
+    PlanarArray: {"n_rows": 2, "n_cols": 3, "wavelength_m": LAM, "spacing": 0.5,
+                  "bearing_deg": 10.0},
+}
+_COUNTS = ("n_subbands", "n_rows", "n_cols")
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    field=st.sampled_from([(kind, name) for kind, fields in _VALID.items() for name in fields]),
+    count=st.floats(allow_nan=True, allow_infinity=True),
+    non_finite=st.sampled_from([math.nan, math.inf, -math.inf, np.float64(math.nan),
+                                np.float64(-math.inf)]),
+)
+@example(field=(SubbandGrid, "carrier_hz"), count=0.0, non_finite=math.nan)
+@example(field=(SubbandGrid, "bandwidth_hz"), count=0.0, non_finite=math.inf)
+@example(field=(SubbandGrid, "n_subbands"), count=2.5, non_finite=math.nan)
+@example(field=(PlanarArray, "wavelength_m"), count=0.0, non_finite=math.nan)
+@example(field=(PlanarArray, "n_cols"), count=3.0, non_finite=math.nan)
+def test_grid_and_array_reject_bad_fields_at_construction(field, count, non_finite):
+    # a count that is no integer (a float, even 3.0) or another field that is
+    # not finite raises one line naming the field
+    kind, name = field
+    with pytest.raises(ValueError) as exc:
+        kind(**{**_VALID[kind], name: count if name in _COUNTS else non_finite})
+    assert name in str(exc.value) and "\n" not in str(exc.value)
+
+
+def test_channels_factors_and_scenarios_compare_and_hash_by_identity():
+    # their numpy fields would make a generated == raise and hash() fail
+    arr = PlanarArray(2, 2, LAM)
+    records = [mk_record(path_id=p, aod_az=20.0 * p) for p in range(3)]
+    positions = {0: np.zeros((1, 3)), 1: np.ones((1, 3))}
+    for make in (lambda: build_channel_matrices(records, arr, arr, GRID1),
+                 lambda: path_factors(records, arr, arr),
+                 lambda: RtScenario(Environment(), 28e9, np.zeros(1), positions, ((0, 1),))):
+        a, b = make(), make()
+        assert a == a and not a != a and hash(a) == hash(a)
+        assert a != b and not a == b
+        assert len({a, b, a}) == 2
 
 
 def test_single_path_siso():

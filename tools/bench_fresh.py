@@ -21,8 +21,9 @@ config through ``cli.main``: ray tracing or trace parsing, setup, channel
 assembly, training sweeps, evaluation and CSV output. It reports the wall
 time of that call, the process CPU time it took (``time.process_time``, all
 threads; CPU time above wall time means extra threads did the work), the
-growth of the process's minor page faults (``ru_minflt``) over the call, and
-the time spent inside
+growth of the process's minor page faults (``ru_minflt``) over the call, the
+process's peak resident set size at its end (``maxrss_mb``, ``ru_maxrss``,
+the interpreter and its imports included), and the time spent inside
 
 - ray tracing, ``generate_trace`` (``trace_s``; 0 when the config replays
   a trace),
@@ -67,7 +68,7 @@ ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ("corner", "etoile", "etoile_wide")
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 METRICS = ("wall_s", "cpu_s", "trace_s", "sweep_s", "channel_s", "eval_s", "parse_s", "load_s",
-           "setup_s", "minflt")
+           "setup_s", "minflt", "maxrss_mb")
 
 # one simulate in a fresh interpreter; prints one JSON line
 _CHILD = r"""
@@ -117,14 +118,15 @@ start, cpu = time.perf_counter(), time.process_time()
 with contextlib.redirect_stdout(io.StringIO()):
     rc = cli.main(["simulate", "--config", config, "--out", out])
 wall, cpu = time.perf_counter() - start, time.process_time() - cpu
-faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+usage = resource.getrusage(resource.RUSAGE_SELF)
+faults, maxrss_mb = usage.ru_minflt - faults, usage.ru_maxrss / 1024.0  # ru_maxrss is KiB
 with open(out, encoding="utf-8") as fh:
     rows = sum(1 for _ in fh) - 1
 print(json.dumps({"rc": rc, "wall_s": wall, "cpu_s": cpu, "trace_s": trace[0], "sweep_s": sweep[0],
                   "sweeps": sweep[1], "channel_s": channel[0], "channels": channel[1],
                   "eval_s": evaluation[0], "evals": evaluation[1],
                   "parse_s": parse[0], "load_s": load[0], "setup_s": setup[0], "minflt": faults,
-                  "rows": rows}))
+                  "maxrss_mb": maxrss_mb, "rows": rows}))
 """
 
 _PROBE = r"""
@@ -223,7 +225,8 @@ def main(argv: list[str] | None = None) -> int:
                           f"sweep {result['sweep_s']:.3f} s, "
                           f"channel {result['channel_s']:.3f} s, eval {result['eval_s']:.3f} s, "
                           f"parse {result['parse_s']:.3f} s, load {result['load_s']:.4f} s, "
-                          f"setup {result['setup_s']:.4f} s, minflt {result['minflt']}", flush=True)
+                          f"setup {result['setup_s']:.4f} s, minflt {result['minflt']}, "
+                          f"maxrss {result['maxrss_mb']:.1f} MB", flush=True)
 
     report = {
         "about": "tracechan simulate on each config, one fresh process per run: "
@@ -231,7 +234,7 @@ def main(argv: list[str] | None = None) -> int:
                  "generate_trace, the training sweeps (ideal_beam_sweeps), channel assembly "
                  "(path_factors, and _subband_terms outside the other stages), row "
                  "evaluation (_row_powers), parse_trace, load_config and build_setup, "
-                 "and ru_minflt growth over the call",
+                 "ru_minflt growth over the call and the process's peak RSS (ru_maxrss)",
         "environment": {
             "python": platform.python_version(),
             "machine": platform.machine(),
@@ -262,7 +265,8 @@ def main(argv: list[str] | None = None) -> int:
                   f"sweep {c['median_sweep_s']:.4f} s  "
                   f"channel {c['median_channel_s']:.4f} s  eval {c['median_eval_s']:.4f} s  "
                   f"parse {c['median_parse_s']:.4f} s  load {c['median_load_s']:.4f} s  "
-                  f"setup {c['median_setup_s']:.4f} s  minflt {c['median_minflt']:.0f}")
+                  f"setup {c['median_setup_s']:.4f} s  minflt {c['median_minflt']:.0f}  "
+                  f"maxrss {c['median_maxrss_mb']:.1f} MB")
     return 0
 
 

@@ -6,19 +6,29 @@ line of sight, specular reflections off planar rectangles up to a configurable
 order (image method), and single knife-edge diffraction at marked rectangle
 edges, emitted only while the direct path is blocked.
 
-Reflections are traced as arrays: every (snapshot, face sequence) row of one
-reflection order at once, in chunks of bounded size. Each chunk builds the
-image chain, walks back from the receiver to find the reflection points, and
-tests every leg of the unfolded path against every face, dropping the rows
-that fail after each step. A step is the per-sequence image method's test
-as it stands, with its tolerances. Every dot product goes through `_dot`, a
-stacked matmul, which takes the same dot kernel as the 1-D `a @ b` of two
-3-vectors, so the arrays carry the per-sequence arithmetic bit for bit and
-traces are byte-identical to those of a per-sequence tracer. The LOS test
-uses the same crossing test. Paths are held as record arrays, and
-`generate_trace` writes the trace's columns from them; only the angles are
-computed per path, in `math`, since numpy's vectorized transcendentals may
-round differently from libm.
+Reflections are traced as arrays. The images come from an image tree (Borish,
+JASA 75(6), 1984), built once per distinct transmitter position: sequence i of
+order k is sequence i // (F - 1) of order k - 1 followed by one face, so its
+image is that parent's image mirrored once. The tree holds the orders below
+the top one. Every (snapshot, face sequence) row of one reflection order then
+walks back from the receiver: the first step mirrors the row's own image from
+its parent's, later steps gather the image of each shorter prefix from the
+tree by the prefix's index, and the rows that fail a step are dropped before
+the next. The rows left have every leg tested against every face. Faces are
+read from one packed (F, 16) table, and only the pairs that pass a plane test
+get in-face coordinates. _BATCH bounds the rows of a walk chunk, the (leg,
+face) pairs of a leg-test chunk, the nodes of the trees held at once (one
+position's tree at least) and the nodes mirrored at once while a tree is
+built. A step is the per-sequence image method's test as it stands, with its
+tolerances. Every dot product goes through `_dot`, a stacked matmul, which
+takes the same dot kernel as the 1-D `a @ b` of two 3-vectors, so the arrays
+carry the per-sequence arithmetic bit for bit and traces are byte-identical to
+those of a per-sequence tracer. The LOS test uses the same crossing test, and
+the knife-edge points of every blocked snapshot and marked edge come from one
+ternary search run in lockstep. Paths are held as record arrays, and
+`generate_trace` writes the trace's columns from them; only the knife-edge
+losses and the angles are computed per path, in `math`, since numpy's
+vectorized transcendentals may round differently from libm.
 
 Amplitude model: free-space spreading lambda/(4 pi d) on the unfolded path
 length, one real reflection coefficient per bounce, and the standard
@@ -51,7 +61,16 @@ __all__ = [
 _EPS = 1e-9  # segment-parameter slack: endpoints touching a surface do not block
 _CONTAINS_TOL = 1e-9  # Rectangle.contains slack, in units of the edge vectors
 _PARALLEL = 1e-15  # |normal . segment| below this: parallel or in-plane, no crossing
-_BATCH = 1 << 13  # (row, face) pairs per reflection chunk; bounds its memory
+# The reflection tracer's memory budget: rows per walk chunk, (leg, face)
+# pairs per leg-test chunk, image-tree nodes held at once unless one
+# transmitter position's tree is larger, and nodes mirrored at once while a
+# tree is built. A walk row holds about 260 bytes at its peak, so a walk
+# chunk stays near 1 MiB
+_BATCH = 1 << 12
+
+# Column slices of Environment._packed
+_NORMAL, _CORNER, _EDGE_U, _EDGE_V = slice(0, 3), slice(3, 6), slice(6, 9), slice(9, 12)
+_GRAM = slice(12, 16)
 
 # One path per record: its mechanism, the index of its snapshot geometry, its
 # unfolded length, amplitude factor on top of free space, direction of
@@ -93,22 +112,29 @@ class Rectangle:
     def __post_init__(self) -> None:
         for name in ("corner", "edge_u", "edge_v"):
             vec = _read_only(np.array(getattr(self, name), dtype=float))
+            if not all(map(math.isfinite, vec.tolist())):
+                raise ValueError(f"{name} must be finite")
             object.__setattr__(self, name, vec)
         object.__setattr__(self, "diffracting_edges", tuple(self.diffracting_edges))
-        n = np.cross(self.edge_u, self.edge_v)
-        if np.linalg.norm(n) < 1e-12:
+        with np.errstate(over="ignore", invalid="ignore"):
+            n = np.cross(self.edge_u, self.edge_v)
+            n_len = np.linalg.norm(n)
+            uu = float(self.edge_u @ self.edge_u)
+            vv = float(self.edge_v @ self.edge_v)
+            uv = float(self.edge_u @ self.edge_v)
+        if n_len < 1e-12:
             raise ValueError("edge vectors must not be parallel")
+        gram = (uu, vv, uv, uu * vv - uv * uv)
+        if not all(map(math.isfinite, (n_len, *gram))):
+            raise ValueError("edge_u and edge_v are too large: their products overflow")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma {self.gamma!r} outside [0, 1]")
         if any(e not in (0, 1, 2, 3) for e in self.diffracting_edges):
             raise ValueError("diffracting edge indices must be in 0..3")
         if len(set(self.diffracting_edges)) != len(self.diffracting_edges):
             raise ValueError(f"diffracting edges {self.diffracting_edges} repeat an index")
-        object.__setattr__(self, "normal", _read_only(n / np.linalg.norm(n)))
-        uu = float(self.edge_u @ self.edge_u)
-        vv = float(self.edge_v @ self.edge_v)
-        uv = float(self.edge_u @ self.edge_v)
-        object.__setattr__(self, "_gram", (uu, vv, uv, uu * vv - uv * uv))
+        object.__setattr__(self, "normal", _read_only(n / n_len))
+        object.__setattr__(self, "_gram", gram)
 
     def _key(self) -> tuple:
         vectors = (self.corner, self.edge_u, self.edge_v)
@@ -150,17 +176,27 @@ class Environment:
         object.__setattr__(self, "rectangles", tuple(self.rectangles))
 
     @cached_property
-    def _stacked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The faces as arrays: their (normal, corner, edge_u, edge_v) as
-        (4, F, 3), their Gram terms (uu, vv, uv, det) as (4, F) and gamma (F,)."""
-        rects = self.rectangles
-        vectors = np.array([[getattr(r, k) for r in rects]
-                            for k in ("normal", "corner", "edge_u", "edge_v")])
-        return (
-            _read_only(vectors.reshape(4, -1, 3)),
-            _read_only(np.array([r._gram for r in rects]).reshape(-1, 4).T),
-            _read_only(np.array([r.gamma for r in rects], dtype=float)),
-        )
+    def _packed(self) -> np.ndarray:
+        """The faces as one read-only (F, 16) table: each face's normal,
+        corner, edge_u and edge_v, then its Gram terms (uu, vv, uv, det)."""
+        return _read_only(np.array(
+            [[*r.normal, *r.corner, *r.edge_u, *r.edge_v, *r._gram] for r in self.rectangles],
+            dtype=float,
+        ).reshape(-1, 16))
+
+    @cached_property
+    def _gamma(self) -> np.ndarray:
+        return _read_only(np.array([r.gamma for r in self.rectangles], dtype=float))
+
+    @cached_property
+    def _edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(face, e0, e1) of the marked edges, by face, then as the face
+        lists them: the owning face's index and the edge's end points."""
+        edges = [(f, *rect.edge_points(i)) for f, rect in enumerate(self.rectangles)
+                 for i in rect.diffracting_edges]
+        face, e0, e1 = zip(*edges) if edges else ((), (), ())
+        return (_read_only(np.array(face, dtype=np.intp)),
+                *(_read_only(np.array(e, dtype=float).reshape(-1, 3)) for e in (e0, e1)))
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -174,30 +210,54 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _crossings(
-    p0: np.ndarray, p1: np.ndarray, faces: np.ndarray, gram: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(hit, point): where each open segment p0..p1 crosses each face's plane.
+    p0: np.ndarray, p1: np.ndarray, faces: np.ndarray, face: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(segment, face, point) of each crossing of an open segment
+    p0[r]..p1[r] (R, 3) with a face of the packed table faces: with face[r]
+    (R,), or with every face when face is None. Crossings come by segment,
+    then face.
 
-    faces (4, ..., 3) and gram (4, ...) are faces of Environment._stacked;
-    the operands broadcast. A hit crosses the plane away from both endpoints
-    (segment parameter t in (_EPS, 1 - _EPS), |normal . segment| at least
-    _PARALLEL) at a point whose local coordinates lie within _CONTAINS_TOL of
-    the face, all computed as Rectangle.contains computes them.
+    A crossing passes the plane test (segment parameter t in (_EPS,
+    1 - _EPS), |normal . segment| at least _PARALLEL) at a point whose local
+    coordinates lie within _CONTAINS_TOL of the face, all computed as
+    Rectangle.contains computes them. Only the pairs that pass the plane
+    test get local coordinates.
     """
-    n, c, u, v = faces
-    uu, vv, uv, det = gram
+    segment, which, point = _plane_crossings(p0, p1, faces, face)
+    inside = _inside(point, faces.take(which, axis=0))
+    return segment[inside], which[inside], point[inside]
+
+
+def _plane_crossings(
+    p0: np.ndarray, p1: np.ndarray, faces: np.ndarray, face: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(segment, face, point) of the pairs of _crossings that pass its plane test."""
     d = p1 - p0
+    if face is None:  # every (segment, face) pair
+        plane, start, step = faces[:, :6], p0[:, None], d[:, None]
+    else:
+        plane, start, step = faces[:, :6].take(face, axis=0), p0, d
+    n = plane[..., _NORMAL]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        denom = _dot(n, d)
-        t = _dot(n, c - p0) / denom
-        point = p0 + t[..., None] * d
-        w = point - c
-        uw, vw = _dot(u, w), _dot(v, w)
+        denom = _dot(n, step)
+        t = _dot(n, plane[..., _CORNER] - start) / denom
+        cross = ~((np.abs(denom) < _PARALLEL) | (t <= _EPS) | (t >= 1.0 - _EPS))
+        segment, *which = np.nonzero(cross)
+        point = p0.take(segment, axis=0) + t[cross][:, None] * d.take(segment, axis=0)
+    return segment, which[0] if face is None else face.take(segment), point
+
+
+def _inside(point: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Whether each point (M, 3) lies within _CONTAINS_TOL of its face, the
+    row of f (M, 16) packed as Environment._packed."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        w = point - f[:, _CORNER]
+        uw, vw = _dot(f[:, _EDGE_U], w), _dot(f[:, _EDGE_V], w)
+        uu, vv, uv, det = f[:, _GRAM].T
         a = (vv * uw - uv * vw) / det
         b = (uu * vw - uv * uw) / det
-        lo, hi = -_CONTAINS_TOL, 1.0 + _CONTAINS_TOL
-        crosses = ~((np.abs(denom) < _PARALLEL) | (t <= _EPS) | (t >= 1.0 - _EPS))
-        return crosses & (lo <= a) & (a <= hi) & (lo <= b) & (b <= hi), point
+    lo, hi = -_CONTAINS_TOL, 1.0 + _CONTAINS_TOL
+    return (lo <= a) & (a <= hi) & (lo <= b) & (b <= hi)
 
 
 def _path_rows(
@@ -238,52 +298,93 @@ def _path_fields(length: np.ndarray, f_c_hz: float) -> tuple[np.ndarray, np.ndar
     )
 
 
-def _image_method(
-    tx: np.ndarray, rx: np.ndarray, seq: np.ndarray, faces: np.ndarray, gram: np.ndarray
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """(valid rows, path points) of the image method on rows (tx, rx, face sequence).
-
-    A row is valid when every reflection point lands inside its face and
-    every leg of the unfolded path clears all faces (touching a face at a
-    leg endpoint does not occlude). The points of the valid rows are tx,
-    the reflection points in bounce order, then rx.
-    """
-    images = []
-    img = tx
-    for f in seq.T:
-        n = faces[0, f]
-        img = img - (2.0 * _dot(n, img - faces[1, f]))[:, None] * n
-        images.append(img)
-    live = np.arange(len(seq))
-    points = [rx]  # the receiver, then the reflection points walking backward
-    for j in reversed(range(seq.shape[1])):
-        f = seq[live, j]
-        hit, point = _crossings(points[-1], images[j][live], faces[:, f], gram[:, f])
-        live = live[hit]
-        points = [p[hit] for p in points] + [point[hit]]
-    points = [tx[live], *reversed(points)]
-    for i in range(len(points) - 1):
-        clear = ~_crossings(points[i][:, None], points[i + 1][:, None], faces, gram)[0].any(axis=1)
-        live = live[clear]
-        points = [p[clear] for p in points]
-    return live, points
-
-
-def _face_sequences(index: np.ndarray, n_faces: int, order: int) -> np.ndarray:
-    """The face sequences numbered `index` among those of one order.
+def _children(
+    index: np.ndarray, order: int, n_faces: int, last: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(parent, face) of the face sequences numbered `index` among those of
+    one order: the number of the sequence one bounce shorter, and the face
+    that follows it.
 
     Numbering follows itertools.product order with the same face twice in a
-    row skipped: a sequence is its first face, then for each later bounce
-    the rank of its face among the n_faces - 1 other than the previous one.
+    row skipped. Sequence i of order k > 1 is sequence i // (n_faces - 1)
+    of order k - 1, whose last face is last[i // (n_faces - 1)], followed by
+    the (i % (n_faces - 1))-th of the other faces. The one parent of order 1
+    is the empty sequence, whose last face is n_faces, a face none follows.
     """
-    seq = np.empty((index.size, order), dtype=np.intp)
-    rest = index
-    for j in range(order - 1, 0, -1):
-        rest, seq[:, j] = np.divmod(rest, n_faces - 1)
-    seq[:, 0] = rest
-    for j in range(1, order):
-        seq[:, j] += seq[:, j] >= seq[:, j - 1]
-    return seq
+    parent, rank = np.divmod(index, n_faces if order == 1 else n_faces - 1)
+    return parent, rank + (rank >= last.take(parent))
+
+
+def _mirror(image: np.ndarray, faces: np.ndarray, face: np.ndarray) -> np.ndarray:
+    """Each image (..., N, 3) mirrored in the plane of its face, the row
+    face (N,) of the packed table faces."""
+    normal, corner = faces[face, _NORMAL], faces[face, _CORNER]
+    return image - (2.0 * _dot(normal, image - corner))[..., None] * normal
+
+
+def _image_tree(
+    sources: np.ndarray, faces: np.ndarray, max_order: int
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """(images, last) of the face sequences of orders 0..max_order of the
+    transmitter positions sources (S, 3).
+
+    images[k] (S, N_k, 3) holds the order-k images and last[k] (N_k,) their
+    sequences' last faces, numbered as _children numbers them; order 0 is
+    the sources themselves. Each image is its parent's, mirrored once.
+    """
+    n = len(faces)
+    images, last = [sources[:, None]], [np.array([n])]
+    for order in range(1, max_order + 1):
+        parent, face = _children(np.arange(n * (n - 1) ** (order - 1)), order, n, last[-1])
+        level = np.empty((len(sources), face.size, 3))
+        for at in range(0, face.size, _BATCH):  # _BATCH nodes' temporaries at a time
+            part = slice(at, at + _BATCH)
+            level[:, part] = _mirror(images[-1][:, parent[part]], faces, face[part])
+        images.append(level)
+        last.append(face)
+    return images, last
+
+
+def _walk(
+    rx: np.ndarray, g: np.ndarray, source: np.ndarray, index: np.ndarray, order: int,
+    images: list[np.ndarray], last: list[np.ndarray], faces: np.ndarray,
+) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
+    """(g, reflection points, faces) of the rows that pass the backward walk
+    of the image method.
+
+    Row r is the receiver rx[r] of geometry g[r] and face sequence index[r]
+    of the given order, with the images and last faces of the shorter
+    sequences from the image tree of transmitter source[r]. The first step
+    mirrors each row's own image from its parent's; each step goes from the
+    last point found toward the image of one shorter prefix and keeps the
+    rows whose segment crosses that prefix's last face. The points and
+    faces of the rows kept come in bounce order.
+    """
+    n = len(faces)
+    prefix, face = _children(index, order, n, last[order - 1])
+    image = _mirror(images[order - 1][source, prefix], faces, face)
+    points, hits, point = [], [], rx  # walking backward from the receiver
+    for k in reversed(range(order)):  # the order of the prefix left
+        hit, face, point = _crossings(point, image, faces, face)
+        g, source, prefix = g.take(hit), source.take(hit), prefix.take(hit)
+        points = [p.take(hit, axis=0) for p in points] + [point]
+        hits = [h.take(hit) for h in hits] + [face]
+        if k:
+            image, face = images[k][source, prefix], last[k].take(prefix)
+            prefix //= n - 1  # the parents' numbers, while k > 1
+    return g, points[::-1], hits[::-1]
+
+
+def _occluded(points: np.ndarray, faces: np.ndarray) -> np.ndarray:
+    """Whether any leg points[r, i]..points[r, i + 1] of each row crosses a
+    face, the (leg, face) pairs tested _BATCH at a time."""
+    p0 = points[:, :-1].reshape(-1, 3)
+    p1 = points[:, 1:].reshape(-1, 3)
+    hit = np.zeros(len(p0), dtype=bool)
+    step = max(1, _BATCH // len(faces))
+    for start in range(0, len(p0), step):
+        hit[start + _crossings(p0[start:start + step], p1[start:start + step], faces)[0]] = True
+    return hit.reshape(points.shape[0], points.shape[1] - 1).any(axis=1)
 
 
 def _reflections(
@@ -295,24 +396,43 @@ def _reflections(
     Each geometry's paths come in order of reflection order, then face
     sequence in itertools.product order, as from a per-sequence loop. A path's
     length sums its legs' lengths and its amp_scale multiplies its faces'
-    gammas, both in bounce order.
+    gammas, both in bounce order. The images of the orders below max_order
+    come from one image tree per distinct transmitter position, trees built
+    for as many positions at once as _BATCH nodes hold, and for one at
+    least, so that the rows of a moving transmitter's positions share walk
+    chunks; each walk chunk mirrors its rows' own images from their parents.
     """
-    faces, gram, gamma = env._stacked
-    n = faces.shape[1]
-    chunk = max(1, _BATCH // max(n, 1))
+    faces, gamma = env._packed, env._gamma
+    n = len(faces)
     found = [np.recarray(0, _PATH)]
-    for order in range(1, max_order + 1):
-        per_geometry = n * (n - 1) ** (order - 1)
-        rows = len(tx) * per_geometry
-        for start in range(0, rows, chunk):
-            geometry, index = np.divmod(np.arange(start, min(start + chunk, rows)), per_geometry)
-            seq = _face_sequences(index, n, order)
-            live, points = _image_method(tx[geometry], rx[geometry], seq, faces, gram)
-            legs = [b - a for a, b in zip(points, points[1:])]
-            found.append(_path_rows(
-                PathType.REFLECTION, geometry[live], sum(np.sqrt(_dot(leg, leg)) for leg in legs),
-                math.prod(gamma[seq[live]].T), legs[0], points[-2] - points[-1],
-            ))
+    if n == 0 or max_order < 1:
+        return found[0]
+    # the distinct transmitter positions, compared bit for bit
+    tx = np.ascontiguousarray(tx)
+    rows_as_bytes = tx.view(np.dtype((np.void, tx.itemsize * 3)))[:, 0]
+    _, first, source = np.unique(rows_as_bytes, return_index=True, return_inverse=True)
+    nodes = 1 + sum(n * (n - 1) ** (k - 1) for k in range(1, max_order))
+    per_tree = max(1, _BATCH // nodes)
+    for lo in range(0, len(first), per_tree):
+        images, last = _image_tree(tx[first[lo:lo + per_tree]], faces, max_order - 1)
+        geometries = np.flatnonzero((lo <= source) & (source < lo + per_tree))
+        for order in range(1, max_order + 1):
+            per_geometry = n * (n - 1) ** (order - 1)
+            rows = len(geometries) * per_geometry
+            for start in range(0, rows, _BATCH):
+                g, index = np.divmod(np.arange(start, min(start + _BATCH, rows)), per_geometry)
+                g = geometries.take(g)
+                g, bounces, hits = _walk(rx.take(g, axis=0), g, source.take(g) - lo, index, order,
+                                         images, last, faces)
+                points = np.stack([tx.take(g, axis=0), *bounces, rx.take(g, axis=0)], axis=1)
+                clear = np.flatnonzero(~_occluded(points, faces))
+                g, points = g.take(clear), points.take(clear, axis=0)
+                legs = points[:, 1:] - points[:, :-1]
+                found.append(_path_rows(
+                    PathType.REFLECTION, g, sum(np.sqrt(_dot(legs, legs)).T),
+                    math.prod(gamma.take(f.take(clear)) for f in hits),
+                    legs[:, 0], points[:, -2] - points[:, -1],
+                ))
     return _joined(found)
 
 
@@ -330,33 +450,33 @@ def knife_edge_loss_db(nu: float) -> float:
     return 6.9 + 20.0 * math.log10(math.sqrt((nu - 0.1) ** 2 + 1.0) + nu - 0.1)
 
 
-def _min_path_point_on_edge(
+def _edge_points(
     p_tx: np.ndarray, p_rx: np.ndarray, e0: np.ndarray, e1: np.ndarray
 ) -> np.ndarray:
-    """Point on segment e0..e1 minimizing |tx-P| + |P-rx| (ternary search).
+    """Point on each segment e0..e1 minimizing |tx-P| + |P-rx|, all rows (P, 3)
+    in one ternary search.
 
-    The objective is convex in the edge parameter; iteration runs until the
-    bracketing interval is below 1e-9 m along the edge. The path length is
-    flat at its minimum, so comparisons stop resolving the point well before
-    that: it can sit about 1e-6 m from the true minimizer, while its path
-    length agrees with the minimum to about 1e-14 m.
+    The objective is convex in the edge parameter; a row's search runs until
+    its bracketing interval is below 1e-9 m along the edge, and the rows
+    step in lockstep until the last one stops. The path length is flat at
+    its minimum, so comparisons stop resolving the point well before that:
+    it can sit about 1e-6 m from the true minimizer, while its path length
+    agrees with the minimum to about 1e-14 m. Each row is the per-edge
+    search's point bit for bit, its norms taken as sqrt(_dot(x, x)).
     """
     edge = e1 - e0
-    edge_len = float(np.linalg.norm(edge))
-
-    def path_len(s: float) -> float:
-        p = e0 + s * edge
-        return float(np.linalg.norm(p - p_tx) + np.linalg.norm(p_rx - p))
-
-    lo, hi = 0.0, 1.0
-    while (hi - lo) * edge_len > 1e-9:
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        if path_len(m1) < path_len(m2):
-            hi = m2
-        else:
-            lo = m1
-    return e0 + 0.5 * (lo + hi) * edge
+    edge_len = np.sqrt(_dot(edge, edge))
+    # bounds holds (lo, hi), steps (m1, m2) = (lo + third, hi - third); hi
+    # moves to m2 where m1 is nearer, else lo moves to m1
+    bounds = np.stack((np.zeros(len(edge)), np.ones(len(edge))))
+    step, hi_moves = np.array([[1.0], [-1.0]]), np.array([[False], [True]])
+    while (active := (bounds[1] - bounds[0]) * edge_len > 1e-9).any():
+        m = bounds + (bounds[1] - bounds[0]) / 3.0 * step
+        p = e0 + m[..., None] * edge
+        to_tx, to_rx = p - p_tx, p_rx - p
+        path_len = np.sqrt(_dot(to_tx, to_tx)) + np.sqrt(_dot(to_rx, to_rx))
+        bounds = np.where(((path_len[0] < path_len[1]) == hi_moves) & active, m, bounds)
+    return e0 + (0.5 * (bounds[0] + bounds[1]))[:, None] * edge
 
 
 @dataclass(frozen=True, eq=False)
@@ -375,6 +495,10 @@ class RtScenario:
     max_reflection_order: int = 4
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.carrier_hz) and self.carrier_hz > 0):
+            raise ValueError(f"carrier_hz must be finite and > 0, got {self.carrier_hz!r}")
+        if not self.max_reflection_order >= 0:
+            raise ValueError(f"max_reflection_order must be >= 0, got {self.max_reflection_order!r}")
         t = np.asarray(self.times, dtype=float)
         if t.ndim != 1 or t.size < 1:
             raise ValueError("times must be a non-empty 1-d array")
@@ -383,6 +507,8 @@ class RtScenario:
         for node, pos in self.positions.items():
             if np.shape(pos) != (t.size, 3):
                 raise ValueError(f"positions of node {node} must have shape ({t.size}, 3)")
+            if not np.all(np.isfinite(pos)):
+                raise ValueError(f"positions of node {node} must be finite")
         for tx, rx in self.links:
             for node in (tx, rx):
                 if node not in self.positions:
@@ -390,28 +516,30 @@ class RtScenario:
 
 
 def _diffraction(
-    p_tx: np.ndarray, p_rx: np.ndarray, env: Environment, blocks: list[bool], lam: float
-) -> list[tuple[float, float, np.ndarray, np.ndarray]]:
-    """(length, loss, first_leg, last_leg_back) of each knife-edge path of a
-    blocked link, blocks[f] saying whether face f crosses tx..rx."""
+    tx: np.ndarray, rx: np.ndarray, env: Environment, blocks: np.ndarray, lam: float
+) -> np.recarray:
+    """The knife-edge paths of the geometries (tx[g], rx[g]) that blocks
+    (G, F), whether face f crosses tx..rx, says are blocked: one per marked
+    edge, by geometry, then edge."""
+    owner, e0, e1 = env._edges
+    blocked = np.flatnonzero(blocks.any(axis=1))
+    if not (blocked.size and owner.size):
+        return np.recarray(0, _PATH)
+    g, edge = blocked.repeat(len(owner)), np.tile(np.arange(len(owner)), len(blocked))
+    p_tx, p_rx = tx.take(g, axis=0), rx.take(g, axis=0)
+    point = _edge_points(p_tx, p_rx, e0[edge], e1[edge])
+    to_tx, to_rx = point - p_tx, p_rx - point
+    d1, d2 = np.sqrt(_dot(to_tx, to_tx)), np.sqrt(_dot(to_rx, to_rx))
     los_dir = p_rx - p_tx
-    los_dir = los_dir / np.linalg.norm(los_dir)
-    paths = []
-    for rect, owner_blocks in zip(env.rectangles, blocks):
-        for edge_idx in rect.diffracting_edges:
-            e0, e1 = rect.edge_points(edge_idx)
-            point = _min_path_point_on_edge(p_tx, p_rx, e0, e1)
-            d1 = float(np.linalg.norm(point - p_tx))
-            d2 = float(np.linalg.norm(p_rx - point))
-            # clearance of the edge over the direct line; positive when the
-            # owning face shadows the link, negative when it merely grazes
-            h = float(np.linalg.norm(np.cross(point - p_tx, los_dir)))
-            if not owner_blocks:
-                h = -h
-            nu = fresnel_parameter(h, d1, d2, lam)
-            loss = 10.0 ** (-knife_edge_loss_db(nu) / 20.0)
-            paths.append((d1 + d2, loss, point - p_tx, point - p_rx))
-    return paths
+    los_dir = los_dir / np.sqrt(_dot(los_dir, los_dir))[:, None]
+    # clearance of the edge over the direct line; positive when the owning
+    # face shadows the link, negative when it merely grazes
+    across = np.cross(to_tx, los_dir)
+    h = np.sqrt(_dot(across, across))
+    h = np.where(blocks[g, owner[edge]], h, -h)
+    loss = [10.0 ** (-knife_edge_loss_db(fresnel_parameter(*x, lam)) / 20.0)
+            for x in zip(h.tolist(), d1.tolist(), d2.tolist())]
+    return _path_rows(PathType.DIFFRACTION, g, d1 + d2, np.array(loss), to_tx, point - p_rx)
 
 
 def _snapshot_paths(
@@ -432,17 +560,17 @@ def _snapshot_paths(
     """
     tx = np.asarray(p_tx, dtype=float).reshape(-1, 3)
     rx = np.asarray(p_rx, dtype=float).reshape(-1, 3)
-    faces, gram, _ = env._stacked
-    blocks = _crossings(tx[:, None], rx[:, None], faces, gram)[0]
-    blocked = blocks.any(axis=1)
-    los = np.flatnonzero(~blocked)
+    faces = env._packed
+    blocks = np.zeros((len(tx), len(faces)), dtype=bool)
+    segment, face, _ = _crossings(tx, rx, faces)
+    blocks[segment, face] = True
+    los = np.flatnonzero(~blocks.any(axis=1))
     d = rx[los] - tx[los]
-    parts = [_path_rows(PathType.LOS, los, np.sqrt(_dot(d, d)), 1.0, d, -d), reflections]
-    lam = SPEED_OF_LIGHT / f_c_hz
-    diffraction = [(g, *path) for g in np.flatnonzero(blocked).tolist()
-                   for path in _diffraction(tx[g], rx[g], env, blocks[g].tolist(), lam)]
-    if diffraction:
-        parts.append(_path_rows(PathType.DIFFRACTION, *zip(*diffraction)))
+    parts = [
+        _path_rows(PathType.LOS, los, np.sqrt(_dot(d, d)), 1.0, d, -d),
+        reflections,
+        _diffraction(tx, rx, env, blocks, SPEED_OF_LIGHT / f_c_hz),
+    ]
     paths = _joined(parts)
     mechanism = np.repeat(np.arange(len(parts)), [len(part) for part in parts])
     return paths[np.lexsort((mechanism, paths.snapshot))]

@@ -358,6 +358,8 @@ def parse_config(raw: dict, base_dir: str = ".") -> ScenarioConfig:
     for key in ("carrier_hz", "bandwidth_hz", "snapshot_dt_s"):
         if values[key] is not None and not values[key] > 0:
             reader.problems.append(f"{key} must be > 0")
+    if values["max_reflection_order"] < 0:
+        reader.problems.append("max_reflection_order must be >= 0")
     # build_setup and noise_power take the dB values to linear ratios
     for key, offset in (("txpower_dbm", 30.0), ("noise_figure_db", 0.0)):
         if values[key] is not None:

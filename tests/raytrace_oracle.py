@@ -5,10 +5,12 @@ are the per-sequence, per-snapshot implementations as they stood before the
 batched filter, kept verbatim as the reference the tests compare against:
 the array tracer must give the same paths in the same order, bit for bit.
 The scalar image-method helpers (_plane_crossing, _segment_hit,
-_segment_occluded, _mirror), the path type _RawPath and the record code
+_segment_occluded, _mirror), the per-edge ternary search
+(_min_path_point_on_edge), the path type _RawPath and the record code
 (_los_path, _record_from_path and the field and angle functions) are kept
 here verbatim too, so that the reference does not run the code it checks.
-It shares only the tolerances, the face type and the diffraction code.
+It shares only the tolerances, the face type and the knife-edge formulas
+(fresnel_parameter, knife_edge_loss_db).
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from tracechan.raytrace import (
     Environment,
     Rectangle,
     RtScenario,
-    _min_path_point_on_edge,
     fresnel_parameter,
     knife_edge_loss_db,
 )
@@ -194,6 +195,35 @@ def trace_reflections(
                 )
             )
     return paths
+
+def _min_path_point_on_edge(
+    p_tx: np.ndarray, p_rx: np.ndarray, e0: np.ndarray, e1: np.ndarray
+) -> np.ndarray:
+    """Point on segment e0..e1 minimizing |tx-P| + |P-rx| (ternary search).
+
+    The objective is convex in the edge parameter; iteration runs until the
+    bracketing interval is below 1e-9 m along the edge. The path length is
+    flat at its minimum, so comparisons stop resolving the point well before
+    that: it can sit about 1e-6 m from the true minimizer, while its path
+    length agrees with the minimum to about 1e-14 m.
+    """
+    edge = e1 - e0
+    edge_len = float(np.linalg.norm(edge))
+
+    def path_len(s: float) -> float:
+        p = e0 + s * edge
+        return float(np.linalg.norm(p - p_tx) + np.linalg.norm(p_rx - p))
+
+    lo, hi = 0.0, 1.0
+    while (hi - lo) * edge_len > 1e-9:
+        m1 = lo + (hi - lo) / 3.0
+        m2 = hi - (hi - lo) / 3.0
+        if path_len(m1) < path_len(m2):
+            hi = m2
+        else:
+            lo = m1
+    return e0 + 0.5 * (lo + hi) * edge
+
 
 def trace_diffraction(
     p_tx: np.ndarray, p_rx: np.ndarray, env: Environment, f_c_hz: float

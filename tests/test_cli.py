@@ -463,6 +463,9 @@ def test_replay_past_duration_exits_2(scene_cfg, tmp_path, capsys):
      "config error: rx_id: 9223372036854775808 is not in [0, 2**63)\n"),
     ("snapshot_dt_s: 0.25", "snapshot_dt_s: 0.25\ntx_id: -1",
      "config error: tx_id: -1 is not in [0, 2**63)\n"),
+    # a negative order would trace LOS only, as if it were 0
+    ("snapshot_dt_s: 0.25", "snapshot_dt_s: 0.25\nmax_reflection_order: -3",
+     "config error: max_reflection_order must be >= 0\n"),
     ("{kind: linear, start: [30.0, 5.0, 1.5], velocity: [0.0, -1.5, 0.0]}",
      "{kind: static, position: [0.0, 0.0, 10.0]}",
      "error: tx and rx coincide at t=0.0\n"),
@@ -489,7 +492,7 @@ def test_replay_past_duration_exits_2(scene_cfg, tmp_path, capsys):
      "config error: noise_figure_db 5.0 and temperature_k 1e-320 "
      "make the noise plus interference power 0 W\n"),
 ], ids=["subbands-inf", "codebook-bound-inf", "equal-node-ids", "node-id-2**63",
-        "node-id-negative", "coincident-nodes", "diffracting-edge-inf",
+        "node-id-negative", "reflection-order-negative", "coincident-nodes", "diffracting-edge-inf",
         "diffracting-edges-string", "diffracting-edges-int", "diffracting-edge-repeated",
         "txpower-overflow", "noise-figure-overflow", "noise-underflow",
         "temperature-underflow"])

@@ -1,14 +1,19 @@
 """Ray-trace oracle: geometry, amplitudes, and trace generation."""
 
+import hashlib
+import importlib.util
 import itertools
+import json
 import math
 import re
+import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import raytrace_oracle
@@ -27,6 +32,7 @@ from tracechan import (
     validate_trace,
 )
 from tracechan import raytrace
+from tracechan.cli import main
 from tracechan.scenario import build_rt_scenario, load_config
 from tracechan.trajectory import time_grid
 from tracechan.traces import trace_to_text
@@ -58,6 +64,18 @@ def test_rectangle_validation():
         Rectangle([0, 0, 0], [1, 0, 0], [0, 1, 0], diffracting_edges=(4,))
     with pytest.raises(ValueError, match=r"diffracting edges \(1, 1\) repeat an index"):
         Rectangle([0, 0, 0], [1, 0, 0], [0, 1, 0], diffracting_edges=[1, 1])
+    # a non-finite vector would give the face a NaN normal
+    with pytest.raises(ValueError, match="^corner must be finite$"):
+        Rectangle([0, math.nan, 0], [1, 0, 0], [0, 1, 0])
+    with pytest.raises(ValueError, match="^edge_u must be finite$"):
+        Rectangle([0, 0, 0], [math.inf, 0, 0], [0, 1, 0])
+    with pytest.raises(ValueError, match="^edge_v must be finite$"):
+        Rectangle([0, 0, 0], [1, 0, 0], [0, -math.inf, 0])
+    # finite edges whose products overflow would give the same NaN normal
+    with pytest.raises(ValueError, match="^edge_u and edge_v are too large"):
+        Rectangle([0, 0, 0], [1e200, 0, 0], [0, 1e200, 0])
+    with pytest.raises(ValueError, match="^edge_u and edge_v are too large"):
+        Rectangle([0, 0, 0], [1e200, 0, 0], [0, 1e-200, 1.0])
 
 
 def test_rectangle_edges_form_perimeter():
@@ -298,6 +316,18 @@ def test_scenario_validation():
         RtScenario(Environment(), F_C, np.array([0.0, np.nan]), {0: np.zeros((2, 3))})
     with pytest.raises(ValueError, match="non-empty"):
         RtScenario(Environment(), F_C, np.array([]), {})
+    # each of these would give a trace that parse_trace_text rejects, or a
+    # trace with fewer mechanisms than asked for
+    for carrier in (-F_C, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="^carrier_hz must be finite and > 0"):
+            RtScenario(Environment(), carrier, times, {0: p0})
+    for bad in (math.nan, math.inf, -math.inf):
+        moved = p0.copy()
+        moved[2, 1] = bad
+        with pytest.raises(ValueError, match="^positions of node 1 must be finite$"):
+            RtScenario(Environment(), F_C, times, {0: p0, 1: moved}, ((0, 1),))
+    with pytest.raises(ValueError, match="^max_reflection_order must be >= 0"):
+        RtScenario(Environment(), F_C, times, {0: p0}, max_reflection_order=-3)
 
 
 def _rotation(quat):
@@ -366,8 +396,10 @@ _unit = st.floats(0.05, 0.95)
 
 
 @st.composite
-def _rt_scenes(draw):
-    """A box (some faces left out), partitions and nodes, rotated into place.
+def _rt_scenes(draw, max_sequences=600):
+    """A box (some faces left out), partitions and nodes, rotated into place,
+    traced to an order that keeps each order's face sequences at most
+    max_sequences.
 
     Degenerate placements: a receiver on or within 1e-13 of a face plane, a
     tx-rx leg parallel to a face pair, a coplanar face whose edge passes
@@ -440,7 +472,7 @@ def _rt_scenes(draw):
     env = Environment(tuple(rects))
     order = draw(st.integers(0, 4))
     n = len(env.rectangles)
-    while order > 1 and n * (n - 1) ** (order - 1) > 600:
+    while order > 1 and n * (n - 1) ** (order - 1) > max_sequences:
         order -= 1  # keep the scalar oracle affordable
     return env, tx, rxs, order
 
@@ -471,6 +503,115 @@ def test_batched_tracer_matches_scalar_oracle(scene, batch):
         assert [_path_bytes(p) for p in paths] == [_path_bytes(p) for p in want]
     want = raytrace_oracle.trace_link_snapshot(tx, rxs[0], env, F_C, order)
     assert [_path_bytes(p) for p in snapshot] == [_path_bytes(p) for p in want]
+
+
+def _batch_size(kind, env, order):
+    """A _BATCH of the given kind for tracing env to order: 1, one that
+    splits the face sequences of one geometry's top order, or the default."""
+    n = len(env.rectangles)
+    rows = n * (n - 1) ** (order - 1) if order else 1
+    return {"one": 1, "split": max(2, rows // 2), "default": raytrace._BATCH}[kind]
+
+
+_RAISE = dict(divide="raise", over="raise", invalid="raise")
+_BATCH_KINDS = st.sampled_from(["one", "split", "default"])
+
+
+@settings(max_examples=40, deadline=None)
+@given(_rt_scenes(max_sequences=24), _BATCH_KINDS)
+def test_moving_transmitter_matches_scalar_oracle(scene, kind):
+    # the transmitter moves and comes back (A, B, A), seen over two links: the
+    # tracer shares one image tree between the snapshots and links at A
+    env, a, rxs, order = scene
+    b = (a + rxs[0]) / 2.0
+    positions = {0: np.array([a, b, a]), 1: np.array([rxs[0]] * 3),
+                 2: np.array([rxs[-1], rxs[0], rxs[-1]])}
+    assume(not any((positions[0] == positions[k]).all(axis=1).any() for k in (1, 2)))
+    scenario = RtScenario(env, F_C, np.arange(3.0), positions, ((0, 1), (0, 2)), order)
+    with mock.patch.object(raytrace, "_BATCH", _batch_size(kind, env, order)), np.errstate(**_RAISE):
+        got = trace_to_text(generate_trace(scenario))
+    assert got == trace_to_text(raytrace_oracle.generate_trace(scenario))
+
+
+def test_many_face_scene_traces_in_bounded_memory():
+    # a box room whose six walls are cut into four strips each: 24 faces,
+    # 292,008 face sequences of order 4. The walk holds one chunk (about
+    # 1 MiB) and the image tree only orders 1-3 (12,696 nodes); the top
+    # order's images alone would take 6.7 MiB
+    size = np.array([10.0, 8.0, 3.0])
+    faces = []
+    for axis in range(3):
+        a, b = (i for i in range(3) if i != axis)
+        u, v = np.eye(3)[a] * size[a] / 4.0, np.eye(3)[b] * size[b]
+        for side, strip in itertools.product((0.0, 1.0), range(4)):
+            faces.append(Rectangle(np.eye(3)[axis] * side * size[axis] + strip * u, u, v, 0.6))
+    tx, rx = np.array([[2.1, 3.3, 1.7]]), np.array([[7.9, 5.2, 1.2]])
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    start = tracemalloc.get_traced_memory()[0]
+    paths = raytrace._reflections(tx, rx, Environment(tuple(faces)), 4)
+    peak = tracemalloc.get_traced_memory()[1] - start
+    if not was_tracing:
+        tracemalloc.stop()
+    assert len(paths) > 0
+    assert peak < 2 * 2**20
+
+
+@pytest.mark.parametrize("kind", ["one", "split", "default"])
+def test_scene_without_faces_matches_scalar_oracle(kind):
+    times = time_grid(0.0, 0.5, 4)
+    positions = {0: np.array([[0.0, 0.0, 10.0], [1.0, 0.0, 10.0]] * 2),
+                 1: linear_trajectory([7.0, 20.0, 1.5], [0.0, -1.5, 0.0], times)}
+    scenario = RtScenario(Environment(), F_C, times, positions, ((0, 1),))
+    with mock.patch.object(raytrace, "_BATCH", _batch_size(kind, scenario.environment, 4)), \
+            np.errstate(**_RAISE):
+        got = generate_trace(scenario)
+        assert len(raytrace._reflections(positions[0], positions[1], scenario.environment, 4)) == 0
+    assert [r.path_type for r in got.records] == [PathType.LOS] * 4
+    assert trace_to_text(got) == trace_to_text(raytrace_oracle.generate_trace(scenario))
+
+
+@st.composite
+def _blocked_links(draw):
+    """A screen with two to four marked edges, maybe a second face whose
+    marked edges have other lengths, and links that cross the screen inside
+    it, all rotated into place."""
+    a, b = draw(st.floats(0.5, 20.0)), draw(st.floats(0.5, 20.0))
+    edges = st.lists(st.integers(0, 3), min_size=2, max_size=4, unique=True)
+    local = [([0.0, -a, 0.0], [0.0, 2.0 * a, 0.0], [0.0, 0.0, b], draw(edges))]
+    if draw(st.booleans()):
+        local.append(([draw(st.floats(-20.0, 20.0)), 0.0, -draw(st.floats(0.1, 30.0))],
+                      [draw(st.floats(0.1, 40.0)), 0.0, 0.0], [0.0, draw(st.floats(0.1, 5.0)), 0.0],
+                      draw(edges)))
+    links = []
+    for _ in range(draw(st.integers(2, 8))):
+        hit = np.array([0.0, a * draw(st.floats(-0.95, 0.95)), b * draw(st.floats(0.05, 0.95))])
+        way = np.array([draw(st.floats(0.2, 1.0)), draw(st.floats(-1.0, 1.0)),
+                        draw(st.floats(-1.0, 1.0))])
+        links += [(hit - draw(st.floats(0.5, 30.0)) * way, hit + draw(st.floats(0.5, 30.0)) * way)]
+    rot = _rotation(draw(st.tuples(*[st.floats(-1.0, 1.0)] * 4)
+                         .filter(lambda q: np.linalg.norm(q) > 0.1)))
+    origin = np.array(draw(st.tuples(*[st.floats(-30.0, 30.0)] * 3)))
+    env = Environment(tuple(Rectangle(origin + rot @ np.array(c), rot @ np.array(u),
+                                      rot @ np.array(v), 0.6, e) for c, u, v, e in local))
+    place = [[origin + rot @ p for p in link] for link in links]
+    return env, np.array([p for p, _ in place]), np.array([q for _, q in place])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_blocked_links(), st.integers(0, 1), _BATCH_KINDS)
+def test_lockstep_edge_search_matches_scalar_oracle(scene, order, kind):
+    # every link is blocked and has a knife-edge path per marked edge, all of
+    # them found by one lockstep search whose rows stop at different steps
+    env, tx, rx = scene
+    with mock.patch.object(raytrace, "_BATCH", _batch_size(kind, env, order)), np.errstate(**_RAISE):
+        paths = raytrace._snapshot_paths(tx, rx, env, F_C, raytrace._reflections(tx, rx, env, order))
+    marked = sum(len(r.diffracting_edges) for r in env.rectangles)
+    assert (paths.path_type == PathType.DIFFRACTION).sum() == marked * len(tx)
+    for g in range(len(tx)):
+        want = raytrace_oracle.trace_link_snapshot(tx[g], rx[g], env, F_C, order)
+        assert [_path_bytes(p) for p in paths[paths.snapshot == g]] == [_path_bytes(p) for p in want]
 
 
 def _grazing_blocker():
@@ -536,8 +677,13 @@ def test_stacked_dot_is_the_scalar_dot(operands):
 def test_face_sequences_follow_product_order(n_faces, order):
     want = [s for s in itertools.product(range(n_faces), repeat=order)
             if all(a != b for a, b in zip(s, s[1:]))]
-    got = raytrace._face_sequences(np.arange(len(want)), n_faces, order)
-    assert [tuple(s) for s in got.tolist()] == want
+    # each order's sequences are their parents followed by one face
+    got, last = [()], np.array([n_faces])
+    for k in range(1, order + 1):
+        index = np.arange(n_faces * (n_faces - 1) ** (k - 1))
+        parent, last = raytrace._children(index, k, n_faces, last)
+        got = [got[p] + (f,) for p, f in zip(parent.tolist(), last.tolist())]
+    assert got == want
 
 
 def test_rectangle_caches_read_only_geometry():
@@ -595,3 +741,31 @@ def test_generate_trace_matches_scalar_oracle_on_configs(variant, tmp_path):
         assert scenario.max_reflection_order == 0
     want = trace_to_text(raytrace_oracle.generate_trace(scenario))
     assert trace_to_text(generate_trace(scenario)) == want
+
+
+PERFBENCH = CONFIGS.parent / "perfbench"
+ROOM_REFERENCES = json.loads(
+    (PERFBENCH / "references" / "room_trace.json").read_text(encoding="utf-8"))["seeds"]
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    """perfbench/workloads.py, which writes the benchmark's configs."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up there
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+@pytest.mark.parametrize("seed", sorted(ROOM_REFERENCES, key=int))
+def test_room_trace_trace_matches_its_benchmark_reference(workloads, seed, tmp_path):
+    workload = workloads.generate("room_trace", int(seed), tmp_path)
+    generate, _ = workload.passes
+    assert generate[0] == "generate-trace"
+    assert main(list(generate)) == 0
+    digest = hashlib.sha256(workload.trace_csv.read_bytes()).hexdigest()
+    assert digest == ROOM_REFERENCES[seed]["trace_sha256"]

@@ -53,10 +53,6 @@ __all__ = [
 ]
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
-# the record fields a channel is built from, in the order they are checked,
-# and the names error messages give them
-_FIELDS = {"gain_mag": "gain_mag", "phase": "phase_rad", "delay": "delay_s",
-           "aod_az": "aod_az", "aoa_az": "aoa_az", "aod_zen": "aod_zen", "aoa_zen": "aoa_zen"}
 _NORM_TOL = 1e-9  # a beam weight norm this close to 1 counts as unit norm
 
 
@@ -144,33 +140,15 @@ class ChannelMatrixSet:
         return np.einsum("kp,up,sp->kus", self.coef, self.a_rx, self.a_tx.conj(), optimize=True)
 
 
-def _check_fields(columns) -> None:
-    """Raise ValueError naming the first bad channel field, in _FIELDS order.
-
-    Non-finite values are reported first, then zeniths outside [0, 180].
-    """
-    fields = np.stack([columns[attr] for attr in _FIELDS])  # (7, P)
-    names = list(_FIELDS.values())
-    finite = np.isfinite(fields).all(axis=1)
-    if not finite.all():
-        raise ValueError(f"non-finite {names[finite.argmin()]} in snapshot records")
-    zen = fields[5:]
-    in_range = ((zen >= 0.0) & (zen <= 180.0)).all(axis=1)
-    if not in_range.all():
-        raise ValueError(f"{names[5 + in_range.argmin()]} outside [0, 180] in snapshot records")
-
-
 def path_factors(
     paths: TraceSet | Sequence[MpcRecord], tx_array: PlanarArray, rx_array: PlanarArray
 ) -> PathFactors:
     """The PathFactors of paths, in their order: one steering call per side.
 
     paths may span several snapshots; run_simulation passes one link's
-    paths. A non-finite gain, phase, delay or azimuth, or a zenith outside
-    [0, 180], on any path raises ValueError (see _check_fields).
+    paths.
     """
     c = (paths if isinstance(paths, TraceSet) else TraceSet(paths)).columns
-    _check_fields(c)
     tx_rows, tx_cols = steering_factors(tx_array, _wrap_azimuth(c["aod_az"]), c["aod_zen"])
     rx_rows, rx_cols = steering_factors(rx_array, _wrap_azimuth(c["aoa_az"]), c["aoa_zen"])
     return PathFactors(
@@ -189,8 +167,7 @@ def build_channel_matrices(
 
     paths is the snapshot's TraceSet or MpcRecords, which must all share one
     (t, tx_id, rx_id). t defaults to the records' time, else 0.0; no paths
-    give a channel with zero-path factors and all-zero matrices. Records go
-    through path_factors, so the same fields raise ValueError. No steering
+    give a channel with zero-path factors and all-zero matrices. No steering
     matrix or coefficient is computed here.
     """
     trace = paths if isinstance(paths, TraceSet) else TraceSet(paths)

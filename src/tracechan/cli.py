@@ -144,11 +144,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate-trace", help="ray-trace a geometry config to a trace CSV")
     p.add_argument("--config", required=True, help="scenario config file (YAML)")
     p.add_argument("--out", required=True, help="output trace CSV path")
-    p.set_defaults(func=_cmd_generate_trace)
 
     p = sub.add_parser("validate", help="check a trace CSV for findings")
     p.add_argument("--trace", required=True, help="trace CSV path")
-    p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("simulate", help="run the link simulation over a trace")
     p.add_argument("--config", required=True, help="scenario config file (YAML)")
@@ -156,23 +154,26 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", help="trace CSV (overrides the config's source)")
     p.add_argument("--workers", type=int, choices=[1], default=1,
                    help="accepts only 1; kept so existing command lines still work")
-    p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("sweep", help="exhaustive beam sweep at one snapshot")
     p.add_argument("--config", required=True, help="scenario config file (YAML)")
     p.add_argument("--out", required=True, help="output sweep table CSV path")
     p.add_argument("--trace", help="trace CSV (overrides the config's source)")
     p.add_argument("--time", type=float, help="snapshot time (default: first)")
-    p.set_defaults(func=_cmd_sweep)
 
     return parser
 
 
+# built once: each parse_args call fills a new namespace
+_PARSER = _build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
-        return args.func(args)
+        # the command's function is looked up when called, so a wrapper
+        # installed under its name after import is the one that runs
+        return globals()[f"_cmd_{args.command.replace('-', '_')}"](args)
     except ConfigError as exc:
         for problem in exc.problems:
             print(f"config error: {problem}", file=sys.stderr)

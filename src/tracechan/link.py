@@ -178,38 +178,6 @@ def select_mcs(sinr_db: float, table: AmcTable) -> int | None:
     return idx if idx >= 0 else None
 
 
-def throughput_delay(
-    mcs: int | None,
-    table: AmcTable,
-    bandwidth_hz: float,
-    offered_bps: float,
-    overhead: float,
-    base_delay_s: float = 0.5e-3,
-    saturation_delay_s: float = 7.5e-3,
-) -> tuple[float, float]:
-    """Delivered rate and one-way delay from an analytic saturation model.
-
-    Capacity C = SE * B * (1 - overhead); delivered = min(offered, C); the
-    delay adds a queueing penalty that scales with the saturated fraction:
-    base + saturation * max(0, 1 - C/offered). A None mcs transmits at the
-    lowest rate with effectively zero goodput, so it behaves as C = 0.
-    """
-    if not 0.0 <= overhead < 1.0:
-        raise ValueError("overhead must be in [0, 1)")
-    if not offered_bps >= 0:  # nan too
-        raise ValueError("offered_bps must be >= 0")
-    if mcs is not None and not 0 <= mcs < len(table):
-        raise ValueError(f"mcs {mcs} outside table of {len(table)} entries")
-    capacity = (
-        0.0 if mcs is None else table.spectral_efficiency[mcs] * bandwidth_hz * (1.0 - overhead)
-    )
-    if offered_bps == 0.0:
-        return 0.0, base_delay_s
-    delivered = min(offered_bps, capacity)
-    delay = base_delay_s + saturation_delay_s * max(0.0, 1.0 - capacity / offered_bps)
-    return delivered, delay
-
-
 @dataclass(frozen=True)
 class LinkMetrics:
     """One output row of the simulation."""
@@ -250,6 +218,38 @@ class SimulationSetup:
         t = np.asarray(self.times, dtype=float)
         if not (t.ndim == 1 and t.size and np.isfinite(t).all() and (np.diff(t) > 0).all()):
             raise ValueError("times must be a non-empty, finite, strictly increasing grid")
+
+
+def throughput_delay(
+    mcs: int | None,
+    table: AmcTable,
+    bandwidth_hz: float,
+    offered_bps: float,
+    overhead: float,
+    base_delay_s: float = SimulationSetup.base_delay_s,
+    saturation_delay_s: float = SimulationSetup.saturation_delay_s,
+) -> tuple[float, float]:
+    """Delivered rate and one-way delay from an analytic saturation model.
+
+    Capacity C = SE * B * (1 - overhead); delivered = min(offered, C); the
+    delay adds a queueing penalty that scales with the saturated fraction:
+    base + saturation * max(0, 1 - C/offered). A None mcs transmits at the
+    lowest rate with effectively zero goodput, so it behaves as C = 0.
+    """
+    if not 0.0 <= overhead < 1.0:
+        raise ValueError("overhead must be in [0, 1)")
+    if not offered_bps >= 0:  # nan too
+        raise ValueError("offered_bps must be >= 0")
+    if mcs is not None and not 0 <= mcs < len(table):
+        raise ValueError(f"mcs {mcs} outside table of {len(table)} entries")
+    capacity = (
+        0.0 if mcs is None else table.spectral_efficiency[mcs] * bandwidth_hz * (1.0 - overhead)
+    )
+    if offered_bps == 0.0:
+        return 0.0, base_delay_s
+    delivered = min(offered_bps, capacity)
+    delay = base_delay_s + saturation_delay_s * max(0.0, 1.0 - capacity / offered_bps)
+    return delivered, delay
 
 
 def _nearest_slots(grid: np.typing.ArrayLike, times: np.typing.ArrayLike) -> np.ndarray:

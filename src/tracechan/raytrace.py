@@ -47,7 +47,7 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from .channel import SPEED_OF_LIGHT
-from .traces import PathType, TraceSet, _frozen
+from .traces import PathType, TraceSet, _broken, _frozen
 
 __all__ = [
     "Rectangle",
@@ -293,9 +293,8 @@ def _wrap_phase(phase: np.ndarray) -> np.ndarray:
 def _path_fields(length: np.ndarray, f_c_hz: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(delay, free-space amplitude gain, carrier phase) of path lengths."""
     lam = SPEED_OF_LIGHT / f_c_hz
-    return length / SPEED_OF_LIGHT, lam / (4.0 * math.pi * length), _wrap_phase(
-        -2.0 * math.pi * length / lam
-    )
+    phase = _wrap_phase(-2.0 * math.pi * length / lam)
+    return length / SPEED_OF_LIGHT, lam / (4.0 * math.pi * length), phase
 
 
 def _children(
@@ -505,14 +504,15 @@ class RtScenario:
         if not (np.all(np.isfinite(t)) and np.all(np.diff(t) > 0)):
             raise ValueError("times must be finite and strictly increasing")
         for node, pos in self.positions.items():
+            if _broken(node, "node id", int, None):  # the trace's id rule
+                raise ValueError(f"node id {node!r} is not an int in [0, 2**63)")
             if np.shape(pos) != (t.size, 3):
                 raise ValueError(f"positions of node {node} must have shape ({t.size}, 3)")
             if not np.all(np.isfinite(pos)):
                 raise ValueError(f"positions of node {node} must be finite")
-        for tx, rx in self.links:
-            for node in (tx, rx):
-                if node not in self.positions:
-                    raise ValueError(f"link references node {node} with no positions")
+        missing = [node for link in self.links for node in link if node not in self.positions]
+        if missing:
+            raise ValueError(f"link references node {missing[0]} with no positions")
 
 
 def _diffraction(

@@ -24,6 +24,7 @@ from .beams import generate_codebook
 from .channel import SubbandGrid
 from .link import AmcTable, LinkBudget, SimulationSetup, noise_power
 from .raytrace import Environment, Rectangle, RtScenario
+from .traces import _ID_LIMIT
 from .trajectory import make_trajectory, time_grid
 
 __all__ = [
@@ -86,14 +87,14 @@ class ScenarioConfig:
     environment: Environment | None = None
     tx_trajectory: dict | None = None
     rx_trajectory: dict | None = None
-    tx_id: int = 0
-    rx_id: int = 1
-    temperature_k: float = 290.0
-    interference_w: float = 0.0
-    base_delay_s: float = 0.5e-3
-    saturation_delay_s: float = 7.5e-3
+    tx_id: int = SimulationSetup.tx_id
+    rx_id: int = SimulationSetup.rx_id
+    temperature_k: float = LinkBudget.temperature_k
+    interference_w: float = LinkBudget.interference_w
+    base_delay_s: float = SimulationSetup.base_delay_s
+    saturation_delay_s: float = SimulationSetup.saturation_delay_s
     amc_table_path: str | None = None
-    max_reflection_order: int = 4
+    max_reflection_order: int = RtScenario.max_reflection_order
 
 
 def _yaml_text(value) -> str:
@@ -136,7 +137,7 @@ def _as_int(value):
 def _as_node_id(value):
     # traces hold node ids as int64 and accept none below 0
     i = _as_int(value)
-    if not 0 <= i < 2**63:
+    if not 0 <= i < _ID_LIMIT:
         raise ValueError(f"{value!r} is not in [0, 2**63)")
     return i
 
@@ -182,61 +183,59 @@ class _Reader:
             self.problems.append(f"{dotted}: {exc}")
             return None if required else default
 
+    def read(self, mapping: dict | None, prefix: str, table: dict) -> dict:
+        """The values of table's keys in mapping, named prefix + key in problems.
+
+        table maps a key to its cast, and an optional key to its default too:
+        (cast,) or (cast, default). A required key that is missing or bad
+        reads None.
+        """
+        return {key: self.get(mapping, key, prefix + key, *spec) for key, spec in table.items()}
+
     def reject_unknown(self, mapping: dict | None, keys, prefix: str = "") -> None:
         """Record every key of mapping that is not one of keys."""
         if isinstance(mapping, dict):
             self.problems.extend(f"unknown key {prefix}{k}" for k in mapping if k not in keys)
 
 
+_ARRAY = {"rows": (_as_int,), "cols": (_as_int,), "spacing": (_as_finite,),
+          "bearing_deg": (_as_finite,)}
+
+
 def _parse_array(reader: _Reader, name: str) -> ArraySpec | None:
     sec = reader.section(name)
-    reader.reject_unknown(sec, ("rows", "cols", "spacing", "bearing_deg"), f"{name}.")
-    rows = reader.get(sec, "rows", f"{name}.rows", _as_int)
-    cols = reader.get(sec, "cols", f"{name}.cols", _as_int)
-    spacing = reader.get(sec, "spacing", f"{name}.spacing", _as_finite)
-    bearing = reader.get(sec, "bearing_deg", f"{name}.bearing_deg", _as_finite)
-    if None in (rows, cols, spacing, bearing):
-        return None
-    return ArraySpec(rows, cols, spacing, bearing)
+    reader.reject_unknown(sec, _ARRAY, f"{name}.")
+    values = reader.read(sec, f"{name}.", _ARRAY)
+    return None if None in values.values() else ArraySpec(**values)
 
 
-_CODEBOOK_KEYS = tuple(f"{a}_{s}" for a in ("az", "zen", "el") for s in ("min", "max", "step"))
+# a codebook's azimuth bounds, and its zenith or its elevation bounds
+_AXES = {axis: {f"{axis}_{s}": (_as_finite,) for s in ("min", "max", "step")}
+         for axis in ("az", "zen", "el")}
 
 
 def _parse_codebook(reader: _Reader, name: str) -> CodebookSpec | None:
     sec = reader.section(name)
-    reader.reject_unknown(sec, _CODEBOOK_KEYS, f"{name}.")
-    az = [
-        reader.get(sec, k, f"{name}.{k}", _as_finite)
-        for k in ("az_min", "az_max", "az_step")
-    ]
+    reader.reject_unknown(sec, [k for table in _AXES.values() for k in table], f"{name}.")
+    az = reader.read(sec, f"{name}.", _AXES["az"])
     if sec is None:
         return None
-    has_zen = any(f"zen_{s}" in sec for s in ("min", "max", "step"))
-    has_el = any(f"el_{s}" in sec for s in ("min", "max", "step"))
-    if has_zen and has_el:
+    given = [axis for axis in ("zen", "el") if not _AXES[axis].keys().isdisjoint(sec)]
+    if len(given) == 2:
         reader.problems.append(f"{name}: give zen_* or el_* keys, not both")
         return None
-    if has_el:
-        el = [
-            reader.get(sec, k, f"{name}.{k}", _as_finite)
-            for k in ("el_min", "el_max", "el_step")
-        ]
-        if None in el:
-            return None
-        # elevation is 90 deg minus zenith, so the bounds swap roles
-        zen = [90.0 - el[1], 90.0 - el[0], el[2]]
-    else:
-        zen = [
-            reader.get(sec, k, f"{name}.{k}", _as_finite)
-            for k in ("zen_min", "zen_max", "zen_step")
-        ]
-    if None in az or None in zen:
+    axis = given[0] if given else "zen"
+    zen = reader.read(sec, f"{name}.", _AXES[axis])
+    if None in (*az.values(), *zen.values()):
         return None
-    return CodebookSpec(az[0], az[1], az[2], zen[0], zen[1], zen[2])
+    lo, hi, step = zen.values()
+    if axis == "el":  # elevation is 90 deg minus zenith, so the bounds swap roles
+        lo, hi = 90.0 - hi, 90.0 - lo
+    return CodebookSpec(*az.values(), lo, hi, step)
 
 
-_RECTANGLE_KEYS = ("corner", "edge_u", "edge_v", "gamma", "diffracting_edges")
+_RECTANGLE = {"corner": (_as_vec3,), "edge_u": (_as_vec3,), "edge_v": (_as_vec3,),
+              "gamma": (_as_finite, Rectangle.gamma)}
 
 
 def _parse_environment(reader: _Reader) -> Environment | None:
@@ -253,20 +252,15 @@ def _parse_environment(reader: _Reader) -> Environment | None:
         if not isinstance(item, dict):
             reader.problems.append(f"{dotted} must be a mapping")
             continue
-        reader.reject_unknown(item, _RECTANGLE_KEYS, f"{dotted}.")
-        corner = reader.get(item, "corner", f"{dotted}.corner", _as_vec3)
-        edge_u = reader.get(item, "edge_u", f"{dotted}.edge_u", _as_vec3)
-        edge_v = reader.get(item, "edge_v", f"{dotted}.edge_v", _as_vec3)
-        gamma = reader.get(item, "gamma", f"{dotted}.gamma", _as_finite, default=0.7)
+        reader.reject_unknown(item, (*_RECTANGLE, "diffracting_edges"), f"{dotted}.")
+        values = reader.read(item, f"{dotted}.", _RECTANGLE)
         edges = item.get("diffracting_edges", [])
-        if None in (corner, edge_u, edge_v):
+        if None in values.values():
             continue
         try:
             if not isinstance(edges, list):
                 raise ValueError(f"diffracting_edges must be a list, got {_yaml_text(edges)}")
-            rects.append(
-                Rectangle(corner, edge_u, edge_v, gamma, tuple(_as_int(e) for e in edges))
-            )
+            rects.append(Rectangle(**values, diffracting_edges=tuple(map(_as_int, edges))))
         except (TypeError, ValueError) as exc:
             reader.problems.append(f"{dotted}: {exc}")
     return Environment(tuple(rects))
@@ -294,7 +288,7 @@ _DEFAULTS = {f.name: f.default for f in fields(ScenarioConfig) if f.default is n
 
 # the scalar top-level keys; an infinite training period (train once) or
 # offered load (saturate) is meaningful, and duration_s is checked below
-_SCALARS = {
+_SCALARS = {key: (cast, _DEFAULTS.get(key, _REQUIRED)) for key, cast in {
     "carrier_hz": _as_finite,
     "bandwidth_hz": _as_finite,
     "subbands": _as_int,
@@ -312,7 +306,7 @@ _SCALARS = {
     "base_delay_s": _as_finite,
     "saturation_delay_s": _as_finite,
     "max_reflection_order": _as_int,
-}
+}.items()}
 
 
 def parse_config(raw: dict, base_dir: str = ".") -> ScenarioConfig:
@@ -320,10 +314,7 @@ def parse_config(raw: dict, base_dir: str = ".") -> ScenarioConfig:
         raise ConfigError(["config root must be a mapping"])
     reader = _Reader(raw)
     reader.reject_unknown(raw, _TOP_KEYS)
-    values = {
-        key: reader.get(raw, key, key, cast, _DEFAULTS.get(key, _REQUIRED))
-        for key, cast in _SCALARS.items()
-    }
+    values = reader.read(raw, "", _SCALARS)
     values.update(
         tx_array=_parse_array(reader, "tx_array"),
         rx_array=_parse_array(reader, "rx_array"),

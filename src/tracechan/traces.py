@@ -4,7 +4,10 @@ A trace is a time series of propagation snapshots. Each CSV row describes one
 multipath component (MPC) of one directed link at one snapshot time: delay,
 amplitude gain, total phase at the carrier, and departure/arrival angles.
 The columns, their types and ranges are declared once in ``_COLUMNS``;
-``CSV_COLUMNS`` lists their header names in file order.
+``CSV_COLUMNS`` lists their header names in file order. The contract holds
+for every TraceSet: the parser checks text against it, and
+``TraceSet(records)`` checks Python-built records against it in the
+parser's words.
 
 A TraceSet holds one array per column. The parser reads every column with
 numpy and checks each column's range at once; text that this rejects is
@@ -78,6 +81,10 @@ CSV_COLUMNS = tuple(column[0] for column in _COLUMNS)
 _ID_LIMIT = 2**63  # ids are held as int64
 # the array dtype of each column type; path_type holds PathType members
 _DTYPES = {float: np.float64, int: np.int64, PathType: object}
+# the types a record's value may have in each numeric column type (never bool)
+_TYPES = {float: (float, int, np.floating, np.integer), int: (int, np.integer)}
+# path_type is checked first, so a row or record with several bad fields names it
+_CHECK_ORDER = sorted(_COLUMNS, key=lambda column: column[2] is not PathType)
 
 
 @dataclass(frozen=True)
@@ -152,6 +159,13 @@ class TraceSet:
     for the ids and PathType members for ``path_type``. MpcRecords are built
     only when ``records`` or iteration asks for them.
 
+    ``TraceSet(records)`` checks every column against ``_COLUMNS`` once.
+    A value that breaks its column's rule, a ``path_type`` that is not a
+    PathType member or an id that is not an int (a float or a bool) raises
+    TraceFormatError naming the record's index, the column and the value;
+    of several, the first record's, its path_type first, as the parser
+    reports rows.
+
     The grouping accessors index the rows by (link, snapshot time). ``link``
     returns a TraceSet that views one link's rows in time order, without
     copying them; the index bounds split it into snapshots. Construction
@@ -161,6 +175,11 @@ class TraceSet:
 
     def __init__(self, records: Iterable[MpcRecord] = ()) -> None:
         records = tuple(records)
+        for i, record in enumerate(records):
+            for name, attr, kind, bounds in _CHECK_ORDER:
+                problem = _broken(getattr(record, attr), name, kind, bounds)
+                if problem:
+                    raise TraceFormatError(f"record {i}: {problem}")
         self.columns = _frozen({
             attr: np.array([getattr(r, attr) for r in records], dtype=_DTYPES[kind])
             for _, attr, kind, _ in _COLUMNS
@@ -244,40 +263,50 @@ class TraceSet:
         return rows[bounds[first]:bounds[stop]]
 
 
-def _field(text: str, column: str, kind, bounds, row: int):
-    """One field of a row, parsed as its column's type and range-checked."""
+def _broken(value, column: str, kind, bounds) -> str | None:
+    """The rule of its column that value breaks, as an error message; None if none."""
     if kind is PathType:
-        try:
-            return PathType(text)
-        except ValueError:
-            raise TraceFormatError(f"row {row}: unknown {column} {text!r}") from None
+        if isinstance(value, PathType):
+            return None
+        return f"{column} must be a PathType, got {value!r}"
+    if isinstance(value, bool) or not isinstance(value, _TYPES[kind]):
+        return f"{column} must be {'an int' if kind is int else 'a number'}, got {value!r}"
+    try:
+        value = kind(value)
+    except OverflowError:  # an int too large for a float: inf, as float() reads its text
+        value = math.inf
+    if kind is int:
+        if value < 0:
+            return f"{column} must be >= 0, got {value}"
+        return f"{column} must be < 2**63, got {value}" if value >= _ID_LIMIT else None
+    if not math.isfinite(value):
+        return f"non-finite value in {column!r}"
+    if bounds is not None:
+        lo, hi, hi_open = bounds
+        if value < lo or (value >= hi if hi_open else value > hi):
+            return f"{column}={value!r} outside [{lo}, {hi}{')' if hi_open else ']'}"
+    return None
+
+
+def _field(text: str, column: str, kind, bounds, row: int):
+    """One field of a row, parsed as its column's type and checked by its rule."""
     try:
         value = kind(text)
     except ValueError:
+        if kind is PathType:
+            raise TraceFormatError(f"row {row}: unknown {column} {text!r}") from None
         what = "integer field" if kind is int else "field"
         raise TraceFormatError(
             f"row {row}: non-numeric {what} {column!r}: {text!r}"
         ) from None
-    if kind is int:
-        if value < 0:
-            raise TraceFormatError(f"row {row}: {column} must be >= 0, got {value}")
-        if value >= _ID_LIMIT:
-            raise TraceFormatError(f"row {row}: {column} must be < 2**63, got {value}")
-        return value
-    if not math.isfinite(value):
-        raise TraceFormatError(f"row {row}: non-finite value in {column!r}")
-    if bounds is not None:
-        lo, hi, hi_open = bounds
-        if value < lo or (value >= hi if hi_open else value > hi):
-            bracket = ")" if hi_open else "]"
-            raise TraceFormatError(
-                f"row {row}: {column}={value!r} outside [{lo}, {hi}{bracket}"
-            )
+    problem = _broken(value, column, kind, bounds)
+    if problem:
+        raise TraceFormatError(f"row {row}: {problem}")
     return value
 
 
 def _in_range(col: np.ndarray, kind, bounds) -> bool:
-    """Whether every value of a numeric column passes _field's checks."""
+    """Whether every value of a numeric column passes _broken's range checks."""
     if kind is int:
         return bool((col >= 0).all())
     ok = np.isfinite(col)
@@ -329,12 +358,8 @@ def _parse_columns(header: list[str], lines: list[str]) -> TraceSet | None:
 
 def _parse_rows(header: list[str], reader) -> TraceSet:
     """The rows after the header, parsed field by field into MpcRecords."""
-    # path_type is checked first, so a row with several bad fields names it
-    plan = sorted(
-        ((header.index(name), name, attr, kind, bounds)
-         for name, attr, kind, bounds in _COLUMNS),
-        key=lambda column: column[3] is not PathType,
-    )
+    plan = [(header.index(name), name, attr, kind, bounds)
+            for name, attr, kind, bounds in _CHECK_ORDER]
     records: list[MpcRecord] = []
     for row_no, row in enumerate(reader, start=2):
         if not row or (len(row) == 1 and not row[0].strip()):

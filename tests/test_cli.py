@@ -1,6 +1,7 @@
 """Command-line workflows: generate-trace, validate, simulate, sweep."""
 
 import copy
+import inspect
 import io
 import math
 import warnings
@@ -14,9 +15,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import CORNER_CFG, blocked_corner_config, mk_record
-from tracechan import PathType, TraceSet, write_trace
+from tracechan import (LinkBudget, PathType, Rectangle, RtScenario, SimulationSetup, TraceSet,
+                       write_trace)
+from tracechan import cli
 from tracechan.cli import main
-from tracechan.link import SINR_FLOOR_DB
+from tracechan.link import SINR_FLOOR_DB, throughput_delay
 from tracechan import scenario
 from tracechan.scenario import parse_config
 
@@ -614,6 +617,37 @@ def test_optional_config_keys_take_documented_defaults():
     assert (cfg.trace_path, cfg.amc_table_path) == (None, None)
     # a null path counts as absent
     assert parse_config({**raw, "trace_path": None, "amc_table_path": None}) == cfg
+    # each default is the library's own, and throughput_delay shares it
+    library = {"tx_id": SimulationSetup.tx_id, "rx_id": SimulationSetup.rx_id,
+               "temperature_k": LinkBudget.temperature_k,
+               "interference_w": LinkBudget.interference_w,
+               "base_delay_s": SimulationSetup.base_delay_s,
+               "saturation_delay_s": SimulationSetup.saturation_delay_s,
+               "max_reflection_order": RtScenario.max_reflection_order}
+    assert {key: getattr(cfg, key) for key in library} == library
+    delay_defaults = inspect.signature(throughput_delay).parameters
+    for key in ("base_delay_s", "saturation_delay_s"):
+        assert delay_defaults[key].default == library[key]
+    del raw["environment"]["rectangles"][0]["gamma"]
+    assert parse_config(raw).environment.rectangles[0].gamma == Rectangle.gamma == 0.7
+
+
+def test_main_parses_with_the_parser_built_at_import(monkeypatch):
+    # main builds no parser; each call parses its own command line, and the
+    # command's function is looked up by name when main runs
+    built, seen = [], []
+    monkeypatch.setattr(cli, "_build_parser", lambda: built.append(1))
+    for name in ("_cmd_validate", "_cmd_simulate"):
+        monkeypatch.setattr(cli, name,
+                            lambda args, name=name: seen.append((name, vars(args))) or 0)
+    assert main(["validate", "--trace", "a.csv"]) == 0
+    assert main(["simulate", "--config", "c.cfg", "--out", "o.csv"]) == 0
+    assert built == []
+    assert seen == [
+        ("_cmd_validate", {"command": "validate", "trace": "a.csv"}),
+        ("_cmd_simulate", {"command": "simulate", "config": "c.cfg", "out": "o.csv",
+                           "trace": None, "workers": 1}),
+    ]
 
 
 @pytest.mark.parametrize("key, value, problem", [

@@ -328,6 +328,13 @@ def test_scenario_validation():
             RtScenario(Environment(), F_C, times, {0: p0, 1: moved}, ((0, 1),))
     with pytest.raises(ValueError, match="^max_reflection_order must be >= 0"):
         RtScenario(Environment(), F_C, times, {0: p0}, max_reflection_order=-3)
+    # a trace holds node ids as ints in [0, 2**63); the parser rejects any
+    # other, and the tracer would have written 1.5 as 1
+    for node in (-1, 2**63, 1.5, True):
+        with pytest.raises(ValueError, match=rf"^node id {node} is not an int in \[0, 2\*\*63\)$"):
+            RtScenario(Environment(), F_C, times, {0: p0, node: p0}, ((0, node),))
+        with pytest.raises(ValueError, match=rf"^link references node {node} with no positions$"):
+            RtScenario(Environment(), F_C, times, {0: p0}, ((node, 0),))
 
 
 def _rotation(quat):

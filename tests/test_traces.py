@@ -1,7 +1,9 @@
 """Trace CSV parsing, validation, and round-trip serialization."""
 
 import math
+import re
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -363,6 +365,99 @@ _records = st.builds(
 def test_round_trip_property(records):
     trace = TraceSet(tuple(records))
     assert parse_trace_text(trace_to_text(trace)) == trace
+
+
+# values on both sides of each column rule, the Python types a record must
+# not hold among them; ids of a numpy integer type are ids too
+_IDS = [-1, 2**63, 2**63 - 1, np.int64(3), 1.5, 1.0, True]
+_AZIMUTHS = [180.0, -180.0, math.nextafter(180.0, 0.0), math.nextafter(-180.0, -math.inf),
+             math.nan]
+_ZENITHS = [180.1, 180.0, 0.0, -0.1, -math.inf]
+_EDGE_VALUES = {
+    "t": [math.nan, math.inf, -math.inf, -1.0],
+    "tx_id": _IDS, "rx_id": _IDS, "path_id": _IDS,
+    "path_type": ["LOS", "REFL", "BOUNCE", PathType.SCATTERING],
+    "delay": [-1e-9, -0.0, 0.0, math.nan, math.inf, 10**400],
+    "gain_mag": [-1e-5, 0.0, math.inf, math.nan],
+    "phase": [math.nan, -math.inf, 1e300],
+    "aod_az": _AZIMUTHS, "aoa_az": _AZIMUTHS, "aod_zen": _ZENITHS, "aoa_zen": _ZENITHS,
+}
+
+
+_SPELLINGS = {member.value for member in PathType}
+
+
+def _cell(value):
+    return value.value if isinstance(value, PathType) else str(value)
+
+
+def _named(message):
+    """(where, the column named, the rest) of a row's or a record's message."""
+    where, rest = message.split(": ", 1)
+    return where, next(w for w in re.findall(r"[a-z_]+", rest) if w in CSV_COLUMNS), rest
+
+
+def _failure(build, *args):
+    try:
+        return build(*args), None
+    except TraceFormatError as exc:
+        return None, str(exc)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_records_meet_the_csv_contract(data):
+    # records with a few values drawn on both sides of each _COLUMNS rule:
+    # TraceSet(records) raises where parse_trace_text raises on the same
+    # values as CSV cells, naming the same record (row) and column in the
+    # same words, unless a record holds a value of a type CSV text cannot
+    # hold; accepted traces round-trip
+    records = data.draw(st.lists(_records, min_size=1, max_size=4), label="records")
+    attrs = [attr for _, attr, _, _ in traces._COLUMNS]
+    for _ in range(data.draw(st.integers(0, 2), label="edge values")):
+        i = data.draw(st.integers(0, len(records) - 1))
+        attr = data.draw(st.sampled_from(attrs))
+        value = data.draw(st.sampled_from(_EDGE_VALUES[attr]), label=attr)
+        records[i] = replace(records[i], **{attr: value})
+    text = "\n".join([",".join(CSV_COLUMNS), *(
+        ",".join(_cell(getattr(r, attr)) for attr in attrs) for r in records)]) + "\n"
+    parsed, csv_problem = _failure(parse_trace_text, text)
+    trace, problem = _failure(TraceSet, records)
+    spelled = [i for i, r in enumerate(records) if r.path_type in _SPELLINGS]
+    if spelled:  # a path_type given as its text: the one rule CSV text cannot break
+        assert problem is not None
+        for i in spelled:  # the member that the CSV parser reads for the text
+            records[i] = replace(records[i], path_type=PathType(records[i].path_type))
+        trace, problem = _failure(TraceSet, records)
+    if problem is None:
+        assert csv_problem is None and parsed == trace
+        assert parse_trace_text(trace_to_text(trace)) == trace
+        return
+    assert csv_problem is not None
+    where, column, words = _named(problem)
+    row, csv_column, csv_words = _named(csv_problem)
+    assert (row, csv_column) == (f"row {int(where.split()[1]) + 2}", column)
+    if not csv_words.startswith(("non-numeric", "unknown")):  # text that is no value
+        assert words == csv_words
+
+
+@pytest.mark.parametrize("fields, message", [
+    # each of these simulated before: path_type "LOS" as a path that is not
+    # LOS, path_id 1.5 as 1, and negative gains and delays as they were
+    ({"path_type": "LOS"}, "record 1: path_type must be a PathType, got 'LOS'"),
+    ({"path_id": 1.5}, "record 1: path_id must be an int, got 1.5"),
+    ({"tx_id": True}, "record 1: tx_id must be an int, got True"),
+    ({"gain_mag": -1e-5}, "record 1: gain_mag=-1e-05 outside [0.0, inf]"),
+    ({"delay": -1e-9}, "record 1: delay_s=-1e-09 outside [0.0, inf]"),
+    ({"rx_id": 2**63}, "record 1: rx_id must be < 2**63, got 9223372036854775808"),
+    ({"delay": 10**400}, "record 1: non-finite value in 'delay_s'"),
+    # path_type is checked first, as the CSV parser checks it
+    ({"t": math.nan, "path_type": 1}, "record 1: path_type must be a PathType, got 1"),
+])
+def test_bad_records_rejected_in_one_line(fields, message):
+    with pytest.raises(TraceFormatError) as exc:
+        TraceSet([mk_record(), mk_record(**{"path_id": 1, **fields}), mk_record(path_id=-2)])
+    assert str(exc.value) == message
 
 
 # odd spellings of one field of each type: ones that only Python's float()

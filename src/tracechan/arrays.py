@@ -26,9 +26,15 @@ kernel, _phase_ramp, computes every such ramp from two short exponential
 tables, about 2 sqrt(n) complex exponentials a ramp instead of n: a
 direction costs about 2 (sqrt(R) + sqrt(C)) instead of R + C.
 
+The row factor depends on the zenith alone, so a codebook takes one row
+ramp per grid zenith (_row_factors) and its column factors per beam
+(_col_factors); steering_factors is the two together.
+
 Steering takes azimuth and zenith arrays in degrees, one entry per
-direction; Direction only labels codebook beams and sweep winners. Callers
-wrap azimuths with _wrap_azimuth, the one azimuth wrap of the package.
+direction; Direction only labels codebook beams and sweep winners, and
+_check_angles is its range rule for one direction or for arrays of them.
+Callers wrap azimuths with _wrap_azimuth, the one azimuth wrap of the
+package.
 """
 
 from __future__ import annotations
@@ -50,6 +56,11 @@ __all__ = [
 ]
 
 
+# Direction's ranges in degrees, (lo, hi, hi_open); a trace's angle columns take them too
+_AZIMUTH_RANGE = (-180.0, 180.0, True)
+_ZENITH_RANGE = (0.0, 180.0, False)
+
+
 @dataclass(frozen=True)
 class Direction:
     """A propagation direction in the global frame, degrees.
@@ -62,10 +73,29 @@ class Direction:
     zenith_deg: float
 
     def __post_init__(self) -> None:
-        if not -180.0 <= self.azimuth_deg < 180.0:
-            raise ValueError(f"azimuth {self.azimuth_deg!r} outside [-180, 180)")
-        if not 0.0 <= self.zenith_deg <= 180.0:
-            raise ValueError(f"zenith {self.zenith_deg!r} outside [0, 180]")
+        _check_angles(self.azimuth_deg, self.zenith_deg)
+
+
+def _within(x, bounds):
+    """Whether x lies in bounds = (lo, hi, hi_open), elementwise for an array; NaN does not."""
+    lo, hi, hi_open = bounds
+    return (lo <= x) & ((x < hi) if hi_open else (x <= hi))
+
+
+def _check_angles(az_deg, zen_deg) -> None:
+    """Raise Direction's ValueError for the first direction outside its ranges.
+
+    Takes two numbers or two arrays of one length, in degrees; NaN fails.
+    A direction's azimuth is reported before its zenith.
+    """
+    ok_az = _within(az_deg, _AZIMUTH_RANGE)
+    ok = ok_az & _within(zen_deg, _ZENITH_RANGE)
+    if ok is True or np.all(ok):  # a plain bool for two in-range floats: no numpy call
+        return
+    i = int(np.argmin(np.ravel(ok)))
+    if not np.ravel(ok_az)[i]:
+        raise ValueError(f"azimuth {np.ravel(az_deg)[i].item()!r} outside [-180, 180)")
+    raise ValueError(f"zenith {np.ravel(zen_deg)[i].item()!r} outside [0, 180]")
 
 
 def _wrap_azimuth(az_deg: ArrayLike) -> np.ndarray:
@@ -143,13 +173,25 @@ def steering_factors(
     degrees, taken as given (no wrap). Either factor may be a view of a wider array
     (see _phase_ramp).
     """
-    az = np.radians(np.asarray(az_deg, dtype=float))
-    zen = np.radians(np.asarray(zen_deg, dtype=float))
+    zen = np.asarray(zen_deg, dtype=float)
+    return _row_factors(array, zen), _col_factors(array, np.asarray(az_deg, dtype=float), zen)
+
+
+def _k_pitch(array: PlanarArray) -> float:
+    return 2.0 * math.pi / array.wavelength_m * (array.spacing * array.wavelength_m)
+
+
+def _row_factors(array: PlanarArray, zen_deg: np.ndarray) -> np.ndarray:
+    """steering_factors' (D, R) row factors, which depend on the zeniths alone."""
+    return _phase_ramp(_k_pitch(array) * np.cos(np.radians(zen_deg)), array.n_rows)
+
+
+def _col_factors(array: PlanarArray, az_deg: np.ndarray, zen_deg: np.ndarray) -> np.ndarray:
+    """steering_factors' (D, C) column factors."""
+    az, zen = np.radians(az_deg), np.radians(zen_deg)
     b = math.radians(array.bearing_deg)
     alpha = np.sin(zen) * (-math.sin(b) * np.cos(az) + math.cos(b) * np.sin(az))
-    beta = np.cos(zen)
-    k_pitch = 2.0 * math.pi / array.wavelength_m * (array.spacing * array.wavelength_m)
-    return _phase_ramp(k_pitch * beta, array.n_rows), _phase_ramp(k_pitch * alpha, array.n_cols)
+    return _phase_ramp(_k_pitch(array) * alpha, array.n_cols)
 
 
 def _phase_ramp(phi: np.ndarray, n: int) -> np.ndarray:

@@ -10,8 +10,9 @@ is the Kronecker product of a row factor and a column factor, so a codebook
 keeps only its (n_beams, R) row and (n_beams, C) column factors; the dense
 (n_beams, N) weights are assembled when ``BeamCodebook.weights`` is read. A
 codebook's factors are computed from its azimuth and zenith grid arrays, by
-the same phase-ramp kernel as the channel's path factors; its Direction
-objects only label the beams.
+the same phase-ramp kernel as the channel's path factors. It keeps those
+angles as arrays and makes a Direction label only where one is read: a
+sweep's winner, or BeamCodebook.directions.
 
 Sweeps contract the factored channel H_k = A_rx diag(c_k) A_tx^H without
 forming it. A codebook with factors F_r, F_c is projected onto the P path
@@ -21,7 +22,8 @@ O(n_beams (R + C) P). The rx side is taken in the path basis or the element
 basis, whichever is smaller (only the element basis assembles A_rx), and
 the K subbands are compressed to min(K, P) rows of the triangular QR factor
 of the coefficient matrix. A power table row is then a
-sum of |amplitude|^2 rows, one per coefficient row.
+sum of |amplitude|^2 rows, one per coefficient row, computed in blocks of
+coefficient rows (_power_rows).
 
 The winner of a sweep is the first pair in row-major order (tx index, then
 rx index) whose power is within TIE_RTOL of the table maximum. The mirror
@@ -42,11 +44,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .arrays import Direction, PlanarArray, _responses, _wrap_azimuth, steering_factors
+from .arrays import (Direction, PlanarArray, _check_angles, _col_factors, _responses,
+                     _row_factors, _wrap_azimuth)
 # steering_vector is not used here; perfbench/tests/test_perfbench.py reads
 # tracechan.beams.steering_vector, so the name stays importable from beams
 from .arrays import steering_vector  # noqa: F401
@@ -93,28 +97,33 @@ _SWEEP_BYTES = 1 << 17
 class BeamCodebook:
     """Beams on a regular azimuth x zenith grid, azimuth-major order.
 
-    Beam b's weights are the Kronecker product of row_factors[b] and
+    Beam b points at azimuth_deg[b], zenith_deg[b], in Direction's ranges.
+    Its weights are the Kronecker product of row_factors[b] and
     col_factors[b] over sqrt(R * C), in steering_matrix's row-major element
     order, and must have unit norm within _NORM_TOL (NaN fails too). The
-    factors are kept read-only; a writeable one is copied first. Codebooks
-    compare and hash by their directions and the factors' shapes and bytes.
+    angles and factors are kept read-only; a writeable one is copied first.
+    Codebooks compare and hash by their angles and the factors' shapes and
+    bytes.
     """
 
-    directions: tuple[Direction, ...]
+    azimuth_deg: np.ndarray  # (n_beams,) float
+    zenith_deg: np.ndarray  # (n_beams,) float
     row_factors: np.ndarray  # (n_beams, R) complex, unit modulus
     col_factors: np.ndarray  # (n_beams, C) complex, unit modulus
 
     @np.errstate(over="ignore", invalid="ignore")  # an overflowed norm fails the check
     def __post_init__(self) -> None:
-        n = len(self.directions)
-        for name in ("row_factors", "col_factors"):
-            f = np.asarray(getattr(self, name), dtype=complex)
-            if f.ndim != 2 or len(f) != n:
+        n = np.size(self.azimuth_deg)
+        for name, dtype, ndim in (("azimuth_deg", float, 1), ("zenith_deg", float, 1),
+                                  ("row_factors", complex, 2), ("col_factors", complex, 2)):
+            f = np.asarray(getattr(self, name), dtype=dtype)
+            if f.ndim != ndim or len(f) != n:
                 raise ValueError(f"{name} shape {f.shape} does not fit {n} beams")
-            if f.flags.writeable or f.strides[1] != f.itemsize:  # copied: the caller keeps its own
+            if f.flags.writeable or f.strides[-1] != f.itemsize:  # copied: the caller keeps its own
                 f = np.array(f, order="C")
                 f.flags.writeable = False
             object.__setattr__(self, name, f)
+        _check_angles(self.azimuth_deg, self.zenith_deg)
         r, c = self.row_factors.view(float), self.col_factors.view(float)  # real dots: |f|^2
         norm = np.sqrt(np.einsum("ij,ij->i", r, r) * np.einsum("ij,ij->i", c, c) / self.n_elements)
         if (bad := ~(np.abs(norm - 1.0) <= _NORM_TOL)).any():  # NaN too
@@ -122,8 +131,8 @@ class BeamCodebook:
                              f"{float(norm[bad.argmax()])!r}, not within {_NORM_TOL!r} of 1")
 
     def _key(self) -> tuple:
-        return self.directions, *((f.shape, f.tobytes()) for f in (self.row_factors,
-                                                                   self.col_factors))
+        return (tuple(self.azimuth_deg.tolist()), tuple(self.zenith_deg.tolist()),
+                *((f.shape, f.tobytes()) for f in (self.row_factors, self.col_factors)))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, BeamCodebook) and self._key() == other._key()
@@ -131,8 +140,16 @@ class BeamCodebook:
     def __hash__(self) -> int:
         return hash(self._key())
 
+    @cached_property
+    def directions(self) -> tuple[Direction, ...]:
+        """Every beam's Direction, in beam order, made on the first read."""
+        return tuple(map(Direction, self.azimuth_deg.tolist(), self.zenith_deg.tolist()))
+
+    def _direction(self, b: int) -> Direction:
+        return Direction(float(self.azimuth_deg[b]), float(self.zenith_deg[b]))
+
     def __len__(self) -> int:
-        return len(self.directions)
+        return len(self.azimuth_deg)
 
     @property
     def n_elements(self) -> int:
@@ -168,16 +185,18 @@ def generate_codebook(
 ) -> BeamCodebook:
     """Build a codebook over the az/zen grid; entry count n_az * n_zen.
 
-    The labels are made first, so a bad zenith fails as a Direction; the
-    factors come from the same wrapped angle arrays.
+    A beam's row factor depends on its zenith alone, so one row ramp is
+    taken per grid zenith and tiled over the azimuths; each ramp is
+    bit-equal to steering_factors' (see arrays._phase_ramp).
     """
     az = _wrap_azimuth(_grid_points(az_min_deg, az_max_deg, az_step_deg))
     zen = _grid_points(zen_min_deg, zen_max_deg, zen_step_deg)
+    rows = np.tile(_row_factors(array, zen), (az.size, 1))
     az, zen = np.repeat(az, zen.size), np.tile(zen, az.size)
-    directions = tuple(map(Direction, az.tolist(), zen.tolist()))
-    rows, cols = steering_factors(array, az, zen)
-    rows.flags.writeable = cols.flags.writeable = False  # fresh, so kept with no copy
-    return BeamCodebook(directions, rows, cols)
+    cols = _col_factors(array, az, zen)
+    for f in (az, zen, rows, cols):  # fresh, so kept with no copy
+        f.flags.writeable = False
+    return BeamCodebook(az, zen, rows, cols)
 
 
 @dataclass(frozen=True)
@@ -261,19 +280,36 @@ def _power_rows(
 
     The one row kernel of every sweep: (..., rows, P) tx projections give
     (..., rows, n_rx_b) rows, where the leading axes, if any, are the
-    channel axis of _sweep_factors. A stacked product runs one BLAS call per
-    channel, so a channel's rows come out as they would alone. A row's bits
-    do not depend on which other rows are computed with it, as long as
-    there are at least two: BLAS runs a one-row product as a matrix-vector
-    product, which rounds differently.
+    channel axis of _sweep_factors. Each coefficient row k gives an
+    amplitude plane (tx_paths * coef[k]) @ rx_side, and the planes are
+    taken in blocks of about _SWEEP_BYTES: a block's planes are stacked
+    into one (planes * rows, P) operand, so a block is one product per rx
+    factor, and their |amplitude|^2 are added into the table in plane
+    order. A stacked product runs one BLAS call per channel, so a
+    channel's rows come out as they would alone. A row's bits do not
+    depend on which other rows are computed with it, as long as a product
+    has at least two: BLAS runs a one-row product as a matrix-vector
+    product, which rounds differently. So one tx row is taken one plane at
+    a time, and every row's bits are those of the plane-by-plane sum.
     """
-    table = np.zeros((*tx_paths.shape[:-1], rx_side[-1].shape[-1]))
-    for k in range(coef.shape[-2]):  # one amplitude plane per coefficient row
-        amp = tx_paths * coef[..., k, None, :]
+    *lead, n_rows, p = tx_paths.shape
+    table = np.zeros((*lead, n_rows, rx_side[-1].shape[-1]))
+    m = coef.shape[-2]
+    # bytes of one plane's widest array: its tx operand or a product
+    plane = 16 * math.prod(tx_paths.shape[:-1]) * max(p, *(f.shape[-1] for f in rx_side))
+    per = 1 if n_rows == 1 else max(1, _SWEEP_BYTES // max(plane, 1))
+    for lo in range(0, m, per):
+        block = tx_paths[..., None, :, :] * coef[..., lo:lo + per, None, :]  # (..., b, rows, P)
+        amp = block.reshape(*lead, -1, p)
+        del block
         for factor in rx_side:
             amp = amp @ factor
-        table += amp.real**2 + amp.imag**2
-        del amp  # freed before the next plane is allocated
+        power = amp.real**2
+        power += amp.imag**2
+        del amp  # freed before the next block is allocated
+        power = power.reshape(*lead, -1, n_rows, power.shape[-1])
+        for k in range(power.shape[-3]):  # in plane order, as one plane at a time
+            table += power[..., k, :, :]
     return scale * table
 
 
@@ -417,8 +453,8 @@ def _pick(
     return BeamSelection(
         tx_index=ti,
         rx_index=ri,
-        tx_direction=tx_codebook.directions[ti],
-        rx_direction=rx_codebook.directions[ri],
+        tx_direction=tx_codebook._direction(ti),
+        rx_direction=rx_codebook._direction(ri),
         power_w=float(table[k, ri]),
     )
 
@@ -509,8 +545,9 @@ def _sweep_chunk(
     bound = _row_bounds(tx_paths, coef, rx_side, scale)  # (G, n_tx_b)
     # every bound covers its row, so a channel whose bounds are all 0 has an
     # all-zero table, whose pair is (0, 0) at 0 W
-    zero = (_pick(np.zeros((1, 1)), (0,), tx_codebook, rx_codebook), 0.0)
     live = bound.any(axis=1)
+    if not live.all():
+        zero = (_pick(np.zeros((1, 1)), (0,), tx_codebook, rx_codebook), 0.0)
     if not live.any():
         return [zero] * len(channels)
     # two rows per channel keep BLAS on its GEMM kernel; with no bound (all inf)

@@ -31,6 +31,8 @@ from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
+from .arrays import _AZIMUTH_RANGE, _ZENITH_RANGE, _within
+
 __all__ = [
     "PathType",
     "MpcRecord",
@@ -71,10 +73,10 @@ _COLUMNS = (
     ("delay_s", "delay", float, (0.0, math.inf, False)),
     ("gain_mag", "gain_mag", float, (0.0, math.inf, False)),
     ("phase_rad", "phase", float, None),
-    ("aod_az_deg", "aod_az", float, (-180.0, 180.0, True)),
-    ("aod_zen_deg", "aod_zen", float, (0.0, 180.0, False)),
-    ("aoa_az_deg", "aoa_az", float, (-180.0, 180.0, True)),
-    ("aoa_zen_deg", "aoa_zen", float, (0.0, 180.0, False)),
+    ("aod_az_deg", "aod_az", float, _AZIMUTH_RANGE),
+    ("aod_zen_deg", "aod_zen", float, _ZENITH_RANGE),
+    ("aoa_az_deg", "aoa_az", float, _AZIMUTH_RANGE),
+    ("aoa_zen_deg", "aoa_zen", float, _ZENITH_RANGE),
 )
 
 CSV_COLUMNS = tuple(column[0] for column in _COLUMNS)
@@ -281,10 +283,9 @@ def _broken(value, column: str, kind, bounds) -> str | None:
         return f"{column} must be < 2**63, got {value}" if value >= _ID_LIMIT else None
     if not math.isfinite(value):
         return f"non-finite value in {column!r}"
-    if bounds is not None:
+    if bounds is not None and not _within(value, bounds):
         lo, hi, hi_open = bounds
-        if value < lo or (value >= hi if hi_open else value > hi):
-            return f"{column}={value!r} outside [{lo}, {hi}{')' if hi_open else ']'}"
+        return f"{column}={value!r} outside [{lo}, {hi}{')' if hi_open else ']'}"
     return None
 
 
@@ -311,8 +312,7 @@ def _in_range(col: np.ndarray, kind, bounds) -> bool:
         return bool((col >= 0).all())
     ok = np.isfinite(col)
     if bounds is not None:
-        lo, hi, hi_open = bounds
-        ok &= (col >= lo) & ((col < hi) if hi_open else (col <= hi))
+        ok &= _within(col, bounds)
     return bool(ok.all())
 
 
@@ -466,19 +466,15 @@ def validate_trace(trace: TraceSet) -> ValidationReport:
     return ValidationReport(tuple(violations))
 
 
-# csv writes a float as str(), the shortest string that round-trips exactly
-_CELL = {float: float, int: str, PathType: attrgetter("value")}
+# a float's repr is the shortest text that round-trips exactly, as csv writes it;
+# no cell holds a comma, quote or line break, so none is quoted
+_TEXT = {float: repr, int: str, PathType: attrgetter("value")}
 
 
 def trace_to_text(trace: TraceSet) -> str:
     """Serialize to CSV text. parse_trace_text(trace_to_text(x)) == x."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    writer.writerows(zip(*(
-        map(_CELL[kind], trace.columns[attr].tolist()) for _, attr, kind, _ in _COLUMNS
-    )))
-    return out.getvalue()
+    cells = (map(_TEXT[kind], trace.columns[attr].tolist()) for _, attr, kind, _ in _COLUMNS)
+    return "\n".join([",".join(CSV_COLUMNS), *map(",".join, zip(*cells))]) + "\n"
 
 
 def write_trace(trace: TraceSet, path) -> None:

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from tracechan import BeamCodebook, Direction, MpcRecord, PathType
+from tracechan import BeamCodebook, MpcRecord, PathType
 
 CORNER_CFG = str(Path(__file__).resolve().parents[1] / "configs" / "corner.cfg")
 
@@ -68,8 +68,7 @@ def dft_codebook(scale3=1.0):
     quarter = (1, 1j, -1, -1j)
     cols = np.array([[quarter[b * c % 4] for c in range(4)] for b in range(4)], dtype=complex)
     rows = np.array([[1.0], [1.0], [1.0], [scale3]], dtype=complex)
-    directions = tuple(Direction(az, 90.0) for az in (0.0, 30.0, 90.0, -30.0))
-    return BeamCodebook(directions, rows, cols)
+    return BeamCodebook([0.0, 30.0, 90.0, -30.0], [90.0] * 4, rows, cols)
 
 
 def snapshot_groups(trace, tx_id, rx_id):

@@ -12,6 +12,7 @@ from tracechan import (
     PlanarArray,
     element_positions,
     generate_codebook,
+    steering_factors,
     steering_matrix,
     steering_vector,
 )
@@ -206,6 +207,24 @@ def test_codebook_weights_contiguous_unit_norm(arr, az_lo, az_span, az_step, zen
     for d, w in zip(cb.directions, cb.weights):
         want = steering_vector(arr, d) / math.sqrt(arr.n_elements)
         assert w.tobytes() == want.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    arr=arrays,
+    az_lo=st.floats(-400.0, 400.0),
+    az_span=st.floats(0.0, 359.0),
+    az_step=st.floats(0.5, 60.0),
+    zen_lo=st.floats(0.0, 90.0),
+    zen_step=st.floats(1.0, 60.0),
+)
+def test_codebook_factors_are_steering_factors(arr, az_lo, az_span, az_step, zen_lo, zen_step):
+    # one row ramp per grid zenith, tiled over the azimuths, is bit-equal to
+    # the row factors of every beam's own direction
+    cb = generate_codebook(arr, az_lo, az_lo + az_span, az_step, zen_lo, 180.0, zen_step)
+    rows, cols = steering_factors(arr, cb.azimuth_deg, cb.zenith_deg)
+    assert cb.row_factors.tobytes() == rows.tobytes()
+    assert cb.col_factors.tobytes() == cols.tobytes()
 
 
 EPS = np.finfo(float).eps

@@ -26,6 +26,7 @@ from tracechan import (
     sweep_power_table,
 )
 from tracechan import beams
+from tracechan.arrays import _wrap_azimuth
 from tracechan.scenario import build_setup, load_config
 
 LAM = 299792458.0 / 28e9
@@ -88,7 +89,7 @@ def test_codebook_rejects_off_norm_and_nan_beams():
     for scale in (1.0 - 9e-10, 1.0 + 9e-10, math.sqrt(1.0 - TIE_RTOL)):
         assert len(dft_codebook(scale)) == 4
     with pytest.raises(ValueError, match=r"^col_factors shape \(4,\) does not fit 4 beams$"):
-        BeamCodebook(dft_codebook().directions, np.ones((4, 1)), np.ones(4))
+        BeamCodebook(np.zeros(4), np.full(4, 90.0), np.ones((4, 1)), np.ones(4))
 
 
 def test_codebook_factors_are_read_only():
@@ -118,6 +119,153 @@ def test_codebooks_compare_and_hash_by_value():
     cfg = load_config(CORNER_CFG)
     first, second = build_setup(cfg), build_setup(cfg)
     assert first == second and hash(first) == hash(second)
+    # angles compare by value, as Direction labels do: -0.0 is 0.0, and a list
+    # or a writeable array is the same codebook as the read-only arrays
+    cb = dft_codebook()
+    same = BeamCodebook([-0.0, 30.0, 90.0, -30.0], np.full(4, 90.0), cb.row_factors.copy(),
+                        cb.col_factors)
+    assert same == cb and hash(same) == hash(cb)
+    moved = cb.zenith_deg.copy()
+    moved[3] = math.nextafter(90.0, 0.0)
+    assert replace(cb, zenith_deg=moved) != cb
+    assert replace(cb, azimuth_deg=cb.azimuth_deg[::-1]) != cb
+
+
+def _one_label_per_beam(*grid):
+    """A codebook's labels as one Direction per grid point, azimuth-major."""
+    az = _wrap_azimuth(beams._grid_points(*grid[:3]))
+    zen = beams._grid_points(*grid[3:])
+    return tuple(Direction(a, z) for a in az.tolist() for z in zen.tolist())
+
+
+@pytest.mark.parametrize("grid", [(0.0, 90.0, 1.0, 60.0, 120.0, 10.0),
+                                  (-180.0, 170.0, 10.0, 60.0, 120.0, 10.0),
+                                  (170.0, 190.0, 0.1, 0.0, 180.0, 45.0),
+                                  (-0.0, 0.0, 1.0, 90.0, 90.0, 1.0)])
+def test_codebook_directions_are_the_grid_labels(grid):
+    cb = generate_codebook(PlanarArray(2, 3, LAM), *grid)
+    want = _one_label_per_beam(*grid)
+    assert cb.directions == want
+    # bit for bit, signed zeros too
+    assert [repr((d.azimuth_deg, d.zenith_deg)) for d in cb.directions] == [
+        repr((d.azimuth_deg, d.zenith_deg)) for d in want]
+    assert cb.directions is cb.directions  # made once
+    assert not cb.azimuth_deg.flags.writeable and not cb.zenith_deg.flags.writeable
+
+
+def test_setup_makes_no_direction(monkeypatch):
+    made = []
+    check = Direction.__post_init__
+
+    def spy(self):
+        made.append(self)
+        check(self)
+
+    monkeypatch.setattr(Direction, "__post_init__", spy)
+    setup = build_setup(load_config(CORNER_CFG))
+    assert made == []
+    # a sweep makes its winner's two labels, and directions makes every label once
+    ch = _channel([mk_record(aod_az=30.0, aod_zen=80.0, aoa_az=-170.0, aoa_zen=100.0)],
+                  setup.tx_array, setup.rx_array)
+    sel = ideal_beam_sweep(ch, setup.tx_codebook, setup.rx_codebook, 1.0)
+    assert made == [sel.tx_direction, sel.rx_direction]
+    assert [(d.azimuth_deg, d.zenith_deg) for d in made] == [(30.0, 80.0), (-170.0, 100.0)]
+    assert setup.tx_codebook.directions[sel.tx_index] == sel.tx_direction
+    assert len(made) == 2 + len(setup.tx_codebook)
+    setup.tx_codebook.directions
+    assert len(made) == 2 + len(setup.tx_codebook)
+
+
+def _first_bad_label(az, zen):
+    """The message of the first beam whose Direction fails, azimuth before
+    zenith, by the chained comparisons of one direction at a time; None if none."""
+    for a, z in zip(az, zen):
+        if not -180.0 <= a < 180.0:
+            return f"azimuth {a!r} outside [-180, 180)"
+        if not 0.0 <= z <= 180.0:
+            return f"zenith {z!r} outside [0, 180]"
+    return None
+
+
+_LABEL_ANGLES = st.sampled_from([
+    -180.0, math.nextafter(-180.0, -math.inf), 0.0, -0.0, 90.0, math.nextafter(180.0, 0.0),
+    180.0, 180.1, -0.1, math.nan, math.inf, -math.inf])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(_LABEL_ANGLES, _LABEL_ANGLES), min_size=1, max_size=6))
+@example([(10.0, 90.0), (180.0, 190.0), (200.0, 90.0)])
+def test_codebook_angles_fail_as_their_first_direction(labels):
+    az, zen = (list(x) for x in zip(*labels))
+    unit = np.ones((len(az), 1), complex)
+    want = _first_bad_label(az, zen)
+    if want is None:
+        cb = BeamCodebook(az, zen, unit, unit)
+        assert cb.directions == tuple(map(Direction, az, zen))
+        return
+    with pytest.raises(ValueError) as exc:
+        BeamCodebook(az, zen, unit, unit)
+    assert str(exc.value) == want
+    bad = next(k for k, (a, z) in enumerate(labels) if _first_bad_label([a], [z]))
+    with pytest.raises(ValueError) as exc:
+        Direction(*labels[bad])
+    assert str(exc.value) == want
+
+
+def test_bad_codebook_grid_names_its_first_bad_zenith():
+    arr = PlanarArray(2, 2, LAM)
+    for grid, message in (((0.0, 10.0, 10.0, 170.0, 200.0, 10.0), "zenith 190.0 outside [0, 180]"),
+                          ((0.0, 10.0, 10.0, -10.0, 20.0, 10.0), "zenith -10.0 outside [0, 180]")):
+        with pytest.raises(ValueError) as exc:
+            generate_codebook(arr, *grid)
+        assert str(exc.value) == message
+    with pytest.raises(ValueError, match=r"^azimuth 190 outside \[-180, 180\)$"):
+        Direction(190, 90)
+    with pytest.raises(ValueError, match=r"^zenith_deg shape \(3,\) does not fit 4 beams$"):
+        BeamCodebook(np.zeros(4), np.zeros(3), np.ones((4, 1)), np.ones((4, 1)))
+    with pytest.raises(ValueError, match=r"^azimuth_deg shape \(\) does not fit 1 beams$"):
+        BeamCodebook(0.0, [90.0], np.ones((1, 1)), np.ones((1, 1)))
+
+
+def _power_rows_by_plane(tx_paths, coef, rx_side, scale):
+    """beams._power_rows' oracle: one amplitude plane per coefficient row, each
+    added into the table in plane order."""
+    table = np.zeros((*tx_paths.shape[:-1], rx_side[-1].shape[-1]))
+    for k in range(coef.shape[-2]):
+        amp = tx_paths * coef[..., k, None, :]
+        for factor in rx_side:
+            amp = amp @ factor
+        table += amp.real**2 + amp.imag**2
+    return scale * table
+
+
+def _complex_normal(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("n_channels", [1, 3])
+@pytest.mark.parametrize("m", [1, 2, 8, 64])
+@pytest.mark.parametrize("n_rows", [1, 2, 9])
+@pytest.mark.parametrize("element_basis", [False, True])
+@settings(max_examples=3, deadline=None, derandomize=True)
+@given(extra_paths=st.integers(0, 9), n_rx_b=st.sampled_from([1, 8, 252]),
+       seed=st.integers(0, 2**32 - 1))
+@example(extra_paths=0, n_rx_b=252, seed=0)  # wide planes: m = 64 splits into blocks
+def test_power_rows_block_is_the_plane_by_plane_sum(n_channels, m, n_rows, element_basis,
+                                                    extra_paths, n_rx_b, seed):
+    # a block of planes is one product per rx factor; every row is bit-equal to
+    # the sum of planes taken one at a time, also where the blocks split m
+    rng = np.random.default_rng(seed)
+    p = m + extra_paths
+    tx_paths = _complex_normal(rng, n_channels, n_rows, p)
+    coef = _complex_normal(rng, n_channels, m, p) * rng.uniform(1e-3, 1e3, (n_channels, m, 1))
+    if element_basis:
+        rx_side = (_complex_normal(rng, n_channels, p, 16), _complex_normal(rng, 16, n_rx_b))
+    else:
+        rx_side = (_complex_normal(rng, n_channels, p, n_rx_b),)
+    got = beams._power_rows(tx_paths, coef, rx_side, 0.25)
+    want = _power_rows_by_plane(tx_paths, coef, rx_side, 0.25)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_numpy_elides_a_temporary_of_16384_elements():
@@ -202,7 +350,7 @@ def test_sweep_tie_breaks_to_lowest_index():
     rec = mk_record(aod_az=10.0, aod_zen=90.0, aoa_az=0.0, aoa_zen=90.0)
     ch = _channel([rec], arr, arr)
     base = generate_codebook(arr, 0.0, 10.0, 10.0, 90.0, 90.0, 10.0)
-    dup = BeamCodebook(base.directions + base.directions,
+    dup = BeamCodebook(np.tile(base.azimuth_deg, 2), np.tile(base.zenith_deg, 2),
                        np.vstack([base.row_factors, base.row_factors]),
                        np.vstack([base.col_factors, base.col_factors]))
     sel = ideal_beam_sweep(ch, dup, dup, 1.0)
@@ -216,10 +364,9 @@ def test_sweep_tie_between_mirror_beams():
     rec = mk_record(aod_az=30.0, aod_zen=90.0, aoa_az=0.0, aoa_zen=90.0)
     rx_arr = PlanarArray(1, 1, LAM)
     ch = _channel([rec], arr, rx_arr)
-    dirs = (Direction(30.0, 90.0), Direction(150.0, 90.0))
     # half-wavelength columns: column factor exp(j pi c sin(az)) at zenith 90
     cols = np.exp(1j * math.pi * np.outer(np.sin(np.radians([30.0, 150.0])), np.arange(2)))
-    cb_tx = BeamCodebook(dirs, np.ones((2, 1), dtype=complex), cols)
+    cb_tx = BeamCodebook([30.0, 150.0], [90.0, 90.0], np.ones((2, 1), dtype=complex), cols)
     cb_rx = generate_codebook(rx_arr, 0.0, 0.0, 1.0, 90.0, 90.0, 1.0)
     np.testing.assert_allclose(cb_tx.weights[0], cb_tx.weights[1], atol=1e-15)
     sel = ideal_beam_sweep(ch, cb_tx, cb_rx, 1.0)
@@ -394,22 +541,25 @@ def _with_copies(cb, index, copies):
     """cb plus copies of beam index, each (before, k) a copy inserted before or
     after it whose powers are scaled by 1 - TIE_RTOL + k ulps: near-ties placed
     on the tie threshold, plus or minus rounding."""
-    rows, cols, dirs = list(cb.row_factors), list(cb.col_factors), list(cb.directions)
-    beam = (cb.row_factors[index], cb.col_factors[index], cb.directions[index])
+    az, zen = list(cb.azimuth_deg), list(cb.zenith_deg)
+    rows, cols = list(cb.row_factors), list(cb.col_factors)
+    beam = (cb.row_factors[index], cb.col_factors[index], az[index], zen[index])
     for before, k in copies:
         at = index if before else index + 1
         rows.insert(at, beam[0] * math.sqrt(1.0 - TIE_RTOL + k * 2.0**-52))
         cols.insert(at, beam[1])
-        dirs.insert(at, beam[2])
+        az.insert(at, beam[2])
+        zen.insert(at, beam[3])
         index += before
-    return BeamCodebook(tuple(dirs), np.array(rows), np.array(cols))
+    return BeamCodebook(az, zen, np.array(rows), np.array(cols))
 
 
 def _aimed_at_first_path(cb, array, records):
     """cb plus one beam aimed at the first record's arrival direction."""
     aim = generate_codebook(array, records[0].aoa_az, records[0].aoa_az, 1.0,
                             records[0].aoa_zen, records[0].aoa_zen, 1.0)
-    return BeamCodebook(cb.directions + aim.directions,
+    return BeamCodebook(np.append(cb.azimuth_deg, aim.azimuth_deg),
+                        np.append(cb.zenith_deg, aim.zenith_deg),
                         np.vstack([cb.row_factors, aim.row_factors]),
                         np.vstack([cb.col_factors, aim.col_factors]))
 
@@ -494,7 +644,8 @@ def test_bounded_sweep_matches_full_table(
 
 
 def _one_beam(cb):
-    return BeamCodebook(cb.directions[:1], cb.row_factors[:1], cb.col_factors[:1])
+    return BeamCodebook(cb.azimuth_deg[:1], cb.zenith_deg[:1], cb.row_factors[:1],
+                        cb.col_factors[:1])
 
 
 @settings(max_examples=150, deadline=None)
@@ -558,8 +709,8 @@ def _scaled_codebook(rng, array, n_beams, scales):
     phases = rng.uniform(-math.pi, math.pi, (n_beams, array.n_rows + array.n_cols))
     factors = np.exp(1j * phases)
     factors[:, :array.n_rows] *= np.asarray(scales)[:, None]
-    dirs = tuple(Direction(0.0, 90.0) for _ in range(n_beams))
-    return BeamCodebook(dirs, factors[:, :array.n_rows], factors[:, array.n_rows:])
+    return BeamCodebook(np.zeros(n_beams), np.full(n_beams, 90.0), factors[:, :array.n_rows],
+                        factors[:, array.n_rows:])
 
 
 def _at_upper_edge(cb, b):

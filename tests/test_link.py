@@ -34,7 +34,7 @@ from tracechan import (
     throughput_delay,
     trace_to_text,
 )
-from tracechan.arrays import Direction, _wrap_azimuth
+from tracechan.arrays import _wrap_azimuth
 from tracechan.beams import BeamCodebook
 from tracechan.channel import beamformed_power, build_channel_matrices, path_factors
 from tracechan.cli import main
@@ -885,7 +885,7 @@ def test_off_norm_beam_fails_at_codebook_construction():
     setup = replace(
         _free_space_setup(n_snapshots=4, training_period=0.1), tx_array=tx_arr,
         rx_array=rx_arr, tx_codebook=dft_codebook(),
-        rx_codebook=BeamCodebook((Direction(0.0, 90.0),), np.ones((1, 1), complex),
+        rx_codebook=BeamCodebook([0.0], [90.0], np.ones((1, 1), complex),
                                  np.ones((1, 1), complex)),
     )
     trace = TraceSet([mk_record(t=0.1 * k, gain_mag=1e-5, aod_az=az, aod_zen=90.0, aoa_zen=90.0)

@@ -1,5 +1,7 @@
 """Trace CSV parsing, validation, and round-trip serialization."""
 
+import csv
+import io
 import math
 import re
 import warnings
@@ -322,14 +324,38 @@ def test_validate_matches_the_per_snapshot_loop(records):
     assert list(map(str, got)) == list(map(str, want))
 
 
+def _csv_writer_text(records):
+    """The trace text as csv.writer writes the records' cells, the oracle of
+    trace_to_text: floats by repr, ids by str, path types by their value."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    for rec in records:
+        writer.writerow([getattr(rec, attr).value if kind is PathType else getattr(rec, attr)
+                         for _, attr, kind, _ in traces._COLUMNS])
+    return out.getvalue()
+
+
 def test_round_trip_identity():
     recs = (
         mk_record(t=0.30000000000000004, phase=-3.141592653589793),
         mk_record(t=0.4, path_id=1, path_type=PathType.DIFFRACTION,
                   gain_mag=4.305621e-08, aod_az=170.53767779197437),
+        # signed zeros, ids next to 2**63, the smallest and largest floats and
+        # the angle range ends, on every path type
+        *(mk_record(t=-0.0, tx_id=2**63 - 1, rx_id=2**63 - 2, path_id=2**63 - 1 - k,
+                    path_type=kind, delay=-0.0, gain_mag=5e-324, phase=-0.0,
+                    aod_az=-180.0, aod_zen=180.0, aoa_az=math.nextafter(180.0, 0.0),
+                    aoa_zen=-0.0) for k, kind in enumerate(PathType)),
+        mk_record(t=1e300, delay=1.7976931348623157e308, gain_mag=1e-310),
     )
     trace = TraceSet(recs)
-    assert parse_trace_text(trace_to_text(trace)) == trace
+    text = trace_to_text(trace)
+    assert text == _csv_writer_text(recs)
+    assert parse_trace_text(text) == trace
+    assert trace_to_text(parse_trace_text(text)) == text  # -0.0 stays -0.0
+    assert "\n-0.0,9223372036854775807,9223372036854775806,9223372036854775804,SCAT," in text
+    assert trace_to_text(TraceSet([])) == _csv_writer_text([]) == HEADER + "\n"
 
 
 def test_write_and_parse_file(tmp_path):
@@ -343,12 +369,14 @@ def test_write_and_parse_file(tmp_path):
 
 _angles = st.floats(min_value=-180.0, max_value=179.999, allow_nan=False)
 _zeniths = st.floats(min_value=0.0, max_value=180.0, allow_nan=False)
+_ids = st.integers(min_value=0, max_value=99) | st.integers(2**63 - 4, 2**63 - 1)
 _records = st.builds(
     mk_record,
-    t=st.floats(min_value=0.0, max_value=1e4, allow_nan=False, allow_infinity=False),
-    tx_id=st.integers(min_value=0, max_value=99),
-    rx_id=st.integers(min_value=0, max_value=99),
-    path_id=st.integers(min_value=0, max_value=999),
+    t=st.floats(min_value=0.0, max_value=1e4, allow_nan=False, allow_infinity=False)
+    | st.just(-0.0),
+    tx_id=_ids,
+    rx_id=_ids,
+    path_id=st.integers(min_value=0, max_value=999) | st.integers(2**63 - 4, 2**63 - 1),
     path_type=st.sampled_from(list(PathType)),
     delay=st.floats(min_value=0.0, max_value=1e-3, allow_nan=False),
     gain_mag=st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
@@ -364,7 +392,9 @@ _records = st.builds(
 @given(st.lists(_records, max_size=30))
 def test_round_trip_property(records):
     trace = TraceSet(tuple(records))
-    assert parse_trace_text(trace_to_text(trace)) == trace
+    text = trace_to_text(trace)
+    assert text == _csv_writer_text(records)
+    assert parse_trace_text(text) == trace
 
 
 # values on both sides of each column rule, the Python types a record must

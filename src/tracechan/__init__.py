@@ -8,7 +8,6 @@ rolled up into per-snapshot link metrics.
 from .arrays import (
     Direction,
     PlanarArray,
-    element_positions,
     steering_factors,
     steering_matrix,
     steering_vector,
@@ -35,6 +34,7 @@ from .channel import (
 from .link import (
     AmcTable,
     LinkBudget,
+    LinkColumns,
     LinkMetrics,
     SimulationSetup,
     compute_sinr,
@@ -86,6 +86,7 @@ __all__ = [
     "Direction",
     "Environment",
     "LinkBudget",
+    "LinkColumns",
     "LinkMetrics",
     "MpcRecord",
     "PathFactors",
@@ -105,7 +106,6 @@ __all__ = [
     "build_setup",
     "circular_trajectory",
     "compute_sinr",
-    "element_positions",
     "fresnel_parameter",
     "generate_codebook",
     "generate_trace",

@@ -49,7 +49,6 @@ from numpy.typing import ArrayLike
 __all__ = [
     "Direction",
     "PlanarArray",
-    "element_positions",
     "steering_factors",
     "steering_matrix",
     "steering_vector",
@@ -139,28 +138,6 @@ class PlanarArray:
     @property
     def n_elements(self) -> int:
         return self.n_rows * self.n_cols
-
-
-def element_positions(array: PlanarArray) -> np.ndarray:
-    """(N, 3) element positions in meters, row-major, bearing applied."""
-    pitch = array.spacing * array.wavelength_m
-    r = np.arange(array.n_rows)
-    c = np.arange(array.n_cols)
-    # local frame: x = 0, y = column offset, z = row offset
-    y = np.repeat(np.zeros(array.n_rows), array.n_cols) + np.tile(c * pitch, array.n_rows)
-    z = np.repeat(r * pitch, array.n_cols)
-    pos = np.column_stack([np.zeros(y.size), y, z])
-    b = math.radians(array.bearing_deg)
-    if b != 0.0:
-        rot = np.array(
-            [
-                [math.cos(b), -math.sin(b), 0.0],
-                [math.sin(b), math.cos(b), 0.0],
-                [0.0, 0.0, 1.0],
-            ]
-        )
-        pos = pos @ rot.T
-    return pos
 
 
 def steering_factors(

@@ -30,14 +30,17 @@ rx index) whose power is within TIE_RTOL of the table maximum. The mirror
 beams of a planar array tie in exact arithmetic, so an exact argmax would
 pick between them on rounding noise.
 
-ideal_beam_sweeps finds that winner for each of many channels, by the same
-row kernel as sweep_power_table. Where a bound costs fewer multiply-adds
-than the table, only the tx rows whose upper bound (_row_bounds) reaches
-the tie threshold of the best confirmed power are computed. In the element
-basis the bound has one form, a Gram matrix's quadratic form; where that
-costs about as much as the table, every row is computed once instead.
-Channels on one subband grid with equal path counts are swept together, in
-chunks (see ideal_beam_sweeps).
+One private entry, _sweep_spans, finds that winner for each of many
+channels whose paths are spans of one PathFactors, by the same row kernel
+as sweep_power_table: ideal_beam_sweeps stacks its channels' factors into
+it, and run_simulation passes its blocks' factors. Where a bound costs
+fewer multiply-adds than the table, only the tx rows whose upper bound
+(_row_bounds) reaches the tie threshold of the best confirmed power are
+computed. In the element basis the bound has one form, a Gram matrix's
+quadratic form; where that costs about as much as the table, every row is
+computed once instead. Channels on one subband grid with equal path counts
+are swept together, in chunks, and one vectorised pass of the tie rule
+(_first_tied) picks every winner of a chunk (see ideal_beam_sweeps).
 """
 
 from __future__ import annotations
@@ -54,7 +57,8 @@ from .arrays import (Direction, PlanarArray, _check_angles, _col_factors, _respo
 # steering_vector is not used here; perfbench/tests/test_perfbench.py reads
 # tracechan.beams.steering_vector, so the name stays importable from beams
 from .arrays import steering_vector  # noqa: F401
-from .channel import _NORM_TOL, ChannelMatrixSet, PathFactors, _finite_power, _subband_terms
+from .channel import (_NORM_TOL, ChannelMatrixSet, PathFactors, SubbandGrid, _finite_power,
+                      _subband_terms)
 
 __all__ = [
     "TIE_RTOL",
@@ -232,30 +236,37 @@ def _gains(codebook: BeamCodebook, b: np.ndarray, rows: np.ndarray, cols: np.nda
     return gain / math.sqrt(codebook.n_elements)
 
 
+def _stacked(channels: Sequence[ChannelMatrixSet]) -> PathFactors:
+    """The channels' PathFactors concatenated in channel order, in new C-ordered arrays."""
+    return PathFactors(*map(np.concatenate, zip(*(vars(ch.paths).values() for ch in channels))))
+
+
 def _sweep_factors(
-    channels: Sequence[ChannelMatrixSet],
+    f: PathFactors,
+    n: int,
+    grid: SubbandGrid,
     tx_codebook: BeamCodebook,
     rx_codebook: BeamCodebook,
     p_tx_w: float,
 ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...], float]:
     """The tx projections, coefficient rows, rx factors and scale of a sweep.
 
-    channels share one grid and one path count P. Their PathFactors are
-    concatenated once, every factor but the shared element-basis rx weights
-    is stacked on a leading channel axis G, and the (G, K, P) coefficients,
-    each channel's bit-equal to its coef, are one _subband_terms call. With
-    x = (a_tx^H w_tx) * (a_rx^T w_rx^*) a pair's per-subband amplitudes are
-    coef @ x, and sum_k |coef @ x|^2 equals sum_j |r @ x|^2 for the QR
-    factor r of coef, which has min(K, P) rows. The tx projections of all
-    channels are one _project product, (G, n_tx_b, P), and so are the rx
-    projections in the path basis, (G, P, n_rx_b). With more paths than rx
-    elements the rx side is the element-basis pair (G, P, N_rx) and
-    (N_rx, n_rx_b), and only then is a_rx assembled, in one _responses call.
+    f holds the paths of n channels on grid, P each, in channel order, in
+    C-ordered arrays. Every factor but the shared element-basis rx weights
+    is stacked on a leading channel axis G = n, and the (G, K, P)
+    coefficients, each channel's bit-equal to its coef, are one
+    _subband_terms call. With x = (a_tx^H w_tx) * (a_rx^T w_rx^*) a pair's
+    per-subband amplitudes are coef @ x, and sum_k |coef @ x|^2 equals
+    sum_j |r @ x|^2 for the QR factor r of coef, which has min(K, P) rows.
+    The tx projections of all channels are one _project product,
+    (G, n_tx_b, P), and so are the rx projections in the path basis,
+    (G, P, n_rx_b). With more paths than rx elements the rx side is the
+    element-basis pair (G, P, N_rx) and (N_rx, n_rx_b), and only then is
+    a_rx assembled, in one _responses call.
     """
     if p_tx_w < 0:
         raise ValueError("p_tx_w must be non-negative")
-    n, p, grid = len(channels), len(channels[0].paths), channels[0].grid
-    f = PathFactors(*map(np.concatenate, zip(*(vars(ch.paths).values() for ch in channels))))
+    p = len(f) // n
     tx_paths = _project(tx_codebook, f.tx_rows, f.tx_cols).reshape(len(tx_codebook), n, p)
     tx_paths = tx_paths.transpose(1, 0, 2)
     if p <= rx_codebook.n_elements:
@@ -438,25 +449,29 @@ def sweep_power_table(
     evaluated pairwise. A table maximum that is not finite raises
     ValueError naming the channel's time, as ideal_beam_sweep does.
     """
-    table = _power_rows(*_sweep_factors([channel], tx_codebook, rx_codebook, p_tx_w))[0]
+    table = _power_rows(*_sweep_factors(_stacked([channel]), 1, channel.grid, tx_codebook,
+                                        rx_codebook, p_tx_w))[0]
     _finite_power(table.max(), channel.time)
     return table
 
 
-def _pick(
-    table: np.ndarray, tx_rows, tx_codebook: BeamCodebook, rx_codebook: BeamCodebook
-) -> BeamSelection:
-    """select_best_pair's rule on the table rows of the tx beams tx_rows (ascending)."""
-    tied = table >= table.max() * (1.0 - TIE_RTOL)
-    k, ri = divmod(int(np.argmax(tied)), table.shape[1])
-    ti = int(tx_rows[k])
-    return BeamSelection(
-        tx_index=ti,
-        rx_index=ri,
-        tx_direction=tx_codebook._direction(ti),
-        rx_direction=rx_codebook._direction(ri),
-        power_w=float(table[k, ri]),
-    )
+def _first_tied(table: np.ndarray) -> tuple[np.ndarray, ...]:
+    """select_best_pair's rule on the last two axes of table: row, column, power and maximum.
+
+    Each leading index's (rows, cols) table gives the first pair in row-major
+    order whose power is at least its maximum * (1 - TIE_RTOL). A table with
+    a NaN ties no pair, so it gives pair (0, 0) and a NaN maximum.
+    """
+    peak = table.max(axis=(-2, -1))
+    flat = table.reshape(*table.shape[:-2], -1)
+    first = (flat >= (peak * (1.0 - TIE_RTOL))[..., None]).argmax(axis=-1)
+    power = np.take_along_axis(flat, first[..., None], axis=-1)[..., 0]
+    return (*np.divmod(first, table.shape[-1]), power, peak)
+
+
+def _selection(tx: int, rx: int, power: float, tx_codebook: BeamCodebook,
+               rx_codebook: BeamCodebook) -> BeamSelection:
+    return BeamSelection(tx, rx, tx_codebook._direction(tx), rx_codebook._direction(rx), power)
 
 
 def select_best_pair(
@@ -469,7 +484,8 @@ def select_best_pair(
     pick does not hinge on the last bits of the float result. An all-zero
     table gives pair (0, 0).
     """
-    return _pick(table, range(table.shape[0]), tx_codebook, rx_codebook)
+    tx, rx, power, _ = _first_tied(table)
+    return _selection(int(tx), int(rx), float(power), tx_codebook, rx_codebook)
 
 
 def ideal_beam_sweep(
@@ -487,7 +503,6 @@ def ideal_beam_sweep(
     return ideal_beam_sweeps([channel], tx_codebook, rx_codebook, p_tx_w)[0]
 
 
-@np.errstate(over="ignore", invalid="ignore")  # an overflowed winner raises instead
 def ideal_beam_sweeps(
     channels: Sequence[ChannelMatrixSet],
     tx_codebook: BeamCodebook,
@@ -508,68 +523,111 @@ def ideal_beam_sweeps(
     ones) no row is computed: the answer is the all-zero table's pair
     (0, 0) at 0 W.
 
-    The channels are grouped by subband grid and path count, and each group is
-    swept in chunks of about _SWEEP_BYTES of tx projections: one projection
-    product per side, one stacked QR, bound and two-row confirm per chunk.
+    The channels are grouped by subband grid, in order of each grid's first
+    channel, and each grid's channels are stacked into one _sweep_spans
+    call. It sweeps the channels of one path count in chunks of about
+    _SWEEP_BYTES of tx projections: one projection product per side, one
+    stacked QR, bound and two-row confirm, and one tie-rule pass per chunk.
     In a chunk of several channels the tx projection is a matrix-matrix
     product where one channel alone may take a matrix-vector one, so a
     power can differ from the one-channel sweep's in its last bits; the
     winner moves only if that carries a pair across the tie threshold.
-    After every channel is swept, a winning power that is not finite
-    raises ValueError naming the time of the first such channel.
+    After every channel of a grid is swept, a table maximum that is not
+    finite raises ValueError naming the time of the grid's first such
+    channel.
     """
-    results: list = [None] * len(channels)
-    groups: dict = {}  # (grid, path count) -> indices of its channels
+    out: list = [None] * len(channels)
+    by_grid: dict = {}  # grid -> indices of its channels
     for i, ch in enumerate(channels):
-        groups.setdefault((ch.grid, len(ch.paths)), []).append(i)
-    for (_, n_paths), members in groups.items():
-        per = max(1, _SWEEP_BYTES // (16 * len(tx_codebook) * max(n_paths, 1)))
-        for lo in range(0, len(members), per):
-            chunk = members[lo:lo + per]
-            picks = _sweep_chunk([channels[i] for i in chunk], tx_codebook, rx_codebook, p_tx_w)
-            for i, pick in zip(chunk, picks):
-                results[i] = pick
-    for ch, (_, peak) in zip(channels, results):
-        _finite_power(peak, ch.time)
-    return [sel for sel, _ in results]
+        by_grid.setdefault(ch.grid, []).append(i)
+    for grid, members in by_grid.items():
+        group = [channels[i] for i in members]
+        counts = np.array([len(ch.paths) for ch in group], dtype=np.intp)
+        picks = _sweep_spans(_stacked(group), np.cumsum(counts) - counts, counts,
+                             [ch.time for ch in group], grid, tx_codebook, rx_codebook, p_tx_w)
+        for i, *pick in zip(members, *(column.tolist() for column in picks)):
+            out[i] = _selection(*pick, tx_codebook, rx_codebook)
+    return out
 
 
-def _sweep_chunk(
-    channels: Sequence[ChannelMatrixSet],
+@np.errstate(over="ignore", invalid="ignore")  # an overflowed winner raises instead
+def _sweep_spans(
+    f: PathFactors,
+    starts: np.ndarray,
+    counts: np.ndarray,
+    times: Sequence[float],
+    grid: SubbandGrid,
     tx_codebook: BeamCodebook,
     rx_codebook: BeamCodebook,
     p_tx_w: float,
-) -> list[tuple[BeamSelection, float]]:
-    """ideal_beam_sweeps' winner and table maximum of each channel of one group."""
-    tx_paths, coef, rx_side, scale = _sweep_factors(channels, tx_codebook, rx_codebook, p_tx_w)
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The winners of channels on one grid whose paths are spans of f: tx index, rx index, power.
+
+    Channel i, at times[i], has the paths f[starts[i]:starts[i] + counts[i]].
+    The one sweep of ideal_beam_sweeps and of run_simulation's training.
+    The channels of one path count are swept in chunks of about
+    _SWEEP_BYTES of tx projections, in channel order, and a chunk takes its
+    channels' spans with one take per factor. After every chunk is swept, a
+    table maximum that is not finite raises ValueError naming the time of
+    the first such channel.
+    """
+    tx, rx = np.zeros(len(counts), np.intp), np.zeros(len(counts), np.intp)
+    power, peak = np.zeros(len(counts)), np.zeros(len(counts))
+    for p in dict.fromkeys(counts.tolist()):  # np.unique's first call costs 1.6 MB of RSS
+        members = np.flatnonzero(counts == p)
+        per = max(1, _SWEEP_BYTES // (16 * len(tx_codebook) * max(p, 1)))
+        for lo in range(0, len(members), per):
+            chunk = members[lo:lo + per]
+            paths = (starts[chunk, None] + np.arange(p)).ravel()
+            sub = PathFactors(*(factor.take(paths, axis=0) for factor in vars(f).values()))
+            tx[chunk], rx[chunk], power[chunk], peak[chunk] = _sweep_chunk(
+                sub, len(chunk), grid, tx_codebook, rx_codebook, p_tx_w)
+    finite = np.isfinite(peak)
+    if not finite.all():
+        j = int(finite.argmin())
+        _finite_power(float(peak[j]), times[j])
+    return tx, rx, power
+
+
+def _sweep_chunk(
+    f: PathFactors,
+    n: int,
+    grid: SubbandGrid,
+    tx_codebook: BeamCodebook,
+    rx_codebook: BeamCodebook,
+    p_tx_w: float,
+) -> tuple[np.ndarray, ...]:
+    """The tx index, rx index, power and table maximum of each of n channels of P paths each.
+
+    f holds the channels' paths in channel order (see _sweep_factors). The
+    chunk's top rows are confirmed in one _power_rows call and every
+    channel's winner is picked from them in one _first_tied pass; only a
+    channel with another row whose bound reaches its tie threshold
+    confirms those rows too, and is picked on its own.
+    """
+    tx_paths, coef, rx_side, scale = _sweep_factors(f, n, grid, tx_codebook, rx_codebook, p_tx_w)
     bound = _row_bounds(tx_paths, coef, rx_side, scale)  # (G, n_tx_b)
     # every bound covers its row, so a channel whose bounds are all 0 has an
     # all-zero table, whose pair is (0, 0) at 0 W
     live = bound.any(axis=1)
-    if not live.all():
-        zero = (_pick(np.zeros((1, 1)), (0,), tx_codebook, rx_codebook), 0.0)
     if not live.any():
-        return [zero] * len(channels)
+        return np.zeros(n, np.intp), np.zeros(n, np.intp), np.zeros(n), np.zeros(n)
     # two rows per channel keep BLAS on its GEMM kernel; with no bound (all inf)
     # the top rows are every row, the whole table
     n_tx = bound.shape[1]
     n_top = n_tx if np.isinf(bound).all() else min(2, n_tx)
     top = np.sort(np.argpartition(bound, -n_top, axis=1)[:, -n_top:], axis=1)
     top_paths = tx_paths if n_top == n_tx else np.take_along_axis(tx_paths, top[:, :, None], axis=1)
-    table = _power_rows(top_paths, coef, rx_side, scale)  # (G, n_top, n_rx_b)
-    threshold = table.max(axis=(1, 2)) * (1.0 - TIE_RTOL)
+    k, rx, power, peak = _first_tied(_power_rows(top_paths, coef, rx_side, scale))
+    tx = np.take_along_axis(top, k[:, None], axis=1)[:, 0]
+    threshold = peak * (1.0 - TIE_RTOL)
     # the rows that may hold a tied pair are all among the top rows
     inside = (bound >= threshold[:, None]).sum(axis=1) == (
         np.take_along_axis(bound, top, axis=1) >= threshold[:, None]).sum(axis=1)
-    out = []
-    for g in range(len(channels)):
-        if not live[g]:
-            out.append(zero)
-            continue
-        rows, t = top[g], table[g]
-        if not inside[g]:
-            # these rows hold the maximum's row too, so they are two or more
-            rows = np.flatnonzero(bound[g] >= threshold[g])
-            t = _power_rows(tx_paths[g, rows], coef[g], (rx_side[0][g], *rx_side[1:]), scale)
-        out.append((_pick(t, rows, tx_codebook, rx_codebook), t.max()))
-    return out
+    for g in np.flatnonzero(live & ~inside).tolist():
+        # these rows hold the maximum's row too, so they are two or more
+        rows = np.flatnonzero(bound[g] >= threshold[g])
+        t = _power_rows(tx_paths[g, rows], coef[g], (rx_side[0][g], *rx_side[1:]), scale)
+        k_g, rx[g], power[g], peak[g] = _first_tied(t)
+        tx[g] = rows[k_g]
+    return tuple(np.where(live, column, 0) for column in (tx, rx, power, peak))

@@ -70,10 +70,10 @@ def _cmd_simulate(args) -> int:
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
     n = len(metrics)
-    mean_sinr = sum(m.sinr_db for m in metrics) / n
-    mean_thr = sum(m.delivered_bps for m in metrics) / n
-    los_frac = sum(1 for m in metrics if m.los) / n
-    outages = sum(1 for m in metrics if m.sinr_db <= SINR_FLOOR_DB)
+    mean_sinr = sum(metrics.sinr_db) / n
+    mean_thr = sum(metrics.delivered_bps) / n
+    los_frac = sum(metrics.los) / n
+    outages = sum(s <= SINR_FLOOR_DB for s in metrics.sinr_db)
     print(f"wrote {args.out}: {n} snapshots")
     print(f"outage snapshots: {outages} (SINR at the {SINR_FLOOR_DB:g} dB floor, "
           "counted in the means)")

@@ -1,30 +1,34 @@
-"""Link-level abstraction: SINR, rate adaptation, and the snapshot loop.
+"""Link-level abstraction: SINR, rate adaptation, and the simulation columns.
 
 snapshot_rows is the one snapshot schedule: it turns a trace and the
 setup's time grid into row times and offsets into the link's paths,
 outages included, and rejects a trace that is off the grid. run_simulation
-computes the link's path factors a block of rows at a time, trains the
-block's training rows in one batched sweep on their slices of them (ideal
-sweeps, no airtime, on a fixed period), computes every row's received power
-through the beams last trained in one vectorised pass over the same
-factors, and walks the rows in order: map the power to SINR, pick the rate,
-and derive throughput and a queueing-flavored delay from an analytic
-saturation model. No subband coefficients pass between these steps.
+keeps its rows as columns. It computes the link's path factors a block of
+rows at a time, sweeps the block's training rows in one batched call on
+their spans of those factors (ideal sweeps, no airtime, on a fixed
+period), forward-fills the trained beam indices over the block, and
+computes every row's received power through its held beams in one
+vectorised pass over the same factors. Each row's power then maps to SINR,
+the rate, and throughput and a queueing-flavored delay from an analytic
+saturation model, a column at a time. No subband coefficients, channel or
+per-row selection objects pass between these steps; LinkColumns builds a
+row's LinkMetrics only when it is read, and metrics_to_csv writes the
+columns.
 """
 
 from __future__ import annotations
 
 import bisect
 import csv
-import io
+import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .beams import BeamCodebook, BeamSelection, _gains, ideal_beam_sweeps
-from .channel import (ChannelMatrixSet, PathFactors, SubbandGrid, _finite_power, _subband_terms,
-                      path_factors)
+from .beams import BeamCodebook, BeamSelection, _gains, _sweep_spans
+from .channel import PathFactors, SubbandGrid, _finite_power, _subband_terms, path_factors
 # build_channel_matrices is not used here; perfbench/tests/test_perfbench.py reads
 # tracechan.link.build_channel_matrices, so the name stays importable from link
 from .channel import build_channel_matrices  # noqa: F401
@@ -38,6 +42,7 @@ __all__ = [
     "LinkBudget",
     "AmcTable",
     "LinkMetrics",
+    "LinkColumns",
     "SimulationSetup",
     "noise_power",
     "compute_sinr",
@@ -101,7 +106,11 @@ def compute_sinr(p_rx_w: float, budget: LinkBudget) -> float:
     """SINR in dB over noise plus (fixed, default zero) interference."""
     if not 0 <= p_rx_w < math.inf:
         raise ValueError(f"p_rx_w must be >= 0 and finite, got {p_rx_w!r}")
-    denom = noise_power(budget) + budget.interference_w
+    return _sinr_db(p_rx_w, noise_power(budget) + budget.interference_w)
+
+
+def _sinr_db(p_rx_w: float, denom: float) -> float:
+    """compute_sinr's value for a finite p_rx_w >= 0 over noise plus interference denom, watts."""
     if p_rx_w == 0.0:
         return SINR_FLOOR_DB
     return max(10.0 * math.log10(p_rx_w / denom), SINR_FLOOR_DB)
@@ -327,28 +336,64 @@ _FACTOR_BYTES = 1 << 20
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a row whose power overflows raises instead
-def _row_powers(factors: PathFactors, counts: np.ndarray, sels: list[BeamSelection],
-                setup: SimulationSetup) -> list[float]:
-    """Each row's power through its pair sels[i], watts, from its counts[i] paths in factors.
+def _row_powers(factors: PathFactors, counts: np.ndarray, tx_index: np.ndarray,
+                rx_index: np.ndarray, setup: SimulationSetup) -> np.ndarray:
+    """Each row's power through beams tx_index[i], rx_index[i], watts, from its counts[i] paths.
 
-    The paths' (P, K) _subband_terms, whose rows transposed are the coefficients of the
-    rows' channels, are computed here. Only elementwise products with no elided temporary
-    (see beams) and per-row sums run: no row depends on another.
+    The rows' paths are factors, in row order. The paths' (P, K) _subband_terms, whose rows
+    transposed are the coefficients of the rows' channels, are computed here. Only
+    elementwise products with no elided temporary (see beams) and per-row sums run: no row
+    depends on another.
     """
     has, power = counts > 0, np.zeros(len(counts))
     if has.any():
-        b = np.repeat([(sel.tx_index, sel.rx_index) for sel in sels], counts, axis=0)
-        rx_g = _gains(setup.rx_codebook, b[:, 1], factors.rx_rows, factors.rx_cols)
-        tx_conj = _gains(setup.tx_codebook, b[:, 0], factors.tx_rows, factors.tx_cols).conj()
+        rx_g = _gains(setup.rx_codebook, np.repeat(rx_index, counts), factors.rx_rows,
+                      factors.rx_cols)
+        tx_conj = _gains(setup.tx_codebook, np.repeat(tx_index, counts), factors.tx_rows,
+                         factors.tx_cols).conj()
         x = rx_g * tx_conj
         terms = _subband_terms(factors.phasor, factors.delay, setup.grid)
         amp = np.add.reduceat(terms * x[:, None], (np.cumsum(counts) - counts)[has], axis=0)
         power[has] = (setup.budget.tx_power_w / setup.grid.n_subbands * np.abs(amp) ** 2).sum(1)
-    return power.tolist()
+    return power
 
 
-def run_simulation(trace: TraceSet, setup: SimulationSetup) -> list[LinkMetrics]:
-    """Link metrics for each row of snapshot_rows(trace, setup).
+@dataclass(frozen=True)
+class LinkColumns(Sequence):
+    """run_simulation's rows as columns, one entry a row; row i reads as a LinkMetrics.
+
+    tx_index and rx_index index the beams held at each row in tx_codebook and
+    rx_codebook, and power_w is the row's power through them. Indexing and
+    iteration build each row's LinkMetrics, and its beam Directions, when
+    read; metrics_to_csv reads the columns.
+    """
+
+    t: tuple[float, ...]
+    los: tuple[bool, ...]
+    tx_index: tuple[int, ...]
+    rx_index: tuple[int, ...]
+    power_w: tuple[float, ...]
+    sinr_db: tuple[float, ...]
+    mcs: tuple[int | None, ...]
+    delivered_bps: tuple[float, ...]
+    delay_s: tuple[float, ...]
+    offered_bps: float
+    tx_codebook: BeamCodebook
+    rx_codebook: BeamCodebook
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __getitem__(self, i: int) -> LinkMetrics:
+        tx, rx = self.tx_index[i], self.rx_index[i]
+        held = BeamSelection(tx, rx, self.tx_codebook._direction(tx),
+                             self.rx_codebook._direction(rx), self.power_w[i])
+        return LinkMetrics(self.t[i], self.los[i], held, self.sinr_db[i], self.mcs[i],
+                           self.offered_bps, self.delivered_bps[i], self.delay_s[i])
+
+
+def run_simulation(trace: TraceSet, setup: SimulationSetup) -> LinkColumns:
+    """Link metrics for each row of snapshot_rows(trace, setup), as columns.
 
     An outage row has no paths: SINR floor, no MCS. Beams train on the
     first row and then on the first row at which the training period has
@@ -356,12 +401,14 @@ def run_simulation(trace: TraceSet, setup: SimulationSetup) -> list[LinkMetrics]
     are held until the next training. A training row that is an outage finds
     no paths, so training stays due and the next row trains. The schedule
     depends only on the row times and on which rows have paths, so it is
-    fixed up front. Each block of path_factors trains all of its training
-    rows in one ideal_beam_sweeps call on channels that hold the rows'
-    slices of the block's factors; then _row_powers gives each row its
-    power through the pair last trained from the same factors, with no held
-    row's channel. The first row whose power is not finite raises; beams
-    need no check, as a BeamCodebook has unit norm.
+    fixed up front. Each block of path_factors sweeps all of its training
+    rows in one _sweep_spans call on their spans of the block's factors,
+    forward-fills the trained beam indices over the block's rows, and
+    computes every row's power through its held pair in one _row_powers
+    pass, with no per-row channel or selection. SINR (compute_sinr's
+    formula), MCS and rates are then filled in column by column. The first
+    row whose power is not finite raises, after the rows before it are
+    done; beams need no check, as a BeamCodebook has unit norm.
     """
     cb_tx, cb_rx = setup.tx_codebook, setup.rx_codebook
     tx, rx = setup.tx_array, setup.rx_array
@@ -370,61 +417,83 @@ def run_simulation(trace: TraceSet, setup: SimulationSetup) -> list[LinkMetrics]
     # row i holds a LOS record when the running LOS count grows over its paths
     n_los = np.concatenate(([0], np.cumsum(link_paths.columns["path_type"] == PathType.LOS)))
     los = (n_los[offsets[1:]] > n_los[offsets[:-1]]).tolist()
-    trains, due = [], -math.inf
-    for t, has in zip(times, (offsets[1:] > offsets[:-1]).tolist()):
-        trains.append(t >= due - GRID_TOL_S)
-        if trains[-1] and has:
+    counts = np.diff(offsets)
+    trains, due = np.zeros(len(times), bool), -math.inf
+    for i, (t, has) in enumerate(zip(times, (counts > 0).tolist())):
+        trains[i] = t >= due - GRID_TOL_S
+        if trains[i] and has:
             due = t + setup.training_period_s
     block = max(1, _FACTOR_BYTES // (16 * (tx.n_rows + tx.n_cols + rx.n_rows + rx.n_cols + 2
                                            + 2 * setup.grid.n_subbands)))  # bytes a path
-    offsets = offsets.tolist()  # row i's paths are link_paths[offsets[i]:offsets[i + 1]]
-    out, sel, first = [], None, 0  # first: the next block's first row
+    tx_index, rx_index = np.zeros(len(times), np.intp), np.zeros(len(times), np.intp)
+    power, columns = np.zeros(len(times)), ([], [], [], [])  # sinr, mcs, delivered, delay
+    first, last = 0, 0  # the next block's first row, and the latest training row before it
     while first < len(times):
-        start = offsets[first]
-        factors = path_factors(link_paths[start:max(offsets[first + 1], start + block)], tx, rx)
-        end = bisect.bisect_right(offsets, start + len(factors)) - 1
-        factors = factors[:offsets[end] - start]  # the block's whole rows
-        trained = [i for i in range(first, end) if trains[i]]
-        picks = dict(zip(trained, ideal_beam_sweeps(
-            [ChannelMatrixSet(factors[offsets[i] - start:offsets[i + 1] - start], setup.grid,
-                              times[i]) for i in trained], cb_tx, cb_rx, setup.budget.tx_power_w)))
-        sels = [sel := picks.get(i, sel) for i in range(first, end)]  # the first row trains
-        powers = _row_powers(factors, np.diff(offsets[first:end + 1]), sels, setup)
-        for i, sel, p_rx in zip(range(first, end), sels, powers):
-            sinr = compute_sinr(_finite_power(p_rx, times[i]), setup.budget)
-            mcs = select_mcs(sinr, setup.amc)
-            rate = throughput_delay(mcs, setup.amc, setup.budget.bandwidth_hz, setup.offered_bps,
-                                    setup.overhead, setup.base_delay_s, setup.saturation_delay_s)
-            held = BeamSelection(sel.tx_index, sel.rx_index, sel.tx_direction, sel.rx_direction,
-                                 p_rx)
-            out.append(LinkMetrics(times[i], los[i], held, sinr, mcs, setup.offered_bps, *rate))
-        first = end
-    return out
+        start = int(offsets[first])
+        factors = path_factors(link_paths[start:max(int(offsets[first + 1]), start + block)],
+                               tx, rx)
+        end = int(np.searchsorted(offsets, start + len(factors), side="right")) - 1
+        factors = factors[:int(offsets[end]) - start]  # the block's whole rows
+        trained = np.flatnonzero(trains[first:end]) + first
+        tx_index[trained], rx_index[trained], _ = _sweep_spans(
+            factors, offsets[trained] - start, counts[trained],
+            [times[i] for i in trained.tolist()], setup.grid, cb_tx, cb_rx,
+            setup.budget.tx_power_w)
+        # each row holds the pair of the latest training row at or before it
+        src = np.maximum.accumulate(np.where(trains[first:end], np.arange(first, end), last))
+        tx_index[first:end], rx_index[first:end] = tx_index[src], rx_index[src]
+        power[first:end] = _row_powers(factors, counts[first:end], tx_index[first:end],
+                                       rx_index[first:end], setup)
+        finite = np.isfinite(power[first:end])
+        stop = end if finite.all() else first + int(finite.argmin())
+        for column, values in zip(columns, _rates(power[first:stop], setup)):
+            column += values
+        if stop < end:  # the rows before it are done
+            _finite_power(float(power[stop]), times[stop])
+        first, last = end, int(src[-1])
+    return LinkColumns(tuple(times), tuple(los), *(tuple(a.tolist()) for a in (tx_index, rx_index,
+                       power)), *map(tuple, columns), setup.offered_bps, cb_tx, cb_rx)
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
+def _rates(power: np.ndarray, setup: SimulationSetup) -> tuple[tuple, ...]:
+    """The sinr_db, mcs, delivered_bps and delay_s of rows of finite power, watts.
+
+    Each row's SINR is compute_sinr's scalar formula and its MCS select_mcs's,
+    so their bits are kept; each MCS's rates are one throughput_delay call.
+    """
+    denom = noise_power(setup.budget) + setup.budget.interference_w
+    sinr = tuple(_sinr_db(p, denom) for p in power.tolist())
+    mcs = tuple(select_mcs(s, setup.amc) for s in sinr)
+    rates = {m: throughput_delay(m, setup.amc, setup.budget.bandwidth_hz, setup.offered_bps,
+                                 setup.overhead, setup.base_delay_s, setup.saturation_delay_s)
+             for m in dict.fromkeys(mcs)}  # in row order, so a bad load raises at the first row
+    delivered, delay = zip(*map(rates.__getitem__, mcs)) if mcs else ((), ())
+    return sinr, mcs, delivered, delay
 
 
-def metrics_to_csv(metrics: list[LinkMetrics]) -> str:
-    """Serialize metrics rows; a None mcs is reported as 0 (lowest rate)."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(METRICS_COLUMNS)
-    for m in metrics:
-        writer.writerow(
-            [
-                _fmt(m.t),
-                1 if m.los else 0,
-                _fmt(m.selection.tx_direction.azimuth_deg),
-                _fmt(m.selection.tx_direction.zenith_deg),
-                _fmt(m.selection.rx_direction.azimuth_deg),
-                _fmt(m.selection.rx_direction.zenith_deg),
-                _fmt(m.sinr_db),
-                0 if m.mcs is None else m.mcs,
-                _fmt(m.offered_bps),
-                _fmt(m.delivered_bps),
-                _fmt(m.delay_s),
-            ]
-        )
-    return out.getvalue()
+def _text(column) -> map:
+    """Each value of column as the repr of its float."""
+    return map(repr, map(float, column))
+
+
+def metrics_to_csv(metrics: LinkColumns) -> str:
+    """Serialize run_simulation's rows, a column at a time; a None mcs is written as 0.
+
+    Each float is written as its repr, and the beam angles are read from the
+    codebooks' angle arrays.
+    """
+    beams = [angles.take(index).tolist()
+             for cb, index in ((metrics.tx_codebook, metrics.tx_index),
+                               (metrics.rx_codebook, metrics.rx_index))
+             for angles in (cb.azimuth_deg, cb.zenith_deg)]
+    cells = (
+        _text(metrics.t),
+        ("1" if los else "0" for los in metrics.los),
+        *map(_text, beams),
+        _text(metrics.sinr_db),
+        ("0" if m is None else str(m) for m in metrics.mcs),
+        itertools.repeat(repr(float(metrics.offered_bps)), len(metrics)),
+        _text(metrics.delivered_bps),
+        _text(metrics.delay_s),
+    )
+    return "\n".join([",".join(METRICS_COLUMNS), *map(",".join, zip(*cells))]) + "\n"

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from tracechan import (
     Direction,
     PlanarArray,
-    element_positions,
     generate_codebook,
     steering_factors,
     steering_matrix,
@@ -19,6 +18,29 @@ from tracechan import (
 from tracechan.arrays import _phase_ramp, _wrap_azimuth
 
 LAM = 299792458.0 / 28e9
+
+
+def element_positions(array: PlanarArray) -> np.ndarray:
+    """(N, 3) element positions in meters, row-major, bearing applied: an oracle for the
+    steering phases, which the package computes from separable row and column factors."""
+    pitch = array.spacing * array.wavelength_m
+    r = np.arange(array.n_rows)
+    c = np.arange(array.n_cols)
+    # local frame: x = 0, y = column offset, z = row offset
+    y = np.repeat(np.zeros(array.n_rows), array.n_cols) + np.tile(c * pitch, array.n_rows)
+    z = np.repeat(r * pitch, array.n_cols)
+    pos = np.column_stack([np.zeros(y.size), y, z])
+    b = math.radians(array.bearing_deg)
+    if b != 0.0:
+        rot = np.array(
+            [
+                [math.cos(b), -math.sin(b), 0.0],
+                [math.sin(b), math.cos(b), 0.0],
+                [0.0, 0.0, 1.0],
+            ]
+        )
+        pos = pos @ rot.T
+    return pos
 
 
 def _unit(az_deg, zen_deg):

@@ -693,7 +693,7 @@ def test_element_basis_bound_covers_every_entry(
     first = select_best_pair(sweep_power_table(ch, cb_tx, cb_rx, 0.5), cb_tx, cb_rx)
     cb_tx = _with_copies(cb_tx, first.tx_index, tx_copies)
     cb_rx = _with_copies(cb_rx, first.rx_index, rx_copies)
-    tx_paths, coef, rx_side, scale = beams._sweep_factors([ch], cb_tx, cb_rx, 0.5)
+    tx_paths, coef, rx_side, scale = beams._sweep_factors(ch.paths, 1, ch.grid, cb_tx, cb_rx, 0.5)
     assert len(rx_side) == 2
     table = sweep_power_table(ch, cb_tx, cb_rx, 0.5)
     bound = beams._row_bounds(tx_paths, coef, rx_side, scale)
@@ -756,7 +756,8 @@ def test_element_basis_sweep_admits_every_norm_the_codebook_does(
     cb_rx = _scaled_codebook(rng, rx_arr, len(rx_scales), rx_scales)
     edge = len(rx_scales) - 1
     if aim:  # the last rx beam along the best tx row's strongest rx-element direction
-        tx_paths, coef, (a_rx_t, _), _ = beams._sweep_factors([ch], cb_tx, cb_rx, 0.5)
+        tx_paths, coef, (a_rx_t, _), _ = beams._sweep_factors(ch.paths, 1, ch.grid, cb_tx,
+                                                              cb_rx, 0.5)
         z = (tx_paths[0, :, None, :] * coef[0]) @ a_rx_t[0]  # (n_tx_b, m, N_rx)
         best = int(np.argmax((np.abs(z) ** 2).sum(axis=(1, 2))))
         v = np.linalg.svd(z[best])[2][0]  # w = v maximises sum_k |z_k . w^*|^2
@@ -764,7 +765,7 @@ def test_element_basis_sweep_admits_every_norm_the_codebook_does(
         cols[edge] = v * math.sqrt(rx_cols)
         cb_rx = replace(cb_rx, col_factors=cols)
     cb_rx = _at_upper_edge(cb_rx, edge)
-    tx_paths, coef, rx_side, scale = beams._sweep_factors([ch], cb_tx, cb_rx, 0.5)
+    tx_paths, coef, rx_side, scale = beams._sweep_factors(ch.paths, 1, ch.grid, cb_tx, cb_rx, 0.5)
     assert len(rx_side) == 2
     table = sweep_power_table(ch, cb_tx, cb_rx, 0.5)
     assert np.all(beams._row_bounds(tx_paths, coef, rx_side, scale)[0, :, None] >= table)
@@ -786,7 +787,7 @@ def test_element_basis_bound_is_the_cauchy_schwarz_sum(n_paths):
                                 SubbandGrid(28e9, 400e6, 8))
     cb_tx = generate_codebook(tx_arr, -90.0, 90.0, 15.0)
     cb_rx = generate_codebook(rx_arr, -180.0, 90.0, 90.0, 60.0, 120.0, 60.0)
-    tx_paths, coef, rx_side, scale = beams._sweep_factors([ch], cb_tx, cb_rx, 0.5)
+    tx_paths, coef, rx_side, scale = beams._sweep_factors(ch.paths, 1, ch.grid, cb_tx, cb_rx, 0.5)
     z = np.einsum("ip,kp,pn->ikn", tx_paths[0], ch.coef, ch.a_rx.T)
     exact = 0.5 / 8 * (np.abs(z) ** 2).sum(axis=(1, 2))
     bound = beams._row_bounds(tx_paths, coef, rx_side, scale)[0]
@@ -1089,3 +1090,115 @@ def test_overflowing_sweep_raises_naming_the_time(n_paths):
         warnings.simplefilter("error")  # the error replaces numpy's overflow warnings
         with pytest.raises(ValueError, match=r"^received power at t=0\.25 overflows to (inf|nan)$"):
             ideal_beam_sweep(ch, cb_tx, cb_rx, 1.0)
+
+
+def _per_channel_picks(f, n, grid, cb_tx, cb_rx, p_tx_w):
+    """The chunk sweep with its tie rule run one channel at a time: each channel's
+    (tx index, rx index, power, table maximum), an oracle for _sweep_chunk."""
+    tx_paths, coef, rx_side, scale = beams._sweep_factors(f, n, grid, cb_tx, cb_rx, p_tx_w)
+    bound = beams._row_bounds(tx_paths, coef, rx_side, scale)
+    n_tx = bound.shape[1]
+    n_top = n_tx if np.isinf(bound).all() else min(2, n_tx)
+    top = np.sort(np.argpartition(bound, -n_top, axis=1)[:, -n_top:], axis=1)
+    top_paths = tx_paths if n_top == n_tx else np.take_along_axis(tx_paths, top[:, :, None], axis=1)
+    table = beams._power_rows(top_paths, coef, rx_side, scale)
+    threshold = table.max(axis=(1, 2)) * (1.0 - TIE_RTOL)
+    inside = (bound >= threshold[:, None]).sum(axis=1) == (
+        np.take_along_axis(bound, top, axis=1) >= threshold[:, None]).sum(axis=1)
+    out = []
+    for g in range(n):
+        if not bound[g].any():
+            out.append((0, 0, 0.0, 0.0))
+            continue
+        rows, t = top[g], table[g]
+        if not inside[g]:
+            rows = np.flatnonzero(bound[g] >= threshold[g])
+            t = beams._power_rows(tx_paths[g, rows], coef[g], (rx_side[0][g], *rx_side[1:]), scale)
+        k, ri = divmod(int(np.argmax(t >= t.max() * (1.0 - TIE_RTOL))), t.shape[1])
+        out.append((int(rows[k]), ri, float(t[k, ri]), float(t.max())))
+    return out
+
+
+def _mirror_codebook(array):
+    """Beams at az and 180 - az, zenith z and 180 - z: on a one-row array with no
+    bearing their weights agree but for rounding, so up to four rows tie."""
+    return generate_codebook(array, -150.0, 150.0, 30.0, 60.0, 120.0, 60.0)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    rows=st.lists(st.tuples(st.sampled_from([0, 1, 2, 5]), st.booleans()), min_size=1,
+                  max_size=13),
+    tx_kind=st.sampled_from(["grid", "mirror", "one"]),
+    rx_shape=st.sampled_from([(1, 2), (2, 2)]),
+    n_subbands=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+# one-path channels on the mirror codebook: two of four tied rows are the top
+# rows, so every live channel confirms the rest; a zero-gain one among them
+@example(rows=[(1, False), (1, True), (1, False)], tx_kind="mirror", rx_shape=(2, 2),
+         n_subbands=2, seed=0)
+# five paths on two rx elements and one subband: the element basis with no
+# bound, whole tables; and a one-beam tx codebook
+@example(rows=[(5, False)] * 13, tx_kind="mirror", rx_shape=(1, 2), n_subbands=1, seed=1)
+@example(rows=[(5, False), (2, True), (0, False), (5, False)], tx_kind="one", rx_shape=(1, 2),
+         n_subbands=3, seed=2)
+def test_chunk_pick_is_the_per_channel_pick(rows, tx_kind, rx_shape, n_subbands, seed):
+    # every channel of a chunk, picked in one vectorised pass (and a second
+    # confirm where its tie threshold reaches rows outside the top ones), gets
+    # the winner and the power bits of the same rule run on that channel alone
+    rng = np.random.default_rng(seed)
+    grid = SubbandGrid(28e9, 400e6, n_subbands)
+    tx_arr = PlanarArray(1, 4, LAM) if tx_kind == "mirror" else PlanarArray(2, 3, LAM,
+                                                                             bearing_deg=25.0)
+    rx_arr = PlanarArray(*rx_shape, LAM)
+    cb_tx = {"grid": lambda: generate_codebook(tx_arr, -90.0, 90.0, 15.0),
+             "mirror": lambda: _mirror_codebook(tx_arr),
+             "one": lambda: generate_codebook(tx_arr, 20.0, 20.0, 1.0, 90.0, 90.0, 1.0)}[tx_kind]()
+    cb_rx = generate_codebook(rx_arr, -180.0, 90.0, 90.0, 60.0, 120.0, 60.0)
+    channels = [build_channel_matrices(
+        [replace(r, t=0.1 * k, gain_mag=0.0 if zero else r.gain_mag)
+         for r in _random_records(rng, n_paths)], tx_arr, rx_arr, grid, t=0.1 * k)
+        for k, (n_paths, zero) in enumerate(rows)]
+    counts = np.array([len(ch.paths) for ch in channels])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(beams, "_SWEEP_BYTES", 1 << 40)  # one chunk per path count
+        got = beams._sweep_spans(beams._stacked(channels), np.cumsum(counts) - counts, counts,
+                                 [ch.time for ch in channels], grid, cb_tx, cb_rx, 0.5)
+    got = list(zip(*(column.tolist() for column in got)))
+    for p in set(counts.tolist()):
+        members = np.flatnonzero(counts == p).tolist()
+        group = [channels[i] for i in members]
+        want = _per_channel_picks(beams._stacked(group), len(group), grid, cb_tx, cb_rx, 0.5)
+        for i, (tx, rx, power, _) in zip(members, want):
+            assert got[i][:2] == (tx, rx), f"channel {i}"
+            assert got[i][2].hex() == power.hex(), f"channel {i}"
+    for ch in channels[:1]:  # a one-channel chunk is the table's pick
+        table = sweep_power_table(ch, cb_tx, cb_rx, 0.5)
+        want = select_best_pair(table, cb_tx, cb_rx)
+        alone = beams._sweep_chunk(beams._stacked([ch]), 1, grid, cb_tx, cb_rx, 0.5)
+        assert [c.tolist() for c in alone][:3] == [[want.tx_index], [want.rx_index],
+                                                  [want.power_w]]
+        assert float(alone[2][0]).hex() == want.power_w.hex()
+
+
+def test_mirror_ties_take_the_second_confirm(monkeypatch):
+    # one path: the bound is tight, so the mirror twins of the winning row reach
+    # its tie threshold and are confirmed after the two top rows
+    tx_arr = PlanarArray(1, 4, LAM)
+    cb_tx, cb_rx = _mirror_codebook(tx_arr), generate_codebook(PlanarArray(2, 2, LAM), 0.0,
+                                                               0.0, 1.0, 90.0, 90.0, 1.0)
+    ch = _channel([mk_record(aod_az=30.0, aod_zen=60.0)], tx_arr, PlanarArray(2, 2, LAM))
+    rows, kernel = [], beams._power_rows
+
+    def counting(tx_paths, *args):
+        rows.append(tx_paths.shape[-2])
+        return kernel(tx_paths, *args)
+
+    monkeypatch.setattr(beams, "_power_rows", counting)
+    got = ideal_beam_sweep(ch, cb_tx, cb_rx, 1.0)
+    assert rows[0] == 2 and len(rows) == 2 and rows[1] > 2, rows
+    monkeypatch.setattr(beams, "_power_rows", kernel)
+    want = select_best_pair(sweep_power_table(ch, cb_tx, cb_rx, 1.0), cb_tx, cb_rx)
+    assert (got.tx_index, got.rx_index, got.power_w) == (want.tx_index, want.rx_index,
+                                                         want.power_w)

@@ -1,5 +1,8 @@
 """SINR, rate adaptation, throughput/delay, and the simulation loop."""
 
+import bisect
+import csv
+import io
 import math
 import random
 import time
@@ -15,7 +18,9 @@ import tracechan.link as link_module
 from conftest import blocked_corner_config, dft_codebook, mk_record, replay_config
 from tracechan import (
     AmcTable,
+    BeamSelection,
     LinkBudget,
+    LinkMetrics,
     MpcRecord,
     PathType,
     PlanarArray,
@@ -25,6 +30,7 @@ from tracechan import (
     compute_sinr,
     generate_codebook,
     generate_trace,
+    ideal_beam_sweeps,
     metrics_to_csv,
     noise_power,
     parse_trace_text,
@@ -36,7 +42,8 @@ from tracechan import (
 )
 from tracechan.arrays import _wrap_azimuth
 from tracechan.beams import BeamCodebook
-from tracechan.channel import beamformed_power, build_channel_matrices, path_factors
+from tracechan.channel import (ChannelMatrixSet, beamformed_power, build_channel_matrices,
+                               path_factors)
 from tracechan.cli import main
 from tracechan.link import METRICS_COLUMNS, SINR_FLOOR_DB, snapshot_rows
 from tracechan.scenario import build_rt_scenario, build_setup, load_config
@@ -610,14 +617,14 @@ def test_blocked_walk_replay_matches_its_geometry_run(tmp_path, capsys):
 def _run_and_trainings(trace, setup):
     """run_simulation's rows, and the times of the rows that trained."""
     swept = []
-    sweep = link_module.ideal_beam_sweeps
+    sweep = link_module._sweep_spans
 
-    def spying(channels, *args):
-        swept.extend(ch.time for ch in channels)
-        return sweep(channels, *args)
+    def spying(factors, starts, counts, times, *args):
+        swept.extend(times)
+        return sweep(factors, starts, counts, times, *args)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(link_module, "ideal_beam_sweeps", spying)
+        mp.setattr(link_module, "_sweep_spans", spying)
         return run_simulation(trace, setup), swept
 
 
@@ -702,20 +709,20 @@ def test_training_after_outage_stays_due(tmp_path, capsys):
 def test_run_simulation_builds_each_channel_once(monkeypatch, steps):
     # training every `steps` grid steps on a 0.1 s grid: every snapshot trains
     # (1), or trained and held snapshots alternate (2). Only a training row
-    # has a channel, swept once; every row's power is computed once, in its
-    # block's one _row_powers call, whether a block holds one row or all
+    # is swept, once; every row's power is computed once, in its block's one
+    # _row_powers call, whether a block holds one row or all
     built, evaluated = [], []
-    sweep, row_powers = link_module.ideal_beam_sweeps, link_module._row_powers
+    sweep, row_powers = link_module._sweep_spans, link_module._row_powers
 
-    def counting(channels, *args):
-        built.extend(ch.time for ch in channels)
-        return sweep(channels, *args)
+    def counting(factors, starts, counts, times, *args):
+        built.extend(times)
+        return sweep(factors, starts, counts, times, *args)
 
-    def evaluating(factors, counts, sels, setup):
+    def evaluating(factors, counts, tx_index, rx_index, setup):
         evaluated.append((len(factors), counts.tolist()))
-        return row_powers(factors, counts, sels, setup)
+        return row_powers(factors, counts, tx_index, rx_index, setup)
 
-    monkeypatch.setattr(link_module, "ideal_beam_sweeps", counting)
+    monkeypatch.setattr(link_module, "_sweep_spans", counting)
     monkeypatch.setattr(link_module, "_row_powers", evaluating)
     times = [0.1 * k for k in range(7)]
     setup = _free_space_setup(n_snapshots=7, training_period=0.1 * steps)
@@ -750,11 +757,11 @@ _azimuths = st.floats(-180.0, 180.0, exclude_max=True) | st.sampled_from([0.1, -
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_link_wide_factors_match_per_snapshot_builds(data):
-    # run_simulation cuts every training row's channel out of its link's
-    # factors, computed in blocks of whole rows: each has the bytes and
-    # strides of a channel built from that snapshot alone, outage rows (no
-    # paths) and 1-path rows included, whether a block holds one row, some or
-    # all
+    # run_simulation sweeps every training row on its span of its link's
+    # factors, computed in blocks of whole rows: each span makes a channel
+    # with the bytes and strides of one built from that snapshot alone,
+    # outage rows (no paths) and 1-path rows included, whether a block holds
+    # one row, some or all
     counts = data.draw(st.lists(st.sampled_from([0, 1, 1, 2, 5]), min_size=1, max_size=7),
                        label="paths per snapshot")
     blocks = []
@@ -784,14 +791,15 @@ def test_link_wide_factors_match_per_snapshot_builds(data):
         times=tuple(0.1 * k for k in range(len(counts))),
     )
     built = []
-    sweep = link_module.ideal_beam_sweeps
+    sweep = link_module._sweep_spans
 
-    def spying(channels, *args):
-        built.extend(channels)
-        return sweep(channels, *args)
+    def spying(factors, starts, counts, times, grid, *args):
+        built.extend(ChannelMatrixSet(factors[s:s + n], grid, t)
+                     for s, n, t in zip(starts.tolist(), counts.tolist(), times))
+        return sweep(factors, starts, counts, times, grid, *args)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(link_module, "ideal_beam_sweeps", spying)
+        mp.setattr(link_module, "_sweep_spans", spying)
         mp.setattr(link_module, "_FACTOR_BYTES",
                    data.draw(st.sampled_from([1, 2000, 1 << 20]), label="factor block bytes"))
         if not any(counts):  # only the other link has records
@@ -803,7 +811,7 @@ def test_link_wide_factors_match_per_snapshot_builds(data):
     link = trace.link(0, 1)
     rows = [(t, link[offsets[i]:offsets[i + 1]]) for i, t in enumerate(times)]
     assert [len(paths) for _, paths in rows] == counts
-    # only the training rows have a channel, each swept once
+    # only the training rows are swept, each once
     by_time = {ch.time: ch for ch in built}
     assert len(by_time) == len(built)
     if period == 0.1:
@@ -863,7 +871,8 @@ def test_row_power_does_not_depend_on_its_block(counts, period, factor_bytes, se
     for i, m in enumerate(metrics):
         paths, sel = link[offsets[i]:offsets[i + 1]], m.selection
         own = path_factors(paths, tx_arr, rx_arr)
-        alone = link_module._row_powers(own, np.array([len(paths)]), [sel], setup)
+        alone = link_module._row_powers(own, np.array([len(paths)]), np.array([sel.tx_index]),
+                                        np.array([sel.rx_index]), setup)
         assert alone[0].hex() == sel.power_w.hex(), f"row {i}"
         _, want = beamformed_power(
             build_channel_matrices(paths, tx_arr, rx_arr, setup.grid, times[i]),
@@ -986,3 +995,108 @@ def test_metrics_csv_round_trip_floats():
     text = metrics_to_csv(run_simulation(trace, setup))
     t_field = text.splitlines()[-1].split(",")[0]
     assert float(t_field) == 0.30000000000000004
+
+
+def _per_row_run(trace, setup):
+    """run_simulation as a per-row walk, an oracle for its columns: each block's
+    training rows swept as ChannelMatrixSets, and one BeamSelection and LinkMetrics a
+    row, its SINR, MCS and rates from compute_sinr, select_mcs and throughput_delay."""
+    cb_tx, cb_rx = setup.tx_codebook, setup.rx_codebook
+    tx, rx = setup.tx_array, setup.rx_array
+    times, offsets = snapshot_rows(trace, setup)
+    link_paths = trace.link(setup.tx_id, setup.rx_id)
+    n_los = np.concatenate(([0], np.cumsum(link_paths.columns["path_type"] == PathType.LOS)))
+    los = (n_los[offsets[1:]] > n_los[offsets[:-1]]).tolist()
+    trains, due = [], -math.inf
+    for t, has in zip(times, (offsets[1:] > offsets[:-1]).tolist()):
+        trains.append(t >= due - link_module.GRID_TOL_S)
+        if trains[-1] and has:
+            due = t + setup.training_period_s
+    block = max(1, link_module._FACTOR_BYTES // (
+        16 * (tx.n_rows + tx.n_cols + rx.n_rows + rx.n_cols + 2 + 2 * setup.grid.n_subbands)))
+    offsets = offsets.tolist()
+    out, sel, first = [], None, 0
+    while first < len(times):
+        start = offsets[first]
+        factors = path_factors(link_paths[start:max(offsets[first + 1], start + block)], tx, rx)
+        end = bisect.bisect_right(offsets, start + len(factors)) - 1
+        factors = factors[:offsets[end] - start]
+        trained = [i for i in range(first, end) if trains[i]]
+        picks = dict(zip(trained, ideal_beam_sweeps(
+            [ChannelMatrixSet(factors[offsets[i] - start:offsets[i + 1] - start], setup.grid,
+                              times[i]) for i in trained], cb_tx, cb_rx, setup.budget.tx_power_w)))
+        sels = [sel := picks.get(i, sel) for i in range(first, end)]
+        powers = link_module._row_powers(
+            factors, np.diff(offsets[first:end + 1]), np.array([s.tx_index for s in sels]),
+            np.array([s.rx_index for s in sels]), setup).tolist()
+        for i, sel, p_rx in zip(range(first, end), sels, powers):
+            if not math.isfinite(p_rx):
+                raise ValueError(f"received power at t={times[i]!r} overflows to {p_rx}")
+            sinr = compute_sinr(p_rx, setup.budget)
+            mcs = select_mcs(sinr, setup.amc)
+            rate = throughput_delay(mcs, setup.amc, setup.budget.bandwidth_hz, setup.offered_bps,
+                                    setup.overhead, setup.base_delay_s, setup.saturation_delay_s)
+            held = BeamSelection(sel.tx_index, sel.rx_index, sel.tx_direction, sel.rx_direction,
+                                 p_rx)
+            out.append(LinkMetrics(times[i], los[i], held, sinr, mcs, setup.offered_bps, *rate))
+        first = end
+    return out
+
+
+def _per_row_csv(metrics):
+    """metrics_to_csv as a csv.writer over LinkMetrics rows, an oracle for its columns."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(METRICS_COLUMNS)
+    for m in metrics:
+        d_tx, d_rx = m.selection.tx_direction, m.selection.rx_direction
+        writer.writerow([repr(float(x)) for x in (m.t,)] + [1 if m.los else 0] + [
+            repr(float(x)) for x in (d_tx.azimuth_deg, d_tx.zenith_deg, d_rx.azimuth_deg,
+                                     d_rx.zenith_deg, m.sinr_db)] + [
+            0 if m.mcs is None else m.mcs] + [
+            repr(float(x)) for x in (m.offered_bps, m.delivered_bps, m.delay_s)])
+    return out.getvalue()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    counts=st.lists(st.sampled_from([0, 0, 1, 1, 2, 3]), min_size=1, max_size=12),
+    period=st.sampled_from([0.1, 0.2, 0.35, math.inf]),
+    factor_bytes=st.sampled_from([1, 700, 1 << 20]),
+    tx_power=st.sampled_from([1.0, 1e-9, 1e-14]),
+    seed=st.integers(0, 2**32 - 1),
+)
+# outage rows between held rows, a training row that is an outage (row 2) in
+# one-row blocks, and a starved link whose live rows have no MCS either
+@example(counts=[1, 2, 0, 1, 0, 0, 3], period=0.2, factor_bytes=1, tx_power=1.0, seed=0)
+@example(counts=[1, 0, 2, 1], period=0.1, factor_bytes=1 << 20, tx_power=1e-14, seed=1)
+def test_columns_are_the_per_row_walk(counts, period, factor_bytes, tx_power, seed):
+    # run_simulation's columns read as the per-row walk's LinkMetrics, and
+    # metrics_to_csv writes the csv.writer's bytes, a None mcs as 0
+    rng = np.random.default_rng(seed)
+    recs = [mk_record(t=0.1 * k, path_id=p, delay=rng.uniform(0.0, 1e-6),
+                      path_type=PathType.LOS if p == 0 else PathType.REFLECTION,
+                      gain_mag=rng.uniform(0.0, 1e-4), phase=rng.uniform(-math.pi, math.pi),
+                      aod_az=rng.uniform(-180.0, 180.0), aod_zen=rng.uniform(0.0, 180.0),
+                      aoa_az=rng.uniform(-180.0, 180.0), aoa_zen=rng.uniform(0.0, 180.0))
+            for k, n in enumerate(counts) for p in range(n)]
+    tx_arr, rx_arr = PlanarArray(3, 4, LAM, bearing_deg=20.0), PlanarArray(2, 3, LAM)
+    setup = replace(
+        _free_space_setup(training_period=period, tx_power=tx_power), tx_array=tx_arr,
+        rx_array=rx_arr, grid=SubbandGrid(28e9, 100e6, 5),
+        tx_codebook=generate_codebook(tx_arr, -60.0, 60.0, 30.0, 60.0, 120.0, 30.0),
+        rx_codebook=generate_codebook(rx_arr, -180.0, 90.0, 90.0, 90.0, 90.0, 1.0),
+        times=tuple(0.1 * k for k in range(len(counts))),
+    )
+    trace = TraceSet(recs)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(link_module, "_FACTOR_BYTES", factor_bytes)
+        got = run_simulation(trace, setup)
+        want = _per_row_run(trace, setup)
+    assert len(got) == len(want) == len(counts)
+    assert list(got) == want
+    assert [got[i] for i in range(-len(got), 0)] == want
+    text = metrics_to_csv(got)
+    assert text == _per_row_csv(want)
+    if not counts[0]:
+        assert text.splitlines()[1].split(",")[7] == "0"  # an outage row: mcs None written as 0

@@ -27,8 +27,9 @@ the interpreter and its imports included), and the time spent inside
 
 - ray tracing, ``generate_trace`` (``trace_s``; 0 when the config replays
   a trace),
-- the training sweeps (``sweep_s``): ``ideal_beam_sweeps``, one call per
-  block of rows; ``sweeps`` counts the rows trained,
+- the training sweeps (``sweep_s``): ``_sweep_spans``, one call per block
+  of rows, or ``ideal_beam_sweeps`` in a source tree whose ``run_simulation``
+  still trains through it; ``sweeps`` counts the rows trained,
 - channel assembly (``channel_s``): the block-wide ``path_factors``, and
   ``_subband_terms`` where ``run_simulation`` calls it itself,
 - per-row evaluation (``eval_s``): ``_row_powers``, one pass per block of
@@ -103,8 +104,13 @@ def timed(module, *names, count=lambda args: 1):
         setattr(module, name, wrapper)
     return spent
 
-# the training sweeps, counted in rows trained: one batched call per block of rows
-sweep = timed(link, "ideal_beam_sweeps", count=lambda args: len(args[0]))
+# the training sweeps, counted in rows trained: one batched call per block of rows,
+# to _sweep_spans, or to ideal_beam_sweeps in a tree that trains through it
+if hasattr(link, "_sweep_spans"):
+    spans_at = list(inspect.signature(link._sweep_spans).parameters).index("counts")
+    sweep = timed(link, "_sweep_spans", count=lambda args: len(args[spans_at]))
+else:
+    sweep = timed(link, "ideal_beam_sweeps", count=lambda args: len(args[0]))
 channel = timed(link, "path_factors", "_subband_terms")
 # per-row evaluation, counted in rows: one pass per block of rows, whose counts
 # argument holds one entry a row
@@ -231,7 +237,8 @@ def main(argv: list[str] | None = None) -> int:
     report = {
         "about": "tracechan simulate on each config, one fresh process per run: "
                  "median wall time and process CPU time of cli.main, time inside "
-                 "generate_trace, the training sweeps (ideal_beam_sweeps), channel assembly "
+                 "generate_trace, the training sweeps (_sweep_spans, or ideal_beam_sweeps in a "
+                 "tree that trains through it), channel assembly "
                  "(path_factors, and _subband_terms outside the other stages), row "
                  "evaluation (_row_powers), parse_trace, load_config and build_setup, "
                  "ru_minflt growth over the call and the process's peak RSS (ru_maxrss)",

@@ -38,14 +38,20 @@ fewer multiply-adds than the table, only the tx rows whose upper bound
 (_row_bounds) reaches the tie threshold of the best confirmed power are
 computed. In the element basis the bound has one form, a Gram matrix's
 quadratic form; where that costs about as much as the table, every row is
-computed once instead. Channels on one subband grid with equal path counts
-are swept together, in chunks, and one vectorised pass of the tie rule
-(_first_tied) picks every winner of a chunk (see ideal_beam_sweeps).
+computed once instead. In the path basis a beam's row factor alone bounds
+its power (_group_bounds), once per distinct row factor (a grid codebook
+has one per zenith), so the beams of a group whose bound cannot reach the
+threshold are not projected at all: the column product, the row bound and
+the confirm are formed for the other groups' beams only. Channels on one
+subband grid with equal path counts are swept together, in chunks, and
+one vectorised pass of the tie rule (_first_tied) picks every winner of a
+chunk (see ideal_beam_sweeps).
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -88,12 +94,15 @@ TIE_RTOL = 1e-12
 # touched.
 _ERR_UNIT = 2.0**-50
 
-# ideal_beam_sweeps projects the tx beams onto the paths of a chunk of
-# channels at once, in a product of about this many bytes (at least one
-# channel): few calls per link, and a long link never holds every training
-# row's projection. Larger chunks buy little speed: on the arc_wide benchmark
-# (2 vCPUs, 2 BLAS threads) 256 KiB ran 7 % faster for 0.5 MB more peak
-# memory, and 1 MiB ran slower for 4 MB more.
+# _sweep_spans sweeps the channels of one path count in chunks of about this
+# many bytes (at least one channel), counted as the projections a channel
+# holds, 16 bytes a path each: its projected tx rows (its row-factor products
+# and one group's beams where the row-factor bound prunes, every beam
+# elsewhere) and its rx side. So there are few calls per link, and a long link
+# never holds every training row's projection. Larger chunks bought little
+# speed when a chunk held every tx beam and no rx side: on the arc_wide
+# benchmark (2 vCPUs, 2 BLAS threads) 256 KiB ran 7 % faster for 0.5 MB more
+# peak memory, and 1 MiB ran slower for 4 MB more.
 _SWEEP_BYTES = 1 << 17
 
 
@@ -151,6 +160,24 @@ class BeamCodebook:
 
     def _direction(self, b: int) -> Direction:
         return Direction(float(self.azimuth_deg[b]), float(self.zenith_deg[b]))
+
+    @cached_property
+    def _row_groups(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        """The beams grouped by equal row factors, on the first sweep that reads them.
+
+        Returns the (D, R) distinct row factors in order of first use, their
+        (D,) squared norms, every beam's index into them and the largest
+        group's beam count. Rows are grouped by their bytes in a dict:
+        np.unique's first call costs 1.6 MB of RSS.
+        """
+        rows = np.ascontiguousarray(self.row_factors)
+        keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()
+        counts = Counter(keys)  # in order of first use
+        ids = {key: i for i, key in enumerate(counts)}
+        group = np.array(list(map(ids.__getitem__, keys)), np.intp)
+        distinct = np.frombuffer(b"".join(ids), complex).reshape(len(ids), rows.shape[1])
+        norm2 = np.einsum("ij,ij->i", distinct.view(float), distinct.view(float))
+        return distinct, norm2, group, max(counts.values(), default=0)
 
     def __len__(self) -> int:
         return len(self.azimuth_deg)
@@ -264,11 +291,17 @@ def _sweep_factors(
     element-basis pair (G, P, N_rx) and (N_rx, n_rx_b), and only then is
     a_rx assembled, in one _responses call.
     """
+    tx_paths = _project(tx_codebook, f.tx_rows, f.tx_cols).reshape(len(tx_codebook), n, -1)
+    return tx_paths.transpose(1, 0, 2), *_rx_terms(f, n, grid, rx_codebook, p_tx_w)
+
+
+def _rx_terms(
+    f: PathFactors, n: int, grid: SubbandGrid, rx_codebook: BeamCodebook, p_tx_w: float
+) -> tuple[np.ndarray, tuple[np.ndarray, ...], float]:
+    """_sweep_factors' coefficient rows, rx factors and scale: all but the tx projections."""
     if p_tx_w < 0:
         raise ValueError("p_tx_w must be non-negative")
     p = len(f) // n
-    tx_paths = _project(tx_codebook, f.tx_rows, f.tx_cols).reshape(len(tx_codebook), n, p)
-    tx_paths = tx_paths.transpose(1, 0, 2)
     if p <= rx_codebook.n_elements:
         rx_paths = _project(rx_codebook, f.rx_rows, f.rx_cols).reshape(len(rx_codebook), n, p)
         rx_side = (rx_paths.conj().transpose(1, 2, 0),)
@@ -281,7 +314,7 @@ def _sweep_factors(
     coef = coef.transpose(0, 2, 1).copy()
     if grid.n_subbands > p:
         coef = np.linalg.qr(coef, mode="r")  # (G, P, P) with r^H r = coef^H coef
-    return tx_paths, coef, rx_side, p_tx_w / grid.n_subbands
+    return coef, rx_side, p_tx_w / grid.n_subbands
 
 
 def _power_rows(
@@ -403,9 +436,9 @@ def _row_bounds(
     (tau's too) stay below one unit while P, N and m are below 2**20.
 
     In either basis a NaN bound, from an overflowed product (inf - inf or
-    inf * 0 in M, Q or the slack), reads inf, so it drops no row. In the
-    element basis an entry that overflows has an unscaled sum past the
-    float range, and so has its bound, which is summed before it is scaled.
+    inf * 0 in M, Q or the slack), reads inf, so it drops no row. An entry
+    that overflows has an unscaled sum past the float range, and so has its
+    bound, which is formed before it is scaled.
     """
     if len(rx_side) == 2:
         a_rx_t = rx_side[0]  # (..., P, N)
@@ -431,9 +464,88 @@ def _row_bounds(
         rx_gain = (rx_paths.real**2 + rx_paths.imag**2).max(axis=-1, initial=0.0)  # (..., P)
         gain = tx_paths.real**2 + tx_paths.imag**2  # (..., n_tx_b, P)
         margin = 4.0 * (n_paths + 2) ** 2 * _ERR_UNIT
-        bound = (scale * lam * (1.0 + margin))[..., None] * (gain @ rx_gain[..., None])[..., 0]
+        bound = (lam * (1.0 + margin))[..., None] * (gain @ rx_gain[..., None])[..., 0]
+        bound *= scale
     bound[np.isnan(bound)] = np.inf
     return bound
+
+
+def _group_bounds(
+    rho: np.ndarray, coef: np.ndarray, rx_paths: np.ndarray, scale: float, codebook: BeamCodebook
+) -> np.ndarray:
+    """An upper bound on every power table row of each row-factor group, (G, D) watts.
+
+    rho is the (D, G P) product of the codebook's D distinct row factors
+    F_r[d] with the conjugated tx row factors of G channels of P paths, and
+    coef, (rx_paths,) and scale are _rx_terms' path-basis terms for them.
+    Beam b of group d projects onto path p as t_bp = rho_dp kappa_bp /
+    sqrt(N), where kappa_bp is the C-term product of the beam's column
+    factor with the path's, of unit modulus. By Cauchy-Schwarz
+    |kappa_bp|^2 <= C |F_c[b]|^2, and BeamCodebook admits
+    |F_r[d]|^2 |F_c[b]|^2 / N within tau = _NORM_TOL of 1, so
+    |t_bp|^2 <= |rho_dp|^2 C (1 + tau)^2 / |F_r[d]|^2. A pair's power is
+    scale sum_j |sum_p r_jp t_bp rx_paths[p, l]|^2 over the rows r_j of
+    coef, at most scale lambda_max(r^H r) sum_p |t_bp|^2 g_p <=
+    scale tr(r^H r) sum_p |t_bp|^2 g_p with g_p = max_l |rx_paths[p, l]|^2.
+    So U_d = scale tr(r^H r) C (1 + tau)^2 / |F_r[d]|^2 sum_p |rho_dp|^2 g_p
+    covers every entry of group d's rows, up to rounding. Unlike _row_bounds
+    it needs no tx projection, and it is computed once per distinct row
+    factor: on a grid codebook, once per grid zenith.
+
+    The factor 1 + margin covers the computed entries. In units of
+    _ERR_UNIT, to first order: an amplitude errs by P + 1 units of
+    sum_p |r_jp| |t_bp| sqrt(g_p), whose squares sum over j to at most
+    tr(r^H r) sum_p |t_bp|^2 g_p, so the power errs by 2 (P + 1) units of
+    U; the table's squares, m-term sum and scale add m + 2. kappa's
+    product, t's two multiplies and the path factors' moduli move |t|^2 by
+    2 C + 8 units, the norm check's computed norms by R + C + 4 and
+    |F_r[d]|^2 by R + 1; tr(r^H r) errs by m P + 1 units, and this bound's
+    own squares, P-term sum and products by P + 8. That is
+    m P + 3 P + m + 3 C + 2 R + 26 units; the products of two error terms
+    stay below a unit while the sizes are below 2**20. An overflowed U, or
+    a NaN one (inf * 0), reads inf.
+    """
+    distinct, norm2, _, _ = codebook._row_groups
+    n_ch, m, p = coef.shape
+    r, c = distinct.shape[1], codebook.col_factors.shape[1]
+    power = (rho.real**2 + rho.imag**2).reshape(len(distinct), n_ch, p)
+    rx_gain = (rx_paths.real**2 + rx_paths.imag**2).max(axis=-1, initial=0.0)  # (G, P)
+    trace = (coef.real**2 + coef.imag**2).sum(axis=(-2, -1))
+    margin = (m * p + 3 * p + m + 3 * c + 2 * r + 32) * _ERR_UNIT
+    bound = ((1.0 + margin) * trace)[:, None] * np.einsum("dgp,gp->gd", power, rx_gain)
+    bound *= c * (1.0 + _NORM_TOL) ** 2 / norm2
+    bound *= scale  # last, as the table's: an entry whose sum overflows has an inf bound
+    bound[np.isnan(bound)] = np.inf
+    return bound
+
+
+def _prunes(tx_codebook: BeamCodebook, rx_codebook: BeamCodebook, p: int) -> bool:
+    """Whether a sweep of P paths bounds its tx beams by their row factor first.
+
+    It does in the path basis, with two or more distinct row factors. In the
+    element basis (more paths than rx elements) it does not: there every
+    group's bound reached the tie threshold on the many-path benchmarks
+    (47-76 paths on room_trace, 64 on dense_replay), and bounding the rest
+    apart only cost a second Gram form and confirm: room_trace's training
+    sweeps took 4.8 ms where they took 2.9 (in-process, one BLAS thread).
+    """
+    return p <= rx_codebook.n_elements and len(tx_codebook._row_groups[0]) > 1
+
+
+def _beam_paths(codebook: BeamCodebook, beams: np.ndarray, rho: np.ndarray, cols: np.ndarray,
+                n: int) -> np.ndarray:
+    """_project's rows of the given beams, as (G, len(beams), P), from rho of _group_bounds.
+
+    A subset of two or more rows of a matrix-matrix product is bit-equal to
+    those rows of the whole product, so each row is _project's. A one-row
+    product runs as a matrix-vector product, which rounds differently, so
+    a single beam is computed with a second one.
+    """
+    rows = beams if len(beams) > 1 else np.append(beams, (beams[0] + 1) % len(codebook))
+    t = rho[codebook._row_groups[2][rows]]
+    t *= codebook.col_factors[rows] @ cols.T.conj()
+    t *= 1.0 / math.sqrt(codebook.n_elements)
+    return t[:len(beams)].reshape(len(beams), n, -1).transpose(1, 0, 2)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflowed table raises instead
@@ -521,20 +633,26 @@ def ideal_beam_sweeps(
     the element basis has no bound (every bound inf), every row is computed
     once, in one call. When every bound is 0 (no paths, or only zero-gain
     ones) no row is computed: the answer is the all-zero table's pair
-    (0, 0) at 0 W.
+    (0, 0) at 0 W. In the path basis, with two or more distinct tx row
+    factors, the beams are bounded by their row factor first
+    (_group_bounds), and only the best-bounded group's beams are projected;
+    another group is projected, bounded and confirmed only where its bound
+    reaches the threshold. A kept row is a row of the whole projection, bit
+    for bit: a subset of two or more rows of a matrix-matrix product is
+    bit-equal to those rows of the whole product.
 
     The channels are grouped by subband grid, in order of each grid's first
     channel, and each grid's channels are stacked into one _sweep_spans
     call. It sweeps the channels of one path count in chunks of about
-    _SWEEP_BYTES of tx projections: one projection product per side, one
+    _SWEEP_BYTES of projections: one projection product per side, one
     stacked QR, bound and two-row confirm, and one tie-rule pass per chunk.
     In a chunk of several channels the tx projection is a matrix-matrix
-    product where one channel alone may take a matrix-vector one, so a
-    power can differ from the one-channel sweep's in its last bits; the
-    winner moves only if that carries a pair across the tie threshold.
-    After every channel of a grid is swept, a table maximum that is not
-    finite raises ValueError naming the time of the grid's first such
-    channel.
+    product where one channel alone may take a matrix-vector one, and its
+    columns are the chunk's paths, so a power can differ from the
+    one-channel sweep's in its last bits; the winner moves only if that
+    carries a pair across the tie threshold. After every channel of a grid
+    is swept, a table maximum that is not finite raises ValueError naming
+    the time of the grid's first such channel.
     """
     out: list = [None] * len(channels)
     by_grid: dict = {}  # grid -> indices of its channels
@@ -566,7 +684,7 @@ def _sweep_spans(
     Channel i, at times[i], has the paths f[starts[i]:starts[i] + counts[i]].
     The one sweep of ideal_beam_sweeps and of run_simulation's training.
     The channels of one path count are swept in chunks of about
-    _SWEEP_BYTES of tx projections, in channel order, and a chunk takes its
+    _SWEEP_BYTES of projections, in channel order, and a chunk takes its
     channels' spans with one take per factor. After every chunk is swept, a
     table maximum that is not finite raises ValueError naming the time of
     the first such channel.
@@ -575,7 +693,14 @@ def _sweep_spans(
     power, peak = np.zeros(len(counts)), np.zeros(len(counts))
     for p in dict.fromkeys(counts.tolist()):  # np.unique's first call costs 1.6 MB of RSS
         members = np.flatnonzero(counts == p)
-        per = max(1, _SWEEP_BYTES // (16 * len(tx_codebook) * max(p, 1)))
+        # bytes a channel holds, over 16 P: its projected tx rows and its rx side
+        if _prunes(tx_codebook, rx_codebook, p):
+            distinct, _, _, widest = tx_codebook._row_groups
+            rows = len(distinct) + max(widest, 2)  # row products, and one group's projections
+        else:
+            rows = len(tx_codebook)
+        rows += len(rx_codebook) if p <= rx_codebook.n_elements else rx_codebook.n_elements
+        per = max(1, _SWEEP_BYTES // (16 * rows * max(p, 1)))
         for lo in range(0, len(members), per):
             chunk = members[lo:lo + per]
             paths = (starts[chunk, None] + np.arange(p)).ravel()
@@ -599,35 +724,93 @@ def _sweep_chunk(
 ) -> tuple[np.ndarray, ...]:
     """The tx index, rx index, power and table maximum of each of n channels of P paths each.
 
-    f holds the channels' paths in channel order (see _sweep_factors). The
-    chunk's top rows are confirmed in one _power_rows call and every
-    channel's winner is picked from them in one _first_tied pass; only a
-    channel with another row whose bound reaches its tie threshold
-    confirms those rows too, and is picked on its own.
+    f holds the channels' paths in channel order (see _sweep_factors).
+    Where _prunes says so, each channel's row-factor groups are bounded
+    first (_group_bounds), and only the beams of each channel's
+    best-bounded group are projected and bounded by _row_bounds, over the
+    whole chunk; elsewhere every beam is. The chunk's top projected rows
+    are confirmed in one _power_rows call and every channel's winner is
+    picked from them in one _first_tied pass. Only a channel with another
+    row or group whose bound reaches its tie threshold confirms those rows
+    too, and is picked on its own. The groups left out that reach it are
+    projected and bounded first, and their two best-bounded rows confirmed,
+    which may raise the threshold.
     """
-    tx_paths, coef, rx_side, scale = _sweep_factors(f, n, grid, tx_codebook, rx_codebook, p_tx_w)
-    bound = _row_bounds(tx_paths, coef, rx_side, scale)  # (G, n_tx_b)
     # every bound covers its row, so a channel whose bounds are all 0 has an
     # all-zero table, whose pair is (0, 0) at 0 W
-    live = bound.any(axis=1)
-    if not live.any():
-        return np.zeros(n, np.intp), np.zeros(n, np.intp), np.zeros(n), np.zeros(n)
+    zero = np.zeros(n, np.intp), np.zeros(n, np.intp), np.zeros(n), np.zeros(n)
+    pruned = _prunes(tx_codebook, rx_codebook, len(f) // n)
+    if pruned:
+        coef, rx_side, scale = _rx_terms(f, n, grid, rx_codebook, p_tx_w)
+        distinct, _, group, _ = tx_codebook._row_groups
+        rho = distinct @ f.tx_rows.T.conj()  # (D, G P)
+        upper = _group_bounds(rho, coef, rx_side[0], scale, tx_codebook)  # (G, D)
+        live = upper.any(axis=1)
+        if not live.any():
+            return zero
+        chosen = np.zeros(len(distinct), bool)
+        chosen[upper[live].argmax(axis=1)] = True
+        keep = np.flatnonzero(chosen[group])
+        if len(keep) == 1:  # a group of one beam, and another one: two top rows
+            chosen[chosen.argmin()] = True
+            keep = np.flatnonzero(chosen[group])
+        tx_paths = _beam_paths(tx_codebook, keep, rho, f.tx_cols, n)
+    else:
+        tx_paths, coef, rx_side, scale = _sweep_factors(f, n, grid, tx_codebook, rx_codebook,
+                                                        p_tx_w)
+        keep = np.arange(len(tx_codebook))
+    bound = _row_bounds(tx_paths, coef, rx_side, scale)  # (G, len(keep))
+    if not pruned:
+        live = bound.any(axis=1)
+        if not live.any():
+            return zero
     # two rows per channel keep BLAS on its GEMM kernel; with no bound (all inf)
-    # the top rows are every row, the whole table
-    n_tx = bound.shape[1]
-    n_top = n_tx if np.isinf(bound).all() else min(2, n_tx)
+    # the top rows are every projected row
+    n_top = len(keep) if np.isinf(bound).all() else min(2, len(keep))
     top = np.sort(np.argpartition(bound, -n_top, axis=1)[:, -n_top:], axis=1)
-    top_paths = tx_paths if n_top == n_tx else np.take_along_axis(tx_paths, top[:, :, None], axis=1)
+    top_paths = tx_paths if n_top == len(keep) else np.take_along_axis(tx_paths, top[:, :, None],
+                                                                       axis=1)
     k, rx, power, peak = _first_tied(_power_rows(top_paths, coef, rx_side, scale))
-    tx = np.take_along_axis(top, k[:, None], axis=1)[:, 0]
     threshold = peak * (1.0 - TIE_RTOL)
-    # the rows that may hold a tied pair are all among the top rows
-    inside = (bound >= threshold[:, None]).sum(axis=1) == (
-        np.take_along_axis(bound, top, axis=1) >= threshold[:, None]).sum(axis=1)
-    for g in np.flatnonzero(live & ~inside).tolist():
-        # these rows hold the maximum's row too, so they are two or more
-        rows = np.flatnonzero(bound[g] >= threshold[g])
+    # the rows that may hold a tied pair are all among the top rows, and in
+    # the groups projected
+    reach = bound >= threshold[:, None]
+    redo = live & (reach.sum(axis=1) > (np.take_along_axis(bound, top, axis=1)
+                                        >= threshold[:, None]).sum(axis=1))
+    tx = keep[np.take_along_axis(top, k[:, None], axis=1)[:, 0]]
+    if pruned:
+        left = np.where(chosen, -np.inf, upper) >= threshold[:, None]  # (G, D)
+        redo |= live & left.any(axis=1)
+        left = left[redo].any(axis=0)
+        if left.any():  # groups left out whose bound reaches a threshold
+            extra = np.flatnonzero(left[group])
+            extra_paths = _beam_paths(tx_codebook, extra, rho, f.tx_cols, n)
+            keep = np.concatenate((keep, extra))
+            order = np.argsort(keep)
+            at = np.empty_like(order)  # a row's new position, by its old one
+            at[order] = np.arange(len(order))
+            keep, tx_paths = keep[order], np.concatenate((tx_paths, extra_paths), axis=1)[:, order]
+            bound = np.concatenate((bound, _row_bounds(extra_paths, coef, rx_side, scale)),
+                                   axis=1)[:, order]
+            # the two best-bounded rows may now lie outside the first groups: confirm
+            # them too, to raise the threshold, and count them with the top rows
+            again = np.flatnonzero(redo)
+            best = np.sort(np.argpartition(bound[again], -2, axis=1)[:, -2:], axis=1)
+            table = _power_rows(np.take_along_axis(tx_paths[again], best[:, :, None], axis=1),
+                                coef[again], (rx_side[0][again], *rx_side[1:]), scale)
+            threshold[again] = np.maximum(threshold[again],
+                                          table.max(axis=(1, 2)) * (1.0 - TIE_RTOL))
+            top = np.concatenate((at[top], at[top[:, :2]]), axis=1)
+            top[again, -2:] = best
+            reach = bound >= threshold[:, None]
+    for g in np.flatnonzero(redo).tolist():
+        # these rows hold the maximum's row too, so they are two or more, but
+        # for a channel whose extra rows' bounds fell short: add its top rows
+        rows = np.flatnonzero(reach[g])
+        if len(rows) < 2:
+            reach[g, top[g]] = True
+            rows = np.flatnonzero(reach[g])
         t = _power_rows(tx_paths[g, rows], coef[g], (rx_side[0][g], *rx_side[1:]), scale)
         k_g, rx[g], power[g], peak[g] = _first_tied(t)
-        tx[g] = rows[k_g]
+        tx[g] = keep[rows[k_g]]
     return tuple(np.where(live, column, 0) for column in (tx, rx, power, peak))

@@ -1,6 +1,7 @@
 """Codebook generation and exhaustive beam sweeps."""
 
 import math
+import re
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -859,6 +860,132 @@ def test_single_path_sweep_computes_two_rows(monkeypatch):
     sel = ideal_beam_sweep(ch, cb_tx, cb_rx, 1.0)
     assert rows == [2]
     assert (sel.tx_direction.azimuth_deg, sel.tx_direction.zenith_deg) == (37.0, 100.0)
+
+
+def _spy(monkeypatch, name, record):
+    """Replace beams.<name> by a wrapper that appends record(*args) on each call."""
+    kernel = getattr(beams, name)
+
+    def spying(*args):
+        record(*args)
+        return kernel(*args)
+
+    monkeypatch.setattr(beams, name, spying)
+
+
+def test_single_path_sweep_projects_one_zenith_group(monkeypatch):
+    # the case above: the row-factor bound of the beam's zenith group (100 deg)
+    # is the only one that reaches the tie threshold, so the column product is
+    # formed for that group's 91 beams alone, and two of them are confirmed
+    tx_arr, rx_arr = PlanarArray(16, 128, LAM), PlanarArray(4, 4, LAM)
+    rec = mk_record(aod_az=37.0, aod_zen=100.0, aoa_az=-140.0, aoa_zen=80.0)
+    ch = _channel([rec], tx_arr, rx_arr)
+    cb_tx = generate_codebook(tx_arr, 0.0, 90.0, 1.0)
+    cb_rx = generate_codebook(rx_arr, -180.0, 170.0, 10.0)
+    projected, rows = [], []
+    _spy(monkeypatch, "_beam_paths", lambda cb, b, *args: projected.append(b.copy()))
+    _spy(monkeypatch, "_power_rows", lambda tx_paths, *args: rows.append(tx_paths.shape[-2]))
+    sel = ideal_beam_sweep(ch, cb_tx, cb_rx, 1.0)
+    assert [len(b) for b in projected] == [91] and rows == [2]
+    assert set(cb_tx.zenith_deg[projected[0]].tolist()) == {100.0}
+    assert (sel.tx_direction.azimuth_deg, sel.tx_direction.zenith_deg) == (37.0, 100.0)
+
+
+def test_many_path_element_basis_sweep_takes_the_whole_projection(monkeypatch):
+    # the dense_replay shape: 64 paths on 64 subbands over corner's arrays and
+    # codebooks, more paths than the 16 rx elements. No beam is pruned by its
+    # row factor: the 252 tx beams are projected in one product, bounded by the
+    # Gram form, and two rows are confirmed first, as with no row-factor bound
+    setup = build_setup(load_config(CORNER_CFG))
+    rng = np.random.default_rng(64)
+    records = _random_records(rng, 64)
+    records[0] = replace(records[0], gain_mag=1e-3)
+    ch = build_channel_matrices(records, setup.tx_array, setup.rx_array,
+                                SubbandGrid(28e9, 400e6, 64))
+    cb_tx, cb_rx = setup.tx_codebook, setup.rx_codebook
+    want = select_best_pair(sweep_power_table(ch, cb_tx, cb_rx, 1.0), cb_tx, cb_rx)
+    projected, rows = [], []
+    _spy(monkeypatch, "_beam_paths", lambda *args: projected.append(args))
+    _spy(monkeypatch, "_project", lambda cb, *args: rows.append(("project", len(cb))))
+    _spy(monkeypatch, "_power_rows", lambda tx_paths, *args: rows.append(tx_paths.shape[-2]))
+    got = ideal_beam_sweep(ch, cb_tx, cb_rx, 1.0)
+    assert projected == [] and rows[:2] == [("project", 252), 2], rows
+    assert ("project", 252) not in rows[2:]
+    assert (got.tx_index, got.rx_index) == (want.tx_index, want.rx_index)
+    assert np.float64(got.power_w).tobytes() == np.float64(want.power_w).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n_subbands=st.integers(1, 8),
+    n_paths=st.integers(1, 4),
+    spacing=st.sampled_from([0.5, 0.7, 1.0]),
+    bearing=st.sampled_from([0.0, 35.0, -120.0]),
+    distinct=st.booleans(),
+    zero=st.lists(st.booleans(), min_size=4, max_size=4),
+    exponent=st.sampled_from([None, 150.0, 153.0, 154.0, 155.0]),
+    aligned=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+# one path exactly on a beam of both codebooks (K = 1, and K = 1 with grating
+# lobes): the group bound of that beam's zenith exceeds its power only by the
+# admitted norm slack (1 + _NORM_TOL)^2 and the rounding margin
+@example(n_subbands=1, n_paths=1, spacing=0.5, bearing=0.0, distinct=False,
+         zero=[False] * 4, exponent=None, aligned=True, seed=0)
+@example(n_subbands=1, n_paths=1, spacing=1.0, bearing=35.0, distinct=False,
+         zero=[False] * 4, exponent=None, aligned=True, seed=1)
+# a gain of 1e154 overflows the bound (inf) while the table stays finite
+@example(n_subbands=8, n_paths=3, spacing=0.7, bearing=-120.0, distinct=False,
+         zero=[False, True, False, False], exponent=154.0, aligned=False, seed=2)
+@example(n_subbands=5, n_paths=4, spacing=0.5, bearing=0.0, distinct=True,
+         zero=[False, False, True, False], exponent=None, aligned=False, seed=3)
+def test_group_bound_covers_every_row_of_its_group(
+    n_subbands, n_paths, spacing, bearing, distinct, zero, exponent, aligned, seed
+):
+    # 1-4 paths on a 2x2 rx array are the path basis, where the sweep bounds each
+    # tx beam's power by its row factor alone before projecting it. The bound is
+    # at or above every computed entry of every row of its group, on a grid
+    # codebook (7 row factors, one per zenith, tiled over the azimuths) and on a
+    # hand-built one whose row factors all differ; spacings of 0.7 and 1.0
+    # wavelengths have grating lobes. The sweep picks the table's pair, bit for bit
+    rng = np.random.default_rng(seed)
+    tx_arr = PlanarArray(3, 4, LAM, spacing=spacing, bearing_deg=bearing)
+    rx_arr = PlanarArray(2, 2, LAM)
+    cb_tx = (_scaled_codebook(rng, tx_arr, 24, np.ones(24)) if distinct
+             else generate_codebook(tx_arr, -90.0, 90.0, 15.0))
+    cb_rx = generate_codebook(rx_arr, -180.0, 90.0, 90.0, 60.0, 120.0, 60.0)
+    records = [replace(r, gain_mag=0.0) if z else r
+               for r, z in zip(_random_records(rng, n_paths), zero)]
+    if exponent is not None:
+        records[0] = replace(records[0], gain_mag=10.0**exponent)
+    aligned = aligned and not distinct
+    if aligned:  # one path, on tx beam 40 (az -15, zen 110) and rx beam 2 (az -90, zen 60)
+        records = [mk_record(gain_mag=1e-4, aod_az=-15.0, aod_zen=110.0, aoa_az=-90.0,
+                             aoa_zen=60.0)]
+    ch = build_channel_matrices(records, tx_arr, rx_arr, SubbandGrid(28e9, 400e6, n_subbands))
+    distinct_rows, _, group, _ = cb_tx._row_groups
+    assert len(distinct_rows) == (24 if distinct else 7)
+    coef, rx_side, scale = beams._rx_terms(ch.paths, 1, ch.grid, cb_rx, 0.5)
+    with np.errstate(over="ignore", invalid="ignore"):
+        upper = beams._group_bounds(distinct_rows @ ch.paths.tx_rows.T.conj(), coef, rx_side[0],
+                                    scale, cb_tx)[0]
+        table = beams._power_rows(*beams._sweep_factors(ch.paths, 1, ch.grid, cb_tx, cb_rx,
+                                                        0.5))[0]
+    assert np.all(upper[group][:, None] >= table)
+    if aligned:
+        assert table[40, 2] >= table.max() * (1 - 1e-12)
+        assert upper[group[40]] <= table[40, 2] * (1 + 2 * beams._NORM_TOL + 1e-12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the error replaces numpy's overflow warnings
+        try:
+            want = select_best_pair(sweep_power_table(ch, cb_tx, cb_rx, 0.5), cb_tx, cb_rx)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                ideal_beam_sweep(ch, cb_tx, cb_rx, 0.5)
+            return
+        got = ideal_beam_sweep(ch, cb_tx, cb_rx, 0.5)
+    assert (got.tx_index, got.rx_index) == (want.tx_index, want.rx_index)
+    assert np.float64(got.power_w).tobytes() == np.float64(want.power_w).tobytes()
 
 
 @pytest.mark.parametrize("n_tx_beams", [1, 2])

@@ -58,8 +58,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .arrays import (Direction, PlanarArray, _check_angles, _col_factors, _responses,
-                     _row_factors, _wrap_azimuth)
+from .arrays import (_ZENITH_RANGE, Direction, PlanarArray, _check_angles, _col_factors,
+                     _responses, _row_factors, _within, _wrap_azimuth)
 # steering_vector is not used here; perfbench/tests/test_perfbench.py reads
 # tracechan.beams.steering_vector, so the name stays importable from beams
 from .arrays import steering_vector  # noqa: F401
@@ -195,14 +195,43 @@ class BeamCodebook:
         return w
 
 
-def _grid_points(lo: float, hi: float, step: float) -> np.ndarray:
-    if step <= 0:
-        raise ValueError("grid step must be positive")
+def _grid_size(lo: float, hi: float, step: float, name: str = "grid") -> int:
+    """_grid_points' point count, in O(1); raises for bounds that make no grid."""
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"{name} bounds must be finite, got {lo!r} and {hi!r}")
+    if not 0 < step < math.inf:
+        raise ValueError(f"{name} step must be finite and > 0, got {step!r}")
     if hi < lo:
-        raise ValueError(f"grid upper bound {hi} below lower bound {lo}")
-    n = int(math.floor((hi - lo) / step + 1e-9)) + 1
+        raise ValueError(f"{name} upper bound {hi!r} below lower bound {lo!r}")
+    n = (hi - lo) / step + 1e-9
+    if not n < 2**63:
+        raise ValueError(f"{name} step {step!r} gives more than 2**63 points")
+    return int(math.floor(n)) + 1
+
+
+def _grid_points(lo: float, hi: float, step: float) -> np.ndarray:
     # the slack in n and the rounding of k*step may overshoot hi by an ulp
-    return np.minimum(lo + step * np.arange(n), hi)
+    return np.minimum(lo + step * np.arange(_grid_size(lo, hi, step)), hi)
+
+
+def _check_bounds(az_min_deg: float, az_max_deg: float, az_step_deg: float,
+                  zen_min_deg: float, zen_max_deg: float, zen_step_deg: float) -> None:
+    """Raise generate_codebook's ValueError for bounds that make no codebook, in O(1).
+
+    Azimuths are wrapped, so only a zenith can leave its range, and the one
+    named is BeamCodebook's: the first grid point outside [0, 180]. Points
+    increase, so all are inside if the first and last are, and else the
+    first outside is the first point or one within a rounding of the
+    (180 - min) / step-th.
+    """
+    _grid_size(az_min_deg, az_max_deg, az_step_deg, "azimuth grid")
+    n = _grid_size(zen_min_deg, zen_max_deg, zen_step_deg, "zenith grid")
+    last = min(zen_min_deg + zen_step_deg * (n - 1), zen_max_deg)
+    if _within(zen_min_deg, _ZENITH_RANGE) and _within(last, _ZENITH_RANGE):
+        return
+    k = math.floor((_ZENITH_RANGE[1] - zen_min_deg) / zen_step_deg)
+    ks = np.array([0, *range(max(k - 1, 0), min(k + 3, n))])
+    _check_angles(np.zeros(ks.size), np.minimum(zen_min_deg + zen_step_deg * ks, zen_max_deg))
 
 
 def generate_codebook(
@@ -220,6 +249,7 @@ def generate_codebook(
     taken per grid zenith and tiled over the azimuths; each ramp is
     bit-equal to steering_factors' (see arrays._phase_ramp).
     """
+    _check_bounds(az_min_deg, az_max_deg, az_step_deg, zen_min_deg, zen_max_deg, zen_step_deg)
     az = _wrap_azimuth(_grid_points(az_min_deg, az_max_deg, az_step_deg))
     zen = _grid_points(zen_min_deg, zen_max_deg, zen_step_deg)
     rows = np.tile(_row_factors(array, zen), (az.size, 1))

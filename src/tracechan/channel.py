@@ -65,15 +65,14 @@ class SubbandGrid:
     n_subbands: int = 64
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.carrier_hz) and math.isfinite(self.bandwidth_hz)):
-            raise ValueError(f"carrier_hz and bandwidth_hz must be finite, got "
-                             f"{self.carrier_hz!r} and {self.bandwidth_hz!r}")
+        for name in ("carrier_hz", "bandwidth_hz"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
         if not isinstance(self.n_subbands, numbers.Integral):
             raise ValueError(f"n_subbands must be an integer, got {self.n_subbands!r}")
-        if self.carrier_hz <= 0 or self.bandwidth_hz <= 0:
-            raise ValueError("carrier_hz and bandwidth_hz must be positive")
         if self.n_subbands < 1:
-            raise ValueError("n_subbands must be >= 1")
+            raise ValueError(f"n_subbands must be >= 1, got {self.n_subbands!r}")
 
     @property
     def wavelength_m(self) -> float:

@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 validation findings, 2 usage or config error,
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import sys
 
@@ -108,22 +109,14 @@ def _cmd_sweep(args) -> int:
     )
     table = sweep_power_table(channel, cb_tx, cb_rx, setup.budget.tx_power_w)
     best = select_best_pair(table, cb_tx, cb_rx)
-
-    def row(i: int, j: int) -> list[str]:
-        d_tx, d_rx = cb_tx.directions[i], cb_rx.directions[j]
-        return [
-            repr(d_tx.azimuth_deg), repr(d_tx.zenith_deg),
-            repr(d_rx.azimuth_deg), repr(d_rx.zenith_deg),
-            repr(_watts_to_dbm(float(table[i, j]))),
-        ]
-
-    lines = ["tx_az,tx_zen,rx_az,rx_zen,power_dbm"]
-    for i in range(table.shape[0]):
-        for j in range(table.shape[1]):
-            lines.append(",".join(row(i, j)))
-    lines.append(",".join(row(best.tx_index, best.rx_index)))  # winner repeated last
+    # each beam's angles are spelt once; a cell joins its pair's with its power
+    tx, rx = ([f"{a!r},{z!r}" for a, z in zip(cb.azimuth_deg.tolist(), cb.zenith_deg.tolist())]
+              for cb in (cb_tx, cb_rx))
+    dbm = list(map(repr, map(_watts_to_dbm, table.ravel().tolist())))
+    rows = [f"{a},{b},{p}" for (a, b), p in zip(itertools.product(tx, rx), dbm)]
+    rows.append(rows[best.tx_index * len(rx) + best.rx_index])  # winner repeated last
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("tx_az,tx_zen,rx_az,rx_zen,power_dbm\n" + "\n".join(rows) + "\n")
 
     d_tx, d_rx = best.tx_direction, best.rx_direction
     print(

@@ -84,12 +84,24 @@ class LinkBudget:
     interference_w: float = 0.0
 
     def __post_init__(self) -> None:
-        if not all(map(math.isfinite, vars(self).values())):
-            raise ValueError(f"link budget values must be finite: {vars(self)}")
-        if self.tx_power_w < 0 or self.bandwidth_hz <= 0:
-            raise ValueError("tx_power_w must be >= 0 and bandwidth_hz > 0")
-        if self.temperature_k <= 0 or self.interference_w < 0:
-            raise ValueError("temperature_k must be > 0 and interference_w >= 0")
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+        for name, ok, rule in (("tx_power_w", self.tx_power_w >= 0, ">= 0"),
+                               ("bandwidth_hz", self.bandwidth_hz > 0, "> 0"),
+                               ("temperature_k", self.temperature_k > 0, "> 0"),
+                               ("interference_w", self.interference_w >= 0, ">= 0")):
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+        # compute_sinr divides by the noise plus interference power
+        try:
+            denom = noise_power(self) + self.interference_w
+        except OverflowError:
+            raise ValueError(f"noise_figure_db {self.noise_figure_db!r} overflows as a "
+                             "linear ratio") from None
+        if denom == 0.0:
+            raise ValueError(f"noise_figure_db {self.noise_figure_db!r} and temperature_k "
+                             f"{self.temperature_k!r} make the noise plus interference power 0 W")
 
 
 def noise_power(budget: LinkBudget) -> float:
@@ -222,11 +234,25 @@ class SimulationSetup:
     rx_id: int = 1
 
     def __post_init__(self) -> None:
-        if not self.training_period_s > 0:  # nan too
-            raise ValueError("training_period_s must be positive")
+        _check_link(self.training_period_s, self.offered_bps, self.overhead)
         t = np.asarray(self.times, dtype=float)
         if not (t.ndim == 1 and t.size and np.isfinite(t).all() and (np.diff(t) > 0).all()):
             raise ValueError("times must be a non-empty, finite, strictly increasing grid")
+
+
+def _check_link(training_period_s: float, offered_bps: float, overhead: float) -> None:
+    """SimulationSetup's rules for its training period, offered load and overhead."""
+    if not training_period_s > 0:  # nan too
+        raise ValueError(f"training_period_s must be positive, got {training_period_s!r}")
+    _check_load(offered_bps, overhead)
+
+
+def _check_load(offered_bps: float, overhead: float) -> None:
+    """throughput_delay's rules for its offered load and overhead."""
+    if not 0.0 <= overhead < 1.0:
+        raise ValueError(f"overhead must be in [0, 1), got {overhead!r}")
+    if not offered_bps >= 0:  # nan too
+        raise ValueError(f"offered_bps must be >= 0, got {offered_bps!r}")
 
 
 def throughput_delay(
@@ -245,10 +271,7 @@ def throughput_delay(
     base + saturation * max(0, 1 - C/offered). A None mcs transmits at the
     lowest rate with effectively zero goodput, so it behaves as C = 0.
     """
-    if not 0.0 <= overhead < 1.0:
-        raise ValueError("overhead must be in [0, 1)")
-    if not offered_bps >= 0:  # nan too
-        raise ValueError("offered_bps must be >= 0")
+    _check_load(offered_bps, overhead)
     if mcs is not None and not 0 <= mcs < len(table):
         raise ValueError(f"mcs {mcs} outside table of {len(table)} entries")
     capacity = (

@@ -40,6 +40,7 @@ two-sided, materials are frequency-flat, and no polarization is modelled.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -130,7 +131,8 @@ class Rectangle:
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma {self.gamma!r} outside [0, 1]")
         if any(e not in (0, 1, 2, 3) for e in self.diffracting_edges):
-            raise ValueError("diffracting edge indices must be in 0..3")
+            raise ValueError(
+                f"diffracting edge indices must be in 0..3, got {self.diffracting_edges}")
         if len(set(self.diffracting_edges)) != len(self.diffracting_edges):
             raise ValueError(f"diffracting edges {self.diffracting_edges} repeat an index")
         object.__setattr__(self, "normal", _read_only(n / n_len))
@@ -496,8 +498,7 @@ class RtScenario:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.carrier_hz) and self.carrier_hz > 0):
             raise ValueError(f"carrier_hz must be finite and > 0, got {self.carrier_hz!r}")
-        if not self.max_reflection_order >= 0:
-            raise ValueError(f"max_reflection_order must be >= 0, got {self.max_reflection_order!r}")
+        _check_order(self.max_reflection_order)
         t = np.asarray(self.times, dtype=float)
         if t.ndim != 1 or t.size < 1:
             raise ValueError("times must be a non-empty 1-d array")
@@ -513,6 +514,12 @@ class RtScenario:
         missing = [node for link in self.links for node in link if node not in self.positions]
         if missing:
             raise ValueError(f"link references node {missing[0]} with no positions")
+
+
+def _check_order(order) -> None:
+    """RtScenario's rule for max_reflection_order."""
+    if not (isinstance(order, numbers.Integral) and order >= 0):
+        raise ValueError(f"max_reflection_order must be >= 0 and an int, got {order!r}")
 
 
 def _diffraction(

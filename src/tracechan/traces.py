@@ -183,7 +183,7 @@ class TraceSet:
                 if problem:
                     raise TraceFormatError(f"record {i}: {problem}")
         self.columns = _frozen({
-            attr: np.array([getattr(r, attr) for r in records], dtype=_DTYPES[kind])
+            attr: np.fromiter(map(attrgetter(attr), records), _DTYPES[kind], len(records))
             for _, attr, kind, _ in _COLUMNS
         })
         self.__dict__["records"] = records
@@ -349,7 +349,8 @@ def _parse_columns(header: list[str], lines: list[str]) -> TraceSet | None:
                 types = {text: PathType(text.strip()) for text in set(spellings)}
             except ValueError:
                 return None
-            col = np.array([types[text] for text in spellings], dtype=object)
+            # fromiter: np.array probes each member as a possible sequence, 10x slower
+            col = np.fromiter(map(types.__getitem__, spellings), object, len(spellings))
         elif not _in_range(col, kind, bounds):
             return None
         columns[attr] = np.ascontiguousarray(col)

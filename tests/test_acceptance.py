@@ -123,7 +123,8 @@ def test_tx_power_step_shifts_sinr_by_the_step(name, request):
     link = trace.link(setup.tx_id, setup.rx_id)
     worst, moved = 0.0, 0
     for x in (-20.0, 3.0, 12.5):
-        scaled = build_setup(replace(cfg, txpower_dbm=cfg.txpower_dbm + x))
+        step = replace(cfg.budget, tx_power_w=cfg.budget.tx_power_w * 10.0 ** (x / 10.0))
+        scaled = build_setup(replace(cfg, budget=step))
         for i, (a, b) in enumerate(zip(metrics, run_simulation(trace, scaled), strict=True)):
             if a.sinr_db > SINR_FLOOR_DB and b.sinr_db > SINR_FLOOR_DB:
                 worst = max(worst, abs(b.sinr_db - a.sinr_db - x))

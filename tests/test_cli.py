@@ -334,13 +334,15 @@ def test_sweep_nan_time_exits_2(scene_cfg, tmp_path, capsys):
 
 @pytest.mark.parametrize("node, params, problem", [
     ("rx_trajectory", {"radius": [1.0, 2.0, 3.0]},
-     "circular trajectory: radius must be a number, got [1.0, 2.0, 3.0]"),
-    ("rx_trajectory", {"center": 1.5}, "circular trajectory: center must be a 3-vector, got 1.5"),
+     "rx_trajectory: circular trajectory: radius must be a number, got [1.0, 2.0, 3.0]"),
+    ("rx_trajectory", {"center": 1.5},
+     "rx_trajectory: circular trajectory: center must be a 3-vector, got 1.5"),
     # None drops a key: the circular parameters a linear kind does not take
     ("rx_trajectory", {"kind": "linear", "start": [55.0, 0.0, 1.5], "velocity": 1.0,
                        **dict.fromkeys(("center", "radius", "angle0_deg", "rate_deg_s"))},
-     "linear trajectory: velocity must be a 3-vector, got 1.0"),
-    ("tx_trajectory", {"position": 10.0}, "static trajectory: position must be a 3-vector, got 10.0"),
+     "rx_trajectory: linear trajectory: velocity must be a 3-vector, got 1.0"),
+    ("tx_trajectory", {"position": 10.0},
+     "tx_trajectory: static trajectory: position must be a 3-vector, got 10.0"),
 ], ids=["radius-vector", "center-scalar", "velocity-scalar", "position-scalar"])
 def test_trajectory_parameter_shapes_exit_2(tmp_path, capsys, node, params, problem):
     raw = yaml.safe_load(ETOILE_CFG.read_text())
@@ -348,27 +350,27 @@ def test_trajectory_parameter_shapes_exit_2(tmp_path, capsys, node, params, prob
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(yaml.safe_dump(raw))
     assert main(["generate-trace", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
-    assert capsys.readouterr().err == f"error: {problem}\n"
+    assert capsys.readouterr().err == f"config error: {problem}\n"
 
 
 @pytest.mark.parametrize("base, old, new, problem", [
     # a linear walk that still carries the circular kind's parameters
     (ETOILE_CFG, "kind: circular", "kind: linear\n  start: [55.0, 0.0, 1.5]\n"
      "  velocity: [0.0, 1.0, 0.0]",
-     "error: trajectory kind 'linear' does not take "
+     "config error: rx_trajectory: trajectory kind 'linear' does not take "
      "'center', 'radius', 'angle0_deg', 'rate_deg_s'\n"),
     # a misspelt optional key must not fall back to its default (order 4)
     (ETOILE_CFG, "snapshot_dt_s:", "max_reflection_ordr: 0\nsnapshot_dt_s:",
-     "config error: unknown key max_reflection_ordr\n"),
+     "config error: max_reflection_ordr: unknown key\n"),
     # a misspelt edge list would silently drop every diffracted path
     (CORNER_CFG, "diffracting_edges: [3]", "diffracting_edge: [3]",
-     "config error: unknown key environment.rectangles[1].diffracting_edge\n"),
+     "config error: environment.rectangles[1].diffracting_edge: unknown key\n"),
     (CORNER_CFG, "tx_array:\n", "bogus: 1\ntx_array:\n  row: 4\n",
-     "config error: unknown key bogus\nconfig error: unknown key tx_array.row\n"),
+     "config error: bogus: unknown key\nconfig error: tx_array.row: unknown key\n"),
     (CORNER_CFG, "zen_step: 10.0", "zen_step: 10.0\n  el_stp: 1.0\n  11: 0",
-     "config error: unknown key tx_codebook.el_stp\nconfig error: unknown key tx_codebook.11\n"),
+     "config error: tx_codebook.el_stp: unknown key\nconfig error: tx_codebook.11: unknown key\n"),
     (CORNER_CFG, "rectangles:", "walls: []\n  rectangles:",
-     "config error: unknown key environment.walls\n"),
+     "config error: environment.walls: unknown key\n"),
 ], ids=["trajectory-leftover", "top-level-typo", "rectangle-typo", "top-and-array",
         "codebook", "environment"])
 def test_unknown_config_keys_exit_2(tmp_path, capsys, base, old, new, problem):
@@ -456,29 +458,30 @@ def test_replay_past_duration_exits_2(scene_cfg, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("old, new, problem", [
-    ("subbands: 4", "subbands: .inf", "config error: subbands: inf is not a finite number\n"),
+    ("subbands: 4", "subbands: .inf", "config error: subbands: must be an integer, got inf\n"),
     ("az_max: 170.0", "az_max: .inf",
-     "config error: tx_codebook.az_max: inf is not a finite number\n"),
+     "config error: tx_codebook: azimuth grid bounds must be finite, got -180.0 and inf\n"),
     ("snapshot_dt_s: 0.25", "snapshot_dt_s: 0.25\nrx_id: 0",
-     "config error: tx_id and rx_id must differ\n"),
+     "config error: rx_id: must differ from tx_id 0\n"),
     # node ids are int64 in a trace, and a trace holds none below 0
     ("snapshot_dt_s: 0.25", "snapshot_dt_s: 0.25\nrx_id: 9223372036854775808",
-     "config error: rx_id: 9223372036854775808 is not in [0, 2**63)\n"),
+     "config error: rx_id: node id must be < 2**63, got 9223372036854775808\n"),
     ("snapshot_dt_s: 0.25", "snapshot_dt_s: 0.25\ntx_id: -1",
-     "config error: tx_id: -1 is not in [0, 2**63)\n"),
+     "config error: tx_id: node id must be >= 0, got -1\n"),
     # a negative order would trace LOS only, as if it were 0
     ("snapshot_dt_s: 0.25", "snapshot_dt_s: 0.25\nmax_reflection_order: -3",
-     "config error: max_reflection_order must be >= 0\n"),
+     "config error: max_reflection_order: must be >= 0 and an int, got -3\n"),
     ("{kind: linear, start: [30.0, 5.0, 1.5], velocity: [0.0, -1.5, 0.0]}",
      "{kind: static, position: [0.0, 0.0, 10.0]}",
      "error: tx and rx coincide at t=0.0\n"),
     ("gamma: 0.7", "gamma: 0.7\n      diffracting_edges: [.inf]",
-     "config error: environment.rectangles[0]: inf is not a finite number\n"),
+     "config error: environment.rectangles[0]: diffracting edge indices must be in 0..3, "
+     "got (inf,)\n"),
     # not a list: a string's characters or an int's iteration are no edges
     ("gamma: 0.7", 'gamma: 0.7\n      diffracting_edges: "12"',
-     "config error: environment.rectangles[0]: diffracting_edges must be a list, got '12'\n"),
+     "config error: environment.rectangles[0].diffracting_edges: expected a list, got '12'\n"),
     ("gamma: 0.7", "gamma: 0.7\n      diffracting_edges: 12",
-     "config error: environment.rectangles[0]: diffracting_edges must be a list, got 12\n"),
+     "config error: environment.rectangles[0].diffracting_edges: expected a list, got 12\n"),
     # a repeated edge would emit its knife-edge path twice
     ("gamma: 0.7", "gamma: 0.7\n      diffracting_edges: [1, 1]",
      "config error: environment.rectangles[0]: diffracting edges (1, 1) repeat an index\n"),
@@ -489,16 +492,25 @@ def test_replay_past_duration_exits_2(scene_cfg, tmp_path, capsys):
      "config error: noise_figure_db: 4000.0 overflows as a linear ratio\n"),
     # noise plus interference power that underflows to 0 W: SINR would divide by it
     ("noise_figure_db: 5.0", "noise_figure_db: -4000.0",
-     "config error: noise_figure_db -4000.0 and temperature_k 290.0 "
+     "config error: noise_figure_db: -4000.0 and temperature_k 290.0 "
      "make the noise plus interference power 0 W\n"),
     ("noise_figure_db: 5.0", "noise_figure_db: 5.0\ntemperature_k: 1.0e-320",
-     "config error: noise_figure_db 5.0 and temperature_k 1e-320 "
+     "config error: noise_figure_db: 5.0 and temperature_k 1e-320 "
      "make the noise plus interference power 0 W\n"),
+    # an int too large for a float reads as inf, as its text would
+    ("noise_figure_db: 5.0", "noise_figure_db: 1" + "0" * 400,
+     "config error: noise_figure_db: must be finite, got inf\n"),
+    # steps so fine that the grid's point count overflows
+    ("az_step: 30.0", "az_step: 1.0e-320",
+     "config error: tx_codebook: azimuth grid step 1e-320 gives more than 2**63 points\n"),
+    ("snapshot_dt_s: 0.25", "snapshot_dt_s: 1.0e-320",
+     "config error: snapshot_dt_s: 1e-320 gives more than 2**63 snapshots\n"),
 ], ids=["subbands-inf", "codebook-bound-inf", "equal-node-ids", "node-id-2**63",
         "node-id-negative", "reflection-order-negative", "coincident-nodes", "diffracting-edge-inf",
         "diffracting-edges-string", "diffracting-edges-int", "diffracting-edge-repeated",
         "txpower-overflow", "noise-figure-overflow", "noise-underflow",
-        "temperature-underflow"])
+        "temperature-underflow", "int-too-large", "codebook-step-subnormal",
+        "snapshot-step-subnormal"])
 @pytest.mark.parametrize("cmd", ["generate-trace", "simulate", "sweep"])
 def test_degenerate_inputs_exit_2(tmp_path, capsys, cmd, old, new, problem):
     cfg = tmp_path / "bad.cfg"
@@ -586,9 +598,12 @@ def test_yaml_syntax_error_is_one_line(tmp_path, capsys, text, problem):
 
 @pytest.mark.parametrize("old, new, problem", [
     ("training_period_s: 0.25", "training_period_s: .nan",
-     "error: training_period_s must be positive\n"),
-    ("offered_bps: 122.0e+6", "offered_bps: .nan", "error: offered_bps must be >= 0\n"),
-])
+     "config error: training_period_s: must be positive, got nan\n"),
+    ("offered_bps: 122.0e+6", "offered_bps: .nan",
+     "config error: offered_bps: must be >= 0, got nan\n"),
+], ids=["training_period_s: 0.25-training_period_s: .nan-"  # the edit and the rule it breaks
+        "error: training_period_s must be positive\n",
+        "offered_bps: 122.0e+6-offered_bps: .nan-error: offered_bps must be >= 0\n"])
 def test_nan_training_period_or_load_exits_2(tmp_path, capsys, old, new, problem):
     cfg = tmp_path / "nan.cfg"
     cfg.write_text(SCENE_CFG.replace(old, new))
@@ -611,7 +626,7 @@ def test_optional_config_keys_take_documented_defaults():
     raw = yaml.safe_load(SCENE_CFG)
     cfg = parse_config(raw)
     assert (cfg.tx_id, cfg.rx_id) == (0, 1)
-    assert (cfg.temperature_k, cfg.interference_w) == (290.0, 0.0)
+    assert (cfg.budget.temperature_k, cfg.budget.interference_w) == (290.0, 0.0)
     assert (cfg.base_delay_s, cfg.saturation_delay_s) == (0.5e-3, 7.5e-3)
     assert cfg.max_reflection_order == 4
     assert (cfg.trace_path, cfg.amc_table_path) == (None, None)
@@ -624,12 +639,20 @@ def test_optional_config_keys_take_documented_defaults():
                "base_delay_s": SimulationSetup.base_delay_s,
                "saturation_delay_s": SimulationSetup.saturation_delay_s,
                "max_reflection_order": RtScenario.max_reflection_order}
-    assert {key: getattr(cfg, key) for key in library} == library
+    held = {**vars(cfg), **vars(cfg.budget)}  # the budget holds the noise keys
+    assert {key: held[key] for key in library} == library
     delay_defaults = inspect.signature(throughput_delay).parameters
     for key in ("base_delay_s", "saturation_delay_s"):
         assert delay_defaults[key].default == library[key]
     del raw["environment"]["rectangles"][0]["gamma"]
     assert parse_config(raw).environment.rectangles[0].gamma == Rectangle.gamma == 0.7
+
+
+def test_node_ids_are_read_exactly():
+    # a trace holds ids up to 2**63 - 1, and a float would round these to others
+    raw = yaml.safe_load(SCENE_CFG)
+    for node in (2**53 + 1, 2**63 - 1):
+        assert parse_config({**raw, "tx_id": node}).tx_id == node
 
 
 def test_main_parses_with_the_parser_built_at_import(monkeypatch):
@@ -663,7 +686,9 @@ def test_bad_time_grid_exits_2(tmp_path, capsys, cmd, key, value, problem):
     cfg.write_text(SCENE_CFG.replace(f"{key}: {default}", f"{key}: {value}"))
     assert main([cmd, "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
     err = capsys.readouterr().err
-    assert err == f"config error: {problem}\n"
+    # the line is keyed: "<key>: <rule>, got <value>"
+    rule = problem.removeprefix(f"{key} ")
+    assert err == f"config error: {key}: {rule}, got {yaml.safe_load(value)!r}\n"
 
 
 def test_trace_path_and_geometry_conflict(tmp_path, capsys):
@@ -841,3 +866,137 @@ def test_libyaml_and_pure_loaders_agree_on_mutated_configs(tmp_path_factory, dat
     path = tmp_path_factory.getbasetemp() / "mutated.cfg"
     path.write_text(text, encoding="utf-8", newline="")
     assert _load_outcome(path) == _pure_load_outcome(path)
+
+
+# Bad configs, drawn: one to three keys of corner.cfg corrupted at once. Each
+# value below is a problem for the key it is drawn for, so every command must
+# stop at load with exit 2 and the same keyed lines.
+_CORNER = yaml.safe_load(Path(CORNER_CFG).read_text())
+_MISSPELL = "<misspell>"
+_OPTIONAL = {"environment", "gamma", "diffracting_edges"}
+# numeric keys that zero and -1 break, and those only -1 breaks (zen_max is below zen_min)
+_POSITIVE = {"carrier_hz", "bandwidth_hz", "subbands", "rows", "cols", "spacing", "az_step",
+             "zen_step", "zen_max", "training_period_s", "snapshot_dt_s"}
+_NON_NEGATIVE = {"offered_bps", "duration_s", "overhead", "gamma", "zen_min"}
+# top-level keys that one check reads together; its problem may name any of them
+_GROUPS = ({"carrier_hz", "bandwidth_hz", "subbands"},
+           {"txpower_dbm", "bandwidth_hz", "noise_figure_db", "temperature_k", "interference_w"},
+           {"training_period_s", "offered_bps", "overhead"},
+           {"snapshot_dt_s", "duration_s"})
+
+
+def _get(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
+def _dotted(path):
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path).lstrip(".")
+
+
+def _bad_values(path, value):
+    """The values that break the key at path, whose good value is value."""
+    key = path[-1]
+    bad = [_MISSPELL, math.nan, "abc", ["abc"], True]
+    if key not in _OPTIONAL:
+        bad.append(_DELETE)
+    if key in _POSITIVE or not isinstance(value, (int, float)):
+        bad += [0, -1]
+    elif key in _NON_NEGATIVE:
+        bad.append(-1)
+    return bad
+
+
+_CORNER_KEYS = [p for p in _key_paths(_CORNER)
+                if not isinstance(p[-1], int) and p[-1] != "rectangles"]
+
+
+@st.composite
+def _corruptions(draw):
+    paths = draw(st.lists(st.sampled_from(_CORNER_KEYS), min_size=1, max_size=3, unique=True))
+    # a key inside another drawn key would be corrupted twice
+    paths = [p for p in paths if not any(q != p and p[:len(q)] == q for q in paths)]
+    return tuple((p, draw(st.sampled_from(_bad_values(p, _get(_CORNER, p))))) for p in paths)
+
+
+def _names(key, path):
+    """Whether a problem line's dotted key can name the corrupted key at path:
+    the key, a section holding it or a key inside it, its misspelling, a key of
+    its section, or a top-level key one check reads with it."""
+    dotted = _dotted(path)
+    misspelt = _dotted(path[:-1] + (path[-1][:-1],))
+    parent = dotted[:len(dotted) - len(path[-1])]
+    return (key in (dotted, misspelt)
+            or dotted.startswith((key + ".", key + "["))
+            or key.startswith((dotted + ".", dotted + "["))
+            or (parent != "" and key.startswith(parent))
+            or (parent == "" and any({key, dotted} <= group for group in _GROUPS)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(corruptions=_corruptions())
+@example(corruptions=((("tx_array", "rows"), 0),))
+@example(corruptions=((("tx_array", "spacing"), -0.5),))
+@example(corruptions=((("tx_codebook", "az_step"), 0),))
+@example(corruptions=((("tx_codebook", "zen_max"), 190),))
+@example(corruptions=((("tx_trajectory", "kind"), "statik"),))
+def test_every_config_problem_is_reported_at_load_under_its_key(tmp_path_factory, corruptions):
+    raw = copy.deepcopy(_CORNER)
+    for path, value in corruptions:
+        parent = _get(raw, path[:-1])
+        if value in (_DELETE, _MISSPELL):
+            moved = parent.pop(path[-1])
+            if value == _MISSPELL:  # the last letter dropped
+                parent[path[-1][:-1]] = moved
+        else:
+            parent[path[-1]] = value
+    work = tmp_path_factory.getbasetemp()
+    cfg = work / "corrupt.cfg"
+    cfg.write_text(yaml.safe_dump(raw))
+    errs = []
+    for cmd in ("generate-trace", "simulate", "sweep"):
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            assert main([cmd, "--config", str(cfg), "--out", str(work / "out.csv")]) == 2, cmd
+        errs.append(err.getvalue())
+    assert errs[0] == errs[1] == errs[2]
+    lines = errs[0].splitlines()
+    assert lines and len(set(lines)) == len(lines) and "Traceback" not in errs[0]
+    keys = []
+    for line in lines:
+        head, sep, problem = line.removeprefix("config error: ").partition(": ")
+        assert line.startswith("config error: ") and sep and problem, line
+        keys.append(head)
+    for key in keys:
+        assert any(_names(key, path) for path, _ in corruptions), (key, lines)
+    for path, _ in corruptions:
+        assert any(_names(key, path) for key in keys), (path, lines)
+
+
+def test_generate_trace_builds_no_codebook_and_reads_no_amc_file(tmp_path, capsys, monkeypatch):
+    # the codebook step asks for petabytes of beams and the AMC file is absent:
+    # generate-trace needs neither, so it writes the trace it writes without them
+    plain, lazy = tmp_path / "plain.cfg", tmp_path / "lazy.cfg"
+    plain.write_text(SCENE_CFG)
+    lazy.write_text(SCENE_CFG.replace("az_step: 30.0", "az_step: 1.0e-12", 1)
+                    + "amc_table_path: amc.csv\n")
+    assert main(["generate-trace", "--config", str(plain), "--out", str(tmp_path / "a.csv")]) == 0
+    assert main(["generate-trace", "--config", str(lazy), "--out", str(tmp_path / "b.csv")]) == 0
+    with monkeypatch.context() as patched:
+        def refuse(*args, **kwargs):
+            raise AssertionError("generate_codebook called")
+        patched.setattr(scenario, "generate_codebook", refuse)
+        assert main(["generate-trace", "--config", str(lazy),
+                     "--out", str(tmp_path / "c.csv")]) == 0
+    want = (tmp_path / "a.csv").read_bytes()
+    assert (tmp_path / "b.csv").read_bytes() == want == (tmp_path / "c.csv").read_bytes()
+    capsys.readouterr()
+    # simulate reads the AMC file before it builds the codebooks
+    assert main(["simulate", "--config", str(lazy), "--out", str(tmp_path / "x.csv")]) == 3
+    assert capsys.readouterr().err.startswith("i/o error: ")
+    (tmp_path / "amc.csv").write_text(
+        "mcs,sinr_threshold_db,spectral_efficiency\n0,-5.0,0.25\n1,5.0,1.5\n")
+    assert main(["simulate", "--config", str(lazy), "--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err.startswith("error: not enough memory: Unable to allocate ")
+    assert not (tmp_path / "x.csv").exists()

@@ -84,7 +84,7 @@ def test_budget_validation():
                                    "temperature_k", "interference_w"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_budget_rejects_non_finite_fields(field, value):
-    with pytest.raises(ValueError, match="link budget values must be finite"):
+    with pytest.raises(ValueError, match=f"^{field} must be finite, got "):
         budget(**{field: value})
 
 

@@ -68,9 +68,11 @@ def test_parse_all_path_types():
         for i, pt in enumerate(["LOS", "REFL", "DIFF", "SCAT"])
     )
     trace = parse_trace_text(f"{HEADER}\n{rows}\n")
-    assert [r.path_type for r in trace] == [
-        PathType.LOS, PathType.REFLECTION, PathType.DIFFRACTION, PathType.SCATTERING,
-    ]
+    members = [PathType.LOS, PathType.REFLECTION, PathType.DIFFRACTION, PathType.SCATTERING]
+    assert [r.path_type for r in trace] == members
+    # the parser's column and TraceSet(records)' hold the members themselves
+    for col in (trace.columns["path_type"], TraceSet(trace.records).columns["path_type"]):
+        assert col.dtype == object and all(a is b for a, b in zip(col, members, strict=True))
 
 
 def test_parse_skips_blank_lines():

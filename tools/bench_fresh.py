@@ -35,8 +35,9 @@ the interpreter and its imports included), and the time spent inside
 - per-row evaluation (``eval_s``): ``_row_powers``, one pass per block of
   rows; ``evals`` counts the rows evaluated,
 - ``parse_trace`` (``parse_s``; 0 when the config traces its own scene),
-- ``load_config`` (``load_s``) and ``build_setup`` (``setup_s``: the arrays,
-  codebooks and link budget).
+- ``load_config`` (``load_s``: the YAML, and the subband grid, arrays, link
+  budget, snapshot grid and trajectories it builds) and ``build_setup``
+  (``setup_s``: the AMC table and the codebooks).
 
 The stages are disjoint: a wrapped function called inside another wrapped
 call (``_subband_terms`` inside ``_row_powers``) is part of the stage that

@@ -22,9 +22,10 @@ where whole responses are read (steering_matrix, a channel's a_rx and a_tx).
 
 Each factor is a uniform phase ramp exp(j phi k), k = 0..n-1, and so are
 the channel's subband coefficients over the subband index. One private
-kernel, _phase_ramp, computes every such ramp from two short exponential
-tables, about 2 sqrt(n) complex exponentials a ramp instead of n: a
-direction costs about 2 (sqrt(R) + sqrt(C)) instead of R + C.
+kernel, _ramp_tables, computes a ramp's two short exponential tables,
+about 2 sqrt(n) complex exponentials a ramp instead of n, and _phase_ramp
+forms every term from them: a direction costs about 2 (sqrt(R) + sqrt(C))
+instead of R + C.
 
 The row factor depends on the zenith alone, so a codebook takes one row
 ramp per grid zenith (_row_factors) and its column factors per beam
@@ -128,12 +129,12 @@ class PlanarArray:
         for name in ("wavelength_m", "spacing", "bearing_deg"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if self.n_rows < 1 or self.n_cols < 1:
-            raise ValueError("array must have at least one row and column")
-        if self.wavelength_m <= 0:
-            raise ValueError("wavelength_m must be positive")
-        if self.spacing <= 0:
-            raise ValueError("spacing must be positive")
+        for name, rule, ok in (("n_rows", ">= 1", self.n_rows >= 1),
+                               ("n_cols", ">= 1", self.n_cols >= 1),
+                               ("wavelength_m", "> 0", self.wavelength_m > 0),
+                               ("spacing", "> 0", self.spacing > 0)):
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
     @property
     def n_elements(self) -> int:
@@ -174,21 +175,38 @@ def _col_factors(array: PlanarArray, az_deg: np.ndarray, zen_deg: np.ndarray) ->
 def _phase_ramp(phi: np.ndarray, n: int) -> np.ndarray:
     """exp(1j * phi[:, None] * arange(n)): the (D, n) ramps of D phase steps phi, n >= 1.
 
-    exp(j phi k) = exp(j phi a m) exp(j phi b) for k = a m + b, so with
-    m = ceil(sqrt(n)) a coarse table over a < ceil(n / m) and a fine table
-    over b < m give every term in one broadcast product: about 2 sqrt(n)
-    complex exponentials a row instead of n. The product writes a new array,
-    not over a table, and runs along one row at a time, so a row is
-    bit-equal whichever rows share its call. The result may be a view cut
-    from a (D, m ceil(n / m)) array.
+    Term k = a m + b is the product coarse[:, a] * fine[:, b] of the
+    _ramp_tables. The product writes a new array, not over a table, and runs
+    along one row at a time, so a row is bit-equal whichever rows share its
+    call. The result may be a view cut from a (D, m ceil(n / m)) array.
     """
-    m = math.isqrt(n - 1) + 1
+    m = _ramp_width(n)
     # held first, so a ramp too long to hold fails before any exponential is taken
     ramps = np.empty((len(phi), -(-n // m), m), complex)
-    fine = np.exp(1j * np.multiply.outer(phi, np.arange(m)))  # (D, m)
-    coarse = np.exp(1j * np.multiply.outer(phi, np.arange(0, n, m)))  # (D, ceil(n / m))
+    coarse, fine = _ramp_tables(phi, n)
     np.multiply(coarse[:, :, None], fine[:, None, :], out=ramps)
     return ramps.reshape(len(phi), ramps.shape[1] * m)[:, :n]
+
+
+def _ramp_width(n: int) -> int:
+    """m = ceil(sqrt(n)), the fine table's width of an n-term ramp, n >= 1."""
+    return math.isqrt(n - 1) + 1
+
+
+def _ramp_tables(phi: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (D, ceil(n / m)) coarse and (D, m) fine tables of n-term ramps, m = _ramp_width(n).
+
+    exp(j phi k) = exp(j phi a m) exp(j phi b) for k = a m + b, so the
+    coarse table over a < ceil(n / m) and the fine table over b < m give
+    every term as one product: about 2 sqrt(n) complex exponentials a row
+    instead of n. The one ramp kernel: _phase_ramp forms the products, and a
+    caller that contracts a ramp with other terms may contract the tables
+    instead (link._row_powers).
+    """
+    m = _ramp_width(n)
+    fine = np.exp(1j * np.multiply.outer(phi, np.arange(m)))  # (D, m)
+    coarse = np.exp(1j * np.multiply.outer(phi, np.arange(0, n, m)))  # (D, ceil(n / m))
+    return coarse, fine
 
 
 def steering_matrix(array: PlanarArray, az_deg: ArrayLike, zen_deg: ArrayLike) -> np.ndarray:

@@ -22,13 +22,14 @@ factors define the (N_rx, P) arrival and (N_tx, P) departure steering
 matrices A_rx and A_tx. A channel stores only its PathFactors: c, A_rx,
 A_tx and the dense (K, N_rx, N_tx) tensor are computed from them when
 read. The subband offsets step evenly, so a path's coefficients are a
-phase ramp over the subband index times one first term: _subband_terms
-computes them as (P, K) rows, about 2 sqrt(K) complex exponentials a path
-(see arrays._phase_ramp), and a row's bits do not depend on which paths
-share the call. So every consumer computes the coefficients it needs from
-the factors it holds: ChannelMatrixSet.coef, a beam sweep for its chunk of
-channels, and run_simulation's row evaluation for its block of rows, all
-bit-equal on the same paths.
+phase ramp over the subband index times one first term (_subband_ramp):
+_subband_terms computes them as (P, K) rows, about 2 sqrt(K) complex
+exponentials a path (see arrays._phase_ramp), and a row's bits do not
+depend on which paths share the call. ChannelMatrixSet.coef and a beam
+sweep, for its chunk of channels, compute the coefficients they need from
+the factors they hold, bit-equal on the same paths. run_simulation's row
+evaluation forms no (P, K) terms: it contracts the ramp's coarse and fine
+tables (arrays._ramp_tables) with its paths' first terms and beam gains.
 """
 
 from __future__ import annotations
@@ -181,19 +182,30 @@ def build_channel_matrices(
 def _subband_terms(scale: np.ndarray, delay: np.ndarray, grid: SubbandGrid) -> np.ndarray:
     """The (P, K) terms scale[p] exp(-j 2 pi df_k delay[p]) of P paths on grid's subbands.
 
+    Each path's row is its _subband_ramp first term times the ramp of its
+    step (arrays._phase_ramp): about 2 sqrt(K) complex exponentials a path
+    instead of K. Every product writes a new array from named or view
+    operands (see the rule in beams), so a path's row is bit-equal whichever
+    paths share the call, and a channel's coef is the transposed rows of its
+    paths.
+    """
+    first, phi = _subband_ramp(scale, delay, grid)
+    return first[:, None] * _phase_ramp(phi, grid.n_subbands)
+
+
+def _subband_ramp(scale: np.ndarray, delay: np.ndarray,
+                  grid: SubbandGrid) -> tuple[np.ndarray, np.ndarray]:
+    """The (P,) first terms and phase steps of P paths' subband terms over k.
+
     Subband k's center sits df_k = (k + 0.5) B/K - B/2 from the carrier, so
     the offsets step evenly from the first one, f_0 = B/(2K) - B/2, and a
-    path's row is scale exp(-j 2 pi f_0 tau) times the phase ramp of step
-    -2 pi (B/K) tau (arrays._phase_ramp): about 2 sqrt(K) complex
-    exponentials a path instead of K. Every product writes a new array from
-    named or view operands (see the rule in beams), so a path's row is
-    bit-equal whichever paths share the call, and a channel's coef is the
-    transposed rows of its paths.
+    path's terms are its first term scale exp(-j 2 pi f_0 tau) times the
+    phase ramp of step -2 pi (B/K) tau.
     """
     step = grid.bandwidth_hz / grid.n_subbands
     turn = np.exp(-2j * math.pi * (0.5 * step - grid.bandwidth_hz / 2) * delay)
     first = scale * turn
-    return first[:, None] * _phase_ramp(-2.0 * math.pi * step * delay, grid.n_subbands)
+    return first, -2.0 * math.pi * step * delay
 
 
 def _finite_power(power: float, t: float) -> float:

@@ -27,12 +27,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .arrays import PlanarArray, _ramp_tables, _ramp_width
 from .beams import BeamCodebook, BeamSelection, _gains, _sweep_spans
-from .channel import PathFactors, SubbandGrid, _finite_power, _subband_terms, path_factors
+from .channel import PathFactors, SubbandGrid, _finite_power, _subband_ramp, path_factors
 # build_channel_matrices is not used here; perfbench/tests/test_perfbench.py reads
 # tracechan.link.build_channel_matrices, so the name stays importable from link
 from .channel import build_channel_matrices  # noqa: F401
-from .arrays import PlanarArray
 from .traces import PathType, TraceSet
 
 __all__ = [
@@ -352,9 +352,9 @@ def snapshot_rows(trace: TraceSet, setup: SimulationSetup) -> tuple[list[float],
     return row_times.tolist(), np.cumsum(offsets, out=offsets)
 
 
-# run_simulation takes the link's path factors, their (P, K) subband terms and the
-# terms' product with the rows' beam gains, a block of rows of about this many bytes
-# at a time: a long link is never held whole
+# run_simulation takes the link's path factors and their subband ramp tables (see
+# _row_powers) a block of rows of about this many bytes at a time: a long link is never
+# held whole
 _FACTOR_BYTES = 1 << 20
 
 
@@ -363,21 +363,36 @@ def _row_powers(factors: PathFactors, counts: np.ndarray, tx_index: np.ndarray,
                 rx_index: np.ndarray, setup: SimulationSetup) -> np.ndarray:
     """Each row's power through beams tx_index[i], rx_index[i], watts, from its counts[i] paths.
 
-    The rows' paths are factors, in row order. The paths' (P, K) _subband_terms, whose rows
-    transposed are the coefficients of the rows' channels, are computed here. Only
-    elementwise products with no elided temporary (see beams) and per-row sums run: no row
-    depends on another.
+    The rows' paths are factors, in row order. Path p's coefficient on
+    subband k = a m + b is first_p coarse_p[a] fine_p[b] (channel._subband_ramp,
+    arrays._ramp_tables), so with y_p = first_p (rx gain_p conj tx gain_p) a
+    row's amplitudes are the first K entries of the (A, m) grid
+    sum_p (y_p coarse_p)^T fine_p over its paths: no (P, K) terms are formed.
+    The rows of one path count take that sum as one stacked (A x P)(P x m)
+    product. Every complex product writes a new array from named or view
+    operands (see beams), and each row's product has the same shape and
+    layout in any block, so no row depends on another.
     """
-    has, power = counts > 0, np.zeros(len(counts))
-    if has.any():
-        rx_g = _gains(setup.rx_codebook, np.repeat(rx_index, counts), factors.rx_rows,
-                      factors.rx_cols)
-        tx_conj = _gains(setup.tx_codebook, np.repeat(tx_index, counts), factors.tx_rows,
-                         factors.tx_cols).conj()
-        x = rx_g * tx_conj
-        terms = _subband_terms(factors.phasor, factors.delay, setup.grid)
-        amp = np.add.reduceat(terms * x[:, None], (np.cumsum(counts) - counts)[has], axis=0)
-        power[has] = (setup.budget.tx_power_w / setup.grid.n_subbands * np.abs(amp) ** 2).sum(1)
+    power, n = np.zeros(len(counts)), setup.grid.n_subbands
+    if not counts.any():
+        return power
+    rx_g = _gains(setup.rx_codebook, np.repeat(rx_index, counts), factors.rx_rows,
+                  factors.rx_cols)
+    tx_conj = _gains(setup.tx_codebook, np.repeat(tx_index, counts), factors.tx_rows,
+                     factors.tx_cols).conj()
+    x = rx_g * tx_conj
+    first, phi = _subband_ramp(factors.phasor, factors.delay, setup.grid)
+    y = first * x
+    coarse, fine = _ramp_tables(phi, n)
+    weighted = y[:, None] * coarse  # (P, A)
+    starts = np.cumsum(counts) - counts
+    for p in dict.fromkeys(counts[counts > 0].tolist()):
+        rows = np.flatnonzero(counts == p)
+        paths = (starts[rows, None] + np.arange(p)).ravel()
+        grids = np.matmul(weighted[paths].reshape(len(rows), p, -1).transpose(0, 2, 1),
+                          fine[paths].reshape(len(rows), p, -1))  # (rows, A, m)
+        amp = grids.reshape(len(rows), -1)[:, :n]
+        power[rows] = (setup.budget.tx_power_w / n * np.abs(amp) ** 2).sum(1)
     return power
 
 
@@ -424,8 +439,11 @@ def run_simulation(trace: TraceSet, setup: SimulationSetup) -> LinkColumns:
     are held until the next training. A training row that is an outage finds
     no paths, so training stays due and the next row trains. The schedule
     depends only on the row times and on which rows have paths, so it is
-    fixed up front. Each block of path_factors sweeps all of its training
-    rows in one _sweep_spans call on their spans of the block's factors,
+    fixed up front. A block of rows holds about _FACTOR_BYTES of path
+    factors and ramp tables: R + C steering-factor entries a side and
+    2 + A + m complex values a path, the A coarse and m fine ramp-table
+    entries of _row_powers. Each block sweeps all of its training rows in
+    one _sweep_spans call on their spans of the block's factors,
     forward-fills the trained beam indices over the block's rows, and
     computes every row's power through its held pair in one _row_powers
     pass, with no per-row channel or selection. SINR (compute_sinr's
@@ -446,8 +464,10 @@ def run_simulation(trace: TraceSet, setup: SimulationSetup) -> LinkColumns:
         trains[i] = t >= due - GRID_TOL_S
         if trains[i] and has:
             due = t + setup.training_period_s
+    m = _ramp_width(setup.grid.n_subbands)
+    tables = -(-setup.grid.n_subbands // m) + m  # A + m ramp-table entries a path
     block = max(1, _FACTOR_BYTES // (16 * (tx.n_rows + tx.n_cols + rx.n_rows + rx.n_cols + 2
-                                           + 2 * setup.grid.n_subbands)))  # bytes a path
+                                           + tables)))  # bytes a path
     tx_index, rx_index = np.zeros(len(times), np.intp), np.zeros(len(times), np.intp)
     power, columns = np.zeros(len(times)), ([], [], [], [])  # sinr, mcs, delivered, delay
     first, last = 0, 0  # the next block's first row, and the latest training row before it

@@ -232,6 +232,9 @@ class _Reader:
 
 _ARRAY = {"rows": (_as_count,), "cols": (_as_count,), "spacing": (_as_float,),
           "bearing_deg": (_as_float,)}
+# the array section's key of each PlanarArray field that starts a message
+_ARRAY_KEY_OF = {"n_rows": "rows", "n_cols": "cols", "spacing": "spacing",
+                 "bearing_deg": "bearing_deg"}
 
 
 def _parse_array(reader: _Reader, name: str, wavelength_m: float) -> PlanarArray | None:
@@ -239,7 +242,8 @@ def _parse_array(reader: _Reader, name: str, wavelength_m: float) -> PlanarArray
     reader.reject_unknown(sec, _ARRAY, f"{name}.")
     a = reader.read(sec, f"{name}.", _ARRAY)
     return reader.build(name, PlanarArray, a["rows"], a["cols"], wavelength_m, a["spacing"],
-                        a["bearing_deg"])
+                        a["bearing_deg"],
+                        names={field: f"{name}.{key}" for field, key in _ARRAY_KEY_OF.items()})
 
 
 # a codebook's azimuth bounds, and its zenith or its elevation bounds

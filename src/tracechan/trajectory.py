@@ -77,10 +77,13 @@ _KINDS = {
 }
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a position that overflows raises instead
 def make_trajectory(kind: str, params: dict, times: np.ndarray) -> np.ndarray:
     """Dispatch on kind: static, linear, or circular.
 
-    params must hold exactly the kind's parameters, by name.
+    params must hold exactly the kind's parameters, by name. Parameters whose
+    positions overflow (a velocity of 1e308 m/s) raise ValueError naming the
+    first grid time whose position is not finite.
     """
     if not isinstance(kind, str) or kind not in _KINDS:
         raise ValueError(f"unknown trajectory kind {kind!r}")
@@ -91,4 +94,10 @@ def make_trajectory(kind: str, params: dict, times: np.ndarray) -> np.ndarray:
     extra = [key for key in params if key not in names]
     if extra:
         raise ValueError(f"trajectory kind {kind!r} does not take {', '.join(map(repr, extra))}")
-    return func(*(params[name] for name in names), times)
+    positions = func(*(params[name] for name in names), times)
+    finite = np.isfinite(positions).all(axis=1)
+    if not finite.all():
+        i = int(finite.argmin())
+        raise ValueError(f"{kind} trajectory: position at t={float(times[i])!r} is not finite, "
+                         f"got {positions[i].tolist()!r}")
+    return positions

@@ -121,11 +121,14 @@ def test_element_positions_bearing_rotation():
 
 
 def test_array_validation():
-    with pytest.raises(ValueError):
+    # each message names the field and its value
+    with pytest.raises(ValueError, match=r"^n_rows must be >= 1, got 0$"):
         PlanarArray(0, 4, LAM)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^n_cols must be >= 1, got -2$"):
+        PlanarArray(4, -2, LAM)
+    with pytest.raises(ValueError, match=r"^wavelength_m must be > 0, got -1.0$"):
         PlanarArray(4, 4, -1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^spacing must be > 0, got 0.0$"):
         PlanarArray(4, 4, LAM, spacing=0.0)
     assert PlanarArray(16, 16, LAM).n_elements == 256
 

@@ -353,6 +353,21 @@ def test_trajectory_parameter_shapes_exit_2(tmp_path, capsys, node, params, prob
     assert capsys.readouterr().err == f"config error: {problem}\n"
 
 
+@pytest.mark.parametrize("cmd", ["generate-trace", "simulate", "sweep"])
+def test_trajectory_overflow_is_one_config_error_without_warning(tmp_path, capsys, cmd):
+    # the receiver's position overflows to -inf at t=2.0: one keyed line at
+    # load, exit 2, and no numpy warning (raised here as an error)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(Path(CORNER_CFG).read_text().replace("velocity: [0.0, -1.5, 0.0]",
+                                                        "velocity: [0.0, -1.0e+308, 0.0]", 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main([cmd, "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err == (
+        "config error: rx_trajectory: linear trajectory: position at t=2.0 is not finite, "
+        "got [7.0, -inf, 1.5]\n")
+
+
 @pytest.mark.parametrize("base, old, new, problem", [
     # a linear walk that still carries the circular kind's parameters
     (ETOILE_CFG, "kind: circular", "kind: linear\n  start: [55.0, 0.0, 1.5]\n"
@@ -505,12 +520,22 @@ def test_replay_past_duration_exits_2(scene_cfg, tmp_path, capsys):
      "config error: tx_codebook: azimuth grid step 1e-320 gives more than 2**63 points\n"),
     ("snapshot_dt_s: 0.25", "snapshot_dt_s: 1.0e-320",
      "config error: snapshot_dt_s: 1e-320 gives more than 2**63 snapshots\n"),
+    # an array field's problem goes under its own key, naming its value
+    ("tx_array: {rows: 4,", "tx_array: {rows: 0,",
+     "config error: tx_array.rows: must be >= 1, got 0\n"),
+    ("rx_array: {rows: 2, cols: 2,", "rx_array: {rows: 2, cols: 0,",
+     "config error: rx_array.cols: must be >= 1, got 0\n"),
+    ("tx_array: {rows: 4, cols: 4, spacing: 0.5", "tx_array: {rows: 4, cols: 4, spacing: -0.5",
+     "config error: tx_array.spacing: must be > 0, got -0.5\n"),
+    ("tx_array: {rows: 4,", "tx_array: {rows: 1.5,",
+     "config error: tx_array.rows: must be an integer, got 1.5\n"),
 ], ids=["subbands-inf", "codebook-bound-inf", "equal-node-ids", "node-id-2**63",
         "node-id-negative", "reflection-order-negative", "coincident-nodes", "diffracting-edge-inf",
         "diffracting-edges-string", "diffracting-edges-int", "diffracting-edge-repeated",
         "txpower-overflow", "noise-figure-overflow", "noise-underflow",
         "temperature-underflow", "int-too-large", "codebook-step-subnormal",
-        "snapshot-step-subnormal"])
+        "snapshot-step-subnormal", "array-rows-zero", "array-cols-zero",
+        "array-spacing-negative", "array-rows-fractional"])
 @pytest.mark.parametrize("cmd", ["generate-trace", "simulate", "sweep"])
 def test_degenerate_inputs_exit_2(tmp_path, capsys, cmd, old, new, problem):
     cfg = tmp_path / "bad.cfg"

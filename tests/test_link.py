@@ -4,7 +4,10 @@ import bisect
 import csv
 import io
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -14,6 +17,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import tracechan
+import tracechan.arrays as arrays_module
+import tracechan.channel as channel_module
 import tracechan.link as link_module
 from conftest import blocked_corner_config, dft_codebook, mk_record, replay_config
 from tracechan import (
@@ -41,9 +47,9 @@ from tracechan import (
     trace_to_text,
 )
 from tracechan.arrays import _wrap_azimuth
-from tracechan.beams import BeamCodebook
-from tracechan.channel import (ChannelMatrixSet, beamformed_power, build_channel_matrices,
-                               path_factors)
+from tracechan.beams import BeamCodebook, _gains
+from tracechan.channel import (ChannelMatrixSet, _subband_terms, beamformed_power,
+                               build_channel_matrices, path_factors)
 from tracechan.cli import main
 from tracechan.link import METRICS_COLUMNS, SINR_FLOOR_DB, snapshot_rows
 from tracechan.scenario import build_rt_scenario, build_setup, load_config
@@ -833,18 +839,33 @@ def test_link_wide_factors_match_per_snapshot_builds(data):
     factor_bytes=st.sampled_from([1, 700, 1 << 20]),
     seed=st.integers(0, 2**32 - 1),
     tx_shape=st.just((3, 4)),
+    subbands=st.sampled_from([5, 273]),
 )
 # a training row that is an outage (row 3), and held pairs in one-row blocks
-@example(counts=[0, 1, 1, 0, 2, 1, 3], period=0.2, factor_bytes=1, seed=0, tx_shape=(3, 4))
+@example(counts=[0, 1, 1, 0, 2, 1, 3], period=0.2, factor_bytes=1, seed=0, tx_shape=(3, 4),
+         subbands=5)
 # a held pair whose block starts mid-way between two trainings
-@example(counts=[2, 1, 3, 1, 1, 2, 1], period=0.35, factor_bytes=700, seed=1, tx_shape=(3, 4))
+@example(counts=[2, 1, 3, 1, 1, 2, 1], period=0.35, factor_bytes=700, seed=1, tx_shape=(3, 4),
+         subbands=5)
+# 273 subbands (17 x 17 ramp tables, 289 > 273 amplitudes a row) with mixed path
+# counts, outages and held pairs in one block
+@example(counts=[0, 3, 1, 0, 2, 5, 3, 3, 1], period=0.2, factor_bytes=1 << 20, seed=3,
+         tx_shape=(3, 4), subbands=273)
 # real size: 24 rows of 64 paths on a 16 x 16 tx array, in one-row blocks, the
 # shipped blocks and 8 MiB ones. A block of 16 or more rows has (P, 16) gain
 # temporaries of 16,384 elements or more, which numpy would elide
-@example(counts=[64] * 24, period=0.35, factor_bytes=1, seed=2, tx_shape=(16, 16))
-@example(counts=[64] * 24, period=0.35, factor_bytes=1 << 20, seed=2, tx_shape=(16, 16))
-@example(counts=[64] * 24, period=0.35, factor_bytes=8 << 20, seed=2, tx_shape=(16, 16))
-def test_row_power_does_not_depend_on_its_block(counts, period, factor_bytes, seed, tx_shape):
+@example(counts=[64] * 24, period=0.35, factor_bytes=1, seed=2, tx_shape=(16, 16), subbands=5)
+@example(counts=[64] * 24, period=0.35, factor_bytes=1 << 20, seed=2, tx_shape=(16, 16),
+         subbands=5)
+@example(counts=[64] * 24, period=0.35, factor_bytes=8 << 20, seed=2, tx_shape=(16, 16),
+         subbands=5)
+# and at 273 subbands, where the shipped block size holds about 14 such rows
+@example(counts=[64] * 24, period=0.35, factor_bytes=1 << 20, seed=2, tx_shape=(16, 16),
+         subbands=273)
+@example(counts=[64] * 24, period=0.35, factor_bytes=8 << 20, seed=4, tx_shape=(16, 16),
+         subbands=273)
+def test_row_power_does_not_depend_on_its_block(counts, period, factor_bytes, seed, tx_shape,
+                                                subbands):
     # each row's power is bit-equal to its row evaluated alone, from its own
     # factors, whichever rows share its block, and matches beamformed_power
     # on the row's own channel
@@ -857,7 +878,7 @@ def test_row_power_does_not_depend_on_its_block(counts, period, factor_bytes, se
     tx_arr, rx_arr = PlanarArray(*tx_shape, LAM, bearing_deg=20.0), PlanarArray(2, 3, LAM)
     setup = replace(
         _free_space_setup(training_period=period), tx_array=tx_arr, rx_array=rx_arr,
-        grid=SubbandGrid(28e9, 100e6, 5),
+        grid=SubbandGrid(28e9, 100e6, subbands),
         tx_codebook=generate_codebook(tx_arr, -60.0, 60.0, 30.0, 60.0, 120.0, 30.0),
         rx_codebook=generate_codebook(rx_arr, -180.0, 90.0, 90.0, 90.0, 90.0, 1.0),
         times=tuple(0.1 * k for k in range(len(counts))),
@@ -880,6 +901,118 @@ def test_row_power_does_not_depend_on_its_block(counts, period, factor_bytes, se
             setup.rx_codebook.weights[sel.rx_index], setup.budget.tx_power_w)
         assert sel.power_w == pytest.approx(want, rel=1e-12, abs=0.0), f"row {i}"
         assert m.sinr_db == compute_sinr(sel.power_w, setup.budget)
+
+
+def _row_powers_from_terms(factors, counts, tx_index, rx_index, setup):
+    """Each row's power from its paths' (P, K) _subband_terms times their beam gains,
+    summed over the row's paths: the oracle of _row_powers' ramp-table kernel."""
+    has, power = counts > 0, np.zeros(len(counts))
+    if has.any():
+        rx_g = _gains(setup.rx_codebook, np.repeat(rx_index, counts), factors.rx_rows,
+                      factors.rx_cols)
+        tx_conj = _gains(setup.tx_codebook, np.repeat(tx_index, counts), factors.tx_rows,
+                         factors.tx_cols).conj()
+        x = rx_g * tx_conj
+        terms = _subband_terms(factors.phasor, factors.delay, setup.grid)
+        amp = np.add.reduceat(terms * x[:, None], (np.cumsum(counts) - counts)[has], axis=0)
+        power[has] = (setup.budget.tx_power_w / setup.grid.n_subbands * np.abs(amp) ** 2).sum(1)
+    return power
+
+
+def _random_paths(rng, n, **fixed):
+    """n records at t = 0 with random delays, gains, phases and angles."""
+    return TraceSet([mk_record(
+        path_id=p, delay=rng.uniform(0.0, 1e-6), gain_mag=rng.uniform(1e-6, 1e-3),
+        phase=rng.uniform(-math.pi, math.pi), aod_az=rng.uniform(-180.0, 180.0),
+        aod_zen=rng.uniform(0.0, 180.0), aoa_az=rng.uniform(-180.0, 180.0),
+        aoa_zen=rng.uniform(0.0, 180.0), **fixed) for p in range(n)])
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    counts=st.lists(st.sampled_from([0, 1, 2, 7, 64]), min_size=1, max_size=8),
+    subbands=st.sampled_from([1, 2, 5, 8, 64, 273]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(counts=[0], subbands=1, seed=0)
+@example(counts=[1], subbands=1, seed=1)
+# A * m > K: 6 amplitudes for 5 subbands, 9 for 8 and 289 for 273
+@example(counts=[3, 0, 1, 7], subbands=5, seed=2)
+@example(counts=[64, 2, 64, 0], subbands=8, seed=3)
+@example(counts=[1, 0, 64, 2, 64, 1, 7], subbands=273, seed=4)
+def test_row_powers_match_the_subband_terms_oracle(counts, subbands, seed):
+    # the ramp-table kernel forms no (P, K) terms and takes no ramp product, and
+    # agrees with the terms route to 1e-12 relative on every row
+    rng = np.random.default_rng(seed)
+    counts = np.array(counts)
+    tx_arr, rx_arr = PlanarArray(3, 4, LAM, bearing_deg=20.0), PlanarArray(2, 3, LAM)
+    setup = replace(
+        _free_space_setup(), tx_array=tx_arr, rx_array=rx_arr,
+        grid=SubbandGrid(28e9, 400e6, subbands),
+        tx_codebook=generate_codebook(tx_arr, -60.0, 60.0, 30.0, 60.0, 120.0, 30.0),
+        rx_codebook=generate_codebook(rx_arr, -180.0, 90.0, 90.0, 90.0, 90.0, 1.0),
+    )
+    factors = path_factors(_random_paths(rng, int(counts.sum())), tx_arr, rx_arr)
+    tx_index = rng.integers(len(setup.tx_codebook), size=len(counts))
+    rx_index = rng.integers(len(setup.rx_codebook), size=len(counts))
+    with pytest.MonkeyPatch.context() as mp:
+        for module, name in ((channel_module, "_subband_terms"), (arrays_module, "_phase_ramp")):
+            mp.setattr(module, name, lambda *args, _name=name: pytest.fail(f"{_name} called"))
+        got = link_module._row_powers(factors, counts, tx_index, rx_index, setup)
+    want = _row_powers_from_terms(factors, counts, tx_index, rx_index, setup)
+    assert (got[counts == 0] == 0.0).all() and (want[counts > 0] > 0.0).all()
+    assert (np.abs(got - want) <= 1e-12 * want).all(), np.abs(got - want) / want
+
+
+# run_simulation's powers and _row_powers on many-path rows, printed as hex: the
+# rows of 2,048 paths at 1,024 subbands take (32 x 2,048)(2,048 x 32) products,
+# large enough for OpenBLAS to split over threads
+_THREADS_CHILD = r"""
+import numpy as np
+from dataclasses import replace
+from tracechan import (AmcTable, LinkBudget, MpcRecord, PathType, PlanarArray, SimulationSetup,
+                       SubbandGrid, TraceSet, generate_codebook, run_simulation)
+from tracechan.channel import path_factors
+from tracechan.link import _row_powers
+
+rng = np.random.default_rng(35)
+lam = 299792458.0 / 28e9
+tx_arr, rx_arr = PlanarArray(16, 16, lam), PlanarArray(4, 4, lam)
+def paths(t, n):
+    return [MpcRecord(t, 0, 1, p, PathType.REFLECTION, rng.uniform(50e-9, 500e-9),
+                      rng.uniform(1e-7, 1e-5), rng.uniform(-3.1, 3.1), rng.uniform(-180, 180),
+                      rng.uniform(70, 110), rng.uniform(-180, 180), rng.uniform(70, 110))
+            for p in range(n)]
+setup = SimulationSetup(
+    tx_arr, rx_arr, SubbandGrid(28e9, 400e6, 273), LinkBudget(0.1, 400e6, 5.0),
+    AmcTable.default(), generate_codebook(tx_arr, -180.0, 170.0, 10.0, 60.0, 120.0, 10.0),
+    generate_codebook(rx_arr, -180.0, 170.0, 10.0, 60.0, 120.0, 10.0), 0.35, 122e6, 0.14,
+    tuple(0.1 * k for k in range(24)))
+trace = TraceSet([r for k in range(24) for r in paths(0.1 * k, 64)])
+print(*(p.hex() for p in run_simulation(trace, setup).power_w))
+wide = replace(setup, grid=SubbandGrid(28e9, 400e6, 1024))
+counts = np.array([2048, 64, 2048])
+factors = path_factors(paths(0.0, int(counts.sum())), tx_arr, rx_arr)
+beams = rng.integers(len(setup.tx_codebook), size=(2, len(counts)))
+print(*(p.hex() for p in _row_powers(factors, counts, *beams, wide)))
+"""
+
+
+def test_row_powers_are_bit_equal_under_one_and_two_blas_threads():
+    # real size: 24 rows of 64 paths at 273 subbands through run_simulation,
+    # and rows of 2,048 paths at 1,024 subbands, in fresh processes
+    src = str(Path(tracechan.__file__).resolve().parents[1])
+    printed = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "MKL_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        proc = subprocess.run([sys.executable, "-c", _THREADS_CHILD], env=env,
+                              capture_output=True, text=True, check=False)
+        assert proc.returncode == 0, proc.stderr
+        printed.append(proc.stdout)
+    assert len(printed[0].split()) == 27
+    assert printed[0] == printed[1]
 
 
 def test_off_norm_beam_fails_at_codebook_construction():

@@ -33,25 +33,23 @@ pick between them on rounding noise.
 One private entry, _sweep_spans, finds that winner for each of many
 channels whose paths are spans of one PathFactors, by the same row kernel
 as sweep_power_table: ideal_beam_sweeps stacks its channels' factors into
-it, and run_simulation passes its blocks' factors. Where a bound costs
-fewer multiply-adds than the table, only the tx rows whose upper bound
-(_row_bounds) reaches the tie threshold of the best confirmed power are
-computed. In the element basis the bound has one form, a Gram matrix's
-quadratic form; where that costs about as much as the table, every row is
-computed once instead. In the path basis a beam's row factor alone bounds
-its power (_group_bounds), once per distinct row factor (a grid codebook
-has one per zenith), so the beams of a group whose bound cannot reach the
-threshold are not projected at all: the column product, the row bound and
-the confirm are formed for the other groups' beams only. Channels on one
-subband grid with equal path counts are swept together, in chunks, and
-one vectorised pass of the tie rule (_first_tied) picks every winner of a
-chunk (see ideal_beam_sweeps).
+it, and run_simulation passes its blocks' factors. Channels on one subband
+grid with equal path counts are swept together, in chunks, and a chunk is
+one bound-and-confirm loop over the tx beams' row-factor groups (a grid
+codebook has one per zenith). Each round projects the groups that a
+channel still wants, bounds their rows (_row_bounds) and confirms each
+channel's two best-bounded rows, which sets its tie threshold; the next
+round takes the groups whose bound (_group_bounds, in the path basis)
+reaches a threshold. Only rows whose bound reaches the threshold are
+computed, and one vectorised pass of the tie rule (_first_tied) picks
+every winner of a chunk (see ideal_beam_sweeps). In the element basis the
+row bound is a Gram matrix's quadratic form; where that costs about as
+much as the table, every row is computed once instead.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -96,9 +94,9 @@ _ERR_UNIT = 2.0**-50
 
 # _sweep_spans sweeps the channels of one path count in chunks of about this
 # many bytes (at least one channel), counted as the projections a channel
-# holds, 16 bytes a path each: its projected tx rows (its row-factor products
-# and one group's beams where the row-factor bound prunes, every beam
-# elsewhere) and its rx side. So there are few calls per link, and a long link
+# holds, 16 bytes a path each: its projected tx rows (in the path basis its
+# row-factor products and one group's beams, every beam in the element basis)
+# and its rx side. So there are few calls per link, and a long link
 # never holds every training row's projection. Larger chunks bought little
 # speed when a chunk held every tx beam and no rx side: on the arc_wide
 # benchmark (2 vCPUs, 2 BLAS threads) 256 KiB ran 7 % faster for 0.5 MB more
@@ -172,12 +170,11 @@ class BeamCodebook:
         """
         rows = np.ascontiguousarray(self.row_factors)
         keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()
-        counts = Counter(keys)  # in order of first use
-        ids = {key: i for i, key in enumerate(counts)}
-        group = np.array(list(map(ids.__getitem__, keys)), np.intp)
+        ids = {key: i for i, key in enumerate(dict.fromkeys(keys))}  # in order of first use
+        group = np.fromiter(map(ids.__getitem__, keys), np.intp, len(keys))
         distinct = np.frombuffer(b"".join(ids), complex).reshape(len(ids), rows.shape[1])
         norm2 = np.einsum("ij,ij->i", distinct.view(float), distinct.view(float))
-        return distinct, norm2, group, max(counts.values(), default=0)
+        return distinct, norm2, group, int(np.bincount(group).max(initial=0))
 
     def __len__(self) -> int:
         return len(self.azimuth_deg)
@@ -271,18 +268,42 @@ class BeamSelection:
     power_w: float
 
 
-def _project(codebook: BeamCodebook, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """(n_beams, P) inner products ``codebook.weights @ a.conj()``, from the factors.
+def _row_products(codebook: BeamCodebook, rows: np.ndarray) -> np.ndarray:
+    """(D, P) products of the codebook's D distinct row factors with P conjugated path rows.
 
-    a is the (N, P) steering matrix of the codebook's array whose column p
-    is the Kronecker product of rows[p] and cols[p]: the (P, R) row and
-    (P, C) column factors a ChannelMatrixSet keeps in its paths. Factors
-    of another array shape fail in the products with ValueError.
+    rows is (P, R). A one-row product runs as a matrix-vector product, which
+    rounds apart from a row of a matrix-matrix product, so one distinct row
+    factor is multiplied as two rows, as the whole codebook's rows would be,
+    unless the codebook has one beam.
     """
-    t = codebook.row_factors @ rows.T.conj()
-    t *= codebook.col_factors @ cols.T.conj()
+    distinct = codebook._row_groups[0]
+    if len(distinct) == 1 < len(codebook):
+        return (np.concatenate((distinct, distinct)) @ rows.T.conj())[:1]
+    return distinct @ rows.T.conj()
+
+
+def _project(codebook: BeamCodebook, beams: np.ndarray, rho: np.ndarray, cols: np.ndarray,
+             n: int) -> np.ndarray:
+    """(G, len(beams), P) inner products ``codebook.weights[beams] @ a.conj()``, from the factors.
+
+    a is the (N, G P) steering matrix of the codebook's array for n
+    channels' paths in channel order, whose column p is the Kronecker
+    product of the path's row and column factors: rho is their
+    _row_products and cols the (G P, C) column factors. A subset of two or
+    more rows of a matrix-matrix product is bit-equal to those rows of the
+    whole product, so each row is that of the whole codebook's projection.
+    A one-row product runs as a matrix-vector product, which rounds
+    differently, so a single beam is computed with a second one, unless the
+    codebook has one beam. Factors of another array shape fail in the
+    products with ValueError.
+    """
+    rows = beams
+    if len(beams) == 1 < len(codebook):
+        rows = np.append(beams, (beams[0] + 1) % len(codebook))
+    t = rho[codebook._row_groups[2][rows]]
+    t *= codebook.col_factors[rows] @ cols.T.conj()
     t *= 1.0 / math.sqrt(codebook.n_elements)
-    return t
+    return t[:len(beams)].reshape(len(beams), n, -1).transpose(1, 0, 2)
 
 
 def _gains(codebook: BeamCodebook, b: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -321,8 +342,9 @@ def _sweep_factors(
     element-basis pair (G, P, N_rx) and (N_rx, n_rx_b), and only then is
     a_rx assembled, in one _responses call.
     """
-    tx_paths = _project(tx_codebook, f.tx_rows, f.tx_cols).reshape(len(tx_codebook), n, -1)
-    return tx_paths.transpose(1, 0, 2), *_rx_terms(f, n, grid, rx_codebook, p_tx_w)
+    tx_paths = _project(tx_codebook, np.arange(len(tx_codebook)),
+                        _row_products(tx_codebook, f.tx_rows), f.tx_cols, n)
+    return tx_paths, *_rx_terms(f, n, grid, rx_codebook, p_tx_w)
 
 
 def _rx_terms(
@@ -333,8 +355,9 @@ def _rx_terms(
         raise ValueError("p_tx_w must be non-negative")
     p = len(f) // n
     if p <= rx_codebook.n_elements:
-        rx_paths = _project(rx_codebook, f.rx_rows, f.rx_cols).reshape(len(rx_codebook), n, p)
-        rx_side = (rx_paths.conj().transpose(1, 2, 0),)
+        rx_paths = _project(rx_codebook, np.arange(len(rx_codebook)),
+                            _row_products(rx_codebook, f.rx_rows), f.rx_cols, n)
+        rx_side = (rx_paths.conj().swapaxes(1, 2),)
     else:
         a_rx_t = _responses(f.rx_rows, f.rx_cols).T  # (G P, N_rx), C-ordered
         rx_side = (a_rx_t.reshape(n, p, -1), rx_codebook.weights.conj().T)
@@ -549,35 +572,6 @@ def _group_bounds(
     return bound
 
 
-def _prunes(tx_codebook: BeamCodebook, rx_codebook: BeamCodebook, p: int) -> bool:
-    """Whether a sweep of P paths bounds its tx beams by their row factor first.
-
-    It does in the path basis, with two or more distinct row factors. In the
-    element basis (more paths than rx elements) it does not: there every
-    group's bound reached the tie threshold on the many-path benchmarks
-    (47-76 paths on room_trace, 64 on dense_replay), and bounding the rest
-    apart only cost a second Gram form and confirm: room_trace's training
-    sweeps took 4.8 ms where they took 2.9 (in-process, one BLAS thread).
-    """
-    return p <= rx_codebook.n_elements and len(tx_codebook._row_groups[0]) > 1
-
-
-def _beam_paths(codebook: BeamCodebook, beams: np.ndarray, rho: np.ndarray, cols: np.ndarray,
-                n: int) -> np.ndarray:
-    """_project's rows of the given beams, as (G, len(beams), P), from rho of _group_bounds.
-
-    A subset of two or more rows of a matrix-matrix product is bit-equal to
-    those rows of the whole product, so each row is _project's. A one-row
-    product runs as a matrix-vector product, which rounds differently, so
-    a single beam is computed with a second one.
-    """
-    rows = beams if len(beams) > 1 else np.append(beams, (beams[0] + 1) % len(codebook))
-    t = rho[codebook._row_groups[2][rows]]
-    t *= codebook.col_factors[rows] @ cols.T.conj()
-    t *= 1.0 / math.sqrt(codebook.n_elements)
-    return t[:len(beams)].reshape(len(beams), n, -1).transpose(1, 0, 2)
-
-
 @np.errstate(over="ignore", invalid="ignore")  # an overflowed table raises instead
 def sweep_power_table(
     channel: ChannelMatrixSet,
@@ -663,13 +657,18 @@ def ideal_beam_sweeps(
     the element basis has no bound (every bound inf), every row is computed
     once, in one call. When every bound is 0 (no paths, or only zero-gain
     ones) no row is computed: the answer is the all-zero table's pair
-    (0, 0) at 0 W. In the path basis, with two or more distinct tx row
-    factors, the beams are bounded by their row factor first
-    (_group_bounds), and only the best-bounded group's beams are projected;
-    another group is projected, bounded and confirmed only where its bound
-    reaches the threshold. A kept row is a row of the whole projection, bit
-    for bit: a subset of two or more rows of a matrix-matrix product is
-    bit-equal to those rows of the whole product.
+    (0, 0) at 0 W. The tx beams are projected a row-factor group at a
+    time: first each channel's best-bounded group, then any other group
+    whose bound reaches a channel's tie threshold. In the path basis a
+    group's bound is its row factor's (_group_bounds). The element basis
+    has none, as _group_bounds needs the path-basis rx projections, so
+    every group reads inf there and is projected at once: on the 47-76
+    paths of room_trace and the 64 of dense_replay every group's bound
+    reached the threshold, and bounding the groups apart only cost a
+    second Gram form and confirm (room_trace's training sweeps took 4.8 ms
+    where they took 2.9, in-process, one BLAS thread). A kept row is a row
+    of the whole projection, bit for bit: a subset of two or more rows of a
+    matrix-matrix product is bit-equal to those rows of the whole product.
 
     The channels are grouped by subband grid, in order of each grid's first
     channel, and each grid's channels are stacked into one _sweep_spans
@@ -714,7 +713,10 @@ def _sweep_spans(
     Channel i, at times[i], has the paths f[starts[i]:starts[i] + counts[i]].
     The one sweep of ideal_beam_sweeps and of run_simulation's training.
     The channels of one path count are swept in chunks of about
-    _SWEEP_BYTES of projections, in channel order, and a chunk takes its
+    _SWEEP_BYTES of projections, in channel order, sized by the basis
+    alone: in the path basis a channel holds its row-factor products, one
+    row-factor group's tx beams and its rx projections, in the element
+    basis every tx beam and its rx element responses. A chunk takes its
     channels' spans with one take per factor. After every chunk is swept, a
     table maximum that is not finite raises ValueError naming the time of
     the first such channel.
@@ -723,13 +725,14 @@ def _sweep_spans(
     power, peak = np.zeros(len(counts)), np.zeros(len(counts))
     for p in dict.fromkeys(counts.tolist()):  # np.unique's first call costs 1.6 MB of RSS
         members = np.flatnonzero(counts == p)
-        # bytes a channel holds, over 16 P: its projected tx rows and its rx side
-        if _prunes(tx_codebook, rx_codebook, p):
+        # bytes a channel holds, over 16 P: its projected tx rows (in the path basis
+        # its row-factor products and one group's beams, every beam in the element
+        # basis) and its rx side
+        if p <= rx_codebook.n_elements:
             distinct, _, _, widest = tx_codebook._row_groups
-            rows = len(distinct) + max(widest, 2)  # row products, and one group's projections
+            rows = len(distinct) + max(widest, 2) + len(rx_codebook)
         else:
-            rows = len(tx_codebook)
-        rows += len(rx_codebook) if p <= rx_codebook.n_elements else rx_codebook.n_elements
+            rows = len(tx_codebook) + rx_codebook.n_elements
         per = max(1, _SWEEP_BYTES // (16 * rows * max(p, 1)))
         for lo in range(0, len(members), per):
             chunk = members[lo:lo + per]
@@ -754,92 +757,74 @@ def _sweep_chunk(
 ) -> tuple[np.ndarray, ...]:
     """The tx index, rx index, power and table maximum of each of n channels of P paths each.
 
-    f holds the channels' paths in channel order (see _sweep_factors).
-    Where _prunes says so, each channel's row-factor groups are bounded
-    first (_group_bounds), and only the beams of each channel's
-    best-bounded group are projected and bounded by _row_bounds, over the
-    whole chunk; elsewhere every beam is. The chunk's top projected rows
-    are confirmed in one _power_rows call and every channel's winner is
-    picked from them in one _first_tied pass. Only a channel with another
-    row or group whose bound reaches its tie threshold confirms those rows
-    too, and is picked on its own. The groups left out that reach it are
-    projected and bounded first, and their two best-bounded rows confirmed,
-    which may raise the threshold.
+    f holds the channels' paths in channel order (see _sweep_factors). One
+    bound-and-confirm loop over the tx codebook's row-factor groups, whose
+    bound is _group_bounds in the path basis and inf in the element basis.
+    Each round projects, over the whole chunk, the groups that some live
+    channel still wants: in the first round each channel's best-bounded
+    groups, later every group left out whose bound reaches a channel's tie
+    threshold. It bounds the new rows with _row_bounds, confirms each
+    channel's two best-bounded rows (every row where all bounds are inf) in
+    one _power_rows call, and raises each threshold to the largest power
+    confirmed so far. A channel is live while a projected row's bound or a
+    group's bound left out is positive. The first round's confirm picks
+    every winner in one _first_tied pass; after the last round, only a
+    channel with a row outside its first top rows that reaches its
+    threshold confirms every such row, and is picked on its own.
     """
-    # every bound covers its row, so a channel whose bounds are all 0 has an
-    # all-zero table, whose pair is (0, 0) at 0 W
-    zero = np.zeros(n, np.intp), np.zeros(n, np.intp), np.zeros(n), np.zeros(n)
-    pruned = _prunes(tx_codebook, rx_codebook, len(f) // n)
-    if pruned:
-        coef, rx_side, scale = _rx_terms(f, n, grid, rx_codebook, p_tx_w)
-        distinct, _, group, _ = tx_codebook._row_groups
-        rho = distinct @ f.tx_rows.T.conj()  # (D, G P)
-        upper = _group_bounds(rho, coef, rx_side[0], scale, tx_codebook)  # (G, D)
-        live = upper.any(axis=1)
+    coef, rx_side, scale = _rx_terms(f, n, grid, rx_codebook, p_tx_w)
+    group = tx_codebook._row_groups[2]
+    rho = _row_products(tx_codebook, f.tx_rows)  # (D, G P)
+    # (G, D) bounds of the groups left out, -inf once projected; the element
+    # basis has no group bound, so every group reads inf
+    upper = (_group_bounds(rho, coef, rx_side[0], scale, tx_codebook) if len(rx_side) == 1
+             else np.full((n, len(rho)), np.inf))
+    live = upper.any(axis=1)
+    want = upper >= upper.max(axis=1, keepdims=True)  # round one: each channel's best groups
+    keep, first, threshold = np.zeros(0, np.intp), None, 0.0
+    while (new := want[live].any(axis=0)).any():
+        beams = np.flatnonzero(new[group])
+        if len(keep) + len(beams) == 1 < len(tx_codebook):  # and another group: two top rows
+            new[(~new).argmax()] = True
+            beams = np.flatnonzero(new[group])
+        upper[:, new] = -np.inf
+        paths = _project(tx_codebook, beams, rho, f.tx_cols, n)
+        b = _row_bounds(paths, coef, rx_side, scale)  # (G, len(beams))
+        if len(keep):  # a later round's rows follow the earlier ones
+            keep, bound = np.concatenate((keep, beams)), np.concatenate((bound, b), axis=1)
+            tx_paths = np.concatenate((tx_paths, paths), axis=1)
+        else:
+            keep, tx_paths, bound = beams, paths, b
+        live = bound.any(axis=1) | (upper > 0).any(axis=1)
         if not live.any():
-            return zero
-        chosen = np.zeros(len(distinct), bool)
-        chosen[upper[live].argmax(axis=1)] = True
-        keep = np.flatnonzero(chosen[group])
-        if len(keep) == 1:  # a group of one beam, and another one: two top rows
-            chosen[chosen.argmin()] = True
-            keep = np.flatnonzero(chosen[group])
-        tx_paths = _beam_paths(tx_codebook, keep, rho, f.tx_cols, n)
-    else:
-        tx_paths, coef, rx_side, scale = _sweep_factors(f, n, grid, tx_codebook, rx_codebook,
-                                                        p_tx_w)
-        keep = np.arange(len(tx_codebook))
-    bound = _row_bounds(tx_paths, coef, rx_side, scale)  # (G, len(keep))
-    if not pruned:
-        live = bound.any(axis=1)
-        if not live.any():
-            return zero
-    # two rows per channel keep BLAS on its GEMM kernel; with no bound (all inf)
-    # the top rows are every projected row
-    n_top = len(keep) if np.isinf(bound).all() else min(2, len(keep))
-    top = np.sort(np.argpartition(bound, -n_top, axis=1)[:, -n_top:], axis=1)
-    top_paths = tx_paths if n_top == len(keep) else np.take_along_axis(tx_paths, top[:, :, None],
-                                                                       axis=1)
-    k, rx, power, peak = _first_tied(_power_rows(top_paths, coef, rx_side, scale))
-    threshold = peak * (1.0 - TIE_RTOL)
-    # the rows that may hold a tied pair are all among the top rows, and in
-    # the groups projected
+            break
+        # two rows per channel keep BLAS on its GEMM kernel; with no bound (all inf)
+        # the top rows are every projected row
+        n_top = len(keep) if np.isinf(bound).all() else min(2, len(keep))
+        top = np.sort(np.argpartition(bound, -n_top, axis=1)[:, -n_top:], axis=1)
+        top_paths = tx_paths if n_top == len(keep) else np.take_along_axis(
+            tx_paths, top[:, :, None], axis=1)
+        picks = _first_tied(_power_rows(top_paths, coef, rx_side, scale))
+        first = first or (top, *picks)
+        threshold = np.maximum(threshold, picks[3] * (1.0 - TIE_RTOL))
+        want = upper >= threshold[:, None]
+    if not live.any():
+        # every bound covers its row, so a channel whose bounds are all 0 has an
+        # all-zero table, whose pair is (0, 0) at 0 W
+        return np.zeros(n, np.intp), np.zeros(n, np.intp), np.zeros(n), np.zeros(n)
+    # the rows that may hold a tied pair all reach the threshold: a channel
+    # whose reaching rows are all among its first top rows keeps its first pick
+    top, k, rx, power, peak = first
     reach = bound >= threshold[:, None]
-    redo = live & (reach.sum(axis=1) > (np.take_along_axis(bound, top, axis=1)
-                                        >= threshold[:, None]).sum(axis=1))
+    redo = live & (reach.sum(axis=1) > np.take_along_axis(reach, top, axis=1).sum(axis=1))
     tx = keep[np.take_along_axis(top, k[:, None], axis=1)[:, 0]]
-    if pruned:
-        left = np.where(chosen, -np.inf, upper) >= threshold[:, None]  # (G, D)
-        redo |= live & left.any(axis=1)
-        left = left[redo].any(axis=0)
-        if left.any():  # groups left out whose bound reaches a threshold
-            extra = np.flatnonzero(left[group])
-            extra_paths = _beam_paths(tx_codebook, extra, rho, f.tx_cols, n)
-            keep = np.concatenate((keep, extra))
-            order = np.argsort(keep)
-            at = np.empty_like(order)  # a row's new position, by its old one
-            at[order] = np.arange(len(order))
-            keep, tx_paths = keep[order], np.concatenate((tx_paths, extra_paths), axis=1)[:, order]
-            bound = np.concatenate((bound, _row_bounds(extra_paths, coef, rx_side, scale)),
-                                   axis=1)[:, order]
-            # the two best-bounded rows may now lie outside the first groups: confirm
-            # them too, to raise the threshold, and count them with the top rows
-            again = np.flatnonzero(redo)
-            best = np.sort(np.argpartition(bound[again], -2, axis=1)[:, -2:], axis=1)
-            table = _power_rows(np.take_along_axis(tx_paths[again], best[:, :, None], axis=1),
-                                coef[again], (rx_side[0][again], *rx_side[1:]), scale)
-            threshold[again] = np.maximum(threshold[again],
-                                          table.max(axis=(1, 2)) * (1.0 - TIE_RTOL))
-            top = np.concatenate((at[top], at[top[:, :2]]), axis=1)
-            top[again, -2:] = best
-            reach = bound >= threshold[:, None]
     for g in np.flatnonzero(redo).tolist():
         # these rows hold the maximum's row too, so they are two or more, but
-        # for a channel whose extra rows' bounds fell short: add its top rows
-        rows = np.flatnonzero(reach[g])
-        if len(rows) < 2:
+        # where that row alone reaches: add the top rows
+        if reach[g].sum() < 2:
             reach[g, top[g]] = True
-            rows = np.flatnonzero(reach[g])
+        rows = np.flatnonzero(reach[g])
+        rows = rows[np.argsort(keep[rows])]  # in beam order, for the tie rule
         t = _power_rows(tx_paths[g, rows], coef[g], (rx_side[0][g], *rx_side[1:]), scale)
         k_g, rx[g], power[g], peak[g] = _first_tied(t)
         tx[g] = keep[rows[k_g]]

@@ -28,6 +28,7 @@ from tracechan import (
 )
 from tracechan import beams
 from tracechan.arrays import _wrap_azimuth
+from tracechan.channel import ChannelMatrixSet, PathFactors
 from tracechan.scenario import build_setup, load_config
 
 LAM = 299792458.0 / 28e9
@@ -883,7 +884,7 @@ def test_single_path_sweep_projects_one_zenith_group(monkeypatch):
     cb_tx = generate_codebook(tx_arr, 0.0, 90.0, 1.0)
     cb_rx = generate_codebook(rx_arr, -180.0, 170.0, 10.0)
     projected, rows = [], []
-    _spy(monkeypatch, "_beam_paths", lambda cb, b, *args: projected.append(b.copy()))
+    _spy(monkeypatch, "_project", lambda cb, b, *args: cb is cb_tx and projected.append(b.copy()))
     _spy(monkeypatch, "_power_rows", lambda tx_paths, *args: rows.append(tx_paths.shape[-2]))
     sel = ideal_beam_sweep(ch, cb_tx, cb_rx, 1.0)
     assert [len(b) for b in projected] == [91] and rows == [2]
@@ -904,13 +905,12 @@ def test_many_path_element_basis_sweep_takes_the_whole_projection(monkeypatch):
                                 SubbandGrid(28e9, 400e6, 64))
     cb_tx, cb_rx = setup.tx_codebook, setup.rx_codebook
     want = select_best_pair(sweep_power_table(ch, cb_tx, cb_rx, 1.0), cb_tx, cb_rx)
-    projected, rows = [], []
-    _spy(monkeypatch, "_beam_paths", lambda *args: projected.append(args))
-    _spy(monkeypatch, "_project", lambda cb, *args: rows.append(("project", len(cb))))
+    rows = []
+    _spy(monkeypatch, "_project", lambda cb, b, *args: rows.append(("project", len(b))))
     _spy(monkeypatch, "_power_rows", lambda tx_paths, *args: rows.append(tx_paths.shape[-2]))
     got = ideal_beam_sweep(ch, cb_tx, cb_rx, 1.0)
-    assert projected == [] and rows[:2] == [("project", 252), 2], rows
-    assert ("project", 252) not in rows[2:]
+    assert rows[:2] == [("project", 252), 2], rows
+    assert not any(isinstance(r, tuple) for r in rows[2:]), rows
     assert (got.tx_index, got.rx_index) == (want.tx_index, want.rx_index)
     assert np.float64(got.power_w).tobytes() == np.float64(want.power_w).tobytes()
 
@@ -1200,8 +1200,71 @@ def test_beam_weights_and_projection_match_dense_weights():
     rng = np.random.default_rng(5)
     ch = _channel(_random_records(rng, 4), arr, arr)
     np.testing.assert_allclose(
-        beams._project(cb, ch.paths.tx_rows, ch.paths.tx_cols), dense @ ch.a_tx.conj(),
-        rtol=0, atol=1e-14)
+        beams._project(cb, np.arange(len(cb)), beams._row_products(cb, ch.paths.tx_rows),
+                       ch.paths.tx_cols, 1)[0], dense @ ch.a_tx.conj(), rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("kind", ["grid", "one-zenith", "one-beam"])
+def test_projected_rows_are_rows_of_the_whole_products(kind):
+    # every row _project gives, for the whole codebook or a subset of its beams
+    # (a single beam too), is bit-equal to that row of the whole products
+    # (F_r A_r^H) * (F_c A_c^H) / sqrt(N) over every beam: a one-row product,
+    # of one beam or of one distinct row factor, would run as a matrix-vector
+    # product and round apart
+    arr = PlanarArray(3, 5, LAM, bearing_deg=20.0)
+    cb = {"grid": lambda: generate_codebook(arr, -60.0, 60.0, 20.0),
+          "one-zenith": lambda: generate_codebook(arr, -60.0, 60.0, 20.0, 80.0, 80.0, 1.0),
+          "one-beam": lambda: generate_codebook(arr, 20.0, 20.0, 1.0, 80.0, 80.0, 1.0)}[kind]()
+    paths = _channel(_random_records(np.random.default_rng(5), 6), arr, arr).paths
+    whole = cb.row_factors @ paths.tx_rows.T.conj()
+    whole *= cb.col_factors @ paths.tx_cols.T.conj()
+    whole *= 1.0 / math.sqrt(cb.n_elements)
+    rho = beams._row_products(cb, paths.tx_rows)
+    for subset in ([len(cb) - 1], range(len(cb)), range(0, len(cb), 2)):
+        subset = np.array(subset, np.intp)
+        got = beams._project(cb, subset, rho, paths.tx_cols, 1)
+        assert got.shape == (1, len(subset), 6)
+        assert got[0].tobytes() == whole[subset].tobytes()
+
+
+def test_a_group_bound_keeps_a_channel_live_past_zero_row_bounds():
+    # one hand-built path whose column factor is exactly orthogonal to those of
+    # the best-bounded row-factor group (beams 0 and 1): their rows and row
+    # bounds are exactly 0, but beam 2's group bound is positive, so the
+    # channel stays live, projects that group and picks the table's pair
+    one = np.ones((1, 2), complex)
+    paths = PathFactors(np.array([1e-4 + 0j]), np.array([1e-7]), one.copy(),
+                        np.array([[1, -1]], complex), np.ones((1, 1), complex), one.copy())
+    ch = ChannelMatrixSet(paths, SubbandGrid(28e9, 400e6, 2), 0.0)
+    cb_tx = BeamCodebook(np.array([0.0, 10.0, 20.0]), np.full(3, 90.0),
+                         np.array([[1, 1], [1, 1], [1, 1j]]), np.array([[1, 1], [1, 1], [1, -1]]))
+    cb_rx = generate_codebook(PlanarArray(1, 2, LAM), -90.0, 90.0, 90.0, 90.0, 90.0, 1.0)
+    table = sweep_power_table(ch, cb_tx, cb_rx, 1.0)
+    assert not table[:2].any() and table[2].any()
+    want = select_best_pair(table, cb_tx, cb_rx)
+    got = ideal_beam_sweep(ch, cb_tx, cb_rx, 1.0)
+    assert want.tx_index == 2 and (got.tx_index, got.rx_index) == (want.tx_index, want.rx_index)
+    assert got.power_w.hex() == want.power_w.hex()
+
+
+def test_one_beam_group_is_projected_with_another_group(monkeypatch):
+    # every beam of this codebook has a row factor of its own, so the best-bounded
+    # group is one beam: the first round projects a second group with it, and
+    # the first confirm takes two rows, as a matrix-matrix product. The pick is
+    # the table's, bit for bit
+    rng = np.random.default_rng(8)
+    tx_arr, rx_arr = PlanarArray(3, 4, LAM), PlanarArray(2, 2, LAM)
+    cb_tx = _scaled_codebook(rng, tx_arr, 24, np.ones(24))
+    cb_rx = generate_codebook(rx_arr, -180.0, 90.0, 90.0, 60.0, 120.0, 60.0)
+    ch = _channel(_random_records(rng, 3), tx_arr, rx_arr)
+    want = select_best_pair(sweep_power_table(ch, cb_tx, cb_rx, 1.0), cb_tx, cb_rx)
+    projected, rows = [], []
+    _spy(monkeypatch, "_project", lambda cb, b, *args: cb is cb_tx and projected.append(len(b)))
+    _spy(monkeypatch, "_power_rows", lambda tx_paths, *args: rows.append(tx_paths.shape[-2]))
+    got = ideal_beam_sweep(ch, cb_tx, cb_rx, 1.0)
+    assert projected[0] == 2 and rows[0] == 2, (projected, rows)
+    assert (got.tx_index, got.rx_index) == (want.tx_index, want.rx_index)
+    assert got.power_w.hex() == want.power_w.hex()
 
 
 @pytest.mark.parametrize("n_paths", [1, 3], ids=["path-basis", "element-basis"])
@@ -1329,3 +1392,69 @@ def test_mirror_ties_take_the_second_confirm(monkeypatch):
     want = select_best_pair(sweep_power_table(ch, cb_tx, cb_rx, 1.0), cb_tx, cb_rx)
     assert (got.tx_index, got.rx_index, got.power_w) == (want.tx_index, want.rx_index,
                                                          want.power_w)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    zero=st.lists(st.booleans(), min_size=1, max_size=6),
+    n_paths=st.integers(1, 5),
+    tx_kind=st.sampled_from(["grid", "mirror", "one-zenith", "one-beam"]),
+    n_subbands=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+# two one-path channels on the grid codebook, one of them zero-gain
+@example(zero=[False, True], n_paths=1, tx_kind="grid", n_subbands=1, seed=0)
+def test_every_group_in_round_one_picks_as_the_rounds(zero, n_paths, tx_kind, n_subbands, seed):
+    # path-basis chunks (1-5 paths on 6 rx elements). With every group bound
+    # patched to inf, as in the element basis, the first round projects every
+    # beam in one product; the picks and power bits are those of the rounds
+    # that the row-factor bounds take
+    rng = np.random.default_rng(seed)
+    grid = SubbandGrid(28e9, 400e6, n_subbands)
+    tx_arr = PlanarArray(1, 4, LAM) if tx_kind == "mirror" else PlanarArray(2, 3, LAM,
+                                                                             bearing_deg=25.0)
+    rx_arr = PlanarArray(2, 3, LAM)
+    cb_tx = {"grid": lambda: generate_codebook(tx_arr, -90.0, 90.0, 15.0),
+             "mirror": lambda: _mirror_codebook(tx_arr),
+             "one-zenith": lambda: generate_codebook(tx_arr, -90.0, 90.0, 30.0, 90.0, 90.0, 1.0),
+             "one-beam": lambda: generate_codebook(tx_arr, 20.0, 20.0, 1.0, 90.0, 90.0, 1.0)
+             }[tx_kind]()
+    cb_rx = generate_codebook(rx_arr, -180.0, 90.0, 90.0, 60.0, 120.0, 60.0)
+    channels = [build_channel_matrices(
+        [replace(r, t=0.1 * k, gain_mag=0.0 if z else r.gain_mag)
+         for r in _random_records(rng, n_paths)], tx_arr, rx_arr, grid, t=0.1 * k)
+        for k, z in enumerate(zero)]
+    f, n = beams._stacked(channels), len(channels)
+    want = beams._sweep_chunk(f, n, grid, cb_tx, cb_rx, 0.5)
+    projected = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(beams, "_group_bounds",
+                   lambda rho, coef, *args: np.full((len(coef), len(rho)), np.inf))
+        _spy(mp, "_project", lambda cb, b, *args: cb is cb_tx and projected.append(len(b)))
+        got = beams._sweep_chunk(f, n, grid, cb_tx, cb_rx, 0.5)
+    assert projected == [len(cb_tx)]
+    assert [c.tolist() for c in got[:2]] == [c.tolist() for c in want[:2]]
+    assert got[2].tobytes() == want[2].tobytes()
+
+
+def test_second_round_projects_the_groups_that_reach_the_threshold(monkeypatch):
+    # two paths at tx zeniths 70 and 100: the first round projects the 13 beams
+    # of the best-bounded zenith group, and after its confirm the bounds of
+    # three more groups still reach the tie threshold, so a second round
+    # projects them. The pick is the table's, bit for bit
+    tx_arr, rx_arr = PlanarArray(4, 4, LAM), PlanarArray(2, 2, LAM)
+    cb_tx = generate_codebook(tx_arr, -90.0, 90.0, 15.0)
+    cb_rx = generate_codebook(rx_arr, -180.0, 90.0, 90.0, 60.0, 120.0, 60.0)
+    records = [mk_record(path_id=0, gain_mag=1e-4, aod_az=30.0, aod_zen=70.0, aoa_az=-90.0,
+                         aoa_zen=60.0),
+               mk_record(path_id=1, gain_mag=5e-5, aod_az=-45.0, aod_zen=100.0, aoa_az=0.0,
+                         aoa_zen=120.0, delay=2e-7)]
+    ch = build_channel_matrices(records, tx_arr, rx_arr, SubbandGrid(28e9, 400e6, 4))
+    want = select_best_pair(sweep_power_table(ch, cb_tx, cb_rx, 1.0), cb_tx, cb_rx)
+    projected = []
+    _spy(monkeypatch, "_project", lambda cb, b, *args: cb is cb_tx and projected.append(b.copy()))
+    got = ideal_beam_sweep(ch, cb_tx, cb_rx, 1.0)
+    assert [len(b) for b in projected] == [13, 39]
+    assert len(set(cb_tx.zenith_deg[projected[0]].tolist())) == 1
+    assert (got.tx_index, got.rx_index) == (want.tx_index, want.rx_index)
+    assert got.power_w.hex() == want.power_w.hex()

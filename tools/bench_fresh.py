@@ -28,12 +28,8 @@ the interpreter and its imports included), and the time spent inside
 - ray tracing, ``generate_trace`` (``trace_s``; 0 when the config replays
   a trace),
 - the training sweeps (``sweep_s``): ``_sweep_spans``, one call per block
-  of rows, or ``ideal_beam_sweeps`` in a source tree whose ``run_simulation``
-  still trains through it; ``sweeps`` counts the rows trained,
-- channel assembly (``channel_s``): the block-wide ``path_factors``, and
-  ``_subband_terms`` in a source tree whose ``link`` module still imports
-  it (a tree whose ``_row_powers`` evaluates rows from the ramp tables
-  does not),
+  of rows; ``sweeps`` counts the rows trained,
+- channel assembly (``channel_s``): the block-wide ``path_factors``,
 - per-row evaluation (``eval_s``): ``_row_powers``, one pass per block of
   rows; ``evals`` counts the rows evaluated,
 - ``parse_trace`` (``parse_s``; 0 when the config traces its own scene),
@@ -42,10 +38,8 @@ the interpreter and its imports included), and the time spent inside
   (``setup_s``: the AMC table and the codebooks).
 
 The stages are disjoint: a wrapped function called inside another wrapped
-call (``_subband_terms`` inside ``_row_powers``, in a tree where it is
-called there) is part of the stage that called it and is not timed again.
-A stage function missing from the tree fails the run, except
-``_subband_terms``, which only older trees call from ``link``.
+call is part of the stage that called it and is not timed again. Every
+stage function is required: one missing from the tree fails the run.
 
 Fresh processes matter: repeating configs in one process lets the allocator
 keep memory that a single ``simulate`` has to fault in. With several
@@ -109,15 +103,10 @@ def timed(module, *names, count=lambda args: 1):
     return spent
 
 # the training sweeps, counted in rows trained: one batched call per block of rows,
-# to _sweep_spans, or to ideal_beam_sweeps in a tree that trains through it
-if hasattr(link, "_sweep_spans"):
-    spans_at = list(inspect.signature(link._sweep_spans).parameters).index("counts")
-    sweep = timed(link, "_sweep_spans", count=lambda args: len(args[spans_at]))
-else:
-    sweep = timed(link, "ideal_beam_sweeps", count=lambda args: len(args[0]))
-# channel assembly: path_factors, and _subband_terms where link still imports it
-channel = timed(link, "path_factors",
-                *(["_subband_terms"] if hasattr(link, "_subband_terms") else []))
+# whose counts argument holds one entry a row trained
+spans_at = list(inspect.signature(link._sweep_spans).parameters).index("counts")
+sweep = timed(link, "_sweep_spans", count=lambda args: len(args[spans_at]))
+channel = timed(link, "path_factors")  # channel assembly
 # per-row evaluation, counted in rows: one pass per block of rows, whose counts
 # argument holds one entry a row
 rows_at = list(inspect.signature(link._row_powers).parameters).index("counts")
@@ -243,12 +232,10 @@ def main(argv: list[str] | None = None) -> int:
     report = {
         "about": "tracechan simulate on each config, one fresh process per run: "
                  "median wall time and process CPU time of cli.main, time inside "
-                 "generate_trace, the training sweeps (_sweep_spans, or ideal_beam_sweeps in a "
-                 "tree that trains through it), channel assembly "
-                 "(path_factors, and _subband_terms outside the other stages where link "
-                 "imports it), row "
-                 "evaluation (_row_powers), parse_trace, load_config and build_setup, "
-                 "ru_minflt growth over the call and the process's peak RSS (ru_maxrss)",
+                 "generate_trace, the training sweeps (_sweep_spans), channel assembly "
+                 "(path_factors), row evaluation (_row_powers), parse_trace, load_config "
+                 "and build_setup, ru_minflt growth over the call and the process's peak "
+                 "RSS (ru_maxrss)",
         "environment": {
             "python": platform.python_version(),
             "machine": platform.machine(),
